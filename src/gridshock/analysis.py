@@ -131,6 +131,20 @@ def first_impact_fraction(curve: CostCurve, threshold: float = 0.0) -> float | N
     return None
 
 
+def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Exact secant for two points, otherwise the least-squares slope.
+
+    The xs must not all be equal.
+    """
+    if len(xs) == 2:
+        return float((ys[1] - ys[0]) / (xs[1] - xs[0]))
+    x_mean = sum(xs) / len(xs)
+    y_mean = sum(ys) / len(ys)
+    sxx = sum((x - x_mean) ** 2 for x in xs)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    return float(sxy / sxx)
+
+
 def marginal_cost_per_gw(
     curves: Mapping[str, CostCurve],
     peak_demands_gw: Mapping[str, float],
@@ -154,13 +168,7 @@ def marginal_cost_per_gw(
     ys = [y for _, y in pairs]
     if max(xs) == min(xs):
         raise DegeneratePeaks("all scenario peak demands are equal")
-    if len(pairs) == 2:
-        return float((ys[1] - ys[0]) / (xs[1] - xs[0]))
-    x_mean = sum(xs) / len(xs)
-    y_mean = sum(ys) / len(ys)
-    sxx = sum((x - x_mean) ** 2 for x in xs)
-    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    return float(sxy / sxx)
+    return _slope(xs, ys)
 
 
 def lost_load_slope(
@@ -189,13 +197,7 @@ def lost_load_slope(
     ys = [float(median(v)) for _, v in sorted(cost.items())]
     if max(xs) == min(xs):
         return None
-    if len(xs) == 2:
-        return float((ys[1] - ys[0]) / (xs[1] - xs[0]))
-    x_mean = sum(xs) / len(xs)
-    y_mean = sum(ys) / len(ys)
-    sxx = sum((x - x_mean) ** 2 for x in xs)
-    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    return float(sxy / sxx)
+    return _slope(xs, ys)
 
 
 def regional_relative_change(

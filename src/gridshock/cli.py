@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=description)
         cmd.add_argument("--config", required=True)
-        cmd.add_argument("--seed", type=int, default=None)
+        if name == "simulate":
+            cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--workers", type=int, default=None)
         cmd.add_argument("--out", default=None)
         cmd.set_defaults(func=func)

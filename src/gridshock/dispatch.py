@@ -11,10 +11,7 @@ generation first, until the network settles.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -22,7 +19,7 @@ import numpy as np
 from .errors import NoDemand, NumericalBreakdown, Unstable, ValidationError
 from .grid import Grid
 from .numerics import LinearProgram, lp_solve, lu_solve
-from .powerflow import FlowSolution, default_slack_bus, _reduced_system
+from .powerflow import default_slack_bus, _reduced_system
 
 __all__ = [
     "GridContext",
@@ -35,77 +32,34 @@ __all__ = [
 
 
 class GridContext:
-    """Cached network geometry for repeated dispatch on one grid.
+    """Flow sensitivities for repeated dispatch on one grid.
 
-    Holds the flow-sensitivity matrix (MW branch flow per MW bus
-    injection, slack column zero), the reduced angle solve, and all-pairs
-    hop distances. Safe to share across many dispatch calls.
+    `sensitivity` is the MW flow on each branch (grid branch order) per MW
+    injected at each bus (grid bus order), with the slack bus absorbing the
+    balance, so its column is zero. Safe to share across dispatch calls.
     """
 
     def __init__(self, grid: Grid, slack_bus: str | None = None):
-        self.grid = grid
-        self.slack_bus = slack_bus if slack_bus is not None else default_slack_bus(grid)
-        self.bus_ids = tuple(bus.id for bus in grid.buses)
-        self.bus_pos = {bid: k for k, bid in enumerate(self.bus_ids)}
-        if self.slack_bus not in self.bus_pos:
-            raise ValidationError(f"slack bus {self.slack_bus!r} is not in the grid")
-
-        reduced, order = _reduced_system(grid, self.slack_bus)
+        if slack_bus is None:
+            slack_bus = default_slack_bus(grid)
+        reduced, order = _reduced_system(grid, slack_bus)
         n_red = len(order)
-        self.reduced_order = tuple(order)
-        self.reduced_pos = {bid: k for k, bid in enumerate(order)}
-        self.reduced_inverse = (
-            lu_solve(reduced, np.eye(n_red)) if n_red else np.zeros((0, 0))
-        )
+        reduced_pos = {bid: k for k, bid in enumerate(order)}
+        reduced_inverse = lu_solve(reduced, np.eye(n_red))
 
-        rows = []
-        for br in grid.branches:
-            row_from = self._inverse_row(br.from_bus)
-            row_to = self._inverse_row(br.to_bus)
-            rows.append(br.susceptance_pu * (row_from - row_to))
+        def inverse_row(bus_id: str) -> np.ndarray:
+            if bus_id == slack_bus:
+                return np.zeros(n_red)
+            return reduced_inverse[reduced_pos[bus_id]]
+
+        rows = [
+            br.susceptance_pu * (inverse_row(br.from_bus) - inverse_row(br.to_bus))
+            for br in grid.branches
+        ]
         reduced_sensitivity = np.array(rows) if rows else np.zeros((0, n_red))
-        self.sensitivity = np.zeros((len(grid.branches), len(self.bus_ids)))
-        for k, bid in enumerate(order):
-            self.sensitivity[:, self.bus_pos[bid]] = reduced_sensitivity[:, k]
+        self.sensitivity = np.zeros((len(grid.branches), len(grid.buses)))
+        self.sensitivity[:, [grid.bus_index[bid] for bid in order]] = reduced_sensitivity
         self.ratings = np.array([br.rating_mw for br in grid.branches])
-        self.branch_ids = tuple(br.id for br in grid.branches)
-
-    def _inverse_row(self, bus_id: str) -> np.ndarray:
-        if bus_id == self.slack_bus:
-            return np.zeros(len(self.reduced_order))
-        return self.reduced_inverse[self.reduced_pos[bus_id]]
-
-    @cached_property
-    def hop_distance(self) -> np.ndarray:
-        """All-pairs hop counts over the bus graph; -1 marks unreachable."""
-        n = len(self.bus_ids)
-        table = np.full((n, n), -1, dtype=int)
-        adjacency = self.grid.adjacency
-        for start in range(n):
-            table[start, start] = 0
-            queue = deque([self.bus_ids[start]])
-            while queue:
-                current = queue.popleft()
-                base = table[start, self.bus_pos[current]]
-                for nbr in adjacency[current]:
-                    k = self.bus_pos[nbr]
-                    if table[start, k] < 0:
-                        table[start, k] = base + 1
-                        queue.append(nbr)
-        return table
-
-    def hops(self, from_bus: str, to_bus: str) -> int:
-        return int(self.hop_distance[self.bus_pos[from_bus], self.bus_pos[to_bus]])
-
-    def angles_for(self, injections_mw: np.ndarray) -> np.ndarray:
-        """Bus angles (radians, grid order) for a full MW injection vector."""
-        per_unit = injections_mw / self.grid.base_mva
-        reduced = np.array([per_unit[self.bus_pos[bid]] for bid in self.reduced_order])
-        theta = self.reduced_inverse @ reduced if len(reduced) else np.zeros(0)
-        out = np.zeros(len(self.bus_ids))
-        for k, bid in enumerate(self.reduced_order):
-            out[self.bus_pos[bid]] = theta[k]
-        return out
 
 
 @dataclass(frozen=True)
@@ -131,15 +85,16 @@ class DispatchProblem:
 
 @dataclass(frozen=True)
 class DispatchSolution:
-    """Outputs, flows and shed demand for one dispatch.
+    """Outputs, branch flows and shed demand for one dispatch.
 
-    status is "feasible", "feasible_with_shedding", or "infeasible"; flows
-    is None only when infeasible.
+    status is "feasible", "feasible_with_shedding", or "infeasible".
+    flows_mw holds the DC branch flows in grid branch order, from the
+    GridContext sensitivities; it is None only when infeasible.
     """
 
     status: str
     generator_output_mw: dict[str, float]
-    flows: FlowSolution | None
+    flows_mw: np.ndarray | None
     shed_mw: dict[str, float]
 
     @property
@@ -147,61 +102,19 @@ class DispatchSolution:
         return float(sum(self.shed_mw.values()))
 
 
-def _shortest_hops(grid: Grid, sources: list[str]) -> dict[str, int]:
-    """Multi-source BFS hop counts from any of `sources` to every bus."""
-    dist = {bid: -1 for bid in grid.bus_by_id}
-    queue = deque()
-    for src in sorted(set(sources)):
-        dist[src] = 0
-        queue.append(src)
-    while queue:
-        current = queue.popleft()
-        for nbr in grid.adjacency[current]:
-            if dist[nbr] < 0:
-                dist[nbr] = dist[current] + 1
-                queue.append(nbr)
-    return dist
-
-
-def _impedance_distances(grid: Grid, source: str) -> dict[str, float]:
-    """Dijkstra over branches weighted by reciprocal susceptance."""
-    dist = {bid: np.inf for bid in grid.bus_by_id}
-    dist[source] = 0.0
-    weights: dict[str, list[tuple[str, float]]] = {bid: [] for bid in grid.bus_by_id}
-    for br in grid.branches:
-        w = 1.0 / br.susceptance_pu
-        weights[br.from_bus].append((br.to_bus, w))
-        weights[br.to_bus].append((br.from_bus, w))
-    heap = [(0.0, source)]
-    seen = set()
-    while heap:
-        d, current = heapq.heappop(heap)
-        if current in seen:
-            continue
-        seen.add(current)
-        for nbr, w in weights[current]:
-            if d + w < dist[nbr]:
-                dist[nbr] = d + w
-                heapq.heappush(heap, (dist[nbr], nbr))
-    return dist
-
-
 def generator_distance_costs(
     grid: Grid,
     demand_mw: Mapping[str, float],
     *,
     interconnector_penalty: float = 10.0,
-    impedance_weighted: bool = False,
-    context: GridContext | None = None,
 ) -> dict[str, float]:
-    """Unit dispatch cost per generator from demand-weighted path distance.
+    """Unit dispatch cost per generator from demand-weighted hop distance.
 
-    The cost is one plus the demand-weighted mean distance from the
-    generator's bus to the demand buses, so even a co-located generator
-    costs one unit; international units are additionally multiplied by
-    `interconnector_penalty` to keep them a last resort. Distances count
-    branch hops unless `impedance_weighted`, which sums reciprocal
-    susceptance along the cheapest path.
+    The cost is one plus the demand-weighted mean branch-hop count
+    (`Grid.hop_distance`) from the generator's bus to the demand buses,
+    so even a co-located generator costs one unit; international units
+    are additionally multiplied by `interconnector_penalty` to keep them a
+    last resort.
     """
     unknown = sorted(set(demand_mw) - set(grid.bus_by_id))
     if unknown:
@@ -212,34 +125,14 @@ def generator_distance_costs(
     loads.sort()
     total = sum(mw for _, mw in loads)
 
-    if not impedance_weighted and context is not None:
-        rows = context.hop_distance[[context.bus_pos[bid] for bid, _ in loads]]
-        weights = np.array([mw for _, mw in loads])
-        with np.errstate(invalid="ignore"):
-            mean_by_bus = weights @ np.where(rows < 0, np.nan, rows) / total
-    else:
-        mean_by_bus = None
-        distances: dict[str, Mapping[str, float]] = {}
-        for bid, _ in loads:
-            if impedance_weighted:
-                distances[bid] = _impedance_distances(grid, bid)
-            else:
-                distances[bid] = _shortest_hops(grid, [bid])
+    rows = grid.hop_distance[[grid.bus_index[bid] for bid, _ in loads]]
+    weights = np.array([mw for _, mw in loads])
+    with np.errstate(invalid="ignore"):
+        mean_by_bus = weights @ np.where(rows < 0, np.nan, rows) / total
 
     costs: dict[str, float] = {}
     for gen in grid.generators:
-        if mean_by_bus is not None:
-            mean = float(mean_by_bus[context.bus_pos[gen.bus]])
-        else:
-            acc = 0.0
-            for bid, mw in loads:
-                d = distances[bid][gen.bus]
-                if d < 0 or not np.isfinite(d):
-                    mean = np.nan
-                    break
-                acc += mw * float(d)
-            else:
-                mean = acc / total
+        mean = float(mean_by_bus[grid.bus_index[gen.bus]])
         if not np.isfinite(mean):
             raise ValidationError(f"generator {gen.id} is unreachable from a demand bus")
         cost = 1.0 + mean
@@ -272,32 +165,29 @@ def redispatch(
     gens = [grid.generator_by_id[g] for g in gen_ids]
 
     if total_demand <= 0.0:
-        flows = _flow_solution(context, np.zeros(len(context.bus_ids)))
         return DispatchSolution(
             status="feasible",
             generator_output_mw={g: 0.0 for g in gen_ids},
-            flows=flows,
+            flows_mw=np.zeros(len(grid.branches)),
             shed_mw={},
         )
     if not gens:
         return DispatchSolution(
-            status="infeasible", generator_output_mw={}, flows=None, shed_mw={}
+            status="infeasible", generator_output_mw={}, flows_mw=None, shed_mw={}
         )
 
     costs = generator_distance_costs(
-        grid, demand, interconnector_penalty=problem.interconnector_penalty, context=context
+        grid, demand, interconnector_penalty=problem.interconnector_penalty
     )
     c = np.array([costs[g] for g in gen_ids])
     upper = np.array([gen.derated_mw for gen in gens])
     bounds = np.column_stack([np.zeros(len(gens)), upper])
 
-    demand_vec = np.zeros(len(context.bus_ids))
+    demand_vec = np.zeros(len(grid.buses))
     for bid, mw in demand.items():
-        demand_vec[context.bus_pos[bid]] += mw
+        demand_vec[grid.bus_index[bid]] += mw
     base_flow = context.sensitivity @ (-demand_vec)
-    gen_cols = np.array(
-        [context.sensitivity[:, context.bus_pos[gen.bus]] for gen in gens]
-    ).T if gens else np.zeros((len(context.branch_ids), 0))
+    gen_cols = np.array([context.sensitivity[:, grid.bus_index[gen.bus]] for gen in gens]).T
 
     a_eq = np.ones((1, len(gens)))
     b_eq = np.array([total_demand])
@@ -317,10 +207,10 @@ def redispatch(
         sol = lp_solve(lp)
         if sol.status != "optimal":
             return DispatchSolution(
-                status="infeasible", generator_output_mw={}, flows=None, shed_mw={}
+                status="infeasible", generator_output_mw={}, flows_mw=None, shed_mw={}
             )
         output = sol.x
-        flows = gen_cols @ output + base_flow if len(gens) else base_flow
+        flows = gen_cols @ output + base_flow
         if ignore_limits:
             break
         overloaded = [
@@ -331,7 +221,7 @@ def redispatch(
         if not new_rows:
             break
         active.extend(new_rows)
-        if len(active) > 2 * len(context.branch_ids):
+        if len(active) > 2 * len(grid.branches):
             raise NumericalBreakdown("limit rows kept accumulating without convergence")
 
     injections = -demand_vec.copy()
@@ -339,24 +229,12 @@ def redispatch(
     for gen, mw in zip(gens, output):
         value = float(mw)
         outputs[gen.id] = value
-        injections[context.bus_pos[gen.bus]] += value
+        injections[grid.bus_index[gen.bus]] += value
     return DispatchSolution(
         status="feasible",
         generator_output_mw=outputs,
-        flows=_flow_solution(context, injections),
+        flows_mw=context.sensitivity @ injections,
         shed_mw={},
-    )
-
-
-def _flow_solution(context: GridContext, injections_mw: np.ndarray) -> FlowSolution:
-    angles = context.angles_for(injections_mw)
-    flows = context.sensitivity @ injections_mw
-    return FlowSolution(
-        slack_bus=context.slack_bus,
-        bus_ids=context.bus_ids,
-        angles_rad=angles,
-        branch_ids=context.branch_ids,
-        flows_mw=flows,
     )
 
 
@@ -390,10 +268,11 @@ def dispatch_with_shedding(
         raise ValidationError("shed step must lie in (0, 1]")
 
     original = {bid: float(mw) for bid, mw in problem.demand_mw.items() if mw > 0.0}
-    source_buses = [grid.generator_by_id[g].bus for g in sorted(removed)]
-    if source_buses:
-        near = _shortest_hops(grid, source_buses)
-        order = sorted(original, key=lambda bid: (near[bid] if near[bid] >= 0 else np.inf, bid))
+    if removed:
+        sources = [grid.bus_index[grid.generator_by_id[g].bus] for g in removed]
+        hops = grid.hop_distance[sources]
+        near = np.where(hops < 0, np.inf, hops).min(axis=0)
+        order = sorted(original, key=lambda bid: (near[grid.bus_index[bid]], bid))
     else:
         order = sorted(original)
 
@@ -428,7 +307,7 @@ def dispatch_with_shedding(
             return DispatchSolution(
                 status=status,
                 generator_output_mw=sol.generator_output_mw,
-                flows=sol.flows,
+                flows_mw=sol.flows_mw,
                 shed_mw=shed_out,
             )
         if not apply_round():

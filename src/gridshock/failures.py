@@ -116,23 +116,6 @@ class ResultTable:
         if len(set(keys)) != len(keys):
             raise ValidationError("duplicate (ordering, fraction, scenario, hour) records")
 
-    def filtered(
-        self,
-        scenario: str | None = None,
-        fraction: float | None = None,
-        hour: int | None = None,
-    ) -> list[ScenarioRecord]:
-        out = []
-        for record in self.records:
-            if scenario is not None and record.scenario != scenario:
-                continue
-            if fraction is not None and record.loss_fraction != fraction:
-                continue
-            if hour is not None and record.hour != hour:
-                continue
-            out.append(record)
-        return out
-
 
 def _local_generators(grid: Grid) -> list[str]:
     return sorted(g.id for g in grid.generators if not g.is_international)
@@ -381,8 +364,8 @@ def calibrate_ratings(
     if solution.status != "feasible":
         raise Unstable("peak demand exceeds available capacity before any removal")
     branches = tuple(
-        replace(b, rating_mw=max(b.rating_mw, headroom * abs(solution.flows.flow_of[b.id])))
-        for b in grid.branches
+        replace(b, rating_mw=max(b.rating_mw, headroom * abs(float(flow))))
+        for b, flow in zip(grid.branches, solution.flows_mw)
     )
     return replace(grid, branches=branches)
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -191,15 +193,32 @@ class Grid:
         return {bid: tuple(sorted(ns)) for bid, ns in nbrs.items()}
 
     @cached_property
-    def demand_buses(self) -> tuple[Bus, ...]:
-        return tuple(bus for bus in self.buses if bus.kind == "demand")
+    def bus_index(self) -> dict[str, int]:
+        """Position of each bus id in `buses`."""
+        return {bus.id: k for k, bus in enumerate(self.buses)}
 
     @cached_property
-    def generators_at(self) -> dict[str, tuple[Generator, ...]]:
-        out: dict[str, list[Generator]] = {}
-        for gen in self.generators:
-            out.setdefault(gen.bus, []).append(gen)
-        return {bid: tuple(gens) for bid, gens in out.items()}
+    def hop_distance(self) -> np.ndarray:
+        """All-pairs branch-hop counts in bus order; -1 marks unreachable."""
+        n = len(self.buses)
+        index = self.bus_index
+        table = np.full((n, n), -1, dtype=int)
+        for start, bus in enumerate(self.buses):
+            table[start, start] = 0
+            queue = deque([bus.id])
+            while queue:
+                current = queue.popleft()
+                base = table[start, index[current]]
+                for nbr in self.adjacency[current]:
+                    k = index[nbr]
+                    if table[start, k] < 0:
+                        table[start, k] = base + 1
+                        queue.append(nbr)
+        return table
+
+    @cached_property
+    def demand_buses(self) -> tuple[Bus, ...]:
+        return tuple(bus for bus in self.buses if bus.kind == "demand")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Dense linear-algebra and linear-programming kernels.
 
-Two self-contained solvers used everywhere else in the package: an LU
-factorization with partial pivoting for the power-flow systems, and a
-bounded-variable two-phase revised simplex method for the dispatch and
-economic optimizations. numpy supplies the array arithmetic; the pivoting
-logic, pricing, and basis bookkeeping are all local to this module so the
-results are bit-reproducible across platforms and worker processes.
+Two solvers used everywhere else in the package: a checked dense linear
+solve for the power-flow systems, and a bounded-variable two-phase revised
+simplex method for the dispatch and economic optimizations. The linear
+solve and the simplex's basis inverse rest on numpy's LAPACK/BLAS
+routines, so results are not promised bit-identical across platforms or
+numpy builds. What does hold: on one machine, repeated runs and any worker
+count give identical bytes, because pricing and basis bookkeeping are
+deterministic and every worker runs the same arithmetic.
 """
 
 from __future__ import annotations
@@ -17,38 +19,29 @@ import numpy as np
 from .errors import NumericalBreakdown, SingularMatrix
 
 __all__ = [
-    "SolverConfig",
     "LinearProgram",
     "LpSolution",
     "lu_solve",
     "lp_solve",
 ]
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances and limits for the iterative solvers."""
-
-    feasibility_tol: float = 1e-8
-    optimality_tol: float = 1e-9
-    pivot_tol: float = 1e-10
-    lu_pivot_threshold: float = 1e-12
-    iteration_factor: int = 10_000
-    stall_window: int = 100
-    refactor_interval: int = 100
+# simplex tolerances and limits
+FEASIBILITY_TOL = 1e-8
+OPTIMALITY_TOL = 1e-9
+PIVOT_TOL = 1e-10
+ITERATION_FACTOR = 10_000
+STALL_WINDOW = 100
+REFACTOR_INTERVAL = 100
 
 
-DEFAULT_CONFIG = SolverConfig()
+def lu_solve(a, b) -> np.ndarray:
+    """Solve the dense square system a @ x = b with LAPACK's LU solve.
 
-
-def lu_solve(a, b, *, pivot_threshold: float = 1e-12) -> np.ndarray:
-    """Solve the dense square system a @ x = b by Gaussian elimination.
-
-    b may be a vector or a matrix of stacked right-hand-side columns. Rows
-    are permuted by partial pivoting. Raises SingularMatrix when no pivot
-    above `pivot_threshold` exists, which for the power-flow systems means
-    the network is disconnected or degenerate. One step of iterative
-    refinement keeps the residual below 1e-9 * (1 + max|b|).
+    b may be a vector or a matrix of stacked right-hand-side columns. One
+    step of iterative refinement must bring the residual below
+    1e-9 * (1 + max|b|). Raises SingularMatrix when the factorization
+    meets a zero pivot or the residual stays above that bound, which for
+    the power-flow systems means the network is disconnected or degenerate.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -62,41 +55,18 @@ def lu_solve(a, b, *, pivot_threshold: float = 1e-12) -> np.ndarray:
     if n == 0:
         return np.zeros(b.shape)
 
-    lu = a.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < pivot_threshold:
-            raise SingularMatrix(f"no pivot above {pivot_threshold:g} in column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-
-    x = _lu_backsolve(lu, perm, b)
     tol = 1e-9 * (1.0 + float(np.max(np.abs(b))))
-    residual = b - a @ x
-    if float(np.max(np.abs(residual))) > tol:
-        x = x + _lu_backsolve(lu, perm, residual)
+    try:
+        x = np.linalg.solve(a, b)
         residual = b - a @ x
         if float(np.max(np.abs(residual))) > tol:
-            raise NumericalBreakdown(
-                f"residual {np.max(np.abs(residual)):.3e} exceeds {tol:.3e} after refinement"
-            )
-    return x
-
-
-def _lu_backsolve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    y = rhs[perm].copy()
-    for k in range(1, n):
-        y[k] -= lu[k, :k] @ y[:k]
-    x = y
-    for k in range(n - 1, -1, -1):
-        if k + 1 < n:
-            x[k] -= lu[k, k + 1 :] @ x[k + 1 :]
-        x[k] /= lu[k, k]
+            x = x + np.linalg.solve(a, residual)
+            residual = b - a @ x
+    except np.linalg.LinAlgError:
+        raise SingularMatrix(f"matrix of order {n} has a zero pivot") from None
+    worst = float(np.max(np.abs(residual)))
+    if not worst <= tol:
+        raise SingularMatrix(f"residual {worst:.3e} exceeds {tol:.3e} after refinement")
     return x
 
 
@@ -195,8 +165,7 @@ class _Simplex:
     dense matrix with eta-style updates and periodic refactorization.
     """
 
-    def __init__(self, a, b, lo, hi, n_struct, config):
-        self.cfg = config
+    def __init__(self, a, b, lo, hi, n_struct):
         m, n0 = a.shape
         self.m = m
         self.n_struct = n_struct
@@ -264,20 +233,19 @@ class _Simplex:
 
     def optimize(self, c):
         """Run simplex iterations for cost vector c until optimal/unbounded."""
-        cfg = self.cfg
-        max_iter = cfg.iteration_factor * (self.n + self.m)
+        max_iter = ITERATION_FACTOR * (self.n + self.m)
         bland = False
         stall = 0
         prev_obj = np.inf
         for _ in range(max_iter):
-            if self.since_refactor >= cfg.refactor_interval:
+            if self.since_refactor >= REFACTOR_INTERVAL:
                 self._refactorize()
 
             y = self.binv.T @ c[self.basis]
             reduced = c - self.a.T @ y
             nonbasic = ~self.in_basis
-            can_up = nonbasic & (self.x < self.hi) & (reduced < -cfg.optimality_tol)
-            can_dn = nonbasic & (self.x > self.lo) & (reduced > cfg.optimality_tol)
+            can_up = nonbasic & (self.x < self.hi) & (reduced < -OPTIMALITY_TOL)
+            can_dn = nonbasic & (self.x > self.lo) & (reduced > OPTIMALITY_TOL)
             violation = np.where(can_up, -reduced, 0.0) + np.where(can_dn, reduced, 0.0)
             if not violation.any():
                 return "optimal"
@@ -292,11 +260,11 @@ class _Simplex:
             delta = direction * w
             limits = np.full(self.m, np.inf)
             xb = self.x[self.basis]
-            pos = delta > cfg.pivot_tol
+            pos = delta > PIVOT_TOL
             if pos.any():
                 room = np.maximum(xb[pos] - self.lo[self.basis][pos], 0.0)
                 limits[pos] = room / delta[pos]
-            neg = delta < -cfg.pivot_tol
+            neg = delta < -PIVOT_TOL
             if neg.any():
                 room = np.maximum(self.hi[self.basis][neg] - xb[neg], 0.0)
                 limits[neg] = room / (-delta[neg])
@@ -330,7 +298,7 @@ class _Simplex:
             obj = float(c @ self.x)
             if prev_obj - obj <= 1e-12 * (1.0 + abs(prev_obj)):
                 stall += 1
-                if stall >= cfg.stall_window:
+                if stall >= STALL_WINDOW:
                     bland = True
             else:
                 stall = 0
@@ -349,7 +317,7 @@ class _Simplex:
         return True
 
 
-def lp_solve(lp: LinearProgram, config: SolverConfig | None = None) -> LpSolution:
+def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve a linear program to a vertex optimum.
 
     Deterministic for identical inputs: pricing uses the largest reduced
@@ -358,7 +326,6 @@ def lp_solve(lp: LinearProgram, config: SolverConfig | None = None) -> LpSolutio
     the iteration budget is exhausted or the final residuals cannot be
     certified.
     """
-    cfg = config or DEFAULT_CONFIG
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = _canonical(lp)
     n = c.size
     me, mu = a_eq.shape[0], a_ub.shape[0]
@@ -374,9 +341,9 @@ def lp_solve(lp: LinearProgram, config: SolverConfig | None = None) -> LpSolutio
     lo_full = np.concatenate([lo, np.zeros(mu)])
     hi_full = np.concatenate([hi, np.full(mu, np.inf)])
 
-    sx = _Simplex(a, b, lo_full, hi_full, n, cfg)
+    sx = _Simplex(a, b, lo_full, hi_full, n)
     scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
-    feas_tol = cfg.feasibility_tol * scale
+    feas_tol = FEASIBILITY_TOL * scale
 
     if sx.n > sx.art_start:
         c1 = np.zeros(sx.n)

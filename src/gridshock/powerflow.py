@@ -162,11 +162,16 @@ def dc_power_flow(grid: Grid, injections, slack_bus: str | None = None) -> FlowS
     )
 
 
-def check_limits(grid: Grid, solution: FlowSolution, tolerance: float = 1e-9) -> tuple[LimitViolation, ...]:
-    """Branches whose |flow| exceeds the rating beyond a relative tolerance."""
+def check_limits(grid: Grid, flows_mw, tolerance: float = 1e-9) -> tuple[LimitViolation, ...]:
+    """Branches whose |flow| exceeds the rating beyond a relative tolerance.
+
+    `flows_mw` holds one MW flow per branch in grid branch order, as in
+    FlowSolution.flows_mw and DispatchSolution.flows_mw.
+    """
     violations = []
-    for br_id, flow in zip(solution.branch_ids, solution.flows_mw):
-        rating = grid.branch_by_id[br_id].rating_mw
-        if abs(flow) > rating * (1.0 + tolerance):
-            violations.append(LimitViolation(branch_id=br_id, flow_mw=float(flow), rating_mw=rating))
+    for br, flow in zip(grid.branches, flows_mw, strict=True):
+        if abs(flow) > br.rating_mw * (1.0 + tolerance):
+            violations.append(
+                LimitViolation(branch_id=br.id, flow_mw=float(flow), rating_mw=br.rating_mw)
+            )
     return tuple(violations)

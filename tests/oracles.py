@@ -41,6 +41,24 @@ def gauss_jordan_solve(a, b):
     return x
 
 
+def floyd_warshall_hops(n, edges):
+    """All-pairs hop counts over an undirected graph on nodes 0..n-1.
+
+    Unit-weight Floyd-Warshall relaxation over the (i, j) edge list;
+    unreachable pairs come back as -1.
+    """
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for i, j in edges:
+        dist[i, j] = dist[j, i] = 1.0
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i, k] + dist[k, j] < dist[i, j]:
+                    dist[i, j] = dist[i, k] + dist[k, j]
+    return np.where(np.isinf(dist), -1, dist).astype(int)
+
+
 def enumerate_lp(c, a_eq, b_eq, a_ub, b_ub, lo, hi, feas_tol=1e-7):
     """Solve min c @ x over a polytope by enumerating candidate vertices.
 

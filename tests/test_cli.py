@@ -196,6 +196,12 @@ class TestPipeline:
         assert main(["simulate", "--config", cfg, "--seed", "1", "--out", str(seeded)]) == 0
         assert "master_seed = 1" in (seeded / "provenance.txt").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("stage", ["impact", "analyze"])
+    def test_seed_rejected_where_unused(self, fx, stage):
+        with pytest.raises(SystemExit) as excinfo:
+            main([stage, "--config", str(fx / "run.cfg"), "--seed", "1"])
+        assert excinfo.value.code == 2
+
     def test_impact_outputs(self, out_dir):
         with open(out_dir / "impacts.csv", encoding="utf-8", newline="") as handle:
             rows = list(csv.DictReader(handle))

@@ -12,7 +12,7 @@ from gridshock.dispatch import (
 )
 from gridshock.errors import NoDemand, ValidationError
 from gridshock.grid import Branch, Bus, Generator, Grid
-from gridshock.powerflow import check_limits
+from gridshock.powerflow import check_limits, dc_power_flow
 
 from helpers import random_connected_grid
 
@@ -78,20 +78,6 @@ class TestDistanceCosts:
         with pytest.raises(NoDemand):
             generator_distance_costs(chain_grid(), {"b1": 0.0})
 
-    def test_context_matches_direct(self):
-        grid = chain_grid()
-        demand = {"b1": 7.0, "b3": 11.0}
-        direct = generator_distance_costs(grid, demand)
-        cached = generator_distance_costs(grid, demand, context=GridContext(grid, "b0"))
-        assert direct == pytest.approx(cached)
-
-    def test_impedance_weighting(self):
-        grid = chain_grid()
-        costs = generator_distance_costs(grid, {"b1": 100.0}, impedance_weighted=True)
-        # one branch of susceptance 10 -> distance 0.1
-        assert costs["gN"] == pytest.approx(1.1)
-        assert costs["gS"] == pytest.approx(1.3)
-
 
 class TestRedispatch:
     def test_single_bus_balance(self):
@@ -139,7 +125,7 @@ class TestRedispatch:
         assert sol.status == "feasible"
         assert sol.generator_output_mw["far"] == pytest.approx(50.0, abs=1e-7)
         assert sol.generator_output_mw["near"] == pytest.approx(30.0, abs=1e-7)
-        assert check_limits(grid, sol.flows) == ()
+        assert check_limits(grid, sol.flows_mw) == ()
 
     def test_infeasible_when_capacity_short(self):
         grid = single_bus_grid(capacity=50.0)
@@ -166,6 +152,44 @@ class TestRedispatch:
         sol = redispatch(problem)
         total_out = sum(sol.generator_output_mw.values())
         assert total_out == pytest.approx(77.7, abs=1e-6)
+
+
+class TestFlowsMatchPowerFlow:
+    """Dispatch flows come from the sensitivities; dc_power_flow is the reference."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_networks(self, seed):
+        rng = np.random.default_rng([37, seed])
+        grid = random_connected_grid(rng, max_buses=15)
+        gens = grid.generators + tuple(
+            Generator(
+                id=f"g{k}",
+                bus=grid.buses[int(rng.integers(0, len(grid.buses)))].id,
+                rated_mw=float(rng.integers(50, 200)),
+                capacity_factor=1.0,
+                technology="thermal",
+            )
+            for k in range(1, 4)
+        )
+        branches = tuple(
+            Branch(br.id, br.from_bus, br.to_bus, br.kind, br.susceptance_pu,
+                   float(rng.integers(30, 150)))
+            for br in grid.branches
+        )
+        grid = Grid(buses=grid.buses, branches=branches, generators=gens)
+        demand = {b.id: float(rng.integers(5, 40)) for b in grid.demand_buses}
+        problem = DispatchProblem(
+            grid=grid, demand_mw=demand, available=frozenset(g.id for g in gens)
+        )
+        sol = redispatch(problem)
+        assert sol.status == "feasible"
+        injections = {bid: -mw for bid, mw in demand.items()}
+        for gid, mw in sol.generator_output_mw.items():
+            bus = grid.generator_by_id[gid].bus
+            injections[bus] = injections.get(bus, 0.0) + mw
+        reference = dc_power_flow(grid, injections)
+        assert reference.branch_ids == tuple(br.id for br in grid.branches)
+        assert np.max(np.abs(sol.flows_mw - reference.flows_mw), initial=0.0) <= 1e-6
 
 
 class TestRedispatchAgainstAngleFormulation:
@@ -253,7 +277,7 @@ class TestRedispatchAgainstAngleFormulation:
         costs = generator_distance_costs(grid, demand)
         my_obj = sum(costs[g] * mw for g, mw in mine.generator_output_mw.items())
         assert my_obj == pytest.approx(ref.fun, abs=1e-6 * (1 + abs(ref.fun)))
-        assert check_limits(grid, mine.flows) == ()
+        assert check_limits(grid, mine.flows_mw) == ()
 
 
 class TestSheddingLoop:
@@ -301,6 +325,41 @@ class TestSheddingLoop:
         assert sol.status == "feasible_with_shedding"
         assert sum(sol.generator_output_mw.values()) == pytest.approx(0.0, abs=1e-9)
 
+    def test_nearest_of_several_removed_units(self):
+        # p0 - p1 - ... - p8 with removed units at both ends. Nearest-of-both
+        # ranks p1 (1 hop), p6 (2), p4 (4); p0 alone gives p1, p4, p6 (also
+        # bus-id order) and p8 alone gives p6, p4, p1.
+        buses = tuple(
+            Bus(f"p{k}", 400.0, "demand", region="r") if k in (1, 4, 6)
+            else Bus(f"p{k}", 400.0, "substation")
+            for k in range(9)
+        )
+        branches = tuple(
+            Branch(f"l{k}", f"p{k}", f"p{k + 1}", "line", 10.0, 1e3) for k in range(8)
+        )
+        grid = Grid(
+            buses=buses,
+            branches=branches,
+            generators=(
+                Generator("gA", "p0", 50.0, 1.0, "thermal"),
+                Generator("gB", "p8", 50.0, 1.0, "thermal"),
+                Generator("gC", "p2", 15.0, 1.0, "thermal"),
+            ),
+        )
+        problem = DispatchProblem(
+            grid=grid,
+            demand_mw={"p1": 10.0, "p4": 10.0, "p6": 10.0},
+            available=frozenset({"gC"}),
+        )
+        sheds = {
+            removed: dispatch_with_shedding(problem, removed=set(removed)).shed_mw
+            for removed in (("gA", "gB"), ("gA",), ("gB",))
+        }
+        # 15 MW must go: the first bus drains fully, the second loses half.
+        assert sheds[("gA", "gB")] == {"p1": pytest.approx(10.0), "p6": pytest.approx(5.0)}
+        assert sheds[("gA",)] == {"p1": pytest.approx(10.0), "p4": pytest.approx(5.0)}
+        assert sheds[("gB",)] == {"p6": pytest.approx(10.0), "p4": pytest.approx(5.0)}
+
     def test_no_removal_order_falls_back_to_bus_id(self):
         grid = chain_grid()
         problem = DispatchProblem(
@@ -323,7 +382,7 @@ class TestSheddingLoop:
         assert sol.status == "feasible_with_shedding"
         assert sol.shed_mw["b1"] == pytest.approx(25.0, abs=1e-7)
         assert "b3" not in sol.shed_mw
-        assert check_limits(grid, sol.flows) == ()
+        assert check_limits(grid, sol.flows_mw) == ()
 
     def test_monotone_in_removal(self):
         grid = chain_grid()

@@ -434,19 +434,6 @@ class TestRecordAndTable:
                 provenance={},
             )
 
-    def test_filtered(self):
-        grid = copper_plate_grid()
-        profiles = {"current": profile_for([[80.0, 50.0]])}
-        config = ExperimentConfig(
-            hours=(("current", 0), ("current", 1)),
-            n_orderings=2,
-            loss_fractions=(0.0, 0.5),
-        )
-        table = run_experiment(grid, profiles, config)
-        assert len(table.filtered(scenario="current")) == 8
-        assert len(table.filtered(fraction=0.5)) == 4
-        assert len(table.filtered(hour=1, fraction=0.0)) == 2
-
 
 class TestResultsIO:
     def build_table(self):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from gridshock.errors import ParseError, ValidationError
@@ -19,6 +20,9 @@ from gridshock.grid import (
     total_capacity,
     validate_connectivity,
 )
+
+from helpers import random_connected_grid
+from oracles import floyd_warshall_hops
 
 GRID_TEXT = """\
 # toy network
@@ -202,6 +206,31 @@ class TestConnectivity:
         report = validate_connectivity(grid)
         assert report.count == 2
         assert report.components == (("a", "b"), ("c",))
+
+
+class TestHopDistance:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_floyd_warshall(self, seed):
+        grid = random_connected_grid(np.random.default_rng([41, seed]), max_buses=25)
+        index = grid.bus_index
+        edges = [(index[br.from_bus], index[br.to_bus]) for br in grid.branches]
+        table = grid.hop_distance
+        assert np.array_equal(table, floyd_warshall_hops(len(grid.buses), edges))
+        assert np.array_equal(table, table.T)
+        assert not table.diagonal().any()
+
+    def test_unreachable_marked(self):
+        grid = Grid(
+            buses=(
+                Bus("a", 400.0, "generation"),
+                Bus("b", 400.0, "substation"),
+                Bus("c", 400.0, "substation"),
+            ),
+            branches=(Branch("l", "a", "b", "line", 1.0, 10.0),),
+            generators=(),
+        )
+        assert grid.bus_index == {"a": 0, "b": 1, "c": 2}
+        assert grid.hop_distance.tolist() == [[0, 1, -1], [1, 0, -1], [-1, -1, 0]]
 
 
 class TestRegions:

@@ -51,6 +51,24 @@ class TestLuSolve:
         with pytest.raises(SingularMatrix):
             lu_solve(np.zeros((3, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_island_without_slack_raises(self, seed):
+        # Reduced susceptance matrix of a grid whose second island has no
+        # slack bus: the island's Laplacian block is singular, though
+        # rounding may leave its last pivot tiny rather than zero.
+        rng = np.random.default_rng([43, seed])
+        n = int(rng.integers(2, 12))
+        a = np.zeros((n + 1, n + 1))
+        a[n, n] = 10.0
+        for k in range(1, n):
+            for j in {int(rng.integers(0, k)), int(rng.integers(0, n))} - {k}:
+                b = float(np.round(rng.uniform(1.0, 20.0), 3))
+                a[[k, j], [k, j]] += b
+                a[[k, j], [j, k]] -= b
+        perm = rng.permutation(n + 1)
+        with pytest.raises(SingularMatrix):
+            lu_solve(a[perm][:, perm], rng.uniform(-5.0, 5.0, n + 1))
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             lu_solve(np.ones((2, 3)), np.ones(2))

@@ -165,12 +165,12 @@ class TestCheckLimits:
     def test_within_rating_silent(self):
         grid = two_bus_grid(rating=100.0)
         sol = dc_power_flow(grid, {"n1": 100.0, "n2": -100.0}, slack_bus="n1")
-        assert check_limits(grid, sol) == ()
+        assert check_limits(grid, sol.flows_mw) == ()
 
     def test_overload_reported(self):
         grid = two_bus_grid(rating=99.0)
         sol = dc_power_flow(grid, {"n1": 100.0, "n2": -100.0}, slack_bus="n1")
-        violations = check_limits(grid, sol)
+        violations = check_limits(grid, sol.flows_mw)
         assert len(violations) == 1
         v = violations[0]
         assert v.branch_id == "l"
@@ -180,6 +180,6 @@ class TestCheckLimits:
     def test_tolerance_guard(self):
         grid = two_bus_grid(rating=100.0)
         sol = dc_power_flow(grid, {"n2": -100.0 * (1.0 + 5e-10)}, slack_bus="n1")
-        assert check_limits(grid, sol) == ()
+        assert check_limits(grid, sol.flows_mw) == ()
         sol = dc_power_flow(grid, {"n2": -100.0 * (1.0 + 5e-9)}, slack_bus="n1")
-        assert len(check_limits(grid, sol)) == 1
+        assert len(check_limits(grid, sol.flows_mw)) == 1
