@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Mapping, Sequence
 
+from .atomic import atomic_open
 from .errors import DegeneratePeaks, MissingCosts, ValidationError
 from .failures import ResultTable
 from .grid import RegionTable
@@ -323,7 +324,7 @@ def zero_impact_demand_gw(
 
 
 def write_cost_curves(curves: Sequence[CostCurve], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["scenario", "fraction", "median", "min", "max"])
         for curve in curves:
@@ -342,7 +343,7 @@ def write_cost_curves(curves: Sequence[CostCurve], path) -> None:
 def write_marginal_slopes(rows: Sequence[tuple[str, str, float | None, float]], path) -> None:
     """Rows are (axis, scenario, fraction, slope); both slope readings share
     the file, distinguished by the axis column."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["axis", "scenario", "fraction", "slope_per_gw"])
         for axis, scenario, fraction, slope in rows:
@@ -357,7 +358,7 @@ def write_marginal_slopes(rows: Sequence[tuple[str, str, float | None, float]], 
 
 
 def write_regional_change(change: RegionalChange, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["region", "ratio"])
         for region in sorted(change.ratios):
@@ -368,7 +369,7 @@ def write_regional_change(change: RegionalChange, path) -> None:
 def write_population_shares(
     rows: Sequence[tuple[str, float, float, float]], path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["scenario", "worse", "better", "unchanged"])
         for scenario, worse, better, unchanged in rows:

@@ -3,9 +3,10 @@
 simulate calibrates branch ratings against the current-day peak, runs
 the generator-failure sweep, and writes `results.csv` plus a provenance
 record. impact prices every result row through the supply-use program.
-analyze aggregates costs into the published curve, slope, regional and
-population outputs. Every output is a pure function of (inputs, seed),
-independent of the worker count.
+Both impact and analyze first refuse a results file whose provenance
+record does not match the current inputs. analyze aggregates costs into
+the published curve, slope, regional and population outputs. Every output
+is a pure function of (inputs, seed), independent of the worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .analysis import (
     write_regional_change,
     zero_impact_demand_gw,
 )
-from .errors import GridShockError, ParseError
+from .atomic import atomic_open
+from .errors import GridShockError, ParseError, ProvenanceMismatch
 from .failures import calibrate_ratings, load_results, run_experiment, save_results
 from .grid import load_grid, load_regions
 from .mria import assess_impact, load_supply_use, shock_from_unserved
@@ -49,7 +51,44 @@ def _parse_record_id(text: str) -> tuple[int, float, str, int]:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _input_files(config: RunConfig, config_path: Path) -> list[tuple[str, Path]]:
+    """(provenance key, path) of every input whose hash simulate records."""
+    return [
+        ("config", config_path),
+        ("grid", config.grid),
+        ("regions", config.regions),
+    ] + [(f"profile.{s}", p) for s, p in sorted(config.profiles.items())]
+
+
+def _check_provenance(config: RunConfig, config_path: Path, table) -> None:
+    """Refuse outputs that simulate did not write from the current inputs.
+
+    Every input hash in `provenance.txt` must match the file as it is now,
+    and its record count must match the results table read back.
+    """
+    path = config.out_dir / "provenance.txt"
+    recorded = dict(
+        line.split(" = ", 1)
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if " = " in line
+    )
+    for key, input_path in _input_files(config, config_path):
+        if recorded.get(key) != f"sha256:{_sha256(input_path)}":
+            raise ProvenanceMismatch(
+                f"{input_path} does not match its hash in {path}; rerun simulate"
+            )
+    if recorded.get("records") != str(len(table.records)):
+        raise ProvenanceMismatch(
+            f"{config.out_dir / 'results.csv'} holds {len(table.records)} records, "
+            f"but {path} records {recorded.get('records')}; rerun simulate"
+        )
 
 
 def _load_profiles(config: RunConfig):
@@ -104,12 +143,10 @@ def cmd_simulate(args) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     save_results(table, config.out_dir / "results.csv")
 
-    hashes = [
-        ("config", _sha256(Path(args.config))),
-        ("grid", _sha256(config.grid)),
-        ("regions", _sha256(config.regions)),
-    ] + [(f"profile.{s}", _sha256(p)) for s, p in sorted(config.profiles.items())]
-    lines = [f"{key} = sha256:{digest}" for key, digest in hashes]
+    lines = [
+        f"{key} = sha256:{_sha256(path)}"
+        for key, path in _input_files(config, Path(args.config))
+    ]
     lines += [
         f"master_seed = {experiment.master_seed}",
         f"n_orderings = {experiment.n_orderings}",
@@ -118,7 +155,8 @@ def cmd_simulate(args) -> int:
         f"hours = {', '.join(f'{s}:{h}' for s, h in experiment.hours)}",
         f"records = {len(table.records)}",
     ]
-    (config.out_dir / "provenance.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(config.out_dir / "provenance.txt") as handle:
+        handle.write("\n".join(lines) + "\n")
     print(f"wrote {len(table.records)} records to {config.out_dir / 'results.csv'}")
     return 0
 
@@ -128,6 +166,7 @@ def cmd_impact(args) -> int:
     if config.supply_use_dir is None:
         raise GridShockError("configuration has no supply_use_dir; impact needs one")
     table = load_results(config.out_dir / "results.csv")
+    _check_provenance(config, Path(args.config), table)
     regions = load_regions(config.regions)
     model = load_supply_use(config.supply_use_dir)
     profiles = _load_profiles(config)
@@ -147,13 +186,11 @@ def cmd_impact(args) -> int:
         for k, zone in enumerate(impact.regions):
             regional.append((rid, zone, float(va_by_region[k])))
 
-    with open(config.out_dir / "impacts.csv", "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(config.out_dir / "impacts.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record_id", "total_cost"])
         writer.writerows((rid, repr(cost)) for rid, cost in totals)
-    with open(
-        config.out_dir / "impacts_regional.csv", "w", encoding="utf-8", newline=""
-    ) as handle:
+    with atomic_open(config.out_dir / "impacts_regional.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record_id", "region", "delta_va"])
         writer.writerows((rid, zone, repr(value)) for rid, zone, value in regional)
@@ -184,6 +221,7 @@ def _read_regional(out_dir: Path) -> dict[tuple[int, float, str, int], dict[str,
 def cmd_analyze(args) -> int:
     config = _resolve(load_run_config(args.config), args)
     table = load_results(config.out_dir / "results.csv")
+    _check_provenance(config, Path(args.config), table)
     costs = _read_impacts(config.out_dir)
     regional_costs = _read_regional(config.out_dir)
     regions = load_regions(config.regions)

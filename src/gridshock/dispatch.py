@@ -233,6 +233,8 @@ def redispatch(
     return DispatchSolution(
         status="feasible",
         generator_output_mw=outputs,
+        # not `flows`: it rounds differently (2.7e-12 MW at the gb-like
+        # calibration peak), and calibrate_ratings sets ratings from this one
         flows_mw=context.sensitivity @ injections,
         shed_mw={},
     )

@@ -68,5 +68,9 @@ class MissingCosts(GridShockError):
     """A result record has no matching economic cost."""
 
 
+class ProvenanceMismatch(GridShockError):
+    """Stage outputs were not written from the current inputs."""
+
+
 class DegeneratePeaks(GridShockError):
     """Marginal cost is undefined because all scenarios share one peak demand."""

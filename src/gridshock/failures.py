@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .dispatch import DispatchProblem, GridContext, dispatch_with_shedding, redispatch
 from .errors import Unstable, ValidationError
 from .grid import Grid
@@ -374,7 +375,7 @@ def save_results(table: ResultTable, path) -> None:
     """Write one CSV row per record per region."""
     import csv
 
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]

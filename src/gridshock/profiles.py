@@ -6,6 +6,11 @@ and a double-peaked diurnal shape over each region's annual mean, with a
 little seeded noise, then rescales so annual energy is preserved. The
 scenario transforms derive the efficiency, heat-pump, combined, and flat
 variants from a current-day profile.
+
+On disk a profile is csv rows `region,hour,demand_mw` (`heat_mw` for the
+thermal series) with unquoted fields. `load_profile` reads them in one
+chunked, columnar pass into arrays; `save_profile` writes them region by
+region and refuses a region id that csv would have to quote.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import Mapping
 
@@ -59,6 +65,13 @@ DIURNAL_SHAPE = np.array(
 SEASONAL_AMPLITUDE = 0.08
 SEASONAL_PEAK_DAY = 15
 NOISE_HALF_WIDTH = 0.005
+
+# Profile rows are read in chunks of about this many characters, so a
+# full-year file never sits in memory as one string or one list of fields.
+_CHUNK_BYTES = 64 * 1024
+
+# Characters that make csv quote a field; see save_profile.
+_QUOTED_CHARS = ',"\r\n'
 
 
 @dataclass(frozen=True)
@@ -258,60 +271,141 @@ def extract_extreme_days(profile: DemandProfile) -> tuple[tuple[int, ...], tuple
 
 
 def load_profile(path, scenario: str | None = None, value_column: str | None = None) -> DemandProfile:
-    """Read `region,hour,demand_mw` rows (or `heat_mw` for thermal series)."""
-    path = Path(path)
-    series: dict[str, dict[int, float]] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty profile file", 1)
-        header = [h.strip() for h in header]
-        if value_column is None:
-            value_column = header[2] if len(header) == 3 else "demand_mw"
-        if header != ["region", "hour", value_column]:
-            raise ParseError(
-                f"expected header region,hour,{value_column}, got {','.join(header)}", 1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
-            region = row[0].strip()
-            try:
-                hour = int(row[1])
-                value = float(row[2])
-            except ValueError:
-                raise ParseError(f"bad numeric value in {row!r}", lineno) from None
-            series.setdefault(region, {})
-            if hour in series[region]:
-                raise ParseError(f"duplicate hour {hour} for region {region}", lineno)
-            series[region][hour] = value
+    """Read `region,hour,demand_mw` rows (or `heat_mw` for thermal series).
 
-    if not series:
+    The rows are read in chunks of about `_CHUNK_BYTES`. Each chunk is split
+    with str methods into region, hour and value columns; hours and values
+    go through int() and float() into arrays, and each region gets an
+    integer code from one dict. The region x hour matrix is then built with
+    array operations, and rows that already arrive in (region, hour) order,
+    as `save_profile` writes them, are not sorted. Fields are unquoted: a
+    `"` in a data row is an error. Blank lines are skipped but still count
+    towards line numbers, which the chunks do not keep: once a chunk shows
+    a malformed row, the file is read again line by line to name the first
+    bad line.
+    """
+    path = Path(path)
+    codes: dict[str, int] = {}
+    code_parts, hour_parts, value_parts = [], [], []
+    with open(path, encoding="utf-8", newline="") as handle:
+        _check_header(handle.readline(), value_column)
+        while lines := handle.readlines(_CHUNK_BYTES):
+            rows = list(filterfalse(str.isspace, lines))
+            if not rows:
+                continue
+            if not rows[-1].endswith(("\n", "\r")):
+                rows[-1] += "\n"
+            text = ",".join(rows)
+            fields = text.split(",")
+            n = len(rows)
+            # Only a row's last field holds its line end. With 3n fields of
+            # which every third holds one, each row has exactly 3 fields.
+            if '"' in text or len(fields) != 3 * n or _line_ends("".join(fields[2::3])) != n:
+                raise _first_bad_line(path)
+            try:
+                hour_parts.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
+                value_parts.append(np.fromiter(map(float, fields[2::3]), float, n))
+            except ValueError:
+                raise _first_bad_line(path) from None
+            regions = list(map(str.strip, fields[0::3]))
+            for region in dict.fromkeys(regions):
+                codes.setdefault(region, len(codes))
+            code_parts.append(np.fromiter(map(codes.__getitem__, regions), np.int64, n))
+
+    if not codes:
         raise ValidationError(f"profile {path.name} contains no data rows")
-    regions = tuple(sorted(series))
-    hour_sets = {frozenset(hours) for hours in series.values()}
-    if len(hour_sets) != 1:
+    code = np.concatenate(code_parts)
+    hours = np.concatenate(hour_parts)
+    values = np.concatenate(value_parts)
+    del code_parts, hour_parts, value_parts
+    if not _ascending(code, hours):
+        order = np.lexsort((hours, code))
+        code, hours, values = code[order], hours[order], values[order]
+        if not _ascending(code, hours):
+            raise _first_bad_line(path)  # a repeated (region, hour)
+    counts = np.bincount(code)
+    width = int(counts[0])
+    if not ((counts == width).all() and (hours.reshape(-1, width) == hours[:width]).all()):
         raise MisalignedHours(f"regions in {path.name} disagree on the hour axis")
-    hours = np.array(sorted(next(iter(hour_sets))), dtype=int)
-    demand = np.array([[series[r][int(h)] for h in hours] for r in regions])
+    names = list(codes)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
     return DemandProfile(
         scenario=scenario or path.stem,
-        regions=regions,
-        hours=hours,
-        demand_mw=demand,
+        regions=tuple(names[k] for k in by_name),
+        hours=hours[:width].copy(),
+        demand_mw=values.reshape(-1, width)[by_name],
     )
 
 
+def _check_header(line: str, value_column: str | None) -> None:
+    """Check the header line against `region,hour,<value_column>`, where a
+    missing value column is read from a 3-field header."""
+    if not line:
+        raise ParseError("empty profile file", 1)
+    header = [h.strip() for h in line.split(",")]
+    if value_column is None:
+        value_column = header[2] if len(header) == 3 else "demand_mw"
+    if header != ["region", "hour", value_column]:
+        raise ParseError(
+            f"expected header region,hour,{value_column}, got {','.join(header)}", 1
+        )
+
+
+def _line_ends(text: str) -> int:
+    """Number of line ends (LF, CRLF or a lone CR) in text."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
+def _ascending(code: np.ndarray, hours: np.ndarray) -> bool:
+    """Whether rows run in (region code, hour) order with no repeated pair."""
+    step = np.diff(code)
+    return bool(((step > 0) | ((step == 0) & (np.diff(hours) > 0))).all())
+
+
+def _first_bad_line(path: Path) -> ParseError:
+    """The error for the first malformed data row of path, found line by line.
+
+    Checks each row as the chunked reader does, in file order: no `"`,
+    3 fields, an int hour and a float value, and no (region, hour) pair
+    seen before.
+    """
+    seen: set[tuple[str, int]] = set()
+    with open(path, encoding="utf-8", newline="") as handle:
+        handle.readline()
+        for lineno, line in enumerate(handle, start=2):
+            if line.isspace():
+                continue
+            if '"' in line:
+                return ParseError("quoted fields are not supported", lineno)
+            row = line.rstrip("\r\n").split(",")
+            if len(row) != 3:
+                return ParseError(f"expected 3 fields, got {len(row)}", lineno)
+            try:
+                hour = int(row[1])
+                float(row[2])
+            except ValueError:
+                return ParseError(f"bad numeric value in {row!r}", lineno)
+            region = row[0].strip()
+            if (region, hour) in seen:
+                return ParseError(f"duplicate hour {hour} for region {region}", lineno)
+            seen.add((region, hour))
+    # unreachable while load_profile's chunk checks match these row checks
+    return ParseError(f"malformed data row in {path.name}")
+
+
 def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") -> None:
+    """Write the profile as csv rows `region,hour,<value_column>`, region by
+    region. A region id that csv would quote is rejected, because
+    `load_profile` reads unquoted fields only."""
+    for region in profile.regions:
+        if any(char in region for char in _QUOTED_CHARS):
+            raise ValidationError(f"region id {region!r} needs csv quoting")
+    hours = profile.hours.tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["region", "hour", value_column])
-        for k, region in enumerate(profile.regions):
-            for j, hour in enumerate(profile.hours):
-                writer.writerow([region, int(hour), repr(float(profile.demand_mw[k, j]))])
+        for region, row in zip(profile.regions, profile.demand_mw):
+            writer.writerows(zip(repeat(region), hours, map(repr, row.tolist())))
 
 
 def load_end_use_shares(path) -> dict[str, dict[str, float]]:

@@ -210,3 +210,61 @@ def random_unbounded_lp(rng, max_vars=5):
     if a_ub is not None:
         a_ub = np.hstack([a_ub, np.zeros((a_ub.shape[0], 1))])
     return c, a_eq, b_eq, a_ub, b_ub, lo, hi
+
+
+def reference_load_profile(path, scenario=None, value_column=None):
+    """Row-by-row `csv.reader` parse of a profile file into a dict of dicts.
+
+    The profile reader before it became chunked and columnar; kept as the
+    reference its output and error lines are compared against.
+    """
+    import csv
+    from pathlib import Path
+
+    from gridshock.errors import MisalignedHours, ParseError, ValidationError
+    from gridshock.profiles import DemandProfile
+
+    path = Path(path)
+    series = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty profile file", 1)
+        header = [h.strip() for h in header]
+        if value_column is None:
+            value_column = header[2] if len(header) == 3 else "demand_mw"
+        if header != ["region", "hour", value_column]:
+            raise ParseError(
+                f"expected header region,hour,{value_column}, got {','.join(header)}", 1
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
+            region = row[0].strip()
+            try:
+                hour = int(row[1])
+                value = float(row[2])
+            except ValueError:
+                raise ParseError(f"bad numeric value in {row!r}", lineno) from None
+            series.setdefault(region, {})
+            if hour in series[region]:
+                raise ParseError(f"duplicate hour {hour} for region {region}", lineno)
+            series[region][hour] = value
+
+    if not series:
+        raise ValidationError(f"profile {path.name} contains no data rows")
+    regions = tuple(sorted(series))
+    hour_sets = {frozenset(hours) for hours in series.values()}
+    if len(hour_sets) != 1:
+        raise MisalignedHours(f"regions in {path.name} disagree on the hour axis")
+    hours = np.array(sorted(next(iter(hour_sets))), dtype=int)
+    demand = np.array([[series[r][int(h)] for h in hours] for r in regions])
+    return DemandProfile(
+        scenario=scenario or path.stem,
+        regions=regions,
+        hours=hours,
+        demand_mw=demand,
+    )

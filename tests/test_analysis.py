@@ -382,6 +382,15 @@ class TestWriters:
         assert len(rows) == 4
         assert float(rows[2][2]) == 1.5
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "cost_curve.csv"
+        write_cost_curves([simple_curve(medians=(0.0, 1.5, 2.25))], path)
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_cost_curves([simple_curve(medians=(0.0, 3.0, 4.0)), None], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cost_curve.csv"]
+
     def test_marginal_writer(self, tmp_path):
         path = tmp_path / "marginal.csv"
         write_marginal_slopes(

@@ -1,4 +1,6 @@
 import csv
+import shutil
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from gridshock.cli import _parse_record_id, _record_id, main
 from gridshock.errors import ParseError, ValidationError
 from gridshock.failures import DEFAULT_LOSS_FRACTIONS
+from gridshock.profiles import load_profile, save_profile
 from gridshock.runconfig import load_run_config
 
 SMALL_SCENARIOS = ("current", "heat_pump", "efficiency", "flat")
@@ -237,6 +240,32 @@ class TestPipeline:
         root = tmp_path / "bare"
         assert main(["gen-synthetic", "--size", "small", "--seed", "3", "--out", str(root)]) == 0
         assert main(["analyze", "--config", str(root / "run.cfg")]) == 2
+
+    @pytest.fixture
+    def run_copy(self, fx, out_dir, tmp_path):
+        """A copy of the fixture after simulate and impact, safe to damage."""
+        return shutil.copytree(fx, tmp_path / "run")
+
+    def test_truncated_results_refused(self, run_copy, capsys):
+        results = run_copy / "out" / "results.csv"
+        lines = results.read_bytes().splitlines(keepends=True)
+        results.write_bytes(b"".join(lines[: 1 + (len(lines) - 1) // 2]))
+        for stage in ("impact", "analyze"):
+            assert main([stage, "--config", str(run_copy / "run.cfg")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "results.csv holds 20 records" in err
+            assert "provenance.txt records 40" in err
+
+    def test_profile_edited_after_simulate_refused(self, run_copy, capsys):
+        path = run_copy / "profiles" / "current.csv"
+        profile = load_profile(path)
+        save_profile(replace(profile, demand_mw=profile.demand_mw * 1.01), path)
+        for stage in ("impact", "analyze"):
+            assert main([stage, "--config", str(run_copy / "run.cfg")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "current.csv does not match its hash" in err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2

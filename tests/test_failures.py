@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -464,6 +466,17 @@ class TestResultsIO:
         loaded = load_results(path, config=table.config, provenance={"k": "v"})
         assert loaded.config == table.config
         assert loaded.provenance == {"k": "v"}
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        table = self.build_table()
+        path = tmp_path / "results.csv"
+        save_results(table, path)
+        before = path.read_bytes()
+        broken = SimpleNamespace(records=(table.records[-1], None))
+        with pytest.raises(AttributeError):
+            save_results(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "results.csv"

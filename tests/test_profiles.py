@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gridshock.profiles as profiles_module
 from gridshock.errors import (
     MisalignedHours,
     ParseError,
@@ -23,6 +24,7 @@ from gridshock.profiles import (
     save_profile,
     synthesize_current,
 )
+from oracles import reference_load_profile
 
 
 def make_regions():
@@ -396,3 +398,135 @@ class TestProfileIO:
         path.write_text("region,share\n")
         with pytest.raises(ParseError):
             load_end_use_shares(path)
+
+
+def random_profile_text(rng, column):
+    """A valid profile file as text, with the variations the reader accepts."""
+    ids = set()
+    while len(ids) < int(rng.integers(1, 6)):
+        ids.add("".join(rng.choice(list("abxyz019_-.é"), size=int(rng.integers(1, 5)))))
+    ids = sorted(ids) if rng.random() < 0.5 else list(ids)
+    hours = np.sort(rng.choice(HOURS_PER_YEAR, size=int(rng.integers(1, 40)), replace=False))
+    rows = [
+        (region, int(hour), float(rng.choice([0.0, 3.0, rng.uniform(0.0, 1e4)])))
+        for region in ids
+        for hour in hours
+    ]
+    if rng.random() < 0.5:
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+
+    def pad():
+        return " " * int(rng.integers(1, 3)) if rng.random() < 0.2 else ""
+
+    lines = [f"region,hour,{column}"]
+    for region, hour, value in rows:
+        lines.append(f"{pad()}{region}{pad()},{pad()}{hour}{pad()},{pad()}{value!r}{pad()}")
+        while rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "  ", "\t"])))
+    ending = "\r\n" if rng.random() < 0.5 else "\n"
+    text = ending.join(lines)
+    return text + ending if rng.random() < 0.7 else text
+
+
+def write_lines(path, lines, ending="\n"):
+    path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+    return path
+
+
+def valid_lines(rows=12, blank_every=3):
+    """Header plus rows of regions a and b over hours 0.., with blank lines."""
+    lines = ["region,hour,demand_mw"]
+    for k in range(rows):
+        lines.append(f"{'ab'[k % 2]},{k // 2},{k + 0.5!r}")
+        if k % blank_every == blank_every - 1:
+            lines.append("")
+    return lines
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_reference_parser(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", int(rng.choice([1, 7, 40, 65536])))
+        column = "heat_mw" if rng.random() < 0.3 else "demand_mw"
+        path = tmp_path / "demand.csv"
+        path.write_bytes(random_profile_text(rng, column).encode("utf-8"))
+        mine = load_profile(path)
+        reference = reference_load_profile(path)
+        assert mine.scenario == reference.scenario == "demand"
+        assert mine.regions == reference.regions
+        assert mine.hours.dtype == reference.hours.dtype
+        assert mine.hours.tobytes() == reference.hours.tobytes()
+        assert mine.demand_mw.dtype == reference.demand_mw.dtype
+        assert mine.demand_mw.tobytes() == reference.demand_mw.tobytes()
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("a,9", "expected 3 fields, got 2"),
+            ("a,9,1.0,2", "expected 3 fields, got 4"),
+            ("a,nine,1.0", "bad numeric value in ['a', 'nine', '1.0']"),
+            ("a,9,x", "bad numeric value in ['a', '9', 'x']"),
+            (" a ,2,9.0", "duplicate hour 2 for region a"),
+        ],
+    )
+    def test_error_line_after_chunk_boundary(self, tmp_path, monkeypatch, ending, bad, message):
+        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", 16)
+        lines = valid_lines()
+        lines.insert(11, bad)  # after 8 rows, 2 blank lines and several chunks
+        path = write_lines(tmp_path / "demand.csv", lines, ending)
+        with pytest.raises(ParseError) as mine:
+            load_profile(path)
+        with pytest.raises(ParseError) as reference:
+            reference_load_profile(path)
+        assert mine.value.line == reference.value.line == 12
+        assert str(mine.value) == str(reference.value) == f"line 12: {message}"
+
+    @pytest.mark.parametrize("chunk", [16, 65536])
+    def test_balanced_field_counts_rejected(self, tmp_path, monkeypatch, chunk):
+        # a 4-field and a 2-field row hold the comma count of two good rows
+        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        lines = valid_lines()
+        lines[5:5] = ["a,7,1.0,2", "3,4"]
+        path = write_lines(tmp_path / "demand.csv", lines)
+        with pytest.raises(ParseError, match="line 6: expected 3 fields, got 4"):
+            load_profile(path)
+
+    def test_quoted_field_rejected(self, tmp_path):
+        lines = valid_lines()
+        lines.insert(7, '"a",9,1.0')
+        path = write_lines(tmp_path / "demand.csv", lines)
+        with pytest.raises(ParseError, match="line 8: quoted fields"):
+            load_profile(path)
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            (["region,hour,demand_mw", "", "  "], ValidationError),
+            (["region,hour,demand_mw", "a,0,1.0", "", "b,1,1.0"], MisalignedHours),
+            (["region,hour,demand_mw", "a,0,1.0", "a,1,1.0", "b,1,1.0"], MisalignedHours),
+            (["region,hour", "a,0,1.0"], ParseError),
+            ([""], ParseError),
+        ],
+    )
+    def test_file_level_errors_match_reference(self, tmp_path, lines, error):
+        path = write_lines(tmp_path / "demand.csv", lines)
+        with pytest.raises(error) as mine:
+            load_profile(path)
+        with pytest.raises(error) as reference:
+            reference_load_profile(path)
+        assert str(mine.value) == str(reference.value)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match="line 1: empty profile file"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("region", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_save_rejects_region_needing_quotes(self, tmp_path, region):
+        path = tmp_path / "demand.csv"
+        with pytest.raises(ValidationError, match="quoting"):
+            save_profile(small_profile([[1.0], [2.0]], regions=("a", region)), path)
+        assert not path.exists()
