@@ -58,20 +58,20 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _input_files(config: RunConfig, config_path: Path) -> list[tuple[str, Path]]:
-    """(provenance key, path) of every input whose hash simulate records."""
-    return [
-        ("config", config_path),
-        ("grid", config.grid),
-        ("regions", config.regions),
-    ] + [(f"profile.{s}", p) for s, p in sorted(config.profiles.items())]
+def _hashed_files(config: RunConfig, config_path: Path) -> list[tuple[str, Path]]:
+    """(provenance key, path) of every file simulate hashes: inputs and results."""
+    return (
+        [("config", config_path), ("grid", config.grid), ("regions", config.regions)]
+        + [(f"profile.{s}", p) for s, p in sorted(config.profiles.items())]
+        + [("results", config.out_dir / "results.csv")]
+    )
 
 
 def _check_provenance(config: RunConfig, config_path: Path, table) -> None:
     """Refuse outputs that simulate did not write from the current inputs.
 
-    Every input hash in `provenance.txt` must match the file as it is now,
-    and its record count must match the results table read back.
+    The record count in `provenance.txt` must match the results table read
+    back, and every recorded hash must match its file as it is now.
     """
     path = config.out_dir / "provenance.txt"
     recorded = dict(
@@ -79,16 +79,16 @@ def _check_provenance(config: RunConfig, config_path: Path, table) -> None:
         for line in path.read_text(encoding="utf-8").splitlines()
         if " = " in line
     )
-    for key, input_path in _input_files(config, config_path):
-        if recorded.get(key) != f"sha256:{_sha256(input_path)}":
-            raise ProvenanceMismatch(
-                f"{input_path} does not match its hash in {path}; rerun simulate"
-            )
     if recorded.get("records") != str(len(table.records)):
         raise ProvenanceMismatch(
             f"{config.out_dir / 'results.csv'} holds {len(table.records)} records, "
             f"but {path} records {recorded.get('records')}; rerun simulate"
         )
+    for key, hashed_path in _hashed_files(config, config_path):
+        if recorded.get(key) != f"sha256:{_sha256(hashed_path)}":
+            raise ProvenanceMismatch(
+                f"{hashed_path} does not match its hash in {path}; rerun simulate"
+            )
 
 
 def _load_profiles(config: RunConfig):
@@ -145,7 +145,7 @@ def cmd_simulate(args) -> int:
 
     lines = [
         f"{key} = sha256:{_sha256(path)}"
-        for key, path in _input_files(config, Path(args.config))
+        for key, path in _hashed_files(config, Path(args.config))
     ]
     lines += [
         f"master_seed = {experiment.master_seed}",

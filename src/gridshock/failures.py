@@ -106,11 +106,10 @@ class ScenarioRecord:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """All records of one experiment plus its configuration and provenance."""
+    """All records of one experiment plus its configuration."""
 
     records: tuple[ScenarioRecord, ...]
     config: ExperimentConfig
-    provenance: Mapping[str, str]
 
     def __post_init__(self):
         keys = [r.key for r in self.records]
@@ -278,7 +277,6 @@ def run_experiment(
     *,
     workers: int = 1,
     interconnector_penalty: float = 10.0,
-    provenance: Mapping[str, str] | None = None,
 ) -> ResultTable:
     """Run the full sweep and collect one record per cell.
 
@@ -327,14 +325,7 @@ def run_experiment(
 
     records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: r.key)
-    meta = {
-        "master_seed": str(config.master_seed),
-        "n_orderings": str(config.n_orderings),
-        "loss_fractions": ",".join(repr(f) for f in config.loss_fractions),
-        "shed_step": repr(config.shed_step),
-    }
-    meta.update(provenance or {})
-    return ResultTable(records=tuple(records), config=config, provenance=meta)
+    return ResultTable(records=tuple(records), config=config)
 
 
 def calibrate_ratings(
@@ -395,16 +386,11 @@ def save_results(table: ResultTable, path) -> None:
                 )
 
 
-def load_results(
-    path,
-    *,
-    config: ExperimentConfig | None = None,
-    provenance: Mapping[str, str] | None = None,
-) -> ResultTable:
+def load_results(path) -> ResultTable:
     """Read a results CSV back into a table.
 
-    Without an explicit config, a minimal one is reconstructed from the
-    observed orderings, fractions and hours.
+    A minimal config is reconstructed from the observed orderings,
+    fractions and hours.
     """
     import csv
 
@@ -449,14 +435,11 @@ def load_results(
         )
     if not records:
         raise ValidationError("results file contains no records")
-    if config is None:
-        fractions = tuple(sorted({r.loss_fraction for r in records}))
-        hours = tuple(sorted({(r.scenario, r.hour) for r in records}))
-        config = ExperimentConfig(
-            hours=hours,
-            n_orderings=max(r.ordering_index for r in records) + 1,
-            loss_fractions=fractions,
-        )
-    return ResultTable(
-        records=tuple(records), config=config, provenance=dict(provenance or {})
+    fractions = tuple(sorted({r.loss_fraction for r in records}))
+    hours = tuple(sorted({(r.scenario, r.hour) for r in records}))
+    config = ExperimentConfig(
+        hours=hours,
+        n_orderings=max(r.ordering_index for r in records) + 1,
+        loss_fractions=fractions,
     )
+    return ResultTable(records=tuple(records), config=config)

@@ -7,12 +7,15 @@ where trade is allowed. A capacity shock caps industry output; unmet final
 demand is rationed at a heavy penalty. The change in value added per
 region-industry prices the shock, and trade lets unaffected regions
 substitute lost production (which can make their impact positive).
+
+The program is built once per model and cached on it; a shock changes
+only the upper bounds on the industry outputs.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
@@ -49,6 +52,13 @@ HOURS_PER_YEAR = 8760
 BALANCE_RTOL = 1e-6
 SHARE_TOL = 1e-9
 BASELINE_RTOL = 1e-6
+# objective weight on each trade flow: breaks ties so unused trade stays zero
+TRADE_EPSILON = 1e-7
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -60,6 +70,8 @@ class SupplyUseModel:
     [r, p] closes the balance. Tables must self-balance per (region,
     product): baseline interregional trade is zero by convention, trade
     only activates under shocks where trade_allowed[from, to, p] permits.
+    Everything derived from the tables is computed on first use, cached
+    and read-only.
     """
 
     regions: tuple[str, ...]
@@ -115,7 +127,56 @@ class SupplyUseModel:
     @cached_property
     def baseline_output(self) -> np.ndarray:
         """x0[r, i]: industry output implied by the supply table."""
-        return self.supply.sum(axis=2)
+        x0 = self.supply.sum(axis=2)
+        _read_only(x0)
+        return x0
+
+    @cached_property
+    def technology(self) -> TechnologyCoefficients:
+        """Per-unit-output recipes and market shares of every industry."""
+        return technology_coefficients(self)
+
+    @cached_property
+    def supplier_share(self) -> np.ndarray:
+        """share[r, i, p]: industry i's part of region r's supply of product p."""
+        supplied = self.supply.sum(axis=1)
+        share = self.supply / np.where(supplied > 0.0, supplied, 1.0)[:, None, :]
+        _read_only(share)
+        return share
+
+    @cached_property
+    def program(self) -> LinearProgram:
+        """The production LP with every output at its unshocked cap.
+
+        Variables are industry outputs x[r, i], trade flows t[from, to, p]
+        over allowed interregional routes, and rationed final demand
+        m[r, p] <= f[r, p]. Each (region, product) balance requires supply
+        plus imports plus rationing to cover intermediate use, final
+        demand, and exports. `assemble_program` moves only the caps.
+        """
+        nr, ni, np_ = len(self.regions), len(self.industries), len(self.products)
+        tech = self.technology
+        routes = np.argwhere(self.trade_allowed & ~np.eye(nr, dtype=bool)[:, :, None])
+        n_x, n_t, n_m = nr * ni, len(routes), nr * np_
+        n = n_x + n_t + n_m
+
+        objective = np.concatenate(
+            [np.ones(n_x), np.full(n_t, TRADE_EPSILON), np.full(n_m, default_penalty(self))]
+        )
+        a_ub = np.zeros((n_m, n))
+        for r in range(nr):
+            a_ub[r * np_ : (r + 1) * np_, r * ni : (r + 1) * ni] = tech.a[r] - tech.s[r].T
+        flows = n_x + np.arange(n_t)
+        a_ub[routes[:, 1] * np_ + routes[:, 2], flows] = -1.0
+        a_ub[routes[:, 0] * np_ + routes[:, 2], flows] = 1.0
+        a_ub[np.arange(n_m), n_x + n_t + np.arange(n_m)] = -1.0
+        b_ub = -self.final_demand.reshape(-1)
+        bounds = np.zeros((n, 2))
+        bounds[:, 1] = np.inf
+        bounds[:n_x, 1] = ((1.0 + self.overcapacity) * self.baseline_output).reshape(-1)
+        bounds[n_x + n_t :, 1] = self.final_demand.reshape(-1)
+        _read_only(objective, a_ub, b_ub, bounds)
+        return LinearProgram(objective=objective, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
 
     @cached_property
     def region_pos(self) -> dict[str, int]:
@@ -151,6 +212,7 @@ def technology_coefficients(model: SupplyUseModel) -> TechnologyCoefficients:
             f"market shares for region {model.regions[r]}, industry "
             f"{model.industries[i]} sum to {sums[r, i]!r}"
         )
+    _read_only(a, s)
     return TechnologyCoefficients(a=a, s=s)
 
 
@@ -227,19 +289,6 @@ class ImpactResult:
         return {region: float(losses[k]) for k, region in enumerate(self.regions)}
 
 
-def _trade_routes(model: SupplyUseModel) -> list[tuple[int, int, int]]:
-    routes = []
-    nr = len(model.regions)
-    for r_from in range(nr):
-        for r_to in range(nr):
-            if r_from == r_to:
-                continue
-            for p in range(len(model.products)):
-                if model.trade_allowed[r_from, r_to, p]:
-                    routes.append((r_from, r_to, p))
-    return routes
-
-
 def default_penalty(model: SupplyUseModel) -> float:
     """Rationing penalty: 10x the largest technology-implied unit cost.
 
@@ -247,7 +296,7 @@ def default_penalty(model: SupplyUseModel) -> float:
     per unit of net final delivery, read off the production-chain inverse
     when it exists; otherwise a flat 10 is used.
     """
-    tech = technology_coefficients(model)
+    tech = model.technology
     worst = 1.0
     ni, np_ = len(model.industries), len(model.products)
     if ni == np_:
@@ -263,93 +312,39 @@ def default_penalty(model: SupplyUseModel) -> float:
     return 10.0 * worst
 
 
-def assemble_program(
-    model: SupplyUseModel,
-    delta: np.ndarray,
-    *,
-    penalty: float | None = None,
-    trade_epsilon: float = 1e-7,
-) -> tuple[LinearProgram, list[tuple[int, int, int]]]:
-    """Build the production LP for a dense shock array.
+def assemble_program(model: SupplyUseModel, delta: np.ndarray) -> LinearProgram:
+    """The model's production LP with outputs capped by a dense shock array.
 
-    Variables are industry outputs x[r, i], trade flows t[from, to, p]
-    over allowed routes, and rationed final demand m[r, p] <= f[r, p].
-    Each (region, product) balance requires supply plus imports plus
-    rationing to cover intermediate use, final demand, and exports. The
-    tiny trade epsilon breaks ties so unused trade stays at zero.
+    Only the bounds are copied: each output x[r, i] is capped at
+    (1 - delta[r, i]) * (1 + overcapacity) * x0[r, i]; the objective and
+    constraint arrays are the model's shared read-only ones.
     """
-    nr, ni, np_ = len(model.regions), len(model.industries), len(model.products)
-    tech = technology_coefficients(model)
-    routes = _trade_routes(model)
-    x0 = model.baseline_output
-    if penalty is None:
-        penalty = default_penalty(model)
-
-    n_x = nr * ni
-    n_t = len(routes)
-    n_m = nr * np_
-    n = n_x + n_t + n_m
-
-    def xpos(r, i):
-        return r * ni + i
-
-    def mpos(r, p):
-        return n_x + n_t + r * np_ + p
-
-    objective = np.concatenate(
-        [np.ones(n_x), np.full(n_t, trade_epsilon), np.full(n_m, penalty)]
-    )
-    bounds = np.zeros((n, 2))
-    bounds[:, 1] = np.inf
-    cap = (1.0 - delta) * (1.0 + model.overcapacity) * x0
-    bounds[:n_x, 1] = cap.reshape(-1)
-    bounds[n_x + n_t :, 1] = model.final_demand.reshape(-1)
-
-    a_ub = np.zeros((nr * np_, n))
-    b_ub = np.zeros(nr * np_)
-    for r in range(nr):
-        for p in range(np_):
-            row = r * np_ + p
-            for i in range(ni):
-                a_ub[row, xpos(r, i)] = tech.a[r, p, i] - tech.s[r, i, p]
-            a_ub[row, mpos(r, p)] = -1.0
-            b_ub[row] = -model.final_demand[r, p]
-    for k, (r_from, r_to, p) in enumerate(routes):
-        a_ub[r_to * np_ + p, n_x + k] = -1.0
-        a_ub[r_from * np_ + p, n_x + k] = 1.0
-
-    program = LinearProgram(
-        objective=objective, a_ub=a_ub, b_ub=b_ub, bounds=bounds
-    )
-    return program, routes
+    program = model.program
+    bounds = program.bounds.copy()
+    cap = (1.0 - delta) * (1.0 + model.overcapacity) * model.baseline_output
+    bounds[: cap.size, 1] = cap.reshape(-1)
+    return replace(program, bounds=bounds)
 
 
-def _solve(model: SupplyUseModel, delta: np.ndarray, penalty, trade_epsilon):
-    program, routes = assemble_program(
-        model, delta, penalty=penalty, trade_epsilon=trade_epsilon
-    )
-    solution = lp_solve(program)
+def _solve(model: SupplyUseModel, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal outputs x[r, i] and rationing m[r, p] under a shock array."""
+    solution = lp_solve(assemble_program(model, delta))
     if solution.status != "optimal":
         raise ValidationError(f"impact program unexpectedly {solution.status}")
     nr, ni, np_ = len(model.regions), len(model.industries), len(model.products)
-    n_x = nr * ni
-    x = solution.x[:n_x].reshape(nr, ni)
-    t = solution.x[n_x : n_x + len(routes)]
-    m = solution.x[n_x + len(routes) :].reshape(nr, np_)
-    return x, t, m, routes, float(solution.objective_value)
+    x = solution.x[: nr * ni].reshape(nr, ni)
+    m = solution.x[-nr * np_ :].reshape(nr, np_)
+    return x, m
 
 
-def solve_baseline(
-    model: SupplyUseModel, *, penalty: float | None = None, trade_epsilon: float = 1e-7
-) -> np.ndarray:
+def solve_baseline(model: SupplyUseModel) -> np.ndarray:
     """Re-derive baseline outputs from the LP and check calibration.
 
     The unshocked optimum must reproduce the supply-table row sums with
     zero rationing; any drift means the tables do not describe a
     cost-minimal baseline.
     """
-    delta = np.zeros((len(model.regions), len(model.industries)))
-    x, _, m, _, _ = _solve(model, delta, penalty, trade_epsilon)
+    x, m = _solve(model, np.zeros(model.baseline_output.shape))
     x0 = model.baseline_output
     scale = np.maximum(1.0, x0)
     drift = np.abs(x - x0) / scale
@@ -371,13 +366,7 @@ def solve_baseline(
     return x
 
 
-def assess_impact(
-    model: SupplyUseModel,
-    shock: CapacityShock,
-    *,
-    penalty: float | None = None,
-    trade_epsilon: float = 1e-7,
-) -> ImpactResult:
+def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
     """Price a capacity shock as value-added change per region-industry.
 
     Annual-basis LP results are scaled by duration/8760. The value-added
@@ -398,17 +387,12 @@ def assess_impact(
             total_cost=0.0,
             duration_hours=shock.duration_hours,
         )
-    x, _, m, _, _ = _solve(model, delta, penalty, trade_epsilon)
+    x, m = _solve(model, delta)
     x0 = model.baseline_output
-    tech = technology_coefficients(model)
 
-    drop = np.einsum("rip,ri->rp", tech.s, np.maximum(0.0, x0 - x))
+    drop = np.einsum("rip,ri->rp", model.technology.s, np.maximum(0.0, x0 - x))
     unexplained = np.maximum(0.0, m - drop)
-    supply_by_product = model.supply.sum(axis=1)
-    share = model.supply / np.where(
-        supply_by_product > 0.0, supply_by_product, 1.0
-    )[:, None, :]
-    allocated = np.einsum("rip,rp->ri", share, unexplained)
+    allocated = np.einsum("rip,rp->ri", model.supplier_share, unexplained)
 
     annual_va = model.value_added_coeff * (x - x0) - model.value_added_coeff * allocated
     delta_va = annual_va * shock.duration_hours / HOURS_PER_YEAR

@@ -268,3 +268,67 @@ def reference_load_profile(path, scenario=None, value_column=None):
         hours=hours,
         demand_mw=demand,
     )
+
+
+def reference_mria_program(model, delta):
+    """The supply-use LP built cell by cell, as it was before the model
+    cached it: (objective, a_ub, b_ub, bounds) for a dense shock array.
+
+    Technology coefficients, trade routes and the rationing penalty are
+    recomputed here with plain loops, so the prepared program can be
+    compared against it bit for bit.
+    """
+    nr, ni, np_ = len(model.regions), len(model.industries), len(model.products)
+    x0 = model.supply.sum(axis=2)
+    active = x0 > 0.0
+    safe = np.where(active, x0, 1.0)
+    a = model.use / safe[:, None, :]
+    s = model.supply / safe[:, :, None]
+    a[~np.repeat(active[:, None, :], np_, axis=1)] = 0.0
+    s[~active] = 0.0
+
+    routes = []
+    for r_from in range(nr):
+        for r_to in range(nr):
+            if r_from == r_to:
+                continue
+            for p in range(np_):
+                if model.trade_allowed[r_from, r_to, p]:
+                    routes.append((r_from, r_to, p))
+
+    worst = 1.0
+    if ni == np_:
+        for r in range(nr):
+            try:
+                inv = np.linalg.inv(s[r].T - a[r])
+            except np.linalg.LinAlgError:
+                continue
+            if (inv < -1e-9).any():
+                continue
+            worst = max(worst, float(np.abs(inv).sum(axis=0).max()))
+    penalty = 10.0 * worst
+
+    n_x, n_t, n_m = nr * ni, len(routes), nr * np_
+    n = n_x + n_t + n_m
+    objective = np.concatenate(
+        [np.ones(n_x), np.full(n_t, 1e-7), np.full(n_m, penalty)]
+    )
+    bounds = np.zeros((n, 2))
+    bounds[:, 1] = np.inf
+    cap = (1.0 - delta) * (1.0 + model.overcapacity) * x0
+    bounds[:n_x, 1] = cap.reshape(-1)
+    bounds[n_x + n_t :, 1] = model.final_demand.reshape(-1)
+
+    a_ub = np.zeros((n_m, n))
+    b_ub = np.zeros(n_m)
+    for r in range(nr):
+        for p in range(np_):
+            row = r * np_ + p
+            for i in range(ni):
+                a_ub[row, r * ni + i] = a[r, p, i] - s[r, i, p]
+            a_ub[row, n_x + n_t + row] = -1.0
+            b_ub[row] = -model.final_demand[r, p]
+    for k, (r_from, r_to, p) in enumerate(routes):
+        a_ub[r_to * np_ + p, n_x + k] = -1.0
+        a_ub[r_from * np_ + p, n_x + k] = 1.0
+    return objective, a_ub, b_ub, bounds

@@ -47,7 +47,7 @@ def table_of(records):
         n_orderings=max(r.ordering_index for r in records) + 1,
         loss_fractions=fractions,
     )
-    return ResultTable(records=tuple(records), config=config, provenance={})
+    return ResultTable(records=tuple(records), config=config)
 
 
 def simple_curve(scenario="current", medians=(0.0, 1.0, 2.0), fractions=(0.0, 0.1, 0.2)):

@@ -175,6 +175,7 @@ class TestPipeline:
         assert len(lines) == 1 + 5 * 2 * 4 * 2  # orderings x fractions x hours x regions
         provenance = (out_dir / "provenance.txt").read_text(encoding="utf-8")
         assert "records = 40" in provenance
+        assert "results = sha256:" in provenance
         assert "master_seed = 7" in provenance
         assert "workers" not in provenance
 
@@ -256,6 +257,17 @@ class TestPipeline:
             assert err.startswith("error:")
             assert "results.csv holds 20 records" in err
             assert "provenance.txt records 40" in err
+
+    def test_results_cut_inside_last_record_refused(self, run_copy, capsys):
+        # dropping the final region row keeps the record count at 40
+        results = run_copy / "out" / "results.csv"
+        lines = results.read_bytes().splitlines(keepends=True)
+        results.write_bytes(b"".join(lines[:-1]))
+        for stage in ("impact", "analyze"):
+            assert main([stage, "--config", str(run_copy / "run.cfg")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "results.csv does not match its hash" in err
 
     def test_profile_edited_after_simulate_refused(self, run_copy, capsys):
         path = run_copy / "profiles" / "current.csv"

@@ -357,15 +357,6 @@ class TestRunExperiment:
         parallel = run_experiment(grid, profiles, config, workers=3)
         assert serial.records == parallel.records
 
-    def test_provenance_echo(self):
-        grid = copper_plate_grid()
-        profiles = {"current": profile_for([[80.0]])}
-        table = run_experiment(
-            grid, profiles, one_hour_config(), provenance={"grid_sha256": "abc"}
-        )
-        assert table.provenance["grid_sha256"] == "abc"
-        assert table.provenance["master_seed"] == "7"
-
 
 class TestCalibrateRatings:
     def chain(self, rating=50.0):
@@ -430,11 +421,7 @@ class TestRecordAndTable:
     def test_duplicate_records_rejected(self):
         record = ScenarioRecord(0, 0.1, "current", 0, {"r1": 0.0}, 0.0, STATUS_OK)
         with pytest.raises(ValidationError, match="duplicate"):
-            ResultTable(
-                records=(record, record),
-                config=one_hour_config(),
-                provenance={},
-            )
+            ResultTable(records=(record, record), config=one_hour_config())
 
 
 class TestResultsIO:
@@ -458,14 +445,6 @@ class TestResultsIO:
         assert loaded.config.loss_fractions == table.config.loss_fractions
         assert loaded.config.hours == table.config.hours
         assert loaded.config.n_orderings == table.config.n_orderings
-
-    def test_explicit_config_preserved(self, tmp_path):
-        table = self.build_table()
-        path = tmp_path / "results.csv"
-        save_results(table, path)
-        loaded = load_results(path, config=table.config, provenance={"k": "v"})
-        assert loaded.config == table.config
-        assert loaded.provenance == {"k": "v"}
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         table = self.build_table()

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from gridshock.mria import (
 )
 from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import DemandProfile
+from gridshock.synthetic import generate_gb_like, generate_small
 
-from oracles import enumerate_lp
+from oracles import enumerate_lp, reference_mria_program
 
 
 def one_region_model(alpha=0.0):
@@ -103,7 +105,7 @@ def two_region_diagonal(alpha=0.0):
 
 
 def oracle_objective(model, delta, t_cap=1000.0):
-    program, _ = assemble_program(model, delta)
+    program = assemble_program(model, delta)
     hi = program.bounds[:, 1].copy()
     hi[~np.isfinite(hi)] = t_cap
     status, objective, _ = enumerate_lp(
@@ -361,7 +363,7 @@ class TestAssessImpact:
             (starvation_model(True), np.array([[0.0, 0.8], [0.0, 0.0]])),
         ]
         for model, delta in cases:
-            program, _ = assemble_program(model, delta)
+            program = assemble_program(model, delta)
             solution = lp_solve(program)
             assert solution.status == "optimal"
             expected = oracle_objective(model, delta)
@@ -373,10 +375,113 @@ class TestAssessImpact:
 
     def test_program_bounds(self):
         model = one_region_model(alpha=0.025)
-        program, routes = assemble_program(model, np.array([[0.1]]))
-        assert routes == []
+        program = assemble_program(model, np.array([[0.1]]))
+        assert program.bounds.shape == (2, 2)  # one output, no trade, one rationing
         assert program.bounds[0, 1] == pytest.approx(0.9 * 1.025 * 100.0)
         assert program.bounds[1, 1] == 80.0
+
+
+def assert_matches_reference(model, delta):
+    program = assemble_program(model, delta)
+    expected = reference_mria_program(model, delta)
+    got = (program.objective, program.a_ub, program.b_ub, program.bounds)
+    for name, array, reference in zip(("objective", "a_ub", "b_ub", "bounds"), got, expected):
+        assert np.array_equal(array, reference), name
+        assert array.tobytes() == reference.tobytes(), name
+
+
+def random_deltas(rng, model, count):
+    """Shock arrays with about half the region-industries hit, some fully."""
+    shape = model.baseline_output.shape
+    for _ in range(count):
+        delta = rng.uniform(0.0, 1.0, shape) * (rng.uniform(size=shape) < 0.5)
+        delta[rng.uniform(size=shape) < 0.1] = 1.0
+        yield delta
+
+
+class TestPreparedProgram:
+    """The per-model program must equal the one once rebuilt per shock."""
+
+    def test_matches_reference_on_hand_models(self):
+        rng = np.random.default_rng(41)
+        models = (
+            one_region_model(0.025),
+            starvation_model(trade_enabled=False),
+            starvation_model(trade_enabled=True),
+            two_region_diagonal(0.025),
+            # every route allowed, the region-to-itself ones included
+            replace(two_region_diagonal(), trade_allowed=np.ones((2, 2, 2), dtype=bool)),
+        )
+        for model in models:
+            for delta in random_deltas(rng, model, 6):
+                assert_matches_reference(model, delta)
+
+    @pytest.mark.parametrize("generate", [generate_small, generate_gb_like])
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_matches_reference_on_synthetic_economies(self, generate, seed):
+        model = generate(seed).economy
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(model, np.zeros(model.baseline_output.shape))
+        for delta in random_deltas(rng, model, 8):
+            assert_matches_reference(model, delta)
+
+    def test_shocks_share_read_only_arrays(self):
+        model = starvation_model(trade_enabled=True)
+        first = assemble_program(model, np.array([[0.0, 0.8], [0.0, 0.0]]))
+        second = assemble_program(model, np.array([[0.5, 0.0], [0.2, 0.1]]))
+        assert first.a_ub is second.a_ub
+        assert first.objective is second.objective
+        assert first.b_ub is second.b_ub
+        assert first.bounds is not second.bounds
+        for array in (first.a_ub, first.objective, first.b_ub, model.program.bounds):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        first.bounds[0, 1] = 0.0  # a shock's own bounds stay writable
+        assert model.program.bounds[0, 1] > 0.0
+
+    def test_per_model_parts_built_once(self, monkeypatch):
+        import gridshock.mria as mria
+
+        calls = {"technology_coefficients": 0, "default_penalty": 0}
+        for name in calls:
+            def counted(model, _inner=getattr(mria, name), _name=name):
+                calls[_name] += 1
+                return _inner(model)
+
+            monkeypatch.setattr(mria, name, counted)
+        model = two_region_diagonal(0.025)
+        for fraction in (0.1, 0.4, 0.7):
+            assess_impact(model, CapacityShock({"A": fraction, "B": {"i2": fraction}}))
+        solve_baseline(model)
+        assert calls == {"technology_coefficients": 1, "default_penalty": 1}
+        assert not model.baseline_output.flags.writeable
+        assert not model.technology.a.flags.writeable
+        assert not model.supplier_share.flags.writeable
+
+
+class TestAgainstHighs:
+    """lp_solve against HiGHS on the pipeline's own 24 x 216 programs."""
+
+    def test_gb_like_random_shocks(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        model = generate_gb_like(7).economy
+        rng = np.random.default_rng(7)
+        for delta in random_deltas(rng, model, 30):
+            program = assemble_program(model, delta)
+            ours = lp_solve(program)
+            highs = linprog(
+                program.objective,
+                A_ub=program.a_ub,
+                b_ub=program.b_ub,
+                bounds=program.bounds,
+                method="highs",
+                options={
+                    "primal_feasibility_tolerance": 1e-10,
+                    "dual_feasibility_tolerance": 1e-10,
+                },
+            )
+            assert ours.status == "optimal" and highs.status == 0
+            assert ours.objective_value == pytest.approx(highs.fun, rel=1e-9)
 
 
 class TestImpactResult:
