@@ -7,18 +7,27 @@ injections under the DC model, so the angle variables can be eliminated and
 limit rows added only for branches that actually congest. When no feasible
 operating point exists, demand is shed in rounds, nearest to the disrupted
 generation first, until the network settles.
+
+Most programs never need the simplex: with the balance row alone the
+least-cost dispatch is a merit-order fill (Wood & Wollenberg, *Power
+Generation, Operation, and Control*), and the flows it causes follow from
+the sensitivities (the PTDF form of Stott, Jardim & Alsac, "DC power flow
+revisited", IEEE TPWRS 2009). Only when that fill overloads a branch does a
+linear program decide.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .errors import NoDemand, NumericalBreakdown, Unstable, ValidationError
+from .errors import NoDemand, NumericalBreakdown, ValidationError
 from .grid import Grid
-from .numerics import LinearProgram, lp_solve, lu_solve
+from .numerics import FEASIBILITY_TOL, LinearProgram, lp_solve, lu_solve
 from .powerflow import default_slack_bus, _reduced_system
 
 __all__ = [
@@ -72,14 +81,14 @@ class DispatchProblem:
     interconnector_penalty: float = 10.0
 
     def __post_init__(self):
-        unknown = sorted(set(self.demand_mw) - set(self.grid.bus_by_id))
+        unknown = sorted(self.demand_mw.keys() - self.grid.bus_by_id.keys())
         if unknown:
             raise ValidationError(f"demand names unknown buses: {', '.join(unknown)}")
-        unknown = sorted(self.available - set(self.grid.generator_by_id))
+        unknown = sorted(self.available - self.grid.generator_by_id.keys())
         if unknown:
             raise ValidationError(f"availability names unknown generators: {', '.join(unknown)}")
         for bid, mw in self.demand_mw.items():
-            if not (mw >= 0.0 and np.isfinite(mw)):
+            if not (mw >= 0.0 and math.isfinite(mw)):
                 raise ValidationError(f"demand at {bid} must be finite and nonnegative")
 
 
@@ -102,6 +111,10 @@ class DispatchSolution:
         return float(sum(self.shed_mw.values()))
 
 
+def _infeasible() -> DispatchSolution:
+    return DispatchSolution(status="infeasible", generator_output_mw={}, flows_mw=None, shed_mw={})
+
+
 def generator_distance_costs(
     grid: Grid,
     demand_mw: Mapping[str, float],
@@ -116,7 +129,7 @@ def generator_distance_costs(
     are additionally multiplied by `interconnector_penalty` to keep them a
     last resort.
     """
-    unknown = sorted(set(demand_mw) - set(grid.bus_by_id))
+    unknown = sorted(demand_mw.keys() - grid.bus_by_id.keys())
     if unknown:
         raise ValidationError(f"demand names unknown buses: {', '.join(unknown)}")
     loads = [(bid, float(mw)) for bid, mw in demand_mw.items() if mw > 0.0]
@@ -130,16 +143,138 @@ def generator_distance_costs(
     with np.errstate(invalid="ignore"):
         mean_by_bus = weights @ np.where(rows < 0, np.nan, rows) / total
 
-    costs: dict[str, float] = {}
-    for gen in grid.generators:
-        mean = float(mean_by_bus[grid.bus_index[gen.bus]])
-        if not np.isfinite(mean):
-            raise ValidationError(f"generator {gen.id} is unreachable from a demand bus")
-        cost = 1.0 + mean
-        if gen.is_international:
-            cost *= interconnector_penalty
-        costs[gen.id] = cost
-    return costs
+    means = mean_by_bus[grid.generator_bus_index]
+    unreachable = np.flatnonzero(~np.isfinite(means))
+    if unreachable.size:
+        gen = grid.generators[unreachable[0]]
+        raise ValidationError(f"generator {gen.id} is unreachable from a demand bus")
+    costs = 1.0 + means
+    costs[grid.is_international] *= interconnector_penalty
+    return dict(zip(grid.generator_by_id, costs.tolist()))
+
+
+def _overloads(flows: np.ndarray, ratings: np.ndarray) -> list[tuple[int, int]]:
+    """(branch, sign of its flow) for every branch loaded past its rating."""
+    return [
+        (row, 1 if flows[row] > 0 else -1)
+        for row in np.flatnonzero(np.abs(flows) > ratings * (1.0 + 1e-9))
+    ]
+
+
+def _limited_lp(objective, cols, base_flow, ratings, bounds, total):
+    """Optimal x of min objective @ x subject to sum(x) = total, the bounds,
+    and |cols @ x + base_flow| <= ratings; None when infeasible.
+
+    The program starts with the balance row only and adds a limit row
+    whenever the resulting flows overload a branch, which converges because
+    each branch contributes at most two rows.
+    """
+    a_eq = np.ones((1, len(objective)))
+    b_eq = np.array([total])
+    active: list[tuple[int, int]] = []
+    while True:
+        if active:
+            a_ub = np.array([side * cols[row] for row, side in active])
+            b_ub = np.array([ratings[row] - side * base_flow[row] for row, side in active])
+        else:
+            a_ub = b_ub = None
+        lp = LinearProgram(
+            objective=objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds
+        )
+        sol = lp_solve(lp)
+        if sol.status != "optimal":
+            return None
+        new_rows = [rs for rs in _overloads(cols @ sol.x + base_flow, ratings) if rs not in active]
+        if not new_rows:
+            return sol.x
+        active.extend(new_rows)
+        if len(active) > 2 * len(ratings):
+            raise NumericalBreakdown("limit rows kept accumulating without convergence")
+
+
+class _Program:
+    """The dispatch program of one demand state, in sensitivity form.
+
+    Variables are the available units' outputs in generator-id order;
+    `cols` holds their flow-sensitivity columns and `base_flow` the branch
+    flows the demand alone causes.
+    """
+
+    def __init__(self, problem: DispatchProblem, context: GridContext, demand_mw: Mapping[str, float]):
+        grid = problem.grid
+        self.problem = problem
+        self.context = context
+        self.demand = {bid: float(mw) for bid, mw in demand_mw.items() if mw > 0.0}
+        self.total = sum(self.demand.values())
+        self.ids = sorted(problem.available)
+        gens = [grid.generator_by_id[g] for g in self.ids]
+        self.upper = np.array([gen.derated_mw for gen in gens])
+        self.demand_vec = np.zeros(len(grid.buses))
+        for bid, mw in self.demand.items():
+            self.demand_vec[grid.bus_index[bid]] += mw
+        self.base_flow = context.sensitivity @ (-self.demand_vec)
+        self.cols = context.sensitivity[:, [grid.bus_index[gen.bus] for gen in gens]]
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        costs = generator_distance_costs(
+            self.problem.grid,
+            self.demand,
+            interconnector_penalty=self.problem.interconnector_penalty,
+        )
+        return np.array([costs[g] for g in self.ids])
+
+    def merit_order(self) -> np.ndarray | None:
+        """The balance-only optimum, filled in (cost, index) order, if it
+        overloads no branch; None when it does or capacity falls short."""
+        output = np.zeros(len(self.ids))
+        remaining = self.total
+        for k in np.argsort(self.costs, kind="stable"):
+            output[k] = min(self.upper[k], remaining)
+            remaining -= output[k]
+            if remaining <= 0.0:
+                break
+        else:
+            return None
+        if _overloads(self.cols @ output + self.base_flow, self.context.ratings):
+            return None
+        return output
+
+    def least_cost(self, ratings: np.ndarray) -> np.ndarray | None:
+        bounds = np.column_stack([np.zeros(len(self.ids)), self.upper])
+        return _limited_lp(self.costs, self.cols, self.base_flow, ratings, bounds, self.total)
+
+    def least_shed(self, bus: str, limit: float) -> float | None:
+        """Least extra shed t in [0, limit] at `bus` for which some dispatch
+        meets every branch limit; None when no such t exists."""
+        n = len(self.ids)
+        column = self.context.sensitivity[:, self.problem.grid.bus_index[bus]]
+        objective = np.zeros(n + 1)
+        objective[n] = 1.0
+        bounds = np.column_stack([np.zeros(n + 1), np.append(self.upper, limit)])
+        x = _limited_lp(
+            objective, np.column_stack([self.cols, column]), self.base_flow,
+            self.context.ratings, bounds, self.total,
+        )
+        return None if x is None else float(x[n])
+
+    def solution(self, output: np.ndarray) -> DispatchSolution:
+        grid = self.problem.grid
+        injections = -self.demand_vec
+        outputs = {}
+        for gid, mw in zip(self.ids, output):
+            value = float(mw)
+            outputs[gid] = value
+            injections[grid.bus_index[grid.generator_by_id[gid].bus]] += value
+        return DispatchSolution(
+            status="feasible",
+            generator_output_mw=outputs,
+            # not `cols @ output + base_flow`: it rounds differently (2.7e-12 MW
+            # at the gb-like calibration peak), and calibrate_ratings sets
+            # ratings from this one
+            flows_mw=self.context.sensitivity @ injections,
+            shed_mw={},
+        )
 
 
 def redispatch(
@@ -150,94 +285,37 @@ def redispatch(
 ) -> DispatchSolution:
     """Minimum-cost feasible dispatch for fixed demand, or infeasible.
 
-    Branch limits are enforced through flow sensitivities: the program
-    starts with the energy-balance row only and adds a limit row whenever
-    the resulting flows overload a branch, which converges because each
-    branch contributes at most two rows.
+    The units are first filled in merit order (cost, then generator id),
+    the optimum of the program with the balance row alone. When that fill
+    meets demand and overloads no branch it is returned as is: an optimal
+    vertex of the full program, though where units tie on cost possibly a
+    different one from the vertex the simplex would reach. Otherwise a
+    linear program decides, with branch limits added as rows only for the
+    branches that overload. `ignore_limits` treats every rating as
+    infinite and returns the simplex vertex of the balance-only program,
+    whose flows `calibrate_ratings` turns into ratings.
     """
     if context is None:
         context = GridContext(problem.grid)
-    grid = problem.grid
-    demand = {bid: float(mw) for bid, mw in problem.demand_mw.items() if mw > 0.0}
-    total_demand = sum(demand.values())
-
-    gen_ids = sorted(problem.available)
-    gens = [grid.generator_by_id[g] for g in gen_ids]
-
-    if total_demand <= 0.0:
+    program = _Program(problem, context, problem.demand_mw)
+    if program.total <= 0.0:
         return DispatchSolution(
             status="feasible",
-            generator_output_mw={g: 0.0 for g in gen_ids},
-            flows_mw=np.zeros(len(grid.branches)),
+            generator_output_mw={g: 0.0 for g in program.ids},
+            flows_mw=np.zeros(len(problem.grid.branches)),
             shed_mw={},
         )
-    if not gens:
-        return DispatchSolution(
-            status="infeasible", generator_output_mw={}, flows_mw=None, shed_mw={}
-        )
-
-    costs = generator_distance_costs(
-        grid, demand, interconnector_penalty=problem.interconnector_penalty
-    )
-    c = np.array([costs[g] for g in gen_ids])
-    upper = np.array([gen.derated_mw for gen in gens])
-    bounds = np.column_stack([np.zeros(len(gens)), upper])
-
-    demand_vec = np.zeros(len(grid.buses))
-    for bid, mw in demand.items():
-        demand_vec[grid.bus_index[bid]] += mw
-    base_flow = context.sensitivity @ (-demand_vec)
-    gen_cols = np.array([context.sensitivity[:, grid.bus_index[gen.bus]] for gen in gens]).T
-
-    a_eq = np.ones((1, len(gens)))
-    b_eq = np.array([total_demand])
-    active: list[tuple[int, int]] = []
-
-    while True:
-        if active:
-            a_ub = np.array(
-                [side * gen_cols[row] for row, side in active]
-            )
-            b_ub = np.array(
-                [context.ratings[row] - side * base_flow[row] for row, side in active]
-            )
-        else:
-            a_ub = b_ub = None
-        lp = LinearProgram(objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
-        sol = lp_solve(lp)
-        if sol.status != "optimal":
-            return DispatchSolution(
-                status="infeasible", generator_output_mw={}, flows_mw=None, shed_mw={}
-            )
-        output = sol.x
-        flows = gen_cols @ output + base_flow
-        if ignore_limits:
-            break
-        overloaded = [
-            (row, 1 if flows[row] > 0 else -1)
-            for row in np.flatnonzero(np.abs(flows) > context.ratings * (1.0 + 1e-9))
-        ]
-        new_rows = [rs for rs in overloaded if rs not in active]
-        if not new_rows:
-            break
-        active.extend(new_rows)
-        if len(active) > 2 * len(grid.branches):
-            raise NumericalBreakdown("limit rows kept accumulating without convergence")
-
-    injections = -demand_vec.copy()
-    outputs = {}
-    for gen, mw in zip(gens, output):
-        value = float(mw)
-        outputs[gen.id] = value
-        injections[grid.bus_index[gen.bus]] += value
-    return DispatchSolution(
-        status="feasible",
-        generator_output_mw=outputs,
-        # not `flows`: it rounds differently (2.7e-12 MW at the gb-like
-        # calibration peak), and calibrate_ratings sets ratings from this one
-        flows_mw=context.sensitivity @ injections,
-        shed_mw={},
-    )
+    if not program.ids:
+        return _infeasible()
+    if ignore_limits:
+        output = program.least_cost(np.full(len(context.ratings), np.inf))
+    else:
+        output = program.merit_order()
+        if output is None:
+            output = program.least_cost(context.ratings)
+    if output is None:
+        return _infeasible()
+    return program.solution(output)
 
 
 def dispatch_with_shedding(
@@ -252,15 +330,27 @@ def dispatch_with_shedding(
     Demand buses are ranked by hop distance to the nearest removed
     generator's bus (ties and the no-removal case fall back to bus id).
     Each round sheds `shed_step` of the front bus's original demand; a bus
-    is drained completely before the next one is touched. The aggregate
-    energy deficit is resolved without invoking the optimizer, since no
-    dispatch can exist while demand exceeds available capacity.
+    is drained completely before the next one is touched. The result is
+    the first round that admits a dispatch within every branch limit.
+
+    The aggregate energy deficit is shed without the optimizer, since no
+    dispatch exists while demand exceeds available capacity. After that, a
+    round whose merit-order fill overloads nothing settles the cell. Else
+    one linear program finds the least extra shed t* on the front bus that
+    admits a dispatch; the feasible shed amounts on one bus form an
+    interval, so the rounds before the first one reaching t* need no check,
+    and a bus with no feasible amount is drained unchecked. The chosen round
+    is confirmed with `redispatch`.
+
+    Never raises Unstable: the state with every bus drained is the
+    zero-demand dispatch, which is always feasible, so a cell with no
+    available unit returns "feasible_with_shedding" with all demand shed.
     """
     if context is None:
         context = GridContext(problem.grid)
     grid = problem.grid
     removed = frozenset(removed)
-    unknown = sorted(removed - set(grid.generator_by_id))
+    unknown = sorted(removed - grid.generator_by_id.keys())
     if unknown:
         raise ValidationError(f"removal names unknown generators: {', '.join(unknown)}")
     overlap = sorted(removed & problem.available)
@@ -280,39 +370,68 @@ def dispatch_with_shedding(
 
     shed = {bid: 0.0 for bid in original}
 
+    def front() -> str | None:
+        return next((bid for bid in order if shed[bid] < original[bid]), None)
+
     def apply_round() -> bool:
-        for bid in order:
-            if shed[bid] < original[bid]:
-                shed[bid] = min(original[bid], shed[bid] + shed_step * original[bid])
-                return True
-        return False
+        bid = front()
+        if bid is None:
+            return False
+        shed[bid] = min(original[bid], shed[bid] + shed_step * original[bid])
+        return True
+
+    def remaining() -> dict[str, float]:
+        return {bid: original[bid] - shed[bid] for bid in original}
+
+    def settled(sol: DispatchSolution) -> DispatchSolution:
+        shed_out = {bid: mw for bid, mw in shed.items() if mw > 0.0}
+        return DispatchSolution(
+            status="feasible_with_shedding" if shed_out else "feasible",
+            generator_output_mw=sol.generator_output_mw,
+            flows_mw=sol.flows_mw,
+            shed_mw=shed_out,
+        )
+
+    def confirm() -> DispatchSolution:
+        attempt = DispatchProblem(
+            grid=grid,
+            demand_mw=remaining(),
+            available=problem.available,
+            interconnector_penalty=problem.interconnector_penalty,
+        )
+        return redispatch(attempt, context)
 
     capacity = sum(
         grid.generator_by_id[g].derated_mw for g in problem.available
     )
-    while sum(original.values()) - sum(shed.values()) > capacity + 1e-9:
+    total = sum(original.values())
+    while total - sum(shed.values()) > capacity + 1e-9:
         if not apply_round():
             break
 
     while True:
-        remaining = {bid: original[bid] - shed[bid] for bid in original}
-        attempt = DispatchProblem(
-            grid=grid,
-            demand_mw=remaining,
-            available=problem.available,
-            interconnector_penalty=problem.interconnector_penalty,
-        )
-        sol = redispatch(attempt, context)
+        bus = front()
+        if bus is None:
+            return settled(confirm())
+        program = _Program(problem, context, remaining())
+        output = program.merit_order()
+        if output is not None:
+            return settled(program.solution(output))
+        least = program.least_shed(bus, original[bus] - shed[bus])
+        if least is None:
+            while front() == bus:
+                apply_round()
+            continue
+        # Rounds short of t* are infeasible, unless short by no more than the
+        # solvers' tolerance: redispatch may accept such a round, so it is the
+        # one confirmed. A rejected round means the feasible interval ended
+        # before the next round, or a tolerance miss; either way the next
+        # round starts a fresh search.
+        tolerance = FEASIBILITY_TOL * (1.0 + program.total + float(context.ratings.max(initial=0.0)))
+        start = shed[bus]
+        while front() == bus and shed[bus] - start < least - tolerance:
+            apply_round()
+        sol = confirm()
         if sol.status == "feasible":
-            shed_out = {bid: mw for bid, mw in shed.items() if mw > 0.0}
-            status = "feasible_with_shedding" if shed_out else "feasible"
-            return DispatchSolution(
-                status=status,
-                generator_output_mw=sol.generator_output_mw,
-                flows_mw=sol.flows_mw,
-                shed_mw=shed_out,
-            )
-        if not apply_round():
-            raise Unstable(
-                "no feasible network state exists even with all demand shed"
-            )
+            return settled(sol)
+        apply_round()

@@ -281,10 +281,12 @@ def run_experiment(
     """Run the full sweep and collect one record per cell.
 
     Solar units are removed in every cell regardless of the drawn prefix
-    (studied hours are dark); interconnectors are never removed. An
-    Unstable dispatch is recorded with the full hourly demand unserved and
-    never aborts the sweep. Orderings are independent work units, so any
-    worker count yields the identical table.
+    (studied hours are dark); interconnectors are never removed. A cell is
+    recorded "unstable", with the full hourly demand unserved, only if its
+    dispatch raises Unstable; dispatch_with_shedding never does, because
+    shedding all demand always settles the network, so every cell is "ok"
+    or "shed". The status stays defined for results files. Orderings are
+    independent work units, so any worker count yields the identical table.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")

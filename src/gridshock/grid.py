@@ -198,6 +198,20 @@ class Grid:
         return {bus.id: k for k, bus in enumerate(self.buses)}
 
     @cached_property
+    def generator_bus_index(self) -> np.ndarray:
+        """Position in `buses` of each generator's bus, in generator order."""
+        index = np.array([self.bus_index[gen.bus] for gen in self.generators], dtype=int)
+        index.flags.writeable = False
+        return index
+
+    @cached_property
+    def is_international(self) -> np.ndarray:
+        """Interconnector flag of each generator, in generator order."""
+        flags = np.array([gen.is_international for gen in self.generators], dtype=bool)
+        flags.flags.writeable = False
+        return flags
+
+    @cached_property
     def hop_distance(self) -> np.ndarray:
         """All-pairs branch-hop counts in bus order; -1 marks unreachable."""
         n = len(self.buses)

@@ -61,3 +61,21 @@ def bus_balances(grid: Grid, injections: dict[str, float], solution) -> dict[str
         balance[br.from_bus] -= float(flow)
         balance[br.to_bus] += float(flow)
     return balance
+
+
+def gb_like_congested(seed: int = 7):
+    """The gb-like fixture with its backbone (`bb*`) and cross-link (`br*`)
+    ratings cut to 35% and calibrated with no headroom, so that branch
+    limits bind once generation is lost. Returns (grid, fixture)."""
+    from dataclasses import replace
+
+    from gridshock.failures import calibrate_ratings
+    from gridshock.synthetic import generate_gb_like
+
+    fixture = generate_gb_like(seed)
+    branches = tuple(
+        replace(b, rating_mw=b.rating_mw * 0.35) if b.id.startswith(("bb", "br")) else b
+        for b in fixture.grid.branches
+    )
+    grid = replace(fixture.grid, branches=branches)
+    return calibrate_ratings(grid, fixture.profiles["current"], headroom=1.0), fixture

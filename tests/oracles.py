@@ -332,3 +332,114 @@ def reference_mria_program(model, delta):
         a_ub[r_to * np_ + p, n_x + k] = -1.0
         a_ub[r_from * np_ + p, n_x + k] = 1.0
     return objective, a_ub, b_ub, bounds
+
+
+def reference_distance_costs(grid, demand_mw, interconnector_penalty=10.0):
+    """Per-generator loop over the demand-weighted hop means, as the
+    distance costs were computed before they were vectorised."""
+    loads = sorted((bid, float(mw)) for bid, mw in demand_mw.items() if mw > 0.0)
+    total = sum(mw for _, mw in loads)
+    rows = grid.hop_distance[[grid.bus_index[bid] for bid, _ in loads]]
+    weights = np.array([mw for _, mw in loads])
+    with np.errstate(invalid="ignore"):
+        mean_by_bus = weights @ np.where(rows < 0, np.nan, rows) / total
+    costs = {}
+    for gen in grid.generators:
+        mean = float(mean_by_bus[grid.bus_index[gen.bus]])
+        if not np.isfinite(mean):
+            raise ValueError(f"generator {gen.id} is unreachable from a demand bus")
+        cost = 1.0 + mean
+        if gen.is_international:
+            cost *= interconnector_penalty
+        costs[gen.id] = cost
+    return costs
+
+
+def _reference_redispatch(grid, context, demand_mw, available, penalty):
+    """Feasibility of one demand state by the simplex alone: the balance
+    row first, then a limit row for every branch that overloads."""
+    from gridshock.numerics import LinearProgram, lp_solve
+
+    demand = {bid: float(mw) for bid, mw in demand_mw.items() if mw > 0.0}
+    total = sum(demand.values())
+    if total <= 0.0:
+        return True
+    gen_ids = sorted(available)
+    if not gen_ids:
+        return False
+    gens = [grid.generator_by_id[g] for g in gen_ids]
+    costs = reference_distance_costs(grid, demand, penalty)
+    c = np.array([costs[g] for g in gen_ids])
+    bounds = np.column_stack([np.zeros(len(gens)), [gen.derated_mw for gen in gens]])
+    demand_vec = np.zeros(len(grid.buses))
+    for bid, mw in demand.items():
+        demand_vec[grid.bus_index[bid]] += mw
+    base_flow = context.sensitivity @ (-demand_vec)
+    gen_cols = np.array([context.sensitivity[:, grid.bus_index[gen.bus]] for gen in gens]).T
+    active = []
+    while True:
+        a_ub = b_ub = None
+        if active:
+            a_ub = np.array([side * gen_cols[row] for row, side in active])
+            b_ub = np.array([context.ratings[row] - side * base_flow[row] for row, side in active])
+        sol = lp_solve(
+            LinearProgram(
+                objective=c, a_eq=np.ones((1, len(gens))), b_eq=np.array([total]),
+                a_ub=a_ub, b_ub=b_ub, bounds=bounds,
+            )
+        )
+        if sol.status != "optimal":
+            return False
+        flows = gen_cols @ sol.x + base_flow
+        new_rows = [
+            (row, 1 if flows[row] > 0 else -1)
+            for row in np.flatnonzero(np.abs(flows) > context.ratings * (1.0 + 1e-9))
+        ]
+        new_rows = [rs for rs in new_rows if rs not in active]
+        if not new_rows:
+            return True
+        active.extend(new_rows)
+
+
+def reference_shedding(problem, removed=frozenset(), shed_step=0.1, context=None):
+    """The shedding loop that checks every round with the simplex.
+
+    Sheds the energy deficit first, then redispatches after each round
+    until one is feasible. Returns (status, shed_mw) as dispatch_with_shedding
+    reports them.
+    """
+    from gridshock.dispatch import GridContext
+
+    grid = problem.grid
+    if context is None:
+        context = GridContext(grid)
+    original = {bid: float(mw) for bid, mw in problem.demand_mw.items() if mw > 0.0}
+    if removed:
+        sources = [grid.bus_index[grid.generator_by_id[g].bus] for g in removed]
+        hops = grid.hop_distance[sources]
+        near = np.where(hops < 0, np.inf, hops).min(axis=0)
+        order = sorted(original, key=lambda bid: (near[grid.bus_index[bid]], bid))
+    else:
+        order = sorted(original)
+    shed = {bid: 0.0 for bid in original}
+
+    def apply_round():
+        for bid in order:
+            if shed[bid] < original[bid]:
+                shed[bid] = min(original[bid], shed[bid] + shed_step * original[bid])
+                return True
+        return False
+
+    capacity = sum(grid.generator_by_id[g].derated_mw for g in problem.available)
+    while sum(original.values()) - sum(shed.values()) > capacity + 1e-9:
+        if not apply_round():
+            break
+    while True:
+        remaining = {bid: original[bid] - shed[bid] for bid in original}
+        if _reference_redispatch(
+            grid, context, remaining, problem.available, problem.interconnector_penalty
+        ):
+            shed_out = {bid: mw for bid, mw in shed.items() if mw > 0.0}
+            return ("feasible_with_shedding" if shed_out else "feasible"), shed_out
+        if not apply_round():
+            raise RuntimeError("no feasible network state exists even with all demand shed")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gridshock.dispatch as dispatch_module
 from gridshock.dispatch import (
     DispatchProblem,
     GridContext,
@@ -11,10 +14,13 @@ from gridshock.dispatch import (
     redispatch,
 )
 from gridshock.errors import NoDemand, ValidationError
+from gridshock.failures import _solar_ids, bus_demand, generate_orderings, removal_set
 from gridshock.grid import Branch, Bus, Generator, Grid
+from gridshock.numerics import lp_solve
 from gridshock.powerflow import check_limits, dc_power_flow
 
-from helpers import random_connected_grid
+from helpers import gb_like_congested, random_connected_grid
+from oracles import reference_distance_costs, reference_shedding
 
 
 def chain_grid(ratings=(1e3, 1e3, 1e3, 1e3)):
@@ -77,6 +83,47 @@ class TestDistanceCosts:
     def test_no_demand_raises(self):
         with pytest.raises(NoDemand):
             generator_distance_costs(chain_grid(), {"b1": 0.0})
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_per_generator_reference(self, seed):
+        rng = np.random.default_rng([41, seed])
+        grid = random_connected_grid(rng, max_buses=25)
+        gens = tuple(
+            Generator(
+                id=f"u{k}",
+                bus=grid.buses[int(rng.integers(0, len(grid.buses)))].id,
+                rated_mw=float(rng.integers(10, 300)),
+                capacity_factor=1.0,
+                technology="interconnector" if rng.random() < 0.3 else "thermal",
+            )
+            for k in range(int(rng.integers(1, 12)))
+        )
+        grid = Grid(buses=grid.buses, branches=grid.branches, generators=gens)
+        demand = {
+            b.id: float(rng.uniform(0.0, 500.0)) if rng.random() < 0.8 else 0.0
+            for b in grid.buses
+        }
+        demand[grid.buses[-1].id] = 1.0
+        penalty = float(rng.choice([10.0, 4.0, 2.5]))
+        costs = generator_distance_costs(grid, demand, interconnector_penalty=penalty)
+        reference = reference_distance_costs(grid, demand, penalty)
+        assert list(costs) == list(reference)
+        assert all(costs[g] == reference[g] for g in reference)
+
+    def test_unreachable_generator_named(self):
+        # b5 is an island; the first generator on it in grid order is named
+        grid = chain_grid()
+        grid = Grid(
+            buses=grid.buses + (Bus("b5", 400.0, "generation"),),
+            branches=grid.branches,
+            generators=(
+                Generator("gA", "b0", 10.0, 1.0, "thermal"),
+                Generator("gZ", "b5", 10.0, 1.0, "thermal"),
+                Generator("gB", "b5", 10.0, 1.0, "thermal"),
+            ),
+        )
+        with pytest.raises(ValidationError, match="generator gZ is unreachable"):
+            generator_distance_costs(grid, {"b1": 10.0})
 
 
 class TestRedispatch:
@@ -384,6 +431,35 @@ class TestSheddingLoop:
         assert "b3" not in sol.shed_mw
         assert check_limits(grid, sol.flows_mw) == ()
 
+    def test_feasible_window_between_rounds(self):
+        # Triangle A-B-C with equal susceptances, one unit at A. B's demand
+        # relieves A-B but its withdrawal draws C->B counterflow, so shedding
+        # t MW at B is feasible only for t in [33, 36]: A-B (78 MW) needs
+        # (300 - 2t)/3 <= 78 and B-C (12 MW) needs t/3 <= 12. No round of
+        # 10 MW lands there, so B drains and C sheds until (100 - s)/3 <= 12.
+        grid = Grid(
+            buses=(
+                Bus("A", 400.0, "generation"),
+                Bus("B", 400.0, "demand", region="r1"),
+                Bus("C", 400.0, "demand", region="r2"),
+            ),
+            branches=(
+                Branch("ab", "A", "B", "line", 10.0, 78.0),
+                Branch("bc", "B", "C", "line", 10.0, 12.0),
+                Branch("ac", "A", "C", "line", 10.0, 1e3),
+            ),
+            generators=(
+                Generator("gA", "A", 500.0, 1.0, "thermal"),
+                Generator("gB", "B", 50.0, 1.0, "thermal"),
+            ),
+        )
+        problem = DispatchProblem(
+            grid=grid, demand_mw={"B": 100.0, "C": 100.0}, available=frozenset({"gA"})
+        )
+        sol = dispatch_with_shedding(problem, removed={"gB"})
+        assert sol.shed_mw == {"B": 100.0, "C": pytest.approx(70.0)}
+        assert (sol.status, sol.shed_mw) == reference_shedding(problem, {"gB"})
+
     def test_monotone_in_removal(self):
         grid = chain_grid()
         demand = {"b1": 50.0, "b3": 50.0}
@@ -414,3 +490,190 @@ class TestSheddingLoop:
         sol = dispatch_with_shedding(problem)
         served = 90.0 - sol.total_shed_mw
         assert sum(sol.generator_output_mw.values()) == pytest.approx(served, abs=1e-6)
+
+
+def congested_case(rng):
+    """A random grid with several units, tight ratings and removed units.
+
+    Ratings are drawn around the flows of an uncapped dispatch, so branch
+    limits bind; returns (problem, removed, shed_step).
+    """
+    grid = random_connected_grid(rng, max_buses=14)
+    gens = tuple(
+        Generator(
+            id=f"u{k}",
+            bus=grid.buses[int(rng.integers(0, len(grid.buses)))].id,
+            rated_mw=float(rng.integers(20, 150)),
+            capacity_factor=1.0,
+            technology="interconnector" if rng.random() < 0.15 else "thermal",
+        )
+        for k in range(int(rng.integers(3, 7)))
+    )
+    if all(g.is_international for g in gens):
+        gens = (replace(gens[0], technology="thermal"),) + gens[1:]
+    demand = {b.id: float(rng.integers(5, 60)) for b in grid.demand_buses}
+    loose = Grid(buses=grid.buses, branches=grid.branches, generators=gens)
+    everything = frozenset(g.id for g in gens)
+    flows = redispatch(
+        DispatchProblem(grid=loose, demand_mw=demand, available=everything), ignore_limits=True
+    ).flows_mw
+    if flows is None:
+        flows = rng.uniform(10.0, 100.0, len(grid.branches))
+    branches = tuple(
+        replace(br, rating_mw=float(np.round(max(1.0, rng.uniform(0.3, 1.1) * abs(flow)), 3)))
+        for br, flow in zip(grid.branches, flows)
+    )
+    grid = Grid(buses=grid.buses, branches=branches, generators=gens)
+    ids = sorted(everything)
+    removed = frozenset(
+        ids[k] for k in rng.choice(len(ids), size=int(rng.integers(0, 3)), replace=False)
+    )
+    problem = DispatchProblem(grid=grid, demand_mw=demand, available=everything - removed)
+    return problem, removed, float(rng.choice([0.1, 0.05, 0.25, 0.3]))
+
+
+class TestSheddingAgainstReference:
+    """Shed vectors and statuses equal those of the loop that runs the
+    simplex after every round (tests/oracles.reference_shedding)."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_congested_grids(self, seed):
+        problem, removed, step = congested_case(np.random.default_rng([47, seed]))
+        context = GridContext(problem.grid)
+        sol = dispatch_with_shedding(problem, removed, shed_step=step, context=context)
+        status, shed = reference_shedding(problem, removed, step, context)
+        assert (sol.status, sol.shed_mw) == (status, shed)
+        assert check_limits(problem.grid, sol.flows_mw, tolerance=1e-6) == ()
+        served = sum(problem.demand_mw.values()) - sol.total_shed_mw
+        assert sum(sol.generator_output_mw.values()) == pytest.approx(served, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("offset", [-1e-9, -1e-10, 0.0, 1e-10, 1e-9])
+    def test_least_shed_on_a_round_boundary(self, seed, offset):
+        # All demand sits on one bus fed from n00 over the network, and one
+        # branch is rated so that the least feasible shed is a round
+        # boundary plus `offset` MW.
+        rng = np.random.default_rng([53, seed])
+        grid = random_connected_grid(rng, max_buses=12)
+        bus = grid.demand_buses[int(rng.integers(0, len(grid.demand_buses)))].id
+        gens = (
+            Generator("g0", "n00", 700.0, 1.0, "thermal"),
+            Generator("g1", "n00", 300.0, 1.0, "thermal"),
+            Generator("gx", bus, 100.0, 1.0, "thermal"),
+        )
+        grid = Grid(buses=grid.buses, branches=grid.branches, generators=gens)
+        context = GridContext(grid)
+        column = context.sensitivity[:, grid.bus_index[bus]]
+        worst = int(np.argmax(np.abs(column)))
+        demand = float(rng.integers(50, 400))
+        step = 0.1
+        boundary = 0.0
+        for _ in range(int(rng.integers(1, 9))):
+            boundary = min(demand, boundary + step * demand)
+        rating = (demand - (boundary + offset)) * abs(column[worst])
+        branches = tuple(
+            replace(br, rating_mw=rating) if k == worst else br
+            for k, br in enumerate(grid.branches)
+        )
+        grid = Grid(buses=grid.buses, branches=branches, generators=gens)
+        context = GridContext(grid)
+        problem = DispatchProblem(
+            grid=grid, demand_mw={bus: demand}, available=frozenset({"g0", "g1"})
+        )
+        sol = dispatch_with_shedding(problem, {"gx"}, shed_step=step, context=context)
+        status, shed = reference_shedding(problem, {"gx"}, step, context)
+        assert (sol.status, sol.shed_mw) == (status, shed)
+        assert sol.shed_mw[bus] in (boundary, min(demand, boundary + step * demand))
+
+
+@pytest.fixture(scope="module")
+def congested_gb_like():
+    return gb_like_congested()
+
+
+def congested_cells(grid, fixture, n_orderings, fractions):
+    """(problem, removed) for the sweep cells of the congested gb-like grid."""
+    solar = _solar_ids(grid)
+    everything = frozenset(grid.generator_by_id)
+    for ordering in generate_orderings(grid, n_orderings, 7):
+        for fraction in fractions:
+            removed = removal_set(ordering, grid, fraction) | solar
+            for scenario in ("current", "heat_pump"):
+                demand = bus_demand(grid, fixture.profiles[scenario], 427)
+                problem = DispatchProblem(
+                    grid=grid, demand_mw=demand, available=everything - removed
+                )
+                yield problem, removed
+
+
+class TestGbLikeCongested:
+    def test_cells_match_reference(self, congested_gb_like):
+        grid, fixture = congested_gb_like
+        context = GridContext(grid)
+        shed_cells = 0
+        for problem, removed in congested_cells(grid, fixture, 2, (0.1, 0.2, 0.25, 0.3)):
+            sol = dispatch_with_shedding(problem, removed, context=context)
+            assert (sol.status, sol.shed_mw) == reference_shedding(problem, removed, 0.1, context)
+            shed_cells += sol.status == "feasible_with_shedding"
+        assert shed_cells >= 4
+
+    def test_every_unit_removed_sheds_everything(self, congested_gb_like):
+        grid, fixture = congested_gb_like
+        demand = bus_demand(grid, fixture.profiles["current"], 427)
+        problem = DispatchProblem(grid=grid, demand_mw=demand, available=frozenset())
+        removed = frozenset(grid.generator_by_id)
+        sol = dispatch_with_shedding(problem, removed)
+        assert (sol.status, sol.shed_mw) == reference_shedding(problem, removed)
+        assert sol.status == "feasible_with_shedding"
+        assert sol.shed_mw == {bid: mw for bid, mw in demand.items() if mw > 0.0}
+        assert sol.total_shed_mw == pytest.approx(sum(demand.values()))
+        assert sol.generator_output_mw == {}
+        assert not sol.flows_mw.any()
+
+
+class TestDispatchLpsAgainstHighs:
+    """lp_solve against HiGHS on the dispatch programs the congested gb-like
+    sweep solves: least-cost programs with limit rows and least-shed
+    programs for one bus."""
+
+    def test_pipeline_programs(self, congested_gb_like, monkeypatch):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        grid, fixture = congested_gb_like
+        programs = []
+
+        def recording(lp):
+            programs.append(lp)
+            return lp_solve(lp)
+
+        monkeypatch.setattr(dispatch_module, "lp_solve", recording)
+        context = GridContext(grid)
+        for problem, removed in congested_cells(grid, fixture, 4, (0.1, 0.15, 0.2, 0.3)):
+            dispatch_with_shedding(problem, removed, context=context)
+
+        def least_shed(lp):
+            return lp.objective[-1] == 1.0 and not lp.objective[:-1].any()
+
+        limited = [lp for lp in programs if lp.a_ub is not None and not least_shed(lp)]
+        segments = [lp for lp in programs if least_shed(lp)]
+        assert len(limited) >= 10 and len(segments) >= 10
+        statuses = set()
+        for lp in limited + segments:
+            ours = lp_solve(lp)
+            highs = linprog(
+                lp.objective,
+                A_ub=lp.a_ub,
+                b_ub=lp.b_ub,
+                A_eq=lp.a_eq,
+                b_eq=lp.b_eq,
+                bounds=lp.bounds,
+                method="highs",
+                options={
+                    "primal_feasibility_tolerance": 1e-10,
+                    "dual_feasibility_tolerance": 1e-10,
+                },
+            )
+            statuses.add(ours.status)
+            assert (ours.status, highs.status) in (("optimal", 0), ("infeasible", 2))
+            if ours.status == "optimal":
+                assert ours.objective_value == pytest.approx(highs.fun, rel=1e-9, abs=1e-9)
+        assert statuses == {"optimal", "infeasible"}

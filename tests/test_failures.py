@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gridshock.dispatch as dispatch_module
 import gridshock.failures as failures_module
 from gridshock.errors import ParseError, Unstable, ValidationError
 from gridshock.failures import (
@@ -354,6 +355,54 @@ class TestRunExperiment:
             master_seed=11,
         )
         serial = run_experiment(grid, profiles, config, workers=1)
+        parallel = run_experiment(grid, profiles, config, workers=3)
+        assert serial.records == parallel.records
+
+    def test_deterministic_across_worker_counts_with_binding_limits(self, monkeypatch):
+        # north units feed r1 and south units r2 over 25 MW lines, so losing
+        # units on one side sheds more than the energy deficit
+        buses = (
+            Bus("n", 400.0, "generation"),
+            Bus("d1", 400.0, "demand", region="r1"),
+            Bus("m", 400.0, "substation"),
+            Bus("d2", 400.0, "demand", region="r2"),
+            Bus("s", 400.0, "generation"),
+        )
+        branches = (
+            Branch("l0", "n", "d1", "line", 10.0, 1e3),
+            Branch("l1", "d1", "m", "line", 10.0, 25.0),
+            Branch("l2", "m", "d2", "line", 10.0, 25.0),
+            Branch("l3", "d2", "s", "line", 10.0, 1e3),
+        )
+        gens = tuple(
+            Generator(f"{side}{k}", side, 30.0, 1.0, "thermal")
+            for side in ("n", "s")
+            for k in range(4)
+        )
+        grid = Grid(buses=buses, branches=branches, generators=gens)
+        profiles = {"current": profile_for([[90.0, 60.0], [80.0, 100.0]], regions=("r1", "r2"))}
+        config = ExperimentConfig(
+            hours=(("current", 0), ("current", 1)),
+            n_orderings=6,
+            loss_fractions=(0.0, 0.25, 0.5),
+            master_seed=3,
+        )
+        limit_rows = []
+        solve = dispatch_module.lp_solve
+
+        def counting(lp):
+            limit_rows.append(0 if lp.a_ub is None else lp.a_ub.shape[0])
+            return solve(lp)
+
+        monkeypatch.setattr(dispatch_module, "lp_solve", counting)
+        serial = run_experiment(grid, profiles, config, workers=1)
+        assert max(limit_rows) > 0
+        demand = {0: 170.0, 1: 160.0}
+        network_limited = [
+            r for r in serial.records
+            if r.total_unserved_mw > demand[r.hour] - 240.0 * (1.0 - r.loss_fraction) + 1e-6
+        ]
+        assert network_limited
         parallel = run_experiment(grid, profiles, config, workers=3)
         assert serial.records == parallel.records
 
