@@ -19,7 +19,7 @@ from .atomic import atomic_open
 from .errors import DegeneratePeaks, MissingCosts, ValidationError
 from .failures import ResultTable
 from .grid import RegionTable
-from .profiles import DemandProfile
+from .profiles import StudiedDemand
 
 __all__ = [
     "CurvePoint",
@@ -297,13 +297,13 @@ def population_shares(
 def zero_impact_demand_gw(
     results: ResultTable,
     costs: Mapping[RecordKey, float],
-    profiles: Mapping[str, DemandProfile],
+    demands: Mapping[str, StudiedDemand],
 ) -> float | None:
     """Largest national demand whose cells show zero median cost everywhere.
 
-    Scans each studied (scenario, hour), computes that hour's national
-    demand, and keeps it when the median cost over orderings is zero at
-    every loss fraction. None when no such hour exists.
+    Scans each studied (scenario, hour), takes that hour's national demand
+    from `demands`, and keeps it when the median cost over orderings is
+    zero at every loss fraction. None when no such hour exists.
     """
     cells: dict[tuple[str, int], dict[float, list[float]]] = {}
     for record in results.records:
@@ -313,11 +313,10 @@ def zero_impact_demand_gw(
         cell.setdefault(record.loss_fraction, []).append(costs[record.key])
     best = None
     for (scenario, hour), by_fraction in cells.items():
-        if scenario not in profiles:
-            raise ValidationError(f"no profile provided for scenario {scenario!r}")
+        if scenario not in demands:
+            raise ValidationError(f"no studied demand for scenario {scenario!r}")
         if all(float(median(v)) == 0.0 for v in by_fraction.values()):
-            profile = profiles[scenario]
-            demand = float(profile.national()[profile.hour_pos[hour]]) / 1000.0
+            demand = demands[scenario].national_mw[hour] / 1000.0
             if best is None or demand > best:
                 best = demand
     return best

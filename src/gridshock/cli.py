@@ -1,12 +1,15 @@
 """Command-line pipeline: gen-synthetic, simulate, impact, analyze.
 
 simulate calibrates branch ratings against the current-day peak, runs
-the generator-failure sweep, and writes `results.csv` plus a provenance
-record. impact prices every result row through the supply-use program.
-Both impact and analyze first refuse a results file whose provenance
-record does not match the current inputs. analyze aggregates costs into
-the published curve, slope, regional and population outputs. Every output
-is a pure function of (inputs, seed), independent of the worker count.
+the generator-failure sweep, and writes `results.csv`, the demand at the
+studied hours (`demand.csv`) and a provenance record. It is the only stage
+that parses the demand profiles. impact checks that the supply-use program
+reproduces the tables' baseline, then prices every result row through it.
+Both impact and analyze first refuse a results or demand file whose
+provenance record does not match the current inputs. analyze aggregates
+costs into the published curve, slope, regional and population outputs.
+Every output is a pure function of (inputs, seed), independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -33,8 +36,13 @@ from .atomic import atomic_open
 from .errors import GridShockError, ParseError, ProvenanceMismatch
 from .failures import calibrate_ratings, load_results, run_experiment, save_results
 from .grid import load_grid, load_regions
-from .mria import assess_impact, load_supply_use, shock_from_unserved
-from .profiles import load_profile
+from .mria import assess_impact, load_supply_use, shock_from_unserved, solve_baseline
+from .profiles import (
+    StudiedDemand,
+    load_profile,
+    load_studied_demand,
+    save_studied_demand,
+)
 from .runconfig import RunConfig, load_run_config
 from .synthetic import generate, write_fixture
 
@@ -59,11 +67,11 @@ def _sha256(path: Path) -> str:
 
 
 def _hashed_files(config: RunConfig, config_path: Path) -> list[tuple[str, Path]]:
-    """(provenance key, path) of every file simulate hashes: inputs and results."""
+    """(provenance key, path) of every file simulate hashes: inputs and outputs."""
     return (
         [("config", config_path), ("grid", config.grid), ("regions", config.regions)]
         + [(f"profile.{s}", p) for s, p in sorted(config.profiles.items())]
-        + [("results", config.out_dir / "results.csv")]
+        + [("results", config.out_dir / "results.csv"), ("demand", config.out_dir / "demand.csv")]
     )
 
 
@@ -89,13 +97,6 @@ def _check_provenance(config: RunConfig, config_path: Path, table) -> None:
             raise ProvenanceMismatch(
                 f"{hashed_path} does not match its hash in {path}; rerun simulate"
             )
-
-
-def _load_profiles(config: RunConfig):
-    return {
-        scenario: load_profile(path, scenario=scenario)
-        for scenario, path in sorted(config.profiles.items())
-    }
 
 
 def _resolve(config: RunConfig, args) -> RunConfig:
@@ -125,7 +126,10 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_simulate(args) -> int:
     config = _resolve(load_run_config(args.config), args)
     grid = load_grid(config.grid)
-    profiles = _load_profiles(config)
+    profiles = {
+        scenario: load_profile(path, scenario=scenario)
+        for scenario, path in sorted(config.profiles.items())
+    }
     grid = calibrate_ratings(
         grid,
         profiles[config.analyze_baseline],
@@ -142,6 +146,15 @@ def cmd_simulate(args) -> int:
     )
     config.out_dir.mkdir(parents=True, exist_ok=True)
     save_results(table, config.out_dir / "results.csv")
+    save_studied_demand(
+        {
+            scenario: StudiedDemand.from_profile(
+                profile, [h for s, h in experiment.hours if s == scenario]
+            )
+            for scenario, profile in profiles.items()
+        },
+        config.out_dir / "demand.csv",
+    )
 
     lines = [
         f"{key} = sha256:{_sha256(path)}"
@@ -169,13 +182,14 @@ def cmd_impact(args) -> int:
     _check_provenance(config, Path(args.config), table)
     regions = load_regions(config.regions)
     model = load_supply_use(config.supply_use_dir)
-    profiles = _load_profiles(config)
+    solve_baseline(model)
+    demands = load_studied_demand(config.out_dir / "demand.csv")
 
     cache = {}
     totals: list[tuple[str, float]] = []
     regional: list[tuple[str, str, float]] = []
     for record in table.records:
-        shock = shock_from_unserved(record, regions, profiles[record.scenario])
+        shock = shock_from_unserved(record, regions, demands[record.scenario])
         key = (shock.duration_hours, tuple(sorted(shock.delta.items())))
         if key not in cache:
             cache[key] = assess_impact(model, shock)
@@ -225,13 +239,13 @@ def cmd_analyze(args) -> int:
     costs = _read_impacts(config.out_dir)
     regional_costs = _read_regional(config.out_dir)
     regions = load_regions(config.regions)
-    profiles = _load_profiles(config)
+    demands = load_studied_demand(config.out_dir / "demand.csv")
     scenarios = sorted({record.scenario for record in table.records})
 
     curves = {s: build_cost_curve(table, costs, s) for s in scenarios}
     write_cost_curves([curves[s] for s in scenarios], config.out_dir / "cost_curve.csv")
 
-    peaks = {s: float(profiles[s].national().max()) / 1000.0 for s in scenarios}
+    peaks = {s: demands[s].peak_mw / 1000.0 for s in scenarios}
     slope_rows = [
         (
             "peak_demand",
@@ -272,7 +286,7 @@ def cmd_analyze(args) -> int:
         share_rows.append((scenario, *shares))
     write_population_shares(share_rows, config.out_dir / "population_share.csv")
 
-    threshold = zero_impact_demand_gw(table, costs, profiles)
+    threshold = zero_impact_demand_gw(table, costs, demands)
     label = "none" if threshold is None else f"{threshold!r} GW"
     print(f"wrote 4 analysis files to {config.out_dir}")
     print(f"largest national demand with zero median cost: {label}")

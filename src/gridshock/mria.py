@@ -30,7 +30,7 @@ from .errors import (
 )
 from .grid import RegionTable
 from .numerics import LinearProgram, lp_solve
-from .profiles import DemandProfile
+from .profiles import StudiedDemand
 
 __all__ = [
     "HOURS_PER_YEAR",
@@ -374,6 +374,13 @@ def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
     slice of any rationing not already explained by its region's supply
     drop, so losses are never double counted. A shock with no capacity
     reduction anywhere is an identity and skips the program entirely.
+
+    The program's optimal value is unique but its optimal vertex need not
+    be: `delta_va` is split across regions as the vertex `lp_solve` returns
+    splits it, so another solver or starting basis may split it otherwise.
+    For region-wide shocks, as `shock_from_unserved` builds them,
+    `total_cost` has matched HiGHS's vertex on every gb-like program tried;
+    under shocks that differ by industry it can move as well.
     """
     delta = shock.resolve(model)
     if not delta.any():
@@ -409,28 +416,28 @@ def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
     )
 
 
-def shock_from_unserved(record, regions: RegionTable, profile: DemandProfile) -> CapacityShock:
+def shock_from_unserved(record, regions: RegionTable, demand: StudiedDemand) -> CapacityShock:
     """Convert a dispatch record into per-economic-region capacity loss.
 
     Districts aggregate into their parent economic region; the loss
     fraction is unserved power over demanded power at the record's hour,
-    capped at 1. Regions with zero demand take a zero shock. The event
-    lasts one hour.
+    as `demand` (the record's scenario) holds it, capped at 1. Regions with
+    zero demand take a zero shock. The event lasts one hour.
     """
     unserved: dict[str, float] = {}
-    demand: dict[str, float] = {}
+    demanded: dict[str, float] = {}
     for district, mw in record.unserved_mw_per_region.items():
         if district not in regions.by_id:
             raise ValidationError(f"record names unknown district {district}")
         parent = regions.by_id[district].parent
         unserved[parent] = unserved.get(parent, 0.0) + mw
-        demand[parent] = demand.get(parent, 0.0) + profile.demand_at(district, record.hour)
+        demanded[parent] = demanded.get(parent, 0.0) + demand.demand_at(district, record.hour)
     delta = {}
     for parent in sorted(unserved):
-        if demand[parent] <= 0.0:
+        if demanded[parent] <= 0.0:
             delta[parent] = 0.0
         else:
-            delta[parent] = min(1.0, unserved[parent] / demand[parent])
+            delta[parent] = min(1.0, unserved[parent] / demanded[parent])
     return CapacityShock(delta=delta, duration_hours=1.0)
 
 

@@ -11,6 +11,10 @@ On disk a profile is csv rows `region,hour,demand_mw` (`heat_mw` for the
 thermal series) with unquoted fields. `load_profile` reads them in one
 chunked, columnar pass into arrays; `save_profile` writes them region by
 region and refuses a region id that csv would have to quote.
+
+`StudiedDemand` is one scenario's demand at its studied hours. simulate
+writes it to `demand.csv` (`save_studied_demand`), and impact and analyze
+read that file (`load_studied_demand`) instead of the full-year profiles.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     MisalignedHours,
     ParseError,
@@ -35,6 +40,7 @@ from .grid import RegionTable
 __all__ = [
     "SCENARIO_KINDS",
     "DemandProfile",
+    "StudiedDemand",
     "ScenarioSpec",
     "synthesize_current",
     "apply_heat_pump",
@@ -43,6 +49,8 @@ __all__ = [
     "extract_extreme_days",
     "load_profile",
     "save_profile",
+    "save_studied_demand",
+    "load_studied_demand",
     "load_end_use_shares",
     "save_end_use_shares",
 ]
@@ -70,8 +78,14 @@ NOISE_HALF_WIDTH = 0.005
 # full-year file never sits in memory as one string or one list of fields.
 _CHUNK_BYTES = 64 * 1024
 
+# One profile row as np.loadtxt reads it. An object region keeps ids of
+# any length, where a fixed-width str field would cut them short.
+_ROW_DTYPE = np.dtype([("region", object), ("hour", np.int64), ("value", np.float64)])
+
 # Characters that make csv quote a field; see save_profile.
 _QUOTED_CHARS = ',"\r\n'
+
+_DEMAND_HEADER = ("scenario", "kind", "region", "hour", "demand_mw")
 
 
 @dataclass(frozen=True)
@@ -127,6 +141,38 @@ class DemandProfile:
 
     def annual_gwh(self, region: str) -> float:
         return float(self.demand_mw[self.region_pos[region]].sum()) / 1000.0
+
+
+@dataclass(frozen=True)
+class StudiedDemand:
+    """One scenario's demand at its studied hours, cut from the full profile.
+
+    simulate writes it to `demand.csv` (`save_studied_demand`), so that
+    impact and analyze need not parse the full-year profiles.
+    `district_mw[hour][region]` holds the profile's own values. `national_mw`
+    and `peak_mw` come from the full profile's `national()`: a sum over one
+    column taken again can differ from that row-wise sum in the last bit.
+    """
+
+    district_mw: Mapping[int, Mapping[str, float]]
+    national_mw: Mapping[int, float]
+    peak_mw: float
+
+    @classmethod
+    def from_profile(cls, profile: DemandProfile, hours) -> StudiedDemand:
+        national = profile.national()
+        columns = {int(h): profile.hour_pos[int(h)] for h in sorted(hours)}
+        return cls(
+            district_mw={
+                h: dict(zip(profile.regions, profile.demand_mw[:, k].tolist()))
+                for h, k in columns.items()
+            },
+            national_mw={h: float(national[k]) for h, k in columns.items()},
+            peak_mw=float(national.max()),
+        )
+
+    def demand_at(self, region: str, hour: int) -> float:
+        return self.district_mw[hour][region]
 
 
 @dataclass(frozen=True)
@@ -273,16 +319,15 @@ def extract_extreme_days(profile: DemandProfile) -> tuple[tuple[int, ...], tuple
 def load_profile(path, scenario: str | None = None, value_column: str | None = None) -> DemandProfile:
     """Read `region,hour,demand_mw` rows (or `heat_mw` for thermal series).
 
-    The rows are read in chunks of about `_CHUNK_BYTES`. Each chunk is split
-    with str methods into region, hour and value columns; hours and values
-    go through int() and float() into arrays, and each region gets an
-    integer code from one dict. The region x hour matrix is then built with
-    array operations, and rows that already arrive in (region, hour) order,
-    as `save_profile` writes them, are not sorted. Fields are unquoted: a
-    `"` in a data row is an error. Blank lines are skipped but still count
-    towards line numbers, which the chunks do not keep: once a chunk shows
-    a malformed row, the file is read again line by line to name the first
-    bad line.
+    The rows are read in chunks of about `_CHUNK_BYTES`. Each chunk becomes
+    region, hour and value columns (`_loadtxt_columns`, or `_split_columns`
+    where that declines), and each region gets an integer code from one
+    dict. The region x hour matrix is then built with array operations, and
+    rows that already arrive in (region, hour) order, as `save_profile`
+    writes them, are not sorted. Fields are unquoted: a `"` in a data row
+    is an error. Blank lines are skipped but still count towards line
+    numbers, which the chunks do not keep: once a chunk shows a malformed
+    row, the file is read again line by line to name the first bad line.
     """
     path = Path(path)
     codes: dict[str, int] = {}
@@ -293,24 +338,13 @@ def load_profile(path, scenario: str | None = None, value_column: str | None = N
             rows = list(filterfalse(str.isspace, lines))
             if not rows:
                 continue
-            if not rows[-1].endswith(("\n", "\r")):
-                rows[-1] += "\n"
-            text = ",".join(rows)
-            fields = text.split(",")
-            n = len(rows)
-            # Only a row's last field holds its line end. With 3n fields of
-            # which every third holds one, each row has exactly 3 fields.
-            if '"' in text or len(fields) != 3 * n or _line_ends("".join(fields[2::3])) != n:
-                raise _first_bad_line(path)
-            try:
-                hour_parts.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
-                value_parts.append(np.fromiter(map(float, fields[2::3]), float, n))
-            except ValueError:
-                raise _first_bad_line(path) from None
-            regions = list(map(str.strip, fields[0::3]))
-            for region in dict.fromkeys(regions):
-                codes.setdefault(region, len(codes))
-            code_parts.append(np.fromiter(map(codes.__getitem__, regions), np.int64, n))
+            regions, hours, values = _loadtxt_columns(rows) or _split_columns(rows, path)
+            hour_parts.append(hours)
+            value_parts.append(values)
+            raw_codes = {
+                raw: codes.setdefault(raw.strip(), len(codes)) for raw in dict.fromkeys(regions)
+            }
+            code_parts.append(np.fromiter(map(raw_codes.__getitem__, regions), np.int64, len(rows)))
 
     if not codes:
         raise ValidationError(f"profile {path.name} contains no data rows")
@@ -349,6 +383,45 @@ def _check_header(line: str, value_column: str | None) -> None:
         raise ParseError(
             f"expected header region,hour,{value_column}, got {','.join(header)}", 1
         )
+
+
+def _loadtxt_columns(rows: list[str]) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """Region, hour and value columns of non-blank rows, parsed by np.loadtxt.
+
+    None when loadtxt rejects a row or a row holds a `"` (loadtxt would keep
+    it inside a region), so that `_split_columns` decides. On every input
+    the tests try, loadtxt accepts no text that int() and float() reject
+    (it refuses `1_0` and non-ASCII digits, which they accept) and parses
+    what it accepts to the same number. Regions keep their surrounding
+    blanks, as `_split_columns`'s do.
+    """
+    if '"' in "".join(rows):
+        return None
+    try:
+        table = np.loadtxt(rows, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return table["region"].tolist(), table["hour"].copy(), table["value"].copy()
+
+
+def _split_columns(rows: list[str], path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Region, hour and value columns of non-blank rows, split with str
+    methods; hours and values go through int() and float()."""
+    if not rows[-1].endswith(("\n", "\r")):
+        rows[-1] += "\n"
+    text = ",".join(rows)
+    fields = text.split(",")
+    n = len(rows)
+    # Only a row's last field holds its line end. With 3n fields of which
+    # every third holds one, each row has exactly 3 fields.
+    if '"' in text or len(fields) != 3 * n or _line_ends("".join(fields[2::3])) != n:
+        raise _first_bad_line(path)
+    try:
+        hours = np.fromiter(map(int, fields[1::3]), np.int64, n)
+        values = np.fromiter(map(float, fields[2::3]), float, n)
+    except ValueError:
+        raise _first_bad_line(path) from None
+    return fields[0::3], hours, values
 
 
 def _line_ends(text: str) -> int:
@@ -406,6 +479,63 @@ def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") 
         writer.writerow(["region", "hour", value_column])
         for region, row in zip(profile.regions, profile.demand_mw):
             writer.writerows(zip(repeat(region), hours, map(repr, row.tolist())))
+
+
+def save_studied_demand(demands: Mapping[str, StudiedDemand], path) -> None:
+    """Write `scenario,kind,region,hour,demand_mw` rows, scenario by scenario.
+
+    Per studied hour, a `district` row for each region and then a `national`
+    row with an empty region; last, one `peak` row with empty region and
+    hour. The kind column keeps a national row apart from any region id.
+    The file appears whole or not at all.
+    """
+    with atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(_DEMAND_HEADER)
+        for scenario in sorted(demands):
+            demand = demands[scenario]
+            for hour in sorted(demand.national_mw):
+                writer.writerows(
+                    (scenario, "district", region, hour, repr(mw))
+                    for region, mw in demand.district_mw[hour].items()
+                )
+                writer.writerow((scenario, "national", "", hour, repr(demand.national_mw[hour])))
+            writer.writerow((scenario, "peak", "", "", repr(demand.peak_mw)))
+
+
+def load_studied_demand(path) -> dict[str, StudiedDemand]:
+    """Read the rows `save_studied_demand` writes, keyed by scenario."""
+    path = Path(path)
+    districts: dict[str, dict[int, dict[str, float]]] = {}
+    national: dict[str, dict[int, float]] = {}
+    peaks: dict[str, float] = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        if next(reader, None) != list(_DEMAND_HEADER):
+            raise ParseError(f"expected header {','.join(_DEMAND_HEADER)} in {path.name}", 1)
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                scenario, kind, region, hour, value = row
+                if kind == "district":
+                    by_hour = districts.setdefault(scenario, {})
+                    by_hour.setdefault(int(hour), {})[region] = float(value)
+                elif kind == "national" and not region:
+                    national.setdefault(scenario, {})[int(hour)] = float(value)
+                elif kind == "peak" and not region and not hour and scenario not in peaks:
+                    peaks[scenario] = float(value)
+                else:
+                    raise ValueError
+            except ValueError:
+                raise ParseError(f"malformed row {row!r} in {path.name}", lineno) from None
+    for scenario in sorted(set(districts) | set(national) | set(peaks)):
+        hours = districts.get(scenario, {}).keys()
+        if scenario not in peaks or hours != national.get(scenario, {}).keys():
+            raise ValidationError(
+                f"{path.name}: scenario {scenario} lacks its peak or an hour's rows"
+            )
+    return {
+        s: StudiedDemand(districts.get(s, {}), national.get(s, {}), peaks[s]) for s in sorted(peaks)
+    }
 
 
 def load_end_use_shares(path) -> dict[str, dict[str, float]]:

@@ -24,7 +24,7 @@ from gridshock.analysis import (
 from gridshock.errors import DegeneratePeaks, MissingCosts, ValidationError
 from gridshock.failures import ExperimentConfig, ResultTable, ScenarioRecord
 from gridshock.grid import Region, RegionTable
-from gridshock.profiles import DemandProfile
+from gridshock.profiles import DemandProfile, StudiedDemand
 
 
 def record(ordering, fraction, scenario, hour, unserved, status="ok"):
@@ -342,12 +342,13 @@ class TestPopulationShare:
 
 class TestZeroImpactDemand:
     def profile(self, scenario, demands):
-        return DemandProfile(
+        profile = DemandProfile(
             scenario=scenario,
             regions=("r1",),
             hours=np.arange(len(demands)),
             demand_mw=np.array([demands], dtype=float),
         )
+        return StudiedDemand.from_profile(profile, profile.hours)
 
     def test_largest_quiet_demand(self):
         records = [

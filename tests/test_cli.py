@@ -3,12 +3,14 @@ import shutil
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gridshock.cli import _parse_record_id, _record_id, main
 from gridshock.errors import ParseError, ValidationError
 from gridshock.failures import DEFAULT_LOSS_FRACTIONS
-from gridshock.profiles import load_profile, save_profile
+from gridshock.mria import SupplyUseModel, save_supply_use
+from gridshock.profiles import load_profile, load_studied_demand, save_profile
 from gridshock.runconfig import load_run_config
 
 SMALL_SCENARIOS = ("current", "heat_pump", "efficiency", "flat")
@@ -176,6 +178,7 @@ class TestPipeline:
         provenance = (out_dir / "provenance.txt").read_text(encoding="utf-8")
         assert "records = 40" in provenance
         assert "results = sha256:" in provenance
+        assert "demand = sha256:" in provenance
         assert "master_seed = 7" in provenance
         assert "workers" not in provenance
 
@@ -278,6 +281,65 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err.startswith("error:")
             assert "current.csv does not match its hash" in err
+
+    def test_demand_edited_after_simulate_refused(self, run_copy, capsys):
+        path = run_copy / "out" / "demand.csv"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(",national,,", ",national,,1", 1), encoding="utf-8")
+        for stage in ("impact", "analyze"):
+            assert main([stage, "--config", str(run_copy / "run.cfg")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "demand.csv does not match its hash" in err
+
+    def test_missing_demand_exits_2(self, run_copy, capsys):
+        (run_copy / "out" / "demand.csv").unlink()
+        for stage in ("impact", "analyze"):
+            assert main([stage, "--config", str(run_copy / "run.cfg")]) == 2
+            assert "demand.csv" in capsys.readouterr().err
+
+    def test_only_simulate_parses_profiles(self, run_copy, monkeypatch):
+        import gridshock.cli as cli
+
+        def refuse(path, **kwargs):
+            raise AssertionError(f"{path} parsed outside simulate")
+
+        monkeypatch.setattr(cli, "load_profile", refuse)
+        for stage in ("impact", "analyze"):
+            assert main([stage, "--config", str(run_copy / "run.cfg")]) == 0
+
+    def test_demand_holds_the_studied_hours(self, fx, out_dir):
+        config = load_run_config(fx / "run.cfg")
+        demands = load_studied_demand(out_dir / "demand.csv")
+        assert sorted(demands) == sorted(config.profiles)
+        for scenario, path in config.profiles.items():
+            profile = load_profile(path)
+            national = profile.national()
+            studied = sorted(h for s, h in config.hours if s == scenario)
+            assert sorted(demands[scenario].national_mw) == studied
+            assert demands[scenario].peak_mw == float(national.max())
+            for hour in studied:
+                assert demands[scenario].national_mw[hour] == national[profile.hour_pos[hour]]
+
+    def test_baseline_mismatch_refused(self, run_copy, capsys):
+        # the interchangeable-industries economy: the LP picks an extreme
+        # split, not the tabled 50/50, so the baseline check fails
+        model = SupplyUseModel(
+            regions=("A",),
+            industries=("i1", "i2"),
+            products=("p1", "p2"),
+            supply=np.array([[[50.0, 50.0], [50.0, 50.0]]]),
+            use=np.zeros((1, 2, 2)),
+            final_demand=np.array([[100.0, 100.0]]),
+            value_added_coeff=np.full((1, 2), 0.5),
+            trade_allowed=np.zeros((1, 1, 2), dtype=bool),
+        )
+        save_supply_use(model, run_copy / "economy")
+        before = (run_copy / "out" / "impacts.csv").read_bytes()
+        assert main(["impact", "--config", str(run_copy / "run.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: region A")
+        assert (run_copy / "out" / "impacts.csv").read_bytes() == before
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2

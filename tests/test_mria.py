@@ -25,7 +25,7 @@ from gridshock.mria import (
     technology_coefficients,
 )
 from gridshock.numerics import LinearProgram, lp_solve
-from gridshock.profiles import DemandProfile
+from gridshock.profiles import DemandProfile, StudiedDemand
 from gridshock.synthetic import generate_gb_like, generate_small
 
 from oracles import enumerate_lp, reference_mria_program
@@ -521,12 +521,13 @@ class TestShockFromUnserved:
         )
 
     def profile(self, demands):
-        return DemandProfile(
+        profile = DemandProfile(
             scenario="current",
             regions=("d1", "d2", "d3"),
             hours=np.array([0]),
             demand_mw=np.array(demands, dtype=float).reshape(3, 1),
         )
+        return StudiedDemand.from_profile(profile, [0])
 
     def record(self, unserved):
         from gridshock.failures import ScenarioRecord

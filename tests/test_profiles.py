@@ -14,16 +14,20 @@ from gridshock.profiles import (
     HOURS_PER_YEAR,
     DemandProfile,
     ScenarioSpec,
+    StudiedDemand,
     apply_efficiency,
     apply_flat,
     apply_heat_pump,
     extract_extreme_days,
     load_end_use_shares,
     load_profile,
+    load_studied_demand,
     save_end_use_shares,
     save_profile,
+    save_studied_demand,
     synthesize_current,
 )
+from gridshock.synthetic import generate_gb_like, generate_small
 from oracles import reference_load_profile
 
 
@@ -530,3 +534,125 @@ class TestChunkedReader:
         with pytest.raises(ValidationError, match="quoting"):
             save_profile(small_profile([[1.0], [2.0]], regions=("a", region)), path)
         assert not path.exists()
+
+
+def assert_same_profile(mine, reference):
+    assert mine.regions == reference.regions
+    assert mine.hours.tobytes() == reference.hours.tobytes()
+    assert mine.demand_mw.dtype == reference.demand_mw.dtype
+    assert mine.demand_mw.tobytes() == reference.demand_mw.tobytes()
+
+
+def refuse_split(rows, path):
+    raise AssertionError("str split used where loadtxt should parse every row")
+
+
+class TestLoadtxtPath:
+    """np.loadtxt parses the chunks first; int() and float() decide the rest."""
+
+    @pytest.mark.parametrize(
+        "hour, hour_text, value_text",
+        [
+            (10, "1_0", "2.5"),
+            (1, "\u0661", "2.5"),
+            (3, "3", "\u0663.\u0665"),
+            (3, "3", "1_0.5"),
+            (4, " +4 ", "\xa01.5"),
+        ],
+    )
+    def test_int_float_only_numbers_match_reference(self, tmp_path, hour, hour_text, value_text):
+        # loadtxt rejects these (or parses them alike); int() and float() accept them
+        lines = ["region,hour,demand_mw"] + [
+            f"a,{hour_text},{value_text}" if (r, h) == ("a", hour) else f"{r},{h},{h + 0.5!r}"
+            for r in "ab"
+            for h in range(12)
+        ]
+        path = write_lines(tmp_path / "demand.csv", lines)
+        mine = load_profile(path)
+        assert_same_profile(mine, reference_load_profile(path))
+        assert mine.demand_at("a", hour) == float(value_text)
+
+    def test_random_repr_floats_match_reference(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(profiles_module, "_split_columns", refuse_split)
+        rng = np.random.default_rng(11)
+        regions, hours = 100, 5000
+        # every finite nonnegative double is equally likely to be drawn
+        bits = rng.integers(0, 0x7FF0000000000000, size=regions * hours, dtype=np.uint64)
+        values = bits.view(np.float64).tolist()
+        lines = ["region,hour,demand_mw"] + [
+            f"r{k // hours:03d},{k % hours},{value!r}" for k, value in enumerate(values)
+        ]
+        path = write_lines(tmp_path / "demand.csv", lines)
+        mine = load_profile(path)
+        assert_same_profile(mine, reference_load_profile(path))
+        assert mine.demand_mw.size == 500_000
+
+    def test_saved_files_take_the_loadtxt_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(profiles_module, "_split_columns", refuse_split)
+        profile = small_profile(
+            [[1.0, 2.5], [3.0, 1e-310]], regions=("averyveryverylongregionid", "b")
+        )
+        path = tmp_path / "demand.csv"
+        save_profile(profile, path)
+        loaded = load_profile(path)
+        assert loaded.regions == profile.regions
+        assert loaded.demand_mw.tobytes() == profile.demand_mw.tobytes()
+
+
+class TestStudiedDemand:
+    @pytest.mark.parametrize("generate", [generate_small, generate_gb_like])
+    def test_national_and_peak_bit_for_bit(self, tmp_path, generate):
+        profiles = generate(7).profiles
+        studied = {
+            scenario: sorted({0, 427, profile.peak_hour(), profile.trough_hour()})
+            for scenario, profile in profiles.items()
+        }
+        path = tmp_path / "demand.csv"
+        save_studied_demand(
+            {s: StudiedDemand.from_profile(p, studied[s]) for s, p in profiles.items()}, path
+        )
+        loaded = load_studied_demand(path)
+        assert sorted(loaded) == sorted(profiles)
+        for scenario, profile in profiles.items():
+            demand = loaded[scenario]
+            national = profile.national()
+            assert demand.peak_mw.hex() == float(national.max()).hex()
+            assert sorted(demand.national_mw) == studied[scenario]
+            for hour in studied[scenario]:
+                k = profile.hour_pos[hour]
+                assert demand.national_mw[hour].hex() == float(national[k]).hex()
+                for region in profile.regions:
+                    assert demand.demand_at(region, hour) == profile.demand_at(region, hour)
+
+    def test_region_named_like_a_kind_stays_a_district(self, tmp_path):
+        profile = small_profile([[1.0, 2.0], [3.0, 4.0]], regions=("national", "peak"))
+        path = tmp_path / "demand.csv"
+        save_studied_demand({"current": StudiedDemand.from_profile(profile, [1])}, path)
+        demand = load_studied_demand(path)["current"]
+        assert demand.district_mw == {1: {"national": 2.0, "peak": 4.0}}
+        assert demand.national_mw == {1: 6.0}
+        assert demand.peak_mw == 6.0
+
+    @pytest.mark.parametrize(
+        "row", ["current,national,a,0,1.0", "current,district,a,x,1.0", "current,peak,,,1.0,2"]
+    )
+    def test_malformed_row_names_line(self, tmp_path, row):
+        path = tmp_path / "demand.csv"
+        save_studied_demand(
+            {"current": StudiedDemand.from_profile(small_profile([[1.0], [2.0]]), [0])}, path
+        )
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(2, row)
+        write_lines(path, lines)
+        with pytest.raises(ParseError, match="line 3: malformed row"):
+            load_studied_demand(path)
+
+    def test_missing_peak_rejected(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        save_studied_demand(
+            {"current": StudiedDemand.from_profile(small_profile([[1.0], [2.0]]), [0])}, path
+        )
+        lines = path.read_text(encoding="utf-8").splitlines()
+        write_lines(path, [line for line in lines if ",peak," not in line])
+        with pytest.raises(ValidationError, match="scenario current lacks its peak"):
+            load_studied_demand(path)
