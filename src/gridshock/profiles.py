@@ -78,10 +78,6 @@ NOISE_HALF_WIDTH = 0.005
 # full-year file never sits in memory as one string or one list of fields.
 _CHUNK_BYTES = 64 * 1024
 
-# One profile row as np.loadtxt reads it. An object region keeps ids of
-# any length, where a fixed-width str field would cut them short.
-_ROW_DTYPE = np.dtype([("region", object), ("hour", np.int64), ("value", np.float64)])
-
 # Characters that make csv quote a field; see save_profile.
 _QUOTED_CHARS = ',"\r\n'
 
@@ -319,15 +315,16 @@ def extract_extreme_days(profile: DemandProfile) -> tuple[tuple[int, ...], tuple
 def load_profile(path, scenario: str | None = None, value_column: str | None = None) -> DemandProfile:
     """Read `region,hour,demand_mw` rows (or `heat_mw` for thermal series).
 
-    The rows are read in chunks of about `_CHUNK_BYTES`. Each chunk becomes
-    region, hour and value columns (`_loadtxt_columns`, or `_split_columns`
-    where that declines), and each region gets an integer code from one
-    dict. The region x hour matrix is then built with array operations, and
-    rows that already arrive in (region, hour) order, as `save_profile`
-    writes them, are not sorted. Fields are unquoted: a `"` in a data row
-    is an error. Blank lines are skipped but still count towards line
-    numbers, which the chunks do not keep: once a chunk shows a malformed
-    row, the file is read again line by line to name the first bad line.
+    The rows are read in chunks of about `_CHUNK_BYTES`. Each chunk is split
+    with str methods into region, hour and value columns; hours and values
+    go through int() and float() into arrays, and each region gets an
+    integer code from one dict. The region x hour matrix is then built with
+    array operations, and rows that already arrive in (region, hour) order,
+    as `save_profile` writes them, are not sorted. Fields are unquoted: a
+    `"` in a data row is an error. Blank lines are skipped but still count
+    towards line numbers, which the chunks do not keep: once a chunk shows
+    a malformed row, the file is read again line by line to name the first
+    bad line.
     """
     path = Path(path)
     codes: dict[str, int] = {}
@@ -338,13 +335,24 @@ def load_profile(path, scenario: str | None = None, value_column: str | None = N
             rows = list(filterfalse(str.isspace, lines))
             if not rows:
                 continue
-            regions, hours, values = _loadtxt_columns(rows) or _split_columns(rows, path)
-            hour_parts.append(hours)
-            value_parts.append(values)
-            raw_codes = {
-                raw: codes.setdefault(raw.strip(), len(codes)) for raw in dict.fromkeys(regions)
-            }
-            code_parts.append(np.fromiter(map(raw_codes.__getitem__, regions), np.int64, len(rows)))
+            if not rows[-1].endswith(("\n", "\r")):
+                rows[-1] += "\n"
+            text = ",".join(rows)
+            fields = text.split(",")
+            n = len(rows)
+            # Only a row's last field holds its line end. With 3n fields of
+            # which every third holds one, each row has exactly 3 fields.
+            if '"' in text or len(fields) != 3 * n or _line_ends("".join(fields[2::3])) != n:
+                raise _first_bad_line(path)
+            try:
+                hour_parts.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
+                value_parts.append(np.fromiter(map(float, fields[2::3]), float, n))
+            except ValueError:
+                raise _first_bad_line(path) from None
+            regions = list(map(str.strip, fields[0::3]))
+            for region in dict.fromkeys(regions):
+                codes.setdefault(region, len(codes))
+            code_parts.append(np.fromiter(map(codes.__getitem__, regions), np.int64, n))
 
     if not codes:
         raise ValidationError(f"profile {path.name} contains no data rows")
@@ -383,45 +391,6 @@ def _check_header(line: str, value_column: str | None) -> None:
         raise ParseError(
             f"expected header region,hour,{value_column}, got {','.join(header)}", 1
         )
-
-
-def _loadtxt_columns(rows: list[str]) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """Region, hour and value columns of non-blank rows, parsed by np.loadtxt.
-
-    None when loadtxt rejects a row or a row holds a `"` (loadtxt would keep
-    it inside a region), so that `_split_columns` decides. On every input
-    the tests try, loadtxt accepts no text that int() and float() reject
-    (it refuses `1_0` and non-ASCII digits, which they accept) and parses
-    what it accepts to the same number. Regions keep their surrounding
-    blanks, as `_split_columns`'s do.
-    """
-    if '"' in "".join(rows):
-        return None
-    try:
-        table = np.loadtxt(rows, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
-    except ValueError:
-        return None
-    return table["region"].tolist(), table["hour"].copy(), table["value"].copy()
-
-
-def _split_columns(rows: list[str], path: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Region, hour and value columns of non-blank rows, split with str
-    methods; hours and values go through int() and float()."""
-    if not rows[-1].endswith(("\n", "\r")):
-        rows[-1] += "\n"
-    text = ",".join(rows)
-    fields = text.split(",")
-    n = len(rows)
-    # Only a row's last field holds its line end. With 3n fields of which
-    # every third holds one, each row has exactly 3 fields.
-    if '"' in text or len(fields) != 3 * n or _line_ends("".join(fields[2::3])) != n:
-        raise _first_bad_line(path)
-    try:
-        hours = np.fromiter(map(int, fields[1::3]), np.int64, n)
-        values = np.fromiter(map(float, fields[2::3]), float, n)
-    except ValueError:
-        raise _first_bad_line(path) from None
-    return fields[0::3], hours, values
 
 
 def _line_ends(text: str) -> int:

@@ -447,6 +447,13 @@ def valid_lines(rows=12, blank_every=3):
     return lines
 
 
+def assert_same_profile(mine, reference):
+    assert mine.regions == reference.regions
+    assert mine.hours.tobytes() == reference.hours.tobytes()
+    assert mine.demand_mw.dtype == reference.demand_mw.dtype
+    assert mine.demand_mw.tobytes() == reference.demand_mw.tobytes()
+
+
 class TestChunkedReader:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_reference_parser(self, tmp_path, monkeypatch, seed):
@@ -472,6 +479,9 @@ class TestChunkedReader:
             ("a,9,1.0,2", "expected 3 fields, got 4"),
             ("a,nine,1.0", "bad numeric value in ['a', 'nine', '1.0']"),
             ("a,9,x", "bad numeric value in ['a', '9', 'x']"),
+            ("a,9.0,1.0", "bad numeric value in ['a', '9.0', '1.0']"),
+            ("a,7.9,1.0", "bad numeric value in ['a', '7.9', '1.0']"),
+            ("a,1e3,1.0", "bad numeric value in ['a', '1e3', '1.0']"),
             (" a ,2,9.0", "duplicate hour 2 for region a"),
         ],
     )
@@ -528,28 +538,6 @@ class TestChunkedReader:
         with pytest.raises(ParseError, match="line 1: empty profile file"):
             load_profile(path)
 
-    @pytest.mark.parametrize("region", ["a,b", 'a"b', "a\nb", "a\rb"])
-    def test_save_rejects_region_needing_quotes(self, tmp_path, region):
-        path = tmp_path / "demand.csv"
-        with pytest.raises(ValidationError, match="quoting"):
-            save_profile(small_profile([[1.0], [2.0]], regions=("a", region)), path)
-        assert not path.exists()
-
-
-def assert_same_profile(mine, reference):
-    assert mine.regions == reference.regions
-    assert mine.hours.tobytes() == reference.hours.tobytes()
-    assert mine.demand_mw.dtype == reference.demand_mw.dtype
-    assert mine.demand_mw.tobytes() == reference.demand_mw.tobytes()
-
-
-def refuse_split(rows, path):
-    raise AssertionError("str split used where loadtxt should parse every row")
-
-
-class TestLoadtxtPath:
-    """np.loadtxt parses the chunks first; int() and float() decide the rest."""
-
     @pytest.mark.parametrize(
         "hour, hour_text, value_text",
         [
@@ -560,8 +548,8 @@ class TestLoadtxtPath:
             (4, " +4 ", "\xa01.5"),
         ],
     )
-    def test_int_float_only_numbers_match_reference(self, tmp_path, hour, hour_text, value_text):
-        # loadtxt rejects these (or parses them alike); int() and float() accept them
+    def test_int_float_spellings_match_reference(self, tmp_path, hour, hour_text, value_text):
+        # int() and float() accept underscores, non-ASCII digits and blanks
         lines = ["region,hour,demand_mw"] + [
             f"a,{hour_text},{value_text}" if (r, h) == ("a", hour) else f"{r},{h},{h + 0.5!r}"
             for r in "ab"
@@ -572,8 +560,7 @@ class TestLoadtxtPath:
         assert_same_profile(mine, reference_load_profile(path))
         assert mine.demand_at("a", hour) == float(value_text)
 
-    def test_random_repr_floats_match_reference(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(profiles_module, "_split_columns", refuse_split)
+    def test_random_repr_floats_match_reference(self, tmp_path):
         rng = np.random.default_rng(11)
         regions, hours = 100, 5000
         # every finite nonnegative double is equally likely to be drawn
@@ -587,16 +574,12 @@ class TestLoadtxtPath:
         assert_same_profile(mine, reference_load_profile(path))
         assert mine.demand_mw.size == 500_000
 
-    def test_saved_files_take_the_loadtxt_path(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(profiles_module, "_split_columns", refuse_split)
-        profile = small_profile(
-            [[1.0, 2.5], [3.0, 1e-310]], regions=("averyveryverylongregionid", "b")
-        )
+    @pytest.mark.parametrize("region", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_save_rejects_region_needing_quotes(self, tmp_path, region):
         path = tmp_path / "demand.csv"
-        save_profile(profile, path)
-        loaded = load_profile(path)
-        assert loaded.regions == profile.regions
-        assert loaded.demand_mw.tobytes() == profile.demand_mw.tobytes()
+        with pytest.raises(ValidationError, match="quoting"):
+            save_profile(small_profile([[1.0], [2.0]], regions=("a", region)), path)
+        assert not path.exists()
 
 
 class TestStudiedDemand:
