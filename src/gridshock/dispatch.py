@@ -138,10 +138,10 @@ def generator_distance_costs(
     loads.sort()
     total = sum(mw for _, mw in loads)
 
-    rows = grid.hop_distance[[grid.bus_index[bid] for bid, _ in loads]]
+    rows = grid.hops_or_nan[[grid.bus_index[bid] for bid, _ in loads]]
     weights = np.array([mw for _, mw in loads])
     with np.errstate(invalid="ignore"):
-        mean_by_bus = weights @ np.where(rows < 0, np.nan, rows) / total
+        mean_by_bus = weights @ rows / total
 
     means = mean_by_bus[grid.generator_bus_index]
     unreachable = np.flatnonzero(~np.isfinite(means))
@@ -362,8 +362,7 @@ def dispatch_with_shedding(
     original = {bid: float(mw) for bid, mw in problem.demand_mw.items() if mw > 0.0}
     if removed:
         sources = [grid.bus_index[grid.generator_by_id[g].bus] for g in removed]
-        hops = grid.hop_distance[sources]
-        near = np.where(hops < 0, np.inf, hops).min(axis=0)
+        near = grid.hops_or_inf[sources].min(axis=0)
         order = sorted(original, key=lambda bid: (near[grid.bus_index[bid]], bid))
     else:
         order = sorted(original)

@@ -231,6 +231,20 @@ class Grid:
         return table
 
     @cached_property
+    def hops_or_nan(self) -> np.ndarray:
+        """`hop_distance` as floats with NaN for unreachable pairs."""
+        table = np.where(self.hop_distance < 0, np.nan, self.hop_distance)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def hops_or_inf(self) -> np.ndarray:
+        """`hop_distance` as floats with +inf for unreachable pairs."""
+        table = np.where(self.hop_distance < 0, np.inf, self.hop_distance)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def demand_buses(self) -> tuple[Bus, ...]:
         return tuple(bus for bus in self.buses if bus.kind == "demand")
 

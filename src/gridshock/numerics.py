@@ -7,11 +7,15 @@ solve and the simplex's basis inverse rest on numpy's LAPACK/BLAS
 routines, so results are not promised bit-identical across platforms or
 numpy builds. What does hold: on one machine, repeated runs and any worker
 count give identical bytes, because pricing and basis bookkeeping are
-deterministic and every worker runs the same arithmetic.
+deterministic and every worker runs the same arithmetic. The simplex's
+pivot rule and the arithmetic behind each pivot are pinned by
+`tests/oracles.reference_lp_solve`, which the test suite holds it to bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,60 +167,46 @@ class _Simplex:
     rest at zero); values are reassigned to the exact bound on every basis
     exchange so state tests can use equality. The basis inverse is kept as a
     dense matrix with eta-style updates and periodic refactorization.
+
+    The caller puts the equality rows first and appends one slack column
+    per inequality row after the `n_struct` structural columns, so the
+    slack of the k-th inequality row is column `n_struct + k`.
     """
 
     def __init__(self, a, b, lo, hi, n_struct):
         m, n0 = a.shape
         self.m = m
-        self.n_struct = n_struct
 
-        x0 = np.zeros(n0)
-        for j in range(n0):
-            if np.isfinite(lo[j]):
-                x0[j] = lo[j]
-            elif np.isfinite(hi[j]):
-                x0[j] = hi[j]
+        x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         residual = b - a @ x0
 
-        # Slack columns (appended after the structural block by the caller)
-        # serve as the starting basis wherever their sign allows; the
-        # remaining rows get artificial columns of matching sign.
-        slack_of_row = {}
-        for k in range(n0 - n_struct):
-            j = n_struct + k
-            rows = np.flatnonzero(a[:, j])
-            if rows.size == 1 and a[rows[0], j] == 1.0 and lo[j] == 0.0:
-                slack_of_row[rows[0]] = j
-
-        art_rows = [
-            i for i in range(m) if i not in slack_of_row or residual[i] < 0.0
-        ]
-        n_art = len(art_rows)
+        # Slack columns serve as the starting basis wherever their sign
+        # allows; the remaining rows get artificial columns of matching sign.
+        first_slack_row = m - (n0 - n_struct)
+        artificial = (np.arange(m) < first_slack_row) | (residual < 0.0)
+        art_rows = np.flatnonzero(artificial)
+        slack_rows = np.flatnonzero(~artificial)
+        n_art = art_rows.size
         n = n0 + n_art
+        art_cols = n0 + np.arange(n_art)
+        signs = np.where(residual[art_rows] < 0.0, -1.0, 1.0)
         self.a = np.zeros((m, n))
         self.a[:, :n0] = a
+        self.a[art_rows, art_cols] = signs
         self.b = b.astype(float)
         self.lo = np.concatenate([lo, np.zeros(n_art)])
         self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
-        self.x = np.concatenate([x0, np.zeros(n_art)])
+        self.x = np.concatenate([x0, np.abs(residual[art_rows])])
         self.art_start = n0
         self.n = n
 
         self.basis = np.zeros(m, dtype=int)
+        self.basis[art_rows] = art_cols
+        slack_cols = n_struct + slack_rows - first_slack_row
+        self.basis[slack_rows] = slack_cols
+        self.x[slack_cols] = residual[slack_rows]
         diag = np.ones(m)
-        for k, i in enumerate(art_rows):
-            j = n0 + k
-            sign = -1.0 if residual[i] < 0.0 else 1.0
-            self.a[i, j] = sign
-            self.x[j] = abs(residual[i])
-            self.basis[i] = j
-            diag[i] = sign
-        for i, j in slack_of_row.items():
-            if i not in art_rows:
-                self.x[j] = residual[i]
-                self.basis[i] = j
-        self.in_basis = np.zeros(n, dtype=bool)
-        self.in_basis[self.basis] = True
+        diag[art_rows] = signs
         self.binv = np.diag(diag)
         self.since_refactor = 0
 
@@ -232,7 +222,29 @@ class _Simplex:
         self.since_refactor = 0
 
     def optimize(self, c):
-        """Run simplex iterations for cost vector c until optimal/unbounded."""
+        """Run simplex iterations for cost vector c until optimal/unbounded.
+
+        Pricing takes the largest reduced-cost violation, lowest index
+        first, and Bland's first violation after STALL_WINDOW iterations
+        without progress; the ratio test breaks ties on the lowest basic
+        index. The costs and bounds of the basic variables are gathered once
+        and patched at each pivot row. `gate_dn` is 1 where a nonbasic
+        variable can decrease and `gate_up` is -1 where it can increase, so
+        max(reduced * gate_dn, reduced * gate_up) is the pricing violation
+        wherever it exceeds OPTIMALITY_TOL. The gates change only at the
+        entering and leaving columns, and are rebuilt here because
+        drive_out_artificials moves bounds between calls.
+        """
+        a, x, lo, hi, basis = self.a, self.x, self.lo, self.hi, self.basis
+        c_b, lo_b, hi_b = c[basis], lo[basis], hi[basis]
+        gate_dn = np.where(x > lo, 1.0, 0.0)
+        gate_up = np.where(x < hi, -1.0, 0.0)
+        gate_dn[basis] = 0.0
+        gate_up[basis] = 0.0
+        score = np.empty(self.n)
+        score_up = np.empty(self.n)
+        limits = np.empty(self.m)
+
         max_iter = ITERATION_FACTOR * (self.n + self.m)
         bland = False
         stall = 0
@@ -240,62 +252,62 @@ class _Simplex:
         for _ in range(max_iter):
             if self.since_refactor >= REFACTOR_INTERVAL:
                 self._refactorize()
+            binv = self.binv
 
-            y = self.binv.T @ c[self.basis]
-            reduced = c - self.a.T @ y
-            nonbasic = ~self.in_basis
-            can_up = nonbasic & (self.x < self.hi) & (reduced < -OPTIMALITY_TOL)
-            can_dn = nonbasic & (self.x > self.lo) & (reduced > OPTIMALITY_TOL)
-            violation = np.where(can_up, -reduced, 0.0) + np.where(can_dn, reduced, 0.0)
-            if not violation.any():
+            y = binv.T @ c_b
+            reduced = c - a.T @ y
+            np.multiply(reduced, gate_dn, out=score)
+            np.multiply(reduced, gate_up, out=score_up)
+            np.maximum(score, score_up, out=score)
+            j = int(np.argmax(score > OPTIMALITY_TOL)) if bland else int(score.argmax())
+            if not score[j] > OPTIMALITY_TOL:
                 return "optimal"
+            direction = 1.0 if reduced[j] < 0.0 else -1.0
 
-            if bland:
-                j = int(np.argmax(violation > 0.0))
-            else:
-                j = int(np.argmax(violation))
-            direction = 1.0 if can_up[j] else -1.0
+            w = binv @ a[:, j]
+            delta, neg_delta = (w, -w) if direction > 0 else (-w, w)
+            xb = x[basis]
+            limits.fill(np.inf)
+            np.divide(np.maximum(xb - lo_b, 0.0), delta, out=limits, where=delta > PIVOT_TOL)
+            np.divide(np.maximum(hi_b - xb, 0.0), neg_delta, out=limits, where=delta < -PIVOT_TOL)
+            # Every limit is +0.0, positive or +inf, so the first minimum
+            # is the minimum bit for bit.
+            r = int(limits.argmin())
+            t_basic = float(limits[r])
+            t_flip = hi[j] - lo[j]
 
-            w = self.binv @ self.a[:, j]
-            delta = direction * w
-            limits = np.full(self.m, np.inf)
-            xb = self.x[self.basis]
-            pos = delta > PIVOT_TOL
-            if pos.any():
-                room = np.maximum(xb[pos] - self.lo[self.basis][pos], 0.0)
-                limits[pos] = room / delta[pos]
-            neg = delta < -PIVOT_TOL
-            if neg.any():
-                room = np.maximum(self.hi[self.basis][neg] - xb[neg], 0.0)
-                limits[neg] = room / (-delta[neg])
-            t_basic = float(limits.min()) if self.m else np.inf
-            t_flip = self.hi[j] - self.lo[j]
-
-            if not np.isfinite(min(t_basic, t_flip)):
+            if not math.isfinite(min(t_basic, t_flip)):
                 return "unbounded"
 
             if t_flip < t_basic:
                 step = t_flip
-                self.x[self.basis] -= step * delta
-                self.x[j] = self.hi[j] if direction > 0 else self.lo[j]
+                xb -= step * delta
+                x[basis] = xb
+                x[j] = hi[j] if direction > 0 else lo[j]
+                gate_dn[j] = 1.0 if x[j] > lo[j] else 0.0
+                gate_up[j] = -1.0 if x[j] < hi[j] else 0.0
             else:
                 step = t_basic
-                ties = np.flatnonzero(limits == t_basic)
-                r = int(ties[np.argmin(self.basis[ties])])
-                leaving = self.basis[r]
-                self.x[self.basis] -= step * delta
-                self.x[j] += direction * step
-                self.x[leaving] = self.lo[leaving] if delta[r] > 0 else self.hi[leaving]
-                self.basis[r] = j
-                self.in_basis[leaving] = False
-                self.in_basis[j] = True
-                pivot = w[r]
-                new_row = self.binv[r] / pivot
-                self.binv = self.binv - np.outer(w, new_row)
-                self.binv[r] = new_row
+                tied = limits == t_basic
+                if np.count_nonzero(tied) > 1:
+                    ties = np.flatnonzero(tied)
+                    r = int(ties[basis[ties].argmin()])
+                leaving = int(basis[r])
+                xb -= step * delta
+                x[basis] = xb
+                x[j] += direction * step
+                x[leaving] = lo[leaving] if delta[r] > 0 else hi[leaving]
+                basis[r] = j
+                c_b[r], lo_b[r], hi_b[r] = c[j], lo[j], hi[j]
+                gate_dn[j] = gate_up[j] = 0.0
+                gate_dn[leaving] = 1.0 if x[leaving] > lo[leaving] else 0.0
+                gate_up[leaving] = -1.0 if x[leaving] < hi[leaving] else 0.0
+                new_row = binv[r] / w[r]
+                binv -= w[:, None] * new_row
+                binv[r] = new_row
                 self.since_refactor += 1
 
-            obj = float(c @ self.x)
+            obj = float(c @ x)
             if prev_obj - obj <= 1e-12 * (1.0 + abs(prev_obj)):
                 stall += 1
                 if stall >= STALL_WINDOW:

@@ -78,6 +78,9 @@ NOISE_HALF_WIDTH = 0.005
 # full-year file never sits in memory as one string or one list of fields.
 _CHUNK_BYTES = 64 * 1024
 
+# Hours are held as int64; a wider integer is a malformed row.
+_INT64 = np.iinfo(np.int64)
+
 # Characters that make csv quote a field; see save_profile.
 _QUOTED_CHARS = ',"\r\n'
 
@@ -347,7 +350,7 @@ def load_profile(path, scenario: str | None = None, value_column: str | None = N
             try:
                 hour_parts.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
                 value_parts.append(np.fromiter(map(float, fields[2::3]), float, n))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise _first_bad_line(path) from None
             regions = list(map(str.strip, fields[0::3]))
             for region in dict.fromkeys(regions):
@@ -408,7 +411,7 @@ def _first_bad_line(path: Path) -> ParseError:
     """The error for the first malformed data row of path, found line by line.
 
     Checks each row as the chunked reader does, in file order: no `"`,
-    3 fields, an int hour and a float value, and no (region, hour) pair
+    3 fields, an int64 hour and a float value, and no (region, hour) pair
     seen before.
     """
     seen: set[tuple[str, int]] = set()
@@ -427,6 +430,8 @@ def _first_bad_line(path: Path) -> ParseError:
                 float(row[2])
             except ValueError:
                 return ParseError(f"bad numeric value in {row!r}", lineno)
+            if not _INT64.min <= hour <= _INT64.max:
+                return ParseError(f"hour {hour} does not fit a 64-bit integer", lineno)
             region = row[0].strip()
             if (region, hour) in seen:
                 return ParseError(f"duplicate hour {hour} for region {region}", lineno)

@@ -79,3 +79,13 @@ def gb_like_congested(seed: int = 7):
     )
     grid = replace(fixture.grid, branches=branches)
     return calibrate_ratings(grid, fixture.profiles["current"], headroom=1.0), fixture
+
+
+def assert_same_lp_solution(ours, reference) -> None:
+    """Status, x and objective equal bit for bit, zero signs included."""
+    assert ours.status == reference.status
+    assert (ours.x is None) == (reference.x is None)
+    if ours.x is not None:
+        assert ours.x.dtype == reference.x.dtype
+        assert ours.x.tobytes() == reference.x.tobytes()
+        assert ours.objective_value.hex() == reference.objective_value.hex()

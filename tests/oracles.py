@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the test suite.
 
-These deliberately share no code with the package: linear systems are
-solved by Gauss-Jordan elimination with scaled pivoting, and linear
-programs by brute-force vertex enumeration over active constraint sets.
-Slow but transparent, so they can arbitrate the production solvers.
+The arbiters share no code with the package: linear systems are solved
+by Gauss-Jordan elimination with scaled pivoting, and linear programs by
+brute-force vertex enumeration over active constraint sets. Slow but
+transparent, so they can arbitrate the production solvers. The
+`reference_*` functions are earlier, plainer forms of package kernels,
+kept so the faster forms can be pinned to them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,17 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+
+from gridshock.errors import NumericalBreakdown
+from gridshock.numerics import (
+    FEASIBILITY_TOL,
+    ITERATION_FACTOR,
+    OPTIMALITY_TOL,
+    LpSolution,
+    PIVOT_TOL,
+    REFACTOR_INTERVAL,
+    STALL_WINDOW,
+)
 
 
 def gauss_jordan_solve(a, b):
@@ -443,3 +456,227 @@ def reference_shedding(problem, removed=frozenset(), shed_step=0.1, context=None
             return ("feasible_with_shedding" if shed_out else "feasible"), shed_out
         if not apply_round():
             raise RuntimeError("no feasible network state exists even with all demand shed")
+
+
+def reference_lp_solve(lp):
+    """lp_solve as it pivoted before its iteration bookkeeping was made lean.
+
+    The production kernel must take every pivot this one takes, from the
+    same arithmetic: the same pricing, ratio test, tie-breaks, Bland
+    switch, basis-inverse updates and refactorizations, so the two agree
+    bit for bit on status, x and objective. Input checking and the
+    row-free case are the package's own.
+    """
+    from gridshock.numerics import _canonical, _solve_unconstrained
+
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _canonical(lp)
+    n = c.size
+    me, mu = a_eq.shape[0], a_ub.shape[0]
+    m = me + mu
+    if m == 0:
+        return _solve_unconstrained(c, lo, hi)
+
+    a = np.zeros((m, n + mu))
+    a[:me, :n] = a_eq
+    a[me:, :n] = a_ub
+    a[me:, n:] = np.eye(mu)
+    b = np.concatenate([b_eq, b_ub])
+    lo_full = np.concatenate([lo, np.zeros(mu)])
+    hi_full = np.concatenate([hi, np.full(mu, np.inf)])
+
+    sx = _ReferenceSimplex(a, b, lo_full, hi_full, n)
+    scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
+    feas_tol = FEASIBILITY_TOL * scale
+
+    if sx.n > sx.art_start:
+        c1 = np.zeros(sx.n)
+        c1[sx.art_start :] = 1.0
+        status = sx.optimize(c1)
+        if status == "unbounded":
+            raise NumericalBreakdown("phase 1 reported an unbounded direction")
+        if not sx.drive_out_artificials(feas_tol):
+            return LpSolution(status="infeasible")
+
+    c2 = np.zeros(sx.n)
+    c2[:n] = c
+    status = sx.optimize(c2)
+    if status == "unbounded":
+        return LpSolution(status="unbounded")
+
+    sx._refactorize()
+    status = sx.optimize(c2)
+    if status == "unbounded":
+        return LpSolution(status="unbounded")
+
+    x = np.clip(sx.x[:n], lo, hi)
+    worst = 0.0
+    if me:
+        worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
+    if mu:
+        worst = max(worst, float(np.max(np.maximum(a_ub @ x - b_ub, 0.0))))
+    if worst > feas_tol:
+        raise NumericalBreakdown(
+            f"solution residual {worst:.3e} exceeds tolerance {feas_tol:.3e}"
+        )
+    return LpSolution(status="optimal", x=x, objective_value=float(c @ x))
+
+
+class _ReferenceSimplex:
+    """Revised simplex on a fixed tableau with explicit variable bounds.
+
+    Nonbasic variables rest exactly on one of their bounds (free variables
+    rest at zero); values are reassigned to the exact bound on every basis
+    exchange so state tests can use equality. The basis inverse is kept as a
+    dense matrix with eta-style updates and periodic refactorization.
+    """
+
+    def __init__(self, a, b, lo, hi, n_struct):
+        m, n0 = a.shape
+        self.m = m
+        self.n_struct = n_struct
+
+        x0 = np.zeros(n0)
+        for j in range(n0):
+            if np.isfinite(lo[j]):
+                x0[j] = lo[j]
+            elif np.isfinite(hi[j]):
+                x0[j] = hi[j]
+        residual = b - a @ x0
+
+        # Slack columns (appended after the structural block by the caller)
+        # serve as the starting basis wherever their sign allows; the
+        # remaining rows get artificial columns of matching sign.
+        slack_of_row = {}
+        for k in range(n0 - n_struct):
+            j = n_struct + k
+            rows = np.flatnonzero(a[:, j])
+            if rows.size == 1 and a[rows[0], j] == 1.0 and lo[j] == 0.0:
+                slack_of_row[rows[0]] = j
+
+        art_rows = [
+            i for i in range(m) if i not in slack_of_row or residual[i] < 0.0
+        ]
+        n_art = len(art_rows)
+        n = n0 + n_art
+        self.a = np.zeros((m, n))
+        self.a[:, :n0] = a
+        self.b = b.astype(float)
+        self.lo = np.concatenate([lo, np.zeros(n_art)])
+        self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
+        self.x = np.concatenate([x0, np.zeros(n_art)])
+        self.art_start = n0
+        self.n = n
+
+        self.basis = np.zeros(m, dtype=int)
+        diag = np.ones(m)
+        for k, i in enumerate(art_rows):
+            j = n0 + k
+            sign = -1.0 if residual[i] < 0.0 else 1.0
+            self.a[i, j] = sign
+            self.x[j] = abs(residual[i])
+            self.basis[i] = j
+            diag[i] = sign
+        for i, j in slack_of_row.items():
+            if i not in art_rows:
+                self.x[j] = residual[i]
+                self.basis[i] = j
+        self.in_basis = np.zeros(n, dtype=bool)
+        self.in_basis[self.basis] = True
+        self.binv = np.diag(diag)
+        self.since_refactor = 0
+
+    def _refactorize(self):
+        basis_matrix = self.a[:, self.basis]
+        try:
+            self.binv = np.linalg.inv(basis_matrix)
+        except np.linalg.LinAlgError:
+            raise NumericalBreakdown("basis matrix became singular") from None
+        off_basis = self.x.copy()
+        off_basis[self.basis] = 0.0
+        self.x[self.basis] = self.binv @ (self.b - self.a @ off_basis)
+        self.since_refactor = 0
+
+    def optimize(self, c):
+        """Run simplex iterations for cost vector c until optimal/unbounded."""
+        max_iter = ITERATION_FACTOR * (self.n + self.m)
+        bland = False
+        stall = 0
+        prev_obj = np.inf
+        for _ in range(max_iter):
+            if self.since_refactor >= REFACTOR_INTERVAL:
+                self._refactorize()
+
+            y = self.binv.T @ c[self.basis]
+            reduced = c - self.a.T @ y
+            nonbasic = ~self.in_basis
+            can_up = nonbasic & (self.x < self.hi) & (reduced < -OPTIMALITY_TOL)
+            can_dn = nonbasic & (self.x > self.lo) & (reduced > OPTIMALITY_TOL)
+            violation = np.where(can_up, -reduced, 0.0) + np.where(can_dn, reduced, 0.0)
+            if not violation.any():
+                return "optimal"
+
+            if bland:
+                j = int(np.argmax(violation > 0.0))
+            else:
+                j = int(np.argmax(violation))
+            direction = 1.0 if can_up[j] else -1.0
+
+            w = self.binv @ self.a[:, j]
+            delta = direction * w
+            limits = np.full(self.m, np.inf)
+            xb = self.x[self.basis]
+            pos = delta > PIVOT_TOL
+            if pos.any():
+                room = np.maximum(xb[pos] - self.lo[self.basis][pos], 0.0)
+                limits[pos] = room / delta[pos]
+            neg = delta < -PIVOT_TOL
+            if neg.any():
+                room = np.maximum(self.hi[self.basis][neg] - xb[neg], 0.0)
+                limits[neg] = room / (-delta[neg])
+            t_basic = float(limits.min()) if self.m else np.inf
+            t_flip = self.hi[j] - self.lo[j]
+
+            if not np.isfinite(min(t_basic, t_flip)):
+                return "unbounded"
+
+            if t_flip < t_basic:
+                step = t_flip
+                self.x[self.basis] -= step * delta
+                self.x[j] = self.hi[j] if direction > 0 else self.lo[j]
+            else:
+                step = t_basic
+                ties = np.flatnonzero(limits == t_basic)
+                r = int(ties[np.argmin(self.basis[ties])])
+                leaving = self.basis[r]
+                self.x[self.basis] -= step * delta
+                self.x[j] += direction * step
+                self.x[leaving] = self.lo[leaving] if delta[r] > 0 else self.hi[leaving]
+                self.basis[r] = j
+                self.in_basis[leaving] = False
+                self.in_basis[j] = True
+                pivot = w[r]
+                new_row = self.binv[r] / pivot
+                self.binv = self.binv - np.outer(w, new_row)
+                self.binv[r] = new_row
+                self.since_refactor += 1
+
+            obj = float(c @ self.x)
+            if prev_obj - obj <= 1e-12 * (1.0 + abs(prev_obj)):
+                stall += 1
+                if stall >= STALL_WINDOW:
+                    bland = True
+            else:
+                stall = 0
+            prev_obj = obj
+        raise NumericalBreakdown(
+            f"simplex exceeded {max_iter} iterations on a {self.m}x{self.n} program"
+        )
+
+    def drive_out_artificials(self, tol):
+        """Pin artificial variables to zero after a successful phase 1."""
+        level = float(np.sum(self.x[self.art_start :]))
+        if level > tol:
+            return False
+        self.lo[self.art_start :] = 0.0
+        self.hi[self.art_start :] = 0.0
+        return True

@@ -282,6 +282,17 @@ class TestPipeline:
             assert err.startswith("error:")
             assert "current.csv does not match its hash" in err
 
+    def test_profile_hour_beyond_int64_exits_1(self, run_copy, capsys):
+        path = run_copy / "profiles" / "current.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        region = lines[1].split(b",")[0]
+        lines.insert(2, region + b",99999999999999999999,1.0\n")
+        path.write_bytes(b"".join(lines))
+        assert main(["simulate", "--config", str(run_copy / "run.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 3: hour 99999999999999999999 does not fit a 64-bit integer" in err
+
     def test_demand_edited_after_simulate_refused(self, run_copy, capsys):
         path = run_copy / "out" / "demand.csv"
         text = path.read_text(encoding="utf-8")

@@ -19,8 +19,8 @@ from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.numerics import lp_solve
 from gridshock.powerflow import check_limits, dc_power_flow
 
-from helpers import gb_like_congested, random_connected_grid
-from oracles import reference_distance_costs, reference_shedding
+from helpers import assert_same_lp_solution, gb_like_congested, random_connected_grid
+from oracles import reference_distance_costs, reference_lp_solve, reference_shedding
 
 
 def chain_grid(ratings=(1e3, 1e3, 1e3, 1e3)):
@@ -631,24 +631,32 @@ class TestGbLikeCongested:
         assert not sol.flows_mw.any()
 
 
+@pytest.fixture(scope="module")
+def congested_dispatch_lps(congested_gb_like):
+    """Every program lp_solve sees in 32 cells of the congested gb-like sweep."""
+    grid, fixture = congested_gb_like
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return lp_solve(lp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dispatch_module, "lp_solve", recording)
+        context = GridContext(grid)
+        for problem, removed in congested_cells(grid, fixture, 4, (0.1, 0.15, 0.2, 0.3)):
+            dispatch_with_shedding(problem, removed, context=context)
+    return programs
+
+
 class TestDispatchLpsAgainstHighs:
     """lp_solve against HiGHS on the dispatch programs the congested gb-like
     sweep solves: least-cost programs with limit rows and least-shed
     programs for one bus."""
 
-    def test_pipeline_programs(self, congested_gb_like, monkeypatch):
+    def test_pipeline_programs(self, congested_dispatch_lps):
         linprog = pytest.importorskip("scipy.optimize").linprog
-        grid, fixture = congested_gb_like
-        programs = []
-
-        def recording(lp):
-            programs.append(lp)
-            return lp_solve(lp)
-
-        monkeypatch.setattr(dispatch_module, "lp_solve", recording)
-        context = GridContext(grid)
-        for problem, removed in congested_cells(grid, fixture, 4, (0.1, 0.15, 0.2, 0.3)):
-            dispatch_with_shedding(problem, removed, context=context)
+        programs = congested_dispatch_lps
 
         def least_shed(lp):
             return lp.objective[-1] == 1.0 and not lp.objective[:-1].any()
@@ -676,4 +684,14 @@ class TestDispatchLpsAgainstHighs:
             assert (ours.status, highs.status) in (("optimal", 0), ("infeasible", 2))
             if ours.status == "optimal":
                 assert ours.objective_value == pytest.approx(highs.fun, rel=1e-9, abs=1e-9)
+        assert statuses == {"optimal", "infeasible"}
+
+
+class TestDispatchLpsAgainstReferenceKernel:
+    def test_pipeline_programs(self, congested_dispatch_lps):
+        statuses = set()
+        for lp in congested_dispatch_lps:
+            ours = lp_solve(lp)
+            assert_same_lp_solution(ours, reference_lp_solve(lp))
+            statuses.add(ours.status)
         assert statuses == {"optimal", "infeasible"}

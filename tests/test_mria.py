@@ -28,7 +28,8 @@ from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import DemandProfile, StudiedDemand
 from gridshock.synthetic import generate_gb_like, generate_small
 
-from oracles import enumerate_lp, reference_mria_program
+from helpers import assert_same_lp_solution
+from oracles import enumerate_lp, reference_lp_solve, reference_mria_program
 
 
 def one_region_model(alpha=0.0):
@@ -482,6 +483,17 @@ class TestAgainstHighs:
             )
             assert ours.status == "optimal" and highs.status == 0
             assert ours.objective_value == pytest.approx(highs.fun, rel=1e-9)
+
+
+class TestPivotPathOnGbLikePrograms:
+    def test_matches_reference_kernel(self):
+        # the baseline and the 30 shocks of TestAgainstHighs; every program
+        # takes about 230 pivots, past the periodic refactorizations
+        model = generate_gb_like(7).economy
+        deltas = random_deltas(np.random.default_rng(7), model, 30)
+        for delta in (np.zeros(model.baseline_output.shape), *deltas):
+            program = assemble_program(model, delta)
+            assert_same_lp_solution(lp_solve(program), reference_lp_solve(program))
 
 
 class TestImpactResult:

@@ -3,16 +3,39 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridshock.errors import SingularMatrix
+import gridshock.numerics as numerics_module
+from gridshock.errors import NumericalBreakdown, SingularMatrix
 from gridshock.numerics import LinearProgram, LpSolution, lp_solve, lu_solve
 
-from oracles import enumerate_lp, gauss_jordan_solve, random_box_lp
+from helpers import assert_same_lp_solution
+from oracles import (
+    enumerate_lp,
+    gauss_jordan_solve,
+    random_box_lp,
+    random_infeasible_lp,
+    random_unbounded_lp,
+    reference_lp_solve,
+)
 
 
 def lp_from_parts(parts):
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = parts
     bounds = np.column_stack([lo, hi])
     return LinearProgram(objective=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
+
+
+# Beale's program: greedy pricing cycles on it without an anti-cycling rule.
+BEALE = LinearProgram(
+    objective=np.array([-0.75, 150.0, -0.02, 6.0]),
+    a_ub=np.array(
+        [
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    ),
+    b_ub=np.array([0.0, 0.0, 1.0]),
+)
 
 
 class TestLuSolve:
@@ -175,24 +198,11 @@ class TestLpSolveBasics:
             lp_solve(LinearProgram(objective=np.array([1.0]), bounds=np.array([[5.0, 2.0]])))
 
     def test_stalling_program_terminates(self):
-        # Classic construction on which greedy pricing can cycle without
-        # an anti-cycling fallback.
-        lp = LinearProgram(
-            objective=np.array([-0.75, 150.0, -0.02, 6.0]),
-            a_ub=np.array(
-                [
-                    [0.25, -60.0, -0.04, 9.0],
-                    [0.5, -90.0, -0.02, 3.0],
-                    [0.0, 0.0, 1.0, 0.0],
-                ]
-            ),
-            b_ub=np.array([0.0, 0.0, 1.0]),
-        )
-        sol = lp_solve(lp)
+        sol = lp_solve(BEALE)
         assert sol.status == "optimal"
         lo = np.zeros(4)
         hi = np.full(4, 100.0)
-        _, ref_obj, _ = enumerate_lp(lp.objective, None, None, lp.a_ub, lp.b_ub, lo, hi)
+        _, ref_obj, _ = enumerate_lp(BEALE.objective, None, None, BEALE.a_ub, BEALE.b_ub, lo, hi)
         assert sol.objective_value == pytest.approx(ref_obj, abs=1e-8)
 
 
@@ -260,3 +270,95 @@ class TestLpSolutionContract:
             assert np.max(np.abs(a_eq @ sol.x - b_eq)) <= 1e-8 * (1 + np.max(np.abs(b_eq)))
         if a_ub is not None:
             assert np.max(a_ub @ sol.x - b_ub) <= 1e-8 * (1 + np.max(np.abs(b_ub)))
+
+
+def random_pivot_lp(rng):
+    """A random program with integer data, so that ratio-test ties and
+    degenerate vertices are common: equality rows, boxed, lower-bounded,
+    free and fixed variables, and inequality rows of which about half are
+    tight at the point the right-hand sides are built from. One program in
+    about seven gets a first row no point can meet."""
+    n = int(rng.integers(2, 21))
+    me = int(rng.integers(0, min(n - 1, 4) + 1))
+    mu = int(rng.integers(0, 16))
+    point = rng.integers(-3, 4, n).astype(float)
+    kind = rng.choice(4, n, p=[0.55, 0.2, 0.15, 0.1])  # boxed, lower only, free, fixed
+    lo = point - rng.integers(0, 3, n)
+    hi = point + rng.integers(0, 4, n)
+    lo[kind == 2] = -np.inf
+    hi[(kind == 1) | (kind == 2)] = np.inf
+    lo[kind == 3] = hi[kind == 3] = point[kind == 3]
+    a_eq = rng.integers(-3, 4, (me, n)).astype(float)
+    a_ub = rng.integers(-3, 4, (mu, n)).astype(float)
+    b_eq = a_eq @ point
+    b_ub = a_ub @ point + rng.integers(0, 3, mu) * (rng.random(mu) < 0.5)
+    if mu and rng.random() < 0.15:
+        b_ub[0] = -20.0 * np.abs(a_ub[0]).sum() - 1.0
+    return LinearProgram(
+        objective=rng.integers(-5, 6, n).astype(float),
+        a_eq=a_eq if me else None,
+        b_eq=b_eq if me else None,
+        a_ub=a_ub if mu else None,
+        b_ub=b_ub if mu else None,
+        bounds=np.column_stack([lo, hi]),
+    )
+
+
+class TestPivotPathAgainstReference:
+    """lp_solve takes the pivots of `oracles.reference_lp_solve`, the
+    kernel before its iteration bookkeeping was made lean, from the same
+    arithmetic: status, x and objective agree bit for bit."""
+
+    def test_random_programs(self):
+        statuses = set()
+        for seed in range(200):
+            lp = random_pivot_lp(np.random.default_rng([17, seed]))
+            ours = lp_solve(lp)
+            assert_same_lp_solution(ours, reference_lp_solve(lp))
+            statuses.add(ours.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    @pytest.mark.parametrize(
+        "draw", [random_box_lp, random_infeasible_lp, random_unbounded_lp]
+    )
+    def test_oracle_programs(self, draw):
+        for seed in range(30):
+            lp = lp_from_parts(draw(np.random.default_rng([19, seed])))
+            assert_same_lp_solution(lp_solve(lp), reference_lp_solve(lp))
+
+    def test_dense_programs_past_refactorization(self):
+        # 40 equality rows and 60 inequality rows over 120 boxed variables
+        # take more pivots than REFACTOR_INTERVAL
+        rng = np.random.default_rng(23)
+        n = 120
+        lo = np.zeros(n)
+        hi = rng.uniform(1, 6, n)
+        interior = rng.uniform(0.2, 0.8, n) * hi
+        a_eq = rng.uniform(-1, 1, (40, n))
+        a_ub = rng.uniform(-1, 1, (60, n))
+        lp = LinearProgram(
+            objective=rng.uniform(-2, 2, n),
+            a_eq=a_eq,
+            b_eq=a_eq @ interior,
+            a_ub=a_ub,
+            b_ub=a_ub @ interior + rng.uniform(0.05, 2, 60),
+            bounds=np.column_stack([lo, hi]),
+        )
+        assert_same_lp_solution(lp_solve(lp), reference_lp_solve(lp))
+
+    def test_degenerate_vertex(self):
+        lp = LinearProgram(
+            objective=np.array([-1.0, -1.0]),
+            a_ub=np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 2.0]]),
+            b_ub=np.array([1.0, 2.0, 1.0, 4.0]),
+        )
+        assert_same_lp_solution(lp_solve(lp), reference_lp_solve(lp))
+
+    def test_cycling_program_reaches_bland(self, monkeypatch):
+        assert_same_lp_solution(lp_solve(BEALE), reference_lp_solve(BEALE))
+        # without the switch to Bland's rule the same program cycles until
+        # the iteration budget runs out
+        monkeypatch.setattr(numerics_module, "STALL_WINDOW", 10**9)
+        monkeypatch.setattr(numerics_module, "ITERATION_FACTOR", 100)
+        with pytest.raises(NumericalBreakdown, match="exceeded 1000 iterations"):
+            lp_solve(BEALE)

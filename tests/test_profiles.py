@@ -498,6 +498,23 @@ class TestChunkedReader:
         assert str(mine.value) == str(reference.value) == f"line 12: {message}"
 
     @pytest.mark.parametrize("chunk", [16, 65536])
+    @pytest.mark.parametrize("hour", ["99999999999999999999", "-9223372036854775809"])
+    def test_hour_beyond_int64_is_a_parse_error(self, tmp_path, monkeypatch, chunk, hour):
+        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        lines = valid_lines()
+        lines.insert(11, f"a,{hour},1.0")
+        path = write_lines(tmp_path / "demand.csv", lines)
+        with pytest.raises(ParseError) as error:
+            load_profile(path)
+        assert error.value.line == 12
+        assert str(error.value) == f"line 12: hour {hour} does not fit a 64-bit integer"
+
+    def test_one_row_hour_beyond_int64(self, tmp_path):
+        path = write_lines(tmp_path / "demand.csv", ["region,hour,demand_mw", "a,99999999999999999999,1.0"])
+        with pytest.raises(ParseError, match="line 2: hour 99999999999999999999 does not fit"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("chunk", [16, 65536])
     def test_balanced_field_counts_rejected(self, tmp_path, monkeypatch, chunk):
         # a 4-field and a 2-field row hold the comma count of two good rows
         monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
