@@ -8,9 +8,11 @@ scenario transforms derive the efficiency, heat-pump, combined, and flat
 variants from a current-day profile.
 
 On disk a profile is csv rows `region,hour,demand_mw` (`heat_mw` for the
-thermal series) with unquoted fields. `load_profile` reads them in one
-chunked, columnar pass into arrays; `save_profile` writes them region by
-region and refuses a region id that csv would have to quote.
+thermal series) with unquoted fields and CRLF line ends. `load_profile`
+reads them in one chunked, columnar pass into arrays; `save_profile`
+writes them region by region, one joined string per region, refuses a
+value column or region id that csv would have to quote, and makes the
+file appear whole or not at all.
 
 `StudiedDemand` is one scenario's demand at its studied hours. simulate
 writes it to `demand.csv` (`save_studied_demand`), and impact and analyze
@@ -22,7 +24,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import filterfalse, repeat
+from itertools import filterfalse
 from pathlib import Path
 from typing import Mapping
 
@@ -81,7 +83,8 @@ _CHUNK_BYTES = 64 * 1024
 # Hours are held as int64; a wider integer is a malformed row.
 _INT64 = np.iinfo(np.int64)
 
-# Characters that make csv quote a field; see save_profile.
+# Characters that make csv quote a field. save_profile writes unquoted
+# fields, so it refuses a header or region id holding any of them.
 _QUOTED_CHARS = ',"\r\n'
 
 _DEMAND_HEADER = ("scenario", "kind", "region", "hour", "demand_mw")
@@ -441,18 +444,28 @@ def _first_bad_line(path: Path) -> ParseError:
 
 
 def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") -> None:
-    """Write the profile as csv rows `region,hour,<value_column>`, region by
-    region. A region id that csv would quote is rejected, because
-    `load_profile` reads unquoted fields only."""
+    """Write the profile as rows `region,hour,<value_column>`, region by region.
+
+    Fields are unquoted and every line ends in CRLF, so the bytes are those
+    `csv.writer` writes; each region's rows go out as one joined string. A
+    value column or region id that csv would quote is rejected, because
+    `load_profile` reads unquoted fields only. The file appears whole or
+    not at all.
+    """
+    _check_unquoted(value_column, "value column")
     for region in profile.regions:
-        if any(char in region for char in _QUOTED_CHARS):
-            raise ValidationError(f"region id {region!r} needs csv quoting")
+        _check_unquoted(region, "region id")
     hours = profile.hours.tolist()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region", "hour", value_column])
+    with atomic_open(path) as handle:
+        handle.write(f"region,hour,{value_column}\r\n")
         for region, row in zip(profile.regions, profile.demand_mw):
-            writer.writerows(zip(repeat(region), hours, map(repr, row.tolist())))
+            rows = [f"{region},{hour},{mw!r}\r\n" for hour, mw in zip(hours, row.tolist())]
+            handle.write("".join(rows))
+
+
+def _check_unquoted(field: str, kind: str) -> None:
+    if any(char in field for char in _QUOTED_CHARS):
+        raise ValidationError(f"{kind} {field!r} needs csv quoting")
 
 
 def save_studied_demand(demands: Mapping[str, StudiedDemand], path) -> None:

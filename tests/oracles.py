@@ -283,6 +283,23 @@ def reference_load_profile(path, scenario=None, value_column=None):
     )
 
 
+def reference_save_profile(profile, path, value_column="demand_mw"):
+    """Write a profile with one `csv.writer` row per hour.
+
+    The profile writer before it joined each region's rows into one string;
+    kept as the reference its bytes are compared against.
+    """
+    import csv
+    from itertools import repeat
+
+    hours = profile.hours.tolist()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["region", "hour", value_column])
+        for region, row in zip(profile.regions, profile.demand_mw):
+            writer.writerows(zip(repeat(region), hours, map(repr, row.tolist())))
+
+
 def reference_mria_program(model, delta):
     """The supply-use LP built cell by cell, as it was before the model
     cached it: (objective, a_ub, b_ub, bounds) for a dense shock array.

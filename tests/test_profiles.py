@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,8 @@ from gridshock.profiles import (
     save_studied_demand,
     synthesize_current,
 )
-from gridshock.synthetic import generate_gb_like, generate_small
-from oracles import reference_load_profile
+from gridshock.synthetic import generate_gb_like, generate_small, write_fixture
+from oracles import reference_load_profile, reference_save_profile
 
 
 def make_regions():
@@ -597,6 +599,93 @@ class TestChunkedReader:
         with pytest.raises(ValidationError, match="quoting"):
             save_profile(small_profile([[1.0], [2.0]], regions=("a", region)), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("column", ["heat,mw", 'heat"mw', "heat\nmw", "heat\rmw"])
+    def test_save_rejects_value_column_needing_quotes(self, tmp_path, column):
+        path = tmp_path / "demand.csv"
+        with pytest.raises(ValidationError, match="value column"):
+            save_profile(small_profile([[1.0]], regions=("a",)), path, value_column=column)
+        assert not path.exists()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        save_profile(small_profile([[1.0, 2.0], [3.0, 4.0]]), path)
+        before = path.read_bytes()
+        # the second region's row fails after the first region is written
+        broken = SimpleNamespace(
+            regions=("a", "b"), hours=np.array([0, 1]), demand_mw=(np.array([5.0, 6.0]), None)
+        )
+        with pytest.raises(AttributeError):
+            save_profile(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["demand.csv"]
+
+
+# values whose repr is in scientific notation, signed or subnormal
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, 2.225073858507203e-309, 1e-5, 1e16, 1e300)
+
+
+def random_profile(rng, n_hours):
+    """A profile with awkward region ids, special values and random doubles."""
+    alphabet = list("abz09 _-.éßж€")
+    ids = {"r", "long_" + "x" * int(rng.integers(50, 300)), " padded ", "ünïcødé 区"}
+    while len(ids) < int(rng.integers(5, 9)):
+        ids.add("".join(rng.choice(alphabet, size=int(rng.integers(1, 12)))))
+    ids = sorted(ids)
+    regions = [ids[k] for k in rng.permutation(len(ids))[: int(rng.integers(1, len(ids) + 1))]]
+    hours = np.sort(rng.choice(HOURS_PER_YEAR, size=n_hours, replace=False))
+    bits = rng.integers(0, 0x7FF0000000000000, size=(len(regions), n_hours), dtype=np.uint64)
+    values = np.where(
+        rng.random(bits.shape) < 0.5, bits.view(np.float64), rng.uniform(0.0, 1e4, bits.shape)
+    )
+    special = rng.random(bits.shape) < 0.3
+    values[special] = rng.choice(SPECIAL_VALUES, size=int(special.sum()))
+    return DemandProfile("current", tuple(regions), hours, values)
+
+
+def assert_same_bytes_as_reference(tmp_path, profile, value_column="demand_mw"):
+    mine, reference = tmp_path / "mine.csv", tmp_path / "reference.csv"
+    save_profile(profile, mine, value_column=value_column)
+    reference_save_profile(profile, reference, value_column=value_column)
+    assert mine.read_bytes() == reference.read_bytes()
+
+
+class TestProfileWriterAgainstReference:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_profiles(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n_hours = (0, 1, int(rng.integers(2, 200)), HOURS_PER_YEAR)[seed % 4]
+        profile = random_profile(rng, n_hours)
+        column = ("demand_mw", "heat_mw")[seed // 4 % 2]
+        assert_same_bytes_as_reference(tmp_path, profile, column)
+
+    def test_special_values_are_written(self, tmp_path):
+        values = np.array([SPECIAL_VALUES])
+        profile = DemandProfile("current", ("a b",), np.arange(values.size), values)
+        assert_same_bytes_as_reference(tmp_path, profile)
+        text = (tmp_path / "mine.csv").read_bytes().decode("utf-8")
+        for value in SPECIAL_VALUES:
+            assert f",{value!r}\r\n" in text
+        assert "e-324" in text and "e+300" in text
+
+    def test_no_regions(self, tmp_path):
+        profile = DemandProfile("current", (), np.arange(3), np.empty((0, 3)))
+        assert_same_bytes_as_reference(tmp_path, profile, "heat_mw")
+        assert (tmp_path / "mine.csv").read_bytes() == b"region,hour,heat_mw\r\n"
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_small_fixture_profiles(self, tmp_path, seed):
+        fixture = generate_small(seed)
+        write_fixture(fixture, tmp_path / "fx")
+        expected = [(name, p, "demand_mw") for name, p in fixture.profiles.items()]
+        for name, profile, column in expected + [("heat", fixture.heat, "heat_mw")]:
+            reference_save_profile(profile, tmp_path / "reference.csv", value_column=column)
+            written = tmp_path / "fx" / "profiles" / f"{name}.csv"
+            assert written.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert len(list((tmp_path / "fx" / "profiles").iterdir())) == len(expected) + 1
+
+    def test_gb_like_current_profile(self, tmp_path):
+        assert_same_bytes_as_reference(tmp_path, generate_gb_like(7).profiles["current"])
 
 
 class TestStudiedDemand:
