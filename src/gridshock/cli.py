@@ -208,7 +208,12 @@ def cmd_impact(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["record_id", "region", "delta_va"])
         writer.writerows((rid, zone, repr(value)) for rid, zone, value in regional)
-    print(f"priced {len(totals)} records ({len(cache)} distinct programs)")
+    run = sum(impact.iterations for impact in cache.values())
+    replayed = sum(impact.replayed for impact in cache.values())
+    print(
+        f"priced {len(totals)} records ({len(cache)} distinct programs; "
+        f"{replayed} of {run + replayed} simplex iterations replayed)"
+    )
     return 0
 
 

@@ -415,7 +415,10 @@ def load_results(path) -> ResultTable:
                 value = float(row[5])
             except ValueError:
                 raise ParseError(f"bad numeric value in {row!r}", lineno) from None
-            groups.setdefault(key, {})[row[4]] = (value, row[6])
+            per_region = groups.setdefault(key, {})
+            if row[4] in per_region:
+                raise ParseError(f"repeated row for record {key}, region {row[4]}", lineno)
+            per_region[row[4]] = (value, row[6])
 
     records = []
     for key in sorted(groups):

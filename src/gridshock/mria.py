@@ -9,13 +9,19 @@ region-industry prices the shock, and trade lets unaffected regions
 substitute lost production (which can make their impact positive).
 
 The program is built once per model and cached on it; a shock changes
-only the upper bounds on the industry outputs.
+only the upper bounds on the industry outputs. The unshocked program is
+solved once per model with its pivot path recorded, and every shock
+replays that path: its solve resumes at the first iteration whose
+decision the shock's caps could change. The vertex each shock returns is
+the one a cold solve returns, bit for bit, and since every shock replays
+the baseline's path and never another shock's, it cannot depend on the
+order in which shocks are priced.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
@@ -29,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import RegionTable
-from .numerics import LinearProgram, lp_solve
+from .numerics import LinearProgram, LpSolution, lp_solve
 from .profiles import StudiedDemand
 
 __all__ = [
@@ -179,6 +185,11 @@ class SupplyUseModel:
         return LinearProgram(objective=objective, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
 
     @cached_property
+    def baseline_solution(self) -> LpSolution:
+        """The unshocked program solved cold, its pivot path recorded."""
+        return lp_solve(self.program, record=True)
+
+    @cached_property
     def region_pos(self) -> dict[str, int]:
         return {r: k for k, r in enumerate(self.regions)}
 
@@ -270,6 +281,9 @@ class ImpactResult:
     rationing: np.ndarray
     total_cost: float
     duration_hours: float
+    # simplex iterations the shock's solve ran, and those it replayed
+    iterations: int = field(default=0, compare=False)
+    replayed: int = field(default=0, compare=False)
 
     def __post_init__(self):
         implied = -np.minimum(0.0, self.delta_va).sum()
@@ -326,9 +340,8 @@ def assemble_program(model: SupplyUseModel, delta: np.ndarray) -> LinearProgram:
     return replace(program, bounds=bounds)
 
 
-def _solve(model: SupplyUseModel, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal outputs x[r, i] and rationing m[r, p] under a shock array."""
-    solution = lp_solve(assemble_program(model, delta))
+def _outputs(model: SupplyUseModel, solution: LpSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal outputs x[r, i] and rationing m[r, p] of a solved program."""
     if solution.status != "optimal":
         raise ValidationError(f"impact program unexpectedly {solution.status}")
     nr, ni, np_ = len(model.regions), len(model.industries), len(model.products)
@@ -344,7 +357,7 @@ def solve_baseline(model: SupplyUseModel) -> np.ndarray:
     zero rationing; any drift means the tables do not describe a
     cost-minimal baseline.
     """
-    x, m = _solve(model, np.zeros(model.baseline_output.shape))
+    x, m = _outputs(model, model.baseline_solution)
     x0 = model.baseline_output
     scale = np.maximum(1.0, x0)
     drift = np.abs(x - x0) / scale
@@ -394,7 +407,9 @@ def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
             total_cost=0.0,
             duration_hours=shock.duration_hours,
         )
-    x, m = _solve(model, delta)
+    # the cold solve's vertex, reached by replaying the baseline's pivots
+    solution = lp_solve(assemble_program(model, delta), path=model.baseline_solution.path)
+    x, m = _outputs(model, solution)
     x0 = model.baseline_output
 
     drop = np.einsum("rip,ri->rp", model.technology.s, np.maximum(0.0, x0 - x))
@@ -413,6 +428,8 @@ def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
         rationing=rationing,
         total_cost=total_cost,
         duration_hours=shock.duration_hours,
+        iterations=solution.iterations,
+        replayed=solution.replayed,
     )
 
 

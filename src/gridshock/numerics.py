@@ -11,12 +11,25 @@ deterministic and every worker runs the same arithmetic. The simplex's
 pivot rule and the arithmetic behind each pivot are pinned by
 `tests/oracles.reference_lp_solve`, which the test suite holds it to bit
 for bit.
+
+The simplex can record its pivot path and replay it for a program that
+differs only in upper bounds (`lp_solve(lp, record=True)`, then
+`lp_solve(other, path=...)`). Up to the first iteration whose decision
+the new bounds could change, the new program's cold solve takes the
+recorded pivots with the same arithmetic, so the replay restores the
+state before that iteration and runs the same loop from there: the
+result is the cold solve's bit for bit. A changed bound can change a
+decision only where a basic column moving toward it would reach it
+within the recorded step (ties count), or where its column enters and
+then flips, or would flip, or could not enter at all; one vectorised
+pass over the recorded ratio tests finds the first such iteration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +38,7 @@ from .errors import NumericalBreakdown, SingularMatrix
 __all__ = [
     "LinearProgram",
     "LpSolution",
+    "PivotPath",
     "lu_solve",
     "lp_solve",
 ]
@@ -95,12 +109,127 @@ class LinearProgram:
 class LpSolution:
     """Outcome of lp_solve: status is "optimal", "infeasible" or "unbounded".
 
-    x and objective_value are None unless status is "optimal".
+    x and objective_value are None unless status is "optimal". iterations
+    counts the simplex iterations (pivots and bound flips) this solve ran,
+    and replayed those it took from a recorded path instead; together they
+    are the iterations of the cold solve. path is the recorded pivot path
+    when the solve was asked to record one. None of the three takes part
+    in equality.
     """
 
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
+    iterations: int = field(default=0, compare=False)
+    replayed: int = field(default=0, compare=False)
+    path: PivotPath | None = field(default=None, compare=False, repr=False)
+
+
+class _State(NamedTuple):
+    """The simplex state before one iteration of `_Simplex.optimize`.
+
+    stage is 0 for phase 1, 1 for phase 2 and 2 for the re-optimization
+    after the final refactorization; index is the loop index in that stage.
+    """
+
+    stage: int
+    index: int
+    x: np.ndarray
+    basis: np.ndarray
+    binv: np.ndarray
+    since_refactor: int
+    bland: bool
+    stall: int
+    prev_obj: float
+
+
+@dataclass(frozen=True, eq=False)
+class PivotPath:
+    """The cold pivot path of one program, as `lp_solve(record=True)` took it.
+
+    Entry k describes one pass of the simplex loop: states[k] is the state
+    before it, and the rest its decision. entering[k] is the entering
+    column (-1 where pricing found the stage optimal), step[k] the step
+    (+inf where the program was found unbounded), flip[k] whether the
+    entering column flipped to its other bound rather than pivoted in, and
+    basis[k], xb[k] and delta[k] the basic indices, the basic values and
+    the direction-adjusted column of the ratio test, row by row (delta is
+    zero where no ratio test ran). program holds the canonical arrays of
+    the recorded program.
+    """
+
+    program: tuple
+    states: tuple[_State, ...]
+    basis: np.ndarray
+    entering: np.ndarray
+    step: np.ndarray
+    flip: np.ndarray
+    xb: np.ndarray
+    delta: np.ndarray
+
+    def resume_index(self, program) -> int:
+        """First entry whose decision the program's upper bounds could change.
+
+        program is `_canonical` output and must match the recorded one in
+        everything but the upper bounds, each changed bound sitting on a
+        variable with a finite lower bound; otherwise ValueError. Before
+        that entry no changed column rests at its upper bound, so only
+        these decisions read a changed bound:
+
+        - the ratio test, through a basic column that moves toward its
+          bound (delta < -PIVOT_TOL) and whose limit under the old or the
+          new bound is at most the step, ties included;
+        - a changed entering column that flipped, whose new range
+          hi - lo is below the step (it would flip), or whose new range
+          is empty (pricing would not let it enter).
+
+        Pricing is otherwise unchanged: a nonbasic changed column rests at
+        its lower bound and can only lose the gate that lets it increase,
+        which moves the argmax only where that column entered. A changed
+        column whose recorded range is empty could gain that gate, so such
+        a program resumes at entry 0, the cold solve. Without a divergence
+        the replay resumes at the final entry, the closing pricing.
+        """
+        names = ("objective", "equality matrix", "equality vector",
+                 "inequality matrix", "inequality vector", "lower bounds")
+        for name, ours, recorded in zip(names, program, self.program):
+            if not (ours is recorded or (
+                ours.shape == recorded.shape and ours.tobytes() == recorded.tobytes()
+            )):
+                raise ValueError(f"replayed program differs from the recorded one in its {name}")
+        lo, hi, old_hi = program[5], program[6], self.program[6]
+        changed = hi.view(np.int64) != old_hi.view(np.int64)
+        if not changed.any():
+            return len(self.states) - 1
+        if not np.isfinite(lo[changed]).all():
+            raise ValueError("a changed upper bound needs a finite lower bound")
+        if (old_hi[changed] <= lo[changed]).any():
+            return 0
+
+        basis = self.basis
+        n = hi.size
+        # slack and artificial columns keep their bounds
+        moving = (basis < n) & (self.delta < -PIVOT_TOL)
+        rows, cols = np.nonzero(moving)
+        col = basis[rows, cols]
+        keep = changed[col]
+        rows, cols, col = rows[keep], cols[keep], col[keep]
+        xb = self.xb[rows, cols]
+        neg_delta = -self.delta[rows, cols]
+        limit = np.minimum(
+            np.maximum(hi[col] - xb, 0.0) / neg_delta,
+            np.maximum(old_hi[col] - xb, 0.0) / neg_delta,
+        )
+        ratio_hits = rows[limit <= self.step[rows]]
+
+        enters = np.flatnonzero((self.entering >= 0) & (self.entering < n))
+        enters = enters[changed[self.entering[enters]]]
+        j = self.entering[enters]
+        span = hi[j] - lo[j]
+        entry_hits = enters[self.flip[enters] | (span < self.step[enters]) | (hi[j] <= lo[j])]
+
+        hits = np.concatenate([ratio_hits, entry_hits])
+        return int(hits.min()) if hits.size else len(self.states) - 1
 
 
 def _canonical(lp: LinearProgram):
@@ -209,6 +338,18 @@ class _Simplex:
         diag[art_rows] = signs
         self.binv = np.diag(diag)
         self.since_refactor = 0
+        self.iterations = 0
+        # (states, decisions) of every loop pass when recording a path
+        self.recording: tuple[list, list] | None = None
+
+    def restore(self, state: _State) -> None:
+        """Take the state a recorded path held before one of its iterations."""
+        self.x[:] = state.x
+        self.basis[:] = state.basis
+        self.binv = state.binv.copy()
+        self.since_refactor = state.since_refactor
+        if state.stage > 0:
+            self.pin_artificials()
 
     def _refactorize(self):
         basis_matrix = self.a[:, self.basis]
@@ -221,8 +362,11 @@ class _Simplex:
         self.x[self.basis] = self.binv @ (self.b - self.a @ off_basis)
         self.since_refactor = 0
 
-    def optimize(self, c):
+    def optimize(self, c, stage, resume: _State | None = None):
         """Run simplex iterations for cost vector c until optimal/unbounded.
+
+        stage numbers the call within lp_solve for a recorded path; resume
+        is a recorded state this call continues from, already restored.
 
         Pricing takes the largest reduced-cost violation, lowest index
         first, and Bland's first violation after STALL_WINDOW iterations
@@ -246,10 +390,20 @@ class _Simplex:
         limits = np.empty(self.m)
 
         max_iter = ITERATION_FACTOR * (self.n + self.m)
-        bland = False
-        stall = 0
-        prev_obj = np.inf
-        for _ in range(max_iter):
+        start, bland, stall, prev_obj = 0, False, 0, np.inf
+        if resume is not None:
+            start, bland, stall, prev_obj = (
+                resume.index, resume.bland, resume.stall, resume.prev_obj
+            )
+        states = decisions = None
+        if self.recording is not None:
+            states, decisions = self.recording
+        for index in range(start, max_iter):
+            if states is not None:
+                states.append(_State(
+                    stage, index, x.copy(), basis.copy(), self.binv.copy(),
+                    self.since_refactor, bland, stall, prev_obj,
+                ))
             if self.since_refactor >= REFACTOR_INTERVAL:
                 self._refactorize()
             binv = self.binv
@@ -261,6 +415,8 @@ class _Simplex:
             np.maximum(score, score_up, out=score)
             j = int(np.argmax(score > OPTIMALITY_TOL)) if bland else int(score.argmax())
             if not score[j] > OPTIMALITY_TOL:
+                if decisions is not None:
+                    decisions.append((-1, math.inf, False, x[basis], np.zeros(self.m)))
                 return "optimal"
             direction = 1.0 if reduced[j] < 0.0 else -1.0
 
@@ -277,8 +433,14 @@ class _Simplex:
             t_flip = hi[j] - lo[j]
 
             if not math.isfinite(min(t_basic, t_flip)):
+                if decisions is not None:
+                    decisions.append((j, math.inf, False, xb, delta))
                 return "unbounded"
 
+            if decisions is not None:
+                flip = t_flip < t_basic
+                decisions.append((j, t_flip if flip else t_basic, flip, xb.copy(), delta))
+            self.iterations += 1
             if t_flip < t_basic:
                 step = t_flip
                 xb -= step * delta
@@ -324,12 +486,37 @@ class _Simplex:
         level = float(np.sum(self.x[self.art_start :]))
         if level > tol:
             return False
-        self.lo[self.art_start :] = 0.0
-        self.hi[self.art_start :] = 0.0
+        self.pin_artificials()
         return True
 
+    def pin_artificials(self):
+        self.lo[self.art_start :] = 0.0
+        self.hi[self.art_start :] = 0.0
 
-def lp_solve(lp: LinearProgram) -> LpSolution:
+
+def _run_stages(sx: _Simplex, c, feas_tol, state: _State | None) -> str:
+    """Phase 1, phase 2 and the re-optimization after a refactorization,
+    from the start or, given a restored state, from the stage it holds."""
+    first = 0 if state is None else state.stage
+    if first == 0 and sx.n > sx.art_start:
+        c1 = np.zeros(sx.n)
+        c1[sx.art_start :] = 1.0
+        if sx.optimize(c1, 0, state) == "unbounded":
+            raise NumericalBreakdown("phase 1 reported an unbounded direction")
+        if not sx.drive_out_artificials(feas_tol):
+            return "infeasible"
+    c2 = np.zeros(sx.n)
+    c2[: c.size] = c
+    if first <= 1:
+        if sx.optimize(c2, 1, state if first == 1 else None) == "unbounded":
+            return "unbounded"
+        sx._refactorize()
+    return sx.optimize(c2, 2, state if first == 2 else None)
+
+
+def lp_solve(
+    lp: LinearProgram, *, record: bool = False, path: PivotPath | None = None
+) -> LpSolution:
     """Solve a linear program to a vertex optimum.
 
     Deterministic for identical inputs: pricing uses the largest reduced
@@ -337,8 +524,22 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     stall, so repeated runs pivot identically. Raises NumericalBreakdown if
     the iteration budget is exhausted or the final residuals cannot be
     certified.
+
+    record=True keeps the pivot path in the solution's `path` (None for a
+    program without rows). Given such a path, the solve replays it: the
+    program must differ from the recorded one only in upper bounds, and
+    `PivotPath.resume_index` finds the first iteration whose decision the
+    new bounds could change. The solve restores the state recorded before
+    that iteration and runs the same loop from there, so it returns what
+    the cold solve returns, bit for bit; at iteration 0 it is the cold
+    solve. Clipping to the bounds and the residual check are the new
+    program's own.
     """
-    c, a_eq, b_eq, a_ub, b_ub, lo, hi = _canonical(lp)
+    if record and path is not None:
+        raise ValueError("a replayed solve cannot record a path: its prefix would be missing")
+    program = _canonical(lp)
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = program
+    resume = path.resume_index(program) if path is not None else 0
     n = c.size
     me, mu = a_eq.shape[0], a_ub.shape[0]
     m = me + mu
@@ -356,35 +557,48 @@ def lp_solve(lp: LinearProgram) -> LpSolution:
     sx = _Simplex(a, b, lo_full, hi_full, n)
     scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
     feas_tol = FEASIBILITY_TOL * scale
+    if record:
+        sx.recording = ([], [])
+    state = None
+    replayed = 0
+    if resume:
+        state = path.states[resume]
+        sx.restore(state)
+        replayed = int(np.count_nonzero(np.isfinite(path.step[:resume])))
 
-    if sx.n > sx.art_start:
-        c1 = np.zeros(sx.n)
-        c1[sx.art_start :] = 1.0
-        status = sx.optimize(c1)
-        if status == "unbounded":
-            raise NumericalBreakdown("phase 1 reported an unbounded direction")
-        if not sx.drive_out_artificials(feas_tol):
-            return LpSolution(status="infeasible")
-
-    c2 = np.zeros(sx.n)
-    c2[:n] = c
-    status = sx.optimize(c2)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
-
-    sx._refactorize()
-    status = sx.optimize(c2)
-    if status == "unbounded":
-        return LpSolution(status="unbounded")
-
-    x = np.clip(sx.x[:n], lo, hi)
-    worst = 0.0
-    if me:
-        worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
-    if mu:
-        worst = max(worst, float(np.max(np.maximum(a_ub @ x - b_ub, 0.0))))
-    if worst > feas_tol:
-        raise NumericalBreakdown(
-            f"solution residual {worst:.3e} exceeds tolerance {feas_tol:.3e}"
+    status = _run_stages(sx, c, feas_tol, state)
+    x = objective = None
+    if status == "optimal":
+        x = np.clip(sx.x[:n], lo, hi)
+        worst = 0.0
+        if me:
+            worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
+        if mu:
+            worst = max(worst, float(np.max(np.maximum(a_ub @ x - b_ub, 0.0))))
+        if worst > feas_tol:
+            raise NumericalBreakdown(
+                f"solution residual {worst:.3e} exceeds tolerance {feas_tol:.3e}"
+            )
+        objective = float(c @ x)
+    recorded = None
+    if record:
+        states, decisions = sx.recording
+        entering, step, flip, xb, delta = zip(*decisions)
+        recorded = PivotPath(
+            program=program,
+            states=tuple(states),
+            basis=np.stack([state.basis for state in states]),
+            entering=np.array(entering),
+            step=np.array(step),
+            flip=np.array(flip),
+            xb=np.stack(xb),
+            delta=np.stack(delta),
         )
-    return LpSolution(status="optimal", x=x, objective_value=float(c @ x))
+    return LpSolution(
+        status=status,
+        x=x,
+        objective_value=objective,
+        iterations=sx.iterations,
+        replayed=replayed,
+        path=recorded,
+    )

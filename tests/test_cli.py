@@ -1,4 +1,5 @@
 import csv
+import re
 import shutil
 from dataclasses import replace
 from types import SimpleNamespace
@@ -8,8 +9,16 @@ import pytest
 
 from gridshock.cli import _parse_record_id, _record_id, main
 from gridshock.errors import ParseError, ValidationError
-from gridshock.failures import DEFAULT_LOSS_FRACTIONS
-from gridshock.mria import SupplyUseModel, save_supply_use
+from gridshock.failures import DEFAULT_LOSS_FRACTIONS, load_results
+from gridshock.grid import load_regions
+from gridshock.mria import (
+    SupplyUseModel,
+    assemble_program,
+    load_supply_use,
+    save_supply_use,
+    shock_from_unserved,
+)
+from gridshock.numerics import lp_solve
 from gridshock.profiles import load_profile, load_studied_demand, save_profile
 from gridshock.runconfig import load_run_config
 
@@ -225,6 +234,33 @@ class TestPipeline:
             regional = list(csv.DictReader(handle))
         assert len(regional) == 80
         assert {r["region"] for r in regional} == {"z1", "z2"}
+
+    def test_impact_reports_replayed_iterations(self, run_copy, capsys):
+        cfg = str(run_copy / "run.cfg")
+        assert main(["impact", "--config", cfg]) == 0
+        line = capsys.readouterr().out.strip()
+        match = re.fullmatch(
+            r"priced 40 records \((\d+) distinct programs; "
+            r"(\d+) of (\d+) simplex iterations replayed\)",
+            line,
+        )
+        assert match, line
+        programs, replayed, total = map(int, match.groups())
+        # the total is what every distinct program takes when solved cold
+        config = load_run_config(run_copy / "run.cfg")
+        regions = load_regions(config.regions)
+        demands = load_studied_demand(config.out_dir / "demand.csv")
+        model = load_supply_use(config.supply_use_dir)
+        deltas = {}
+        for record in load_results(config.out_dir / "results.csv").records:
+            delta = shock_from_unserved(record, regions, demands[record.scenario]).resolve(model)
+            deltas[delta.tobytes()] = delta
+        assert programs == len(deltas)
+        cold = sum(lp_solve(assemble_program(model, d)).iterations for d in deltas.values() if d.any())
+        assert total == cold
+        assert 0 < replayed < total
+        assert main(["impact", "--config", cfg]) == 0
+        assert capsys.readouterr().out.strip() == line
 
     def test_analyze_outputs(self, fx, out_dir, capsys):
         assert main(["analyze", "--config", str(fx / "run.cfg")]) == 0

@@ -521,6 +521,18 @@ class TestResultsIO:
         with pytest.raises(ParseError, match="line 2"):
             load_results(path)
 
+    def test_repeated_region_row_rejected(self, tmp_path):
+        # the later row used to win silently: 0.0 MW unserved, not 5.0
+        path = tmp_path / "results.csv"
+        path.write_text(
+            "ordering,fraction,scenario,hour,region,unserved_mw,status\n"
+            "0,0.1,current,0,r01,5.0,shed\n"
+            "0,0.1,current,0,r02,0.0,shed\n"
+            "0,0.1,current,0,r01,0.0,shed\n"
+        )
+        with pytest.raises(ParseError, match="line 4: repeated row for record .*region r01"):
+            load_results(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "results.csv"
         path.write_text("ordering,fraction,scenario,hour,region,unserved_mw,status\n")

@@ -488,12 +488,145 @@ class TestAgainstHighs:
 class TestPivotPathOnGbLikePrograms:
     def test_matches_reference_kernel(self):
         # the baseline and the 30 shocks of TestAgainstHighs; every program
-        # takes about 230 pivots, past the periodic refactorizations
+        # takes about 230 pivots, past the periodic refactorizations. The
+        # replay of the baseline's recorded path returns the same bits.
         model = generate_gb_like(7).economy
+        path = model.baseline_solution.path
         deltas = random_deltas(np.random.default_rng(7), model, 30)
+        replayed = []
         for delta in (np.zeros(model.baseline_output.shape), *deltas):
             program = assemble_program(model, delta)
-            assert_same_lp_solution(lp_solve(program), reference_lp_solve(program))
+            reference = reference_lp_solve(program)
+            cold = lp_solve(program)
+            assert_same_lp_solution(cold, reference)
+            ours = lp_solve(program, path=path)
+            assert_same_lp_solution(ours, reference)
+            assert ours.iterations + ours.replayed == cold.iterations
+            replayed.append(ours.replayed)
+        assert min(replayed) > 0
+
+
+@pytest.fixture(scope="module")
+def gb_model():
+    return generate_gb_like(7).economy
+
+
+def canonical(program):
+    from gridshock.numerics import _canonical
+
+    return _canonical(program)
+
+
+def first_entries(path, n_columns):
+    """Entry at which each of the first n_columns first enters the basis."""
+    first = {}
+    for k, j in enumerate(path.entering.tolist()):
+        if 0 <= j < n_columns:
+            first.setdefault(j, k)
+    return first
+
+
+def cap_tying_the_step(path, k, r):
+    """A cap for the basic column in row r at entry k whose ratio-test
+    limit, by the loop's own arithmetic, equals that entry's step; None
+    where no cap within 64 ulps of the exact one does."""
+    xb, neg_delta, step = path.xb[k, r], -path.delta[k, r], path.step[k]
+    cap = xb + step * neg_delta
+    for _ in range(64):
+        limit = max(cap - xb, 0.0) / neg_delta
+        if limit == step:
+            return cap
+        cap = np.nextafter(cap, np.inf if limit < step else -np.inf)
+    return None
+
+
+class TestReplayOnGbLikePrograms:
+    """Shocks replay the baseline's recorded pivot path, and each returns
+    what the cold solve and the reference kernel return, bit for bit."""
+
+    def test_region_shocks_resume_in_phase_two(self, gb_model):
+        # phase 1 only serves final demand; region-wide shocks, as
+        # shock_from_unserved builds them, first diverge in phase 2
+        path = gb_model.baseline_solution.path
+        for r, region in enumerate(gb_model.regions):
+            for fraction in (0.05, 0.5, 1.0):
+                delta = np.zeros(gb_model.baseline_output.shape)
+                delta[r] = fraction
+                program = assemble_program(gb_model, delta)
+                k = path.resume_index(canonical(program))
+                assert path.states[k].stage > 0, region
+                ours = lp_solve(program, path=path)
+                assert_same_lp_solution(ours, reference_lp_solve(program))
+
+    def test_zero_cap_on_an_entering_column(self, gb_model):
+        path = gb_model.baseline_solution.path
+        first = first_entries(path, gb_model.baseline_output.size)
+        column, entry = max(first.items(), key=lambda item: item[1])
+        delta = np.zeros(gb_model.baseline_output.size)
+        delta[column] = 1.0
+        program = assemble_program(gb_model, delta.reshape(gb_model.baseline_output.shape))
+        assert program.bounds[column, 1] == 0.0
+        assert path.resume_index(canonical(program)) == entry
+        ours = lp_solve(program, path=path)
+        assert_same_lp_solution(ours, reference_lp_solve(program))
+        assert ours.replayed == np.count_nonzero(np.isfinite(path.step[:entry]))
+
+    def test_limit_equal_to_step_resumes_there(self, gb_model):
+        path = gb_model.baseline_solution.path
+        n_x = gb_model.baseline_output.size
+        first = first_entries(path, n_x)
+        tried = 0
+        for k in range(len(path.states)):
+            for r in np.flatnonzero((path.basis[k] < n_x) & (path.delta[k] < -1e-10)):
+                column = int(path.basis[k, r])
+                if not first[column] < k or path.step[k] == 0.0:
+                    continue
+                cap = cap_tying_the_step(path, k, r)
+                if cap is None or cap == gb_model.program.bounds[column, 1]:
+                    continue  # no tie, or the recorded leaving column's own cap
+                bounds = gb_model.program.bounds.copy()
+                bounds[column, 1] = cap
+                program = replace(gb_model.program, bounds=bounds)
+                if path.resume_index(canonical(program)) != k:
+                    continue  # an earlier entry already reads the cap
+                assert_same_lp_solution(lp_solve(program, path=path), reference_lp_solve(program))
+                # one ulp more and the limit clears the step
+                bounds[column, 1] = np.nextafter(bounds[column, 1], np.inf)
+                looser = replace(gb_model.program, bounds=bounds)
+                assert path.resume_index(canonical(looser)) > k
+                assert_same_lp_solution(lp_solve(looser, path=path), reference_lp_solve(looser))
+                tried += 1
+                if tried == 3:
+                    return
+        raise AssertionError(f"only {tried} tied caps resume at their entry")
+
+    def test_tiny_shock_returns_the_baseline_vertex(self, gb_model):
+        baseline = gb_model.baseline_solution
+        delta = np.zeros(gb_model.baseline_output.shape)
+        delta[0] = 1e-9  # z1 never nears its caps on the recorded path
+        program = assemble_program(gb_model, delta)
+        assert not np.array_equal(program.bounds, gb_model.program.bounds)
+        ours = lp_solve(program, path=baseline.path)
+        assert ours.iterations == 0
+        assert ours.replayed == baseline.iterations
+        assert_same_lp_solution(ours, baseline)
+        assert_same_lp_solution(ours, reference_lp_solve(program))
+
+    def test_results_independent_of_pricing_order(self, gb_model):
+        shocks = [
+            CapacityShock({"z2": 0.3, "z5": 0.1}),
+            CapacityShock({"z8": 1.0}),
+            CapacityShock({"z1": {"power": 0.6}, "z3": 0.2}),
+            CapacityShock({"z2": 0.3, "z5": 0.1}),
+        ]
+        # two copies of the model, each with its own cached baseline
+        forward, backward = replace(gb_model), replace(gb_model)
+        first = [assess_impact(forward, shock) for shock in shocks]
+        second = [assess_impact(backward, shock) for shock in reversed(shocks)][::-1]
+        for a, b in zip(first, second):
+            assert a.delta_va.tobytes() == b.delta_va.tobytes()
+            assert (a.iterations, a.replayed) == (b.iterations, b.replayed)
+        assert first[0].replayed > 0
 
 
 class TestImpactResult:

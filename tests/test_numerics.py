@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -362,3 +364,109 @@ class TestPivotPathAgainstReference:
         monkeypatch.setattr(numerics_module, "ITERATION_FACTOR", 100)
         with pytest.raises(NumericalBreakdown, match="exceeded 1000 iterations"):
             lp_solve(BEALE)
+
+
+# Two rows that need artificial columns: phase 1 takes x0 in, then x1.
+PHASE_ONE = LinearProgram(
+    objective=np.array([1.0, 2.0, 3.0]),
+    a_ub=np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, -1.0]]),
+    b_ub=np.array([-1.0, -2.0]),
+    bounds=np.array([[0.0, 10.0], [0.0, 10.0], [0.0, 10.0]]),
+)
+
+
+def with_caps(lp, **caps):
+    bounds = lp.bounds.copy()
+    for name, cap in caps.items():
+        bounds[int(name[1:]), 1] = cap
+    return replace(lp, bounds=bounds)
+
+
+class TestPivotPathReplay:
+    """lp_solve(path=...) resumes a recorded path and returns the cold
+    solve's result bit for bit."""
+
+    def test_recording_does_not_change_the_solve(self):
+        for seed in range(40):
+            lp = random_pivot_lp(np.random.default_rng([29, seed]))
+            recorded = lp_solve(lp, record=True)
+            assert_same_lp_solution(recorded, lp_solve(lp))
+            if lp.a_eq is None and lp.a_ub is None:
+                assert recorded.path is None
+                continue
+            path = recorded.path
+            assert len(path.states) == path.entering.size == path.basis.shape[0]
+            assert recorded.iterations == np.count_nonzero(np.isfinite(path.step))
+
+    def test_same_program_resumes_at_the_closing_pricing(self):
+        path = lp_solve(PHASE_ONE, record=True).path
+        replayed = lp_solve(PHASE_ONE, path=path)
+        assert_same_lp_solution(replayed, reference_lp_solve(PHASE_ONE))
+        assert replayed.iterations == 0
+        assert replayed.replayed == lp_solve(PHASE_ONE).iterations
+
+    def test_divergence_in_phase_one(self):
+        path = lp_solve(PHASE_ONE, record=True).path
+        assert path.entering[:2].tolist() == [0, 1]
+        assert path.step[1] == 2.0
+        shocked = with_caps(PHASE_ONE, x1=1.0)  # x1 now flips instead
+        k = path.resume_index(numerics_module._canonical(shocked))
+        assert k == 1 and path.states[k].stage == 0
+        ours = lp_solve(shocked, path=path)
+        cold = lp_solve(shocked)
+        assert_same_lp_solution(ours, reference_lp_solve(shocked))
+        assert ours.replayed == 1
+        assert ours.iterations + ours.replayed == cold.iterations
+        assert ours.x.tolist() == [1.0, 1.0, 1.0]
+
+    def test_random_cap_changes_match_the_reference(self):
+        resumed = 0
+        for seed in range(120):
+            rng = np.random.default_rng([31, seed])
+            lp = random_pivot_lp(rng)
+            if lp.a_eq is None and lp.a_ub is None:
+                continue
+            path = lp_solve(lp, record=True).path
+            lo, hi = lp.bounds[:, 0], lp.bounds[:, 1]
+            for _ in range(3):
+                caps = hi.copy()
+                pick = np.isfinite(lo) & (rng.random(lo.size) < 0.4)
+                caps[pick] = lo[pick] + rng.integers(0, 5, lo.size)[pick]
+                shocked = replace(lp, bounds=np.column_stack([lo, caps]))
+                ours = lp_solve(shocked, path=path)
+                assert_same_lp_solution(ours, reference_lp_solve(shocked))
+                assert ours.iterations + ours.replayed == lp_solve(shocked).iterations
+                resumed += ours.replayed > 0
+        assert resumed > 50
+
+    def test_other_programs_refused(self):
+        path = lp_solve(PHASE_ONE, record=True).path
+        changes = {
+            "objective": replace(PHASE_ONE, objective=np.array([1.0, 2.0, 4.0])),
+            "inequality matrix": replace(PHASE_ONE, a_ub=PHASE_ONE.a_ub * 2.0),
+            "inequality vector": replace(PHASE_ONE, b_ub=np.array([-1.0, -3.0])),
+            "lower bounds": replace(
+                PHASE_ONE, bounds=PHASE_ONE.bounds + np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
+            ),
+        }
+        for name, lp in changes.items():
+            with pytest.raises(ValueError, match=name):
+                lp_solve(lp, path=path)
+
+    def test_replay_cannot_record(self):
+        path = lp_solve(PHASE_ONE, record=True).path
+        with pytest.raises(ValueError, match="cannot record"):
+            lp_solve(with_caps(PHASE_ONE, x1=1.0), record=True, path=path)
+
+    def test_changed_cap_without_finite_lower_bound_refused(self):
+        free = LinearProgram(
+            objective=np.array([1.0, 1.0]),
+            a_ub=np.array([[-1.0, -1.0]]),
+            b_ub=np.array([-2.0]),
+            bounds=np.array([[-np.inf, 5.0], [0.0, 5.0]]),
+        )
+        path = lp_solve(free, record=True).path
+        assert_same_lp_solution(lp_solve(with_caps(free, x1=4.0), path=path),
+                                reference_lp_solve(with_caps(free, x1=4.0)))
+        with pytest.raises(ValueError, match="needs a finite lower bound"):
+            lp_solve(with_caps(free, x0=4.0), path=path)
