@@ -2,7 +2,7 @@
 
 Takes the sweep records plus their assessed per-record costs and produces
 cost-versus-loss curves (median/min/max over orderings and hours), the
-first loss fraction with any economic impact, marginal cost per GW across
+largest demand with no economic impact, marginal cost per GW across
 scenario peaks, regional relative change against the current-day profile,
 and population-weighted shares of regions that end up better or worse off.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "CostCurve",
     "RegionalChange",
     "build_cost_curve",
-    "first_impact_fraction",
     "marginal_cost_per_gw",
     "lost_load_slope",
     "regional_relative_change",
@@ -120,16 +119,6 @@ def build_cost_curve(
         for fraction, values in sorted(by_fraction.items())
     )
     return CostCurve(scenario=scenario, points=points)
-
-
-def first_impact_fraction(curve: CostCurve, threshold: float = 0.0) -> float | None:
-    """Smallest fraction whose median cost exceeds the threshold, else None."""
-    if not curve.points:
-        raise ValidationError("cost curve has no points")
-    for point in curve.points:
-        if point.median > threshold:
-            return point.fraction
-    return None
 
 
 def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:

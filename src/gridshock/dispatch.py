@@ -1,12 +1,19 @@
-"""Generation dispatch with congestion relief and localized load shedding.
+"""The DC network model, and dispatch with congestion relief and localized
+load shedding.
+
+Under the DC model branch flow is proportional to the angle difference
+across the branch, and one slack bus (angle zero) absorbs any imbalance;
+susceptances are per-unit on the grid's base power, injections and flows in
+MW. `GridContext` turns that model into flow sensitivities, the only DC
+flows the package computes.
 
 Dispatch picks generator outputs that serve demand at minimum
 distance-weighted cost subject to branch ratings. The network enters the
-optimization through flow sensitivities: branch flows are linear in bus
-injections under the DC model, so the angle variables can be eliminated and
-limit rows added only for branches that actually congest. When no feasible
-operating point exists, demand is shed in rounds, nearest to the disrupted
-generation first, until the network settles.
+optimization through the sensitivities: branch flows are linear in bus
+injections, so the angle variables can be eliminated and limit rows added
+only for branches that actually congest. When no feasible operating point
+exists, demand is shed in rounds, nearest to the disrupted generation
+first, until the network settles.
 
 Most programs never need the simplex: with the balance row alone the
 least-cost dispatch is a merit-order fill (Wood & Wollenberg, *Power
@@ -28,9 +35,9 @@ import numpy as np
 from .errors import NoDemand, NumericalBreakdown, ValidationError
 from .grid import Grid
 from .numerics import FEASIBILITY_TOL, LinearProgram, lp_solve, lu_solve
-from .powerflow import default_slack_bus, _reduced_system
 
 __all__ = [
+    "default_slack_bus",
     "GridContext",
     "DispatchProblem",
     "DispatchSolution",
@@ -40,17 +47,52 @@ __all__ = [
 ]
 
 
+def default_slack_bus(grid: Grid) -> str:
+    """The bus carrying the most derated non-international capacity.
+
+    Ties break toward the lexicographically smallest bus id.
+    """
+    capacity: dict[str, float] = {}
+    for gen in grid.generators:
+        if not gen.is_international:
+            capacity[gen.bus] = capacity.get(gen.bus, 0.0) + gen.derated_mw
+    if not capacity:
+        raise ValidationError("no local generation from which to pick a slack bus")
+    return min(capacity, key=lambda bid: (-capacity[bid], bid))
+
+
+def _reduced_system(grid: Grid, slack_bus: str):
+    """Reduced nodal susceptance matrix and the bus order it refers to."""
+    others = [bus.id for bus in grid.buses if bus.id != slack_bus]
+    index = {bid: k for k, bid in enumerate(others)}
+    n = len(others)
+    matrix = np.zeros((n, n))
+    for br in grid.branches:
+        b = br.susceptance_pu
+        i = index.get(br.from_bus)
+        j = index.get(br.to_bus)
+        if i is not None:
+            matrix[i, i] += b
+        if j is not None:
+            matrix[j, j] += b
+        if i is not None and j is not None:
+            matrix[i, j] -= b
+            matrix[j, i] -= b
+    return matrix, others
+
+
 class GridContext:
     """Flow sensitivities for repeated dispatch on one grid.
 
     `sensitivity` is the MW flow on each branch (grid branch order) per MW
-    injected at each bus (grid bus order), with the slack bus absorbing the
-    balance, so its column is zero. Safe to share across dispatch calls.
+    injected at each bus (grid bus order), with the `default_slack_bus`
+    absorbing the balance, so its column is zero. Safe to share across
+    dispatch calls. SingularMatrix propagates when the network is
+    disconnected.
     """
 
-    def __init__(self, grid: Grid, slack_bus: str | None = None):
-        if slack_bus is None:
-            slack_bus = default_slack_bus(grid)
+    def __init__(self, grid: Grid):
+        slack_bus = default_slack_bus(grid)
         reduced, order = _reduced_system(grid, slack_bus)
         n_red = len(order)
         reduced_pos = {bid: k for k, bid in enumerate(order)}

@@ -28,10 +28,6 @@ class ValidationError(GridShockError):
     """Structurally well-formed input violates a model invariant."""
 
 
-class DisconnectedGrid(ValidationError):
-    """The bus graph has more than one connected component."""
-
-
 class NoDemand(ValidationError):
     """A dispatch problem was posed with no positive demand."""
 

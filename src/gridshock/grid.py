@@ -35,7 +35,6 @@ __all__ = [
     "serialize_grid",
     "load_regions",
     "serialize_regions",
-    "total_capacity",
     "validate_connectivity",
 ]
 
@@ -176,10 +175,6 @@ class Grid:
         return {bus.id: bus for bus in self.buses}
 
     @cached_property
-    def branch_by_id(self) -> dict[str, Branch]:
-        return {br.id: br for br in self.branches}
-
-    @cached_property
     def generator_by_id(self) -> dict[str, Generator]:
         return {gen.id: gen for gen in self.generators}
 
@@ -287,13 +282,6 @@ class RegionTable:
     @cached_property
     def by_id(self) -> dict[str, Region]:
         return {region.id: region for region in self.regions}
-
-    @cached_property
-    def parents(self) -> tuple[str, ...]:
-        return tuple(sorted({region.parent for region in self.regions}))
-
-    def children_of(self, parent: str) -> tuple[Region, ...]:
-        return tuple(r for r in self.regions if r.parent == parent)
 
 
 @dataclass(frozen=True)
@@ -480,18 +468,6 @@ def serialize_regions(table: RegionTable, path) -> None:
             )
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def total_capacity(grid: Grid, *, include_international: bool = True, exclude_solar: bool = False) -> float:
-    """Sum of derated generator capacity in MW under the given filters."""
-    values = []
-    for gen in grid.generators:
-        if not include_international and gen.is_international:
-            continue
-        if exclude_solar and gen.technology == "solar":
-            continue
-        values.append(gen.derated_mw)
-    return math.fsum(values)
 
 
 def validate_connectivity(grid: Grid) -> ComponentReport:

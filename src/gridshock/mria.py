@@ -292,16 +292,6 @@ class ImpactResult:
                 f"total cost {self.total_cost!r} does not match losses {implied!r}"
             )
 
-    def va_of(self, region: str, industry: str) -> float:
-        return float(
-            self.delta_va[self.regions.index(region), self.industries.index(industry)]
-        )
-
-    def regional_cost(self) -> dict[str, float]:
-        """Per-region loss: the negative value-added changes, sign-flipped."""
-        losses = -np.minimum(0.0, self.delta_va).sum(axis=1)
-        return {region: float(losses[k]) for k, region in enumerate(self.regions)}
-
 
 def default_penalty(model: SupplyUseModel) -> float:
     """Rationing penalty: 10x the largest technology-implied unit cost.
@@ -456,15 +446,6 @@ def shock_from_unserved(record, regions: RegionTable, demand: StudiedDemand) -> 
         else:
             delta[parent] = min(1.0, unserved[parent] / demanded[parent])
     return CapacityShock(delta=delta, duration_hours=1.0)
-
-
-SUPPLY_USE_FILES = (
-    "supply.csv",
-    "use.csv",
-    "final_demand.csv",
-    "value_added.csv",
-    "trade.csv",
-)
 
 
 def _read_rows(path: Path, header: list[str]) -> list[tuple[list[str], int]]:

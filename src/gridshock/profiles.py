@@ -48,12 +48,10 @@ __all__ = [
     "apply_heat_pump",
     "apply_efficiency",
     "apply_flat",
-    "extract_extreme_days",
     "load_profile",
     "save_profile",
     "save_studied_demand",
     "load_studied_demand",
-    "load_end_use_shares",
     "save_end_use_shares",
 ]
 
@@ -133,10 +131,6 @@ class DemandProfile:
     def peak_hour(self) -> int:
         """Hour index of the national maximum (first on ties)."""
         return int(self.hours[int(np.argmax(self.national()))])
-
-    def trough_hour(self) -> int:
-        """Hour index of the national minimum (first on ties)."""
-        return int(self.hours[int(np.argmin(self.national()))])
 
     def demand_at(self, region: str, hour: int) -> float:
         return float(self.demand_mw[self.region_pos[region], self.hour_pos[hour]])
@@ -300,22 +294,6 @@ def apply_flat(profile: DemandProfile) -> DemandProfile:
     means = profile.demand_mw.mean(axis=1)
     flat = np.repeat(means[:, None], profile.hours.size, axis=1)
     return replace(profile, scenario="flat", demand_mw=flat)
-
-
-def extract_extreme_days(profile: DemandProfile) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Hour indices of the national-peak day and the national-minimum day.
-
-    Ties resolve to the earliest day. Requires a full-year hour axis.
-    """
-    if profile.hours.size != HOURS_PER_YEAR:
-        raise ValidationError("extreme-day extraction needs a full-year profile")
-    national = profile.national()
-
-    def day_hours(hour_index: int) -> tuple[int, ...]:
-        day = hour_index // 24
-        return tuple(range(day * 24, day * 24 + 24))
-
-    return day_hours(int(np.argmax(national))), day_hours(int(np.argmin(national)))
 
 
 def load_profile(path, scenario: str | None = None, value_column: str | None = None) -> DemandProfile:
@@ -523,30 +501,6 @@ def load_studied_demand(path) -> dict[str, StudiedDemand]:
     return {
         s: StudiedDemand(districts.get(s, {}), national.get(s, {}), peaks[s]) for s in sorted(peaks)
     }
-
-
-def load_end_use_shares(path) -> dict[str, dict[str, float]]:
-    """Read `region,end_use,share` rows into a nested mapping."""
-    shares: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["region", "end_use", "share"]:
-            raise ParseError("expected header region,end_use,share", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
-            try:
-                value = float(row[2])
-            except ValueError:
-                raise ParseError(f"bad share in {row!r}", lineno) from None
-            region, use = row[0].strip(), row[1].strip()
-            if use in shares.get(region, {}):
-                raise ParseError(f"duplicate end use {use} for region {region}", lineno)
-            shares.setdefault(region, {})[use] = value
-    return shares
 
 
 def save_end_use_shares(shares: Mapping[str, Mapping[str, float]], path) -> None:

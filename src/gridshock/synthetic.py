@@ -62,10 +62,9 @@ _STREAM_UNIT_SIZE = 104
 _STREAM_SUSCEPTANCE = 105
 _STREAM_COORDINATES = 106
 
-# gb-like layout: districts and generator counts per backbone node,
-# north (index 0) to south, and the parent zone of each node
+# gb-like layout: districts per backbone node, north (index 0) to south,
+# and the parent zone of each node
 _DISTRICTS_PER_NODE = (1, 1, 2, 2, 3, 3, 4, 5, 5, 6, 6, 6)
-_GENERATORS_PER_NODE = (6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 2, 2)
 _ZONE_OF_NODE = (1, 1, 2, 2, 3, 4, 5, 6, 6, 7, 7, 8)
 
 # per-node technology mix: (technology, base rated MW, capacity factor)

@@ -1,6 +1,8 @@
-"""Shared fixture factories for the test suite."""
+"""Shared fixture factories and small lookups for the test suite."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,11 +58,38 @@ def random_injections(rng: np.random.Generator, grid: Grid) -> dict[str, float]:
 def bus_balances(grid: Grid, injections: dict[str, float], solution) -> dict[str, float]:
     """Net injection minus net outgoing flow per bus; zero means conserved."""
     balance = {bus.id: float(injections.get(bus.id, 0.0)) for bus in grid.buses}
+    branch = {br.id: br for br in grid.branches}
     for br_id, flow in zip(solution.branch_ids, solution.flows_mw):
-        br = grid.branch_by_id[br_id]
+        br = branch[br_id]
         balance[br.from_bus] -= float(flow)
         balance[br.to_bus] += float(flow)
     return balance
+
+
+def total_capacity(grid: Grid, *, include_international: bool = True, exclude_solar: bool = False) -> float:
+    """Sum of derated generator capacity in MW under the given filters."""
+    return math.fsum(
+        gen.derated_mw
+        for gen in grid.generators
+        if (include_international or not gen.is_international)
+        and not (exclude_solar and gen.technology == "solar")
+    )
+
+
+def trough_hour(profile) -> int:
+    """Hour index of the national minimum (first on ties)."""
+    return int(profile.hours[int(np.argmin(profile.national()))])
+
+
+def va_of(result, region: str, industry: str) -> float:
+    """One cell of an ImpactResult's value-added change."""
+    return float(result.delta_va[result.regions.index(region), result.industries.index(industry)])
+
+
+def first_impact_fraction(curve, threshold: float = 0.0) -> float | None:
+    """Smallest fraction of a CostCurve whose median cost exceeds the
+    threshold, else None."""
+    return next((point.fraction for point in curve.points if point.median > threshold), None)
 
 
 def gb_like_congested(seed: int = 7):

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
 The arbiters share no code with the package: linear systems are solved
-by Gauss-Jordan elimination with scaled pivoting, and linear programs by
-brute-force vertex enumeration over active constraint sets. Slow but
+by Gauss-Jordan elimination with scaled pivoting, DC power flows by
+numpy.linalg.solve on a nodal matrix assembled here, and linear programs
+by brute-force vertex enumeration over active constraint sets. Slow but
 transparent, so they can arbitrate the production solvers. The
 `reference_*` functions are earlier, plainer forms of package kernels,
 kept so the faster forms can be pinned to them.
@@ -10,7 +11,10 @@ kept so the faster forms can be pinned to them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import Mapping
 
 import numpy as np
 
@@ -70,6 +74,83 @@ def floyd_warshall_hops(n, edges):
                 if dist[i, k] + dist[k, j] < dist[i, j]:
                     dist[i, j] = dist[i, k] + dist[k, j]
     return np.where(np.isinf(dist), -1, dist).astype(int)
+
+
+@dataclass(frozen=True)
+class FlowSolution:
+    """Bus angles and branch flows for one injection pattern."""
+
+    slack_bus: str
+    bus_ids: tuple[str, ...]
+    angles_rad: np.ndarray
+    branch_ids: tuple[str, ...]
+    flows_mw: np.ndarray
+
+    @cached_property
+    def angle_of(self) -> dict[str, float]:
+        return dict(zip(self.bus_ids, map(float, self.angles_rad)))
+
+    @cached_property
+    def flow_of(self) -> dict[str, float]:
+        return dict(zip(self.branch_ids, map(float, self.flows_mw)))
+
+
+def dc_power_flow(grid, injections, slack_bus=None) -> FlowSolution:
+    """DC angles and flows for net MW injections per bus.
+
+    `injections` maps bus id to MW (omitted buses inject nothing) or is an
+    array in grid bus order. The slack bus, by default the first bus, has
+    angle zero and absorbs any imbalance. The nodal matrix is A^T diag(b) A
+    for the branch-bus incidence matrix A; with the slack row and column
+    dropped it is solved by numpy.linalg.solve.
+    """
+    bus_ids = tuple(bus.id for bus in grid.buses)
+    if slack_bus is None:
+        slack_bus = bus_ids[0]
+    column = {bid: k for k, bid in enumerate(bus_ids)}
+    incidence = np.zeros((len(grid.branches), len(bus_ids)))
+    for k, br in enumerate(grid.branches):
+        incidence[k, column[br.from_bus]] = 1.0
+        incidence[k, column[br.to_bus]] = -1.0
+    b = np.array([br.susceptance_pu for br in grid.branches])
+    nodal = incidence.T @ (b[:, None] * incidence)
+    if isinstance(injections, Mapping):
+        injections = [injections.get(bid, 0.0) for bid in bus_ids]
+    per_unit = np.asarray(injections, dtype=float) / grid.base_mva
+    keep = [k for k, bid in enumerate(bus_ids) if bid != slack_bus]
+    angles = np.zeros(len(bus_ids))
+    angles[keep] = np.linalg.solve(nodal[np.ix_(keep, keep)], per_unit[keep])
+    return FlowSolution(
+        slack_bus=slack_bus,
+        bus_ids=bus_ids,
+        angles_rad=angles,
+        branch_ids=tuple(br.id for br in grid.branches),
+        flows_mw=grid.base_mva * b * (incidence @ angles),
+    )
+
+
+@dataclass(frozen=True)
+class LimitViolation:
+    branch_id: str
+    flow_mw: float
+    rating_mw: float
+
+    @property
+    def overload_fraction(self) -> float:
+        return abs(self.flow_mw) / self.rating_mw - 1.0
+
+
+def check_limits(grid, flows_mw, tolerance: float = 1e-9) -> tuple[LimitViolation, ...]:
+    """Branches whose |flow| exceeds the rating beyond a relative tolerance.
+
+    `flows_mw` holds one MW flow per branch in grid branch order, as in
+    FlowSolution.flows_mw and DispatchSolution.flows_mw.
+    """
+    return tuple(
+        LimitViolation(branch_id=br.id, flow_mw=float(flow), rating_mw=br.rating_mw)
+        for br, flow in zip(grid.branches, flows_mw, strict=True)
+        if abs(flow) > br.rating_mw * (1.0 + tolerance)
+    )
 
 
 def enumerate_lp(c, a_eq, b_eq, a_ub, b_ub, lo, hi, feas_tol=1e-7):

@@ -22,7 +22,6 @@ from gridshock.analysis import (
     CurvePoint,
     RegionalChange,
     build_cost_curve,
-    first_impact_fraction,
     marginal_cost_per_gw,
     population_shares,
 )
@@ -37,12 +36,17 @@ from gridshock.failures import (
 from gridshock.grid import Branch, Bus, Generator, Grid, Region, RegionTable
 from gridshock.mria import CapacityShock, SupplyUseModel, assess_impact
 from gridshock.numerics import LinearProgram, lp_solve
-from gridshock.powerflow import dc_power_flow
 from gridshock.profiles import DemandProfile
 from gridshock.synthetic import generate_gb_like, generate_small
 
-from helpers import bus_balances, random_connected_grid, random_injections
-from oracles import enumerate_lp, random_box_lp, random_infeasible_lp, random_unbounded_lp
+from helpers import bus_balances, first_impact_fraction, random_connected_grid, random_injections
+from oracles import (
+    dc_power_flow,
+    enumerate_lp,
+    random_box_lp,
+    random_infeasible_lp,
+    random_unbounded_lp,
+)
 
 SCENARIOS = ("current", "heat_pump", "efficiency", "flat")
 STEP = DEFAULT_LOSS_FRACTIONS[1] - DEFAULT_LOSS_FRACTIONS[0]

@@ -9,7 +9,6 @@ from gridshock.analysis import (
     CurvePoint,
     RegionalChange,
     build_cost_curve,
-    first_impact_fraction,
     lost_load_slope,
     marginal_cost_per_gw,
     population_share,
@@ -25,6 +24,8 @@ from gridshock.errors import DegeneratePeaks, MissingCosts, ValidationError
 from gridshock.failures import ExperimentConfig, ResultTable, ScenarioRecord
 from gridshock.grid import Region, RegionTable
 from gridshock.profiles import DemandProfile, StudiedDemand
+
+from helpers import first_impact_fraction
 
 
 def record(ordering, fraction, scenario, hour, unserved, status="ok"):

@@ -1,0 +1,74 @@
+"""Every name `src/` defines is used by `src/` itself.
+
+A module-level name, or a public method, that `src/` mentions only where it
+defines it (or in `__all__`) is code that only tests call: the reference
+implementations tests compare against belong in `tests/`, and anything else
+is dead. Dunder names are exempt, since the language calls them.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gridshock"
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each module-level name and each public method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        else:
+            found.extend((name, node.lineno) for name in _assigned_names(node))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            )
+    return [(name, line) for name, line in found if not _is_dunder(name)]
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Names read anywhere in a module. Definitions, imports and `__all__`
+    entries are not reads."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def unused_names() -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*(_uses(tree) for tree in trees.values()))
+    return [
+        f"{path.name}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in _definitions(tree)
+        if name not in used
+    ]
+
+
+def test_every_src_name_has_a_src_caller():
+    unused = unused_names()
+    assert not unused, "defined in src/ but used only by tests (or not at all):\n" + "\n".join(unused)

@@ -17,10 +17,15 @@ from gridshock.errors import NoDemand, ValidationError
 from gridshock.failures import _solar_ids, bus_demand, generate_orderings, removal_set
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.numerics import lp_solve
-from gridshock.powerflow import check_limits, dc_power_flow
 
 from helpers import assert_same_lp_solution, gb_like_congested, random_connected_grid
-from oracles import reference_distance_costs, reference_lp_solve, reference_shedding
+from oracles import (
+    check_limits,
+    dc_power_flow,
+    reference_distance_costs,
+    reference_lp_solve,
+    reference_shedding,
+)
 
 
 def chain_grid(ratings=(1e3, 1e3, 1e3, 1e3)):
@@ -201,6 +206,16 @@ class TestRedispatch:
         assert total_out == pytest.approx(77.7, abs=1e-6)
 
 
+def assert_flows_match_power_flow(problem, solution):
+    injections = {bid: -mw for bid, mw in problem.demand_mw.items()}
+    for gid, mw in solution.generator_output_mw.items():
+        bus = problem.grid.generator_by_id[gid].bus
+        injections[bus] = injections.get(bus, 0.0) + mw
+    reference = dc_power_flow(problem.grid, injections)
+    assert reference.branch_ids == tuple(br.id for br in problem.grid.branches)
+    assert np.max(np.abs(solution.flows_mw - reference.flows_mw), initial=0.0) <= 1e-6
+
+
 class TestFlowsMatchPowerFlow:
     """Dispatch flows come from the sensitivities; dc_power_flow is the reference."""
 
@@ -230,13 +245,26 @@ class TestFlowsMatchPowerFlow:
         )
         sol = redispatch(problem)
         assert sol.status == "feasible"
-        injections = {bid: -mw for bid, mw in demand.items()}
-        for gid, mw in sol.generator_output_mw.items():
-            bus = grid.generator_by_id[gid].bus
-            injections[bus] = injections.get(bus, 0.0) + mw
-        reference = dc_power_flow(grid, injections)
-        assert reference.branch_ids == tuple(br.id for br in grid.branches)
-        assert np.max(np.abs(sol.flows_mw - reference.flows_mw), initial=0.0) <= 1e-6
+        assert_flows_match_power_flow(problem, sol)
+
+    @pytest.mark.parametrize("congested", [False, True], ids=["default", "congested"])
+    def test_gb_like(self, congested_gb_like, congested):
+        # 100 buses and 101 branches; the congested ratings make limit
+        # rows bind, so those dispatches come from the simplex
+        grid, fixture = congested_gb_like
+        if not congested:
+            grid = fixture.grid
+        context = GridContext(grid)
+        feasible = at_limit = 0
+        for problem, _ in congested_cells(grid, fixture, 2, (0.0, 0.1, 0.2)):
+            sol = redispatch(problem, context)
+            if sol.status == "infeasible":
+                continue
+            assert_flows_match_power_flow(problem, sol)
+            feasible += 1
+            at_limit += bool(np.any(np.abs(sol.flows_mw) >= context.ratings * (1.0 - 1e-9)))
+        assert feasible >= 4
+        assert (at_limit > 0) == congested
 
 
 class TestRedispatchAgainstAngleFormulation:
@@ -310,7 +338,7 @@ class TestRedispatchAgainstAngleFormulation:
         grid = Grid(buses=grid.buses, branches=branches, generators=tuple(gens))
         demand = {bid: float(rng.integers(5, 40)) for bid in demand_buses}
 
-        context = GridContext(grid, grid.buses[0].id)
+        context = GridContext(grid)
         problem = DispatchProblem(
             grid=grid, demand_mw=demand, available=frozenset(g.id for g in gens)
         )

@@ -423,11 +423,11 @@ class TestCalibrateRatings:
     def test_undersized_branch_upsized(self):
         # 100 MW flows over a 50 MW branch, so the rating becomes 120
         calibrated = calibrate_ratings(self.chain(rating=50.0), self.profile())
-        assert calibrated.branch_by_id["l0"].rating_mw == pytest.approx(120.0)
+        assert calibrated.branches[0].rating_mw == pytest.approx(120.0)
 
     def test_generous_branch_unchanged(self):
         calibrated = calibrate_ratings(self.chain(rating=500.0), self.profile())
-        assert calibrated.branch_by_id["l0"].rating_mw == 500.0
+        assert calibrated.branches[0].rating_mw == 500.0
 
     def test_calibrated_grid_carries_peak(self):
         grid = calibrate_ratings(self.chain(rating=10.0), self.profile())
@@ -454,7 +454,7 @@ class TestCalibrateRatings:
         )
         grid = Grid(buses=buses, branches=branches, generators=gens)
         calibrated = calibrate_ratings(grid, self.profile())
-        assert calibrated.branch_by_id["l0"].rating_mw == pytest.approx(120.0)
+        assert calibrated.branches[0].rating_mw == pytest.approx(120.0)
         with pytest.raises(Unstable):
             calibrate_ratings(
                 Grid(buses=buses, branches=branches, generators=gens[:1]),

@@ -17,11 +17,10 @@ from gridshock.grid import (
     load_regions,
     serialize_grid,
     serialize_regions,
-    total_capacity,
     validate_connectivity,
 )
 
-from helpers import random_connected_grid
+from helpers import random_connected_grid, total_capacity
 from oracles import floyd_warshall_hops
 
 GRID_TEXT = """\
@@ -250,7 +249,7 @@ class TestRegions:
         table = load_regions(path)
         assert table.by_id["r1"].parent == "north"
         assert table.by_id["r2"].population == 5000.0
-        assert table.parents == ("north", "south")
+        assert table.by_id["r2"].parent == "south"
         out = tmp_path / "copy.csv"
         serialize_regions(table, out)
         assert load_regions(out) == table
@@ -267,13 +266,3 @@ class TestRegions:
     def test_negative_population_rejected(self):
         with pytest.raises(ValidationError):
             Region("r", "p", -5.0, 1.0, 1.0)
-
-    def test_children_of(self):
-        table = RegionTable(
-            regions=(
-                Region("r1", "p1", 1.0, 1.0, 1.0),
-                Region("r2", "p1", 1.0, 1.0, 1.0),
-                Region("r3", "p2", 1.0, 1.0, 1.0),
-            )
-        )
-        assert [r.id for r in table.children_of("p1")] == ["r1", "r2"]

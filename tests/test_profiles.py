@@ -20,8 +20,6 @@ from gridshock.profiles import (
     apply_efficiency,
     apply_flat,
     apply_heat_pump,
-    extract_extreme_days,
-    load_end_use_shares,
     load_profile,
     load_studied_demand,
     save_end_use_shares,
@@ -30,6 +28,7 @@ from gridshock.profiles import (
     synthesize_current,
 )
 from gridshock.synthetic import generate_gb_like, generate_small, write_fixture
+from helpers import trough_hour
 from oracles import reference_load_profile, reference_save_profile
 
 
@@ -79,7 +78,7 @@ class TestDemandProfile:
         assert np.array_equal(profile.national(), [11.0, 22.0])
         assert profile.demand_at("b", 1) == 20.0
         assert profile.peak_hour() == 1
-        assert profile.trough_hour() == 0
+        assert trough_hour(profile) == 0
 
     def test_annual_energy(self):
         profile = small_profile([[500.0, 1500.0]], regions=("a",))
@@ -129,7 +128,7 @@ class TestSynthesize:
 
     def test_minimum_is_overnight_in_summer(self):
         profile = synthesize_current(make_regions(), seed=3)
-        trough = profile.trough_hour()
+        trough = trough_hour(profile)
         assert trough % 24 == 3
         assert 120 < trough // 24 < 240
 
@@ -313,39 +312,6 @@ def replace_scenario(profile, heat_fraction):
     )
 
 
-class TestExtremeDays:
-    def test_peak_and_min_days(self):
-        profile = synthesize_current(make_regions(), seed=8)
-        peak_day, min_day = extract_extreme_days(profile)
-        assert len(peak_day) == 24 and len(min_day) == 24
-        assert peak_day[0] % 24 == 0
-        assert profile.peak_hour() in peak_day
-        assert profile.trough_hour() in min_day
-
-    def test_flat_profile_gives_first_day(self):
-        demand = np.full((1, HOURS_PER_YEAR), 42.0)
-        profile = DemandProfile("flat", ("a",), np.arange(HOURS_PER_YEAR), demand)
-        peak_day, min_day = extract_extreme_days(profile)
-        assert peak_day == tuple(range(24))
-        assert min_day == tuple(range(24))
-
-    def test_tie_resolves_to_earliest_day(self):
-        demand = np.ones((1, HOURS_PER_YEAR))
-        demand[0, 30] = 5.0
-        demand[0, 80] = 5.0
-        demand[0, 50] = 0.2
-        demand[0, 99] = 0.2
-        profile = DemandProfile("current", ("a",), np.arange(HOURS_PER_YEAR), demand)
-        peak_day, min_day = extract_extreme_days(profile)
-        assert peak_day == tuple(range(24, 48))
-        assert min_day == tuple(range(48, 72))
-
-    def test_partial_year_rejected(self):
-        profile = small_profile([[1.0, 2.0]], regions=("a",))
-        with pytest.raises(ValidationError, match="full-year"):
-            extract_extreme_days(profile)
-
-
 class TestProfileIO:
     def test_round_trip(self, tmp_path):
         profile = small_profile([[1.5, 2.25], [0.125, 7.0]], hours=np.array([4, 9]))
@@ -397,13 +363,12 @@ class TestProfileIO:
         shares = {"a": {"heating": 0.25, "other": 0.75}, "b": {"heating": 1.0}}
         path = tmp_path / "shares.csv"
         save_end_use_shares(shares, path)
-        assert load_end_use_shares(path) == shares
-
-    def test_shares_bad_header(self, tmp_path):
-        path = tmp_path / "shares.csv"
-        path.write_text("region,share\n")
-        with pytest.raises(ParseError):
-            load_end_use_shares(path)
+        assert path.read_text().splitlines() == [
+            "region,end_use,share",
+            "a,heating,0.25",
+            "a,other,0.75",
+            "b,heating,1.0",
+        ]
 
 
 def random_profile_text(rng, column):
@@ -693,7 +658,7 @@ class TestStudiedDemand:
     def test_national_and_peak_bit_for_bit(self, tmp_path, generate):
         profiles = generate(7).profiles
         studied = {
-            scenario: sorted({0, 427, profile.peak_hour(), profile.trough_hour()})
+            scenario: sorted({0, 427, profile.peak_hour(), trough_hour(profile)})
             for scenario, profile in profiles.items()
         }
         path = tmp_path / "demand.csv"
