@@ -20,7 +20,11 @@ least-cost dispatch is a merit-order fill (Wood & Wollenberg, *Power
 Generation, Operation, and Control*), and the flows it causes follow from
 the sensitivities (the PTDF form of Stott, Jardim & Alsac, "DC power flow
 revisited", IEEE TPWRS 2009). Only when that fill overloads a branch does a
-linear program decide.
+linear program decide, and it never starts cold: the fill is an optimal
+basis of the balance-only program, so each limit row the flows call for is
+added to the last optimal basis and the dual simplex re-solves from there.
+The one cold solve is the calibration dispatch (`ignore_limits`), whose
+simplex vertex sets the ratings.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NoDemand, NumericalBreakdown, ValidationError
+from .errors import NoDemand, ValidationError
 from .grid import Grid
-from .numerics import FEASIBILITY_TOL, LinearProgram, lp_solve, lu_solve
+from .numerics import FEASIBILITY_TOL, Basis, LinearProgram, lp_solve, lu_solve
 
 __all__ = [
     "default_slack_bus",
@@ -203,35 +207,69 @@ def _overloads(flows: np.ndarray, ratings: np.ndarray) -> list[tuple[int, int]]:
     ]
 
 
-def _limited_lp(objective, cols, base_flow, ratings, bounds, total):
-    """Optimal x of min objective @ x subject to sum(x) = total, the bounds,
-    and |cols @ x + base_flow| <= ratings; None when infeasible.
+def _fill(costs, upper, total):
+    """The balance-only optimum: `total` filled in (cost, index) order.
 
-    The program starts with the balance row only and adds a limit row
-    whenever the resulting flows overload a branch, which converges because
-    each branch contributes at most two rows.
+    Returns the outputs and the marginal unit, the last one filled, which
+    is basic at that optimum; None when there is no unit, or capacity falls
+    short by more than the simplex's feasibility tolerance,
+    FEASIBILITY_TOL * (1 + total). The shortfall is taken as phase 1 of the
+    simplex takes it, each cap off the total in index order, so both give
+    the same verdict at the boundary.
     """
-    a_eq = np.ones((1, len(objective)))
-    b_eq = np.array([total])
+    output = np.zeros(len(costs))
+    remaining = total
+    for k in np.argsort(costs, kind="stable"):
+        output[k] = min(upper[k], remaining)
+        remaining -= output[k]
+        if remaining <= 0.0:
+            return output, int(k)
+    shortfall = total
+    for cap in upper.tolist():
+        shortfall -= cap
+    if not len(costs) or shortfall > FEASIBILITY_TOL * (1.0 + total):
+        return None
+    return output, int(k)
+
+
+def _limited_lp(objective, cols, base_flow, ratings, upper, total):
+    """Optimal x of min objective @ x subject to sum(x) = total,
+    0 <= x <= upper and |cols @ x + base_flow| <= ratings; None when
+    infeasible.
+
+    The program starts from the fill, the optimum with the balance row
+    alone, and adds a limit row whenever the flows overload a branch. Each
+    round re-solves with the dual simplex from the last optimal basis: the
+    fill's basis (the marginal unit basic, the units filled before it at
+    their caps, the rest at zero) is dual feasible, and a new row's slack
+    enters basic at zero cost, so every start stays dual feasible. Each
+    round adds at least one (branch, sign) pair not yet active, and there
+    are 2 * len(ratings) of them, so the loop ends.
+    """
+    fill = _fill(objective, upper, total)
+    if fill is None:
+        return None
+    x, marginal = fill
+    start = Basis(np.array([marginal]), x == upper)
+    bounds = np.column_stack([np.zeros(len(objective)), upper])
     active: list[tuple[int, int]] = []
     while True:
-        if active:
-            a_ub = np.array([side * cols[row] for row, side in active])
-            b_ub = np.array([ratings[row] - side * base_flow[row] for row, side in active])
-        else:
-            a_ub = b_ub = None
+        new_rows = [rs for rs in _overloads(cols @ x + base_flow, ratings) if rs not in active]
+        if not new_rows:
+            return x
+        active.extend(new_rows)
         lp = LinearProgram(
-            objective=objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, bounds=bounds
+            objective=objective,
+            a_eq=np.ones((1, len(objective))),
+            b_eq=np.array([total]),
+            a_ub=np.array([side * cols[row] for row, side in active]),
+            b_ub=np.array([ratings[row] - side * base_flow[row] for row, side in active]),
+            bounds=bounds,
         )
-        sol = lp_solve(lp)
+        sol = lp_solve(lp, start=start)
         if sol.status != "optimal":
             return None
-        new_rows = [rs for rs in _overloads(cols @ sol.x + base_flow, ratings) if rs not in active]
-        if not new_rows:
-            return sol.x
-        active.extend(new_rows)
-        if len(active) > 2 * len(ratings):
-            raise NumericalBreakdown("limit rows kept accumulating without convergence")
+        x, start = sol.x, sol.basis
 
 
 class _Program:
@@ -269,22 +307,15 @@ class _Program:
     def merit_order(self) -> np.ndarray | None:
         """The balance-only optimum, filled in (cost, index) order, if it
         overloads no branch; None when it does or capacity falls short."""
-        output = np.zeros(len(self.ids))
-        remaining = self.total
-        for k in np.argsort(self.costs, kind="stable"):
-            output[k] = min(self.upper[k], remaining)
-            remaining -= output[k]
-            if remaining <= 0.0:
-                break
-        else:
+        fill = _fill(self.costs, self.upper, self.total)
+        if fill is None or _overloads(self.cols @ fill[0] + self.base_flow, self.context.ratings):
             return None
-        if _overloads(self.cols @ output + self.base_flow, self.context.ratings):
-            return None
-        return output
+        return fill[0]
 
-    def least_cost(self, ratings: np.ndarray) -> np.ndarray | None:
-        bounds = np.column_stack([np.zeros(len(self.ids)), self.upper])
-        return _limited_lp(self.costs, self.cols, self.base_flow, ratings, bounds, self.total)
+    def least_cost(self) -> np.ndarray | None:
+        return _limited_lp(
+            self.costs, self.cols, self.base_flow, self.context.ratings, self.upper, self.total
+        )
 
     def least_shed(self, bus: str, limit: float) -> float | None:
         """Least extra shed t in [0, limit] at `bus` for which some dispatch
@@ -293,10 +324,9 @@ class _Program:
         column = self.context.sensitivity[:, self.problem.grid.bus_index[bus]]
         objective = np.zeros(n + 1)
         objective[n] = 1.0
-        bounds = np.column_stack([np.zeros(n + 1), np.append(self.upper, limit)])
         x = _limited_lp(
             objective, np.column_stack([self.cols, column]), self.base_flow,
-            self.context.ratings, bounds, self.total,
+            self.context.ratings, np.append(self.upper, limit), self.total,
         )
         return None if x is None else float(x[n])
 
@@ -333,9 +363,10 @@ def redispatch(
     vertex of the full program, though where units tie on cost possibly a
     different one from the vertex the simplex would reach. Otherwise a
     linear program decides, with branch limits added as rows only for the
-    branches that overload. `ignore_limits` treats every rating as
-    infinite and returns the simplex vertex of the balance-only program,
-    whose flows `calibrate_ratings` turns into ratings.
+    branches that overload, each round warm from the last. `ignore_limits`
+    treats every rating as infinite and returns the cold simplex vertex of
+    the balance-only program, whose flows `calibrate_ratings` turns into
+    ratings.
     """
     if context is None:
         context = GridContext(problem.grid)
@@ -350,11 +381,15 @@ def redispatch(
     if not program.ids:
         return _infeasible()
     if ignore_limits:
-        output = program.least_cost(np.full(len(context.ratings), np.inf))
+        n = len(program.ids)
+        output = lp_solve(LinearProgram(
+            objective=program.costs,
+            a_eq=np.ones((1, n)),
+            b_eq=np.array([program.total]),
+            bounds=np.column_stack([np.zeros(n), program.upper]),
+        )).x
     else:
-        output = program.merit_order()
-        if output is None:
-            output = program.least_cost(context.ratings)
+        output = program.least_cost()
     if output is None:
         return _infeasible()
     return program.solution(output)
@@ -410,9 +445,13 @@ def dispatch_with_shedding(
         order = sorted(original)
 
     shed = {bid: 0.0 for bid in original}
+    position = 0  # the buses before it in `order` are drained
 
     def front() -> str | None:
-        return next((bid for bid in order if shed[bid] < original[bid]), None)
+        nonlocal position
+        while position < len(order) and shed[order[position]] >= original[order[position]]:
+            position += 1
+        return order[position] if position < len(order) else None
 
     def apply_round() -> bool:
         bid = front()
@@ -446,9 +485,24 @@ def dispatch_with_shedding(
         grid.generator_by_id[g].derated_mw for g in problem.available
     )
     total = sum(original.values())
-    while total - sum(shed.values()) > capacity + 1e-9:
-        if not apply_round():
-            break
+
+    def short() -> bool:
+        return total - sum(shed.values()) > capacity + 1e-9
+
+    # Rounds are taken while capacity is short, but that is checked only at
+    # bus boundaries: a left-to-right float sum of nonnegative terms never
+    # decreases when one term grows, so short() is monotone in the rounds.
+    # A bus whose full drain still leaves capacity short is short before
+    # each of its rounds and is drained at once; the first bus whose drain
+    # is not is stepped round by round.
+    if short():
+        for bid in order:
+            shed[bid] = original[bid]
+            if not short():
+                shed[bid] = 0.0
+                while short():
+                    apply_round()
+                break
 
     while True:
         bus = front()

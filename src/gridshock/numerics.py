@@ -1,14 +1,15 @@
 """Dense linear-algebra and linear-programming kernels.
 
 Two solvers used everywhere else in the package: a checked dense linear
-solve for the power-flow systems, and a bounded-variable two-phase revised
-simplex method for the dispatch and economic optimizations. The linear
+solve for the power-flow systems, and a bounded-variable revised simplex
+method for the dispatch and economic optimizations, two-phase from a cold
+start and dual from a warm one. The linear
 solve and the simplex's basis inverse rest on numpy's LAPACK/BLAS
 routines, so results are not promised bit-identical across platforms or
 numpy builds. What does hold: on one machine, repeated runs and any worker
 count give identical bytes, because pricing and basis bookkeeping are
-deterministic and every worker runs the same arithmetic. The simplex's
-pivot rule and the arithmetic behind each pivot are pinned by
+deterministic and every worker runs the same arithmetic. The cold
+simplex's pivot rule and the arithmetic behind each pivot are pinned by
 `tests/oracles.reference_lp_solve`, which the test suite holds it to bit
 for bit.
 
@@ -23,6 +24,17 @@ decision only where a basic column moving toward it would reach it
 within the recorded step (ties count), or where its column enters and
 then flips, or would flip, or could not enter at all; one vectorised
 pass over the recorded ratio tests finds the first such iteration.
+
+A program that extends a solved one by inequality rows appended after its
+rows is re-solved warm (`lp_solve(lp, start=solution.basis)`): the solved
+program's optimal basis, with the slack of every new row basic, stays dual
+feasible, so a bounded dual simplex with a bound-flipping ratio test
+(Koberstein & Suhl, Computational Optimization and Applications, 2007;
+Bixby, Operations Research 50(1), 2002) pivots from it until the new rows
+hold. Any dual feasible basis will do as a start, such as a closed-form
+optimum the caller knows. Unlike the replay, a warm solve may end on
+another optimal vertex than the cold solve; its status and optimal value
+are the program's.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ import numpy as np
 from .errors import NumericalBreakdown, SingularMatrix
 
 __all__ = [
+    "Basis",
     "LinearProgram",
     "LpSolution",
     "PivotPath",
@@ -105,16 +118,36 @@ class LinearProgram:
     bounds: np.ndarray | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """A simplex basis in `lp_solve`'s column order: the structural
+    variables, then one slack per inequality row.
+
+    basic holds the basic column of each row, equality rows first.
+    at_upper marks, over the structural columns and the slacks of the rows
+    the basis covers, the nonbasic columns resting at their upper bound;
+    every other nonbasic column rests where a cold solve starts it (its
+    lower bound if finite, else its upper bound if finite, else zero).
+    Entries at basic columns are ignored.
+    """
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpSolution:
     """Outcome of lp_solve: status is "optimal", "infeasible" or "unbounded".
 
     x and objective_value are None unless status is "optimal". iterations
-    counts the simplex iterations (pivots and bound flips) this solve ran,
+    counts the simplex iterations (pivots and bound flips; in a warm solve,
+    pivots, each with the bound flips of its ratio test) this solve ran,
     and replayed those it took from a recorded path instead; together they
     are the iterations of the cold solve. path is the recorded pivot path
-    when the solve was asked to record one. None of the three takes part
-    in equality.
+    when the solve was asked to record one. basis is the optimal basis, a
+    start for the program with rows appended; None unless optimal, or
+    when a cold solve ends with an artificial column basic. None of the
+    last four takes part in equality.
     """
 
     status: str
@@ -123,6 +156,7 @@ class LpSolution:
     iterations: int = field(default=0, compare=False)
     replayed: int = field(default=0, compare=False)
     path: PivotPath | None = field(default=None, compare=False, repr=False)
+    basis: Basis | None = field(default=None, compare=False, repr=False)
 
 
 class _State(NamedTuple):
@@ -286,7 +320,32 @@ def _solve_unconstrained(c, lo, hi):
             x[j] = hi[j]
         else:
             x[j] = lo[j] if np.isfinite(lo[j]) else (hi[j] if np.isfinite(hi[j]) else 0.0)
-    return LpSolution(status="optimal", x=x, objective_value=float(c @ x))
+    return LpSolution(
+        status="optimal",
+        x=x,
+        objective_value=float(c @ x),
+        basis=Basis(np.zeros(0, dtype=int), x == hi),
+    )
+
+
+def _start_columns(start: Basis, lo, hi, n: int, me: int, m: int):
+    """The start's basic columns and nonbasic values over the program's
+    columns, with the slack of every row after the ones it covers basic;
+    ValueError when the start does not fit the program."""
+    basic, at_upper = start.basic, start.at_upper
+    m0 = basic.size
+    if not (me <= m0 <= m and at_upper.shape == (n + m0 - me,)):
+        raise ValueError("the start does not fit the leading rows of the program")
+    if m0 and not 0 <= basic.min() <= basic.max() < at_upper.size:
+        raise ValueError("the start names a column outside its rows")
+    basic = np.concatenate([basic, np.arange(n + m0 - me, n + m - me)])
+    at_upper = np.concatenate([at_upper, np.zeros(m - m0, dtype=bool)])
+    cold = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    resting = np.where(at_upper, hi, cold)
+    resting[basic] = 0.0
+    if not np.isfinite(resting).all():
+        raise ValueError("the start rests a column at an infinite upper bound")
+    return basic, resting
 
 
 class _Simplex:
@@ -299,12 +358,27 @@ class _Simplex:
 
     The caller puts the equality rows first and appends one slack column
     per inequality row after the `n_struct` structural columns, so the
-    slack of the k-th inequality row is column `n_struct + k`.
+    slack of the k-th inequality row is column `n_struct + k`. Given a
+    start, (basic columns, nonbasic values) from `_start_columns`, the
+    simplex starts at that basis with no artificial column.
     """
 
-    def __init__(self, a, b, lo, hi, n_struct):
+    def __init__(self, a, b, lo, hi, n_struct, start=None):
         m, n0 = a.shape
         self.m = m
+        self.since_refactor = 0
+        self.iterations = 0
+        # (states, decisions) of every loop pass when recording a path
+        self.recording: tuple[list, list] | None = None
+        if start is not None:
+            self.a, self.b, self.lo, self.hi = a, b, lo, hi
+            self.basis, self.x = start
+            self.art_start = self.n = n0
+            try:
+                self._refactorize()
+            except NumericalBreakdown:
+                raise ValueError("the starting basis is singular") from None
+            return
 
         x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         residual = b - a @ x0
@@ -337,10 +411,6 @@ class _Simplex:
         diag = np.ones(m)
         diag[art_rows] = signs
         self.binv = np.diag(diag)
-        self.since_refactor = 0
-        self.iterations = 0
-        # (states, decisions) of every loop pass when recording a path
-        self.recording: tuple[list, list] | None = None
 
     def restore(self, state: _State) -> None:
         """Take the state a recorded path held before one of its iterations."""
@@ -481,6 +551,130 @@ class _Simplex:
             f"simplex exceeded {max_iter} iterations on a {self.m}x{self.n} program"
         )
 
+    def dual_optimize(self, c, feas_tol):
+        """Run bounded dual simplex iterations for cost vector c, from a
+        dual feasible basis, until every basic value lies within feas_tol
+        of its bounds ("optimal") or a row proves the program infeasible.
+
+        The leaving row holds the basic value furthest outside its bounds,
+        first row on ties, and leaves at the bound it violates. Its dual
+        then moves off zero, and each nonbasic column that can move toward
+        repairing the row has a breakpoint where its reduced cost reaches
+        zero. The ratio test flips bounds (Koberstein & Suhl): passing a
+        breakpoint moves that column to its other bound, which is dual
+        feasible beyond it, and uses up its span times its pivot of the
+        row's infeasibility. The column at which that infeasibility would
+        be used up enters. Breakpoints are taken in order, ties by the
+        largest pivot and then the lowest index. When even every column
+        at its other bound leaves the row more than feas_tol outside, the
+        program is infeasible; when it leaves it within, the last column
+        enters. After STALL_WINDOW iterations without dual objective
+        progress the leaving row is the lowest basic index outside, and
+        ties take the lowest index, as the primal turns to Bland's rule.
+        Before "optimal" the basis is refactorized and the basic values
+        checked again. Raises ValueError when the start is not dual
+        feasible, and NumericalBreakdown when the iteration budget runs
+        out.
+        """
+        a, x, lo, hi, basis = self.a, self.x, self.lo, self.hi, self.basis
+        c_b, lo_b, hi_b = c[basis], lo[basis], hi[basis]
+        gate_dn = np.where(x > lo, 1.0, 0.0)
+        gate_up = np.where(x < hi, -1.0, 0.0)
+        gate_dn[basis] = 0.0
+        gate_up[basis] = 0.0
+        reduced = c - a.T @ (self.binv.T @ c_b)
+        if max(np.max(reduced * gate_dn), np.max(reduced * gate_up)) > OPTIMALITY_TOL:
+            raise ValueError("the starting basis is not dual feasible")
+        toward = np.empty(self.n)
+        pivots = np.empty(self.n)
+        other = np.empty(self.n)
+
+        max_iter = ITERATION_FACTOR * (self.n + self.m)
+        bland, stall, prev_obj = False, 0, float(c @ x)
+        for _ in range(max_iter):
+            if self.since_refactor >= REFACTOR_INTERVAL:
+                self._refactorize()
+            binv = self.binv
+            xb = x[basis]
+            excess = np.maximum(lo_b - xb, xb - hi_b)
+            if bland:
+                rows = np.flatnonzero(excess > feas_tol)
+                r = int(rows[basis[rows].argmin()]) if rows.size else 0
+            else:
+                r = int(excess.argmax())
+            if not excess[r] > feas_tol:
+                if self.since_refactor == 0:
+                    return "optimal"
+                self._refactorize()
+                continue
+
+            leaving = int(basis[r])
+            to_upper = xb[r] > hi_b[r]
+            bound = hi_b[r] if to_upper else lo_b[r]
+            reduced = c - a.T @ (binv.T @ c_b)
+            alpha = binv[r] @ a
+            # As the row's dual moves, reduced cost j changes at rate
+            # toward[j]. pivots[j] is that rate's size where it drives a
+            # column that can rise (gate_up -1) or fall (gate_dn 1) toward
+            # a reduced cost of the wrong sign, and not above zero elsewhere.
+            np.multiply(alpha, -1.0 if to_upper else 1.0, out=toward)
+            np.multiply(toward, gate_up, out=pivots)
+            np.multiply(toward, gate_dn, out=other)
+            np.maximum(pivots, other, out=pivots)
+            candidates = np.flatnonzero(pivots > PIVOT_TOL)
+            if not candidates.size:
+                return "infeasible"
+            breakpoints = np.abs(reduced[candidates]) / pivots[candidates]
+            if bland:
+                candidates = candidates[np.lexsort((candidates, breakpoints))]
+            else:
+                candidates = candidates[np.lexsort((candidates, -pivots[candidates], breakpoints))]
+            spans = hi[candidates] - lo[candidates]
+            # the row's infeasibility left after each breakpoint's flip
+            left = abs(xb[r] - bound) - np.cumsum(pivots[candidates] * spans)
+            k = int(np.argmax(left < 0.0))
+            if not left[k] < 0.0:
+                if left[-1] > feas_tol:
+                    return "infeasible"
+                k = candidates.size - 1
+            if k:
+                flips = candidates[:k]
+                far = np.where(x[flips] == lo[flips], hi[flips], lo[flips])
+                xb -= binv @ (a[:, flips] @ (far - x[flips]))
+                x[flips] = far
+                gate_dn[flips] = np.where(far > lo[flips], 1.0, 0.0)
+                gate_up[flips] = np.where(far < hi[flips], -1.0, 0.0)
+
+            j = int(candidates[k])
+            w = binv @ a[:, j]
+            step = (xb[r] - bound) / w[r]
+            xb -= step * w
+            x[basis] = xb
+            x[j] += step
+            x[leaving] = bound
+            basis[r] = j
+            c_b[r], lo_b[r], hi_b[r] = c[j], lo[j], hi[j]
+            gate_dn[j] = gate_up[j] = 0.0
+            gate_dn[leaving] = 1.0 if bound > lo[leaving] else 0.0
+            gate_up[leaving] = -1.0 if bound < hi[leaving] else 0.0
+            new_row = binv[r] / w[r]
+            binv -= w[:, None] * new_row
+            binv[r] = new_row
+            self.since_refactor += 1
+            self.iterations += 1
+
+            obj = float(c @ x)
+            if obj - prev_obj <= 1e-12 * (1.0 + abs(prev_obj)):
+                stall += 1
+                if stall >= STALL_WINDOW:
+                    bland = True
+            else:
+                stall = 0
+            prev_obj = obj
+        raise NumericalBreakdown(
+            f"dual simplex exceeded {max_iter} iterations on a {self.m}x{self.n} program"
+        )
+
     def drive_out_artificials(self, tol):
         """Pin artificial variables to zero after a successful phase 1."""
         level = float(np.sum(self.x[self.art_start :]))
@@ -515,7 +709,11 @@ def _run_stages(sx: _Simplex, c, feas_tol, state: _State | None) -> str:
 
 
 def lp_solve(
-    lp: LinearProgram, *, record: bool = False, path: PivotPath | None = None
+    lp: LinearProgram,
+    *,
+    record: bool = False,
+    path: PivotPath | None = None,
+    start: Basis | None = None,
 ) -> LpSolution:
     """Solve a linear program to a vertex optimum.
 
@@ -534,9 +732,18 @@ def lp_solve(
     the cold solve returns, bit for bit; at iteration 0 it is the cold
     solve. Clipping to the bounds and the residual check are the new
     program's own.
+
+    Given a start, the basis of the program's leading rows (all equality
+    rows and the first inequality rows, as a solve of the program without
+    the rows after them returned it), every later row gets its slack
+    basic and `_Simplex.dual_optimize` runs from there. The start must be
+    dual feasible, else ValueError; the solution may be another optimal
+    vertex than the cold solve's.
     """
     if record and path is not None:
         raise ValueError("a replayed solve cannot record a path: its prefix would be missing")
+    if start is not None and (record or path is not None):
+        raise ValueError("a warm solve neither records nor replays a pivot path")
     program = _canonical(lp)
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = program
     resume = path.resume_index(program) if path is not None else 0
@@ -554,20 +761,23 @@ def lp_solve(
     lo_full = np.concatenate([lo, np.zeros(mu)])
     hi_full = np.concatenate([hi, np.full(mu, np.inf)])
 
-    sx = _Simplex(a, b, lo_full, hi_full, n)
     scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
     feas_tol = FEASIBILITY_TOL * scale
-    if record:
-        sx.recording = ([], [])
     state = None
     replayed = 0
-    if resume:
-        state = path.states[resume]
-        sx.restore(state)
-        replayed = int(np.count_nonzero(np.isfinite(path.step[:resume])))
-
-    status = _run_stages(sx, c, feas_tol, state)
-    x = objective = None
+    if start is not None:
+        sx = _Simplex(a, b, lo_full, hi_full, n, _start_columns(start, lo_full, hi_full, n, me, m))
+        status = sx.dual_optimize(np.concatenate([c, np.zeros(mu)]), feas_tol)
+    else:
+        sx = _Simplex(a, b, lo_full, hi_full, n)
+        if record:
+            sx.recording = ([], [])
+        if resume:
+            state = path.states[resume]
+            sx.restore(state)
+            replayed = int(np.count_nonzero(np.isfinite(path.step[:resume])))
+        status = _run_stages(sx, c, feas_tol, state)
+    x = objective = basis = None
     if status == "optimal":
         x = np.clip(sx.x[:n], lo, hi)
         worst = 0.0
@@ -580,6 +790,10 @@ def lp_solve(
                 f"solution residual {worst:.3e} exceeds tolerance {feas_tol:.3e}"
             )
         objective = float(c @ x)
+        if sx.basis.max() < sx.art_start:
+            at_upper = sx.x[: sx.art_start] == sx.hi[: sx.art_start]
+            at_upper[sx.basis] = False
+            basis = Basis(sx.basis.copy(), at_upper)
     recorded = None
     if record:
         states, decisions = sx.recording
@@ -601,4 +815,5 @@ def lp_solve(
         iterations=sx.iterations,
         replayed=replayed,
         path=recorded,
+        basis=basis,
     )

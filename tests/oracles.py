@@ -466,11 +466,40 @@ def reference_distance_costs(grid, demand_mw, interconnector_penalty=10.0):
     return costs
 
 
-def _reference_redispatch(grid, context, demand_mw, available, penalty):
-    """Feasibility of one demand state by the simplex alone: the balance
-    row first, then a limit row for every branch that overloads."""
+def reference_limited_lp(objective, cols, base_flow, ratings, upper, total):
+    """`dispatch._limited_lp` by cold simplex solves alone: the balance row
+    first, then the program solved cold again with a limit row for
+    every branch that overloads. Optimal x, or None when infeasible."""
     from gridshock.numerics import LinearProgram, lp_solve
 
+    bounds = np.column_stack([np.zeros(len(objective)), upper])
+    active = []
+    while True:
+        a_ub = b_ub = None
+        if active:
+            a_ub = np.array([side * cols[row] for row, side in active])
+            b_ub = np.array([ratings[row] - side * base_flow[row] for row, side in active])
+        sol = lp_solve(
+            LinearProgram(
+                objective=objective, a_eq=np.ones((1, len(objective))), b_eq=np.array([total]),
+                a_ub=a_ub, b_ub=b_ub, bounds=bounds,
+            )
+        )
+        if sol.status != "optimal":
+            return None
+        flows = cols @ sol.x + base_flow
+        new_rows = [
+            (row, 1 if flows[row] > 0 else -1)
+            for row in np.flatnonzero(np.abs(flows) > ratings * (1.0 + 1e-9))
+        ]
+        new_rows = [rs for rs in new_rows if rs not in active]
+        if not new_rows:
+            return sol.x
+        active.extend(new_rows)
+
+
+def _reference_redispatch(grid, context, demand_mw, available, penalty):
+    """Feasibility of one demand state by the simplex alone."""
     demand = {bid: float(mw) for bid, mw in demand_mw.items() if mw > 0.0}
     total = sum(demand.values())
     if total <= 0.0:
@@ -481,35 +510,28 @@ def _reference_redispatch(grid, context, demand_mw, available, penalty):
     gens = [grid.generator_by_id[g] for g in gen_ids]
     costs = reference_distance_costs(grid, demand, penalty)
     c = np.array([costs[g] for g in gen_ids])
-    bounds = np.column_stack([np.zeros(len(gens)), [gen.derated_mw for gen in gens]])
     demand_vec = np.zeros(len(grid.buses))
     for bid, mw in demand.items():
         demand_vec[grid.bus_index[bid]] += mw
     base_flow = context.sensitivity @ (-demand_vec)
     gen_cols = np.array([context.sensitivity[:, grid.bus_index[gen.bus]] for gen in gens]).T
-    active = []
-    while True:
-        a_ub = b_ub = None
-        if active:
-            a_ub = np.array([side * gen_cols[row] for row, side in active])
-            b_ub = np.array([context.ratings[row] - side * base_flow[row] for row, side in active])
-        sol = lp_solve(
-            LinearProgram(
-                objective=c, a_eq=np.ones((1, len(gens))), b_eq=np.array([total]),
-                a_ub=a_ub, b_ub=b_ub, bounds=bounds,
-            )
-        )
-        if sol.status != "optimal":
-            return False
-        flows = gen_cols @ sol.x + base_flow
-        new_rows = [
-            (row, 1 if flows[row] > 0 else -1)
-            for row in np.flatnonzero(np.abs(flows) > context.ratings * (1.0 + 1e-9))
-        ]
-        new_rows = [rs for rs in new_rows if rs not in active]
-        if not new_rows:
-            return True
-        active.extend(new_rows)
+    upper = np.array([gen.derated_mw for gen in gens])
+    x = reference_limited_lp(c, gen_cols, base_flow, context.ratings, upper, total)
+    return x is not None
+
+
+def reference_shed_deficit(original, order, shed_step, capacity):
+    """The shed per bus after the energy-deficit rounds, checking the
+    remaining demand before every round: each round sheds `shed_step` of
+    the first undrained bus in `order`, while total - sum(shed) exceeds
+    capacity + 1e-9 and some bus is left."""
+    shed = {bid: 0.0 for bid in original}
+    while sum(original.values()) - sum(shed.values()) > capacity + 1e-9:
+        bid = next((b for b in order if shed[b] < original[b]), None)
+        if bid is None:
+            break
+        shed[bid] = min(original[bid], shed[bid] + shed_step * original[bid])
+    return shed
 
 
 def reference_shedding(problem, removed=frozenset(), shed_step=0.1, context=None):
@@ -532,7 +554,8 @@ def reference_shedding(problem, removed=frozenset(), shed_step=0.1, context=None
         order = sorted(original, key=lambda bid: (near[grid.bus_index[bid]], bid))
     else:
         order = sorted(original)
-    shed = {bid: 0.0 for bid in original}
+    capacity = sum(grid.generator_by_id[g].derated_mw for g in problem.available)
+    shed = reference_shed_deficit(original, order, shed_step, capacity)
 
     def apply_round():
         for bid in order:
@@ -541,10 +564,6 @@ def reference_shedding(problem, removed=frozenset(), shed_step=0.1, context=None
                 return True
         return False
 
-    capacity = sum(grid.generator_by_id[g].derated_mw for g in problem.available)
-    while sum(original.values()) - sum(shed.values()) > capacity + 1e-9:
-        if not apply_round():
-            break
     while True:
         remaining = {bid: original[bid] - shed[bid] for bid in original}
         if _reference_redispatch(

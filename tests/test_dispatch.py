@@ -13,17 +13,19 @@ from gridshock.dispatch import (
     generator_distance_costs,
     redispatch,
 )
-from gridshock.errors import NoDemand, ValidationError
+from gridshock.errors import NoDemand, NumericalBreakdown, ValidationError
 from gridshock.failures import _solar_ids, bus_demand, generate_orderings, removal_set
 from gridshock.grid import Branch, Bus, Generator, Grid
-from gridshock.numerics import lp_solve
+from gridshock.numerics import FEASIBILITY_TOL, lp_solve
 
 from helpers import assert_same_lp_solution, gb_like_congested, random_connected_grid
 from oracles import (
     check_limits,
     dc_power_flow,
     reference_distance_costs,
+    reference_limited_lp,
     reference_lp_solve,
+    reference_shed_deficit,
     reference_shedding,
 )
 
@@ -520,6 +522,48 @@ class TestSheddingLoop:
         assert sum(sol.generator_output_mw.values()) == pytest.approx(served, abs=1e-6)
 
 
+class TestShedDeficit:
+    """The energy-deficit rounds check the remaining demand only at bus
+    boundaries, and stop where a check before every round stops
+    (`oracles.reference_shed_deficit`), bit for bit. Ratings never bind
+    here, so the cell settles at the first round after the deficit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_stop_round_matches_the_per_round_loop(self, seed):
+        rng = np.random.default_rng([61, seed])
+        grid = random_connected_grid(rng, max_buses=12)
+        demands = np.round(rng.uniform(0.5, 400.0, len(grid.buses)), int(rng.integers(0, 4)))
+        original = {bus.id: float(mw) for bus, mw in zip(grid.buses, demands)}
+        order = sorted(original)
+        step = float(rng.choice([0.1, 0.05, 0.25, 0.3, 1.0]))
+        total = sum(original.values())
+        # the remaining demand after each round of the per-round loop
+        shed = {bid: 0.0 for bid in original}
+        deficits = [total]
+        for bid in order:
+            while shed[bid] < original[bid]:
+                shed[bid] = min(original[bid], shed[bid] + step * original[bid])
+                deficits.append(total - sum(shed.values()))
+        picks = {0, 1, len(deficits) - 1} | set(rng.integers(0, len(deficits), 6).tolist())
+        for k in sorted(picks):
+            at_k = deficits[k] - 1e-9
+            for capacity in (np.nextafter(at_k, -np.inf), at_k, np.nextafter(at_k, np.inf)):
+                # a unit cannot be rated below zero: the last rounds get none
+                capacity = max(float(capacity), 0.0)
+                unit = Generator(
+                    "u", "n00", max(capacity, 1.0), 1.0 if capacity else 0.0, "thermal"
+                )
+                assert unit.derated_mw == capacity
+                problem = DispatchProblem(
+                    grid=replace(grid, generators=(unit,)),
+                    demand_mw=original,
+                    available=frozenset({"u"}),
+                )
+                sol = dispatch_with_shedding(problem, shed_step=step)
+                expected = reference_shed_deficit(original, order, step, capacity)
+                assert sol.shed_mw == {bid: mw for bid, mw in expected.items() if mw > 0.0}
+
+
 def congested_case(rng):
     """A random grid with several units, tight ratings and removed units.
 
@@ -659,15 +703,162 @@ class TestGbLikeCongested:
         assert not sol.flows_mw.any()
 
 
+def checked_limited_lps(patch, run):
+    """Run `run` with every `dispatch._limited_lp` call also solved by the
+    cold loop (`oracles.reference_limited_lp`); returns (objective, ours,
+    reference) per call."""
+    calls = []
+    limited_lp = dispatch_module._limited_lp
+
+    def checked(*args):
+        ours = limited_lp(*args)
+        calls.append((args[0], ours, reference_limited_lp(*args)))
+        return ours
+
+    patch.setattr(dispatch_module, "_limited_lp", checked)
+    run()
+    patch.undo()
+    return calls
+
+
+def assert_same_limited_lp(objective, ours, reference):
+    """Same feasibility verdict and, where feasible, the same optimal value
+    to 1e-9 relative: for a least-shed program the least extra shed."""
+    assert (ours is None) == (reference is None)
+    if ours is not None:
+        assert objective @ ours == pytest.approx(objective @ reference, rel=1e-9, abs=0.0)
+
+
+class TestLimitedLpAgainstColdLoop:
+    """The fill start and the warm dual simplex against the loop that
+    re-solves every round cold, on the programs the sweep solves."""
+
+    def test_random_congested_grids(self, monkeypatch):
+        verdicts = set()
+        least_shed = 0
+        for seed in range(60):
+            problem, removed, step = congested_case(np.random.default_rng([47, seed]))
+            context = GridContext(problem.grid)
+
+            def run():
+                dispatch_with_shedding(problem, removed, shed_step=step, context=context)
+                redispatch(problem, context)
+
+            for objective, ours, reference in checked_limited_lps(monkeypatch, run):
+                assert_same_limited_lp(objective, ours, reference)
+                verdicts.add(ours is None)
+                least_shed += objective[-1] == 1.0 and not objective[:-1].any()
+        assert verdicts == {True, False} and least_shed >= 20
+
+    def test_gb_like_congested_cells(self, congested_gb_like, monkeypatch):
+        grid, fixture = congested_gb_like
+        context = GridContext(grid)
+
+        def run():
+            for problem, removed in congested_cells(grid, fixture, 2, (0.1, 0.2, 0.25, 0.3)):
+                dispatch_with_shedding(problem, removed, context=context)
+
+        calls = checked_limited_lps(monkeypatch, run)
+        for objective, ours, reference in calls:
+            assert_same_limited_lp(objective, ours, reference)
+        assert {ours is None for _, ours, _ in calls} == {True, False}
+        assert len(calls) >= 20
+
+
+class TestCapacityShortBoundary:
+    """The fill calls capacity short of the total infeasible exactly where
+    phase 1 of the cold simplex does: when the shortfall, the caps taken
+    off the total in index order, exceeds FEASIBILITY_TOL * (1 + total).
+    With the caps (49.1, 1.1, ...) the fill's own (cost) order would round
+    the boundary shortfall past the tolerance."""
+
+    TOTAL = 100.0
+    TOLERANCE = FEASIBILITY_TOL * (1.0 + TOTAL)
+    OBJECTIVE = np.array([3.0, 1.0, 2.0])
+    LEADING = [(40.0, 30.0), (49.1, 1.1)]
+
+    def caps(self, leading, ulps=0, less=0.0):
+        """Caps [*leading, cap]: at ulps=0 the last cap is the smallest
+        with the shortfall within the tolerance; ulps moves it by that many
+        ulps, and less takes that much more off it."""
+        first, second = leading
+
+        def shortfall(cap):
+            return ((self.TOTAL - first) - second) - cap
+
+        cap = shortfall(0.0) - self.TOLERANCE
+        while shortfall(cap) > self.TOLERANCE:
+            cap = np.nextafter(cap, np.inf)
+        while shortfall(np.nextafter(cap, -np.inf)) <= self.TOLERANCE:
+            cap = np.nextafter(cap, -np.inf)
+        assert shortfall(cap) == pytest.approx(self.TOLERANCE, rel=1e-8)
+        for _ in range(abs(ulps)):
+            cap = np.nextafter(cap, np.inf if ulps > 0 else -np.inf)
+        return np.array([first, second, cap - less])
+
+    def args(self, upper, rating):
+        # rating 1e3: no limit row; 95 and 99.9: the fill overloads the
+        # branch, so the warm solve starts from the fill's basis
+        cols = np.ones((1, 3)) if rating == 1e3 else np.array([[1.0, 1.0, 0.0]])
+        return (self.OBJECTIVE, cols, np.zeros(1), np.array([rating]), upper, self.TOTAL)
+
+    @pytest.mark.parametrize("leading", LEADING)
+    @pytest.mark.parametrize("rating", [1e3, 95.0, 99.9])
+    @pytest.mark.parametrize("ulps, less", [(1, 0.0), (-1, 0.0), (0, 1e-9), (0, 1e-6)])
+    def test_verdicts_match_the_cold_simplex(self, leading, rating, ulps, less):
+        args = self.args(self.caps(leading, ulps, less), rating)
+        ours = dispatch_module._limited_lp(*args)
+        assert (ours is None) == (ulps < 0 or less > 0.0)
+        assert_same_limited_lp(self.OBJECTIVE, ours, reference_limited_lp(*args))
+
+    @pytest.mark.parametrize("leading", LEADING)
+    @pytest.mark.parametrize("rating", [1e3, 95.0, 99.9])
+    def test_short_by_the_tolerance(self, leading, rating):
+        # Phase 1 accepts this shortfall, so the cold simplex never calls
+        # it infeasible, but its residual check sums the outputs in another
+        # order and lands one rounding past the tolerance.
+        args = self.args(self.caps(leading), rating)
+        assert dispatch_module._limited_lp(*args) is not None
+        with pytest.raises(NumericalBreakdown, match="residual"):
+            reference_limited_lp(*args)
+
+
+class TestNoColdDispatchLp:
+    def test_only_calibration_solves_the_balance_row(self, congested_gb_like):
+        # the 16 cells fill the balance-only program in closed form; every
+        # program with limit rows starts warm
+        grid, fixture = congested_gb_like
+        calls = []
+
+        def recording(lp, **kwargs):
+            calls.append((lp, kwargs.get("start")))
+            return lp_solve(lp, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dispatch_module, "lp_solve", recording)
+            context = GridContext(grid)
+            cells = list(congested_cells(grid, fixture, 2, (0.1, 0.2, 0.25, 0.3)))
+            assert len(cells) == 16
+            for problem, removed in cells:
+                dispatch_with_shedding(problem, removed, context=context)
+            sweep = len(calls)
+            redispatch(cells[0][0], context, ignore_limits=True)
+        assert sweep >= 10
+        assert all(lp.a_ub is not None and start is not None for lp, start in calls[:sweep])
+        [(lp, start)] = calls[sweep:]
+        assert lp.a_ub is None and start is None
+
+
 @pytest.fixture(scope="module")
 def congested_dispatch_lps(congested_gb_like):
-    """Every program lp_solve sees in 32 cells of the congested gb-like sweep."""
+    """Every (program, keyword arguments) lp_solve sees in 32 cells of the
+    congested gb-like sweep."""
     grid, fixture = congested_gb_like
     programs = []
 
-    def recording(lp):
-        programs.append(lp)
-        return lp_solve(lp)
+    def recording(lp, **kwargs):
+        programs.append((lp, kwargs))
+        return lp_solve(lp, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dispatch_module, "lp_solve", recording)
@@ -679,8 +870,8 @@ def congested_dispatch_lps(congested_gb_like):
 
 class TestDispatchLpsAgainstHighs:
     """lp_solve against HiGHS on the dispatch programs the congested gb-like
-    sweep solves: least-cost programs with limit rows and least-shed
-    programs for one bus."""
+    sweep solves, warm from the starts the sweep gave them: least-cost
+    programs with limit rows and least-shed programs for one bus."""
 
     def test_pipeline_programs(self, congested_dispatch_lps):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -689,12 +880,13 @@ class TestDispatchLpsAgainstHighs:
         def least_shed(lp):
             return lp.objective[-1] == 1.0 and not lp.objective[:-1].any()
 
-        limited = [lp for lp in programs if lp.a_ub is not None and not least_shed(lp)]
-        segments = [lp for lp in programs if least_shed(lp)]
+        limited = [(lp, kw) for lp, kw in programs if lp.a_ub is not None and not least_shed(lp)]
+        segments = [(lp, kw) for lp, kw in programs if least_shed(lp)]
         assert len(limited) >= 10 and len(segments) >= 10
         statuses = set()
-        for lp in limited + segments:
-            ours = lp_solve(lp)
+        for lp, kwargs in limited + segments:
+            assert kwargs["start"] is not None
+            ours = lp_solve(lp, **kwargs)
             highs = linprog(
                 lp.objective,
                 A_ub=lp.a_ub,
@@ -718,7 +910,7 @@ class TestDispatchLpsAgainstHighs:
 class TestDispatchLpsAgainstReferenceKernel:
     def test_pipeline_programs(self, congested_dispatch_lps):
         statuses = set()
-        for lp in congested_dispatch_lps:
+        for lp, _ in congested_dispatch_lps:
             ours = lp_solve(lp)
             assert_same_lp_solution(ours, reference_lp_solve(lp))
             statuses.add(ours.status)

@@ -390,9 +390,9 @@ class TestRunExperiment:
         limit_rows = []
         solve = dispatch_module.lp_solve
 
-        def counting(lp):
+        def counting(lp, **kwargs):
             limit_rows.append(0 if lp.a_ub is None else lp.a_ub.shape[0])
-            return solve(lp)
+            return solve(lp, **kwargs)
 
         monkeypatch.setattr(dispatch_module, "lp_solve", counting)
         serial = run_experiment(grid, profiles, config, workers=1)

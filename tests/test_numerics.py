@@ -7,7 +7,7 @@ import pytest
 
 import gridshock.numerics as numerics_module
 from gridshock.errors import NumericalBreakdown, SingularMatrix
-from gridshock.numerics import LinearProgram, LpSolution, lp_solve, lu_solve
+from gridshock.numerics import Basis, LinearProgram, LpSolution, lp_solve, lu_solve
 
 from helpers import assert_same_lp_solution
 from oracles import (
@@ -470,3 +470,189 @@ class TestPivotPathReplay:
                                 reference_lp_solve(with_caps(free, x1=4.0)))
         with pytest.raises(ValueError, match="needs a finite lower bound"):
             lp_solve(with_caps(free, x0=4.0), path=path)
+
+
+def solve_in_batches(lp, rng, batches):
+    """Solve lp's equality rows cold, then add its inequality rows in
+    `batches` consecutive groups, each solve warm from the last basis.
+    Yields (program, warm solution) until one is not optimal."""
+    rows = 0 if lp.a_ub is None else lp.a_ub.shape[0]
+    cuts = sorted(rng.choice(np.arange(1, rows + 1), size=min(rows, batches), replace=False))
+    base = lp_solve(replace(lp, a_ub=None, b_ub=None))
+    if base.status != "optimal" or base.basis is None:
+        return
+    start = base.basis
+    for k in cuts:
+        program = replace(lp, a_ub=lp.a_ub[:k], b_ub=lp.b_ub[:k])
+        warm = lp_solve(program, start=start)
+        yield program, warm
+        if warm.status != "optimal":
+            return
+        start = warm.basis
+
+
+def extra_rows(rng, parts):
+    """random_box_lp's program with up to six more random rows, some
+    cutting off its optimum and some no point can meet."""
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = parts
+    n = c.size
+    k = int(rng.integers(1, 7))
+    rows = np.round(rng.uniform(-3, 3, (k, n)), 2)
+    point = lo + rng.uniform(0, 1, n) * (hi - lo)
+    rhs = rows @ point + np.round(rng.uniform(-1.5, 3, k), 2)
+    if a_ub is not None:
+        rows, rhs = np.vstack([a_ub, rows]), np.concatenate([b_ub, rhs])
+    return c, a_eq, b_eq, rows, rhs, lo, hi
+
+
+def highs(lp):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    return linprog(
+        lp.objective, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+        bounds=lp.bounds, method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+
+
+def assert_agrees_with_highs(lp, ours):
+    ref = highs(lp)
+    assert (ours.status, ref.status) in (("optimal", 0), ("infeasible", 2))
+    if ours.status == "optimal":
+        assert ours.objective_value == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+
+
+class TestWarmDualSimplex:
+    """lp_solve warm from the basis of the program without its last rows
+    (the bounded dual simplex) against vertex enumeration and HiGHS, with
+    the rows added in one to three batches."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_boxes_against_the_oracles(self, seed):
+        rng = np.random.default_rng([71, seed])
+        lp = lp_from_parts(extra_rows(rng, random_box_lp(rng)))
+        solves = list(solve_in_batches(lp, rng, int(rng.integers(1, 4))))
+        assert solves
+        for program, warm in solves:
+            c, a_eq, b_eq, a_ub, b_ub, bounds = (
+                program.objective, program.a_eq, program.b_eq, program.a_ub, program.b_ub,
+                program.bounds,
+            )
+            status, obj, _ = enumerate_lp(c, a_eq, b_eq, a_ub, b_ub, bounds[:, 0], bounds[:, 1])
+            assert warm.status == status
+            if status == "optimal":
+                assert warm.objective_value == pytest.approx(obj, rel=1e-9, abs=1e-9)
+            assert_agrees_with_highs(program, warm)
+
+    def test_degenerate_integer_programs_against_highs(self):
+        # boxed, lower-bounded, free and fixed variables, ties everywhere
+        statuses = set()
+        solves = 0
+        for seed in range(300):
+            rng = np.random.default_rng([73, seed])
+            lp = random_pivot_lp(rng)
+            for program, warm in solve_in_batches(lp, rng, int(rng.integers(1, 4))):
+                assert_agrees_with_highs(program, warm)
+                statuses.add(warm.status)
+                solves += 1
+        assert statuses == {"optimal", "infeasible"} and solves >= 200
+
+    def test_lowest_index_rule_after_a_stall(self, monkeypatch):
+        # with a stall window of one, every iteration without progress
+        # switches both choices to the lowest index
+        monkeypatch.setattr(numerics_module, "STALL_WINDOW", 1)
+        for seed in range(60):
+            rng = np.random.default_rng([73, seed])
+            for program, warm in solve_in_batches(random_pivot_lp(rng), rng, 2):
+                assert_agrees_with_highs(program, warm)
+
+    def test_solution_is_a_start_for_more_rows(self):
+        rng = np.random.default_rng(5)
+        lp = lp_from_parts(extra_rows(rng, random_box_lp(rng, max_vars=6)))
+        for program, warm in solve_in_batches(lp, rng, 3):
+            if warm.status == "optimal":
+                # the optimal basis restarts its own program with no pivot
+                again = lp_solve(program, start=warm.basis)
+                assert again.iterations == 0
+                assert again.objective_value == warm.objective_value
+
+    def test_budget_exhausted(self, monkeypatch):
+        lp = LinearProgram(
+            objective=np.array([1.0, 2.0]),
+            a_eq=np.array([[1.0, 1.0]]),
+            b_eq=np.array([1.0]),
+            a_ub=np.array([[1.0, 0.0]]),
+            b_ub=np.array([0.5]),
+            bounds=np.array([[0.0, 1.0], [0.0, 1.0]]),
+        )
+        start = lp_solve(replace(lp, a_ub=None, b_ub=None)).basis
+        assert lp_solve(lp, start=start).x.tolist() == [0.5, 0.5]
+        monkeypatch.setattr(numerics_module, "ITERATION_FACTOR", 0)
+        with pytest.raises(NumericalBreakdown, match="dual simplex exceeded 0 iterations"):
+            lp_solve(lp, start=start)
+
+
+class TestWarmStartRefused:
+    LP = LinearProgram(
+        objective=np.array([1.0, 2.0, 0.0]),
+        a_eq=np.array([[1.0, 1.0, 1.0]]),
+        b_eq=np.array([1.0]),
+        a_ub=np.array([[1.0, 0.0, 0.0]]),
+        b_ub=np.array([0.5]),
+        bounds=np.array([[0.0, 1.0], [0.0, 1.0], [0.0, np.inf]]),
+    )
+
+    def test_not_dual_feasible(self):
+        # x1 basic prices x0 and x2 below zero at their lower bounds
+        with pytest.raises(ValueError, match="not dual feasible"):
+            lp_solve(self.LP, start=Basis(np.array([1]), np.zeros(3, dtype=bool)))
+
+    @pytest.mark.parametrize(
+        "basic, at_upper, message",
+        [
+            (np.array([0, 1, 2]), np.zeros(5, dtype=bool), "does not fit"),
+            (np.array([0]), np.zeros(4, dtype=bool), "does not fit"),
+            (np.array([], dtype=int), np.zeros(2, dtype=bool), "does not fit"),
+            (np.array([3]), np.zeros(3, dtype=bool), "outside its rows"),
+            (np.array([0]), np.array([False, False, True]), "infinite upper bound"),
+        ],
+    )
+    def test_start_that_does_not_fit(self, basic, at_upper, message):
+        with pytest.raises(ValueError, match=message):
+            lp_solve(self.LP, start=Basis(basic, at_upper))
+
+    @pytest.mark.parametrize("basic", [[0, 1], [0, 0]])
+    def test_singular_start(self, basic):
+        # the inequality row repeats the equality row
+        lp = replace(self.LP, a_ub=np.array([[1.0, 1.0, 1.0]]), b_ub=np.array([2.0]))
+        with pytest.raises(ValueError, match="singular"):
+            lp_solve(lp, start=Basis(np.array(basic), np.zeros(4, dtype=bool)))
+
+    def test_warm_solve_neither_records_nor_replays(self):
+        start = lp_solve(replace(self.LP, a_ub=None, b_ub=None)).basis
+        with pytest.raises(ValueError, match="neither records nor replays"):
+            lp_solve(self.LP, start=start, record=True)
+
+
+class TestBasisOfColdSolves:
+    def test_nonbasic_columns_at_upper_marked(self):
+        lp = LinearProgram(
+            objective=np.array([-1.0, -2.0, 1.0]),
+            a_eq=np.array([[1.0, 1.0, 1.0]]),
+            b_eq=np.array([2.5]),
+            bounds=np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 4.0]]),
+        )
+        sol = lp_solve(lp)
+        assert sol.x.tolist() == [1.5, 1.0, 0.0]
+        assert sol.basis.basic.tolist() == [0]
+        assert sol.basis.at_upper.tolist() == [False, True, False]
+
+    def test_no_rows(self):
+        lp = LinearProgram(objective=np.array([-1.0, 1.0]), bounds=np.array([[0, 3.0], [1, 2.0]]))
+        sol = lp_solve(lp)
+        assert sol.basis.basic.size == 0
+        assert sol.basis.at_upper.tolist() == [True, False]
+
+    def test_none_unless_optimal(self):
+        assert lp_solve(PHASE_ONE).basis is not None
+        infeasible = replace(PHASE_ONE, b_ub=np.array([-11.0, -2.0]))
+        assert lp_solve(infeasible).basis is None
