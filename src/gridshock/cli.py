@@ -6,7 +6,9 @@ studied hours (`demand.csv`) and a provenance record. It is the only stage
 that parses the demand profiles. impact checks that the supply-use program
 reproduces the tables' baseline, then prices every result row through it.
 Both impact and analyze first refuse a results or demand file whose
-provenance record does not match the current inputs. analyze aggregates
+provenance record does not match the current inputs; impact then records
+the hashes of what it read and wrote, and analyze refuses impacts priced
+from other results or economy files, or changed since. analyze aggregates
 costs into the published curve, slope, regional and population outputs.
 Every output is a pure function of (inputs, seed), independent of the
 worker count.
@@ -75,6 +77,41 @@ def _hashed_files(config: RunConfig, config_path: Path) -> list[tuple[str, Path]
     )
 
 
+def _priced_files(config: RunConfig) -> list[tuple[str, Path]]:
+    """(provenance key, path) of every file impact hashes: the results and
+    demand it prices, the economy it prices them in, and its outputs."""
+    if config.supply_use_dir is None:
+        raise GridShockError("configuration has no supply_use_dir; impact needs one")
+    out = config.out_dir
+    economy = ("supply", "use", "final_demand", "value_added", "trade")
+    return (
+        [("results", out / "results.csv"), ("demand", out / "demand.csv")]
+        + [(f"economy.{name}", config.supply_use_dir / f"{name}.csv") for name in economy]
+        + [("impacts", out / "impacts.csv"), ("impacts_regional", out / "impacts_regional.csv")]
+    )
+
+
+def _hash_lines(files: list[tuple[str, Path]]) -> list[str]:
+    return [f"{key} = sha256:{_sha256(path)}" for key, path in files]
+
+
+def _read_provenance(path: Path) -> dict[str, str]:
+    return dict(
+        line.split(" = ", 1)
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if " = " in line
+    )
+
+
+def _check_hashes(path: Path, recorded: dict[str, str], files, stage: str) -> None:
+    """Refuse any file whose hash is not the one `path` records for it."""
+    for key, hashed_path in files:
+        if recorded.get(key) != f"sha256:{_sha256(hashed_path)}":
+            raise ProvenanceMismatch(
+                f"{hashed_path} does not match its hash in {path}; rerun {stage}"
+            )
+
+
 def _check_provenance(config: RunConfig, config_path: Path, table) -> None:
     """Refuse outputs that simulate did not write from the current inputs.
 
@@ -82,21 +119,13 @@ def _check_provenance(config: RunConfig, config_path: Path, table) -> None:
     back, and every recorded hash must match its file as it is now.
     """
     path = config.out_dir / "provenance.txt"
-    recorded = dict(
-        line.split(" = ", 1)
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if " = " in line
-    )
+    recorded = _read_provenance(path)
     if recorded.get("records") != str(len(table.records)):
         raise ProvenanceMismatch(
             f"{config.out_dir / 'results.csv'} holds {len(table.records)} records, "
             f"but {path} records {recorded.get('records')}; rerun simulate"
         )
-    for key, hashed_path in _hashed_files(config, config_path):
-        if recorded.get(key) != f"sha256:{_sha256(hashed_path)}":
-            raise ProvenanceMismatch(
-                f"{hashed_path} does not match its hash in {path}; rerun simulate"
-            )
+    _check_hashes(path, recorded, _hashed_files(config, config_path), "simulate")
 
 
 def _resolve(config: RunConfig, args) -> RunConfig:
@@ -156,10 +185,7 @@ def cmd_simulate(args) -> int:
         config.out_dir / "demand.csv",
     )
 
-    lines = [
-        f"{key} = sha256:{_sha256(path)}"
-        for key, path in _hashed_files(config, Path(args.config))
-    ]
+    lines = _hash_lines(_hashed_files(config, Path(args.config)))
     lines += [
         f"master_seed = {experiment.master_seed}",
         f"n_orderings = {experiment.n_orderings}",
@@ -176,8 +202,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_impact(args) -> int:
     config = _resolve(load_run_config(args.config), args)
-    if config.supply_use_dir is None:
-        raise GridShockError("configuration has no supply_use_dir; impact needs one")
+    priced = _priced_files(config)
     table = load_results(config.out_dir / "results.csv")
     _check_provenance(config, Path(args.config), table)
     regions = load_regions(config.regions)
@@ -208,6 +233,8 @@ def cmd_impact(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(["record_id", "region", "delta_va"])
         writer.writerows((rid, zone, repr(value)) for rid, zone, value in regional)
+    with atomic_open(config.out_dir / "impact_provenance.txt") as handle:
+        handle.write("\n".join(_hash_lines(priced)) + "\n")
     run = sum(impact.iterations for impact in cache.values())
     replayed = sum(impact.replayed for impact in cache.values())
     print(
@@ -241,6 +268,8 @@ def cmd_analyze(args) -> int:
     config = _resolve(load_run_config(args.config), args)
     table = load_results(config.out_dir / "results.csv")
     _check_provenance(config, Path(args.config), table)
+    path = config.out_dir / "impact_provenance.txt"
+    _check_hashes(path, _read_provenance(path), _priced_files(config), "impact")
     costs = _read_impacts(config.out_dir)
     regional_costs = _read_regional(config.out_dir)
     regions = load_regions(config.regions)

@@ -4,8 +4,10 @@ load shedding.
 Under the DC model branch flow is proportional to the angle difference
 across the branch, and one slack bus (angle zero) absorbs any imbalance;
 susceptances are per-unit on the grid's base power, injections and flows in
-MW. `GridContext` turns that model into flow sensitivities, the only DC
-flows the package computes.
+MW. `GridContext` turns that model into flow sensitivities, and every DC
+flow the package computes is one expression over them: the units' columns
+times their outputs plus the flows the demand alone causes. The overload
+checks, the reported flows and the calibrated ratings all read it.
 
 Dispatch picks generator outputs that serve demand at minimum
 distance-weighted cost subject to branch ratings. The network enters the
@@ -184,10 +186,9 @@ def generator_distance_costs(
     loads.sort()
     total = sum(mw for _, mw in loads)
 
-    rows = grid.hops_or_nan[[grid.bus_index[bid] for bid, _ in loads]]
+    rows = grid.hop_distance[[grid.bus_index[bid] for bid, _ in loads]]
     weights = np.array([mw for _, mw in loads])
-    with np.errstate(invalid="ignore"):
-        mean_by_bus = weights @ rows / total
+    mean_by_bus = weights @ rows / total
 
     means = mean_by_bus[grid.generator_bus_index]
     unreachable = np.flatnonzero(~np.isfinite(means))
@@ -289,10 +290,10 @@ class _Program:
         self.ids = sorted(problem.available)
         gens = [grid.generator_by_id[g] for g in self.ids]
         self.upper = np.array([gen.derated_mw for gen in gens])
-        self.demand_vec = np.zeros(len(grid.buses))
+        demand_vec = np.zeros(len(grid.buses))
         for bid, mw in self.demand.items():
-            self.demand_vec[grid.bus_index[bid]] += mw
-        self.base_flow = context.sensitivity @ (-self.demand_vec)
+            demand_vec[grid.bus_index[bid]] += mw
+        self.base_flow = context.sensitivity @ (-demand_vec)
         self.cols = context.sensitivity[:, [grid.bus_index[gen.bus] for gen in gens]]
 
     @cached_property
@@ -331,20 +332,10 @@ class _Program:
         return None if x is None else float(x[n])
 
     def solution(self, output: np.ndarray) -> DispatchSolution:
-        grid = self.problem.grid
-        injections = -self.demand_vec
-        outputs = {}
-        for gid, mw in zip(self.ids, output):
-            value = float(mw)
-            outputs[gid] = value
-            injections[grid.bus_index[grid.generator_by_id[gid].bus]] += value
         return DispatchSolution(
             status="feasible",
-            generator_output_mw=outputs,
-            # not `cols @ output + base_flow`: it rounds differently (2.7e-12 MW
-            # at the gb-like calibration peak), and calibrate_ratings sets
-            # ratings from this one
-            flows_mw=self.context.sensitivity @ injections,
+            generator_output_mw=dict(zip(self.ids, output.tolist())),
+            flows_mw=self.cols @ output + self.base_flow,
             shed_mw={},
         )
 
@@ -439,7 +430,7 @@ def dispatch_with_shedding(
     original = {bid: float(mw) for bid, mw in problem.demand_mw.items() if mw > 0.0}
     if removed:
         sources = [grid.bus_index[grid.generator_by_id[g].bus] for g in removed]
-        near = grid.hops_or_inf[sources].min(axis=0)
+        near = grid.hop_distance[sources].min(axis=0)
         order = sorted(original, key=lambda bid: (near[grid.bus_index[bid]], bid))
     else:
         order = sorted(original)
@@ -481,9 +472,9 @@ def dispatch_with_shedding(
         )
         return redispatch(attempt, context)
 
-    capacity = sum(
-        grid.generator_by_id[g].derated_mw for g in problem.available
-    )
+    # summed in generator-id order, as _Program and _fill take the units: a
+    # set's order varies with the string-hash seed, and the float with it
+    capacity = sum(grid.generator_by_id[g].derated_mw for g in sorted(problem.available))
     total = sum(original.values())
 
     def short() -> bool:

@@ -26,7 +26,6 @@ from .profiles import DemandProfile
 __all__ = [
     "STATUS_OK",
     "STATUS_SHED",
-    "STATUS_UNSTABLE",
     "DEFAULT_LOSS_FRACTIONS",
     "ExperimentConfig",
     "ScenarioRecord",
@@ -42,7 +41,6 @@ __all__ = [
 
 STATUS_OK = "ok"
 STATUS_SHED = "shed"
-STATUS_UNSTABLE = "unstable"
 
 DEFAULT_LOSS_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(10))
 
@@ -88,16 +86,11 @@ class ScenarioRecord:
     scenario: str
     hour: int
     unserved_mw_per_region: dict[str, float]
-    total_unserved_mw: float
     dispatch_status: str
 
-    def __post_init__(self):
-        total = sum(self.unserved_mw_per_region.values())
-        if abs(total - self.total_unserved_mw) > 1e-6:
-            raise ValidationError(
-                f"total unserved {self.total_unserved_mw!r} does not match "
-                f"regional sum {total!r}"
-            )
+    @property
+    def total_unserved_mw(self) -> float:
+        return float(sum(self.unserved_mw_per_region.values()))
 
     @property
     def key(self) -> tuple[int, float, str, int]:
@@ -106,10 +99,9 @@ class ScenarioRecord:
 
 @dataclass(frozen=True)
 class ResultTable:
-    """All records of one experiment plus its configuration."""
+    """All records of one experiment."""
 
     records: tuple[ScenarioRecord, ...]
-    config: ExperimentConfig
 
     def __post_init__(self):
         keys = [r.key for r in self.records]
@@ -198,14 +190,12 @@ class _SweepState:
         config: ExperimentConfig,
         demands: dict[tuple[str, int], dict[str, float]],
         regions: tuple[str, ...],
-        region_demand: dict[tuple[str, int], dict[str, float]],
         interconnector_penalty: float,
     ):
         self.grid = grid
         self.config = config
         self.demands = demands
         self.regions = regions
-        self.region_demand = region_demand
         self.interconnector_penalty = interconnector_penalty
         self.context = GridContext(grid)
         self.solar = _solar_ids(grid)
@@ -231,29 +221,22 @@ class _SweepState:
             available=available,
             interconnector_penalty=self.interconnector_penalty,
         )
-        try:
-            solution = dispatch_with_shedding(
-                problem,
-                removed=removed,
-                shed_step=self.config.shed_step,
-                context=self.context,
-            )
-        except Unstable:
-            unserved = dict(self.region_demand[(scenario, hour)])
-            status = STATUS_UNSTABLE
-        else:
-            unserved = {region: 0.0 for region in self.regions}
-            for bid, mw in solution.shed_mw.items():
-                unserved[self.bus_region[bid]] += mw
-            status = STATUS_SHED if solution.total_shed_mw > 0.0 else STATUS_OK
+        solution = dispatch_with_shedding(
+            problem,
+            removed=removed,
+            shed_step=self.config.shed_step,
+            context=self.context,
+        )
+        unserved = {region: 0.0 for region in self.regions}
+        for bid, mw in solution.shed_mw.items():
+            unserved[self.bus_region[bid]] += mw
         return ScenarioRecord(
             ordering_index=index,
             loss_fraction=fraction,
             scenario=scenario,
             hour=hour,
             unserved_mw_per_region=unserved,
-            total_unserved_mw=float(sum(unserved.values())),
-            dispatch_status=status,
+            dispatch_status=STATUS_SHED if solution.total_shed_mw > 0.0 else STATUS_OK,
         )
 
 
@@ -281,17 +264,14 @@ def run_experiment(
     """Run the full sweep and collect one record per cell.
 
     Solar units are removed in every cell regardless of the drawn prefix
-    (studied hours are dark); interconnectors are never removed. A cell is
-    recorded "unstable", with the full hourly demand unserved, only if its
-    dispatch raises Unstable; dispatch_with_shedding never does, because
-    shedding all demand always settles the network, so every cell is "ok"
-    or "shed". The status stays defined for results files. Orderings are
-    independent work units, so any worker count yields the identical table.
+    (studied hours are dark); interconnectors are never removed. Every cell
+    is "ok" or "shed": shedding all demand always settles the network, so
+    dispatch_with_shedding never raises Unstable. Orderings are independent
+    work units, so any worker count yields the identical table.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
     demands: dict[tuple[str, int], dict[str, float]] = {}
-    region_demand: dict[tuple[str, int], dict[str, float]] = {}
     regions: tuple[str, ...] | None = None
     for scenario, hour in config.hours:
         if scenario not in profiles:
@@ -304,14 +284,8 @@ def run_experiment(
         elif set(regions) != set(profile.regions):
             raise ValidationError("profiles disagree on the region set")
         demands[(scenario, hour)] = bus_demand(grid, profile, hour)
-        region_demand[(scenario, hour)] = {
-            region: profile.demand_at(region, hour) for region in profile.regions
-        }
 
-    state = _SweepState(
-        grid, config, demands, tuple(sorted(regions)), region_demand,
-        interconnector_penalty,
-    )
+    state = _SweepState(grid, config, demands, tuple(sorted(regions)), interconnector_penalty)
     orderings = generate_orderings(grid, config.n_orderings, config.master_seed)
 
     if workers == 1 or config.n_orderings == 1:
@@ -327,7 +301,7 @@ def run_experiment(
 
     records = [record for chunk in chunks for record in chunk]
     records.sort(key=lambda r: r.key)
-    return ResultTable(records=tuple(records), config=config)
+    return ResultTable(records=tuple(records))
 
 
 def calibrate_ratings(
@@ -389,11 +363,7 @@ def save_results(table: ResultTable, path) -> None:
 
 
 def load_results(path) -> ResultTable:
-    """Read a results CSV back into a table.
-
-    A minimal config is reconstructed from the observed orderings,
-    fractions and hours.
-    """
+    """Read a results CSV back into a table."""
     import csv
 
     from .errors import ParseError
@@ -434,17 +404,9 @@ def load_results(path) -> ResultTable:
                 scenario=key[2],
                 hour=key[3],
                 unserved_mw_per_region=unserved,
-                total_unserved_mw=float(sum(unserved.values())),
                 dispatch_status=next(iter(statuses)),
             )
         )
     if not records:
         raise ValidationError("results file contains no records")
-    fractions = tuple(sorted({r.loss_fraction for r in records}))
-    hours = tuple(sorted({(r.scenario, r.hour) for r in records}))
-    config = ExperimentConfig(
-        hours=hours,
-        n_orderings=max(r.ordering_index for r in records) + 1,
-        loss_fractions=fractions,
-    )
-    return ResultTable(records=tuple(records), config=config)
+    return ResultTable(records=tuple(records))

@@ -208,34 +208,22 @@ class Grid:
 
     @cached_property
     def hop_distance(self) -> np.ndarray:
-        """All-pairs branch-hop counts in bus order; -1 marks unreachable."""
+        """All-pairs branch-hop counts in bus order, as read-only floats;
+        +inf marks unreachable pairs."""
         n = len(self.buses)
         index = self.bus_index
-        table = np.full((n, n), -1, dtype=int)
+        table = np.full((n, n), np.inf)
         for start, bus in enumerate(self.buses):
-            table[start, start] = 0
+            table[start, start] = 0.0
             queue = deque([bus.id])
             while queue:
                 current = queue.popleft()
                 base = table[start, index[current]]
                 for nbr in self.adjacency[current]:
                     k = index[nbr]
-                    if table[start, k] < 0:
-                        table[start, k] = base + 1
+                    if table[start, k] == np.inf:
+                        table[start, k] = base + 1.0
                         queue.append(nbr)
-        return table
-
-    @cached_property
-    def hops_or_nan(self) -> np.ndarray:
-        """`hop_distance` as floats with NaN for unreachable pairs."""
-        table = np.where(self.hop_distance < 0, np.nan, self.hop_distance)
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def hops_or_inf(self) -> np.ndarray:
-        """`hop_distance` as floats with +inf for unreachable pairs."""
-        table = np.where(self.hop_distance < 0, np.inf, self.hop_distance)
         table.flags.writeable = False
         return table
 

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import gridshock
 from gridshock.grid import Branch, Bus, Generator, Grid
 
 
@@ -118,3 +123,15 @@ def assert_same_lp_solution(ours, reference) -> None:
         assert ours.x.dtype == reference.x.dtype
         assert ours.x.tobytes() == reference.x.tobytes()
         assert ours.objective_value.hex() == reference.objective_value.hex()
+
+
+def run_python(args: list[str], hash_seed: int) -> str:
+    """Run the interpreter on `args` in a fresh process whose string hashes
+    are seeded with `hash_seed`, importing this gridshock; returns stdout."""
+    src = str(Path(gridshock.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout

@@ -62,7 +62,7 @@ def floyd_warshall_hops(n, edges):
     """All-pairs hop counts over an undirected graph on nodes 0..n-1.
 
     Unit-weight Floyd-Warshall relaxation over the (i, j) edge list;
-    unreachable pairs come back as -1.
+    unreachable pairs come back as +inf.
     """
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
@@ -73,7 +73,7 @@ def floyd_warshall_hops(n, edges):
             for j in range(n):
                 if dist[i, k] + dist[k, j] < dist[i, j]:
                     dist[i, j] = dist[i, k] + dist[k, j]
-    return np.where(np.isinf(dist), -1, dist).astype(int)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -445,15 +445,31 @@ def reference_mria_program(model, delta):
     return objective, a_ub, b_ub, bounds
 
 
+def reference_hops(grid, source):
+    """Branch-hop count from bus `source` to every bus, in bus order, by a
+    breadth-first walk over `grid.adjacency`; +inf where it never arrives."""
+    hops = {source: 0.0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for bid in frontier:
+            for nbr in grid.adjacency[bid]:
+                if nbr not in hops:
+                    hops[nbr] = hops[bid] + 1.0
+                    reached.append(nbr)
+        frontier = reached
+    return np.array([hops.get(bus.id, np.inf) for bus in grid.buses])
+
+
 def reference_distance_costs(grid, demand_mw, interconnector_penalty=10.0):
     """Per-generator loop over the demand-weighted hop means, as the
-    distance costs were computed before they were vectorised."""
+    distance costs were computed before they were vectorised, with hop
+    counts from `reference_hops` rather than `Grid.hop_distance`."""
     loads = sorted((bid, float(mw)) for bid, mw in demand_mw.items() if mw > 0.0)
     total = sum(mw for _, mw in loads)
-    rows = grid.hop_distance[[grid.bus_index[bid] for bid, _ in loads]]
+    rows = np.array([reference_hops(grid, bid) for bid, _ in loads])
     weights = np.array([mw for _, mw in loads])
-    with np.errstate(invalid="ignore"):
-        mean_by_bus = weights @ np.where(rows < 0, np.nan, rows) / total
+    mean_by_bus = weights @ rows / total
     costs = {}
     for gen in grid.generators:
         mean = float(mean_by_bus[grid.bus_index[gen.bus]])
@@ -548,13 +564,12 @@ def reference_shedding(problem, removed=frozenset(), shed_step=0.1, context=None
         context = GridContext(grid)
     original = {bid: float(mw) for bid, mw in problem.demand_mw.items() if mw > 0.0}
     if removed:
-        sources = [grid.bus_index[grid.generator_by_id[g].bus] for g in removed]
-        hops = grid.hop_distance[sources]
-        near = np.where(hops < 0, np.inf, hops).min(axis=0)
+        sources = {grid.generator_by_id[g].bus for g in removed}
+        near = np.min([reference_hops(grid, bus) for bus in sources], axis=0)
         order = sorted(original, key=lambda bid: (near[grid.bus_index[bid]], bid))
     else:
         order = sorted(original)
-    capacity = sum(grid.generator_by_id[g].derated_mw for g in problem.available)
+    capacity = sum(grid.generator_by_id[g].derated_mw for g in sorted(problem.available))
     shed = reference_shed_deficit(original, order, shed_step, capacity)
 
     def apply_round():

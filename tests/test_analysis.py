@@ -21,7 +21,7 @@ from gridshock.analysis import (
     zero_impact_demand_gw,
 )
 from gridshock.errors import DegeneratePeaks, MissingCosts, ValidationError
-from gridshock.failures import ExperimentConfig, ResultTable, ScenarioRecord
+from gridshock.failures import ResultTable, ScenarioRecord
 from gridshock.grid import Region, RegionTable
 from gridshock.profiles import DemandProfile, StudiedDemand
 
@@ -35,20 +35,12 @@ def record(ordering, fraction, scenario, hour, unserved, status="ok"):
         scenario=scenario,
         hour=hour,
         unserved_mw_per_region=dict(unserved),
-        total_unserved_mw=float(sum(unserved.values())),
         dispatch_status=status,
     )
 
 
 def table_of(records):
-    hours = tuple(dict.fromkeys((r.scenario, r.hour) for r in records))
-    fractions = tuple(sorted({r.loss_fraction for r in records}))
-    config = ExperimentConfig(
-        hours=hours,
-        n_orderings=max(r.ordering_index for r in records) + 1,
-        loss_fractions=fractions,
-    )
-    return ResultTable(records=tuple(records), config=config)
+    return ResultTable(records=tuple(records))
 
 
 def simple_curve(scenario="current", medians=(0.0, 1.0, 2.0), fractions=(0.0, 0.1, 0.2)):

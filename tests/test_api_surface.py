@@ -1,4 +1,5 @@
-"""Every name `src/` defines is used by `src/` itself.
+"""Every name `src/` defines is used by `src/` itself, and every name the
+benchmark's tracer wraps exists.
 
 A module-level name, or a public method, that `src/` mentions only where it
 defines it (or in `__all__`) is code that only tests call: the reference
@@ -9,9 +10,12 @@ is dead. Dunder names are exempt, since the language calls them.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gridshock"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gridshock"
 
 
 def _is_dunder(name: str) -> bool:
@@ -72,3 +76,18 @@ def unused_names() -> list[str]:
 def test_every_src_name_has_a_src_caller():
     unused = unused_names()
     assert not unused, "defined in src/ but used only by tests (or not at all):\n" + "\n".join(unused)
+
+
+def test_every_traced_name_exists():
+    # bench/tracer.py patches these names at run time; a rename in src/
+    # would otherwise surface only when a traced benchmark runs
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPPED
+    missing = [
+        f"{module}.{attribute}"
+        for module, attribute, _ in tracer.WRAPPED
+        if not callable(getattr(importlib.import_module(module), attribute, None))
+    ]
+    assert not missing, "bench/tracer.py wraps names src/ does not define: " + ", ".join(missing)

@@ -22,6 +22,8 @@ from gridshock.numerics import lp_solve
 from gridshock.profiles import load_profile, load_studied_demand, save_profile
 from gridshock.runconfig import load_run_config
 
+from helpers import run_python
+
 SMALL_SCENARIOS = ("current", "heat_pump", "efficiency", "flat")
 
 
@@ -166,6 +168,21 @@ class TestRecordIds:
             _parse_record_id("3:0.25:flat")
 
 
+def bad_float(text):
+    header, first, rest = text.split("\n", 2)
+    return f"{header}\n{first}e\n{rest}"
+
+
+def renamed_header(text):
+    return text.replace("total_cost", "cost", 1)
+
+
+def cut_mid_row(text):
+    # the last row keeps its record id and loses its cost
+    middle = text.index("\n", len(text) // 2) + 1
+    return text[: text.index(",", middle)]
+
+
 class TestPipeline:
     def test_gen_synthetic_writes_fixture(self, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -198,6 +215,15 @@ class TestPipeline:
         assert main(["simulate", "--config", cfg, "--out", str(b)]) == 0
         for name in ("results.csv", "provenance.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_hash_seed_does_not_change_outputs(self, fx, tmp_path):
+        cfg = str(fx / "run.cfg")
+        written = []
+        for seed in (1, 2):
+            out = tmp_path / f"hash{seed}"
+            run_python(["-m", "gridshock", "simulate", "--config", cfg, "--out", str(out)], seed)
+            written.append((out / "results.csv").read_bytes())
+        assert written[0] == written[1]
 
     def test_worker_count_does_not_change_outputs(self, fx, out_dir, tmp_path):
         cfg = str(fx / "run.cfg")
@@ -338,6 +364,42 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err.startswith("error:")
             assert "demand.csv does not match its hash" in err
+
+    def test_impact_records_what_it_read_and_wrote(self, run_copy):
+        text = (run_copy / "out" / "impact_provenance.txt").read_text(encoding="utf-8")
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        assert keys == [
+            "results", "demand", "economy.supply", "economy.use", "economy.final_demand",
+            "economy.value_added", "economy.trade", "impacts", "impacts_regional",
+        ]
+        assert all(" = sha256:" in line for line in text.splitlines())
+
+    def test_analyze_refuses_impacts_of_another_seed(self, run_copy, capsys):
+        cfg = str(run_copy / "run.cfg")
+        results = run_copy / "out" / "results.csv"
+        before = results.read_bytes()
+        assert main(["simulate", "--config", cfg, "--seed", "11"]) == 0
+        assert results.read_bytes() != before
+        capsys.readouterr()
+        assert main(["analyze", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "results.csv does not match its hash in" in err
+        assert "impact_provenance.txt; rerun impact" in err
+
+    @pytest.mark.parametrize("damage", [bad_float, renamed_header, cut_mid_row])
+    def test_analyze_refuses_damaged_impacts(self, run_copy, capsys, damage):
+        path = run_copy / "out" / "impacts.csv"
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        assert main(["analyze", "--config", str(run_copy / "run.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "impacts.csv does not match its hash" in err
+
+    def test_analyze_after_rerun_simulate_with_the_same_seed(self, run_copy):
+        cfg = str(run_copy / "run.cfg")
+        assert main(["simulate", "--config", cfg]) == 0
+        assert main(["analyze", "--config", cfg]) == 0
 
     def test_missing_demand_exits_2(self, run_copy, capsys):
         (run_copy / "out" / "demand.csv").unlink()

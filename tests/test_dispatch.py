@@ -18,7 +18,12 @@ from gridshock.failures import _solar_ids, bus_demand, generate_orderings, remov
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.numerics import FEASIBILITY_TOL, lp_solve
 
-from helpers import assert_same_lp_solution, gb_like_congested, random_connected_grid
+from helpers import (
+    assert_same_lp_solution,
+    gb_like_congested,
+    random_connected_grid,
+    run_python,
+)
 from oracles import (
     check_limits,
     dc_power_flow,
@@ -821,6 +826,38 @@ class TestCapacityShortBoundary:
         assert dispatch_module._limited_lp(*args) is not None
         with pytest.raises(NumericalBreakdown, match="residual"):
             reference_limited_lp(*args)
+
+
+class TestHashSeedIndependence:
+    """Capacity 0.1 + 0.2 + 0.3 MW sums to 0.6 or 0.6000000000000001 by
+    order, and demand sits between the two `capacity + 1e-9` thresholds,
+    so a sum in set order sheds one round under some hash seeds and none
+    under others. Hash seeds 0 and 3 iterate the set in an order summing
+    to 0.6, seeds 1 and 2 in one summing to 0.6000000000000001."""
+
+    CELL = """
+import numpy as np
+from gridshock.dispatch import DispatchProblem, dispatch_with_shedding
+from gridshock.grid import Bus, Generator, Grid
+
+caps = {"g1": 0.1, "g2": 0.2, "g3": 0.3}
+grid = Grid(
+    buses=(Bus("b", 400.0, "demand", region="r"),),
+    branches=(),
+    generators=tuple(Generator(g, "b", mw, 1.0, "thermal") for g, mw in caps.items()),
+)
+available = frozenset(caps)
+demand = float(np.nextafter(0.6 + 1e-9, np.inf))
+assert 0.6 + 1e-9 < demand <= 0.6000000000000001 + 1e-9
+sol = dispatch_with_shedding(DispatchProblem(grid=grid, demand_mw={"b": demand}, available=available))
+print(repr(sum(caps[g] for g in available)))
+print(sol.status, repr(sol.shed_mw))
+"""
+
+    def test_one_result_under_every_hash_seed(self):
+        runs = [run_python(["-c", self.CELL], seed).splitlines() for seed in (0, 1, 2, 3)]
+        assert {set_order_sum for set_order_sum, _ in runs} == {"0.6", "0.6000000000000001"}
+        assert len({result for _, result in runs}) == 1
 
 
 class TestNoColdDispatchLp:

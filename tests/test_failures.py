@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 import gridshock.dispatch as dispatch_module
-import gridshock.failures as failures_module
 from gridshock.errors import ParseError, Unstable, ValidationError
 from gridshock.failures import (
     DEFAULT_LOSS_FRACTIONS,
     STATUS_OK,
     STATUS_SHED,
-    STATUS_UNSTABLE,
     ExperimentConfig,
     ResultTable,
     ScenarioRecord,
@@ -306,21 +304,6 @@ class TestRunExperiment:
             assert record.dispatch_status == STATUS_OK
             assert record.total_unserved_mw == 0.0
 
-    def test_unstable_recorded_not_raised(self, monkeypatch):
-        grid = copper_plate_grid()
-        profiles = {"current": profile_for([[80.0]])}
-        config = one_hour_config(loss_fractions=(0.0, 0.5), n_orderings=2)
-
-        def explode(problem, **kwargs):
-            raise Unstable("forced for the test")
-
-        monkeypatch.setattr(failures_module, "dispatch_with_shedding", explode)
-        table = run_experiment(grid, profiles, config)
-        assert len(table.records) == 4
-        for record in table.records:
-            assert record.dispatch_status == STATUS_UNSTABLE
-            assert record.unserved_mw_per_region == {"r1": 80.0}
-
     def test_records_sorted_and_complete(self):
         grid = copper_plate_grid()
         profiles = {
@@ -463,14 +446,10 @@ class TestCalibrateRatings:
 
 
 class TestRecordAndTable:
-    def test_total_must_match_regional_sum(self):
-        with pytest.raises(ValidationError, match="total unserved"):
-            ScenarioRecord(0, 0.1, "current", 0, {"r1": 5.0, "r2": 2.0}, 9.0, STATUS_SHED)
-
     def test_duplicate_records_rejected(self):
-        record = ScenarioRecord(0, 0.1, "current", 0, {"r1": 0.0}, 0.0, STATUS_OK)
+        record = ScenarioRecord(0, 0.1, "current", 0, {"r1": 0.0}, STATUS_OK)
         with pytest.raises(ValidationError, match="duplicate"):
-            ResultTable(records=(record, record), config=one_hour_config())
+            ResultTable(records=(record, record))
 
 
 class TestResultsIO:
@@ -491,9 +470,6 @@ class TestResultsIO:
         save_results(table, path)
         loaded = load_results(path)
         assert loaded.records == table.records
-        assert loaded.config.loss_fractions == table.config.loss_fractions
-        assert loaded.config.hours == table.config.hours
-        assert loaded.config.n_orderings == table.config.n_orderings
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         table = self.build_table()

@@ -229,15 +229,12 @@ class TestHopDistance:
             generators=(),
         )
         assert grid.bus_index == {"a": 0, "b": 1, "c": 2}
-        assert grid.hop_distance.tolist() == [[0, 1, -1], [1, 0, -1], [-1, -1, 0]]
-        nan, inf = np.nan, np.inf
-        assert np.array_equal(
-            grid.hops_or_nan, [[0.0, 1.0, nan], [1.0, 0.0, nan], [nan, nan, 0.0]], equal_nan=True
-        )
-        assert grid.hops_or_inf.tolist() == [[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]
+        inf = np.inf
+        assert grid.hop_distance.dtype == float
+        assert grid.hop_distance.tolist() == [[0.0, 1.0, inf], [1.0, 0.0, inf], [inf, inf, 0.0]]
         # computed once per grid and shared read-only
-        assert grid.hops_or_nan is grid.hops_or_nan and grid.hops_or_inf is grid.hops_or_inf
-        assert not grid.hops_or_nan.flags.writeable and not grid.hops_or_inf.flags.writeable
+        assert grid.hop_distance is grid.hop_distance
+        assert not grid.hop_distance.flags.writeable
 
 
 class TestRegions:

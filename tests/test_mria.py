@@ -671,7 +671,6 @@ class TestShockFromUnserved:
             scenario="current",
             hour=0,
             unserved_mw_per_region=unserved,
-            total_unserved_mw=float(sum(unserved.values())),
             dispatch_status="shed",
         )
 
