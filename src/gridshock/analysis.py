@@ -1,10 +1,16 @@
 """Post-processing of experiment results into headline statistics.
 
-Takes the sweep records plus their assessed per-record costs and produces
+Takes the sweep's result table plus its priced records and produces
 cost-versus-loss curves (median/min/max over orderings and hours), the
 largest demand with no economic impact, marginal cost per GW across
 scenario peaks, regional relative change against the current-day profile,
 and population-weighted shares of regions that end up better or worse off.
+
+`load_costs` reads impact's outputs as arrays in the table's record order
+and is the one check of that alignment (`MissingCosts`). The statistics
+select records by masks over the table's columns and take `median`, `min`
+and `max` over `.tolist()` values, so ties and signed zeros come out as
+they always have.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import math
 from dataclasses import dataclass
 from statistics import median
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .atomic import atomic_open
 from .errors import DegeneratePeaks, MissingCosts, ValidationError
@@ -25,6 +33,7 @@ __all__ = [
     "CurvePoint",
     "CostCurve",
     "RegionalChange",
+    "load_costs",
     "build_cost_curve",
     "marginal_cost_per_gw",
     "lost_load_slope",
@@ -37,8 +46,6 @@ __all__ = [
     "write_regional_change",
     "write_population_shares",
 ]
-
-RecordKey = tuple[int, float, str, int]
 
 
 @dataclass(frozen=True)
@@ -96,29 +103,45 @@ class RegionalChange:
                 raise ValidationError(f"ratio for region {region} must be >= 0")
 
 
-def build_cost_curve(
-    results: ResultTable, costs: Mapping[RecordKey, float], scenario: str
-) -> CostCurve:
+def load_costs(
+    results: ResultTable, impacts_path, regional_path
+) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """impact's outputs as arrays in the table's record order.
+
+    Returns the cost per record, the zones, and records x zones regional
+    losses, `max(0, -delta_va)`. Both files must hold the table's record
+    ids in order, each record with the first record's zones in order;
+    anything else is MissingCosts.
+    """
+    ids = results.record_ids()
+    with open(impacts_path, encoding="utf-8", newline="") as handle:
+        totals = list(csv.reader(handle))[1:]
+    with open(regional_path, encoding="utf-8", newline="") as handle:
+        regional = list(csv.reader(handle))[1:]
+    zones = tuple(row[1] for row in regional if row[:1] == ids[:1])
+    by_record = [[rid] for rid in ids]
+    by_zone = [[rid, zone] for rid in ids for zone in zones]
+    if [row[:1] for row in totals] != by_record or [row[:2] for row in regional] != by_zone:
+        raise MissingCosts("impacts do not price the results' records in order; rerun impact")
+    costs = np.array([float(row[1]) for row in totals])
+    delta_va = np.array([float(row[2]) for row in regional]).reshape(len(ids), len(zones))
+    return costs, zones, np.where(delta_va < 0.0, -delta_va, 0.0)
+
+
+def _selected(results: ResultTable, scenario: str) -> np.ndarray:
+    return np.array([name == scenario for name in results.scenario], dtype=bool)
+
+
+def build_cost_curve(results: ResultTable, costs: np.ndarray, scenario: str) -> CostCurve:
     """Median/min/max cost per fraction, pooled over orderings and hours."""
-    by_fraction: dict[float, list[float]] = {}
-    for record in results.records:
-        if record.scenario != scenario:
-            continue
-        if record.key not in costs:
-            raise MissingCosts(f"no assessed cost for record {record.key}")
-        by_fraction.setdefault(record.loss_fraction, []).append(costs[record.key])
-    if not by_fraction:
+    rows = _selected(results, scenario)
+    if not rows.any():
         raise ValidationError(f"no records for scenario {scenario!r}")
-    points = tuple(
-        CurvePoint(
-            fraction=fraction,
-            median=float(median(values)),
-            minimum=min(values),
-            maximum=max(values),
-        )
-        for fraction, values in sorted(by_fraction.items())
-    )
-    return CostCurve(scenario=scenario, points=points)
+    points = []
+    for fraction in np.unique(results.fraction[rows]).tolist():
+        values = costs[rows & (results.fraction == fraction)].tolist()
+        points.append(CurvePoint(fraction, float(median(values)), min(values), max(values)))
+    return CostCurve(scenario=scenario, points=tuple(points))
 
 
 def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -161,30 +184,22 @@ def marginal_cost_per_gw(
     return _slope(xs, ys)
 
 
-def lost_load_slope(
-    results: ResultTable, costs: Mapping[RecordKey, float], scenario: str
-) -> float | None:
+def lost_load_slope(results: ResultTable, costs: np.ndarray, scenario: str) -> float | None:
     """Cost per GW of median unserved load, fitted across loss fractions.
 
     The companion reading of the marginal cost: instead of comparing
     scenarios at one fraction, one scenario's curve is regressed on its
     own median unserved power. None when the scenario never sheds.
     """
-    unserved: dict[float, list[float]] = {}
-    cost: dict[float, list[float]] = {}
-    for record in results.records:
-        if record.scenario != scenario:
-            continue
-        if record.key not in costs:
-            raise MissingCosts(f"no assessed cost for record {record.key}")
-        unserved.setdefault(record.loss_fraction, []).append(
-            record.total_unserved_mw / 1000.0
-        )
-        cost.setdefault(record.loss_fraction, []).append(costs[record.key])
-    if not unserved:
+    rows = _selected(results, scenario)
+    if not rows.any():
         raise ValidationError(f"no records for scenario {scenario!r}")
-    xs = [float(median(v)) for _, v in sorted(unserved.items())]
-    ys = [float(median(v)) for _, v in sorted(cost.items())]
+    unserved_gw = results.total_unserved_mw / 1000.0
+    xs, ys = [], []
+    for fraction in np.unique(results.fraction[rows]).tolist():
+        group = rows & (results.fraction == fraction)
+        xs.append(float(median(unserved_gw[group].tolist())))
+        ys.append(float(median(costs[group].tolist())))
     if max(xs) == min(xs):
         return None
     return _slope(xs, ys)
@@ -192,42 +207,34 @@ def lost_load_slope(
 
 def regional_relative_change(
     results: ResultTable,
-    regional_costs: Mapping[RecordKey, Mapping[str, float]],
+    zones: Sequence[str],
+    regional_costs: np.ndarray,
     scenario: str,
     fraction: float,
     *,
     baseline: str = "current",
 ) -> RegionalChange:
-    """Ratio of median regional cost to the baseline scenario's."""
+    """Ratio of median regional cost to the baseline scenario's.
 
-    def medians_for(name: str) -> dict[str, float]:
-        samples: dict[str, list[float]] = {}
-        seen = False
-        for record in results.records:
-            if record.scenario != name or record.loss_fraction != fraction:
-                continue
-            seen = True
-            if record.key not in regional_costs:
-                raise MissingCosts(f"no assessed cost for record {record.key}")
-            for region, value in regional_costs[record.key].items():
-                samples.setdefault(region, []).append(value)
-        if not seen:
+    `regional_costs` is records x `zones`, as `load_costs` returns it.
+    """
+
+    def medians_for(name: str) -> list[float]:
+        rows = _selected(results, name) & (results.fraction == fraction)
+        if not rows.any():
             raise ValidationError(
                 f"no records for scenario {name!r} at fraction {fraction!r}"
             )
-        return {region: float(median(v)) for region, v in samples.items()}
+        return [float(median(column)) for column in regional_costs[rows].T.tolist()]
 
     scenario_medians = medians_for(scenario)
     baseline_medians = medians_for(baseline)
-    if set(scenario_medians) != set(baseline_medians):
-        raise ValidationError("scenario and baseline records disagree on regions")
     ratios: dict[str, float | None] = {}
-    for region in sorted(scenario_medians):
-        num, den = scenario_medians[region], baseline_medians[region]
+    for zone, num, den in sorted(zip(zones, scenario_medians, baseline_medians)):
         if den == 0.0:
-            ratios[region] = None if num == 0.0 else math.inf
+            ratios[zone] = None if num == 0.0 else math.inf
         else:
-            ratios[region] = num / den
+            ratios[zone] = num / den
     return RegionalChange(
         scenario=scenario, baseline=baseline, fraction=fraction, ratios=ratios
     )
@@ -285,7 +292,7 @@ def population_shares(
 
 def zero_impact_demand_gw(
     results: ResultTable,
-    costs: Mapping[RecordKey, float],
+    costs: np.ndarray,
     demands: Mapping[str, StudiedDemand],
 ) -> float | None:
     """Largest national demand whose cells show zero median cost everywhere.
@@ -294,18 +301,17 @@ def zero_impact_demand_gw(
     from `demands`, and keeps it when the median cost over orderings is
     zero at every loss fraction. None when no such hour exists.
     """
-    cells: dict[tuple[str, int], dict[float, list[float]]] = {}
-    for record in results.records:
-        if record.key not in costs:
-            raise MissingCosts(f"no assessed cost for record {record.key}")
-        cell = cells.setdefault((record.scenario, record.hour), {})
-        cell.setdefault(record.loss_fraction, []).append(costs[record.key])
     best = None
-    for (scenario, hour), by_fraction in cells.items():
+    for scenario, hour in dict.fromkeys(zip(results.scenario, results.hour.tolist())):
         if scenario not in demands:
             raise ValidationError(f"no studied demand for scenario {scenario!r}")
-        if all(float(median(v)) == 0.0 for v in by_fraction.values()):
-            demand = demands[scenario].national_mw[hour] / 1000.0
+        cell = _selected(results, scenario) & (results.hour == hour)
+        if all(
+            float(median(costs[cell & (results.fraction == f)].tolist())) == 0.0
+            for f in np.unique(results.fraction[cell]).tolist()
+        ):
+            demand = demands[scenario]
+            demand = float(demand.national_mw[demand.rows(hour)]) / 1000.0
             if best is None or demand > best:
                 best = demand
     return best

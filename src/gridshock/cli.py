@@ -4,7 +4,8 @@ simulate calibrates branch ratings against the current-day peak, runs
 the generator-failure sweep, and writes `results.csv`, the demand at the
 studied hours (`demand.csv`) and a provenance record. It is the only stage
 that parses the demand profiles. impact checks that the supply-use program
-reproduces the tables' baseline, then prices every result row through it.
+reproduces the tables' baseline, then prices each distinct shock row of
+the result table through it once.
 Both impact and analyze first refuse a results or demand file whose
 provenance record does not match the current inputs; impact then records
 the hashes of what it read and wrote, and analyze refuses impacts priced
@@ -22,8 +23,11 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     build_cost_curve,
+    load_costs,
     lost_load_slope,
     marginal_cost_per_gw,
     population_shares,
@@ -36,9 +40,21 @@ from .analysis import (
 )
 from .atomic import atomic_open
 from .errors import GridShockError, ParseError, ProvenanceMismatch
-from .failures import calibrate_ratings, load_results, run_experiment, save_results
+from .failures import (
+    ResultTable,
+    calibrate_ratings,
+    load_results,
+    run_experiment,
+    save_results,
+)
 from .grid import load_grid, load_regions
-from .mria import assess_impact, load_supply_use, shock_from_unserved, solve_baseline
+from .mria import (
+    CapacityShock,
+    assess_impact,
+    load_supply_use,
+    shock_from_unserved,
+    solve_baseline,
+)
 from .profiles import (
     StudiedDemand,
     load_profile,
@@ -47,17 +63,6 @@ from .profiles import (
 )
 from .runconfig import RunConfig, load_run_config
 from .synthetic import generate, write_fixture
-
-
-def _record_id(record) -> str:
-    return f"{record.ordering_index}:{record.loss_fraction!r}:{record.scenario}:{record.hour}"
-
-
-def _parse_record_id(text: str) -> tuple[int, float, str, int]:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ParseError(f"malformed record id {text!r}", 0)
-    return int(parts[0]), float(parts[1]), parts[2], int(parts[3])
 
 
 def _sha256(path: Path) -> str:
@@ -112,20 +117,30 @@ def _check_hashes(path: Path, recorded: dict[str, str], files, stage: str) -> No
             )
 
 
-def _check_provenance(config: RunConfig, config_path: Path, table) -> None:
-    """Refuse outputs that simulate did not write from the current inputs.
+def _load_results(config: RunConfig, config_path: Path) -> ResultTable:
+    """Read `results.csv`, refusing outputs that simulate did not write from
+    the current inputs.
 
-    The record count in `provenance.txt` must match the results table read
-    back, and every recorded hash must match its file as it is now.
+    The record count in `provenance.txt` must match the table read back,
+    and every recorded hash must match its file as it is now. A results
+    file that does not parse is refused as stale when its hash does not
+    match, and by its parse error otherwise.
     """
     path = config.out_dir / "provenance.txt"
+    hashed = _hashed_files(config, config_path)
+    try:
+        table = load_results(config.out_dir / "results.csv")
+    except ParseError:
+        _check_hashes(path, _read_provenance(path), hashed, "simulate")
+        raise
     recorded = _read_provenance(path)
-    if recorded.get("records") != str(len(table.records)):
+    if recorded.get("records") != str(len(table)):
         raise ProvenanceMismatch(
-            f"{config.out_dir / 'results.csv'} holds {len(table.records)} records, "
+            f"{config.out_dir / 'results.csv'} holds {len(table)} records, "
             f"but {path} records {recorded.get('records')}; rerun simulate"
         )
-    _check_hashes(path, recorded, _hashed_files(config, config_path), "simulate")
+    _check_hashes(path, recorded, hashed, "simulate")
+    return table
 
 
 def _resolve(config: RunConfig, args) -> RunConfig:
@@ -192,89 +207,69 @@ def cmd_simulate(args) -> int:
         f"loss_fractions = {', '.join(repr(f) for f in experiment.loss_fractions)}",
         f"shed_step = {experiment.shed_step!r}",
         f"hours = {', '.join(f'{s}:{h}' for s, h in experiment.hours)}",
-        f"records = {len(table.records)}",
+        f"records = {len(table)}",
     ]
     with atomic_open(config.out_dir / "provenance.txt") as handle:
         handle.write("\n".join(lines) + "\n")
-    print(f"wrote {len(table.records)} records to {config.out_dir / 'results.csv'}")
+    print(f"wrote {len(table)} records to {config.out_dir / 'results.csv'}")
     return 0
 
 
 def cmd_impact(args) -> int:
     config = _resolve(load_run_config(args.config), args)
     priced = _priced_files(config)
-    table = load_results(config.out_dir / "results.csv")
-    _check_provenance(config, Path(args.config), table)
+    table = _load_results(config, Path(args.config))
     regions = load_regions(config.regions)
     model = load_supply_use(config.supply_use_dir)
     solve_baseline(model)
     demands = load_studied_demand(config.out_dir / "demand.csv")
 
-    cache = {}
-    totals: list[tuple[str, float]] = []
-    regional: list[tuple[str, str, float]] = []
-    for record in table.records:
-        shock = shock_from_unserved(record, regions, demands[record.scenario])
-        key = (shock.duration_hours, tuple(sorted(shock.delta.items())))
-        if key not in cache:
-            cache[key] = assess_impact(model, shock)
-        impact = cache[key]
-        rid = _record_id(record)
-        totals.append((rid, impact.total_cost))
-        va_by_region = impact.delta_va.sum(axis=1)
-        for k, zone in enumerate(impact.regions):
-            regional.append((rid, zone, float(va_by_region[k])))
+    # one program per distinct shock row, priced in sorted row order
+    parents, shocks = shock_from_unserved(table, regions, demands)
+    distinct, inverse = np.unique(shocks, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    impacts = [
+        assess_impact(model, CapacityShock(delta=dict(zip(parents, row)), duration_hours=1.0))
+        for row in distinct.tolist()
+    ]
+    costs = [impacts[k].total_cost for k in inverse.tolist()]
+    va_by_zone = np.array([impact.delta_va.sum(axis=1) for impact in impacts])[inverse]
+    ids = table.record_ids()
 
     with atomic_open(config.out_dir / "impacts.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record_id", "total_cost"])
-        writer.writerows((rid, repr(cost)) for rid, cost in totals)
+        writer.writerows(zip(ids, map(repr, costs)))
     with atomic_open(config.out_dir / "impacts_regional.csv") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record_id", "region", "delta_va"])
-        writer.writerows((rid, zone, repr(value)) for rid, zone, value in regional)
+        writer.writerows(
+            (rid, zone, repr(value))
+            for rid, row in zip(ids, va_by_zone.tolist())
+            for zone, value in zip(model.regions, row)
+        )
     with atomic_open(config.out_dir / "impact_provenance.txt") as handle:
         handle.write("\n".join(_hash_lines(priced)) + "\n")
-    run = sum(impact.iterations for impact in cache.values())
-    replayed = sum(impact.replayed for impact in cache.values())
+    run = sum(impact.iterations for impact in impacts)
+    replayed = sum(impact.replayed for impact in impacts)
     print(
-        f"priced {len(totals)} records ({len(cache)} distinct programs; "
+        f"priced {len(table)} records ({len(impacts)} distinct programs; "
         f"{replayed} of {run + replayed} simplex iterations replayed)"
     )
     return 0
 
 
-def _read_impacts(out_dir: Path) -> dict[tuple[int, float, str, int], float]:
-    costs = {}
-    with open(out_dir / "impacts.csv", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            costs[_parse_record_id(row["record_id"])] = float(row["total_cost"])
-    return costs
-
-
-def _read_regional(out_dir: Path) -> dict[tuple[int, float, str, int], dict[str, float]]:
-    regional: dict[tuple[int, float, str, int], dict[str, float]] = {}
-    with open(out_dir / "impacts_regional.csv", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            key = _parse_record_id(row["record_id"])
-            cost = max(0.0, -float(row["delta_va"]))
-            regional.setdefault(key, {})[row["region"]] = cost
-    return regional
-
-
 def cmd_analyze(args) -> int:
     config = _resolve(load_run_config(args.config), args)
-    table = load_results(config.out_dir / "results.csv")
-    _check_provenance(config, Path(args.config), table)
+    table = _load_results(config, Path(args.config))
     path = config.out_dir / "impact_provenance.txt"
     _check_hashes(path, _read_provenance(path), _priced_files(config), "impact")
-    costs = _read_impacts(config.out_dir)
-    regional_costs = _read_regional(config.out_dir)
+    costs, zones, regional_costs = load_costs(
+        table, config.out_dir / "impacts.csv", config.out_dir / "impacts_regional.csv"
+    )
     regions = load_regions(config.regions)
     demands = load_studied_demand(config.out_dir / "demand.csv")
-    scenarios = sorted({record.scenario for record in table.records})
+    scenarios = sorted(set(table.scenario))
 
     curves = {s: build_cost_curve(table, costs, s) for s in scenarios}
     write_cost_curves([curves[s] for s in scenarios], config.out_dir / "cost_curve.csv")
@@ -296,6 +291,7 @@ def cmd_analyze(args) -> int:
 
     change = regional_relative_change(
         table,
+        zones,
         regional_costs,
         config.analyze_scenario,
         config.analyze_fraction,
@@ -310,6 +306,7 @@ def cmd_analyze(args) -> int:
         shares = population_shares(
             regional_relative_change(
                 table,
+                zones,
                 regional_costs,
                 scenario,
                 config.analyze_fraction,

@@ -7,28 +7,37 @@ load shedding at the studied hours of each demand scenario. Per-region
 unserved power is recorded for every (ordering, fraction, scenario, hour)
 cell. Runs are reproducible: ordering i is seeded by (master_seed, i) and
 parallel execution reduces to the same table as a serial run.
+
+`ResultTable` is the one record type from simulate to analyze: key columns
+plus a records x regions matrix of unserved MW. A record's status is
+derived: "shed" where any unserved value is positive, else "ok". In
+`results.csv` a record is one row per region; `save_results` writes each
+record as one joined string, and `load_results` reads the file in chunks.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from pathlib import Path
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .atomic import atomic_open
 from .dispatch import DispatchProblem, GridContext, dispatch_with_shedding, redispatch
-from .errors import Unstable, ValidationError
+from .errors import ParseError, Unstable, ValidationError
 from .grid import Grid
-from .profiles import DemandProfile
+from .profiles import DemandProfile, check_unquoted, read_fields, scan_rows
 
 __all__ = [
     "STATUS_OK",
     "STATUS_SHED",
     "DEFAULT_LOSS_FRACTIONS",
     "ExperimentConfig",
-    "ScenarioRecord",
     "ResultTable",
     "generate_orderings",
     "removal_set",
@@ -43,6 +52,10 @@ STATUS_OK = "ok"
 STATUS_SHED = "shed"
 
 DEFAULT_LOSS_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(10))
+
+_RESULTS_HEADER = ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
+_IS_SHED = {STATUS_OK: False, STATUS_SHED: True}
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -77,36 +90,54 @@ class ExperimentConfig:
             raise ValidationError("shed_step must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class ScenarioRecord:
-    """Outcome of one dispatch cell of the sweep."""
-
-    ordering_index: int
-    loss_fraction: float
-    scenario: str
-    hour: int
-    unserved_mw_per_region: dict[str, float]
-    dispatch_status: str
-
-    @property
-    def total_unserved_mw(self) -> float:
-        return float(sum(self.unserved_mw_per_region.values()))
-
-    @property
-    def key(self) -> tuple[int, float, str, int]:
-        return (self.ordering_index, self.loss_fraction, self.scenario, self.hour)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultTable:
-    """All records of one experiment."""
+    """All records of one experiment, in ascending key order.
 
-    records: tuple[ScenarioRecord, ...]
+    The key columns `ordering` (int64), `fraction`, `scenario` (a tuple)
+    and `hour` (int64) hold one entry per record; `unserved_mw` is records
+    x `regions` (sorted).
+    """
+
+    ordering: np.ndarray
+    fraction: np.ndarray
+    scenario: tuple[str, ...]
+    hour: np.ndarray
+    regions: tuple[str, ...]
+    unserved_mw: np.ndarray
 
     def __post_init__(self):
-        keys = [r.key for r in self.records]
-        if len(set(keys)) != len(keys):
+        if len(set(self.keys())) != len(self):
             raise ValidationError("duplicate (ordering, fraction, scenario, hour) records")
+        if list(self.regions) != sorted(set(self.regions)):
+            raise ValidationError("result regions must be sorted and unique")
+
+    def __len__(self) -> int:
+        return len(self.scenario)
+
+    @property
+    def shed(self) -> np.ndarray:
+        """Whether each record shed load: any unserved value is positive."""
+        return (self.unserved_mw > 0.0).any(axis=1)
+
+    @property
+    def total_unserved_mw(self) -> np.ndarray:
+        """Unserved MW per record, its regions added left to right as
+        Python's `sum` adds them (`np.sum` can round otherwise)."""
+        total = np.zeros(len(self))
+        for column in self.unserved_mw.T:
+            total += column
+        return total
+
+    def keys(self) -> Iterator[tuple[int, float, str, int]]:
+        """(ordering, fraction, scenario, hour) per record, as Python values."""
+        columns = (self.ordering, self.fraction, self.hour)
+        ordering, fraction, hour = (column.tolist() for column in columns)
+        return zip(ordering, fraction, self.scenario, hour)
+
+    def record_ids(self) -> list[str]:
+        """`ordering:fraction:scenario:hour` per record, as impact writes them."""
+        return [f"{o}:{f!r}:{s}:{h}" for o, f, s, h in self.keys()]
 
 
 def _local_generators(grid: Grid) -> list[str]:
@@ -177,10 +208,6 @@ def _solar_ids(grid: Grid) -> frozenset[str]:
     return frozenset(g.id for g in grid.generators if g.technology == "solar")
 
 
-def _region_of_bus(grid: Grid) -> dict[str, str]:
-    return {bus.id: bus.region for bus in grid.demand_buses}
-
-
 class _SweepState:
     """Shared per-process state for the ordering workers."""
 
@@ -200,21 +227,24 @@ class _SweepState:
         self.context = GridContext(grid)
         self.solar = _solar_ids(grid)
         self.all_generators = frozenset(grid.generator_by_id)
-        self.bus_region = _region_of_bus(grid)
+        column = {region: k for k, region in enumerate(regions)}
+        self.bus_column = {
+            bus.id: column[bus.region] for bus in grid.demand_buses if bus.region in column
+        }
         self.cells = sorted(config.hours)
 
-    def run_ordering(self, index: int, ordering: tuple[str, ...]) -> list[ScenarioRecord]:
-        records = []
+    def run_ordering(self, ordering: tuple[str, ...]) -> np.ndarray:
+        """Unserved MW per region of the ordering's cells, fraction by
+        fraction and cell by cell: the ordering's rows of the table."""
+        rows = []
         for fraction in self.config.loss_fractions:
             removed = removal_set(ordering, self.grid, fraction) | self.solar
             available = self.all_generators - removed
             for scenario, hour in self.cells:
-                records.append(
-                    self._run_cell(index, fraction, scenario, hour, removed, available)
-                )
-        return records
+                rows.append(self._run_cell(scenario, hour, removed, available))
+        return np.array(rows)
 
-    def _run_cell(self, index, fraction, scenario, hour, removed, available):
+    def _run_cell(self, scenario, hour, removed, available) -> np.ndarray:
         problem = DispatchProblem(
             grid=self.grid,
             demand_mw=self.demands[(scenario, hour)],
@@ -227,17 +257,11 @@ class _SweepState:
             shed_step=self.config.shed_step,
             context=self.context,
         )
-        unserved = {region: 0.0 for region in self.regions}
-        for bid, mw in solution.shed_mw.items():
-            unserved[self.bus_region[bid]] += mw
-        return ScenarioRecord(
-            ordering_index=index,
-            loss_fraction=fraction,
-            scenario=scenario,
-            hour=hour,
-            unserved_mw_per_region=unserved,
-            dispatch_status=STATUS_SHED if solution.total_shed_mw > 0.0 else STATUS_OK,
-        )
+        unserved = np.zeros(len(self.regions))
+        if solution.total_shed_mw > 0.0:
+            for bid, mw in solution.shed_mw.items():
+                unserved[self.bus_column[bid]] += mw
+        return unserved
 
 
 _WORKER_STATE: dict = {}
@@ -248,9 +272,8 @@ def _worker_init(state: _SweepState, orderings: list[tuple[str, ...]]) -> None:
     _WORKER_STATE["orderings"] = orderings
 
 
-def _worker_run(index: int) -> list[ScenarioRecord]:
-    state = _WORKER_STATE["state"]
-    return state.run_ordering(index, _WORKER_STATE["orderings"][index])
+def _worker_run(index: int) -> np.ndarray:
+    return _WORKER_STATE["state"].run_ordering(_WORKER_STATE["orderings"][index])
 
 
 def run_experiment(
@@ -267,7 +290,9 @@ def run_experiment(
     (studied hours are dark); interconnectors are never removed. Every cell
     is "ok" or "shed": shedding all demand always settles the network, so
     dispatch_with_shedding never raises Unstable. Orderings are independent
-    work units, so any worker count yields the identical table.
+    work units, so any worker count yields the identical table. Each
+    ordering's cells run in key order, fraction by fraction, so the table
+    needs no sort.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
@@ -289,7 +314,7 @@ def run_experiment(
     orderings = generate_orderings(grid, config.n_orderings, config.master_seed)
 
     if workers == 1 or config.n_orderings == 1:
-        chunks = [state.run_ordering(i, o) for i, o in enumerate(orderings)]
+        chunks = [state.run_ordering(o) for o in orderings]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(
@@ -299,9 +324,15 @@ def run_experiment(
         ) as pool:
             chunks = pool.map(_worker_run, range(config.n_orderings))
 
-    records = [record for chunk in chunks for record in chunk]
-    records.sort(key=lambda r: r.key)
-    return ResultTable(records=tuple(records))
+    n, cells, fractions = config.n_orderings, state.cells, config.loss_fractions
+    return ResultTable(
+        ordering=np.repeat(np.arange(n), len(fractions) * len(cells)),
+        fraction=np.tile(np.repeat(fractions, len(cells)), n),
+        scenario=tuple(s for s, _ in cells) * (n * len(fractions)),
+        hour=np.tile([h for _, h in cells], n * len(fractions)),
+        regions=state.regions,
+        unserved_mw=np.concatenate(chunks),
+    )
 
 
 def calibrate_ratings(
@@ -339,74 +370,125 @@ def calibrate_ratings(
 
 
 def save_results(table: ResultTable, path) -> None:
-    """Write one CSV row per record per region."""
-    import csv
+    """Write one csv row per record per region, each record as one string.
 
+    Fields are unquoted and lines end in CRLF, as `csv.writer` writes them;
+    a region or scenario id that csv would quote is refused. The file
+    appears whole or not at all.
+    """
+    for region in table.regions:
+        check_unquoted(region, "region id")
+    for scenario in set(table.scenario):
+        check_unquoted(scenario, "scenario id")
+    status = np.where(table.shed, STATUS_SHED, STATUS_OK).tolist()
     with atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
-        )
-        for record in table.records:
-            for region in sorted(record.unserved_mw_per_region):
-                writer.writerow(
-                    [
-                        record.ordering_index,
-                        repr(record.loss_fraction),
-                        record.scenario,
-                        record.hour,
-                        region,
-                        repr(record.unserved_mw_per_region[region]),
-                        record.dispatch_status,
-                    ]
-                )
+        handle.write(",".join(_RESULTS_HEADER) + "\r\n")
+        for (o, f, s, h), shed, row in zip(table.keys(), status, table.unserved_mw):
+            key, end = f"{o},{f!r},{s},{h},", f",{shed}\r\n"
+            lines = [f"{key}{r},{mw!r}{end}" for r, mw in zip(table.regions, row.tolist())]
+            handle.write("".join(lines))
 
 
 def load_results(path) -> ResultTable:
-    """Read a results CSV back into a table."""
-    import csv
+    """Read a results csv back into a table, sorted by key.
 
-    from .errors import ParseError
-
-    groups: dict[tuple[int, float, str, int], dict[str, tuple[float, str]]] = {}
+    `read_fields` splits the rows a chunk at a time; each column's texts are
+    coded by a dict, and each distinct text is parsed once. A record is a
+    run of rows with one key; it must name the first record's regions in
+    order and give the status its unserved MW give. Otherwise the file is
+    read again line by line to name the first bad line.
+    """
+    path = Path(path)
+    codes = [defaultdict() for _ in _RESULTS_HEADER]
+    for code in codes:
+        code.default_factory = code.__len__  # a new text takes the next code
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        expected = ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise ParseError(f"expected header {','.join(expected)}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 7:
-                raise ParseError(f"expected 7 fields, got {len(row)}", lineno)
+        if [h.strip() for h in handle.readline().split(",")] != _RESULTS_HEADER:
+            raise ParseError(f"expected header {','.join(_RESULTS_HEADER)}", 1)
+        parts = [
+            [np.fromiter(map(codes[k].__getitem__, fields[k::7]), np.int64, n) for k in range(7)]
+            for n, fields in read_fields(handle, 7, lambda: _first_bad_row(path))
+        ]
+    if not parts:
+        raise ValidationError("results file contains no records")
+    columns = list(map(np.concatenate, zip(*parts)))
+    scenario, region = columns[2], columns[4]
+
+    def parsed(k, parse=float, dtype=float):  # each distinct text once
+        return np.array(list(map(parse, codes[k])), dtype=dtype)[columns[k]]
+
+    try:
+        ordering, fraction, hour = parsed(0, int, np.int64), parsed(1), parsed(3, int, np.int64)
+        unserved = parsed(5)
+        shed = parsed(6, lambda text: _IS_SHED[text.rstrip("\r\n")], bool)  # holds the line end
+    except (ValueError, OverflowError, KeyError):
+        raise _first_bad_row(path) from None
+    # the first record is the leading run of rows with the first row's key
+    same = np.logical_and.reduce([c == c[0] for c in (ordering, fraction, scenario, hour)])
+    width = int(same.argmin()) or len(same)
+    if len(region) % width:
+        raise _first_bad_row(path)
+    keys = [c.reshape(-1, width) for c in (ordering, fraction, scenario, hour, shed)]
+    matrix = unserved.reshape(-1, width)
+    if not (
+        all((c == c[:, :1]).all() for c in keys)
+        and (region.reshape(-1, width) == region[:width]).all()
+        and (keys[4][:, 0] == (matrix > 0.0).any(axis=1)).all()
+    ):
+        raise _first_bad_row(path)
+    names, regions = list(codes[2]), [list(codes[4])[k] for k in region[:width].tolist()]
+    ordering, fraction, scenario, hour = (c[:, 0] for c in keys[:4])
+    order = np.lexsort((hour, np.argsort(np.argsort(names))[scenario], fraction, ordering))
+    try:
+        return ResultTable(
+            ordering=ordering[order],
+            fraction=fraction[order],
+            scenario=tuple(names[k] for k in scenario[order].tolist()),
+            hour=hour[order],
+            regions=tuple(sorted(regions)),
+            unserved_mw=matrix[order][:, np.argsort(regions)],
+        )
+    except ValidationError:
+        raise _first_bad_row(path) from None  # a repeated record or region
+
+
+def _first_bad_row(path: Path) -> ParseError:
+    """Raise the error for the first malformed data row of a results file.
+
+    Checks each row as `load_results` does, in file order: beyond
+    `scan_rows`, int64 ordering and hour, a float fraction (not NaN) and
+    value, no repeated (record, region) and the first record's regions in
+    order; once a record ends, that it has them all and that each row's
+    status is the one its unserved MW give.
+    """
+    seen, first, key, rows = set(), None, None, []
+    for lineno, row in chain(scan_rows(path, 7), [(0, None)]):
+        if row is not None:
             try:
-                key = (int(row[0]), float(row[1]), row[2], int(row[3]))
-                value = float(row[5])
+                row_key = (int(row[0]), float(row[1]), row[2], int(row[3]))
+                mw = float(row[5])
+                wide = [v for v in (row_key[0], row_key[3]) if not _INT64.min <= v <= _INT64.max]
+                if wide or math.isnan(row_key[1]):
+                    raise ValueError
             except ValueError:
                 raise ParseError(f"bad numeric value in {row!r}", lineno) from None
-            per_region = groups.setdefault(key, {})
-            if row[4] in per_region:
-                raise ParseError(f"repeated row for record {key}, region {row[4]}", lineno)
-            per_region[row[4]] = (value, row[6])
-
-    records = []
-    for key in sorted(groups):
-        per_region = groups[key]
-        statuses = {status for _, status in per_region.values()}
-        if len(statuses) != 1:
-            raise ValidationError(f"record {key} rows disagree on status")
-        unserved = {region: mw for region, (mw, _) in per_region.items()}
-        records.append(
-            ScenarioRecord(
-                ordering_index=key[0],
-                loss_fraction=key[1],
-                scenario=key[2],
-                hour=key[3],
-                unserved_mw_per_region=unserved,
-                dispatch_status=next(iter(statuses)),
-            )
-        )
-    if not records:
-        raise ValidationError("results file contains no records")
-    return ResultTable(records=tuple(records))
+            if (row_key, row[4]) in seen:
+                raise ParseError(f"repeated row for record {row_key}, region {row[4]}", lineno)
+            seen.add((row_key, row[4]))
+        if rows and (row is None or row_key != key):
+            if first is not None and len(rows) < len(first):
+                raise ParseError(f"record {key} lacks regions of the first record", rows[-1][0])
+            status = STATUS_SHED if any(r[2] > 0.0 for r in rows) else STATUS_OK
+            for line, _, _, given in rows:
+                if given != status:
+                    message = f"status {given} of record {key} disagrees with its unserved MW"
+                    raise ParseError(message, line)
+            first, rows = first or [r[1] for r in rows], []
+        if row is None:
+            break
+        key = row_key
+        if first is not None and (len(rows) >= len(first) or row[4] != first[len(rows)]):
+            raise ParseError(f"record {key} does not repeat the first record's regions", lineno)
+        rows.append((lineno, row[4], mw, row[6]))
+    # unreachable while load_results' checks match these row checks
+    return ParseError(f"malformed results file {path.name}")

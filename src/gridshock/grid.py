@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -417,7 +418,8 @@ def serialize_grid(grid: Grid, path) -> None:
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def load_regions(path) -> RegionTable:
@@ -455,7 +457,8 @@ def serialize_regions(table: RegionTable, path) -> None:
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def validate_connectivity(grid: Grid) -> ComponentReport:

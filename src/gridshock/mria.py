@@ -16,6 +16,11 @@ decision the shock's caps could change. The vertex each shock returns is
 the one a cold solve returns, bit for bit, and since every shock replays
 the baseline's path and never another shock's, it cannot depend on the
 order in which shocks are priced.
+
+`shock_from_unserved` turns the sweep's whole result table into one
+records x economic regions matrix of loss fractions in one pass; each row
+is a region-wide shock. impact prices each distinct row once, in sorted
+row order, and hands every record its row's result.
 """
 
 from __future__ import annotations
@@ -28,12 +33,14 @@ from typing import Mapping
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     BaselineMismatch,
     ParseError,
     UnbalancedTables,
     ValidationError,
 )
+from .failures import ResultTable
 from .grid import RegionTable
 from .numerics import LinearProgram, LpSolution, lp_solve
 from .profiles import StudiedDemand
@@ -423,29 +430,41 @@ def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
     )
 
 
-def shock_from_unserved(record, regions: RegionTable, demand: StudiedDemand) -> CapacityShock:
-    """Convert a dispatch record into per-economic-region capacity loss.
+def shock_from_unserved(
+    table: ResultTable, regions: RegionTable, demands: Mapping[str, StudiedDemand]
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sweep's records as per-economic-region capacity losses.
 
-    Districts aggregate into their parent economic region; the loss
-    fraction is unserved power over demanded power at the record's hour,
-    as `demand` (the record's scenario) holds it, capped at 1. Regions with
-    zero demand take a zero shock. The event lasts one hour.
+    Returns the economic regions (sorted) and a records x economic regions
+    matrix; each row is one record's shock, lasting one hour. Districts
+    add into their parent economic region in sorted district order; the
+    loss fraction is unserved power over demanded power at the record's
+    hour in `demands[scenario]`, capped at 1. Regions with zero demand take
+    a zero shock.
     """
-    unserved: dict[str, float] = {}
-    demanded: dict[str, float] = {}
-    for district, mw in record.unserved_mw_per_region.items():
-        if district not in regions.by_id:
-            raise ValidationError(f"record names unknown district {district}")
-        parent = regions.by_id[district].parent
-        unserved[parent] = unserved.get(parent, 0.0) + mw
-        demanded[parent] = demanded.get(parent, 0.0) + demand.demand_at(district, record.hour)
-    delta = {}
-    for parent in sorted(unserved):
-        if demanded[parent] <= 0.0:
-            delta[parent] = 0.0
-        else:
-            delta[parent] = min(1.0, unserved[parent] / demanded[parent])
-    return CapacityShock(delta=delta, duration_hours=1.0)
+    unknown = [d for d in table.regions if d not in regions.by_id]
+    if unknown:
+        raise ValidationError(f"record names unknown district {unknown[0]}")
+    demanded = np.zeros_like(table.unserved_mw)
+    scenario = np.array(table.scenario)
+    for name in sorted(set(table.scenario)):
+        if name not in demands:
+            raise ValidationError(f"no studied demand for scenario {name!r}")
+        demand, rows = demands[name], scenario == name
+        missing = sorted(set(table.regions) - set(demand.regions))
+        if missing:
+            raise ValidationError(f"no studied demand for district {missing[0]} in {name!r}")
+        columns = [demand.regions.index(d) for d in table.regions]
+        demanded[rows] = demand.district_mw[np.ix_(demand.rows(table.hour[rows]), columns)]
+    parents = tuple(sorted({regions.by_id[d].parent for d in table.regions}))
+    unserved, demand_sum = np.zeros((2, len(table), len(parents)))
+    for k, district in enumerate(table.regions):
+        p = parents.index(regions.by_id[district].parent)
+        unserved[:, p] += table.unserved_mw[:, k]
+        demand_sum[:, p] += demanded[:, k]
+    shocks, positive = np.zeros_like(unserved), demand_sum > 0.0
+    shocks[positive] = np.minimum(1.0, unserved[positive] / demand_sum[positive])
+    return parents, shocks
 
 
 def _read_rows(path: Path, header: list[str]) -> list[tuple[list[str], int]]:
@@ -556,7 +575,7 @@ def save_supply_use(model: SupplyUseModel, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
 
     def dump(name, header, rows):
-        with open(directory / name, "w", encoding="utf-8", newline="") as handle:
+        with atomic_open(directory / name) as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(rows)

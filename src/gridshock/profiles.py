@@ -12,21 +12,24 @@ thermal series) with unquoted fields and CRLF line ends. `load_profile`
 reads them in one chunked, columnar pass into arrays; `save_profile`
 writes them region by region, one joined string per region, refuses a
 value column or region id that csv would have to quote, and makes the
-file appear whole or not at all.
+file appear whole or not at all. `read_fields` is the chunked splitter;
+`failures.load_results` reads the sweep's results with it too.
 
-`StudiedDemand` is one scenario's demand at its studied hours. simulate
-writes it to `demand.csv` (`save_studied_demand`), and impact and analyze
-read that file (`load_studied_demand`) instead of the full-year profiles.
+`StudiedDemand` is one scenario's demand at its studied hours, as arrays.
+simulate writes it to `demand.csv` (`save_studied_demand`), and impact and
+analyze read that file (`load_studied_demand`) instead of the full-year
+profiles; a repeated row or an hour that lacks a district is refused.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import filterfalse
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -74,18 +77,18 @@ SEASONAL_AMPLITUDE = 0.08
 SEASONAL_PEAK_DAY = 15
 NOISE_HALF_WIDTH = 0.005
 
-# Profile rows are read in chunks of about this many characters, so a
-# full-year file never sits in memory as one string or one list of fields.
+# `read_fields` reads rows in chunks of about this many characters.
 _CHUNK_BYTES = 64 * 1024
 
 # Hours are held as int64; a wider integer is a malformed row.
 _INT64 = np.iinfo(np.int64)
 
-# Characters that make csv quote a field. save_profile writes unquoted
-# fields, so it refuses a header or region id holding any of them.
+# Characters that make csv quote a field. save_profile and save_results
+# write unquoted fields, so they refuse an id holding any of them.
 _QUOTED_CHARS = ',"\r\n'
 
 _DEMAND_HEADER = ("scenario", "kind", "region", "hour", "demand_mw")
+_DEMAND_KINDS = ("district", "national", "peak")
 
 
 @dataclass(frozen=True)
@@ -139,36 +142,40 @@ class DemandProfile:
         return float(self.demand_mw[self.region_pos[region]].sum()) / 1000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudiedDemand:
     """One scenario's demand at its studied hours, cut from the full profile.
 
-    simulate writes it to `demand.csv` (`save_studied_demand`), so that
-    impact and analyze need not parse the full-year profiles.
-    `district_mw[hour][region]` holds the profile's own values. `national_mw`
-    and `peak_mw` come from the full profile's `national()`: a sum over one
-    column taken again can differ from that row-wise sum in the last bit.
+    `hours` ascend; `district_mw` is hours x `regions` of the profile's own
+    values. `national_mw` (per hour) and `peak_mw` come from the full
+    profile's `national()`: a sum over one column taken again can differ
+    from that row-wise sum in the last bit.
     """
 
-    district_mw: Mapping[int, Mapping[str, float]]
-    national_mw: Mapping[int, float]
+    regions: tuple[str, ...]
+    hours: np.ndarray
+    district_mw: np.ndarray
+    national_mw: np.ndarray
     peak_mw: float
 
     @classmethod
     def from_profile(cls, profile: DemandProfile, hours) -> StudiedDemand:
         national = profile.national()
-        columns = {int(h): profile.hour_pos[int(h)] for h in sorted(hours)}
+        columns = [profile.hour_pos[h] for h in sorted({int(h) for h in hours})]
         return cls(
-            district_mw={
-                h: dict(zip(profile.regions, profile.demand_mw[:, k].tolist()))
-                for h, k in columns.items()
-            },
-            national_mw={h: float(national[k]) for h, k in columns.items()},
-            peak_mw=float(national.max()),
+            profile.regions,
+            profile.hours[columns],
+            profile.demand_mw[:, columns].T,
+            national[columns],
+            float(national.max()),
         )
 
-    def demand_at(self, region: str, hour: int) -> float:
-        return self.district_mw[hour][region]
+    def rows(self, hours: np.ndarray) -> np.ndarray:
+        """The row of each of `hours`; an hour not studied is a ValidationError."""
+        missing = np.setdiff1d(hours, self.hours)
+        if missing.size:
+            raise ValidationError(f"no studied demand at hour {missing[0]}")
+        return np.searchsorted(self.hours, hours)
 
 
 @dataclass(frozen=True)
@@ -299,43 +306,29 @@ def apply_flat(profile: DemandProfile) -> DemandProfile:
 def load_profile(path, scenario: str | None = None, value_column: str | None = None) -> DemandProfile:
     """Read `region,hour,demand_mw` rows (or `heat_mw` for thermal series).
 
-    The rows are read in chunks of about `_CHUNK_BYTES`. Each chunk is split
-    with str methods into region, hour and value columns; hours and values
-    go through int() and float() into arrays, and each region gets an
-    integer code from one dict. The region x hour matrix is then built with
-    array operations, and rows that already arrive in (region, hour) order,
-    as `save_profile` writes them, are not sorted. Fields are unquoted: a
-    `"` in a data row is an error. Blank lines are skipped but still count
-    towards line numbers, which the chunks do not keep: once a chunk shows
-    a malformed row, the file is read again line by line to name the first
-    bad line.
+    `read_fields` splits the rows, a chunk at a time, into region, hour and
+    value columns; hours and values go through int() and float() into
+    arrays, and each region gets an integer code from one dict. The region
+    x hour matrix is then built with array operations, and rows that
+    already arrive in (region, hour) order, as `save_profile` writes them,
+    are not sorted. Fields are unquoted: a `"` in a data row is an error.
+    Blank lines are skipped but still count towards line numbers, which the
+    chunks do not keep: once a chunk shows a malformed row, the file is read
+    again line by line to name the first bad line.
     """
     path = Path(path)
-    codes: dict[str, int] = {}
+    codes: defaultdict[str, int] = defaultdict()
+    codes.default_factory = codes.__len__  # a new region takes the next code
     code_parts, hour_parts, value_parts = [], [], []
     with open(path, encoding="utf-8", newline="") as handle:
         _check_header(handle.readline(), value_column)
-        while lines := handle.readlines(_CHUNK_BYTES):
-            rows = list(filterfalse(str.isspace, lines))
-            if not rows:
-                continue
-            if not rows[-1].endswith(("\n", "\r")):
-                rows[-1] += "\n"
-            text = ",".join(rows)
-            fields = text.split(",")
-            n = len(rows)
-            # Only a row's last field holds its line end. With 3n fields of
-            # which every third holds one, each row has exactly 3 fields.
-            if '"' in text or len(fields) != 3 * n or _line_ends("".join(fields[2::3])) != n:
-                raise _first_bad_line(path)
+        for n, fields in read_fields(handle, 3, lambda: _first_bad_line(path)):
             try:
                 hour_parts.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
                 value_parts.append(np.fromiter(map(float, fields[2::3]), float, n))
             except (ValueError, OverflowError):
                 raise _first_bad_line(path) from None
-            regions = list(map(str.strip, fields[0::3]))
-            for region in dict.fromkeys(regions):
-                codes.setdefault(region, len(codes))
+            regions = map(str.strip, fields[0::3])
             code_parts.append(np.fromiter(map(codes.__getitem__, regions), np.int64, n))
 
     if not codes:
@@ -377,6 +370,34 @@ def _check_header(line: str, value_column: str | None) -> None:
         )
 
 
+def read_fields(
+    handle, width: int, first_bad_line: Callable[[], ParseError]
+) -> Iterator[tuple[int, list[str]]]:
+    """Split the rows left in `handle` into fields, a chunk at a time.
+
+    Yields `(n, fields)` per chunk of about `_CHUNK_BYTES` characters: the
+    fields of its n non-blank rows in one flat list, `width` per row, the
+    last of each row still holding its line end. The chunks keep no line
+    numbers, so a `"` or a row of another width raises `first_bad_line()`,
+    a line-by-line rescan that names the line.
+    """
+    while lines := handle.readlines(_CHUNK_BYTES):
+        rows = list(filterfalse(str.isspace, lines))
+        if not rows:
+            continue
+        if not rows[-1].endswith(("\n", "\r")):
+            rows[-1] += "\n"
+        text = ",".join(rows)
+        fields = text.split(",")
+        n = len(rows)
+        # Only a row's last field holds its line end. With width * n fields
+        # of which every width-th holds one, each row has `width` fields.
+        ends = "".join(fields[width - 1 :: width])
+        if '"' in text or len(fields) != width * n or _line_ends(ends) != n:
+            raise first_bad_line()
+        yield n, fields
+
+
 def _line_ends(text: str) -> int:
     """Number of line ends (LF, CRLF or a lone CR) in text."""
     return text.count("\n") + text.count("\r") - text.count("\r\n")
@@ -388,35 +409,45 @@ def _ascending(code: np.ndarray, hours: np.ndarray) -> bool:
     return bool(((step > 0) | ((step == 0) & (np.diff(hours) > 0))).all())
 
 
-def _first_bad_line(path: Path) -> ParseError:
-    """The error for the first malformed data row of path, found line by line.
+def scan_rows(path: Path, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank data row, read line by line.
 
-    Checks each row as the chunked reader does, in file order: no `"`,
-    3 fields, an int64 hour and a float value, and no (region, hour) pair
-    seen before.
+    The slow path of `read_fields`' callers: a `"` or a row of another
+    width is a ParseError on its line.
     """
-    seen: set[tuple[str, int]] = set()
     with open(path, encoding="utf-8", newline="") as handle:
         handle.readline()
         for lineno, line in enumerate(handle, start=2):
             if line.isspace():
                 continue
             if '"' in line:
-                return ParseError("quoted fields are not supported", lineno)
+                raise ParseError("quoted fields are not supported", lineno)
             row = line.rstrip("\r\n").split(",")
-            if len(row) != 3:
-                return ParseError(f"expected 3 fields, got {len(row)}", lineno)
-            try:
-                hour = int(row[1])
-                float(row[2])
-            except ValueError:
-                return ParseError(f"bad numeric value in {row!r}", lineno)
-            if not _INT64.min <= hour <= _INT64.max:
-                return ParseError(f"hour {hour} does not fit a 64-bit integer", lineno)
-            region = row[0].strip()
-            if (region, hour) in seen:
-                return ParseError(f"duplicate hour {hour} for region {region}", lineno)
-            seen.add((region, hour))
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", lineno)
+            yield lineno, row
+
+
+def _first_bad_line(path: Path) -> ParseError:
+    """Raise the error for the first malformed data row of path.
+
+    Checks each row as the chunked reader does, in file order: beyond
+    `scan_rows`, an int64 hour and a float value, and no (region, hour)
+    pair seen before.
+    """
+    seen: set[tuple[str, int]] = set()
+    for lineno, row in scan_rows(path, 3):
+        try:
+            hour = int(row[1])
+            float(row[2])
+        except ValueError:
+            raise ParseError(f"bad numeric value in {row!r}", lineno) from None
+        if not _INT64.min <= hour <= _INT64.max:
+            raise ParseError(f"hour {hour} does not fit a 64-bit integer", lineno)
+        region = row[0].strip()
+        if (region, hour) in seen:
+            raise ParseError(f"duplicate hour {hour} for region {region}", lineno)
+        seen.add((region, hour))
     # unreachable while load_profile's chunk checks match these row checks
     return ParseError(f"malformed data row in {path.name}")
 
@@ -430,9 +461,9 @@ def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") 
     `load_profile` reads unquoted fields only. The file appears whole or
     not at all.
     """
-    _check_unquoted(value_column, "value column")
+    check_unquoted(value_column, "value column")
     for region in profile.regions:
-        _check_unquoted(region, "region id")
+        check_unquoted(region, "region id")
     hours = profile.hours.tolist()
     with atomic_open(path) as handle:
         handle.write(f"region,hour,{value_column}\r\n")
@@ -441,7 +472,7 @@ def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") 
             handle.write("".join(rows))
 
 
-def _check_unquoted(field: str, kind: str) -> None:
+def check_unquoted(field: str, kind: str) -> None:
     if any(char in field for char in _QUOTED_CHARS):
         raise ValidationError(f"{kind} {field!r} needs csv quoting")
 
@@ -459,21 +490,25 @@ def save_studied_demand(demands: Mapping[str, StudiedDemand], path) -> None:
         writer.writerow(_DEMAND_HEADER)
         for scenario in sorted(demands):
             demand = demands[scenario]
-            for hour in sorted(demand.national_mw):
+            for hour, district, national in zip(
+                demand.hours.tolist(), demand.district_mw.tolist(), demand.national_mw.tolist()
+            ):
                 writer.writerows(
                     (scenario, "district", region, hour, repr(mw))
-                    for region, mw in demand.district_mw[hour].items()
+                    for region, mw in zip(demand.regions, district)
                 )
-                writer.writerow((scenario, "national", "", hour, repr(demand.national_mw[hour])))
+                writer.writerow((scenario, "national", "", hour, repr(national)))
             writer.writerow((scenario, "peak", "", "", repr(demand.peak_mw)))
 
 
 def load_studied_demand(path) -> dict[str, StudiedDemand]:
-    """Read the rows `save_studied_demand` writes, keyed by scenario."""
+    """Read the rows `save_studied_demand` writes, keyed by scenario.
+
+    A repeated row is a ParseError on its line. Each hour a scenario names
+    needs its national row and a district row for each of its regions.
+    """
     path = Path(path)
-    districts: dict[str, dict[int, dict[str, float]]] = {}
-    national: dict[str, dict[int, float]] = {}
-    peaks: dict[str, float] = {}
+    rows: dict[tuple, float] = {}  # (scenario, kind, hour or None, region) -> MW
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         if next(reader, None) != list(_DEMAND_HEADER):
@@ -481,30 +516,41 @@ def load_studied_demand(path) -> dict[str, StudiedDemand]:
         for lineno, row in enumerate(reader, start=2):
             try:
                 scenario, kind, region, hour, value = row
-                if kind == "district":
-                    by_hour = districts.setdefault(scenario, {})
-                    by_hour.setdefault(int(hour), {})[region] = float(value)
-                elif kind == "national" and not region:
-                    national.setdefault(scenario, {})[int(hour)] = float(value)
-                elif kind == "peak" and not region and not hour and scenario not in peaks:
-                    peaks[scenario] = float(value)
-                else:
+                key = (scenario, kind, None if kind == "peak" else int(hour), region)
+                if kind not in _DEMAND_KINDS or (kind != "district" and region):
                     raise ValueError
+                if kind == "peak" and hour:
+                    raise ValueError
+                value = float(value)
             except ValueError:
                 raise ParseError(f"malformed row {row!r} in {path.name}", lineno) from None
-    for scenario in sorted(set(districts) | set(national) | set(peaks)):
-        hours = districts.get(scenario, {}).keys()
-        if scenario not in peaks or hours != national.get(scenario, {}).keys():
-            raise ValidationError(
-                f"{path.name}: scenario {scenario} lacks its peak or an hour's rows"
+            if key in rows:
+                raise ParseError(f"repeated row {row!r} in {path.name}", lineno)
+            rows[key] = value
+    demands = {}
+    for scenario in sorted({key[0] for key in rows}):
+        hours = sorted({h for s, _, h, _ in rows if s == scenario and h is not None})
+        districts = (r for s, kind, _, r in rows if s == scenario and kind == "district")
+        regions = tuple(dict.fromkeys(districts))
+        try:
+            demands[scenario] = StudiedDemand(
+                regions,
+                np.array(hours, dtype=np.int64),
+                np.array([[rows[scenario, "district", h, r] for r in regions] for h in hours])
+                .reshape(len(hours), len(regions)),
+                np.array([rows[scenario, "national", h, ""] for h in hours]),
+                rows[scenario, "peak", None, ""],
             )
-    return {
-        s: StudiedDemand(districts.get(s, {}), national.get(s, {}), peaks[s]) for s in sorted(peaks)
-    }
+        except KeyError as missing:
+            raise ValidationError(
+                f"{path.name}: scenario {scenario} lacks its peak or an hour's rows: "
+                f"no {missing.args[0][1:]} row"
+            ) from None
+    return demands
 
 
 def save_end_use_shares(shares: Mapping[str, Mapping[str, float]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["region", "end_use", "share"])
         for region in sorted(shares):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .grid import Branch, Bus, Generator, Grid, Region, RegionTable, serialize_grid, serialize_regions
 from .mria import SupplyUseModel, save_supply_use
 from .profiles import (
@@ -444,6 +445,7 @@ def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
     written.append(out / "end_use_shares.csv")
     save_supply_use(fixture.economy, out / "economy")
     written.extend(sorted((out / "economy").glob("*.csv")))
-    (out / "run.cfg").write_text(fixture.config_text, encoding="utf-8")
+    with atomic_open(out / "run.cfg") as handle:
+        handle.write(fixture.config_text)
     written.append(out / "run.cfg")
     return written

@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 import gridshock
+from gridshock.failures import STATUS_OK, STATUS_SHED, ResultTable
 from gridshock.grid import Branch, Bus, Generator, Grid
 
 
@@ -135,3 +137,64 @@ def run_python(args: list[str], hash_seed: int) -> str:
         [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout
+
+
+@dataclass(frozen=True)
+class Record:
+    """One record of a ResultTable, as tests build and read it.
+
+    `table_of` reads the first five fields; `records_of` also fills the
+    total and the status from the table's own `total_unserved_mw` and
+    `shed`.
+    """
+
+    ordering_index: int
+    loss_fraction: float
+    scenario: str
+    hour: int
+    unserved_mw_per_region: dict
+    total_unserved_mw: float | None = None
+    dispatch_status: str | None = None
+
+    @property
+    def key(self) -> tuple[int, float, str, int]:
+        return (self.ordering_index, self.loss_fraction, self.scenario, self.hour)
+
+
+def table_of(records) -> ResultTable:
+    """A ResultTable of Records, sorted by key; every record names the
+    first record's regions."""
+    records = sorted(records, key=lambda r: r.key)
+    regions = sorted(records[0].unserved_mw_per_region) if records else []
+    return ResultTable(
+        ordering=np.array([r.ordering_index for r in records], dtype=np.int64),
+        fraction=np.array([r.loss_fraction for r in records], dtype=float),
+        scenario=tuple(r.scenario for r in records),
+        hour=np.array([r.hour for r in records], dtype=np.int64),
+        regions=tuple(regions),
+        unserved_mw=np.array(
+            [[r.unserved_mw_per_region[g] for g in regions] for r in records], dtype=float
+        ).reshape(len(records), len(regions)),
+    )
+
+
+def records_of(table: ResultTable) -> list[Record]:
+    """The table's records in order, with their totals and statuses."""
+    status = np.where(table.shed, STATUS_SHED, STATUS_OK).tolist()
+    return [
+        Record(o, f, s, h, dict(zip(table.regions, row)), total, st)
+        for o, f, s, h, row, total, st in zip(
+            table.ordering.tolist(),
+            table.fraction.tolist(),
+            table.scenario,
+            table.hour.tolist(),
+            table.unserved_mw.tolist(),
+            table.total_unserved_mw.tolist(),
+            status,
+        )
+    ]
+
+
+def aligned(table: ResultTable, by_key) -> np.ndarray:
+    """Values of a {record key: value} mapping in the table's record order."""
+    return np.array([by_key[r.key] for r in records_of(table)])

@@ -812,3 +812,107 @@ class _ReferenceSimplex:
         self.lo[self.art_start :] = 0.0
         self.hi[self.art_start :] = 0.0
         return True
+
+
+def reference_save_results(table, path):
+    """Write a results table with one `csv.writer` row per record per region.
+
+    The results writer from before it joined each record's rows into one
+    string; kept as the reference its bytes are compared against.
+    """
+    import csv
+
+    records = zip(
+        table.ordering.tolist(),
+        table.fraction.tolist(),
+        table.scenario,
+        table.hour.tolist(),
+        table.unserved_mw.tolist(),
+    )
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
+        )
+        for ordering, fraction, scenario, hour, row in records:
+            unserved = dict(zip(table.regions, row))
+            status = "shed" if sum(unserved.values()) > 0.0 else "ok"
+            for region in sorted(unserved):
+                writer.writerow(
+                    [ordering, repr(fraction), scenario, hour, region, repr(unserved[region]), status]
+                )
+
+
+def reference_load_results(path):
+    """Row-by-row `csv.reader` parse of a results file into per-record dicts.
+
+    The results reader from before it became chunked and columnar; kept as
+    the reference its tables, messages and error lines are compared
+    against. Returns the table and each record's status, keyed by record.
+    """
+    import csv
+
+    from gridshock.errors import ParseError, ValidationError
+    from gridshock.failures import ResultTable
+
+    groups = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        expected = ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
+        if header is None or [h.strip() for h in header] != expected:
+            raise ParseError(f"expected header {','.join(expected)}", 1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 7:
+                raise ParseError(f"expected 7 fields, got {len(row)}", lineno)
+            try:
+                key = (int(row[0]), float(row[1]), row[2], int(row[3]))
+                value = float(row[5])
+            except ValueError:
+                raise ParseError(f"bad numeric value in {row!r}", lineno) from None
+            per_region = groups.setdefault(key, {})
+            if row[4] in per_region:
+                raise ParseError(f"repeated row for record {key}, region {row[4]}", lineno)
+            per_region[row[4]] = (value, row[6])
+
+    statuses = {}
+    for key, per_region in groups.items():
+        status = {status for _, status in per_region.values()}
+        if len(status) != 1:
+            raise ValidationError(f"record {key} rows disagree on status")
+        statuses[key] = status.pop()
+    if not groups:
+        raise ValidationError("results file contains no records")
+    keys = sorted(groups)
+    regions = sorted(groups[keys[0]])
+    table = ResultTable(
+        ordering=np.array([k[0] for k in keys], dtype=np.int64),
+        fraction=np.array([k[1] for k in keys], dtype=float),
+        scenario=tuple(k[2] for k in keys),
+        hour=np.array([k[3] for k in keys], dtype=np.int64),
+        regions=tuple(regions),
+        unserved_mw=np.array([[groups[k][r][0] for r in regions] for k in keys], dtype=float),
+    )
+    return table, statuses
+
+
+def reference_shock_from_unserved(unserved_mw_per_region, hour, regions, demand):
+    """One record's {economic region: loss fraction}, built from its
+    {district: unserved MW} dict one district at a time.
+
+    The per-record shock conversion from before it became one matrix pass.
+    `demand` is the record's scenario's StudiedDemand.
+    """
+    row = demand.hours.tolist().index(hour)
+    district_mw = dict(zip(demand.regions, demand.district_mw[row].tolist()))
+    unserved, demanded = {}, {}
+    for district, mw in unserved_mw_per_region.items():
+        parent = regions.by_id[district].parent
+        unserved[parent] = unserved.get(parent, 0.0) + mw
+        demanded[parent] = demanded.get(parent, 0.0) + district_mw[district]
+    return {
+        parent: 0.0 if demanded[parent] <= 0.0 else min(1.0, unserved[parent] / demanded[parent])
+        for parent in sorted(unserved)
+    }

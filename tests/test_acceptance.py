@@ -39,7 +39,13 @@ from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import DemandProfile
 from gridshock.synthetic import generate_gb_like, generate_small
 
-from helpers import bus_balances, first_impact_fraction, random_connected_grid, random_injections
+from helpers import (
+    bus_balances,
+    first_impact_fraction,
+    random_connected_grid,
+    random_injections,
+    records_of,
+)
 from oracles import (
     dc_power_flow,
     enumerate_lp,
@@ -227,13 +233,14 @@ def test_first_impact_ordering_across_demand_scenarios():
         # lost energy is the cost proxy: the economic charge is zero right
         # up to the first shed and positive after it, so first-impact
         # fractions coincide
-        costs = {r.key: r.total_unserved_mw for r in table.records}
+        records = records_of(table)
+        costs = np.array([r.total_unserved_mw for r in records])
         medians = {}
         for scenario in SCENARIOS:
             per_ordering = []
             for index in range(config.n_orderings):
                 cells = sorted(
-                    (r for r in table.records
+                    (r for r in records
                      if r.scenario == scenario and r.ordering_index == index),
                     key=lambda r: r.loss_fraction,
                 )
@@ -277,7 +284,7 @@ def test_copper_plate_first_impact_at_capacity_margin():
             loss_fractions=DEFAULT_LOSS_FRACTIONS, master_seed=5,
         )
         table = run_experiment(grid, {"current": profile}, config)
-        costs = {r.key: r.total_unserved_mw for r in table.records}
+        costs = np.array([r.total_unserved_mw for r in records_of(table)])
         first = first_impact_fraction(build_cost_curve(table, costs, "current"))
         margin = (capacity - peak) / capacity
         assert first is not None and abs(first - margin) <= STEP + 1e-12, (
@@ -516,8 +523,8 @@ def test_calibrated_network_serves_peak_without_shedding():
                 hours=hours, n_orderings=1, loss_fractions=(0.0,), master_seed=0
             )
             table = run_experiment(grid, fixture.profiles, config)
-            assert len(table.records) == len(SCENARIOS)
-            for record in table.records:
+            assert len(records_of(table)) == len(SCENARIOS)
+            for record in records_of(table):
                 assert record.total_unserved_mw == 0.0, (
                     f"{fixture.name} {record.scenario}: "
                     f"{record.total_unserved_mw} MW unserved"

@@ -9,6 +9,7 @@ from gridshock.analysis import (
     CurvePoint,
     RegionalChange,
     build_cost_curve,
+    load_costs,
     lost_load_slope,
     marginal_cost_per_gw,
     population_share,
@@ -21,26 +22,39 @@ from gridshock.analysis import (
     zero_impact_demand_gw,
 )
 from gridshock.errors import DegeneratePeaks, MissingCosts, ValidationError
-from gridshock.failures import ResultTable, ScenarioRecord
 from gridshock.grid import Region, RegionTable
 from gridshock.profiles import DemandProfile, StudiedDemand
 
-from helpers import first_impact_fraction
+from helpers import Record, aligned, first_impact_fraction, records_of, table_of
 
 
-def record(ordering, fraction, scenario, hour, unserved, status="ok"):
-    return ScenarioRecord(
-        ordering_index=ordering,
-        loss_fraction=fraction,
-        scenario=scenario,
-        hour=hour,
-        unserved_mw_per_region=dict(unserved),
-        dispatch_status=status,
-    )
+def record(ordering, fraction, scenario, hour, unserved):
+    return Record(ordering, fraction, scenario, hour, dict(unserved))
 
 
-def table_of(records):
-    return ResultTable(records=tuple(records))
+def write_impacts(directory, table, costs, regional):
+    """impacts.csv and impacts_regional.csv as impact writes them, from
+    {record key: cost} and {record key: {zone: delta_va}}; returns the paths."""
+    impacts, per_zone = directory / "impacts.csv", directory / "impacts_regional.csv"
+    with open(impacts, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["record_id", "total_cost"])
+        for rid, r in zip(table.record_ids(), records_of(table)):
+            if r.key in costs:
+                writer.writerow([rid, repr(costs[r.key])])
+    with open(per_zone, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["record_id", "region", "delta_va"])
+        for rid, r in zip(table.record_ids(), records_of(table)):
+            for zone, value in regional.get(r.key, {}).items():
+                writer.writerow([rid, zone, repr(value)])
+    return impacts, per_zone
+
+
+def priced(records, costs):
+    """The table of `records` and its costs, given as {record key: cost}."""
+    table = table_of(records)
+    return table, aligned(table, costs)
 
 
 def simple_curve(scenario="current", medians=(0.0, 1.0, 2.0), fractions=(0.0, 0.1, 0.2)):
@@ -75,13 +89,13 @@ class TestBuildCostCurve:
     def test_zero_costs_at_zero_fraction(self):
         records = [record(k, 0.0, "current", 0, {"r1": 0.0}) for k in range(3)]
         costs = {r.key: 0.0 for r in records}
-        curve = build_cost_curve(table_of(records), costs, "current")
+        curve = build_cost_curve(*priced(records, costs), "current")
         assert curve.points == (CurvePoint(0.0, 0.0, 0.0, 0.0),)
 
     def test_median_min_max(self):
         records = [record(k, 0.2, "current", 0, {"r1": 1.0}) for k in range(3)]
         costs = {records[0].key: 2.0, records[1].key: 1.0, records[2].key: 3.0}
-        curve = build_cost_curve(table_of(records), costs, "current")
+        curve = build_cost_curve(*priced(records, costs), "current")
         point = curve.points[0]
         assert (point.median, point.minimum, point.maximum) == (2.0, 1.0, 3.0)
 
@@ -92,7 +106,7 @@ class TestBuildCostCurve:
             for h in (0, 12)
         ]
         costs = {r.key: float(i) for i, r in enumerate(records)}
-        curve = build_cost_curve(table_of(records), costs, "current")
+        curve = build_cost_curve(*priced(records, costs), "current")
         values = sorted(costs.values())
         assert curve.points[0].median == (values[2] + values[3]) / 2
         assert curve.points[0].minimum == values[0]
@@ -107,7 +121,7 @@ class TestBuildCostCurve:
                 r = record(o, f, "current", 5, {"r1": 0.0})
                 records.append(r)
                 costs[r.key] = float(np.round(rng.uniform(0, 100), 3))
-        curve = build_cost_curve(table_of(records), costs, "current")
+        curve = build_cost_curve(*priced(records, costs), "current")
         for point in curve.points:
             sample = sorted(
                 costs[r.key] for r in records if r.loss_fraction == point.fraction
@@ -116,16 +130,52 @@ class TestBuildCostCurve:
             assert point.maximum == sample[-1]
             assert point.median == sample[len(sample) // 2]
 
-    def test_missing_cost(self):
+    def test_missing_cost(self, tmp_path):
         records = [record(0, 0.0, "current", 0, {"r1": 0.0})]
+        table = table_of(records)
         with pytest.raises(MissingCosts):
-            build_cost_curve(table_of(records), {}, "current")
+            load_costs(table, *write_impacts(tmp_path, table, {}, {}))
 
     def test_unknown_scenario(self):
         records = [record(0, 0.0, "current", 0, {"r1": 0.0})]
         costs = {records[0].key: 0.0}
         with pytest.raises(ValidationError, match="flat"):
-            build_cost_curve(table_of(records), costs, "flat")
+            build_cost_curve(*priced(records, costs), "flat")
+
+
+class TestLoadCosts:
+    def priced_files(self, tmp_path, regional=None):
+        records = [record(o, f, "current", 0, {"r1": 0.0}) for o in range(2) for f in (0.0, 0.4)]
+        table = table_of(records)
+        keys = [r.key for r in records_of(table)]
+        costs = {k: 1.5 * i for i, k in enumerate(keys)}
+        if regional is None:
+            regional = {k: {"z1": -1.5 * i, "z2": 2.0 if i % 2 else -0.0} for i, k in enumerate(keys)}
+        return table, keys, costs, regional, write_impacts(tmp_path, table, costs, regional)
+
+    def test_arrays_in_record_order(self, tmp_path):
+        table, keys, costs, regional, paths = self.priced_files(tmp_path)
+        loaded, zones, losses = load_costs(table, *paths)
+        assert loaded.tolist() == [costs[k] for k in keys]
+        assert zones == ("z1", "z2")
+        assert losses.tolist() == [[max(0.0, -regional[k][z]) for z in zones] for k in keys]
+        # a zero loss is +0.0 whatever the sign of the zero delta_va
+        assert all(math.copysign(1.0, v) == 1.0 for v in losses.ravel().tolist())
+
+    def test_records_out_of_order_refused(self, tmp_path):
+        table, _, _, _, (impacts, regional) = self.priced_files(tmp_path)
+        lines = impacts.read_text(encoding="utf-8").splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        impacts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MissingCosts, match="rerun impact"):
+            load_costs(table, impacts, regional)
+
+    def test_record_lacking_a_zone_refused(self, tmp_path):
+        regional = {(o, f, "current", 0): {"z1": 0.0, "z2": 0.0} for o in range(2) for f in (0.0, 0.4)}
+        regional[(1, 0.4, "current", 0)] = {"z1": 0.0}
+        table, _, _, _, paths = self.priced_files(tmp_path, regional)
+        with pytest.raises(MissingCosts):
+            load_costs(table, *paths)
 
 
 class TestFirstImpact:
@@ -199,7 +249,7 @@ class TestLostLoadSlope:
             record(0, 0.4, "current", 0, {"r1": 2000.0}),
         ]
         costs = {records[0].key: 0.0, records[1].key: 5.0e6}
-        slope = lost_load_slope(table_of(records), costs, "current")
+        slope = lost_load_slope(*priced(records, costs), "current")
         assert slope == pytest.approx(2.5e6)
 
     def test_never_sheds_returns_none(self):
@@ -208,11 +258,12 @@ class TestLostLoadSlope:
             record(0, 0.4, "current", 0, {"r1": 0.0}),
         ]
         costs = {r.key: 0.0 for r in records}
-        assert lost_load_slope(table_of(records), costs, "current") is None
+        assert lost_load_slope(*priced(records, costs), "current") is None
 
 
 class TestRegionalChange:
     def build(self, current, scenario, fraction=0.4, name="heat_pump"):
+        """(table, zones, records x zones costs) of per-record {zone: cost}."""
         records = []
         costs = {}
         for o, values in enumerate(current):
@@ -223,41 +274,43 @@ class TestRegionalChange:
             r = record(o, fraction, name, 0, {k: 0.0 for k in values})
             records.append(r)
             costs[r.key] = dict(values)
-        return table_of(records), costs
+        table = table_of(records)
+        zones = sorted(current[0])
+        return table, zones, np.array([[costs[r.key][z] for z in zones] for r in records_of(table)])
 
     def test_identical_scenarios_ratio_one(self):
         values = [{"R1": 5.0, "R2": 2.0}, {"R1": 7.0, "R2": 4.0}]
-        table, costs = self.build(values, values)
-        change = regional_relative_change(table, costs, "heat_pump", 0.4)
+        inputs = self.build(values, values)
+        change = regional_relative_change(*inputs, "heat_pump", 0.4)
         assert change.ratios == {"R1": 1.0, "R2": 1.0}
 
     def test_doubled_costs_ratio_two(self):
         current = [{"R1": 5.0}, {"R1": 7.0}]
         doubled = [{"R1": 10.0}, {"R1": 14.0}]
-        table, costs = self.build(current, doubled)
-        change = regional_relative_change(table, costs, "heat_pump", 0.4)
+        inputs = self.build(current, doubled)
+        change = regional_relative_change(*inputs, "heat_pump", 0.4)
         assert change.ratios == {"R1": 2.0}
 
     def test_zero_over_zero_is_no_change(self):
-        table, costs = self.build([{"R1": 0.0}], [{"R1": 0.0}])
-        change = regional_relative_change(table, costs, "heat_pump", 0.4)
+        inputs = self.build([{"R1": 0.0}], [{"R1": 0.0}])
+        change = regional_relative_change(*inputs, "heat_pump", 0.4)
         assert change.ratios == {"R1": None}
 
     def test_positive_over_zero_is_inf(self):
-        table, costs = self.build([{"R1": 0.0}], [{"R1": 3.0}])
-        change = regional_relative_change(table, costs, "heat_pump", 0.4)
+        inputs = self.build([{"R1": 0.0}], [{"R1": 3.0}])
+        change = regional_relative_change(*inputs, "heat_pump", 0.4)
         assert change.ratios == {"R1": math.inf}
 
     def test_missing_records(self):
-        table, costs = self.build([{"R1": 1.0}], [{"R1": 1.0}])
+        inputs = self.build([{"R1": 1.0}], [{"R1": 1.0}])
         with pytest.raises(ValidationError, match="flat"):
-            regional_relative_change(table, costs, "flat", 0.4)
+            regional_relative_change(*inputs, "flat", 0.4)
 
     def test_matches_hand_computation(self):
         current = [{"R1": 1.0}, {"R1": 3.0}, {"R1": 10.0}]
         other = [{"R1": 6.0}, {"R1": 2.0}, {"R1": 40.0}]
-        table, costs = self.build(current, other)
-        change = regional_relative_change(table, costs, "heat_pump", 0.4)
+        inputs = self.build(current, other)
+        change = regional_relative_change(*inputs, "heat_pump", 0.4)
         assert change.ratios["R1"] == 6.0 / 3.0
 
     def test_negative_ratio_rejected(self):
@@ -355,14 +408,14 @@ class TestZeroImpactDemand:
             costly = r.hour == 1 and r.loss_fraction == 0.4
             costs[r.key] = 9.9 if costly else 0.0
         profiles = {"current": self.profile("current", [18600.0, 30000.0])}
-        value = zero_impact_demand_gw(table_of(records), costs, profiles)
+        value = zero_impact_demand_gw(*priced(records, costs), profiles)
         assert value == pytest.approx(18.6)
 
     def test_none_when_everything_costs(self):
         records = [record(0, 0.4, "current", 0, {"r1": 0.0})]
         costs = {records[0].key: 1.0}
         profiles = {"current": self.profile("current", [100.0])}
-        assert zero_impact_demand_gw(table_of(records), costs, profiles) is None
+        assert zero_impact_demand_gw(*priced(records, costs), profiles) is None
 
 
 class TestWriters:

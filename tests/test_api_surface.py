@@ -91,3 +91,23 @@ def test_every_traced_name_exists():
         if not callable(getattr(importlib.import_module(module), attribute, None))
     ]
     assert not missing, "bench/tracer.py wraps names src/ does not define: " + ", ".join(missing)
+
+
+def stale_exports() -> list[str]:
+    """`__all__` entries that their module does not define."""
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"gridshock.{path.stem}")
+        stale.extend(
+            f"{path.name}: {name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        )
+    return stale
+
+
+def test_every_export_is_defined():
+    # a name deleted from a module must leave its __all__ too, or
+    # `from gridshock.<module> import *` fails
+    stale = stale_exports()
+    assert not stale, "__all__ names what the module does not define:\n" + "\n".join(stale)

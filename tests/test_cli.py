@@ -2,18 +2,20 @@ import csv
 import re
 import shutil
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gridshock.cli import _parse_record_id, _record_id, main
-from gridshock.errors import ParseError, ValidationError
+from gridshock.analysis import load_costs
+from gridshock.cli import main
+from gridshock.errors import MissingCosts, ValidationError
 from gridshock.failures import DEFAULT_LOSS_FRACTIONS, load_results
 from gridshock.grid import load_regions
 from gridshock.mria import (
+    CapacityShock,
     SupplyUseModel,
     assemble_program,
+    assess_impact,
     load_supply_use,
     save_supply_use,
     shock_from_unserved,
@@ -22,7 +24,7 @@ from gridshock.numerics import lp_solve
 from gridshock.profiles import load_profile, load_studied_demand, save_profile
 from gridshock.runconfig import load_run_config
 
-from helpers import run_python
+from helpers import Record, run_python, table_of
 
 SMALL_SCENARIOS = ("current", "heat_pump", "efficiency", "flat")
 
@@ -158,14 +160,20 @@ class TestRunConfig:
 
 class TestRecordIds:
     def test_round_trip(self):
-        record = SimpleNamespace(
-            ordering_index=3, loss_fraction=0.25, scenario="flat", hour=12
-        )
-        assert _parse_record_id(_record_id(record)) == (3, 0.25, "flat", 12)
+        table = table_of([Record(3, 0.25, "flat", 12, {"r1": 0.0})])
+        assert table.record_ids() == ["3:0.25:flat:12"]
+        assert fraction_of(table.record_ids()[0]) == 0.25
 
-    def test_malformed_id(self):
-        with pytest.raises(ParseError):
-            _parse_record_id("3:0.25:flat")
+    def test_malformed_id(self, tmp_path):
+        table = table_of([Record(3, 0.25, "flat", 12, {"r1": 0.0})])
+        (tmp_path / "impacts.csv").write_text("record_id,total_cost\n3:0.25:flat,1.0\n")
+        (tmp_path / "regional.csv").write_text("record_id,region,delta_va\n3:0.25:flat,z1,-1.0\n")
+        with pytest.raises(MissingCosts):
+            load_costs(table, tmp_path / "impacts.csv", tmp_path / "regional.csv")
+
+
+def fraction_of(record_id):
+    return float(record_id.split(":")[1])
 
 
 def bad_float(text):
@@ -248,18 +256,33 @@ class TestPipeline:
         with open(out_dir / "impacts.csv", encoding="utf-8", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 40
-        zero_rows = [r for r in rows if _parse_record_id(r["record_id"])[1] == 0.0]
+        zero_rows = [r for r in rows if fraction_of(r["record_id"]) == 0.0]
         assert len(zero_rows) == 20
         assert all(r["total_cost"] == "0.0" for r in zero_rows)
         assert any(
             float(r["total_cost"]) > 0.0
             for r in rows
-            if _parse_record_id(r["record_id"])[1] == 0.5
+            if fraction_of(r["record_id"]) == 0.5
         )
         with open(out_dir / "impacts_regional.csv", encoding="utf-8", newline="") as handle:
             regional = list(csv.DictReader(handle))
         assert len(regional) == 80
         assert {r["region"] for r in regional} == {"z1", "z2"}
+
+    def test_impact_prices_one_hour_shocks(self, fx, out_dir):
+        # each record's cost is its shock row priced as a one-hour event
+        config = load_run_config(fx / "run.cfg")
+        table = load_results(out_dir / "results.csv")
+        parents, shocks = shock_from_unserved(
+            table, load_regions(config.regions), load_studied_demand(out_dir / "demand.csv")
+        )
+        model = load_supply_use(config.supply_use_dir)
+        with open(out_dir / "impacts.csv", encoding="utf-8", newline="") as handle:
+            costs = [float(row["total_cost"]) for row in csv.DictReader(handle)]
+        k = int(np.argmax(costs))
+        shock = CapacityShock(delta=dict(zip(parents, shocks[k].tolist())), duration_hours=1.0)
+        assert costs[k] > 0.0
+        assert assess_impact(model, shock).total_cost == costs[k]
 
     def test_impact_reports_replayed_iterations(self, run_copy, capsys):
         cfg = str(run_copy / "run.cfg")
@@ -278,8 +301,11 @@ class TestPipeline:
         demands = load_studied_demand(config.out_dir / "demand.csv")
         model = load_supply_use(config.supply_use_dir)
         deltas = {}
-        for record in load_results(config.out_dir / "results.csv").records:
-            delta = shock_from_unserved(record, regions, demands[record.scenario]).resolve(model)
+        parents, shocks = shock_from_unserved(
+            load_results(config.out_dir / "results.csv"), regions, demands
+        )
+        for row in shocks.tolist():
+            delta = CapacityShock(delta=dict(zip(parents, row))).resolve(model)
             deltas[delta.tobytes()] = delta
         assert programs == len(deltas)
         cold = sum(lp_solve(assemble_program(model, d)).iterations for d in deltas.values() if d.any())
@@ -425,10 +451,10 @@ class TestPipeline:
             profile = load_profile(path)
             national = profile.national()
             studied = sorted(h for s, h in config.hours if s == scenario)
-            assert sorted(demands[scenario].national_mw) == studied
+            assert demands[scenario].hours.tolist() == studied
             assert demands[scenario].peak_mw == float(national.max())
-            for hour in studied:
-                assert demands[scenario].national_mw[hour] == national[profile.hour_pos[hour]]
+            for k, hour in enumerate(studied):
+                assert demands[scenario].national_mw[k] == national[profile.hour_pos[hour]]
 
     def test_baseline_mismatch_refused(self, run_copy, capsys):
         # the interchangeable-industries economy: the LP picks an extreme

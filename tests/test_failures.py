@@ -1,9 +1,11 @@
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import gridshock.dispatch as dispatch_module
+import gridshock.profiles as profiles_module
 from gridshock.errors import ParseError, Unstable, ValidationError
 from gridshock.failures import (
     DEFAULT_LOSS_FRACTIONS,
@@ -11,7 +13,6 @@ from gridshock.failures import (
     STATUS_SHED,
     ExperimentConfig,
     ResultTable,
-    ScenarioRecord,
     bus_demand,
     calibrate_ratings,
     generate_orderings,
@@ -22,6 +23,9 @@ from gridshock.failures import (
 )
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.profiles import DemandProfile
+
+from helpers import Record, records_of, table_of
+from oracles import reference_load_results, reference_save_results
 
 
 def copper_plate_grid(n_units=10, unit_mw=10.0, technologies=None, extra_generators=()):
@@ -232,8 +236,8 @@ class TestRunExperiment:
             loss_fractions=(0.0,),
         )
         table = run_experiment(grid, profiles, config)
-        assert len(table.records) == 8
-        for record in table.records:
+        assert len(records_of(table)) == 8
+        for record in records_of(table):
             assert record.dispatch_status == STATUS_OK
             assert record.total_unserved_mw == 0.0
 
@@ -242,7 +246,7 @@ class TestRunExperiment:
         profiles = {"current": profile_for([[80.0]])}
         config = one_hour_config(loss_fractions=(1.0,), n_orderings=2)
         table = run_experiment(grid, profiles, config)
-        for record in table.records:
+        for record in records_of(table):
             assert record.unserved_mw_per_region == {"r1": 80.0}
             assert record.dispatch_status == STATUS_SHED
 
@@ -253,7 +257,7 @@ class TestRunExperiment:
         profiles = {"current": profile_for([[80.0]])}
         config = one_hour_config(loss_fractions=(0.3,), n_orderings=5)
         table = run_experiment(grid, profiles, config)
-        for record in table.records:
+        for record in records_of(table):
             assert record.dispatch_status == STATUS_SHED
             assert 10.0 - 1e-9 <= record.total_unserved_mw <= 10.0 + 8.0 + 1e-9
 
@@ -264,7 +268,7 @@ class TestRunExperiment:
         profiles = {"current": profile_for([[80.0]])}
         config = one_hour_config(loss_fractions=(0.3,), n_orderings=3, shed_step=0.125)
         table = run_experiment(grid, profiles, config)
-        for record in table.records:
+        for record in records_of(table):
             assert record.total_unserved_mw == pytest.approx(10.0, abs=1e-9)
 
     def test_first_impact_near_margin(self):
@@ -277,7 +281,7 @@ class TestRunExperiment:
         for index in range(config.n_orderings):
             unserved = {
                 r.loss_fraction: r.total_unserved_mw
-                for r in table.records
+                for r in records_of(table)
                 if r.ordering_index == index
             }
             first = min(f for f, u in unserved.items() if u > 0.0)
@@ -290,7 +294,7 @@ class TestRunExperiment:
         config = one_hour_config(loss_fractions=(0.0,), n_orderings=1)
         table = run_experiment(grid, profiles, config)
         # 60 MW of thermal cannot cover 70 MW once solar is dark
-        record = table.records[0]
+        record = records_of(table)[0]
         assert record.dispatch_status == STATUS_SHED
         assert record.total_unserved_mw > 0.0
 
@@ -300,7 +304,7 @@ class TestRunExperiment:
         profiles = {"current": profile_for([[45.0]])}
         config = one_hour_config(loss_fractions=(1.0,), n_orderings=2)
         table = run_experiment(grid, profiles, config)
-        for record in table.records:
+        for record in records_of(table):
             assert record.dispatch_status == STATUS_OK
             assert record.total_unserved_mw == 0.0
 
@@ -316,7 +320,7 @@ class TestRunExperiment:
             loss_fractions=(0.0, 0.4),
         )
         table = run_experiment(grid, profiles, config)
-        keys = [r.key for r in table.records]
+        keys = [r.key for r in records_of(table)]
         assert keys == sorted(keys)
         assert len(keys) == 2 * 2 * 2
 
@@ -339,7 +343,7 @@ class TestRunExperiment:
         )
         serial = run_experiment(grid, profiles, config, workers=1)
         parallel = run_experiment(grid, profiles, config, workers=3)
-        assert serial.records == parallel.records
+        assert records_of(serial) == records_of(parallel)
 
     def test_deterministic_across_worker_counts_with_binding_limits(self, monkeypatch):
         # north units feed r1 and south units r2 over 25 MW lines, so losing
@@ -382,12 +386,12 @@ class TestRunExperiment:
         assert max(limit_rows) > 0
         demand = {0: 170.0, 1: 160.0}
         network_limited = [
-            r for r in serial.records
+            r for r in records_of(serial)
             if r.total_unserved_mw > demand[r.hour] - 240.0 * (1.0 - r.loss_fraction) + 1e-6
         ]
         assert network_limited
         parallel = run_experiment(grid, profiles, config, workers=3)
-        assert serial.records == parallel.records
+        assert records_of(serial) == records_of(parallel)
 
 
 class TestCalibrateRatings:
@@ -418,7 +422,7 @@ class TestCalibrateRatings:
         config = ExperimentConfig(
             hours=(("current", 1),), n_orderings=1, loss_fractions=(0.0,)
         )
-        record = run_experiment(grid, profiles, config).records[0]
+        record = records_of(run_experiment(grid, profiles, config))[0]
         assert record.dispatch_status == STATUS_OK
 
     def test_capacity_shortfall_is_unstable(self):
@@ -447,9 +451,9 @@ class TestCalibrateRatings:
 
 class TestRecordAndTable:
     def test_duplicate_records_rejected(self):
-        record = ScenarioRecord(0, 0.1, "current", 0, {"r1": 0.0}, STATUS_OK)
+        record = Record(0, 0.1, "current", 0, {"r1": 0.0})
         with pytest.raises(ValidationError, match="duplicate"):
-            ResultTable(records=(record, record))
+            table_of([record, record])
 
 
 class TestResultsIO:
@@ -469,15 +473,23 @@ class TestResultsIO:
         path = tmp_path / "results.csv"
         save_results(table, path)
         loaded = load_results(path)
-        assert loaded.records == table.records
+        assert records_of(loaded) == records_of(table)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         table = self.build_table()
         path = tmp_path / "results.csv"
         save_results(table, path)
         before = path.read_bytes()
-        broken = SimpleNamespace(records=(table.records[-1], None))
-        with pytest.raises(AttributeError):
+        # the second record fails to format once the first one is written
+        class Unprintable(float):
+            def __repr__(self):
+                raise RuntimeError("unprintable value")
+
+        unserved = table.unserved_mw.astype(object)
+        unserved[1, 0] = Unprintable()
+        fields = {**vars(table), "unserved_mw": unserved}
+        broken = SimpleNamespace(**fields, shed=table.shed, keys=table.keys)
+        with pytest.raises(RuntimeError, match="unprintable"):
             save_results(broken, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
@@ -514,3 +526,253 @@ class TestResultsIO:
         path.write_text("ordering,fraction,scenario,hour,region,unserved_mw,status\n")
         with pytest.raises(ValidationError, match="no records"):
             load_results(path)
+
+
+HEADER = "ordering,fraction,scenario,hour,region,unserved_mw,status"
+REGION_CHARACTERS = list("abr019 _-.éüñ東京")
+SCENARIO_NAMES = ["current", "heat pump", "éfficiency", "flat"]
+FRACTIONS = [0.0, 0.05, 0.1, 0.15000000000000002, 0.1 + 0.2, 0.45, 1.0]
+VALUES = [5e-324, 2.5e-310, 1e300, 0.1 + 0.2, 0.001, 123.456]
+
+
+def random_table(rng) -> ResultTable:
+    """A table with 1 to 60 region ids (spaces and non-ASCII included),
+    mostly-zero values with subnormals, 1e300 and 0.1 + 0.2 among them,
+    and fractions such as 0.15000000000000002."""
+    regions = set()
+    n_regions = int(rng.integers(1, 61))
+    while len(regions) < n_regions:
+        size = int(rng.integers(1, 6))
+        regions.add("".join(rng.choice(REGION_CHARACTERS, size=size)).strip() or "r")
+    scenarios = sorted(rng.choice(SCENARIO_NAMES, size=int(rng.integers(1, 4)), replace=False))
+    fractions = sorted(rng.choice(FRACTIONS, size=int(rng.integers(1, 4)), replace=False))
+    hours = sorted(rng.choice(8760, size=int(rng.integers(1, 3)), replace=False).tolist())
+    keys = list(product(range(int(rng.integers(1, 4))), fractions, scenarios, hours))
+    values = np.where(
+        rng.random((len(keys), len(regions))) < 0.7,
+        0.0,
+        rng.choice(VALUES, size=(len(keys), len(regions))),
+    )
+    return ResultTable(
+        ordering=np.array([k[0] for k in keys], dtype=np.int64),
+        fraction=np.array([k[1] for k in keys], dtype=float),
+        scenario=tuple(k[2] for k in keys),
+        hour=np.array([k[3] for k in keys], dtype=np.int64),
+        regions=tuple(sorted(regions)),
+        unserved_mw=values,
+    )
+
+
+def assert_same_table(mine, reference):
+    assert mine.regions == reference.regions
+    assert mine.scenario == reference.scenario
+    for name in ("ordering", "fraction", "hour", "unserved_mw"):
+        a, b = getattr(mine, name), getattr(reference, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
+def small_results(tmp_path, lines=None):
+    """results.csv of 3 records x 2 regions; `lines` replaces its data rows."""
+    rows = lines if lines is not None else [
+        "0,0.0,current,0,r1,0.0,ok",
+        "0,0.0,current,0,r2,0.0,ok",
+        "0,0.5,current,0,r1,2.5,shed",
+        "0,0.5,current,0,r2,0.0,shed",
+        "1,0.0,current,0,r1,0.0,ok",
+        "1,0.0,current,0,r2,0.0,ok",
+    ]
+    path = tmp_path / "results.csv"
+    path.write_bytes(("\r\n".join([HEADER, *rows]) + "\r\n").encode("utf-8"))
+    return path
+
+
+class TestResultsAgainstReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_writer_bytes(self, tmp_path, seed):
+        table = random_table(np.random.default_rng(seed))
+        save_results(table, tmp_path / "mine.csv")
+        reference_save_results(table, tmp_path / "reference.csv")
+        assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 65536])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reader_tables(self, tmp_path, monkeypatch, seed, chunk):
+        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        table = random_table(np.random.default_rng(seed))
+        path = tmp_path / "results.csv"
+        save_results(table, path)
+        mine = load_results(path)
+        reference, statuses = reference_load_results(path)
+        assert_same_table(mine, reference)
+        assert_same_table(mine, table)
+        shed = [statuses[r.key] == STATUS_SHED for r in records_of(reference)]
+        assert mine.shed.tolist() == shed
+
+    def test_records_in_any_order_are_sorted(self, tmp_path):
+        table = random_table(np.random.default_rng(5))
+        path = tmp_path / "results.csv"
+        save_results(table, path)
+        header, *rows = path.read_bytes().decode("utf-8").splitlines()
+        width = len(table.regions)
+        records = [rows[k : k + width] for k in range(0, len(rows), width)]
+        lines = [line for record in reversed(records) for line in record]
+        path.write_bytes(("\r\n".join([header, *lines]) + "\r\n").encode("utf-8"))
+        assert_same_table(load_results(path), table)
+
+    @pytest.mark.parametrize("chunk", [16, 65536])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1,0.0,current,0,r1,0.0", "expected 7 fields, got 6"),
+            ("1,0.0,current,0,r1,0.0,ok,x", "expected 7 fields, got 8"),
+            ("one,0.0,current,0,r1,0.0,ok", "bad numeric value in ['one', '0.0', 'current', '0', 'r1', '0.0', 'ok']"),
+            ("1,x,current,0,r1,0.0,ok", "bad numeric value in ['1', 'x', 'current', '0', 'r1', '0.0', 'ok']"),
+            ("1,0.0,current,0.5,r1,0.0,ok", "bad numeric value in ['1', '0.0', 'current', '0.5', 'r1', '0.0', 'ok']"),
+            ("1,0.0,current,0,r1,none,ok", "bad numeric value in ['1', '0.0', 'current', '0', 'r1', 'none', 'ok']"),
+            ("0,0.5,current,0,r1,2.5,shed", "repeated row for record (0, 0.5, 'current', 0), region r1"),
+        ],
+    )
+    def test_refusal_matches_reference(self, tmp_path, monkeypatch, chunk, bad, message):
+        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        lines = [
+            "0,0.0,current,0,r1,0.0,ok",
+            "0,0.0,current,0,r2,0.0,ok",
+            "",
+            "0,0.5,current,0,r1,2.5,shed",
+            "0,0.5,current,0,r2,0.0,shed",
+            bad,
+            "1,0.0,current,0,r2,0.0,ok",
+        ]
+        path = small_results(tmp_path, lines)
+        with pytest.raises(ParseError) as mine:
+            load_results(path)
+        with pytest.raises(ParseError) as reference:
+            reference_load_results(path)
+        assert mine.value.line == reference.value.line == 7
+        assert str(mine.value) == str(reference.value) == f"line 7: {message}"
+
+    def test_header_refusal_matches_reference(self, tmp_path):
+        path = tmp_path / "results.csv"
+        for text in ("", "ordering,fraction\r\n", HEADER.replace("status", "state") + "\r\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ParseError) as mine:
+                load_results(path)
+            with pytest.raises(ParseError) as reference:
+                reference_load_results(path)
+            assert str(mine.value) == str(reference.value) == f"line 1: expected header {HEADER}"
+
+
+class TestResultsRefusals:
+    def test_valid_file_loads(self, tmp_path):
+        table = load_results(small_results(tmp_path))
+        assert len(table) == 3 and table.regions == ("r1", "r2")
+        assert table.shed.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("chunk", [1, 65536])
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            # the second record lacks r2, and so does the last one
+            (lambda rows: rows[:3] + rows[4:], 4, "record (0, 0.5, 'current', 0) lacks regions"),
+            (lambda rows: rows[:5], 6, "record (1, 0.0, 'current', 0) lacks regions"),
+            (lambda rows: rows[:3] + ["0,0.5,current,0,r3,0.0,shed"] + rows[4:], 5,
+             "record (0, 0.5, 'current', 0) does not repeat the first record's regions"),
+            (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], 4,
+             "record (0, 0.5, 'current', 0) does not repeat the first record's regions"),
+            (lambda rows: rows + ["1,0.0,current,0,r3,0.0,ok"], 8,
+             "record (1, 0.0, 'current', 0) does not repeat the first record's regions"),
+            # records must be contiguous
+            (lambda rows: [rows[0], rows[2], rows[1], rows[3]] + rows[4:], 4,
+             "record (0, 0.0, 'current', 0) does not repeat the first record's regions"),
+            (lambda rows: rows[:4] + ["1,0.0,current,0,r1,0.0,shed"] + rows[5:], 6,
+             "status shed of record (1, 0.0, 'current', 0) disagrees with its unserved MW"),
+            (lambda rows: rows[:3] + ["0,0.5,current,0,r2,0.0,ok"] + rows[4:], 5,
+             "status ok of record (0, 0.5, 'current', 0) disagrees with its unserved MW"),
+            # every row of a record that sheds says ok
+            (lambda rows: rows[:2] + [r.replace(",shed", ",ok") for r in rows[2:4]] + rows[4:], 4,
+             "status ok of record (0, 0.5, 'current', 0) disagrees with its unserved MW"),
+            (lambda rows: [rows[0].replace(",ok", ",unstable")] + rows[1:], 2,
+             "status unstable of record (0, 0.0, 'current', 0) disagrees with its unserved MW"),
+            (lambda rows: rows[:4] + ["1,nan,current,0,r1,0.0,ok", "1,nan,current,0,r2,0.0,ok"], 6,
+             "bad numeric value in ['1', 'nan', 'current', '0', 'r1', '0.0', 'ok']"),
+            (lambda rows: rows[:4] + [rows[4].replace("1,", "99999999999999999999,", 1)], 6,
+             "bad numeric value in ['99999999999999999999', '0.0', 'current', '0', 'r1', '0.0', 'ok']"),
+            (lambda rows: rows[:4] + ['"1",0.0,current,0,r1,0.0,ok'] + rows[5:], 6,
+             "quoted fields are not supported"),
+        ],
+    )
+    def test_new_refusals_name_their_line(self, tmp_path, monkeypatch, chunk, edit, line, message):
+        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        rows = small_results(tmp_path).read_text(encoding="utf-8").splitlines()[1:]
+        path = small_results(tmp_path, edit(rows))
+        with pytest.raises(ParseError) as error:
+            load_results(path)
+        assert error.value.line == line
+        assert str(error.value).startswith(f"line {line}: {message}")
+
+    def test_repeated_record_refused(self, tmp_path):
+        rows = small_results(tmp_path).read_text(encoding="utf-8").splitlines()[1:]
+        path = small_results(tmp_path, rows + rows[:2])
+        with pytest.raises(ParseError, match="line 8: repeated row for record .0, 0.0, 'current', 0., region r1"):
+            load_results(path)
+
+    @pytest.mark.parametrize("name", ["r,1", 'r"1', "r\n1"])
+    def test_writer_refuses_ids_csv_would_quote(self, tmp_path, name):
+        table = table_of([Record(0, 0.0, "current", 0, {name: 0.0})])
+        with pytest.raises(ValidationError, match="needs csv quoting"):
+            save_results(table, tmp_path / "results.csv")
+        scenario = table_of([Record(0, 0.0, name, 0, {"r1": 0.0})])
+        with pytest.raises(ValidationError, match="scenario id"):
+            save_results(scenario, tmp_path / "results.csv")
+        assert not list(tmp_path.iterdir())
+
+
+def corrupt(rng, rows: list[str]) -> list[str]:
+    """rows with one or two random edits: a row dropped, repeated or moved,
+    a field added or lost, a bad number, NaN or a wide integer, another
+    status or region, a quote or a blank line."""
+    rows = list(rows)
+    for _ in range(int(rng.integers(1, 3))):
+        i = int(rng.integers(len(rows)))
+        fields = rows[i].split(",")
+        edit = str(rng.choice(["drop", "repeat", "move", "width", "value", "blank", "quote"]))
+        if edit == "drop" and len(rows) > 1:
+            rows.pop(i)
+        elif edit == "repeat":
+            rows.insert(int(rng.integers(len(rows) + 1)), rows[i])
+        elif edit == "move":
+            rows.insert(int(rng.integers(len(rows))), rows.pop(i))
+        elif edit == "width":
+            rows[i] = rows[i] + ",x" if rng.random() < 0.5 else rows[i].rsplit(",", 1)[0]
+        elif edit == "value" and len(fields) == 7:
+            k = int(rng.choice([0, 1, 3, 4, 5, 6]))
+            fields[k] = str(rng.choice(["x", "nan", "99999999999999999999", "ok", "shed", "zz"]))
+            rows[i] = ",".join(fields)
+        elif edit == "blank":
+            rows.insert(i, "  ")
+        elif edit == "quote":
+            rows[i] = '"' + rows[i]
+    return rows
+
+
+class TestResultsFuzz:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_refused_on_a_line_or_read_as_the_reference(self, tmp_path, monkeypatch, seed):
+        # the chunked checks and the line-by-line rescan must agree: a file
+        # the chunks refuse has a bad line, and one they accept reads as the
+        # reference reads it
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", int(rng.choice([1, 7, 64, 65536])))
+        path = tmp_path / "results.csv"
+        save_results(random_table(rng), path)
+        header, *rows = path.read_bytes().decode("utf-8").split("\r\n")[:-1]
+        path.write_bytes("\r\n".join([header, *corrupt(rng, rows), ""]).encode("utf-8"))
+        try:
+            mine = load_results(path)
+        except ParseError as error:
+            assert error.line is not None and error.line >= 2
+            return
+        reference, statuses = reference_load_results(path)
+        assert_same_table(mine, reference)
+        assert mine.shed.tolist() == [statuses[r.key] == STATUS_SHED for r in records_of(reference)]

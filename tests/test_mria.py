@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,8 +29,13 @@ from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import DemandProfile, StudiedDemand
 from gridshock.synthetic import generate_gb_like, generate_small
 
-from helpers import assert_same_lp_solution, va_of
-from oracles import enumerate_lp, reference_lp_solve, reference_mria_program
+from helpers import Record, assert_same_lp_solution, records_of, table_of, va_of
+from oracles import (
+    enumerate_lp,
+    reference_lp_solve,
+    reference_mria_program,
+    reference_shock_from_unserved,
+)
 
 
 def one_region_model(alpha=0.0):
@@ -662,60 +668,76 @@ class TestShockFromUnserved:
         )
         return StudiedDemand.from_profile(profile, [0])
 
-    def record(self, unserved):
-        from gridshock.failures import ScenarioRecord
+    def table(self, unserved):
+        return table_of([Record(0, 0.2, "current", 0, unserved)])
 
-        return ScenarioRecord(
-            ordering_index=0,
-            loss_fraction=0.2,
-            scenario="current",
-            hour=0,
-            unserved_mw_per_region=unserved,
-            dispatch_status="shed",
+    def shock(self, unserved, demands):
+        """The one record's shock as {economic region: loss fraction}."""
+        parents, shocks = shock_from_unserved(
+            self.table(unserved), self.regions(), {"current": self.profile(demands)}
         )
+        assert shocks.shape == (1, len(parents))
+        return SimpleNamespace(delta=dict(zip(parents, shocks[0].tolist())))
 
     def test_quarter_loss(self):
-        shock = shock_from_unserved(
-            self.record({"d1": 50.0, "d2": 0.0, "d3": 0.0}),
-            self.regions(),
-            self.profile([200.0, 0.0, 100.0]),
-        )
+        shock = self.shock({"d1": 50.0, "d2": 0.0, "d3": 0.0}, [200.0, 0.0, 100.0])
         assert shock.delta["R1"] == 0.25
         assert shock.delta["R2"] == 0.0
-        assert shock.duration_hours == 1.0
 
     def test_aggregates_districts(self):
-        shock = shock_from_unserved(
-            self.record({"d1": 30.0, "d2": 20.0, "d3": 10.0}),
-            self.regions(),
-            self.profile([100.0, 100.0, 100.0]),
-        )
+        shock = self.shock({"d1": 30.0, "d2": 20.0, "d3": 10.0}, [100.0, 100.0, 100.0])
         assert shock.delta["R1"] == 0.25
         assert shock.delta["R2"] == pytest.approx(0.1)
 
     def test_full_loss_capped_at_one(self):
-        shock = shock_from_unserved(
-            self.record({"d1": 200.0, "d2": 0.0, "d3": 0.0}),
-            self.regions(),
-            self.profile([150.0, 0.0, 50.0]),
-        )
+        shock = self.shock({"d1": 200.0, "d2": 0.0, "d3": 0.0}, [150.0, 0.0, 50.0])
         assert shock.delta["R1"] == 1.0
 
     def test_zero_demand_region_zero_shock(self):
-        shock = shock_from_unserved(
-            self.record({"d1": 0.0, "d2": 0.0, "d3": 0.0}),
-            self.regions(),
-            self.profile([0.0, 0.0, 0.0]),
-        )
+        shock = self.shock({"d1": 0.0, "d2": 0.0, "d3": 0.0}, [0.0, 0.0, 0.0])
         assert shock.delta == {"R1": 0.0, "R2": 0.0}
 
     def test_unknown_district(self):
         with pytest.raises(ValidationError, match="UNKNOWN"):
-            shock_from_unserved(
-                self.record({"UNKNOWN": 1.0}),
-                self.regions(),
-                self.profile([1.0, 1.0, 1.0]),
+            self.shock({"UNKNOWN": 1.0}, [1.0, 1.0, 1.0])
+
+    def test_unstudied_hour(self):
+        table = table_of([Record(0, 0.2, "current", 5, {"d1": 1.0, "d2": 0.0, "d3": 0.0})])
+        with pytest.raises(ValidationError, match="no studied demand at hour 5"):
+            shock_from_unserved(table, self.regions(), {"current": self.profile([1.0, 1.0, 1.0])})
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_record_reference(self, seed):
+        # 2 scenarios x 3 hours, districts under 1-4 parents, mostly-zero
+        # unserved power and some zero-demand districts
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        districts = [f"d{k:02d}" for k in range(n)]
+        parents = [f"R{int(rng.integers(0, 4))}" for _ in districts]
+        regions = RegionTable(
+            regions=tuple(Region(d, p, 1.0, 1.0, 1.0) for d, p in zip(districts, parents))
+        )
+        hours = np.array([3, 10, 17])
+        demands = {}
+        for scenario in ("current", "flat"):
+            demand = rng.uniform(0.0, 500.0, (n, 3)) * (rng.random((n, 1)) < 0.8)
+            profile = DemandProfile(scenario, tuple(districts), hours, demand)
+            demands[scenario] = StudiedDemand.from_profile(profile, hours)
+        records = []
+        for key in range(int(rng.integers(1, 30))):
+            unserved = rng.uniform(0.0, 600.0, n) * (rng.random(n) < 0.3)
+            records.append(
+                Record(key, 0.1, str(rng.choice(["current", "flat"])), int(rng.choice(hours)),
+                       dict(zip(districts, unserved.tolist())))
             )
+        table = table_of(records)
+        names, shocks = shock_from_unserved(table, regions, demands)
+        for record, row in zip(records_of(table), shocks.tolist()):
+            expected = reference_shock_from_unserved(
+                record.unserved_mw_per_region, record.hour, regions, demands[record.scenario]
+            )
+            assert list(expected) == list(names)
+            assert [v.hex() for v in expected.values()] == [v.hex() for v in row]
 
 
 class TestSupplyUseIO:

@@ -671,20 +671,23 @@ class TestStudiedDemand:
             demand = loaded[scenario]
             national = profile.national()
             assert demand.peak_mw.hex() == float(national.max()).hex()
-            assert sorted(demand.national_mw) == studied[scenario]
-            for hour in studied[scenario]:
+            assert demand.hours.tolist() == studied[scenario]
+            assert demand.regions == profile.regions
+            for row, hour in enumerate(studied[scenario]):
                 k = profile.hour_pos[hour]
-                assert demand.national_mw[hour].hex() == float(national[k]).hex()
-                for region in profile.regions:
-                    assert demand.demand_at(region, hour) == profile.demand_at(region, hour)
+                assert float(demand.national_mw[row]).hex() == float(national[k]).hex()
+                for col, region in enumerate(profile.regions):
+                    assert demand.district_mw[row, col] == profile.demand_at(region, hour)
 
     def test_region_named_like_a_kind_stays_a_district(self, tmp_path):
         profile = small_profile([[1.0, 2.0], [3.0, 4.0]], regions=("national", "peak"))
         path = tmp_path / "demand.csv"
         save_studied_demand({"current": StudiedDemand.from_profile(profile, [1])}, path)
         demand = load_studied_demand(path)["current"]
-        assert demand.district_mw == {1: {"national": 2.0, "peak": 4.0}}
-        assert demand.national_mw == {1: 6.0}
+        assert demand.regions == ("national", "peak")
+        assert demand.hours.tolist() == [1]
+        assert demand.district_mw.tolist() == [[2.0, 4.0]]
+        assert demand.national_mw.tolist() == [6.0]
         assert demand.peak_mw == 6.0
 
     @pytest.mark.parametrize(
@@ -699,6 +702,31 @@ class TestStudiedDemand:
         lines.insert(2, row)
         write_lines(path, lines)
         with pytest.raises(ParseError, match="line 3: malformed row"):
+            load_studied_demand(path)
+
+    def two_hours(self, tmp_path):
+        """demand.csv lines for regions a, b at hours 0 and 1."""
+        path = tmp_path / "demand.csv"
+        profile = small_profile([[1.0, 3.0], [2.0, 4.0]])
+        save_studied_demand({"current": StudiedDemand.from_profile(profile, [0, 1])}, path)
+        return path, path.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize(
+        "row, line", [("current,district,a,0,999.0", 6), ("current,national,,1,999.0", 8)]
+    )
+    def test_repeated_row_names_line(self, tmp_path, row, line):
+        # a repeated row used to overwrite the earlier one silently
+        path, lines = self.two_hours(tmp_path)
+        lines.insert(line - 1, row)
+        write_lines(path, lines)
+        kind = row.split(",")[1]
+        with pytest.raises(ParseError, match=f"line {line}: repeated row \\['current', '{kind}'"):
+            load_studied_demand(path)
+
+    def test_hour_lacking_a_district_rejected(self, tmp_path):
+        path, lines = self.two_hours(tmp_path)
+        write_lines(path, [line for line in lines if line != "current,district,b,1,4.0"])
+        with pytest.raises(ValidationError, match=r"scenario current lacks .* no \('district', 1, 'b'\) row"):
             load_studied_demand(path)
 
     def test_missing_peak_rejected(self, tmp_path):

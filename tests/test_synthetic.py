@@ -1,8 +1,10 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridshock.atomic as atomic_module
 from gridshock.errors import ValidationError
 from gridshock.grid import load_grid, load_regions, validate_connectivity
 from gridshock.mria import load_supply_use, solve_baseline
@@ -194,3 +196,54 @@ class TestDeterminism:
         assert generate("small", 5).name == "small"
         with pytest.raises(ValidationError, match="size"):
             generate("medium", 0)
+
+
+class _HalfWrite:
+    """A text file whose first write stops halfway with a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.handle.__exit__(*exc)
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+
+FIXTURE_FILES = (
+    "grid.csv",
+    "regions.csv",
+    "end_use_shares.csv",
+    "run.cfg",
+    "economy/supply.csv",
+    "economy/use.csv",
+    "economy/final_demand.csv",
+    "economy/value_added.csv",
+    "economy/trade.csv",
+    "profiles/current.csv",
+)
+
+
+class TestWholeFiles:
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    def test_failed_write_keeps_previous_bytes(self, small, tmp_path, monkeypatch, name):
+        write_fixture(small, tmp_path)
+        target = tmp_path / name
+        target.write_bytes(b"previous bytes\n")
+        real_open = open
+
+        def open_failing_target(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            is_target = Path(path).name.startswith(f".{target.name}.")
+            return _HalfWrite(handle) if is_target else handle
+
+        monkeypatch.setattr(atomic_module, "open", open_failing_target, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_fixture(small, tmp_path)
+        assert target.read_bytes() == b"previous bytes\n"
+        assert not list(tmp_path.rglob("*.tmp"))
