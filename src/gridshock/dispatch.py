@@ -27,6 +27,13 @@ basis of the balance-only program, so each limit row the flows call for is
 added to the last optimal basis and the dual simplex re-solves from there.
 The one cold solve is the calibration dispatch (`ignore_limits`), whose
 simplex vertex sets the ratings.
+
+A program is a `Fleet` (the units left after a loss, with their caps, flow
+columns and capacity) under a `Load` (a demand state, with its total, the
+flows it causes and the units' distance costs). Dispatches that share
+either one can share the object: `DispatchProblem.from_parts` keeps both,
+so the sweep builds a fleet once per (ordering, fraction) and a load once
+per studied hour, and a shedding round builds only its new load.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ __all__ = [
     "GridContext",
     "DispatchProblem",
     "DispatchSolution",
+    "Fleet",
+    "Load",
     "generator_distance_costs",
     "redispatch",
     "dispatch_with_shedding",
@@ -98,6 +107,7 @@ class GridContext:
     """
 
     def __init__(self, grid: Grid):
+        self.grid = grid
         slack_bus = default_slack_bus(grid)
         reduced, order = _reduced_system(grid, slack_bus)
         n_red = len(order)
@@ -138,6 +148,33 @@ class DispatchProblem:
         for bid, mw in self.demand_mw.items():
             if not (mw >= 0.0 and math.isfinite(mw)):
                 raise ValidationError(f"demand at {bid} must be finite and nonnegative")
+
+    @classmethod
+    def from_parts(cls, fleet: Fleet, load: Load) -> DispatchProblem:
+        """The problem of `fleet` under `load`, which it keeps, so that
+        dispatch reuses their arrays. Both were checked when built, so
+        nothing is checked again."""
+        problem = object.__new__(cls)
+        fields = {
+            "grid": fleet.context.grid,
+            "demand_mw": load.mw,
+            "available": fleet.available,
+            "interconnector_penalty": load.interconnector_penalty,
+            "_parts": (fleet, load),
+        }
+        for name, value in fields.items():
+            object.__setattr__(problem, name, value)
+        return problem
+
+    def parts(self, context: GridContext, removed: frozenset[str] | None = None) -> tuple[Fleet, Load]:
+        """This problem's fleet and load on `context`, with `removed` lost
+        (None: whatever the kept fleet lost, else nothing): the ones it was
+        built from where they match, else new ones."""
+        kept = self.__dict__.get("_parts")
+        if kept and kept[0].context is context and removed in (None, kept[0].removed):
+            return kept
+        fleet = Fleet(context, self.available, removed or frozenset())
+        return fleet, Load(context, self.demand_mw, self.interconnector_penalty)
 
 
 @dataclass(frozen=True)
@@ -218,19 +255,20 @@ def _fill(costs, upper, total):
     simplex takes it, each cap off the total in index order, so both give
     the same verdict at the boundary.
     """
-    output = np.zeros(len(costs))
+    caps = upper.tolist()
+    output = [0.0] * len(caps)
     remaining = total
-    for k in np.argsort(costs, kind="stable"):
-        output[k] = min(upper[k], remaining)
+    for k in np.argsort(costs, kind="stable").tolist():
+        output[k] = min(caps[k], remaining)
         remaining -= output[k]
         if remaining <= 0.0:
-            return output, int(k)
+            return np.array(output), k
     shortfall = total
-    for cap in upper.tolist():
+    for cap in caps:
         shortfall -= cap
-    if not len(costs) or shortfall > FEASIBILITY_TOL * (1.0 + total):
+    if not caps or shortfall > FEASIBILITY_TOL * (1.0 + total):
         return None
-    return output, int(k)
+    return np.array(output), k
 
 
 def _limited_lp(objective, cols, base_flow, ratings, upper, total):
@@ -273,37 +311,90 @@ def _limited_lp(objective, cols, base_flow, ratings, upper, total):
         x, start = sol.x, sol.basis
 
 
-class _Program:
-    """The dispatch program of one demand state, in sensitivity form.
+class Fleet:
+    """The units left after one loss, and what every dispatch over them
+    shares.
 
-    Variables are the available units' outputs in generator-id order;
-    `cols` holds their flow-sensitivity columns and `base_flow` the branch
-    flows the demand alone causes.
+    `removed` is checked once: known, and disjoint from `available`, whose
+    ids `DispatchProblem` checks. The available units are held in generator-id order (`ids`, at positions
+    `index` in the grid's generators) with their caps `upper`, their
+    flow-sensitivity columns `cols` and their `capacity`, summed left to
+    right in that order: a set's order varies with the string-hash seed,
+    and a float sum with it.
     """
 
-    def __init__(self, problem: DispatchProblem, context: GridContext, demand_mw: Mapping[str, float]):
-        grid = problem.grid
-        self.problem = problem
+    def __init__(self, context: GridContext, available, removed=frozenset()):
+        grid = context.grid
         self.context = context
-        self.demand = {bid: float(mw) for bid, mw in demand_mw.items() if mw > 0.0}
-        self.total = sum(self.demand.values())
-        self.ids = sorted(problem.available)
-        gens = [grid.generator_by_id[g] for g in self.ids]
-        self.upper = np.array([gen.derated_mw for gen in gens])
+        self.available = frozenset(available)
+        self.removed = frozenset(removed)
+        unknown = sorted(self.removed - grid.generator_by_id.keys())
+        if unknown:
+            raise ValidationError(f"removal names unknown generators: {', '.join(unknown)}")
+        overlap = sorted(self.removed & self.available)
+        if overlap:
+            raise ValidationError(f"generators both removed and available: {', '.join(overlap)}")
+        self.ids = sorted(self.available)
+        self.index = np.array([grid.generator_index[g] for g in self.ids], dtype=int)
+        self.upper = grid.derated_mw[self.index]
+        self.cols = context.sensitivity[:, grid.generator_bus_index[self.index]]
+        self.capacity = sum(self.upper.tolist())
+
+    @cached_property
+    def shed_rank(self) -> list[str]:
+        """Every bus id, nearest first by hop distance to the nearest removed
+        unit's bus; ties, and every bus when nothing is removed, by id."""
+        grid = self.context.grid
+        if not self.removed:
+            return sorted(grid.bus_index)
+        sources = [grid.bus_index[grid.generator_by_id[g].bus] for g in self.removed]
+        near = grid.hop_distance[sources].min(axis=0).tolist()
+        return sorted(grid.bus_index, key=lambda bid: (near[grid.bus_index[bid]], bid))
+
+
+class Load:
+    """One demand state, and what every dispatch under it shares: the
+    positive bus demands `mw`, their `total`, the branch flows the demand
+    alone causes (`base_flow`) and, once asked, each generator's distance
+    cost (`costs`, in generator order)."""
+
+    def __init__(self, context: GridContext, demand_mw: Mapping[str, float], interconnector_penalty: float):
+        grid = context.grid
+        self.context = context
+        self.interconnector_penalty = interconnector_penalty
+        self.mw = {bid: float(mw) for bid, mw in demand_mw.items() if mw > 0.0}
+        self.total = sum(self.mw.values())
         demand_vec = np.zeros(len(grid.buses))
-        for bid, mw in self.demand.items():
+        for bid, mw in self.mw.items():
             demand_vec[grid.bus_index[bid]] += mw
         self.base_flow = context.sensitivity @ (-demand_vec)
-        self.cols = context.sensitivity[:, [grid.bus_index[gen.bus] for gen in gens]]
 
     @cached_property
     def costs(self) -> np.ndarray:
         costs = generator_distance_costs(
-            self.problem.grid,
-            self.demand,
-            interconnector_penalty=self.problem.interconnector_penalty,
+            self.context.grid, self.mw, interconnector_penalty=self.interconnector_penalty
         )
-        return np.array([costs[g] for g in self.ids])
+        return np.fromiter(costs.values(), float, len(costs))
+
+
+class _Program:
+    """The dispatch program of one fleet under one load, in sensitivity form.
+
+    Variables are the fleet's outputs in generator-id order; `cols` holds
+    their flow-sensitivity columns and `base_flow` the branch flows the
+    demand alone causes.
+    """
+
+    def __init__(self, fleet: Fleet, load: Load):
+        self.fleet = fleet
+        self.context = fleet.context
+        self.ids, self.upper, self.cols = fleet.ids, fleet.upper, fleet.cols
+        self.total, self.base_flow = load.total, load.base_flow
+        self.load = load
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        return self.load.costs[self.fleet.index]
 
     def merit_order(self) -> np.ndarray | None:
         """The balance-only optimum, filled in (cost, index) order, if it
@@ -322,7 +413,7 @@ class _Program:
         """Least extra shed t in [0, limit] at `bus` for which some dispatch
         meets every branch limit; None when no such t exists."""
         n = len(self.ids)
-        column = self.context.sensitivity[:, self.problem.grid.bus_index[bus]]
+        column = self.context.sensitivity[:, self.context.grid.bus_index[bus]]
         objective = np.zeros(n + 1)
         objective[n] = 1.0
         x = _limited_lp(
@@ -361,7 +452,7 @@ def redispatch(
     """
     if context is None:
         context = GridContext(problem.grid)
-    program = _Program(problem, context, problem.demand_mw)
+    program = _Program(*problem.parts(context))
     if program.total <= 0.0:
         return DispatchSolution(
             status="feasible",
@@ -416,24 +507,12 @@ def dispatch_with_shedding(
     """
     if context is None:
         context = GridContext(problem.grid)
-    grid = problem.grid
-    removed = frozenset(removed)
-    unknown = sorted(removed - grid.generator_by_id.keys())
-    if unknown:
-        raise ValidationError(f"removal names unknown generators: {', '.join(unknown)}")
-    overlap = sorted(removed & problem.available)
-    if overlap:
-        raise ValidationError(f"generators both removed and available: {', '.join(overlap)}")
+    fleet, unshed = problem.parts(context, frozenset(removed))
     if not 0.0 < shed_step <= 1.0:
         raise ValidationError("shed step must lie in (0, 1]")
 
-    original = {bid: float(mw) for bid, mw in problem.demand_mw.items() if mw > 0.0}
-    if removed:
-        sources = [grid.bus_index[grid.generator_by_id[g].bus] for g in removed]
-        near = grid.hop_distance[sources].min(axis=0)
-        order = sorted(original, key=lambda bid: (near[grid.bus_index[bid]], bid))
-    else:
-        order = sorted(original)
+    original = unshed.mw
+    order = [bid for bid in fleet.shed_rank if bid in original]
 
     shed = {bid: 0.0 for bid in original}
     position = 0  # the buses before it in `order` are drained
@@ -463,19 +542,15 @@ def dispatch_with_shedding(
             shed_mw=shed_out,
         )
 
-    def confirm() -> DispatchSolution:
-        attempt = DispatchProblem(
-            grid=grid,
-            demand_mw=remaining(),
-            available=problem.available,
-            interconnector_penalty=problem.interconnector_penalty,
-        )
-        return redispatch(attempt, context)
+    def load() -> Load:
+        if not any(shed.values()):
+            return unshed
+        return Load(context, remaining(), problem.interconnector_penalty)
 
-    # summed in generator-id order, as _Program and _fill take the units: a
-    # set's order varies with the string-hash seed, and the float with it
-    capacity = sum(grid.generator_by_id[g].derated_mw for g in sorted(problem.available))
-    total = sum(original.values())
+    def confirm() -> DispatchSolution:
+        return redispatch(DispatchProblem.from_parts(fleet, load()), context)
+
+    capacity, total = fleet.capacity, unshed.total
 
     def short() -> bool:
         return total - sum(shed.values()) > capacity + 1e-9
@@ -499,7 +574,7 @@ def dispatch_with_shedding(
         bus = front()
         if bus is None:
             return settled(confirm())
-        program = _Program(problem, context, remaining())
+        program = _Program(fleet, load())
         output = program.merit_order()
         if output is not None:
             return settled(program.solution(output))

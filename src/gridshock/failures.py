@@ -8,6 +8,12 @@ unserved power is recorded for every (ordering, fraction, scenario, hour)
 cell. Runs are reproducible: ordering i is seeded by (master_seed, i) and
 parallel execution reduces to the same table as a serial run.
 
+The sweep computes what cells share once: an ordering's removal sets for
+all fractions together (`removal_sets`), one `dispatch.Fleet` per
+(ordering, fraction) and one unshed `dispatch.Load` per studied (scenario,
+hour). Each cell is still one `dispatch_with_shedding` call, with the same
+float operations in the same order as a cell computed alone.
+
 `ResultTable` is the one record type from simulate to analyze: key columns
 plus a records x regions matrix of unserved MW. A record's status is
 derived: "shed" where any unserved value is positive, else "ok". In
@@ -28,7 +34,14 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .atomic import atomic_open
-from .dispatch import DispatchProblem, GridContext, dispatch_with_shedding, redispatch
+from .dispatch import (
+    DispatchProblem,
+    Fleet,
+    GridContext,
+    Load,
+    dispatch_with_shedding,
+    redispatch,
+)
 from .errors import ParseError, Unstable, ValidationError
 from .grid import Grid
 from .profiles import DemandProfile, check_unquoted, read_fields, scan_rows
@@ -40,7 +53,7 @@ __all__ = [
     "ExperimentConfig",
     "ResultTable",
     "generate_orderings",
-    "removal_set",
+    "removal_sets",
     "bus_demand",
     "run_experiment",
     "calibrate_ratings",
@@ -164,23 +177,28 @@ def generate_orderings(grid: Grid, n: int, master_seed: int) -> list[tuple[str, 
     return orderings
 
 
-def removal_set(ordering: Sequence[str], grid: Grid, fraction: float) -> frozenset[str]:
-    """Shortest ordering prefix whose derated capacity reaches the target.
+def removal_sets(
+    ordering: Sequence[str], grid: Grid, fractions: Sequence[float]
+) -> list[frozenset[str]]:
+    """Per fraction, the shortest ordering prefix whose derated capacity
+    reaches the target.
 
     The target is fraction x total non-interconnector derated capacity, so
-    removal sets are nested across ascending fractions of one ordering.
+    removal sets are nested across ascending fractions of one ordering. The
+    ordering is checked and its capacities summed once for all fractions.
     """
-    if not 0.0 <= fraction <= 1.0:
+    if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
         raise ValidationError("loss fraction must lie in [0, 1]")
-    ids = _local_generators(grid)
-    if sorted(ordering) != ids:
+    if sorted(ordering) != _local_generators(grid):
         raise ValidationError("ordering is not a permutation of the local generators")
-    derated = np.array([grid.generator_by_id[g].derated_mw for g in ordering])
-    target = fraction * derated.sum()
-    if target <= 0.0:
-        return frozenset()
-    prefix = int(np.searchsorted(np.cumsum(derated), target, side="left")) + 1
-    return frozenset(ordering[: min(prefix, len(ordering))])
+    derated = grid.derated_mw[[grid.generator_index[g] for g in ordering]]
+    total, cumulative = derated.sum(), np.cumsum(derated)
+    sets = []
+    for fraction in fractions:
+        target = fraction * total
+        prefix = int(np.searchsorted(cumulative, target, side="left")) + 1 if target > 0.0 else 0
+        sets.append(frozenset(ordering[: min(prefix, len(ordering))]))
+    return sets
 
 
 def bus_demand(grid: Grid, profile: DemandProfile, hour: int) -> dict[str, float]:
@@ -209,7 +227,12 @@ def _solar_ids(grid: Grid) -> frozenset[str]:
 
 
 class _SweepState:
-    """Shared per-process state for the ordering workers."""
+    """Shared per-process state for the ordering workers.
+
+    Each studied (scenario, hour) keeps one `Load`, its unshed demand state
+    with the flows and distance costs the demand alone gives; each
+    (ordering, fraction) builds one `Fleet`, shared by its cells.
+    """
 
     def __init__(
         self,
@@ -221,10 +244,11 @@ class _SweepState:
     ):
         self.grid = grid
         self.config = config
-        self.demands = demands
         self.regions = regions
-        self.interconnector_penalty = interconnector_penalty
         self.context = GridContext(grid)
+        self.loads = {
+            key: Load(self.context, demand, interconnector_penalty) for key, demand in demands.items()
+        }
         self.solar = _solar_ids(grid)
         self.all_generators = frozenset(grid.generator_by_id)
         column = {region: k for k, region in enumerate(regions)}
@@ -237,20 +261,14 @@ class _SweepState:
         """Unserved MW per region of the ordering's cells, fraction by
         fraction and cell by cell: the ordering's rows of the table."""
         rows = []
-        for fraction in self.config.loss_fractions:
-            removed = removal_set(ordering, self.grid, fraction) | self.solar
-            available = self.all_generators - removed
-            for scenario, hour in self.cells:
-                rows.append(self._run_cell(scenario, hour, removed, available))
+        for removed in removal_sets(ordering, self.grid, self.config.loss_fractions):
+            removed |= self.solar
+            fleet = Fleet(self.context, self.all_generators - removed, removed)
+            for cell in self.cells:
+                rows.append(self._run_cell(DispatchProblem.from_parts(fleet, self.loads[cell]), removed))
         return np.array(rows)
 
-    def _run_cell(self, scenario, hour, removed, available) -> np.ndarray:
-        problem = DispatchProblem(
-            grid=self.grid,
-            demand_mw=self.demands[(scenario, hour)],
-            available=available,
-            interconnector_penalty=self.interconnector_penalty,
-        )
+    def _run_cell(self, problem: DispatchProblem, removed: frozenset[str]) -> np.ndarray:
         solution = dispatch_with_shedding(
             problem,
             removed=removed,

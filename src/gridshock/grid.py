@@ -194,6 +194,18 @@ class Grid:
         return {bus.id: k for k, bus in enumerate(self.buses)}
 
     @cached_property
+    def generator_index(self) -> dict[str, int]:
+        """Position of each generator id in `generators`."""
+        return {gen.id: k for k, gen in enumerate(self.generators)}
+
+    @cached_property
+    def derated_mw(self) -> np.ndarray:
+        """Each generator's `derated_mw`, in generator order, read-only."""
+        derated = np.array([gen.derated_mw for gen in self.generators], dtype=float)
+        derated.flags.writeable = False
+        return derated
+
+    @cached_property
     def generator_bus_index(self) -> np.ndarray:
         """Position in `buses` of each generator's bus, in generator order."""
         index = np.array([self.bus_index[gen.bus] for gen in self.generators], dtype=int)

@@ -9,11 +9,13 @@ variants from a current-day profile.
 
 On disk a profile is csv rows `region,hour,demand_mw` (`heat_mw` for the
 thermal series) with unquoted fields and CRLF line ends. `load_profile`
-reads them in one chunked, columnar pass into arrays; `save_profile`
-writes them region by region, one joined string per region, refuses a
-value column or region id that csv would have to quote, and makes the
-file appear whole or not at all. `read_fields` is the chunked splitter;
-`failures.load_results` reads the sweep's results with it too.
+parses them with numpy's C reader, a chunk of rows at a time, into arrays,
+and reads a file line by line with `int()` and `float()` only where that
+reader refuses a row; `save_profile` writes them region by region, one
+joined string per region, refuses a value column or region id that csv
+would have to quote, and makes the file appear whole or not at all.
+`read_fields` is the chunked splitter `failures.load_results` reads the
+sweep's results with.
 
 `StudiedDemand` is one scenario's demand at its studied hours, as arrays.
 simulate writes it to `demand.csv` (`save_studied_demand`), and impact and
@@ -24,6 +26,7 @@ profiles; a repeated row or an hour that lacks a district is refused.
 from __future__ import annotations
 
 import csv
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -79,6 +82,10 @@ NOISE_HALF_WIDTH = 0.005
 
 # `read_fields` reads rows in chunks of about this many characters.
 _CHUNK_BYTES = 64 * 1024
+
+# `load_profile` parses this many data rows per `np.loadtxt` call.
+_CHUNK_ROWS = 50_000
+_PROFILE_ROW = np.dtype([("region", object), ("hour", np.int64), ("value", np.float64)])
 
 # Hours are held as int64; a wider integer is a malformed row.
 _INT64 = np.iinfo(np.int64)
@@ -306,47 +313,43 @@ def apply_flat(profile: DemandProfile) -> DemandProfile:
 def load_profile(path, scenario: str | None = None, value_column: str | None = None) -> DemandProfile:
     """Read `region,hour,demand_mw` rows (or `heat_mw` for thermal series).
 
-    `read_fields` splits the rows, a chunk at a time, into region, hour and
-    value columns; hours and values go through int() and float() into
-    arrays, and each region gets an integer code from one dict. The region
-    x hour matrix is then built with array operations, and rows that
-    already arrive in (region, hour) order, as `save_profile` writes them,
-    are not sorted. Fields are unquoted: a `"` in a data row is an error.
-    Blank lines are skipped but still count towards line numbers, which the
-    chunks do not keep: once a chunk shows a malformed row, the file is read
-    again line by line to name the first bad line.
+    numpy's C reader (`np.loadtxt`) parses the rows `_CHUNK_ROWS` at a time
+    into region, hour and value columns, and each run of equal region ids
+    gets one integer code from one dict, since `save_profile` writes a
+    region's rows together. The region x hour matrix is then built with
+    array operations; rows that already arrive in (region, hour) order are
+    not sorted. Fields are unquoted: a `"` in a data row is an error.
+    Lines holding only a line end are skipped.
+
+    loadtxt accepts a strict subset of the spellings `int()` and `float()`
+    accept, with the same values. When it refuses a chunk (a spelling only
+    they accept, a whitespace-only line, a row of another width) the file
+    is read again line by line (`_scan_profile`), which either raises a
+    ParseError naming the first bad line or returns the same columns.
+    Blank lines count towards those line numbers.
     """
     path = Path(path)
-    codes: defaultdict[str, int] = defaultdict()
-    codes.default_factory = codes.__len__  # a new region takes the next code
-    code_parts, hour_parts, value_parts = [], [], []
     with open(path, encoding="utf-8", newline="") as handle:
         _check_header(handle.readline(), value_column)
-        for n, fields in read_fields(handle, 3, lambda: _first_bad_line(path)):
-            try:
-                hour_parts.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
-                value_parts.append(np.fromiter(map(float, fields[2::3]), float, n))
-            except (ValueError, OverflowError):
-                raise _first_bad_line(path) from None
-            regions = map(str.strip, fields[0::3])
-            code_parts.append(np.fromiter(map(codes.__getitem__, regions), np.int64, n))
-
-    if not codes:
+        try:
+            columns = _read_chunks(handle)
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            columns = None
+    names, code, hours, values = columns or _scan_profile(path)
+    if not names:
         raise ValidationError(f"profile {path.name} contains no data rows")
-    code = np.concatenate(code_parts)
-    hours = np.concatenate(hour_parts)
-    values = np.concatenate(value_parts)
-    del code_parts, hour_parts, value_parts
     if not _ascending(code, hours):
         order = np.lexsort((hours, code))
         code, hours, values = code[order], hours[order], values[order]
         if not _ascending(code, hours):
-            raise _first_bad_line(path)  # a repeated (region, hour)
+            _scan_profile(path)  # raises on the repeated (region, hour)
+            raise ParseError(f"malformed data row in {path.name}")  # unreachable
     counts = np.bincount(code)
     width = int(counts[0])
     if not ((counts == width).all() and (hours.reshape(-1, width) == hours[:width]).all()):
         raise MisalignedHours(f"regions in {path.name} disagree on the hour axis")
-    names = list(codes)
     by_name = sorted(range(len(names)), key=names.__getitem__)
     return DemandProfile(
         scenario=scenario or path.stem,
@@ -354,6 +357,41 @@ def load_profile(path, scenario: str | None = None, value_column: str | None = N
         hours=hours[:width].copy(),
         demand_mw=values.reshape(-1, width)[by_name],
     )
+
+
+def _read_chunks(handle) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Region names, and per row region code, hour and value, of the rows
+    left in `handle`, parsed by `np.loadtxt` `_CHUNK_ROWS` rows at a time.
+
+    Raises ValueError where loadtxt refuses a row, or a region id holds a
+    `"`; only the first row of each run of equal ids needs that check.
+    """
+    codes: defaultdict[str, int] = defaultdict()
+    codes.default_factory = codes.__len__  # a new region takes the next code
+    code_parts, hour_parts, value_parts = [], [], []
+    with warnings.catch_warnings():
+        # loadtxt warns of blank lines, and of a call past the last row
+        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+        n = _CHUNK_ROWS
+        while n == _CHUNK_ROWS:
+            chunk = np.loadtxt(
+                handle, _PROFILE_ROW, delimiter=",", comments=None, max_rows=_CHUNK_ROWS, ndmin=1
+            )
+            n, regions = len(chunk), chunk["region"]
+            starts = np.flatnonzero(np.append(n > 0, regions[1:] != regions[:-1]))
+            ids = regions[starts].tolist()
+            if any('"' in region for region in ids):
+                raise ValueError('a " in a region id')
+            runs = np.array([codes[region.strip()] for region in ids], np.int64)
+            code_parts.append(np.repeat(runs, np.diff(starts, append=n)))
+            hour_parts.append(chunk["hour"].copy())
+            value_parts.append(chunk["value"].copy())
+            del chunk, regions  # before the next chunk is read
+    columns = [code_parts, hour_parts, value_parts]
+    for k, parts in enumerate(columns):
+        columns[k] = np.concatenate(parts)
+        parts.clear()  # so that only one column is held twice
+    return list(codes), *columns
 
 
 def _check_header(line: str, value_column: str | None) -> None:
@@ -405,15 +443,16 @@ def _line_ends(text: str) -> int:
 
 def _ascending(code: np.ndarray, hours: np.ndarray) -> bool:
     """Whether rows run in (region code, hour) order with no repeated pair."""
-    step = np.diff(code)
-    return bool(((step > 0) | ((step == 0) & (np.diff(hours) > 0))).all())
+    # comparisons of shifted views: boolean temporaries, not int64 differences
+    later, same = code[1:] > code[:-1], code[1:] == code[:-1]
+    return bool((later | (same & (hours[1:] > hours[:-1]))).all())
 
 
 def scan_rows(path: Path, width: int) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank data row, read line by line.
 
-    The slow path of `read_fields`' callers: a `"` or a row of another
-    width is a ParseError on its line.
+    The exact path of `load_profile` and `load_results`: a `"` or a row of
+    another width is a ParseError on its line.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         handle.readline()
@@ -428,18 +467,20 @@ def scan_rows(path: Path, width: int) -> Iterator[tuple[int, list[str]]]:
             yield lineno, row
 
 
-def _first_bad_line(path: Path) -> ParseError:
-    """Raise the error for the first malformed data row of path.
+def _scan_profile(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The columns `_read_chunks` returns, read line by line by `int()` and
+    `float()`; a ParseError on the first malformed data row.
 
-    Checks each row as the chunked reader does, in file order: beyond
-    `scan_rows`, an int64 hour and a float value, and no (region, hour)
-    pair seen before.
+    Checks each row in file order: beyond `scan_rows`, an int64 hour, a
+    float value, and no (region, hour) pair seen before.
     """
+    codes: dict[str, int] = {}
     seen: set[tuple[str, int]] = set()
+    code, hours, values = [], [], []
     for lineno, row in scan_rows(path, 3):
         try:
             hour = int(row[1])
-            float(row[2])
+            value = float(row[2])
         except ValueError:
             raise ParseError(f"bad numeric value in {row!r}", lineno) from None
         if not _INT64.min <= hour <= _INT64.max:
@@ -448,8 +489,10 @@ def _first_bad_line(path: Path) -> ParseError:
         if (region, hour) in seen:
             raise ParseError(f"duplicate hour {hour} for region {region}", lineno)
         seen.add((region, hour))
-    # unreachable while load_profile's chunk checks match these row checks
-    return ParseError(f"malformed data row in {path.name}")
+        code.append(codes.setdefault(region, len(codes)))
+        hours.append(hour)
+        values.append(value)
+    return list(codes), np.array(code, np.int64), np.array(hours, np.int64), np.array(values, float)
 
 
 def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") -> None:

@@ -132,6 +132,12 @@ def load_run_config(path) -> RunConfig:
     if uncovered:
         raise ValidationError(f"hours reference scenarios without profiles: {', '.join(uncovered)}")
 
+    baseline = entries.get("analyze.baseline", "current")
+    if baseline not in profiles:
+        raise ValidationError(
+            f"analyze.baseline names scenario {baseline!r}, which has no profile.{baseline}"
+        )
+
     if "loss_fractions" in entries:
         try:
             fractions = tuple(float(part) for part in entries["loss_fractions"].split(","))
@@ -159,7 +165,7 @@ def load_run_config(path) -> RunConfig:
         out_dir=base / entries.get("out_dir", "out"),
         analyze_fraction=_number(entries, "analyze.fraction", 0.4),
         analyze_scenario=entries.get("analyze.scenario", "heat_pump"),
-        analyze_baseline=entries.get("analyze.baseline", "current"),
+        analyze_baseline=baseline,
     )
 
     for label, file in (("grid", config.grid), ("regions", config.regions)) + tuple(

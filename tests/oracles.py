@@ -364,6 +364,42 @@ def reference_load_profile(path, scenario=None, value_column=None):
     )
 
 
+def reference_split_load_profile(path, scenario=None, value_column=None):
+    """The str-split profile reader that `np.loadtxt` replaced, for valid
+    files only: `read_fields` chunks, `int()`/`float()` per field, a dict
+    code per region, and the region x hour matrix from a stable sort.
+
+    Kept as the second reference the reader's arrays are compared against
+    bit for bit; a malformed file raises a bare ParseError.
+    """
+    from pathlib import Path
+
+    from gridshock.errors import ParseError
+    from gridshock.profiles import DemandProfile, _check_header, read_fields
+
+    path = Path(path)
+    codes = {}
+    code, hours, values = [], [], []
+    with open(path, encoding="utf-8", newline="") as handle:
+        _check_header(handle.readline(), value_column)
+        for n, fields in read_fields(handle, 3, lambda: ParseError("malformed data row")):
+            hours.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
+            values.append(np.fromiter(map(float, fields[2::3]), float, n))
+            regions = [codes.setdefault(region.strip(), len(codes)) for region in fields[0::3]]
+            code.append(np.array(regions, np.int64))
+    code, hours, values = (np.concatenate(c) for c in (code, hours, values))
+    order = np.lexsort((hours, code))
+    names = list(codes)
+    width = len(hours) // len(names)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    return DemandProfile(
+        scenario=scenario or path.stem,
+        regions=tuple(names[k] for k in by_name),
+        hours=hours[order][:width],
+        demand_mw=values[order].reshape(-1, width)[by_name],
+    )
+
+
 def reference_save_profile(profile, path, value_column="demand_mw"):
     """Write a profile with one `csv.writer` row per hour.
 

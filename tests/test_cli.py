@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gridshock.analysis import load_costs
+import gridshock.cli as cli_module
 from gridshock.cli import main
 from gridshock.errors import MissingCosts, ValidationError
 from gridshock.failures import DEFAULT_LOSS_FRACTIONS, load_results
@@ -134,6 +135,11 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="without profiles: heat"):
             load_run_config(write_cfg(fx, "orphan.cfg", text))
 
+    def test_baseline_needs_a_profile(self, fx):
+        text = MINIMAL + "analyze.baseline = nosuch\n"
+        with pytest.raises(ValidationError, match="analyze.baseline names scenario 'nosuch'"):
+            load_run_config(write_cfg(fx, "baseline.cfg", text))
+
     def test_malformed_hours(self, fx):
         bad_shape = MINIMAL.replace("current:10", "current-10")
         with pytest.raises(ValidationError, match="not scenario:hour"):
@@ -215,6 +221,19 @@ class TestPipeline:
         assert "demand = sha256:" in provenance
         assert "master_seed = 7" in provenance
         assert "workers" not in provenance
+
+    def test_simulate_refuses_unknown_baseline_before_reading_profiles(
+        self, fx, tmp_path, monkeypatch, capsys
+    ):
+        text = (fx / "run.cfg").read_text(encoding="utf-8")
+        text = text.replace("analyze.baseline = current", "analyze.baseline = nosuch")
+        cfg = write_cfg(fx, "nosuch_baseline.cfg", text)
+        loaded = []
+        monkeypatch.setattr(cli_module, "load_profile", lambda *args, **kwargs: loaded.append(args))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error: analyze.baseline names scenario 'nosuch'" in capsys.readouterr().err
+        assert not loaded
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_rerun_byte_identical(self, fx, tmp_path):
         cfg = str(fx / "run.cfg")

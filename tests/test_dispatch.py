@@ -14,7 +14,7 @@ from gridshock.dispatch import (
     redispatch,
 )
 from gridshock.errors import NoDemand, NumericalBreakdown, ValidationError
-from gridshock.failures import _solar_ids, bus_demand, generate_orderings, removal_set
+from gridshock.failures import _solar_ids, bus_demand, generate_orderings, removal_sets
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.numerics import FEASIBILITY_TOL, lp_solve
 
@@ -674,7 +674,7 @@ def congested_cells(grid, fixture, n_orderings, fractions):
     everything = frozenset(grid.generator_by_id)
     for ordering in generate_orderings(grid, n_orderings, 7):
         for fraction in fractions:
-            removed = removal_set(ordering, grid, fraction) | solar
+            removed = removal_sets(ordering, grid, [fraction])[0] | solar
             for scenario in ("current", "heat_pump"):
                 demand = bus_demand(grid, fixture.profiles[scenario], 427)
                 problem = DispatchProblem(

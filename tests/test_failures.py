@@ -6,6 +6,7 @@ import pytest
 
 import gridshock.dispatch as dispatch_module
 import gridshock.profiles as profiles_module
+from gridshock.dispatch import DispatchProblem, GridContext
 from gridshock.errors import ParseError, Unstable, ValidationError
 from gridshock.failures import (
     DEFAULT_LOSS_FRACTIONS,
@@ -17,15 +18,15 @@ from gridshock.failures import (
     calibrate_ratings,
     generate_orderings,
     load_results,
-    removal_set,
+    removal_sets,
     run_experiment,
     save_results,
 )
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.profiles import DemandProfile
 
-from helpers import Record, records_of, table_of
-from oracles import reference_load_results, reference_save_results
+from helpers import Record, gb_like_congested, records_of, table_of
+from oracles import reference_load_results, reference_save_results, reference_shedding
 
 
 def copper_plate_grid(n_units=10, unit_mw=10.0, technologies=None, extra_generators=()):
@@ -148,30 +149,38 @@ class TestRemovalSet:
 
     def test_zero_fraction_empty(self):
         grid = self.make_grid()
-        assert removal_set(("ga", "gb", "gc"), grid, 0.0) == frozenset()
+        assert removal_sets(("ga", "gb", "gc"), grid, [0.0])[0] == frozenset()
 
     def test_full_fraction_everything(self):
         grid = self.make_grid()
-        assert removal_set(("gb", "ga", "gc"), grid, 1.0) == {"ga", "gb", "gc"}
+        assert removal_sets(("gb", "ga", "gc"), grid, [1.0])[0] == {"ga", "gb", "gc"}
 
     def test_prefix_sum_example(self):
         # target 0.4 * 60 = 24 MW, reached after the 10 and 20 MW units
         grid = self.make_grid()
-        assert removal_set(("ga", "gb", "gc"), grid, 0.4) == {"ga", "gb"}
+        assert removal_sets(("ga", "gb", "gc"), grid, [0.4])[0] == {"ga", "gb"}
 
     def test_exact_boundary_needs_no_extra_unit(self):
         grid = self.make_grid()
         # 0.5 * 60 = 30 = 10 + 20 exactly
-        assert removal_set(("ga", "gb", "gc"), grid, 0.5) == {"ga", "gb"}
+        assert removal_sets(("ga", "gb", "gc"), grid, [0.5])[0] == {"ga", "gb"}
 
     def test_nested_across_fractions(self):
         grid = copper_plate_grid(n_units=8, unit_mw=7.0)
         for ordering in generate_orderings(grid, 5, 3):
             previous = frozenset()
             for fraction in np.linspace(0.0, 1.0, 21):
-                current = removal_set(ordering, grid, float(fraction))
+                current = removal_sets(ordering, grid, [float(fraction)])[0]
                 assert previous <= current
                 previous = current
+
+    def test_all_fractions_at_once_match_one_at_a_time(self):
+        grid = copper_plate_grid(n_units=8, unit_mw=7.0)
+        fractions = [float(f) for f in np.linspace(0.0, 1.0, 21)]
+        for ordering in generate_orderings(grid, 5, 3):
+            assert removal_sets(ordering, grid, fractions) == [
+                removal_sets(ordering, grid, [fraction])[0] for fraction in fractions
+            ]
 
     def test_derated_capacity_is_the_measure(self):
         gens = (
@@ -180,17 +189,17 @@ class TestRemovalSet:
         )
         grid = copper_plate_grid(n_units=0, extra_generators=gens)
         # derated sizes are equal (10 MW each), so half removes just one
-        assert removal_set(("ga", "gb"), grid, 0.5) == {"ga"}
+        assert removal_sets(("ga", "gb"), grid, [0.5])[0] == {"ga"}
 
     def test_fraction_out_of_range(self):
         grid = self.make_grid()
         with pytest.raises(ValidationError, match="fraction"):
-            removal_set(("ga", "gb", "gc"), grid, 1.5)
+            removal_sets(("ga", "gb", "gc"), grid, [1.5])[0]
 
     def test_not_a_permutation(self):
         grid = self.make_grid()
         with pytest.raises(ValidationError, match="permutation"):
-            removal_set(("ga", "gb"), grid, 0.5)
+            removal_sets(("ga", "gb"), grid, [0.5])[0]
 
 
 class TestBusDemand:
@@ -392,6 +401,34 @@ class TestRunExperiment:
         assert network_limited
         parallel = run_experiment(grid, profiles, config, workers=3)
         assert records_of(serial) == records_of(parallel)
+
+
+class TestSweepAgainstReference:
+    def test_every_cell_of_the_congested_sweep(self):
+        # the sweep shares each ordering's removal sets, each (ordering,
+        # fraction)'s fleet and each studied hour's load between cells; the
+        # oracle builds every cell alone, with a fresh GridContext
+        grid, fixture = gb_like_congested()
+        hours = (("current", 427), ("heat_pump", 427), ("efficiency", 427), ("flat", 0))
+        config = ExperimentConfig(hours=hours, n_orderings=2, master_seed=7)
+        table = run_experiment(grid, fixture.profiles, config)
+        assert len(table) == 2 * len(DEFAULT_LOSS_FRACTIONS) * len(hours)
+        orderings = generate_orderings(grid, 2, 7)
+        solar = frozenset(g.id for g in grid.generators if g.technology == "solar")
+        column = {region: k for k, region in enumerate(table.regions)}
+        for row, (ordering, fraction, scenario, hour) in zip(table.unserved_mw, table.keys()):
+            removed = removal_sets(orderings[ordering], grid, [fraction])[0] | solar
+            problem = DispatchProblem(
+                grid=grid,
+                demand_mw=bus_demand(grid, fixture.profiles[scenario], hour),
+                available=frozenset(grid.generator_by_id) - removed,
+            )
+            _, shed = reference_shedding(problem, removed, config.shed_step, GridContext(grid))
+            unserved = np.zeros(len(table.regions))
+            for bid, mw in shed.items():
+                unserved[column[grid.bus_by_id[bid].region]] += mw
+            assert row.tolist() == unserved.tolist(), (ordering, fraction, scenario, hour)
+        assert table.shed.sum() >= 40
 
 
 class TestCalibrateRatings:

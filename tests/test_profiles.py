@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,7 @@ from gridshock.profiles import (
 )
 from gridshock.synthetic import generate_gb_like, generate_small, write_fixture
 from helpers import trough_hour
-from oracles import reference_load_profile, reference_save_profile
+from oracles import reference_load_profile, reference_save_profile, reference_split_load_profile
 
 
 def make_regions():
@@ -425,7 +426,7 @@ class TestChunkedReader:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_reference_parser(self, tmp_path, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", int(rng.choice([1, 7, 40, 65536])))
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
         column = "heat_mw" if rng.random() < 0.3 else "demand_mw"
         path = tmp_path / "demand.csv"
         path.write_bytes(random_profile_text(rng, column).encode("utf-8"))
@@ -437,6 +438,7 @@ class TestChunkedReader:
         assert mine.hours.tobytes() == reference.hours.tobytes()
         assert mine.demand_mw.dtype == reference.demand_mw.dtype
         assert mine.demand_mw.tobytes() == reference.demand_mw.tobytes()
+        assert_same_profile(mine, reference_split_load_profile(path))
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     @pytest.mark.parametrize(
@@ -453,7 +455,7 @@ class TestChunkedReader:
         ],
     )
     def test_error_line_after_chunk_boundary(self, tmp_path, monkeypatch, ending, bad, message):
-        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", 16)
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", 3)
         lines = valid_lines()
         lines.insert(11, bad)  # after 8 rows, 2 blank lines and several chunks
         path = write_lines(tmp_path / "demand.csv", lines, ending)
@@ -464,10 +466,10 @@ class TestChunkedReader:
         assert mine.value.line == reference.value.line == 12
         assert str(mine.value) == str(reference.value) == f"line 12: {message}"
 
-    @pytest.mark.parametrize("chunk", [16, 65536])
+    @pytest.mark.parametrize("chunk", [1, 50_000])
     @pytest.mark.parametrize("hour", ["99999999999999999999", "-9223372036854775809"])
     def test_hour_beyond_int64_is_a_parse_error(self, tmp_path, monkeypatch, chunk, hour):
-        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
         lines = valid_lines()
         lines.insert(11, f"a,{hour},1.0")
         path = write_lines(tmp_path / "demand.csv", lines)
@@ -481,10 +483,10 @@ class TestChunkedReader:
         with pytest.raises(ParseError, match="line 2: hour 99999999999999999999 does not fit"):
             load_profile(path)
 
-    @pytest.mark.parametrize("chunk", [16, 65536])
+    @pytest.mark.parametrize("chunk", [1, 50_000])
     def test_balanced_field_counts_rejected(self, tmp_path, monkeypatch, chunk):
         # a 4-field and a 2-field row hold the comma count of two good rows
-        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
         lines = valid_lines()
         lines[5:5] = ["a,7,1.0,2", "3,4"]
         path = write_lines(tmp_path / "demand.csv", lines)
@@ -584,6 +586,147 @@ class TestChunkedReader:
             save_profile(broken, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["demand.csv"]
+
+
+def write_profiles(fixture, directory):
+    """The fixture's profile files as `write_fixture` writes them, alone."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, profile in fixture.profiles.items():
+        save_profile(profile, directory / f"{name}.csv")
+    save_profile(fixture.heat, directory / "heat.csv", value_column="heat_mw")
+    return sorted(directory.iterdir())
+
+
+@pytest.fixture(scope="module")
+def gb_like_profiles(tmp_path_factory):
+    return write_profiles(generate_gb_like(7), tmp_path_factory.mktemp("gb_like") / "profiles")
+
+
+@pytest.fixture
+def exact_scans(monkeypatch):
+    """Counts the reader's line-by-line rescans of a file."""
+    calls = []
+    scan = profiles_module._scan_profile
+
+    def counted(path):
+        calls.append(path)
+        return scan(path)
+
+    monkeypatch.setattr(profiles_module, "_scan_profile", counted)
+    return calls
+
+
+def rows_of(regions="ab", hours=12):
+    return [f"{r},{h},{h + 0.25!r}" for r in regions for h in range(hours)]
+
+
+class TestLoadtxtReader:
+    """`load_profile` parses with `np.loadtxt`; where loadtxt refuses, it
+    rescans the file line by line, and both paths give the references'
+    arrays bit for bit."""
+
+    @pytest.mark.parametrize("generate, seed", [(generate_small, 3), (generate_small, 7)])
+    def test_small_fixture_profiles_match_references(self, tmp_path, exact_scans, generate, seed):
+        paths = write_profiles(generate(seed), tmp_path / "profiles")
+        assert len(paths) == 6
+        for path in paths:
+            mine = load_profile(path)
+            assert_same_profile(mine, reference_load_profile(path))
+            assert_same_profile(mine, reference_split_load_profile(path))
+        assert not exact_scans
+
+    def test_gb_like_profiles_match_references(self, gb_like_profiles, exact_scans):
+        assert len(gb_like_profiles) == 6
+        for path in gb_like_profiles:
+            mine = load_profile(path)
+            assert mine.demand_mw.shape == (44, HOURS_PER_YEAR)
+            assert_same_profile(mine, reference_load_profile(path))
+            assert_same_profile(mine, reference_split_load_profile(path))
+        assert not exact_scans
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50_000])
+    @pytest.mark.parametrize("ending", ["\r", "\n", "\r\n"])
+    def test_every_line_end_takes_loadtxt(self, tmp_path, monkeypatch, exact_scans, chunk, ending):
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        lines = ["region,hour,demand_mw"] + rows_of()
+        lines[5:5] = ["", ""]  # lines holding only a line end
+        path = write_lines(tmp_path / "demand.csv", lines, ending)
+        assert_same_profile(load_profile(path), reference_load_profile(path))
+        assert not exact_scans
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50_000])
+    @pytest.mark.parametrize("ending", ["\r", "\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "row, line",
+        [
+            ("a,1_0,10.25", 12),  # spellings int() and float() accept, loadtxt refuses
+            ("a,\u0661\u0660,10.25", 12),
+            ("a,10,1_0.25", 12),
+            ("a,10,\u0661\u0660.25", 12),
+            ("  ", 3),  # whitespace-only lines
+            ("\t", 14),
+            ("\x0c", 25),
+        ],
+    )
+    def test_exact_path_matches_reference(
+        self, tmp_path, monkeypatch, exact_scans, chunk, ending, row, line
+    ):
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        lines = ["region,hour,demand_mw"] + rows_of()
+        if row.strip():
+            lines[line - 1] = row  # the same row as (a, 10, 10.25), spelled otherwise
+        else:
+            lines.insert(line - 1, row)
+        path = write_lines(tmp_path / "demand.csv", lines, ending)
+        mine = load_profile(path)
+        assert exact_scans == [path]
+        assert_same_profile(mine, reference_load_profile(path))
+        assert mine.demand_at("a", 10) == 10.25
+
+    def test_hard_decimal_spellings_take_loadtxt_with_float_values(self, tmp_path, exact_scans):
+        # halfway cases, subnormals, the largest double and long digit strings
+        texts = [
+            "0.1000000000000000055511151231257827021181583404541015625",
+            "2.2250738585072011e-308",
+            "2.4703282292062327e-324",
+            "2.4703282292062328e-324",
+            "1.7976931348623158e308",
+            "9007199254740993",
+            "1" + "0" * 300,
+            "." + "0" * 400 + "1",
+            " +4 ",
+            "\xa01.5",
+        ]
+        lines = ["region,hour,demand_mw"] + [f"a,{h},{text}" for h, text in enumerate(texts)]
+        path = write_lines(tmp_path / "demand.csv", lines)
+        mine = load_profile(path)
+        assert not exact_scans
+        assert mine.demand_mw[0].tolist() == [float(text) for text in texts]
+        assert_same_profile(mine, reference_load_profile(path))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50_000])
+    @pytest.mark.parametrize("region, line", [('a"', 2), ('b"b', 14), ('"', 25)])
+    def test_quote_in_region_id_names_its_line(self, tmp_path, monkeypatch, chunk, region, line):
+        # loadtxt takes quotes as text, so the reader checks region ids itself
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        lines = ["region,hour,demand_mw"] + rows_of() + ["c,0,1.0"]
+        lines[line - 1] = f"{region},{lines[line - 1].split(',', 1)[1]}"
+        path = write_lines(tmp_path / "demand.csv", lines)
+        with pytest.raises(ParseError) as error:
+            load_profile(path)
+        assert error.value.line == line
+        assert str(error.value) == f"line {line}: quoted fields are not supported"
+
+    def test_peak_memory_stays_chunked(self, gb_like_profiles):
+        # a whole-file parse of current.csv (385,440 rows) would peak far above this
+        path = next(p for p in gb_like_profiles if p.name == "current.csv")
+        tracemalloc.start()
+        try:
+            load_profile(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2**20
 
 
 # values whose repr is in scientific notation, signed or subnormal
