@@ -9,18 +9,17 @@ region-industry prices the shock, and trade lets unaffected regions
 substitute lost production (which can make their impact positive).
 
 The program is built once per model and cached on it; a shock changes
-only the upper bounds on the industry outputs. The unshocked program is
-solved once per model with its pivot path recorded, and every shock
-replays that path: its solve resumes at the first iteration whose
-decision the shock's caps could change. The vertex each shock returns is
-the one a cold solve returns, bit for bit, and since every shock replays
-the baseline's path and never another shock's, it cannot depend on the
-order in which shocks are priced.
+only the upper bounds on the industry outputs. `assess_impact` solves the
+programs of all its shocks cold as one stack (`lp_solve_stack`), so the
+per-pivot numpy calls are made once per pass for every shock together.
+The vertex each shock returns is the one its own cold solve returns, bit
+for bit, so it cannot depend on which other shocks share the stack or on
+their order.
 
 `shock_from_unserved` turns the sweep's whole result table into one
 records x economic regions matrix of loss fractions in one pass; each row
-is a region-wide shock. impact prices each distinct row once, in sorted
-row order, and hands every record its row's result.
+is a region-wide shock. impact prices each distinct row once, all in one
+call, and hands every record its row's result.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import csv
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .failures import ResultTable
 from .grid import RegionTable
-from .numerics import LinearProgram, LpSolution, lp_solve
+from .numerics import LinearProgram, LpSolution, lp_solve, lp_solve_stack
 from .profiles import StudiedDemand
 
 __all__ = [
@@ -193,8 +192,8 @@ class SupplyUseModel:
 
     @cached_property
     def baseline_solution(self) -> LpSolution:
-        """The unshocked program solved cold, its pivot path recorded."""
-        return lp_solve(self.program, record=True)
+        """The unshocked program solved cold."""
+        return lp_solve(self.program)
 
     @cached_property
     def region_pos(self) -> dict[str, int]:
@@ -288,9 +287,8 @@ class ImpactResult:
     rationing: np.ndarray
     total_cost: float
     duration_hours: float
-    # simplex iterations the shock's solve ran, and those it replayed
+    # simplex iterations of the shock's cold solve
     iterations: int = field(default=0, compare=False)
-    replayed: int = field(default=0, compare=False)
 
     def __post_init__(self):
         implied = -np.minimum(0.0, self.delta_va).sum()
@@ -376,14 +374,16 @@ def solve_baseline(model: SupplyUseModel) -> np.ndarray:
     return x
 
 
-def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
-    """Price a capacity shock as value-added change per region-industry.
+def assess_impact(model: SupplyUseModel, shocks: Sequence[CapacityShock]) -> list[ImpactResult]:
+    """Price each capacity shock as value-added change per region-industry.
 
     Annual-basis LP results are scaled by duration/8760. The value-added
     change is v * (x - x0) minus each industry's baseline-market-share
     slice of any rationing not already explained by its region's supply
     drop, so losses are never double counted. A shock with no capacity
-    reduction anywhere is an identity and skips the program entirely.
+    reduction anywhere is an identity and skips the program entirely; the
+    programs of all other shocks are solved cold in one stack, and each
+    shock's result is the one it would get alone.
 
     The program's optimal value is unique but its optimal vertex need not
     be: `delta_va` is split across regions as the vertex `lp_solve` returns
@@ -392,20 +392,27 @@ def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
     `total_cost` has matched HiGHS's vertex on every gb-like program tried;
     under shocks that differ by industry it can move as well.
     """
-    delta = shock.resolve(model)
-    if not delta.any():
-        zero = np.zeros_like(model.value_added_coeff)
-        return ImpactResult(
-            regions=model.regions,
-            industries=model.industries,
-            products=model.products,
-            delta_va=zero,
-            rationing=np.zeros_like(model.final_demand),
-            total_cost=0.0,
-            duration_hours=shock.duration_hours,
-        )
-    # the cold solve's vertex, reached by replaying the baseline's pivots
-    solution = lp_solve(assemble_program(model, delta), path=model.baseline_solution.path)
+    deltas = [shock.resolve(model) for shock in shocks]
+    solved = iter(lp_solve_stack([assemble_program(model, d) for d in deltas if d.any()]))
+    return [
+        _impact(model, shock, next(solved)) if delta.any() else _no_impact(model, shock)
+        for shock, delta in zip(shocks, deltas)
+    ]
+
+
+def _no_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
+    return ImpactResult(
+        regions=model.regions,
+        industries=model.industries,
+        products=model.products,
+        delta_va=np.zeros_like(model.value_added_coeff),
+        rationing=np.zeros_like(model.final_demand),
+        total_cost=0.0,
+        duration_hours=shock.duration_hours,
+    )
+
+
+def _impact(model: SupplyUseModel, shock: CapacityShock, solution: LpSolution) -> ImpactResult:
     x, m = _outputs(model, solution)
     x0 = model.baseline_output
 
@@ -426,7 +433,6 @@ def assess_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
         total_cost=total_cost,
         duration_hours=shock.duration_hours,
         iterations=solution.iterations,
-        replayed=solution.replayed,
     )
 
 

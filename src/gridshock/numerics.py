@@ -2,8 +2,8 @@
 
 Two solvers used everywhere else in the package: a checked dense linear
 solve for the power-flow systems, and a bounded-variable revised simplex
-method for the dispatch and economic optimizations, two-phase from a cold
-start and dual from a warm one. The linear
+method for the dispatch and economic optimizations, two-phase primal from
+a cold start and dual from a warm one. The linear
 solve and the simplex's basis inverse rest on numpy's LAPACK/BLAS
 routines, so results are not promised bit-identical across platforms or
 numpy builds. What does hold: on one machine, repeated runs and any worker
@@ -13,17 +13,17 @@ simplex's pivot rule and the arithmetic behind each pivot are pinned by
 `tests/oracles.reference_lp_solve`, which the test suite holds it to bit
 for bit.
 
-The simplex can record its pivot path and replay it for a program that
-differs only in upper bounds (`lp_solve(lp, record=True)`, then
-`lp_solve(other, path=...)`). Up to the first iteration whose decision
-the new bounds could change, the new program's cold solve takes the
-recorded pivots with the same arithmetic, so the replay restores the
-state before that iteration and runs the same loop from there: the
-result is the cold solve's bit for bit. A changed bound can change a
-decision only where a basic column moving toward it would reach it
-within the recorded step (ties count), or where its column enters and
-then flips, or would flip, or could not enter at all; one vectorised
-pass over the recorded ratio tests finds the first such iteration.
+The cold simplex solves a stack of programs at once
+(`lp_solve_stack`); `lp_solve` is a stack of one. The programs may
+differ only in the upper bounds of columns with a finite lower bound, so
+they share the cold start and the artificial columns. Each member takes
+its own pivots, one per lockstep pass, with its own stage, costs, Bland
+and stall state, refactorization count and iteration budget. Every
+per-member product is one slice of a stacked numpy call (`np.matmul` on
+3-D operands, `np.linalg.inv` on a stack of bases), which numpy runs as
+the BLAS or LAPACK call it makes for that member alone. So each member
+returns its own cold solve's result bit for bit, whatever else is in the
+stack.
 
 A program that extends a solved one by inequality rows appended after its
 rows is re-solved warm (`lp_solve(lp, start=solution.basis)`): the solved
@@ -32,16 +32,14 @@ feasible, so a bounded dual simplex with a bound-flipping ratio test
 (Koberstein & Suhl, Computational Optimization and Applications, 2007;
 Bixby, Operations Research 50(1), 2002) pivots from it until the new rows
 hold. Any dual feasible basis will do as a start, such as a closed-form
-optimum the caller knows. Unlike the replay, a warm solve may end on
-another optimal vertex than the cold solve; its status and optimal value
-are the program's.
+optimum the caller knows. A warm solve may end on another optimal vertex
+than the cold solve; its status and optimal value are the program's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
@@ -51,9 +49,9 @@ __all__ = [
     "Basis",
     "LinearProgram",
     "LpSolution",
-    "PivotPath",
     "lu_solve",
     "lp_solve",
+    "lp_solve_stack",
 ]
 
 # simplex tolerances and limits
@@ -141,129 +139,18 @@ class LpSolution:
 
     x and objective_value are None unless status is "optimal". iterations
     counts the simplex iterations (pivots and bound flips; in a warm solve,
-    pivots, each with the bound flips of its ratio test) this solve ran,
-    and replayed those it took from a recorded path instead; together they
-    are the iterations of the cold solve. path is the recorded pivot path
-    when the solve was asked to record one. basis is the optimal basis, a
-    start for the program with rows appended; None unless optimal, or
-    when a cold solve ends with an artificial column basic. None of the
-    last four takes part in equality.
+    pivots, each with the bound flips of its ratio test) of the solve.
+    basis is the optimal basis, a start for the program with rows
+    appended; None unless optimal, or when a cold solve ends with an
+    artificial column basic. Neither of the last two takes part in
+    equality.
     """
 
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = field(default=0, compare=False)
-    replayed: int = field(default=0, compare=False)
-    path: PivotPath | None = field(default=None, compare=False, repr=False)
     basis: Basis | None = field(default=None, compare=False, repr=False)
-
-
-class _State(NamedTuple):
-    """The simplex state before one iteration of `_Simplex.optimize`.
-
-    stage is 0 for phase 1, 1 for phase 2 and 2 for the re-optimization
-    after the final refactorization; index is the loop index in that stage.
-    """
-
-    stage: int
-    index: int
-    x: np.ndarray
-    basis: np.ndarray
-    binv: np.ndarray
-    since_refactor: int
-    bland: bool
-    stall: int
-    prev_obj: float
-
-
-@dataclass(frozen=True, eq=False)
-class PivotPath:
-    """The cold pivot path of one program, as `lp_solve(record=True)` took it.
-
-    Entry k describes one pass of the simplex loop: states[k] is the state
-    before it, and the rest its decision. entering[k] is the entering
-    column (-1 where pricing found the stage optimal), step[k] the step
-    (+inf where the program was found unbounded), flip[k] whether the
-    entering column flipped to its other bound rather than pivoted in, and
-    basis[k], xb[k] and delta[k] the basic indices, the basic values and
-    the direction-adjusted column of the ratio test, row by row (delta is
-    zero where no ratio test ran). program holds the canonical arrays of
-    the recorded program.
-    """
-
-    program: tuple
-    states: tuple[_State, ...]
-    basis: np.ndarray
-    entering: np.ndarray
-    step: np.ndarray
-    flip: np.ndarray
-    xb: np.ndarray
-    delta: np.ndarray
-
-    def resume_index(self, program) -> int:
-        """First entry whose decision the program's upper bounds could change.
-
-        program is `_canonical` output and must match the recorded one in
-        everything but the upper bounds, each changed bound sitting on a
-        variable with a finite lower bound; otherwise ValueError. Before
-        that entry no changed column rests at its upper bound, so only
-        these decisions read a changed bound:
-
-        - the ratio test, through a basic column that moves toward its
-          bound (delta < -PIVOT_TOL) and whose limit under the old or the
-          new bound is at most the step, ties included;
-        - a changed entering column that flipped, whose new range
-          hi - lo is below the step (it would flip), or whose new range
-          is empty (pricing would not let it enter).
-
-        Pricing is otherwise unchanged: a nonbasic changed column rests at
-        its lower bound and can only lose the gate that lets it increase,
-        which moves the argmax only where that column entered. A changed
-        column whose recorded range is empty could gain that gate, so such
-        a program resumes at entry 0, the cold solve. Without a divergence
-        the replay resumes at the final entry, the closing pricing.
-        """
-        names = ("objective", "equality matrix", "equality vector",
-                 "inequality matrix", "inequality vector", "lower bounds")
-        for name, ours, recorded in zip(names, program, self.program):
-            if not (ours is recorded or (
-                ours.shape == recorded.shape and ours.tobytes() == recorded.tobytes()
-            )):
-                raise ValueError(f"replayed program differs from the recorded one in its {name}")
-        lo, hi, old_hi = program[5], program[6], self.program[6]
-        changed = hi.view(np.int64) != old_hi.view(np.int64)
-        if not changed.any():
-            return len(self.states) - 1
-        if not np.isfinite(lo[changed]).all():
-            raise ValueError("a changed upper bound needs a finite lower bound")
-        if (old_hi[changed] <= lo[changed]).any():
-            return 0
-
-        basis = self.basis
-        n = hi.size
-        # slack and artificial columns keep their bounds
-        moving = (basis < n) & (self.delta < -PIVOT_TOL)
-        rows, cols = np.nonzero(moving)
-        col = basis[rows, cols]
-        keep = changed[col]
-        rows, cols, col = rows[keep], cols[keep], col[keep]
-        xb = self.xb[rows, cols]
-        neg_delta = -self.delta[rows, cols]
-        limit = np.minimum(
-            np.maximum(hi[col] - xb, 0.0) / neg_delta,
-            np.maximum(old_hi[col] - xb, 0.0) / neg_delta,
-        )
-        ratio_hits = rows[limit <= self.step[rows]]
-
-        enters = np.flatnonzero((self.entering >= 0) & (self.entering < n))
-        enters = enters[changed[self.entering[enters]]]
-        j = self.entering[enters]
-        span = hi[j] - lo[j]
-        entry_hits = enters[self.flip[enters] | (span < self.step[enters]) | (hi[j] <= lo[j])]
-
-        hits = np.concatenate([ratio_hits, entry_hits])
-        return int(hits.min()) if hits.size else len(self.states) - 1
 
 
 def _canonical(lp: LinearProgram):
@@ -328,6 +215,50 @@ def _solve_unconstrained(c, lo, hi):
     )
 
 
+def _standard_form(a_eq, b_eq, a_ub, b_ub):
+    """The rows with one slack column per inequality row, their right-hand
+    side, and the feasibility tolerance scaled to it."""
+    me, mu = a_eq.shape[0], a_ub.shape[0]
+    n = a_eq.shape[1]
+    a = np.zeros((me + mu, n + mu))
+    a[:me, :n] = a_eq
+    a[me:, :n] = a_ub
+    a[me:, n:] = np.eye(mu)
+    b = np.concatenate([b_eq, b_ub])
+    return a, b, FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(b))))
+
+
+def _solution(program, feas_tol, art_start, status, x_full, basic, hi_full, iterations):
+    """The LpSolution of one finished solve: x clipped to the program's
+    bounds, its residuals certified against feas_tol (NumericalBreakdown
+    above it), and the basis when no artificial column is basic."""
+    if status != "optimal":
+        return LpSolution(status=status, iterations=iterations)
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = program
+    x = np.clip(x_full[: c.size], lo, hi)
+    worst = 0.0
+    if a_eq.shape[0]:
+        worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
+    if a_ub.shape[0]:
+        worst = max(worst, float(np.max(np.maximum(a_ub @ x - b_ub, 0.0))))
+    if worst > feas_tol:
+        raise NumericalBreakdown(
+            f"solution residual {worst:.3e} exceeds tolerance {feas_tol:.3e}"
+        )
+    basis = None
+    if basic.max() < art_start:
+        at_upper = x_full[:art_start] == hi_full[:art_start]
+        at_upper[basic] = False
+        basis = Basis(basic.copy(), at_upper)
+    return LpSolution(
+        status=status,
+        x=x,
+        objective_value=float(c @ x),
+        iterations=iterations,
+        basis=basis,
+    )
+
+
 def _start_columns(start: Basis, lo, hi, n: int, me: int, m: int):
     """The start's basic columns and nonbasic values over the program's
     columns, with the slack of every row after the ones it covers basic;
@@ -348,39 +279,38 @@ def _start_columns(start: Basis, lo, hi, n: int, me: int, m: int):
     return basic, resting
 
 
-class _Simplex:
-    """Revised simplex on a fixed tableau with explicit variable bounds.
+# the arrays a _Stack keeps per member, in stack order
+_MEMBER_ARRAYS = (
+    "member", "x", "hi", "basis", "binv", "cost", "gate_dn", "gate_up", "stage",
+    "since_refactor", "iterations", "stage_iterations", "bland", "stall", "prev_obj",
+)
+
+
+class _Stack:
+    """Two-phase bounded primal simplex over a stack of programs that share
+    every array but the upper bounds.
 
     Nonbasic variables rest exactly on one of their bounds (free variables
     rest at zero); values are reassigned to the exact bound on every basis
-    exchange so state tests can use equality. The basis inverse is kept as a
-    dense matrix with eta-style updates and periodic refactorization.
+    exchange so state tests can use equality. Each basis inverse is kept as
+    a dense matrix with eta-style updates and periodic refactorization.
 
-    The caller puts the equality rows first and appends one slack column
-    per inequality row after the `n_struct` structural columns, so the
-    slack of the k-th inequality row is column `n_struct + k`. Given a
-    start, (basic columns, nonbasic values) from `_start_columns`, the
-    simplex starts at that basis with no artificial column.
+    a, b and lo are shared and hi holds one row per member. The caller puts
+    the equality rows first and appends one slack column per inequality row
+    after the `n_struct` structural columns, so the slack of the k-th
+    inequality row is column `n_struct + k`; the upper bounds differ only
+    on columns with a finite lower bound, so every member starts at the
+    same point with the same artificial columns. A member's stage is 0 in
+    phase 1, 1 in phase 2 and 2 in the re-optimization after the final
+    refactorization; it runs with that stage's cost row, and its Bland,
+    stall and iteration state restarts with each stage. `run` makes
+    lockstep passes until every member has finished; a finished member
+    leaves the stack.
     """
 
-    def __init__(self, a, b, lo, hi, n_struct, start=None):
+    def __init__(self, a, b, lo, hi, n_struct, c):
         m, n0 = a.shape
-        self.m = m
-        self.since_refactor = 0
-        self.iterations = 0
-        # (states, decisions) of every loop pass when recording a path
-        self.recording: tuple[list, list] | None = None
-        if start is not None:
-            self.a, self.b, self.lo, self.hi = a, b, lo, hi
-            self.basis, self.x = start
-            self.art_start = self.n = n0
-            try:
-                self._refactorize()
-            except NumericalBreakdown:
-                raise ValueError("the starting basis is singular") from None
-            return
-
-        x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+        x0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi[0]), hi[0], 0.0))
         residual = b - a @ x0
 
         # Slack columns serve as the starting basis wherever their sign
@@ -398,28 +328,241 @@ class _Simplex:
         self.a[art_rows, art_cols] = signs
         self.b = b.astype(float)
         self.lo = np.concatenate([lo, np.zeros(n_art)])
-        self.hi = np.concatenate([hi, np.full(n_art, np.inf)])
-        self.x = np.concatenate([x0, np.abs(residual[art_rows])])
-        self.art_start = n0
-        self.n = n
+        self.m, self.n, self.art_start = m, n, n0
+        self.phase_costs = np.zeros((2, n))
+        self.phase_costs[0, n0:] = 1.0
+        self.phase_costs[1, : c.size] = c
 
-        self.basis = np.zeros(m, dtype=int)
-        self.basis[art_rows] = art_cols
+        k = hi.shape[0]
+        self.rows = np.arange(k)
+        self.member = np.arange(k)
+        self.hi = np.concatenate([hi, np.full((k, n_art), np.inf)], axis=1)
+        x = np.concatenate([x0, np.abs(residual[art_rows])])
+        basis = np.zeros(m, dtype=int)
+        basis[art_rows] = art_cols
         slack_cols = n_struct + slack_rows - first_slack_row
-        self.basis[slack_rows] = slack_cols
-        self.x[slack_cols] = residual[slack_rows]
+        basis[slack_rows] = slack_cols
+        x[slack_cols] = residual[slack_rows]
         diag = np.ones(m)
         diag[art_rows] = signs
-        self.binv = np.diag(diag)
+        self.x = np.tile(x, (k, 1))
+        self.basis = np.tile(basis, (k, 1))
+        self.binv = np.tile(np.diag(diag), (k, 1, 1))
+        self.cost, self.gate_dn, self.gate_up = np.zeros((3, k, n))
+        self.stage = np.zeros(k, dtype=int)
+        self.since_refactor = np.zeros(k, dtype=int)
+        self.iterations = np.zeros(k, dtype=int)  # of the stages before this one
+        self.stage_iterations = np.zeros(k, dtype=int)
+        self.bland = np.zeros(k, dtype=bool)
+        self.stall = np.zeros(k, dtype=int)
+        self.prev_obj = np.empty(k)
+        # (status, x, basis, upper bounds, iterations) of each finished member
+        self.finished: list[tuple | None] = [None] * k
 
-    def restore(self, state: _State) -> None:
-        """Take the state a recorded path held before one of its iterations."""
-        self.x[:] = state.x
-        self.basis[:] = state.basis
-        self.binv = state.binv.copy()
-        self.since_refactor = state.since_refactor
-        if state.stage > 0:
-            self.pin_artificials()
+    def run(self, feas_tol) -> list[tuple]:
+        self._enter(self.rows, 0 if self.n > self.art_start else 1)
+        max_iter = ITERATION_FACTOR * (self.n + self.m)
+        while self.member.size:
+            self._pass(feas_tol, max_iter)
+        return self.finished
+
+    def _enter(self, ks, stage):
+        """Start members ks on a stage: its cost row, fresh gates and
+        pricing state.
+
+        `gate_dn` is 1 where a nonbasic variable can decrease and `gate_up`
+        is -1 where it can increase, so max(reduced * gate_dn, reduced *
+        gate_up) is the pricing violation wherever it exceeds
+        OPTIMALITY_TOL. The gates change only at the entering and leaving
+        columns, and are rebuilt here because phase 1 ends by moving the
+        bounds of the artificial columns.
+        """
+        basis, x, hi = self.basis[ks], self.x[ks], self.hi[ks]
+        self.stage[ks] = stage
+        self.cost[ks] = self.phase_costs[min(stage, 1)]
+        gate_dn = np.where(x > self.lo, 1.0, 0.0)
+        gate_up = np.where(x < hi, -1.0, 0.0)
+        np.put_along_axis(gate_dn, basis, 0.0, 1)
+        np.put_along_axis(gate_up, basis, 0.0, 1)
+        self.gate_dn[ks], self.gate_up[ks] = gate_dn, gate_up
+        self.iterations[ks] += self.stage_iterations[ks]
+        self.stage_iterations[ks] = 0
+        self.bland[ks] = False
+        self.stall[ks] = 0
+        self.prev_obj[ks] = np.inf
+
+    def _refactorize(self, ks):
+        basis = self.basis[ks]
+        try:
+            binv = np.linalg.inv(self.a[:, basis].transpose(1, 0, 2))
+        except np.linalg.LinAlgError:
+            raise NumericalBreakdown("basis matrix became singular") from None
+        off_basis = self.x[ks]
+        np.put_along_axis(off_basis, basis, 0.0, 1)
+        rhs = self.b - np.matmul(self.a, off_basis[:, :, None])[:, :, 0]
+        self.x[ks[:, None], basis] = np.matmul(binv, rhs[:, :, None])[:, :, 0]
+        self.binv[ks] = binv
+        self.since_refactor[ks] = 0
+
+    def _pass(self, feas_tol, max_iter):
+        """One iteration of every member, or the end of its stage.
+
+        Pricing takes the largest reduced-cost violation, lowest index
+        first, and Bland's first violation after STALL_WINDOW iterations
+        without progress; the ratio test breaks ties on the lowest basic
+        index.
+        """
+        due = self.since_refactor >= REFACTOR_INTERVAL
+        if due.any():
+            self._refactorize(np.flatnonzero(due))
+        a, lo, x, hi, basis, binv = self.a, self.lo, self.x, self.hi, self.basis, self.binv
+        rows = self.rows[: self.member.size]
+        each = rows[:, None]
+
+        y = np.matmul(binv.transpose(0, 2, 1), self.cost[each, basis][:, :, None])
+        reduced = self.cost - np.matmul(a.T, y)[:, :, 0]
+        score = reduced * self.gate_dn
+        np.maximum(score, reduced * self.gate_up, out=score)
+        j = score.argmax(axis=1)
+        if self.bland.any():
+            j = np.where(self.bland, np.argmax(score > OPTIMALITY_TOL, axis=1), j)
+        priced = score[rows, j] > OPTIMALITY_TOL
+        direction = np.where(reduced[rows, j] < 0.0, 1.0, -1.0)
+
+        w = np.matmul(binv, a.T[j][:, :, None])[:, :, 0]
+        delta = w * direction[:, None]
+        # A basic variable moving down (delta > 0) meets its lower bound,
+        # one moving up its upper bound; rows with |delta| <= PIVOT_TOL do
+        # not limit the step.
+        xb = x[each, basis]
+        room = np.where(delta > 0.0, xb - lo[basis], hi[each, basis] - xb)
+        np.maximum(room, 0.0, out=room)
+        speed = np.abs(delta)
+        limits = np.full(basis.shape, np.inf)
+        np.divide(room, speed, out=limits, where=speed > PIVOT_TOL)
+        # Every limit is +0.0, positive or +inf, so the first minimum is
+        # the minimum bit for bit.
+        t_basic = limits.min(axis=1)
+        t_flip = hi[rows, j] - lo[j]
+        moving = priced & np.isfinite(np.minimum(t_basic, t_flip))
+        every = bool(moving.all())
+        moved = rows if every else np.flatnonzero(moving)
+        # a slice where every member moves: views instead of copies
+        mv = slice(None) if every else moved
+
+        if moved.size:
+            flip = t_flip[mv] < t_basic[mv]
+            step = np.where(flip, t_flip[mv], t_basic[mv])
+            x[each[mv], basis[mv]] = xb[mv] - step[:, None] * delta[mv]
+            pivots = moved
+            if flip.any():
+                flips = moved[flip]
+                jf = j[flips]
+                x[flips, jf] = np.where(direction[flips] > 0, hi[flips, jf], lo[jf])
+                self.gate_dn[flips, jf] = np.where(x[flips, jf] > lo[jf], 1.0, 0.0)
+                self.gate_up[flips, jf] = np.where(x[flips, jf] < hi[flips, jf], -1.0, 0.0)
+                pivots, step = moved[~flip], step[~flip]
+            if pivots.size:
+                self._exchange(pivots, j[pivots], step, direction[pivots], w, limits, t_basic)
+
+            self.stage_iterations[mv] += 1
+            obj = np.matmul(self.cost[mv][:, None, :], x[mv][:, :, None])[:, 0, 0]
+            prev_obj = self.prev_obj[mv]
+            stalled = prev_obj - obj <= 1e-12 * (1.0 + np.abs(prev_obj))
+            stall = np.where(stalled, self.stall[mv] + 1, 0)
+            self.stall[mv] = stall
+            self.bland[mv] |= stall >= STALL_WINDOW
+            self.prev_obj[mv] = obj
+            if self.stage_iterations.max() >= max_iter:
+                raise NumericalBreakdown(
+                    f"simplex exceeded {max_iter} iterations on a {self.m}x{self.n} program"
+                )
+
+        if not every:
+            ended = np.flatnonzero(~moving)
+            self._end_stages(ended, priced[ended], feas_tol)
+
+    def _exchange(self, pivots, j, step, direction, w, limits, t_basic):
+        """Pivot column j[k] into the basis of member pivots[k] by step[k]
+        in its direction; the leaving row is the ratio test's, ties going
+        to the lowest basic index."""
+        x, lo, hi, basis, binv = self.x, self.lo, self.hi, self.basis, self.binv
+        whole = pivots.size == self.member.size
+        # a slice where every member pivots: views instead of copies
+        sel = slice(None) if whole else pivots
+        r = np.where(limits[sel] == t_basic[sel, None], basis[sel], self.n).argmin(axis=1)
+        inner = self.rows[: pivots.size]
+        w = w[sel]
+        leaving = basis[pivots, r]
+        lo_out, hi_out = lo[leaving], hi[pivots, leaving]
+        # the basic variable moving down (w[r] * direction > 0) leaves at its lower bound
+        out = np.where(w[inner, r] * direction > 0, lo_out, hi_out)
+        x[pivots, j] += direction * step
+        x[pivots, leaving] = out
+        basis[pivots, r] = j
+        self.gate_dn[pivots, j] = self.gate_up[pivots, j] = 0.0
+        self.gate_dn[pivots, leaving] = np.where(out > lo_out, 1.0, 0.0)
+        self.gate_up[pivots, leaving] = np.where(out < hi_out, -1.0, 0.0)
+        block = binv[sel]
+        new_row = block[inner, r] / w[inner, r][:, None]
+        block -= w[:, :, None] * new_row[:, None, :]
+        block[inner, r] = new_row
+        if not whole:
+            binv[pivots] = block
+        self.since_refactor[sel] += 1
+
+    def _end_stages(self, ks, unbounded, feas_tol):
+        """Members ks found their stage optimal, or unbounded where marked:
+        phase 1 hands over to phase 2 (or proves the program infeasible),
+        phase 2 refactorizes and re-optimizes, and the re-optimization ends
+        the solve."""
+        stage = self.stage[ks]
+        if (unbounded & (stage == 0)).any():
+            raise NumericalBreakdown("phase 1 reported an unbounded direction")
+        done, phase_two = [], []
+        for k, is_unbounded, s in zip(ks.tolist(), unbounded.tolist(), stage.tolist()):
+            if is_unbounded:
+                done.append((k, "unbounded"))
+            elif s == 0:
+                if float(np.sum(self.x[k, self.art_start :])) > feas_tol:
+                    done.append((k, "infeasible"))
+                else:
+                    self.hi[k, self.art_start :] = 0.0  # pin the artificials at zero
+                    phase_two.append(k)
+            elif s == 2:
+                done.append((k, "optimal"))
+        if phase_two:
+            self._enter(np.array(phase_two), 1)
+        reoptimize = ks[~unbounded & (stage == 1)]
+        if reoptimize.size:
+            self._refactorize(reoptimize)
+            self._enter(reoptimize, 2)
+        if done:
+            for k, status in done:
+                self.finished[self.member[k]] = (
+                    status, self.x[k].copy(), self.basis[k].copy(), self.hi[k].copy(),
+                    int(self.iterations[k] + self.stage_iterations[k]),
+                )
+            keep = np.ones(self.member.size, dtype=bool)
+            keep[[k for k, _ in done]] = False
+            for name in _MEMBER_ARRAYS:
+                setattr(self, name, getattr(self, name)[keep])
+
+
+class _DualSimplex:
+    """Bounded dual simplex from a dual feasible basis, on the tableau of
+    `_standard_form` and a start from `_start_columns`; its state is kept
+    as `_Stack` keeps one member's, without artificial columns."""
+
+    def __init__(self, a, b, lo, hi, start):
+        self.m, self.n = a.shape
+        self.a, self.b, self.lo, self.hi = a, b, lo, hi
+        self.basis, self.x = start
+        self.iterations = 0
+        try:
+            self._refactorize()
+        except NumericalBreakdown:
+            raise ValueError("the starting basis is singular") from None
 
     def _refactorize(self):
         basis_matrix = self.a[:, self.basis]
@@ -432,126 +575,7 @@ class _Simplex:
         self.x[self.basis] = self.binv @ (self.b - self.a @ off_basis)
         self.since_refactor = 0
 
-    def optimize(self, c, stage, resume: _State | None = None):
-        """Run simplex iterations for cost vector c until optimal/unbounded.
-
-        stage numbers the call within lp_solve for a recorded path; resume
-        is a recorded state this call continues from, already restored.
-
-        Pricing takes the largest reduced-cost violation, lowest index
-        first, and Bland's first violation after STALL_WINDOW iterations
-        without progress; the ratio test breaks ties on the lowest basic
-        index. The costs and bounds of the basic variables are gathered once
-        and patched at each pivot row. `gate_dn` is 1 where a nonbasic
-        variable can decrease and `gate_up` is -1 where it can increase, so
-        max(reduced * gate_dn, reduced * gate_up) is the pricing violation
-        wherever it exceeds OPTIMALITY_TOL. The gates change only at the
-        entering and leaving columns, and are rebuilt here because
-        drive_out_artificials moves bounds between calls.
-        """
-        a, x, lo, hi, basis = self.a, self.x, self.lo, self.hi, self.basis
-        c_b, lo_b, hi_b = c[basis], lo[basis], hi[basis]
-        gate_dn = np.where(x > lo, 1.0, 0.0)
-        gate_up = np.where(x < hi, -1.0, 0.0)
-        gate_dn[basis] = 0.0
-        gate_up[basis] = 0.0
-        score = np.empty(self.n)
-        score_up = np.empty(self.n)
-        limits = np.empty(self.m)
-
-        max_iter = ITERATION_FACTOR * (self.n + self.m)
-        start, bland, stall, prev_obj = 0, False, 0, np.inf
-        if resume is not None:
-            start, bland, stall, prev_obj = (
-                resume.index, resume.bland, resume.stall, resume.prev_obj
-            )
-        states = decisions = None
-        if self.recording is not None:
-            states, decisions = self.recording
-        for index in range(start, max_iter):
-            if states is not None:
-                states.append(_State(
-                    stage, index, x.copy(), basis.copy(), self.binv.copy(),
-                    self.since_refactor, bland, stall, prev_obj,
-                ))
-            if self.since_refactor >= REFACTOR_INTERVAL:
-                self._refactorize()
-            binv = self.binv
-
-            y = binv.T @ c_b
-            reduced = c - a.T @ y
-            np.multiply(reduced, gate_dn, out=score)
-            np.multiply(reduced, gate_up, out=score_up)
-            np.maximum(score, score_up, out=score)
-            j = int(np.argmax(score > OPTIMALITY_TOL)) if bland else int(score.argmax())
-            if not score[j] > OPTIMALITY_TOL:
-                if decisions is not None:
-                    decisions.append((-1, math.inf, False, x[basis], np.zeros(self.m)))
-                return "optimal"
-            direction = 1.0 if reduced[j] < 0.0 else -1.0
-
-            w = binv @ a[:, j]
-            delta, neg_delta = (w, -w) if direction > 0 else (-w, w)
-            xb = x[basis]
-            limits.fill(np.inf)
-            np.divide(np.maximum(xb - lo_b, 0.0), delta, out=limits, where=delta > PIVOT_TOL)
-            np.divide(np.maximum(hi_b - xb, 0.0), neg_delta, out=limits, where=delta < -PIVOT_TOL)
-            # Every limit is +0.0, positive or +inf, so the first minimum
-            # is the minimum bit for bit.
-            r = int(limits.argmin())
-            t_basic = float(limits[r])
-            t_flip = hi[j] - lo[j]
-
-            if not math.isfinite(min(t_basic, t_flip)):
-                if decisions is not None:
-                    decisions.append((j, math.inf, False, xb, delta))
-                return "unbounded"
-
-            if decisions is not None:
-                flip = t_flip < t_basic
-                decisions.append((j, t_flip if flip else t_basic, flip, xb.copy(), delta))
-            self.iterations += 1
-            if t_flip < t_basic:
-                step = t_flip
-                xb -= step * delta
-                x[basis] = xb
-                x[j] = hi[j] if direction > 0 else lo[j]
-                gate_dn[j] = 1.0 if x[j] > lo[j] else 0.0
-                gate_up[j] = -1.0 if x[j] < hi[j] else 0.0
-            else:
-                step = t_basic
-                tied = limits == t_basic
-                if np.count_nonzero(tied) > 1:
-                    ties = np.flatnonzero(tied)
-                    r = int(ties[basis[ties].argmin()])
-                leaving = int(basis[r])
-                xb -= step * delta
-                x[basis] = xb
-                x[j] += direction * step
-                x[leaving] = lo[leaving] if delta[r] > 0 else hi[leaving]
-                basis[r] = j
-                c_b[r], lo_b[r], hi_b[r] = c[j], lo[j], hi[j]
-                gate_dn[j] = gate_up[j] = 0.0
-                gate_dn[leaving] = 1.0 if x[leaving] > lo[leaving] else 0.0
-                gate_up[leaving] = -1.0 if x[leaving] < hi[leaving] else 0.0
-                new_row = binv[r] / w[r]
-                binv -= w[:, None] * new_row
-                binv[r] = new_row
-                self.since_refactor += 1
-
-            obj = float(c @ x)
-            if prev_obj - obj <= 1e-12 * (1.0 + abs(prev_obj)):
-                stall += 1
-                if stall >= STALL_WINDOW:
-                    bland = True
-            else:
-                stall = 0
-            prev_obj = obj
-        raise NumericalBreakdown(
-            f"simplex exceeded {max_iter} iterations on a {self.m}x{self.n} program"
-        )
-
-    def dual_optimize(self, c, feas_tol):
+    def optimize(self, c, feas_tol):
         """Run bounded dual simplex iterations for cost vector c, from a
         dual feasible basis, until every basic value lies within feas_tol
         of its bounds ("optimal") or a row proves the program infeasible.
@@ -675,145 +699,75 @@ class _Simplex:
             f"dual simplex exceeded {max_iter} iterations on a {self.m}x{self.n} program"
         )
 
-    def drive_out_artificials(self, tol):
-        """Pin artificial variables to zero after a successful phase 1."""
-        level = float(np.sum(self.x[self.art_start :]))
-        if level > tol:
-            return False
-        self.pin_artificials()
-        return True
 
-    def pin_artificials(self):
-        self.lo[self.art_start :] = 0.0
-        self.hi[self.art_start :] = 0.0
+def lp_solve_stack(programs: Sequence[LinearProgram]) -> list[LpSolution]:
+    """Solve programs cold as one stack; each solution is what `lp_solve`
+    returns for that program alone, bit for bit, iterations and basis
+    included.
+
+    Every program must equal the first in its objective, rows and lower
+    bounds, and may change an upper bound only where the lower bound is
+    finite; otherwise ValueError. Raises NumericalBreakdown as soon as one
+    member's solve would.
+    """
+    parts = [_canonical(lp) for lp in programs]
+    if not parts:
+        return []
+    first = parts[0]
+    c, a_eq, b_eq, a_ub, b_ub, lo, hi = first
+    names = ("objective", "equality matrix", "equality vector",
+             "inequality matrix", "inequality vector", "lower bounds")
+    for part in parts[1:]:
+        for name, ours, theirs in zip(names, part, first):
+            if not (ours is theirs or (
+                ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+            )):
+                raise ValueError(f"stacked program differs from the first in its {name}")
+    his = np.array([part[6] for part in parts])
+    changed = (his.view(np.int64) != hi.view(np.int64)).any(axis=0)
+    if not np.isfinite(lo[changed]).all():
+        raise ValueError("a changed upper bound needs a finite lower bound")
+
+    n, mu = c.size, a_ub.shape[0]
+    if a_eq.shape[0] + mu == 0:
+        return [_solve_unconstrained(c, lo, upper) for upper in his]
+    a, b, feas_tol = _standard_form(a_eq, b_eq, a_ub, b_ub)
+    hi_full = np.concatenate([his, np.full((len(parts), mu), np.inf)], axis=1)
+    stack = _Stack(a, b, np.concatenate([lo, np.zeros(mu)]), hi_full, n, c)
+    return [
+        _solution(part, feas_tol, stack.art_start, *finished)
+        for part, finished in zip(parts, stack.run(feas_tol))
+    ]
 
 
-def _run_stages(sx: _Simplex, c, feas_tol, state: _State | None) -> str:
-    """Phase 1, phase 2 and the re-optimization after a refactorization,
-    from the start or, given a restored state, from the stage it holds."""
-    first = 0 if state is None else state.stage
-    if first == 0 and sx.n > sx.art_start:
-        c1 = np.zeros(sx.n)
-        c1[sx.art_start :] = 1.0
-        if sx.optimize(c1, 0, state) == "unbounded":
-            raise NumericalBreakdown("phase 1 reported an unbounded direction")
-        if not sx.drive_out_artificials(feas_tol):
-            return "infeasible"
-    c2 = np.zeros(sx.n)
-    c2[: c.size] = c
-    if first <= 1:
-        if sx.optimize(c2, 1, state if first == 1 else None) == "unbounded":
-            return "unbounded"
-        sx._refactorize()
-    return sx.optimize(c2, 2, state if first == 2 else None)
-
-
-def lp_solve(
-    lp: LinearProgram,
-    *,
-    record: bool = False,
-    path: PivotPath | None = None,
-    start: Basis | None = None,
-) -> LpSolution:
+def lp_solve(lp: LinearProgram, *, start: Basis | None = None) -> LpSolution:
     """Solve a linear program to a vertex optimum.
 
     Deterministic for identical inputs: pricing uses the largest reduced
     cost with lowest-index tie-breaks, switching to Bland's rule after a
     stall, so repeated runs pivot identically. Raises NumericalBreakdown if
     the iteration budget is exhausted or the final residuals cannot be
-    certified.
-
-    record=True keeps the pivot path in the solution's `path` (None for a
-    program without rows). Given such a path, the solve replays it: the
-    program must differ from the recorded one only in upper bounds, and
-    `PivotPath.resume_index` finds the first iteration whose decision the
-    new bounds could change. The solve restores the state recorded before
-    that iteration and runs the same loop from there, so it returns what
-    the cold solve returns, bit for bit; at iteration 0 it is the cold
-    solve. Clipping to the bounds and the residual check are the new
-    program's own.
+    certified. Without a start this is the cold solve, a stack of one.
 
     Given a start, the basis of the program's leading rows (all equality
     rows and the first inequality rows, as a solve of the program without
     the rows after them returned it), every later row gets its slack
-    basic and `_Simplex.dual_optimize` runs from there. The start must be
+    basic and `_DualSimplex.optimize` runs from there. The start must be
     dual feasible, else ValueError; the solution may be another optimal
     vertex than the cold solve's.
     """
-    if record and path is not None:
-        raise ValueError("a replayed solve cannot record a path: its prefix would be missing")
-    if start is not None and (record or path is not None):
-        raise ValueError("a warm solve neither records nor replays a pivot path")
+    if start is None:
+        return lp_solve_stack([lp])[0]
     program = _canonical(lp)
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = program
-    resume = path.resume_index(program) if path is not None else 0
     n = c.size
     me, mu = a_eq.shape[0], a_ub.shape[0]
     m = me + mu
     if m == 0:
         return _solve_unconstrained(c, lo, hi)
-
-    a = np.zeros((m, n + mu))
-    a[:me, :n] = a_eq
-    a[me:, :n] = a_ub
-    a[me:, n:] = np.eye(mu)
-    b = np.concatenate([b_eq, b_ub])
+    a, b, feas_tol = _standard_form(a_eq, b_eq, a_ub, b_ub)
     lo_full = np.concatenate([lo, np.zeros(mu)])
     hi_full = np.concatenate([hi, np.full(mu, np.inf)])
-
-    scale = 1.0 + float(np.max(np.abs(b))) if m else 1.0
-    feas_tol = FEASIBILITY_TOL * scale
-    state = None
-    replayed = 0
-    if start is not None:
-        sx = _Simplex(a, b, lo_full, hi_full, n, _start_columns(start, lo_full, hi_full, n, me, m))
-        status = sx.dual_optimize(np.concatenate([c, np.zeros(mu)]), feas_tol)
-    else:
-        sx = _Simplex(a, b, lo_full, hi_full, n)
-        if record:
-            sx.recording = ([], [])
-        if resume:
-            state = path.states[resume]
-            sx.restore(state)
-            replayed = int(np.count_nonzero(np.isfinite(path.step[:resume])))
-        status = _run_stages(sx, c, feas_tol, state)
-    x = objective = basis = None
-    if status == "optimal":
-        x = np.clip(sx.x[:n], lo, hi)
-        worst = 0.0
-        if me:
-            worst = max(worst, float(np.max(np.abs(a_eq @ x - b_eq))))
-        if mu:
-            worst = max(worst, float(np.max(np.maximum(a_ub @ x - b_ub, 0.0))))
-        if worst > feas_tol:
-            raise NumericalBreakdown(
-                f"solution residual {worst:.3e} exceeds tolerance {feas_tol:.3e}"
-            )
-        objective = float(c @ x)
-        if sx.basis.max() < sx.art_start:
-            at_upper = sx.x[: sx.art_start] == sx.hi[: sx.art_start]
-            at_upper[sx.basis] = False
-            basis = Basis(sx.basis.copy(), at_upper)
-    recorded = None
-    if record:
-        states, decisions = sx.recording
-        entering, step, flip, xb, delta = zip(*decisions)
-        recorded = PivotPath(
-            program=program,
-            states=tuple(states),
-            basis=np.stack([state.basis for state in states]),
-            entering=np.array(entering),
-            step=np.array(step),
-            flip=np.array(flip),
-            xb=np.stack(xb),
-            delta=np.stack(delta),
-        )
-    return LpSolution(
-        status=status,
-        x=x,
-        objective_value=objective,
-        iterations=sx.iterations,
-        replayed=replayed,
-        path=recorded,
-        basis=basis,
-    )
+    sx = _DualSimplex(a, b, lo_full, hi_full, _start_columns(start, lo_full, hi_full, n, me, m))
+    status = sx.optimize(np.concatenate([c, np.zeros(mu)]), feas_tol)
+    return _solution(program, feas_tol, sx.n, status, sx.x, sx.basis, hi_full, sx.iterations)

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import csv
 import warnings
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import filterfalse
+from itertools import filterfalse, islice
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -471,28 +472,42 @@ def _scan_profile(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.nda
     """The columns `_read_chunks` returns, read line by line by `int()` and
     `float()`; a ParseError on the first malformed data row.
 
-    Checks each row in file order: beyond `scan_rows`, an int64 hour, a
-    float value, and no (region, hour) pair seen before.
+    Checks each row in file order: beyond `scan_rows`, an int64 hour and a
+    float value. A (region, hour) pair seen before is found on the parsed
+    columns, and reported instead where it comes before the malformed row.
     """
     codes: dict[str, int] = {}
-    seen: set[tuple[str, int]] = set()
-    code, hours, values = [], [], []
-    for lineno, row in scan_rows(path, 3):
-        try:
-            hour = int(row[1])
-            value = float(row[2])
-        except ValueError:
-            raise ParseError(f"bad numeric value in {row!r}", lineno) from None
-        if not _INT64.min <= hour <= _INT64.max:
-            raise ParseError(f"hour {hour} does not fit a 64-bit integer", lineno)
-        region = row[0].strip()
-        if (region, hour) in seen:
-            raise ParseError(f"duplicate hour {hour} for region {region}", lineno)
-        seen.add((region, hour))
-        code.append(codes.setdefault(region, len(codes)))
-        hours.append(hour)
-        values.append(value)
-    return list(codes), np.array(code, np.int64), np.array(hours, np.int64), np.array(values, float)
+    code, hours, values = array("q"), array("q"), array("d")
+    try:
+        for lineno, row in scan_rows(path, 3):
+            try:
+                hour = int(row[1])
+                value = float(row[2])
+            except ValueError:
+                raise ParseError(f"bad numeric value in {row!r}", lineno) from None
+            if not _INT64.min <= hour <= _INT64.max:
+                raise ParseError(f"hour {hour} does not fit a 64-bit integer", lineno)
+            code.append(codes.setdefault(row[0].strip(), len(codes)))
+            hours.append(hour)
+            values.append(value)
+    except ParseError:
+        _check_repeats(path, list(codes), code, hours)
+        raise
+    _check_repeats(path, list(codes), code, hours)
+    return list(codes), np.frombuffer(code, np.int64), np.frombuffer(hours, np.int64), np.frombuffer(values)
+
+
+def _check_repeats(path: Path, names: list[str], code: array, hours: array) -> None:
+    """ParseError on the first row, in file order, whose (region, hour)
+    pair an earlier row holds."""
+    code, hours = np.frombuffer(code, np.int64), np.frombuffer(hours, np.int64)
+    order = np.lexsort((hours, code))  # stable: equal pairs stay in file order
+    later, earlier = order[1:], order[:-1]
+    repeats = later[(code[later] == code[earlier]) & (hours[later] == hours[earlier])]
+    if repeats.size:
+        k = int(repeats.min())
+        lineno = next(islice(scan_rows(path, 3), k, None))[0]
+        raise ParseError(f"duplicate hour {hours[k]} for region {names[code[k]]}", lineno)
 
 
 def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") -> None:

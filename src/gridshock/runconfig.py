@@ -133,10 +133,13 @@ def load_run_config(path) -> RunConfig:
         raise ValidationError(f"hours reference scenarios without profiles: {', '.join(uncovered)}")
 
     baseline = entries.get("analyze.baseline", "current")
-    if baseline not in profiles:
-        raise ValidationError(
-            f"analyze.baseline names scenario {baseline!r}, which has no profile.{baseline}"
-        )
+    # left unset, analyze.scenario keeps its default even without that profile
+    named = (("analyze.baseline", baseline), ("analyze.scenario", entries.get("analyze.scenario")))
+    for key, scenario in named:
+        if scenario is not None and scenario not in profiles:
+            raise ValidationError(
+                f"{key} names scenario {scenario!r}, which has no profile.{scenario}"
+            )
 
     if "loss_fractions" in entries:
         try:

@@ -127,6 +127,17 @@ def assert_same_lp_solution(ours, reference) -> None:
         assert ours.objective_value.hex() == reference.objective_value.hex()
 
 
+def assert_same_solve(ours, alone) -> None:
+    """A stack member equals the program's solve alone: status, x and
+    objective bit for bit, the same iteration count and the same basis."""
+    assert_same_lp_solution(ours, alone)
+    assert ours.iterations == alone.iterations
+    assert (ours.basis is None) == (alone.basis is None)
+    if ours.basis is not None:
+        assert ours.basis.basic.tolist() == alone.basis.basic.tolist()
+        assert ours.basis.at_upper.tolist() == alone.basis.at_upper.tolist()
+
+
 def run_python(args: list[str], hash_seed: int) -> str:
     """Run the interpreter on `args` in a fresh process whose string hashes
     are seeded with `hash_seed`, importing this gridshock; returns stdout."""

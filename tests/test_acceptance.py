@@ -361,14 +361,14 @@ def test_economic_impact_identities():
             baseline_va = float(
                 (model.value_added_coeff * model.baseline_output).sum()
             )
-            result = assess_impact(model, CapacityShock(delta={}))
+            [result] = assess_impact(model, [CapacityShock(delta={})])
             assert result.total_cost <= 1e-6 * max(1.0, baseline_va)
             assert np.abs(result.delta_va).max() <= 1e-6 * max(1.0, baseline_va)
 
         # hand result: capacity 90 against final demand 80 under a 0.2
         # input share forces x = 90, rationing 8, value added down 5
-        hand = assess_impact(
-            one_region_model(0.0), CapacityShock(delta={"A": 0.1}, duration_hours=8760.0)
+        [hand] = assess_impact(
+            one_region_model(0.0), [CapacityShock(delta={"A": 0.1}, duration_hours=8760.0)]
         )
         assert hand.delta_va[0, 0] == -5.0, f"delta va {hand.delta_va[0, 0]!r}"
         assert hand.total_cost == 5.0
@@ -382,8 +382,8 @@ def test_economic_impact_identities():
                 "B": {"power": float(rng.uniform(0.0, 0.5))},
             }
             shock = CapacityShock(delta=delta, duration_hours=8760.0)
-            closed = assess_impact(two_region_chain(False), shock)
-            open_ = assess_impact(two_region_chain(True), shock)
+            [closed] = assess_impact(two_region_chain(False), [shock])
+            [open_] = assess_impact(two_region_chain(True), [shock])
             assert open_.total_cost <= closed.total_cost + 1e-6
             trade_pairs += 1
 
@@ -402,10 +402,8 @@ def test_economic_impact_identities():
                        "B": {"i1": base[2] + extra[2], "i2": base[3] + extra[3]}},
                 duration_hours=8760.0,
             )
-            assert (
-                assess_impact(model, small).total_cost
-                <= assess_impact(model, larger).total_cost + 1e-6
-            )
+            lesser, greater = assess_impact(model, [small, larger])
+            assert lesser.total_cost <= greater.total_cost + 1e-6
             monotone_pairs += 1
         report(
             "zero shock costs 0.0; hand-solved delta va -5.0 exact; trade never "

@@ -140,6 +140,11 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="analyze.baseline names scenario 'nosuch'"):
             load_run_config(write_cfg(fx, "baseline.cfg", text))
 
+    def test_scenario_needs_a_profile(self, fx):
+        text = MINIMAL + "analyze.scenario = nosuch\n"
+        with pytest.raises(ValidationError, match="analyze.scenario names scenario 'nosuch'"):
+            load_run_config(write_cfg(fx, "scenario.cfg", text))
+
     def test_malformed_hours(self, fx):
         bad_shape = MINIMAL.replace("current:10", "current-10")
         with pytest.raises(ValidationError, match="not scenario:hour"):
@@ -235,6 +240,20 @@ class TestPipeline:
         assert not loaded
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_refuses_unknown_scenario_before_reading_profiles(
+        self, fx, tmp_path, monkeypatch, capsys
+    ):
+        text = (fx / "run.cfg").read_text(encoding="utf-8")
+        assert "analyze.scenario = heat_pump" in text
+        text = text.replace("analyze.scenario = heat_pump", "analyze.scenario = nosuch")
+        cfg = write_cfg(fx, "nosuch_scenario.cfg", text)
+        loaded = []
+        monkeypatch.setattr(cli_module, "load_profile", lambda *args, **kwargs: loaded.append(args))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error: analyze.scenario names scenario 'nosuch'" in capsys.readouterr().err
+        assert not loaded
+        assert not (tmp_path / "out").exists()
+
     def test_simulate_rerun_byte_identical(self, fx, tmp_path):
         cfg = str(fx / "run.cfg")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -301,19 +320,17 @@ class TestPipeline:
         k = int(np.argmax(costs))
         shock = CapacityShock(delta=dict(zip(parents, shocks[k].tolist())), duration_hours=1.0)
         assert costs[k] > 0.0
-        assert assess_impact(model, shock).total_cost == costs[k]
+        assert assess_impact(model, [shock])[0].total_cost == costs[k]
 
-    def test_impact_reports_replayed_iterations(self, run_copy, capsys):
+    def test_impact_reports_simplex_iterations(self, run_copy, capsys):
         cfg = str(run_copy / "run.cfg")
         assert main(["impact", "--config", cfg]) == 0
         line = capsys.readouterr().out.strip()
         match = re.fullmatch(
-            r"priced 40 records \((\d+) distinct programs; "
-            r"(\d+) of (\d+) simplex iterations replayed\)",
-            line,
+            r"priced 40 records \((\d+) distinct programs; (\d+) simplex iterations\)", line
         )
         assert match, line
-        programs, replayed, total = map(int, match.groups())
+        programs, total = map(int, match.groups())
         # the total is what every distinct program takes when solved cold
         config = load_run_config(run_copy / "run.cfg")
         regions = load_regions(config.regions)
@@ -328,8 +345,7 @@ class TestPipeline:
             deltas[delta.tobytes()] = delta
         assert programs == len(deltas)
         cold = sum(lp_solve(assemble_program(model, d)).iterations for d in deltas.values() if d.any())
-        assert total == cold
-        assert 0 < replayed < total
+        assert total == cold > 0
         assert main(["impact", "--config", cfg]) == 0
         assert capsys.readouterr().out.strip() == line
 

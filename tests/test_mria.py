@@ -25,11 +25,11 @@ from gridshock.mria import (
     solve_baseline,
     technology_coefficients,
 )
-from gridshock.numerics import LinearProgram, lp_solve
+from gridshock.numerics import LinearProgram, lp_solve, lp_solve_stack
 from gridshock.profiles import DemandProfile, StudiedDemand
 from gridshock.synthetic import generate_gb_like, generate_small
 
-from helpers import Record, assert_same_lp_solution, records_of, table_of, va_of
+from helpers import Record, assert_same_lp_solution, assert_same_solve, records_of, table_of, va_of
 from oracles import (
     enumerate_lp,
     reference_lp_solve,
@@ -260,7 +260,7 @@ class TestBaseline:
 class TestAssessImpact:
     def test_zero_shock_identity(self):
         for model in (one_region_model(0.025), starvation_model(True)):
-            result = assess_impact(model, CapacityShock(delta={}))
+            [result] = assess_impact(model, [CapacityShock(delta={})])
             assert result.total_cost == pytest.approx(0.0, abs=1e-9)
             assert np.allclose(result.delta_va, 0.0, atol=1e-9)
             assert np.allclose(result.rationing, 0.0, atol=1e-9)
@@ -269,7 +269,7 @@ class TestAssessImpact:
         # capacity 90, balance 0.8x + m >= 80 gives x=90, m=8, delta va -5
         model = one_region_model(alpha=0.0)
         shock = CapacityShock(delta={"A": 0.1}, duration_hours=8760.0)
-        result = assess_impact(model, shock)
+        [result] = assess_impact(model, [shock])
         assert result.delta_va[0, 0] == -5.0
         assert result.total_cost == 5.0
         assert result.rationing[0, 0] == pytest.approx(8.0, abs=1e-9)
@@ -278,13 +278,15 @@ class TestAssessImpact:
         # cap rises to 90 * 1.025 = 92.25, so the va drop shrinks to 3.875
         model = one_region_model(alpha=0.025)
         shock = CapacityShock(delta={"A": 0.1}, duration_hours=8760.0)
-        result = assess_impact(model, shock)
+        [result] = assess_impact(model, [shock])
         assert result.delta_va[0, 0] == pytest.approx(-3.875, rel=1e-9)
 
     def test_hourly_is_annual_scaled(self):
         model = one_region_model(alpha=0.0)
-        annual = assess_impact(model, CapacityShock({"A": 0.1}, duration_hours=8760.0))
-        hourly = assess_impact(model, CapacityShock({"A": 0.1}, duration_hours=1.0))
+        annual, hourly = assess_impact(
+            model,
+            [CapacityShock({"A": 0.1}, duration_hours=8760.0), CapacityShock({"A": 0.1}, duration_hours=1.0)],
+        )
         assert np.array_equal(hourly.delta_va, annual.delta_va / 8760.0)
         assert hourly.total_cost == annual.total_cost / 8760.0
         assert np.array_equal(hourly.rationing, annual.rationing / 8760.0)
@@ -294,7 +296,7 @@ class TestAssessImpact:
         # final demand is capped at 10, so the factory is starved to 30
         model = starvation_model(trade_enabled=False)
         shock = CapacityShock(delta={"A": {"power": 0.8}}, duration_hours=8760.0)
-        result = assess_impact(model, shock)
+        [result] = assess_impact(model, [shock])
         assert va_of(result, "A", "power") == pytest.approx(-19.0, rel=1e-9)
         assert va_of(result, "A", "factory") == pytest.approx(-35.0, rel=1e-9)
         assert va_of(result, "B", "power") == pytest.approx(0.0, abs=1e-9)
@@ -306,8 +308,8 @@ class TestAssessImpact:
         # B's shifted rationing is priced onto its own supplier, so
         # delta va = (-19, 0, -4) against (-19, -35, 0) when closed
         shock = CapacityShock(delta={"A": {"power": 0.8}}, duration_hours=8760.0)
-        closed = assess_impact(starvation_model(trade_enabled=False), shock)
-        open_ = assess_impact(starvation_model(trade_enabled=True), shock)
+        [closed] = assess_impact(starvation_model(trade_enabled=False), [shock])
+        [open_] = assess_impact(starvation_model(trade_enabled=True), [shock])
         assert open_.total_cost == pytest.approx(23.0, rel=1e-9)
         assert va_of(open_, "A", "factory") == pytest.approx(0.0, abs=1e-9)
         assert va_of(open_, "B", "power") == pytest.approx(-4.0, rel=1e-9)
@@ -318,7 +320,7 @@ class TestAssessImpact:
         # overcapacity surplus (8 units, nothing rationed), so the
         # exporting region's value added rises
         shock = CapacityShock(delta={"A": {"power": 0.3}}, duration_hours=8760.0)
-        result = assess_impact(starvation_model(trade_enabled=True), shock)
+        [result] = assess_impact(starvation_model(trade_enabled=True), [shock])
         assert va_of(result, "B", "power") == pytest.approx(4.0, rel=1e-9)
         assert va_of(result, "A", "power") == pytest.approx(-4.0, rel=1e-9)
         assert va_of(result, "A", "factory") == pytest.approx(0.0, abs=1e-9)
@@ -333,8 +335,8 @@ class TestAssessImpact:
                 "B": {"power": float(rng.uniform(0, 0.5))},
             }
             shock = CapacityShock(delta=delta, duration_hours=8760.0)
-            closed = assess_impact(starvation_model(False), shock)
-            open_ = assess_impact(starvation_model(True), shock)
+            [closed] = assess_impact(starvation_model(False), [shock])
+            [open_] = assess_impact(starvation_model(True), [shock])
             assert open_.total_cost <= closed.total_cost + 1e-6
 
     def test_monotone_in_shock(self):
@@ -357,10 +359,8 @@ class TestAssessImpact:
                 },
                 duration_hours=8760.0,
             )
-            assert (
-                assess_impact(model, small).total_cost
-                <= assess_impact(model, larger).total_cost + 1e-6
-            )
+            lesser, greater = assess_impact(model, [small, larger])
+            assert lesser.total_cost <= greater.total_cost + 1e-6
 
     def test_objective_matches_vertex_oracle(self):
         cases = [
@@ -458,7 +458,7 @@ class TestPreparedProgram:
             monkeypatch.setattr(mria, name, counted)
         model = two_region_diagonal(0.025)
         for fraction in (0.1, 0.4, 0.7):
-            assess_impact(model, CapacityShock({"A": fraction, "B": {"i2": fraction}}))
+            assess_impact(model, [CapacityShock({"A": fraction, "B": {"i2": fraction}})])
         solve_baseline(model)
         assert calls == {"technology_coefficients": 1, "default_penalty": 1}
         assert not model.baseline_output.flags.writeable
@@ -491,148 +491,68 @@ class TestAgainstHighs:
             assert ours.objective_value == pytest.approx(highs.fun, rel=1e-9)
 
 
-class TestPivotPathOnGbLikePrograms:
-    def test_matches_reference_kernel(self):
-        # the baseline and the 30 shocks of TestAgainstHighs; every program
-        # takes about 230 pivots, past the periodic refactorizations. The
-        # replay of the baseline's recorded path returns the same bits.
-        model = generate_gb_like(7).economy
-        path = model.baseline_solution.path
-        deltas = random_deltas(np.random.default_rng(7), model, 30)
-        replayed = []
-        for delta in (np.zeros(model.baseline_output.shape), *deltas):
-            program = assemble_program(model, delta)
-            reference = reference_lp_solve(program)
-            cold = lp_solve(program)
-            assert_same_lp_solution(cold, reference)
-            ours = lp_solve(program, path=path)
-            assert_same_lp_solution(ours, reference)
-            assert ours.iterations + ours.replayed == cold.iterations
-            replayed.append(ours.replayed)
-        assert min(replayed) > 0
-
-
 @pytest.fixture(scope="module")
 def gb_model():
     return generate_gb_like(7).economy
 
 
-def canonical(program):
-    from gridshock.numerics import _canonical
-
-    return _canonical(program)
-
-
-def first_entries(path, n_columns):
-    """Entry at which each of the first n_columns first enters the basis."""
-    first = {}
-    for k, j in enumerate(path.entering.tolist()):
-        if 0 <= j < n_columns:
-            first.setdefault(j, k)
-    return first
+def shock_of(model, delta):
+    """The per-industry CapacityShock whose dense array is delta."""
+    return CapacityShock({
+        region: dict(zip(model.industries, row))
+        for region, row in zip(model.regions, delta.tolist())
+    })
 
 
-def cap_tying_the_step(path, k, r):
-    """A cap for the basic column in row r at entry k whose ratio-test
-    limit, by the loop's own arithmetic, equals that entry's step; None
-    where no cap within 64 ulps of the exact one does."""
-    xb, neg_delta, step = path.xb[k, r], -path.delta[k, r], path.step[k]
-    cap = xb + step * neg_delta
-    for _ in range(64):
-        limit = max(cap - xb, 0.0) / neg_delta
-        if limit == step:
-            return cap
-        cap = np.nextafter(cap, np.inf if limit < step else -np.inf)
-    return None
+class TestStackOnGbLikePrograms:
+    """The shocks of the gb-like model solved as one stack: each returns
+    what the reference kernel and its own cold solve return, bit for bit."""
 
+    def test_random_shocks_match_reference_kernel(self, gb_model):
+        # the baseline and the 30 shocks of TestAgainstHighs; every program
+        # takes about 230 pivots, past the periodic refactorizations
+        deltas = random_deltas(np.random.default_rng(7), gb_model, 30)
+        programs = [gb_model.program, *(assemble_program(gb_model, d) for d in deltas)]
+        for program, ours in zip(programs, lp_solve_stack(programs)):
+            assert_same_lp_solution(ours, reference_lp_solve(program))
+            assert_same_solve(ours, lp_solve(program))
 
-class TestReplayOnGbLikePrograms:
-    """Shocks replay the baseline's recorded pivot path, and each returns
-    what the cold solve and the reference kernel return, bit for bit."""
-
-    def test_region_shocks_resume_in_phase_two(self, gb_model):
-        # phase 1 only serves final demand; region-wide shocks, as
-        # shock_from_unserved builds them, first diverge in phase 2
-        path = gb_model.baseline_solution.path
-        for r, region in enumerate(gb_model.regions):
+    def test_region_shocks_and_zero_caps(self, gb_model):
+        # region-wide shocks as shock_from_unserved builds them, each
+        # output capped at zero in turn, and a shock too small to move any
+        # decision of the baseline's solve
+        shape = gb_model.baseline_output.shape
+        deltas = []
+        for r in range(shape[0]):
             for fraction in (0.05, 0.5, 1.0):
-                delta = np.zeros(gb_model.baseline_output.shape)
-                delta[r] = fraction
-                program = assemble_program(gb_model, delta)
-                k = path.resume_index(canonical(program))
-                assert path.states[k].stage > 0, region
-                ours = lp_solve(program, path=path)
-                assert_same_lp_solution(ours, reference_lp_solve(program))
+                deltas.append(np.zeros(shape))
+                deltas[-1][r] = fraction
+        for k in range(gb_model.baseline_output.size):
+            deltas.append(np.zeros(shape))
+            deltas[-1].flat[k] = 1.0
+        deltas.append(np.zeros(shape))
+        deltas[-1][0] = 1e-9  # z1 never nears its caps on the baseline's path
+        programs = [assemble_program(gb_model, d) for d in deltas]
+        solutions = lp_solve_stack(programs)
+        for program, ours in zip(programs, solutions):
+            assert_same_lp_solution(ours, reference_lp_solve(program))
+        assert not np.array_equal(programs[-1].bounds, gb_model.program.bounds)
+        assert_same_solve(solutions[-1], gb_model.baseline_solution)
 
-    def test_zero_cap_on_an_entering_column(self, gb_model):
-        path = gb_model.baseline_solution.path
-        first = first_entries(path, gb_model.baseline_output.size)
-        column, entry = max(first.items(), key=lambda item: item[1])
-        delta = np.zeros(gb_model.baseline_output.size)
-        delta[column] = 1.0
-        program = assemble_program(gb_model, delta.reshape(gb_model.baseline_output.shape))
-        assert program.bounds[column, 1] == 0.0
-        assert path.resume_index(canonical(program)) == entry
-        ours = lp_solve(program, path=path)
-        assert_same_lp_solution(ours, reference_lp_solve(program))
-        assert ours.replayed == np.count_nonzero(np.isfinite(path.step[:entry]))
-
-    def test_limit_equal_to_step_resumes_there(self, gb_model):
-        path = gb_model.baseline_solution.path
-        n_x = gb_model.baseline_output.size
-        first = first_entries(path, n_x)
-        tried = 0
-        for k in range(len(path.states)):
-            for r in np.flatnonzero((path.basis[k] < n_x) & (path.delta[k] < -1e-10)):
-                column = int(path.basis[k, r])
-                if not first[column] < k or path.step[k] == 0.0:
-                    continue
-                cap = cap_tying_the_step(path, k, r)
-                if cap is None or cap == gb_model.program.bounds[column, 1]:
-                    continue  # no tie, or the recorded leaving column's own cap
-                bounds = gb_model.program.bounds.copy()
-                bounds[column, 1] = cap
-                program = replace(gb_model.program, bounds=bounds)
-                if path.resume_index(canonical(program)) != k:
-                    continue  # an earlier entry already reads the cap
-                assert_same_lp_solution(lp_solve(program, path=path), reference_lp_solve(program))
-                # one ulp more and the limit clears the step
-                bounds[column, 1] = np.nextafter(bounds[column, 1], np.inf)
-                looser = replace(gb_model.program, bounds=bounds)
-                assert path.resume_index(canonical(looser)) > k
-                assert_same_lp_solution(lp_solve(looser, path=path), reference_lp_solve(looser))
-                tried += 1
-                if tried == 3:
-                    return
-        raise AssertionError(f"only {tried} tied caps resume at their entry")
-
-    def test_tiny_shock_returns_the_baseline_vertex(self, gb_model):
-        baseline = gb_model.baseline_solution
-        delta = np.zeros(gb_model.baseline_output.shape)
-        delta[0] = 1e-9  # z1 never nears its caps on the recorded path
-        program = assemble_program(gb_model, delta)
-        assert not np.array_equal(program.bounds, gb_model.program.bounds)
-        ours = lp_solve(program, path=baseline.path)
-        assert ours.iterations == 0
-        assert ours.replayed == baseline.iterations
-        assert_same_lp_solution(ours, baseline)
-        assert_same_lp_solution(ours, reference_lp_solve(program))
-
-    def test_results_independent_of_pricing_order(self, gb_model):
-        shocks = [
-            CapacityShock({"z2": 0.3, "z5": 0.1}),
-            CapacityShock({"z8": 1.0}),
-            CapacityShock({"z1": {"power": 0.6}, "z3": 0.2}),
-            CapacityShock({"z2": 0.3, "z5": 0.1}),
-        ]
-        # two copies of the model, each with its own cached baseline
-        forward, backward = replace(gb_model), replace(gb_model)
-        first = [assess_impact(forward, shock) for shock in shocks]
-        second = [assess_impact(backward, shock) for shock in reversed(shocks)][::-1]
-        for a, b in zip(first, second):
-            assert a.delta_va.tobytes() == b.delta_va.tobytes()
-            assert (a.iterations, a.replayed) == (b.iterations, b.replayed)
-        assert first[0].replayed > 0
+    def test_results_independent_of_stack_order(self, gb_model):
+        deltas = random_deltas(np.random.default_rng(7), gb_model, 30)
+        shocks = [CapacityShock({}), *(shock_of(gb_model, d) for d in deltas)]
+        forward = assess_impact(gb_model, shocks)
+        backward = assess_impact(gb_model, shocks[::-1])[::-1]
+        halves = assess_impact(gb_model, shocks[:13]) + assess_impact(gb_model, shocks[13:])
+        for ours, *others in zip(forward, backward, halves):
+            for other in others:
+                assert ours.delta_va.tobytes() == other.delta_va.tobytes()
+                assert ours.rationing.tobytes() == other.rationing.tobytes()
+                assert ours.total_cost == other.total_cost
+                assert ours.iterations == other.iterations
+        assert forward[0].iterations == 0
+        assert min(result.iterations for result in forward[1:]) > 0
 
 
 class TestImpactResult:

@@ -7,9 +7,10 @@ import pytest
 
 import gridshock.numerics as numerics_module
 from gridshock.errors import NumericalBreakdown, SingularMatrix
-from gridshock.numerics import Basis, LinearProgram, LpSolution, lp_solve, lu_solve
+from gridshock.numerics import Basis, LinearProgram, LpSolution, lp_solve, lp_solve_stack, lu_solve
 
-from helpers import assert_same_lp_solution
+import oracles
+from helpers import assert_same_lp_solution, assert_same_solve
 from oracles import (
     enumerate_lp,
     gauss_jordan_solve,
@@ -366,6 +367,85 @@ class TestPivotPathAgainstReference:
             lp_solve(BEALE)
 
 
+def capped_stack(rng, lp, size):
+    """Programs that differ from lp only in upper bounds, on columns with a
+    finite lower bound: about 40% of those columns per program are capped
+    at the lower bound, a few units above it, or not at all (an inf cap,
+    which frees a fixed or boxed column and can make the program
+    unbounded). Caps at the lower bound often leave a row unmet."""
+    lo, hi = lp.bounds[:, 0], lp.bounds[:, 1]
+    programs = []
+    for _ in range(size):
+        caps = hi.copy()
+        pick = np.isfinite(lo) & (rng.random(lo.size) < 0.4)
+        kind = rng.integers(0, 3, lo.size)
+        caps[pick & (kind == 0)] = lo[pick & (kind == 0)]
+        above = pick & (kind == 1)
+        caps[above] = lo[above] + rng.integers(1, 5, lo.size)[above]
+        caps[pick & (kind == 2)] = np.inf
+        programs.append(replace(lp, bounds=np.column_stack([lo, caps])))
+    return programs
+
+
+class TestStackAgainstReference:
+    """lp_solve_stack solves every member as `oracles.reference_lp_solve`
+    does, bit for bit, and as its own stack of one, iterations and basis
+    included, whatever else the stack holds."""
+
+    def check_mixed_stacks(self, seeds):
+        statuses, mixed = set(), 0
+        for seed in seeds:
+            rng = np.random.default_rng([31, seed])
+            lp = random_pivot_lp(rng)
+            programs = [lp, *capped_stack(rng, lp, int(rng.integers(1, 8)))]
+            solutions = lp_solve_stack(programs)
+            assert len(solutions) == len(programs)
+            for program, ours in zip(programs, solutions):
+                assert_same_lp_solution(ours, reference_lp_solve(program))
+                assert_same_solve(ours, lp_solve_stack([program])[0])
+            found = {solution.status for solution in solutions}
+            statuses |= found
+            mixed += len(found) > 1
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert mixed > 10
+
+    def test_mixed_stacks(self):
+        self.check_mixed_stacks(range(120))
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_mixed_stacks_with_early_bland_and_refactorizations(self, monkeypatch, window):
+        # Bland's rule after one or two iterations without progress, and a
+        # refactorization every third pivot: both fire at a different
+        # lockstep pass for each member of a stack
+        for module in (numerics_module, oracles):
+            monkeypatch.setattr(module, "STALL_WINDOW", window)
+            monkeypatch.setattr(module, "REFACTOR_INTERVAL", 3)
+        self.check_mixed_stacks(range(60))
+
+    def test_lp_solve_is_a_stack_of_one(self):
+        for seed in range(40):
+            lp = random_pivot_lp(np.random.default_rng([37, seed]))
+            assert_same_solve(lp_solve(lp), lp_solve_stack([lp])[0])
+
+    def test_members_diverge_in_phase_one(self):
+        # PHASE_ONE takes x0 in, then x1 for a step of 2; capped at 1, x1
+        # flips to its cap instead and x2 enters
+        shocked = with_caps(PHASE_ONE, x1=1.0)
+        ours = lp_solve_stack([PHASE_ONE, shocked, PHASE_ONE])
+        assert ours[1].x.tolist() == [1.0, 1.0, 1.0]
+        for program, solution in zip([PHASE_ONE, shocked, PHASE_ONE], ours):
+            assert_same_lp_solution(solution, reference_lp_solve(program))
+            assert_same_solve(solution, lp_solve(program))
+
+    def test_empty_and_row_free_stacks(self):
+        assert lp_solve_stack([]) == []
+        box = LinearProgram(objective=np.array([-1.0, 1.0]), bounds=np.array([[0, 3.0], [1, 2.0]]))
+        stack = [box, with_caps(box, x0=1.0), with_caps(box, x0=np.inf)]
+        for program, ours in zip(stack, lp_solve_stack(stack)):
+            assert_same_solve(ours, lp_solve(program))
+        assert [s.status for s in lp_solve_stack(stack)] == ["optimal", "optimal", "unbounded"]
+
+
 # Two rows that need artificial columns: phase 1 takes x0 in, then x1.
 PHASE_ONE = LinearProgram(
     objective=np.array([1.0, 2.0, 3.0]),
@@ -382,65 +462,8 @@ def with_caps(lp, **caps):
     return replace(lp, bounds=bounds)
 
 
-class TestPivotPathReplay:
-    """lp_solve(path=...) resumes a recorded path and returns the cold
-    solve's result bit for bit."""
-
-    def test_recording_does_not_change_the_solve(self):
-        for seed in range(40):
-            lp = random_pivot_lp(np.random.default_rng([29, seed]))
-            recorded = lp_solve(lp, record=True)
-            assert_same_lp_solution(recorded, lp_solve(lp))
-            if lp.a_eq is None and lp.a_ub is None:
-                assert recorded.path is None
-                continue
-            path = recorded.path
-            assert len(path.states) == path.entering.size == path.basis.shape[0]
-            assert recorded.iterations == np.count_nonzero(np.isfinite(path.step))
-
-    def test_same_program_resumes_at_the_closing_pricing(self):
-        path = lp_solve(PHASE_ONE, record=True).path
-        replayed = lp_solve(PHASE_ONE, path=path)
-        assert_same_lp_solution(replayed, reference_lp_solve(PHASE_ONE))
-        assert replayed.iterations == 0
-        assert replayed.replayed == lp_solve(PHASE_ONE).iterations
-
-    def test_divergence_in_phase_one(self):
-        path = lp_solve(PHASE_ONE, record=True).path
-        assert path.entering[:2].tolist() == [0, 1]
-        assert path.step[1] == 2.0
-        shocked = with_caps(PHASE_ONE, x1=1.0)  # x1 now flips instead
-        k = path.resume_index(numerics_module._canonical(shocked))
-        assert k == 1 and path.states[k].stage == 0
-        ours = lp_solve(shocked, path=path)
-        cold = lp_solve(shocked)
-        assert_same_lp_solution(ours, reference_lp_solve(shocked))
-        assert ours.replayed == 1
-        assert ours.iterations + ours.replayed == cold.iterations
-        assert ours.x.tolist() == [1.0, 1.0, 1.0]
-
-    def test_random_cap_changes_match_the_reference(self):
-        resumed = 0
-        for seed in range(120):
-            rng = np.random.default_rng([31, seed])
-            lp = random_pivot_lp(rng)
-            if lp.a_eq is None and lp.a_ub is None:
-                continue
-            path = lp_solve(lp, record=True).path
-            lo, hi = lp.bounds[:, 0], lp.bounds[:, 1]
-            for _ in range(3):
-                caps = hi.copy()
-                pick = np.isfinite(lo) & (rng.random(lo.size) < 0.4)
-                caps[pick] = lo[pick] + rng.integers(0, 5, lo.size)[pick]
-                shocked = replace(lp, bounds=np.column_stack([lo, caps]))
-                ours = lp_solve(shocked, path=path)
-                assert_same_lp_solution(ours, reference_lp_solve(shocked))
-                assert ours.iterations + ours.replayed == lp_solve(shocked).iterations
-                resumed += ours.replayed > 0
-        assert resumed > 50
-
+class TestStackRefused:
     def test_other_programs_refused(self):
-        path = lp_solve(PHASE_ONE, record=True).path
         changes = {
             "objective": replace(PHASE_ONE, objective=np.array([1.0, 2.0, 4.0])),
             "inequality matrix": replace(PHASE_ONE, a_ub=PHASE_ONE.a_ub * 2.0),
@@ -450,13 +473,8 @@ class TestPivotPathReplay:
             ),
         }
         for name, lp in changes.items():
-            with pytest.raises(ValueError, match=name):
-                lp_solve(lp, path=path)
-
-    def test_replay_cannot_record(self):
-        path = lp_solve(PHASE_ONE, record=True).path
-        with pytest.raises(ValueError, match="cannot record"):
-            lp_solve(with_caps(PHASE_ONE, x1=1.0), record=True, path=path)
+            with pytest.raises(ValueError, match=f"differs from the first in its {name}"):
+                lp_solve_stack([PHASE_ONE, lp])
 
     def test_changed_cap_without_finite_lower_bound_refused(self):
         free = LinearProgram(
@@ -465,11 +483,11 @@ class TestPivotPathReplay:
             b_ub=np.array([-2.0]),
             bounds=np.array([[-np.inf, 5.0], [0.0, 5.0]]),
         )
-        path = lp_solve(free, record=True).path
-        assert_same_lp_solution(lp_solve(with_caps(free, x1=4.0), path=path),
-                                reference_lp_solve(with_caps(free, x1=4.0)))
+        capped = with_caps(free, x1=4.0)
+        for program, ours in zip([free, capped], lp_solve_stack([free, capped])):
+            assert_same_lp_solution(ours, reference_lp_solve(program))
         with pytest.raises(ValueError, match="needs a finite lower bound"):
-            lp_solve(with_caps(free, x0=4.0), path=path)
+            lp_solve_stack([free, with_caps(free, x0=4.0)])
 
 
 def solve_in_batches(lp, rng, batches):
@@ -626,11 +644,6 @@ class TestWarmStartRefused:
         lp = replace(self.LP, a_ub=np.array([[1.0, 1.0, 1.0]]), b_ub=np.array([2.0]))
         with pytest.raises(ValueError, match="singular"):
             lp_solve(lp, start=Basis(np.array(basic), np.zeros(4, dtype=bool)))
-
-    def test_warm_solve_neither_records_nor_replays(self):
-        start = lp_solve(replace(self.LP, a_ub=None, b_ub=None)).basis
-        with pytest.raises(ValueError, match="neither records nor replays"):
-            lp_solve(self.LP, start=start, record=True)
 
 
 class TestBasisOfColdSolves:

@@ -466,6 +466,23 @@ class TestChunkedReader:
         assert mine.value.line == reference.value.line == 12
         assert str(mine.value) == str(reference.value) == f"line 12: {message}"
 
+    @pytest.mark.parametrize("repeat_first", [True, False])
+    def test_first_of_a_repeated_hour_and_a_bad_row_is_named(self, tmp_path, repeat_first):
+        # the exact path finds repeated hours on its parsed columns, so a
+        # repeat before the bad row must still be the error
+        lines = valid_lines()
+        rows = ["a,1,9.0", "a,nine,1.0"] if repeat_first else ["a,nine,1.0", "a,1,9.0"]
+        lines.insert(14, rows[1])
+        lines.insert(9, rows[0])
+        path = write_lines(tmp_path / "demand.csv", lines)
+        with pytest.raises(ParseError) as mine:
+            load_profile(path)
+        with pytest.raises(ParseError) as reference:
+            reference_load_profile(path)
+        assert str(mine.value) == str(reference.value)
+        assert mine.value.line == 10
+        assert ("duplicate hour 1 for region a" in str(mine.value)) == repeat_first
+
     @pytest.mark.parametrize("chunk", [1, 50_000])
     @pytest.mark.parametrize("hour", ["99999999999999999999", "-9223372036854775809"])
     def test_hour_beyond_int64_is_a_parse_error(self, tmp_path, monkeypatch, chunk, hour):
@@ -727,6 +744,26 @@ class TestLoadtxtReader:
         finally:
             tracemalloc.stop()
         assert peak < 18 * 2**20
+
+    def test_exact_path_peak_memory(self, gb_like_profiles, tmp_path, exact_scans):
+        # current.csv with its first hour spelled 0_0, which int() reads and
+        # loadtxt refuses: the whole file takes the line-by-line path
+        source = next(p for p in gb_like_profiles if p.name == "current.csv")
+        header, first, rest = source.read_bytes().split(b"\r\n", 2)
+        region, hour, value = first.split(b",")
+        assert hour == b"0"
+        path = tmp_path / "current.csv"
+        path.write_bytes(b"\r\n".join([header, b",".join([region, b"0_0", value]), rest]))
+        del rest
+        tracemalloc.start()
+        try:
+            mine = load_profile(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exact_scans == [path]
+        assert_same_profile(mine, load_profile(source))
+        assert peak < 45 * 2**20
 
 
 # values whose repr is in scientific notation, signed or subnormal
