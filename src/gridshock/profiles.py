@@ -31,7 +31,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import filterfalse, islice
+from itertools import chain, filterfalse, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -519,15 +519,20 @@ def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") 
     `load_profile` reads unquoted fields only. The file appears whole or
     not at all.
     """
-    check_unquoted(value_column, "value column")
-    for region in profile.regions:
-        check_unquoted(region, "region id")
-    hours = profile.hours.tolist()
+    check_profile_fields(profile, value_column)
+    hour_fields = [f",{hour}," for hour in profile.hours.tolist()]
     with atomic_open(path) as handle:
         handle.write(f"region,hour,{value_column}\r\n")
         for region, row in zip(profile.regions, profile.demand_mw):
-            rows = [f"{region},{hour},{mw!r}\r\n" for hour, mw in zip(hours, row.tolist())]
-            handle.write("".join(rows))
+            fields = zip(repeat(region), hour_fields, map(repr, row.tolist()), repeat("\r\n"))
+            handle.write("".join(chain.from_iterable(fields)))
+
+
+def check_profile_fields(profile: DemandProfile, value_column: str) -> None:
+    """Refuse a value column or region id that `save_profile` cannot write unquoted."""
+    check_unquoted(value_column, "value column")
+    for region in profile.regions:
+        check_unquoted(region, "region id")
 
 
 def check_unquoted(field: str, kind: str) -> None:

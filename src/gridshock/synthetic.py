@@ -9,11 +9,16 @@ heat-pump scenario peaks near 57.7 GW.
 
 Every random draw comes from `numpy.random.default_rng([seed, stream])`
 with a fixed stream id per purpose, so a fixture is a pure function of
-its seed: writing one twice produces byte-identical files.
+its seed: writing one twice produces byte-identical files, whatever the
+number of CPUs. `write_fixture` writes the profile files in up to one
+forked process per file, and each file's bytes come from one
+`save_profile` call.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,6 +33,7 @@ from .profiles import (
     apply_efficiency,
     apply_flat,
     apply_heat_pump,
+    check_profile_fields,
     save_end_use_shares,
     save_profile,
     synthesize_current,
@@ -427,20 +433,28 @@ def generate(size: str, seed: int = 0) -> Fixture:
 
 
 def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
-    """Write every fixture file under out_dir; returns the paths written."""
+    """Write every fixture file under out_dir; returns the paths written.
+
+    The profile files are written from a fork pool, one task per file, in
+    up to one process per file. Every value column and region id is
+    checked before any file is written or any process started.
+    """
     out = Path(out_dir)
+    jobs = [
+        (profile, out / "profiles" / f"{name}.csv", "demand_mw")
+        for name, profile in fixture.profiles.items()
+    ]
+    jobs.append((fixture.heat, out / "profiles" / "heat.csv", "heat_mw"))
+    for profile, _, value_column in jobs:
+        check_profile_fields(profile, value_column)
     (out / "profiles").mkdir(parents=True, exist_ok=True)
     (out / "economy").mkdir(exist_ok=True)
 
     written = [out / "grid.csv", out / "regions.csv"]
     serialize_grid(fixture.grid, out / "grid.csv")
     serialize_regions(fixture.regions, out / "regions.csv")
-    for name, profile in fixture.profiles.items():
-        path = out / "profiles" / f"{name}.csv"
-        save_profile(profile, path)
-        written.append(path)
-    save_profile(fixture.heat, out / "profiles" / "heat.csv", value_column="heat_mw")
-    written.append(out / "profiles" / "heat.csv")
+    _save_profiles(jobs)
+    written.extend(path for _, path, _ in jobs)
     save_end_use_shares(fixture.end_use_shares, out / "end_use_shares.csv")
     written.append(out / "end_use_shares.csv")
     save_supply_use(fixture.economy, out / "economy")
@@ -449,3 +463,29 @@ def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
         handle.write(fixture.config_text)
     written.append(out / "run.cfg")
     return written
+
+
+_PROFILE_JOBS: list[tuple[DemandProfile, Path, str]] = []
+
+
+def _save_profiles(jobs: list[tuple[DemandProfile, Path, str]]) -> None:
+    """`save_profile(*job)` for every job, each in a forked pool process.
+
+    The children inherit the jobs through fork and return nothing, so no
+    profile data is pickled, and the parent formats no profile text. The
+    pool is closed and joined before this returns or raises, so no process
+    outlives it. A file's bytes do not depend on the process count.
+    """
+    processes = min(len(jobs), len(os.sched_getaffinity(0)))
+    pool = multiprocessing.get_context("fork").Pool(
+        processes, initializer=_PROFILE_JOBS.extend, initargs=(jobs,)
+    )
+    try:
+        pool.map(_save_profile_job, range(len(jobs)), chunksize=1)
+    finally:
+        pool.close()
+        pool.join()
+
+
+def _save_profile_job(index: int) -> None:
+    save_profile(*_PROFILE_JOBS[index])

@@ -521,8 +521,9 @@ def reference_distance_costs(grid, demand_mw, interconnector_penalty=10.0):
 def reference_limited_lp(objective, cols, base_flow, ratings, upper, total):
     """`dispatch._limited_lp` by cold simplex solves alone: the balance row
     first, then the program solved cold again with a limit row for
-    every branch that overloads. Optimal x, or None when infeasible."""
-    from gridshock.numerics import LinearProgram, lp_solve
+    every branch that overloads. Optimal x, or None when infeasible.
+    Each solve is `reference_lp_solve`'s, not the production kernel's."""
+    from gridshock.numerics import LinearProgram
 
     bounds = np.column_stack([np.zeros(len(objective)), upper])
     active = []
@@ -531,7 +532,7 @@ def reference_limited_lp(objective, cols, base_flow, ratings, upper, total):
         if active:
             a_ub = np.array([side * cols[row] for row, side in active])
             b_ub = np.array([ratings[row] - side * base_flow[row] for row, side in active])
-        sol = lp_solve(
+        sol = reference_lp_solve(
             LinearProgram(
                 objective=objective, a_eq=np.ones((1, len(objective))), b_eq=np.array([total]),
                 a_ub=a_ub, b_ub=b_ub, bounds=bounds,

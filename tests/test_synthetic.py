@@ -1,4 +1,9 @@
 import csv
+import hashlib
+import multiprocessing
+import multiprocessing.context
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +13,7 @@ import gridshock.atomic as atomic_module
 from gridshock.errors import ValidationError
 from gridshock.grid import load_grid, load_regions, validate_connectivity
 from gridshock.mria import load_supply_use, solve_baseline
-from gridshock.profiles import load_profile, synthesize_current
+from gridshock.profiles import DemandProfile, load_profile, synthesize_current
 from gridshock.synthetic import generate, generate_gb_like, generate_small, write_fixture
 
 from helpers import total_capacity
@@ -226,6 +231,7 @@ FIXTURE_FILES = (
     "economy/value_added.csv",
     "economy/trade.csv",
     "profiles/current.csv",
+    "profiles/heat.csv",
 )
 
 
@@ -247,3 +253,60 @@ class TestWholeFiles:
             write_fixture(small, tmp_path)
         assert target.read_bytes() == b"previous bytes\n"
         assert not list(tmp_path.rglob("*.tmp"))
+        assert not multiprocessing.active_children()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The `processes` of every pool started, with `cpus(n)` setting the
+    number of CPUs available to the process."""
+    started = []
+    real_pool = multiprocessing.context.BaseContext.Pool
+
+    def spy(self, processes=None, *args, **kwargs):
+        started.append(processes)
+        return real_pool(self, processes, *args, **kwargs)
+
+    def cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy)
+    return started, cpus
+
+
+def file_digests(root):
+    return {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(root).items()}
+
+
+class TestProfilePool:
+    @pytest.mark.parametrize("size, seed", [("gb-like", 7), ("small", 3)])
+    def test_bytes_do_not_depend_on_cpu_count(self, tmp_path, pool_sizes, size, seed):
+        started, cpus = pool_sizes
+        fixture = generate(size, seed)
+        digests = []
+        for n in (1, 2, 6):
+            cpus(n)
+            write_fixture(fixture, tmp_path / f"cpus{n}")
+            digests.append(file_digests(tmp_path / f"cpus{n}"))
+            assert not multiprocessing.active_children()
+        assert started == [1, 2, 6]
+        assert len(digests[0]) == 15
+        assert digests[0] == digests[1] == digests[2]
+
+    @pytest.mark.parametrize("bad", ["flat", "heat"])
+    def test_unquotable_region_refused_before_any_process(self, small, tmp_path, pool_sizes, bad):
+        started, _ = pool_sizes
+        profile = small.heat if bad == "heat" else small.profiles[bad]
+        renamed = DemandProfile(
+            profile.scenario, ("r,1",) + profile.regions[1:], profile.hours, profile.demand_mw
+        )
+        if bad == "heat":
+            fixture = replace(small, heat=renamed)
+        else:
+            fixture = replace(small, profiles={**small.profiles, bad: renamed})
+        with pytest.raises(ValidationError, match="region id 'r,1' needs csv quoting"):
+            write_fixture(fixture, tmp_path)
+        assert started == []
+        assert not list(tmp_path.rglob("*.csv"))
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not multiprocessing.active_children()
