@@ -48,13 +48,7 @@ from .failures import (
     save_results,
 )
 from .grid import load_grid, load_regions
-from .mria import (
-    CapacityShock,
-    assess_impact,
-    load_supply_use,
-    shock_from_unserved,
-    solve_baseline,
-)
+from .mria import assess_impact, load_supply_use, shock_from_unserved, solve_baseline
 from .profiles import (
     StudiedDemand,
     load_profile,
@@ -225,13 +219,10 @@ def cmd_impact(args) -> int:
     demands = load_studied_demand(config.out_dir / "demand.csv")
 
     # one program per distinct shock row, all priced in one call
-    parents, shocks = shock_from_unserved(table, regions, demands)
+    shocks = shock_from_unserved(table, regions, demands, model.regions)
     distinct, inverse = np.unique(shocks, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    impacts = assess_impact(model, [
-        CapacityShock(delta=dict(zip(parents, row)), duration_hours=1.0)
-        for row in distinct.tolist()
-    ])
+    impacts = assess_impact(model, distinct[:, :, None])
     costs = [impacts[k].total_cost for k in inverse.tolist()]
     va_by_zone = np.array([impact.delta_va.sum(axis=1) for impact in impacts])[inverse]
     ids = table.record_ids()

@@ -44,7 +44,7 @@ from .dispatch import (
 )
 from .errors import ParseError, Unstable, ValidationError
 from .grid import Grid
-from .profiles import DemandProfile, check_unquoted, read_fields, scan_rows
+from .profiles import _INT64, DemandProfile, check_unquoted, read_fields, scan_rows
 
 __all__ = [
     "STATUS_OK",
@@ -68,7 +68,6 @@ DEFAULT_LOSS_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(10))
 
 _RESULTS_HEADER = ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
 _IS_SHED = {STATUS_OK: False, STATUS_SHED: True}
-_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,10 @@ __all__ = [
     "Grid",
     "Region",
     "RegionTable",
-    "ComponentReport",
     "load_grid",
     "serialize_grid",
     "load_regions",
     "serialize_regions",
-    "validate_connectivity",
 ]
 
 VOLTAGE_LEVELS = (400.0, 275.0, 132.0, 33.0, 11.0, 0.23)
@@ -124,8 +122,8 @@ class Grid:
     """An immutable transmission network with attached generators.
 
     Construction enforces referential integrity and per-element rules;
-    connectivity is checked separately (validate_connectivity, load_grid)
-    so that partial networks can still be inspected.
+    only load_grid refuses a disconnected network (its hop table holds
+    inf), so that partial networks can still be inspected.
     """
 
     buses: tuple[Bus, ...]
@@ -285,18 +283,6 @@ class RegionTable:
         return {region.id: region for region in self.regions}
 
 
-@dataclass(frozen=True)
-class ComponentReport:
-    """Connected components of the bus graph, each sorted by bus id."""
-
-    count: int
-    components: tuple[tuple[str, ...], ...]
-
-    @property
-    def is_connected(self) -> bool:
-        return self.count == 1
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -378,11 +364,11 @@ def load_grid(path) -> Grid:
             raise ParseError(f"unknown section tag {fields[0]!r}", lineno)
 
     grid = Grid(buses=tuple(buses), branches=tuple(branches), generators=tuple(generators))
-    report = validate_connectivity(grid)
-    if not report.is_connected:
-        raise ValidationError(
-            f"grid in {path.name} has {report.count} components; it must be connected"
-        )
+    reachable = np.isfinite(grid.hop_distance)
+    if not reachable.all():
+        # each component's buses share one row of the mask
+        count = len(np.unique(reachable, axis=0))
+        raise ValidationError(f"grid in {path.name} has {count} components; it must be connected")
     return grid
 
 
@@ -472,23 +458,3 @@ def serialize_regions(table: RegionTable, path) -> None:
     with atomic_open(path) as handle:
         handle.write("\n".join(lines) + "\n")
 
-
-def validate_connectivity(grid: Grid) -> ComponentReport:
-    """Breadth-first component census of the bus graph."""
-    unvisited = {bus.id for bus in grid.buses}
-    components: list[tuple[str, ...]] = []
-    adjacency = grid.adjacency
-    while unvisited:
-        start = min(unvisited)
-        queue = deque([start])
-        unvisited.discard(start)
-        member = [start]
-        while queue:
-            current = queue.popleft()
-            for nbr in adjacency[current]:
-                if nbr in unvisited:
-                    unvisited.discard(nbr)
-                    member.append(nbr)
-                    queue.append(nbr)
-        components.append(tuple(sorted(member)))
-    return ComponentReport(count=len(components), components=tuple(components))

@@ -16,10 +16,13 @@ The vertex each shock returns is the one its own cold solve returns, bit
 for bit, so it cannot depend on which other shocks share the stack or on
 their order.
 
-`shock_from_unserved` turns the sweep's whole result table into one
-records x economic regions matrix of loss fractions in one pass; each row
-is a region-wide shock. impact prices each distinct row once, all in one
-call, and hands every record its row's result.
+A shock is a dense array of loss fractions on the model's axes, and every
+shock is priced as a one-hour event. `shock_from_unserved` turns the
+sweep's whole result table into one records x economic regions matrix in
+one pass, its columns in the model's region order; each row is a
+region-wide shock. impact prices each distinct row once, all in one call
+to `assess_impact` as a shocks x regions x 1 array, and hands every
+record its row's result.
 """
 
 from __future__ import annotations
@@ -42,13 +45,11 @@ from .errors import (
 from .failures import ResultTable
 from .grid import RegionTable
 from .numerics import LinearProgram, LpSolution, lp_solve, lp_solve_stack
-from .profiles import StudiedDemand
+from .profiles import HOURS_PER_YEAR, StudiedDemand
 
 __all__ = [
-    "HOURS_PER_YEAR",
     "SupplyUseModel",
     "TechnologyCoefficients",
-    "CapacityShock",
     "ImpactResult",
     "load_supply_use",
     "save_supply_use",
@@ -58,8 +59,6 @@ __all__ = [
     "assess_impact",
     "shock_from_unserved",
 ]
-
-HOURS_PER_YEAR = 8760
 
 BALANCE_RTOL = 1e-6
 SHARE_TOL = 1e-9
@@ -195,10 +194,6 @@ class SupplyUseModel:
         """The unshocked program solved cold."""
         return lp_solve(self.program)
 
-    @cached_property
-    def region_pos(self) -> dict[str, int]:
-        return {r: k for k, r in enumerate(self.regions)}
-
 
 @dataclass(frozen=True)
 class TechnologyCoefficients:
@@ -234,59 +229,13 @@ def technology_coefficients(model: SupplyUseModel) -> TechnologyCoefficients:
 
 
 @dataclass(frozen=True)
-class CapacityShock:
-    """Fractional capacity loss per region, uniform or per industry.
-
-    delta maps region -> fraction, or region -> {industry: fraction};
-    regions absent from the mapping are unshocked.
-    """
-
-    delta: Mapping[str, float | Mapping[str, float]]
-    duration_hours: float = 1.0
-
-    def __post_init__(self):
-        if not self.duration_hours > 0.0:
-            raise ValidationError("event duration must be positive")
-        for region, value in self.delta.items():
-            fractions = value.values() if isinstance(value, Mapping) else (value,)
-            for fraction in fractions:
-                if not 0.0 <= fraction <= 1.0:
-                    raise ValidationError(
-                        f"shock fraction for region {region} must lie in [0, 1]"
-                    )
-
-    def resolve(self, model: SupplyUseModel) -> np.ndarray:
-        """Dense delta[r, i] aligned with the model's axes."""
-        unknown = sorted(set(self.delta) - set(model.regions))
-        if unknown:
-            raise ValidationError(f"shock names unknown regions: {', '.join(unknown)}")
-        out = np.zeros((len(model.regions), len(model.industries)))
-        for region, value in self.delta.items():
-            r = model.region_pos[region]
-            if isinstance(value, Mapping):
-                bad = sorted(set(value) - set(model.industries))
-                if bad:
-                    raise ValidationError(
-                        f"shock names unknown industries: {', '.join(bad)}"
-                    )
-                for industry, fraction in value.items():
-                    out[r, model.industries.index(industry)] = fraction
-            else:
-                out[r, :] = value
-        return out
-
-
-@dataclass(frozen=True)
 class ImpactResult:
-    """Value-added changes and rationing for one shock event."""
+    """Value-added changes and rationing in one hour of one shock, on the
+    model's region x industry and region x product axes."""
 
-    regions: tuple[str, ...]
-    industries: tuple[str, ...]
-    products: tuple[str, ...]
     delta_va: np.ndarray
     rationing: np.ndarray
     total_cost: float
-    duration_hours: float
     # simplex iterations of the shock's cold solve
     iterations: int = field(default=0, compare=False)
 
@@ -374,16 +323,20 @@ def solve_baseline(model: SupplyUseModel) -> np.ndarray:
     return x
 
 
-def assess_impact(model: SupplyUseModel, shocks: Sequence[CapacityShock]) -> list[ImpactResult]:
-    """Price each capacity shock as value-added change per region-industry.
+def assess_impact(model: SupplyUseModel, deltas: np.ndarray) -> list[ImpactResult]:
+    """Price one-hour capacity shocks as value-added change per region-industry.
 
-    Annual-basis LP results are scaled by duration/8760. The value-added
-    change is v * (x - x0) minus each industry's baseline-market-share
-    slice of any rationing not already explained by its region's supply
-    drop, so losses are never double counted. A shock with no capacity
-    reduction anywhere is an identity and skips the program entirely; the
-    programs of all other shocks are solved cold in one stack, and each
-    shock's result is the one it would get alone.
+    deltas[k, r, i] is shock k's loss fraction of industry i's capacity in
+    region r, on the model's axes; a last axis of length 1 shocks every
+    industry of a region alike. Anything else, or a fraction outside
+    [0, 1], is refused. Annual-basis LP results are divided by
+    HOURS_PER_YEAR. The value-added change is v * (x - x0) minus each
+    industry's baseline-market-share slice of any rationing not already
+    explained by its region's supply drop, so losses are never double
+    counted. An all-zero shock is an identity and skips the program
+    entirely (a cold solve of it could drift from the baseline by up to
+    BASELINE_RTOL); the programs of all other shocks are solved cold in
+    one stack, and each shock's result is the one it would get alone.
 
     The program's optimal value is unique but its optimal vertex need not
     be: `delta_va` is split across regions as the vertex `lp_solve` returns
@@ -392,27 +345,28 @@ def assess_impact(model: SupplyUseModel, shocks: Sequence[CapacityShock]) -> lis
     `total_cost` has matched HiGHS's vertex on every gb-like program tried;
     under shocks that differ by industry it can move as well.
     """
-    deltas = [shock.resolve(model) for shock in shocks]
-    solved = iter(lp_solve_stack([assemble_program(model, d) for d in deltas if d.any()]))
-    return [
-        _impact(model, shock, next(solved)) if delta.any() else _no_impact(model, shock)
-        for shock, delta in zip(shocks, deltas)
-    ]
+    deltas = np.asarray(deltas, dtype=float)
+    nr, ni = model.baseline_output.shape
+    if deltas.ndim != 3 or deltas.shape[1] != nr or deltas.shape[2] not in (ni, 1):
+        raise ValidationError(
+            f"shocks must have shape (shocks, {nr}, {ni} or 1), got {deltas.shape}"
+        )
+    if not ((deltas >= 0.0) & (deltas <= 1.0)).all():
+        raise ValidationError("shock fractions must lie in [0, 1]")
+    hit = deltas.any(axis=(1, 2))
+    solved = iter(lp_solve_stack([assemble_program(model, d) for d in deltas[hit]]))
+    return [_impact(model, next(solved)) if h else _no_impact(model) for h in hit.tolist()]
 
 
-def _no_impact(model: SupplyUseModel, shock: CapacityShock) -> ImpactResult:
+def _no_impact(model: SupplyUseModel) -> ImpactResult:
     return ImpactResult(
-        regions=model.regions,
-        industries=model.industries,
-        products=model.products,
         delta_va=np.zeros_like(model.value_added_coeff),
         rationing=np.zeros_like(model.final_demand),
         total_cost=0.0,
-        duration_hours=shock.duration_hours,
     )
 
 
-def _impact(model: SupplyUseModel, shock: CapacityShock, solution: LpSolution) -> ImpactResult:
+def _impact(model: SupplyUseModel, solution: LpSolution) -> ImpactResult:
     x, m = _outputs(model, solution)
     x0 = model.baseline_output
 
@@ -421,32 +375,30 @@ def _impact(model: SupplyUseModel, shock: CapacityShock, solution: LpSolution) -
     allocated = np.einsum("rip,rp->ri", model.supplier_share, unexplained)
 
     annual_va = model.value_added_coeff * (x - x0) - model.value_added_coeff * allocated
-    delta_va = annual_va * shock.duration_hours / HOURS_PER_YEAR
-    rationing = m * shock.duration_hours / HOURS_PER_YEAR
-    total_cost = float(-np.minimum(0.0, delta_va).sum())
+    delta_va = annual_va / HOURS_PER_YEAR
     return ImpactResult(
-        regions=model.regions,
-        industries=model.industries,
-        products=model.products,
         delta_va=delta_va,
-        rationing=rationing,
-        total_cost=total_cost,
-        duration_hours=shock.duration_hours,
+        rationing=m / HOURS_PER_YEAR,
+        total_cost=float(-np.minimum(0.0, delta_va).sum()),
         iterations=solution.iterations,
     )
 
 
 def shock_from_unserved(
-    table: ResultTable, regions: RegionTable, demands: Mapping[str, StudiedDemand]
-) -> tuple[tuple[str, ...], np.ndarray]:
+    table: ResultTable,
+    regions: RegionTable,
+    demands: Mapping[str, StudiedDemand],
+    economy_regions: Sequence[str],
+) -> np.ndarray:
     """The sweep's records as per-economic-region capacity losses.
 
-    Returns the economic regions (sorted) and a records x economic regions
-    matrix; each row is one record's shock, lasting one hour. Districts
-    add into their parent economic region in sorted district order; the
-    loss fraction is unserved power over demanded power at the record's
-    hour in `demands[scenario]`, capped at 1. Regions with zero demand take
-    a zero shock.
+    Returns a records x `economy_regions` matrix, its columns in that
+    order; each row is one record's region-wide shock, lasting one hour.
+    Districts add into their parent economic region in sorted district
+    order; the loss fraction is unserved power over demanded power at the
+    record's hour in `demands[scenario]`, capped at 1. Regions with zero
+    demand, or no district, take a zero shock. A district whose parent is
+    not in `economy_regions` is refused.
     """
     unknown = [d for d in table.regions if d not in regions.by_id]
     if unknown:
@@ -462,15 +414,19 @@ def shock_from_unserved(
             raise ValidationError(f"no studied demand for district {missing[0]} in {name!r}")
         columns = [demand.regions.index(d) for d in table.regions]
         demanded[rows] = demand.district_mw[np.ix_(demand.rows(table.hour[rows]), columns)]
-    parents = tuple(sorted({regions.by_id[d].parent for d in table.regions}))
-    unserved, demand_sum = np.zeros((2, len(table), len(parents)))
+    position = {name: k for k, name in enumerate(economy_regions)}
+    unserved, demand_sum = np.zeros((2, len(table), len(position)))
     for k, district in enumerate(table.regions):
-        p = parents.index(regions.by_id[district].parent)
-        unserved[:, p] += table.unserved_mw[:, k]
-        demand_sum[:, p] += demanded[:, k]
+        parent = regions.by_id[district].parent
+        if parent not in position:
+            raise ValidationError(
+                f"district {district} has parent {parent}, which is not an economy region"
+            )
+        unserved[:, position[parent]] += table.unserved_mw[:, k]
+        demand_sum[:, position[parent]] += demanded[:, k]
     shocks, positive = np.zeros_like(unserved), demand_sum > 0.0
     shocks[positive] = np.minimum(1.0, unserved[positive] / demand_sum[positive])
-    return parents, shocks
+    return shocks
 
 
 def _read_rows(path: Path, header: list[str]) -> list[tuple[list[str], int]]:

@@ -14,6 +14,7 @@ import numpy as np
 import gridshock
 from gridshock.failures import STATUS_OK, STATUS_SHED, ResultTable
 from gridshock.grid import Branch, Bus, Generator, Grid
+from gridshock.profiles import HOURS_PER_YEAR
 
 
 def random_connected_grid(rng: np.random.Generator, max_buses: int = 30) -> Grid:
@@ -88,9 +89,10 @@ def trough_hour(profile) -> int:
     return int(profile.hours[int(np.argmin(profile.national()))])
 
 
-def va_of(result, region: str, industry: str) -> float:
-    """One cell of an ImpactResult's value-added change."""
-    return float(result.delta_va[result.regions.index(region), result.industries.index(industry)])
+def va_of(model, result, region: str, industry: str) -> float:
+    """One cell of an ImpactResult's value-added change, in annual terms."""
+    cell = result.delta_va[model.regions.index(region), model.industries.index(industry)]
+    return HOURS_PER_YEAR * float(cell)
 
 
 def first_impact_fraction(curve, threshold: float = 0.0) -> float | None:

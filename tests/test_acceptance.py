@@ -34,9 +34,9 @@ from gridshock.failures import (
     run_experiment,
 )
 from gridshock.grid import Branch, Bus, Generator, Grid, Region, RegionTable
-from gridshock.mria import CapacityShock, SupplyUseModel, assess_impact
+from gridshock.mria import SupplyUseModel, assess_impact
 from gridshock.numerics import LinearProgram, lp_solve
-from gridshock.profiles import DemandProfile
+from gridshock.profiles import HOURS_PER_YEAR, DemandProfile
 from gridshock.synthetic import generate_gb_like, generate_small
 
 from helpers import (
@@ -361,30 +361,25 @@ def test_economic_impact_identities():
             baseline_va = float(
                 (model.value_added_coeff * model.baseline_output).sum()
             )
-            [result] = assess_impact(model, [CapacityShock(delta={})])
+            [result] = assess_impact(model, np.zeros((1, len(model.regions), 1)))
             assert result.total_cost <= 1e-6 * max(1.0, baseline_va)
             assert np.abs(result.delta_va).max() <= 1e-6 * max(1.0, baseline_va)
 
         # hand result: capacity 90 against final demand 80 under a 0.2
         # input share forces x = 90, rationing 8, value added down 5
-        [hand] = assess_impact(
-            one_region_model(0.0), [CapacityShock(delta={"A": 0.1}, duration_hours=8760.0)]
-        )
-        assert hand.delta_va[0, 0] == -5.0, f"delta va {hand.delta_va[0, 0]!r}"
-        assert hand.total_cost == 5.0
+        [hand] = assess_impact(one_region_model(0.0), np.array([[[0.1]]]))
+        annual_va = HOURS_PER_YEAR * hand.delta_va[0, 0]
+        assert annual_va == -5.0, f"delta va {annual_va!r}"
+        assert HOURS_PER_YEAR * hand.total_cost == 5.0
 
         rng = np.random.default_rng(41)
         trade_pairs = 0
         for _ in range(12):
-            delta = {
-                "A": {"power": float(rng.uniform(0.0, 1.0)),
-                      "factory": float(rng.uniform(0.0, 0.5))},
-                "B": {"power": float(rng.uniform(0.0, 0.5))},
-            }
-            shock = CapacityShock(delta=delta, duration_hours=8760.0)
-            [closed] = assess_impact(two_region_chain(False), [shock])
-            [open_] = assess_impact(two_region_chain(True), [shock])
-            assert open_.total_cost <= closed.total_cost + 1e-6
+            a_power, a_factory = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5)
+            delta = np.array([[[a_factory, a_power], [0.0, rng.uniform(0.0, 0.5)]]])
+            [closed] = assess_impact(two_region_chain(False), delta)
+            [open_] = assess_impact(two_region_chain(True), delta)
+            assert HOURS_PER_YEAR * open_.total_cost <= HOURS_PER_YEAR * closed.total_cost + 1e-6
             trade_pairs += 1
 
         monotone_pairs = 0
@@ -392,18 +387,9 @@ def test_economic_impact_identities():
         for _ in range(50):
             base = rng.uniform(0.0, 0.8, 4)
             extra = rng.uniform(0.0, 1.0 - base.max(), 4)
-            small = CapacityShock(
-                delta={"A": {"i1": base[0], "i2": base[1]},
-                       "B": {"i1": base[2], "i2": base[3]}},
-                duration_hours=8760.0,
-            )
-            larger = CapacityShock(
-                delta={"A": {"i1": base[0] + extra[0], "i2": base[1] + extra[1]},
-                       "B": {"i1": base[2] + extra[2], "i2": base[3] + extra[3]}},
-                duration_hours=8760.0,
-            )
-            lesser, greater = assess_impact(model, [small, larger])
-            assert lesser.total_cost <= greater.total_cost + 1e-6
+            small, larger = base.reshape(2, 2), (base + extra).reshape(2, 2)
+            lesser, greater = assess_impact(model, np.stack([small, larger]))
+            assert HOURS_PER_YEAR * lesser.total_cost <= HOURS_PER_YEAR * greater.total_cost + 1e-6
             monotone_pairs += 1
         report(
             "zero shock costs 0.0; hand-solved delta va -5.0 exact; trade never "

@@ -83,6 +83,30 @@ def test_every_src_name_has_a_src_caller():
     assert not unused, "defined in src/ but used only by tests (or not at all):\n" + "\n".join(unused)
 
 
+def duplicated_constants() -> list[str]:
+    """Module-level constants (upper-case names, private ones included)
+    assigned in more than one module of `src/`."""
+    modules: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            for name in _assigned_names(node):
+                if name.lstrip("_").isupper():
+                    modules.setdefault(name, []).append(path.name)
+    return [
+        f"{name}: {', '.join(paths)}"
+        for name, paths in sorted(modules.items())
+        if len(paths) > 1
+    ]
+
+
+def test_each_constant_is_defined_once():
+    # a constant copied into a second module can drift from the first;
+    # import it from the module that defines it instead
+    duplicated = duplicated_constants()
+    assert not duplicated, "constants assigned in more than one module:\n" + "\n".join(duplicated)
+
+
 def test_every_traced_name_exists():
     # bench/tracer.py patches these names at run time; a rename in src/
     # would otherwise surface only when a traced benchmark runs

@@ -13,7 +13,6 @@ from gridshock.errors import MissingCosts, ValidationError
 from gridshock.failures import DEFAULT_LOSS_FRACTIONS, load_results
 from gridshock.grid import load_regions
 from gridshock.mria import (
-    CapacityShock,
     SupplyUseModel,
     assemble_program,
     assess_impact,
@@ -311,16 +310,18 @@ class TestPipeline:
         # each record's cost is its shock row priced as a one-hour event
         config = load_run_config(fx / "run.cfg")
         table = load_results(out_dir / "results.csv")
-        parents, shocks = shock_from_unserved(
-            table, load_regions(config.regions), load_studied_demand(out_dir / "demand.csv")
-        )
         model = load_supply_use(config.supply_use_dir)
+        shocks = shock_from_unserved(
+            table,
+            load_regions(config.regions),
+            load_studied_demand(out_dir / "demand.csv"),
+            model.regions,
+        )
         with open(out_dir / "impacts.csv", encoding="utf-8", newline="") as handle:
             costs = [float(row["total_cost"]) for row in csv.DictReader(handle)]
         k = int(np.argmax(costs))
-        shock = CapacityShock(delta=dict(zip(parents, shocks[k].tolist())), duration_hours=1.0)
         assert costs[k] > 0.0
-        assert assess_impact(model, [shock])[0].total_cost == costs[k]
+        assert assess_impact(model, shocks[k : k + 1, :, None])[0].total_cost == costs[k]
 
     def test_impact_reports_simplex_iterations(self, run_copy, capsys):
         cfg = str(run_copy / "run.cfg")
@@ -336,13 +337,10 @@ class TestPipeline:
         regions = load_regions(config.regions)
         demands = load_studied_demand(config.out_dir / "demand.csv")
         model = load_supply_use(config.supply_use_dir)
-        deltas = {}
-        parents, shocks = shock_from_unserved(
-            load_results(config.out_dir / "results.csv"), regions, demands
+        shocks = shock_from_unserved(
+            load_results(config.out_dir / "results.csv"), regions, demands, model.regions
         )
-        for row in shocks.tolist():
-            delta = CapacityShock(delta=dict(zip(parents, row))).resolve(model)
-            deltas[delta.tobytes()] = delta
+        deltas = {row.tobytes(): row[:, None] for row in shocks}
         assert programs == len(deltas)
         cold = sum(lp_solve(assemble_program(model, d)).iterations for d in deltas.values() if d.any())
         assert total == cold > 0
@@ -509,6 +507,25 @@ class TestPipeline:
         assert main(["impact", "--config", str(run_copy / "run.cfg")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: region A")
+        assert (run_copy / "out" / "impacts.csv").read_bytes() == before
+
+    def test_parent_outside_the_economy_refused(self, run_copy, capsys):
+        # the small economy has regions z1 and z2 only
+        path = run_copy / "regions.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        k = next(k for k, line in enumerate(lines) if line.startswith("REGION,"))
+        fields = lines[k].split(",")
+        fields[2] = "z9"
+        lines[k] = ",".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
+        cfg = str(run_copy / "run.cfg")
+        assert main(["simulate", "--config", cfg]) == 0
+        capsys.readouterr()
+        before = (run_copy / "out" / "impacts.csv").read_bytes()
+        assert main(["impact", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "z9" in err
         assert (run_copy / "out" / "impacts.csv").read_bytes() == before
 
     def test_missing_config_exits_2(self, tmp_path):

@@ -17,7 +17,6 @@ from gridshock.grid import (
     load_regions,
     serialize_grid,
     serialize_regions,
-    validate_connectivity,
 )
 
 from helpers import random_connected_grid, total_capacity
@@ -188,23 +187,30 @@ class TestTotalCapacity:
 
 class TestConnectivity:
     def test_connected(self, toy_grid):
-        report = validate_connectivity(toy_grid)
-        assert report.is_connected
-        assert report.components == (("b1", "b2", "b3", "b4"),)
+        assert np.isfinite(toy_grid.hop_distance).all()
 
-    def test_split_graph(self):
+    @pytest.mark.parametrize(
+        "n_buses, links, count",
+        [
+            (3, [("b0", "b1")], 2),
+            # three islands, one a lone bus, their buses interleaved
+            (6, [("b0", "b3"), ("b3", "b5"), ("b1", "b4")], 3),
+        ],
+    )
+    def test_split_graph_refused(self, tmp_path, n_buses, links, count):
         grid = Grid(
-            buses=(
-                Bus("a", 400.0, "generation"),
-                Bus("b", 400.0, "substation"),
-                Bus("c", 400.0, "switching"),
+            buses=tuple(Bus(f"b{k}", 400.0, "substation") for k in range(n_buses)),
+            branches=tuple(
+                Branch(f"l{k}", a, b, "line", 1.0, 10.0) for k, (a, b) in enumerate(links)
             ),
-            branches=(Branch("l", "a", "b", "line", 1.0, 10.0),),
             generators=(),
         )
-        report = validate_connectivity(grid)
-        assert report.count == 2
-        assert report.components == (("a", "b"), ("c",))
+        assert not np.isfinite(grid.hop_distance).all()
+        path = tmp_path / "split.csv"
+        serialize_grid(grid, path)
+        message = f"grid in split.csv has {count} components; it must be connected"
+        with pytest.raises(ValidationError, match=message):
+            load_grid(path)
 
 
 class TestHopDistance:

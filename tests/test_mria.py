@@ -13,7 +13,6 @@ from gridshock.errors import (
 )
 from gridshock.grid import Region, RegionTable
 from gridshock.mria import (
-    CapacityShock,
     ImpactResult,
     SupplyUseModel,
     assemble_program,
@@ -26,7 +25,7 @@ from gridshock.mria import (
     technology_coefficients,
 )
 from gridshock.numerics import LinearProgram, lp_solve, lp_solve_stack
-from gridshock.profiles import DemandProfile, StudiedDemand
+from gridshock.profiles import HOURS_PER_YEAR, DemandProfile, StudiedDemand
 from gridshock.synthetic import generate_gb_like, generate_small
 
 from helpers import Record, assert_same_lp_solution, assert_same_solve, records_of, table_of, va_of
@@ -197,29 +196,33 @@ class TestTechnologyCoefficients:
         assert np.allclose(sums[active], 1.0, atol=1e-12)
 
 
-class TestCapacityShock:
+class TestShockArray:
     def test_fraction_range(self):
-        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            CapacityShock(delta={"A": 1.2})
-        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            CapacityShock(delta={"A": {"mfg": -0.1}})
-
-    def test_duration_positive(self):
-        with pytest.raises(ValidationError, match="duration"):
-            CapacityShock(delta={}, duration_hours=0.0)
-
-    def test_resolve_uniform_and_per_industry(self):
         model = starvation_model(trade_enabled=False)
-        shock = CapacityShock(delta={"A": 0.3, "B": {"power": 0.5}})
-        delta = shock.resolve(model)
-        assert np.array_equal(delta, [[0.3, 0.3], [0.0, 0.5]])
+        for bad in (1.2, -0.1, np.nan):
+            delta = np.zeros((2, 2, 2))
+            delta[1, 0, 1] = bad
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                assess_impact(model, delta)
 
-    def test_resolve_unknown_names(self):
-        model = one_region_model()
-        with pytest.raises(ValidationError, match="unknown regions: Z"):
-            CapacityShock(delta={"Z": 0.1}).resolve(model)
-        with pytest.raises(ValidationError, match="unknown industries: farm"):
-            CapacityShock(delta={"A": {"farm": 0.1}}).resolve(model)
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (1, 2, 2, 1), (1, 1, 2), (1, 3, 1), (1, 2, 3), (1, 2, 0)]
+    )
+    def test_shape_refused(self, shape):
+        with pytest.raises(ValidationError, match=r"shocks must have shape \(shocks, 2, 2 or 1\)"):
+            assess_impact(starvation_model(trade_enabled=False), np.zeros(shape))
+
+    def test_region_wide_broadcasts_over_industries(self):
+        # a last axis of 1 is the same shock as each industry hit alike
+        model = starvation_model(trade_enabled=True)
+        region_wide = np.array([[[0.3], [0.0]], [[0.0], [0.5]], [[0.8], [0.2]]])
+        for ours, full in zip(
+            assess_impact(model, region_wide),
+            assess_impact(model, np.repeat(region_wide, 2, axis=2)),
+        ):
+            assert ours.delta_va.tobytes() == full.delta_va.tobytes()
+            assert ours.rationing.tobytes() == full.rationing.tobytes()
+            assert ours.total_cost == full.total_cost
 
 
 class TestBaseline:
@@ -257,87 +260,73 @@ class TestBaseline:
             solve_baseline(model)
 
 
+# region A's power industry loses 80% of its capacity
+A_POWER_80 = np.array([[[0.0, 0.8], [0.0, 0.0]]])
+
+
 class TestAssessImpact:
     def test_zero_shock_identity(self):
         for model in (one_region_model(0.025), starvation_model(True)):
-            [result] = assess_impact(model, [CapacityShock(delta={})])
+            [result] = assess_impact(model, np.zeros((1, len(model.regions), 1)))
             assert result.total_cost == pytest.approx(0.0, abs=1e-9)
             assert np.allclose(result.delta_va, 0.0, atol=1e-9)
             assert np.allclose(result.rationing, 0.0, atol=1e-9)
 
     def test_hand_solved_single_region(self):
         # capacity 90, balance 0.8x + m >= 80 gives x=90, m=8, delta va -5
-        model = one_region_model(alpha=0.0)
-        shock = CapacityShock(delta={"A": 0.1}, duration_hours=8760.0)
-        [result] = assess_impact(model, [shock])
-        assert result.delta_va[0, 0] == -5.0
-        assert result.total_cost == 5.0
-        assert result.rationing[0, 0] == pytest.approx(8.0, abs=1e-9)
+        [result] = assess_impact(one_region_model(alpha=0.0), np.array([[[0.1]]]))
+        assert HOURS_PER_YEAR * result.delta_va[0, 0] == -5.0
+        assert HOURS_PER_YEAR * result.total_cost == 5.0
+        assert HOURS_PER_YEAR * result.rationing[0, 0] == pytest.approx(8.0, abs=1e-9)
 
     def test_overcapacity_softens_single_region(self):
         # cap rises to 90 * 1.025 = 92.25, so the va drop shrinks to 3.875
-        model = one_region_model(alpha=0.025)
-        shock = CapacityShock(delta={"A": 0.1}, duration_hours=8760.0)
-        [result] = assess_impact(model, [shock])
-        assert result.delta_va[0, 0] == pytest.approx(-3.875, rel=1e-9)
-
-    def test_hourly_is_annual_scaled(self):
-        model = one_region_model(alpha=0.0)
-        annual, hourly = assess_impact(
-            model,
-            [CapacityShock({"A": 0.1}, duration_hours=8760.0), CapacityShock({"A": 0.1}, duration_hours=1.0)],
-        )
-        assert np.array_equal(hourly.delta_va, annual.delta_va / 8760.0)
-        assert hourly.total_cost == annual.total_cost / 8760.0
-        assert np.array_equal(hourly.rationing, annual.rationing / 8760.0)
+        [result] = assess_impact(one_region_model(alpha=0.025), np.array([[[0.1]]]))
+        assert HOURS_PER_YEAR * result.delta_va[0, 0] == pytest.approx(-3.875, rel=1e-9)
 
     def test_input_starvation_without_trade(self):
         # A's power cap falls to 0.2*1.2*50 = 12; rationing of electricity
         # final demand is capped at 10, so the factory is starved to 30
         model = starvation_model(trade_enabled=False)
-        shock = CapacityShock(delta={"A": {"power": 0.8}}, duration_hours=8760.0)
-        [result] = assess_impact(model, [shock])
-        assert va_of(result, "A", "power") == pytest.approx(-19.0, rel=1e-9)
-        assert va_of(result, "A", "factory") == pytest.approx(-35.0, rel=1e-9)
-        assert va_of(result, "B", "power") == pytest.approx(0.0, abs=1e-9)
-        assert result.total_cost == pytest.approx(54.0, rel=1e-9)
+        [result] = assess_impact(model, A_POWER_80)
+        assert va_of(model, result, "A", "power") == pytest.approx(-19.0, rel=1e-9)
+        assert va_of(model, result, "A", "factory") == pytest.approx(-35.0, rel=1e-9)
+        assert va_of(model, result, "B", "power") == pytest.approx(0.0, abs=1e-9)
+        assert HOURS_PER_YEAR * result.total_cost == pytest.approx(54.0, rel=1e-9)
 
     def test_trade_substitution_strictly_cheaper(self):
         # with imports the factory runs at full output (t=28, fed by B's
         # spare capacity plus 18 units of B's rationed final demand);
         # B's shifted rationing is priced onto its own supplier, so
         # delta va = (-19, 0, -4) against (-19, -35, 0) when closed
-        shock = CapacityShock(delta={"A": {"power": 0.8}}, duration_hours=8760.0)
-        [closed] = assess_impact(starvation_model(trade_enabled=False), [shock])
-        [open_] = assess_impact(starvation_model(trade_enabled=True), [shock])
-        assert open_.total_cost == pytest.approx(23.0, rel=1e-9)
-        assert va_of(open_, "A", "factory") == pytest.approx(0.0, abs=1e-9)
-        assert va_of(open_, "B", "power") == pytest.approx(-4.0, rel=1e-9)
-        assert open_.total_cost < closed.total_cost - 1.0
+        model = starvation_model(trade_enabled=True)
+        [closed] = assess_impact(starvation_model(trade_enabled=False), A_POWER_80)
+        [open_] = assess_impact(model, A_POWER_80)
+        assert HOURS_PER_YEAR * open_.total_cost == pytest.approx(23.0, rel=1e-9)
+        assert va_of(model, open_, "A", "factory") == pytest.approx(0.0, abs=1e-9)
+        assert va_of(model, open_, "B", "power") == pytest.approx(-4.0, rel=1e-9)
+        assert HOURS_PER_YEAR * open_.total_cost < HOURS_PER_YEAR * closed.total_cost - 1.0
 
     def test_exporter_gains_under_mild_shock(self):
         # a 30% shock leaves A's factory supplied once B exports its pure
         # overcapacity surplus (8 units, nothing rationed), so the
         # exporting region's value added rises
-        shock = CapacityShock(delta={"A": {"power": 0.3}}, duration_hours=8760.0)
-        [result] = assess_impact(starvation_model(trade_enabled=True), [shock])
-        assert va_of(result, "B", "power") == pytest.approx(4.0, rel=1e-9)
-        assert va_of(result, "A", "power") == pytest.approx(-4.0, rel=1e-9)
-        assert va_of(result, "A", "factory") == pytest.approx(0.0, abs=1e-9)
-        assert result.total_cost == pytest.approx(4.0, rel=1e-9)
+        model = starvation_model(trade_enabled=True)
+        [result] = assess_impact(model, np.array([[[0.0, 0.3], [0.0, 0.0]]]))
+        assert va_of(model, result, "B", "power") == pytest.approx(4.0, rel=1e-9)
+        assert va_of(model, result, "A", "power") == pytest.approx(-4.0, rel=1e-9)
+        assert va_of(model, result, "A", "factory") == pytest.approx(0.0, abs=1e-9)
+        assert HOURS_PER_YEAR * result.total_cost == pytest.approx(4.0, rel=1e-9)
         assert np.all(result.rationing == 0.0)
 
     def test_substitution_bound_on_random_shocks(self):
         rng = np.random.default_rng(17)
         for _ in range(8):
-            delta = {
-                "A": {"power": float(rng.uniform(0, 1)), "factory": float(rng.uniform(0, 0.5))},
-                "B": {"power": float(rng.uniform(0, 0.5))},
-            }
-            shock = CapacityShock(delta=delta, duration_hours=8760.0)
-            [closed] = assess_impact(starvation_model(False), [shock])
-            [open_] = assess_impact(starvation_model(True), [shock])
-            assert open_.total_cost <= closed.total_cost + 1e-6
+            a_power, a_factory, b_power = rng.uniform(0, 1), rng.uniform(0, 0.5), rng.uniform(0, 0.5)
+            delta = np.array([[[a_factory, a_power], [0.0, b_power]]])
+            [closed] = assess_impact(starvation_model(False), delta)
+            [open_] = assess_impact(starvation_model(True), delta)
+            assert HOURS_PER_YEAR * open_.total_cost <= HOURS_PER_YEAR * closed.total_cost + 1e-6
 
     def test_monotone_in_shock(self):
         model = two_region_diagonal(alpha=0.025)
@@ -345,22 +334,9 @@ class TestAssessImpact:
         for _ in range(12):
             base = rng.uniform(0.0, 0.8, 4)
             extra = rng.uniform(0.0, 1.0 - base.max(), 4)
-            small = CapacityShock(
-                delta={
-                    "A": {"i1": base[0], "i2": base[1]},
-                    "B": {"i1": base[2], "i2": base[3]},
-                },
-                duration_hours=8760.0,
-            )
-            larger = CapacityShock(
-                delta={
-                    "A": {"i1": base[0] + extra[0], "i2": base[1] + extra[1]},
-                    "B": {"i1": base[2] + extra[2], "i2": base[3] + extra[3]},
-                },
-                duration_hours=8760.0,
-            )
-            lesser, greater = assess_impact(model, [small, larger])
-            assert lesser.total_cost <= greater.total_cost + 1e-6
+            small, larger = base.reshape(2, 2), (base + extra).reshape(2, 2)
+            lesser, greater = assess_impact(model, np.stack([small, larger]))
+            assert HOURS_PER_YEAR * lesser.total_cost <= HOURS_PER_YEAR * greater.total_cost + 1e-6
 
     def test_objective_matches_vertex_oracle(self):
         cases = [
@@ -458,7 +434,7 @@ class TestPreparedProgram:
             monkeypatch.setattr(mria, name, counted)
         model = two_region_diagonal(0.025)
         for fraction in (0.1, 0.4, 0.7):
-            assess_impact(model, [CapacityShock({"A": fraction, "B": {"i2": fraction}})])
+            assess_impact(model, np.array([[[fraction, fraction], [0.0, fraction]]]))
         solve_baseline(model)
         assert calls == {"technology_coefficients": 1, "default_penalty": 1}
         assert not model.baseline_output.flags.writeable
@@ -494,14 +470,6 @@ class TestAgainstHighs:
 @pytest.fixture(scope="module")
 def gb_model():
     return generate_gb_like(7).economy
-
-
-def shock_of(model, delta):
-    """The per-industry CapacityShock whose dense array is delta."""
-    return CapacityShock({
-        region: dict(zip(model.industries, row))
-        for region, row in zip(model.regions, delta.tolist())
-    })
 
 
 class TestStackOnGbLikePrograms:
@@ -541,7 +509,7 @@ class TestStackOnGbLikePrograms:
 
     def test_results_independent_of_stack_order(self, gb_model):
         deltas = random_deltas(np.random.default_rng(7), gb_model, 30)
-        shocks = [CapacityShock({}), *(shock_of(gb_model, d) for d in deltas)]
+        shocks = np.stack([np.zeros(gb_model.baseline_output.shape), *deltas])
         forward = assess_impact(gb_model, shocks)
         backward = assess_impact(gb_model, shocks[::-1])[::-1]
         halves = assess_impact(gb_model, shocks[:13]) + assess_impact(gb_model, shocks[13:])
@@ -558,15 +526,7 @@ class TestStackOnGbLikePrograms:
 class TestImpactResult:
     def test_total_cost_consistency_enforced(self):
         with pytest.raises(ValidationError, match="total cost"):
-            ImpactResult(
-                regions=("A",),
-                industries=("mfg",),
-                products=("good",),
-                delta_va=np.array([[-5.0]]),
-                rationing=np.zeros((1, 1)),
-                total_cost=1.0,
-                duration_hours=1.0,
-            )
+            ImpactResult(delta_va=np.array([[-5.0]]), rationing=np.zeros((1, 1)), total_cost=1.0)
 
 
 class TestShockFromUnserved:
@@ -591,13 +551,13 @@ class TestShockFromUnserved:
     def table(self, unserved):
         return table_of([Record(0, 0.2, "current", 0, unserved)])
 
-    def shock(self, unserved, demands):
+    def shock(self, unserved, demands, economy=("R1", "R2")):
         """The one record's shock as {economic region: loss fraction}."""
-        parents, shocks = shock_from_unserved(
-            self.table(unserved), self.regions(), {"current": self.profile(demands)}
+        shocks = shock_from_unserved(
+            self.table(unserved), self.regions(), {"current": self.profile(demands)}, economy
         )
-        assert shocks.shape == (1, len(parents))
-        return SimpleNamespace(delta=dict(zip(parents, shocks[0].tolist())))
+        assert shocks.shape == (1, len(economy))
+        return SimpleNamespace(delta=dict(zip(economy, shocks[0].tolist())))
 
     def test_quarter_loss(self):
         shock = self.shock({"d1": 50.0, "d2": 0.0, "d3": 0.0}, [200.0, 0.0, 100.0])
@@ -617,6 +577,17 @@ class TestShockFromUnserved:
         shock = self.shock({"d1": 0.0, "d2": 0.0, "d3": 0.0}, [0.0, 0.0, 0.0])
         assert shock.delta == {"R1": 0.0, "R2": 0.0}
 
+    def test_columns_follow_the_economy(self):
+        # columns in the order given; a region with no district takes zero
+        unserved = {"d1": 30.0, "d2": 20.0, "d3": 10.0}
+        shock = self.shock(unserved, [100.0, 100.0, 100.0], economy=("R2", "R0", "R1"))
+        assert list(shock.delta) == ["R2", "R0", "R1"]
+        assert shock.delta == {"R2": pytest.approx(0.1), "R0": 0.0, "R1": 0.25}
+
+    def test_parent_outside_the_economy(self):
+        with pytest.raises(ValidationError, match="district d3 has parent R2, which is not"):
+            self.shock({"d1": 0.0, "d2": 0.0, "d3": 0.0}, [1.0, 1.0, 1.0], economy=("R1",))
+
     def test_unknown_district(self):
         with pytest.raises(ValidationError, match="UNKNOWN"):
             self.shock({"UNKNOWN": 1.0}, [1.0, 1.0, 1.0])
@@ -624,7 +595,9 @@ class TestShockFromUnserved:
     def test_unstudied_hour(self):
         table = table_of([Record(0, 0.2, "current", 5, {"d1": 1.0, "d2": 0.0, "d3": 0.0})])
         with pytest.raises(ValidationError, match="no studied demand at hour 5"):
-            shock_from_unserved(table, self.regions(), {"current": self.profile([1.0, 1.0, 1.0])})
+            shock_from_unserved(
+                table, self.regions(), {"current": self.profile([1.0, 1.0, 1.0])}, ("R1", "R2")
+            )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_per_record_reference(self, seed):
@@ -651,13 +624,14 @@ class TestShockFromUnserved:
                        dict(zip(districts, unserved.tolist())))
             )
         table = table_of(records)
-        names, shocks = shock_from_unserved(table, regions, demands)
+        # R4 parents no district, so its column stays zero
+        economy = tuple(sorted({*parents, "R4"}))
+        shocks = shock_from_unserved(table, regions, demands, economy)
         for record, row in zip(records_of(table), shocks.tolist()):
             expected = reference_shock_from_unserved(
                 record.unserved_mw_per_region, record.hour, regions, demands[record.scenario]
             )
-            assert list(expected) == list(names)
-            assert [v.hex() for v in expected.values()] == [v.hex() for v in row]
+            assert [expected.get(name, 0.0).hex() for name in economy] == [v.hex() for v in row]
 
 
 class TestSupplyUseIO:
