@@ -11,8 +11,14 @@ provenance record does not match the current inputs; impact then records
 the hashes of what it read and wrote, and analyze refuses impacts priced
 from other results or economy files, or changed since. analyze aggregates
 costs into the published curve, slope, regional and population outputs.
-Every output is a pure function of (inputs, seed), independent of the
-worker count.
+
+Processes are started only through `forkpool.fork_map`. gen-synthetic
+writes its profile files in min(files, CPUs) processes. simulate parses its
+profiles in min(profiles, CPUs) and, with more than one worker, runs the
+sweep's orderings in min(workers, orderings). impact solves its programs
+in min(programs, CPUs), one contiguous chunk each. analyze starts no
+process. Every output is a pure function of (inputs, seed), independent of
+the worker count and of the number of CPUs.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .failures import (
     run_experiment,
     save_results,
 )
+from .forkpool import available_cpus, fork_map
 from .grid import load_grid, load_regions
 from .mria import assess_impact, load_supply_use, shock_from_unserved, solve_baseline
 from .profiles import (
@@ -164,10 +171,12 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_simulate(args) -> int:
     config = _resolve(load_run_config(args.config), args)
     grid = load_grid(config.grid)
-    profiles = {
-        scenario: load_profile(path, scenario=scenario)
-        for scenario, path in sorted(config.profiles.items())
-    }
+    # one task per profile file, each parsed in a forked process
+    scenarios = sorted(config.profiles)
+    parsed = fork_map(
+        lambda s: load_profile(config.profiles[s], scenario=s), scenarios, available_cpus()
+    )
+    profiles = dict(zip(scenarios, parsed))
     grid = calibrate_ratings(
         grid,
         profiles[config.analyze_baseline],

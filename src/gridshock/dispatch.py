@@ -25,8 +25,8 @@ revisited", IEEE TPWRS 2009). Only when that fill overloads a branch does a
 linear program decide, and it never starts cold: the fill is an optimal
 basis of the balance-only program, so each limit row the flows call for is
 added to the last optimal basis and the dual simplex re-solves from there.
-The one cold solve is the calibration dispatch (`ignore_limits`), whose
-simplex vertex sets the ratings.
+No dispatch program is solved cold: the calibration dispatch, which takes
+every rating as infinite, is the fill itself (`merit_order_flows`).
 
 A program is a `Fleet` (the units left after a loss, with their caps, flow
 columns and capacity) under a `Load` (a demand state, with its total, the
@@ -57,6 +57,7 @@ __all__ = [
     "Fleet",
     "Load",
     "generator_distance_costs",
+    "merit_order_flows",
     "redispatch",
     "dispatch_with_shedding",
 ]
@@ -431,12 +432,23 @@ class _Program:
         )
 
 
-def redispatch(
-    problem: DispatchProblem,
-    context: GridContext | None = None,
-    *,
-    ignore_limits: bool = False,
-) -> DispatchSolution:
+def merit_order_flows(problem: DispatchProblem) -> np.ndarray | None:
+    """Branch flows of the least-cost dispatch with every rating taken as
+    infinite, in grid branch order; None when capacity falls short.
+
+    That dispatch is the merit-order fill, so no program is solved. Units
+    fill in order of distance cost, and units that tie on cost fill in
+    generator-id order, the smaller id first. No demand gives zero flows.
+    `calibrate_ratings` turns these flows into ratings.
+    """
+    program = _Program(*problem.parts(GridContext(problem.grid)))
+    if program.total <= 0.0:
+        return np.zeros(len(problem.grid.branches))
+    fill = _fill(program.costs, program.upper, program.total)
+    return None if fill is None else program.cols @ fill[0] + program.base_flow
+
+
+def redispatch(problem: DispatchProblem, context: GridContext | None = None) -> DispatchSolution:
     """Minimum-cost feasible dispatch for fixed demand, or infeasible.
 
     The units are first filled in merit order (cost, then generator id),
@@ -445,10 +457,7 @@ def redispatch(
     vertex of the full program, though where units tie on cost possibly a
     different one from the vertex the simplex would reach. Otherwise a
     linear program decides, with branch limits added as rows only for the
-    branches that overload, each round warm from the last. `ignore_limits`
-    treats every rating as infinite and returns the cold simplex vertex of
-    the balance-only program, whose flows `calibrate_ratings` turns into
-    ratings.
+    branches that overload, each round warm from the last.
     """
     if context is None:
         context = GridContext(problem.grid)
@@ -462,16 +471,7 @@ def redispatch(
         )
     if not program.ids:
         return _infeasible()
-    if ignore_limits:
-        n = len(program.ids)
-        output = lp_solve(LinearProgram(
-            objective=program.costs,
-            a_eq=np.ones((1, n)),
-            b_eq=np.array([program.total]),
-            bounds=np.column_stack([np.zeros(n), program.upper]),
-        )).x
-    else:
-        output = program.least_cost()
+    output = program.least_cost()
     if output is None:
         return _infeasible()
     return program.solution(output)

@@ -24,9 +24,8 @@ record as one joined string, and `load_results` reads the file in chunks.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -40,9 +39,10 @@ from .dispatch import (
     GridContext,
     Load,
     dispatch_with_shedding,
-    redispatch,
+    merit_order_flows,
 )
 from .errors import ParseError, Unstable, ValidationError
+from .forkpool import fork_map
 from .grid import Grid
 from .profiles import _INT64, DemandProfile, check_unquoted, read_fields, scan_rows
 
@@ -281,18 +281,6 @@ class _SweepState:
         return unserved
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(state: _SweepState, orderings: list[tuple[str, ...]]) -> None:
-    _WORKER_STATE["state"] = state
-    _WORKER_STATE["orderings"] = orderings
-
-
-def _worker_run(index: int) -> np.ndarray:
-    return _WORKER_STATE["state"].run_ordering(_WORKER_STATE["orderings"][index])
-
-
 def run_experiment(
     grid: Grid,
     profiles: Mapping[str, DemandProfile],
@@ -307,7 +295,9 @@ def run_experiment(
     (studied hours are dark); interconnectors are never removed. Every cell
     is "ok" or "shed": shedding all demand always settles the network, so
     dispatch_with_shedding never raises Unstable. Orderings are independent
-    work units, so any worker count yields the identical table. Each
+    work units, so any worker count yields the identical table: one worker
+    runs them in this process, more run them through `fork_map` in
+    min(workers, orderings) processes, one task per ordering. Each
     ordering's cells run in key order, fraction by fraction, so the table
     needs no sort.
     """
@@ -330,16 +320,10 @@ def run_experiment(
     state = _SweepState(grid, config, demands, tuple(sorted(regions)), interconnector_penalty)
     orderings = generate_orderings(grid, config.n_orderings, config.master_seed)
 
-    if workers == 1 or config.n_orderings == 1:
+    if workers == 1:
         chunks = [state.run_ordering(o) for o in orderings]
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=min(workers, config.n_orderings),
-            initializer=_worker_init,
-            initargs=(state, orderings),
-        ) as pool:
-            chunks = pool.map(_worker_run, range(config.n_orderings))
+        chunks = fork_map(state.run_ordering, orderings, workers)
 
     n, cells, fractions = config.n_orderings, state.cells, config.loss_fractions
     return ResultTable(
@@ -361,9 +345,13 @@ def calibrate_ratings(
 ) -> Grid:
     """Upsize branch ratings to carry the current-day peak with headroom.
 
-    Runs an uncapacitated zero-removal dispatch at the profile's national
+    Takes the uncapacitated zero-removal dispatch at the profile's national
     peak hour (solar unavailable, matching the experiment convention) and
-    sets every rating to max(original, headroom x |flow|).
+    sets every rating to max(original, headroom x |flow|). That dispatch is
+    the merit-order fill (`merit_order_flows`): where units tie on distance
+    cost, the smaller generator id fills first. The calibrated grid keeps
+    the original's cached values, the hop table among them
+    (`Grid.with_ratings`).
     """
     if headroom <= 0.0:
         raise ValidationError("headroom must be positive")
@@ -376,14 +364,12 @@ def calibrate_ratings(
         available=available,
         interconnector_penalty=interconnector_penalty,
     )
-    solution = redispatch(problem, ignore_limits=True)
-    if solution.status != "feasible":
+    flows = merit_order_flows(problem)
+    if flows is None:
         raise Unstable("peak demand exceeds available capacity before any removal")
-    branches = tuple(
-        replace(b, rating_mw=max(b.rating_mw, headroom * abs(float(flow))))
-        for b, flow in zip(grid.branches, solution.flows_mw)
+    return grid.with_ratings(
+        [max(b.rating_mw, headroom * abs(float(flow))) for b, flow in zip(grid.branches, flows)]
     )
-    return replace(grid, branches=branches)
 
 
 def save_results(table: ResultTable, path) -> None:

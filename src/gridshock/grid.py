@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -241,6 +241,23 @@ class Grid:
     @cached_property
     def demand_buses(self) -> tuple[Bus, ...]:
         return tuple(bus for bus in self.buses if bus.kind == "demand")
+
+    def with_ratings(self, ratings) -> Grid:
+        """This grid with branch k rated `ratings[k]`.
+
+        No cached value reads a rating, so the new grid starts with every
+        value this one has cached; the hop table is not built again.
+        """
+        grid = replace(
+            self,
+            branches=tuple(replace(b, rating_mw=r) for b, r in zip(self.branches, ratings)),
+        )
+        grid.__dict__.update(
+            (name, value)
+            for name, value in self.__dict__.items()
+            if isinstance(vars(Grid).get(name), cached_property)
+        )
+        return grid
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ substitute lost production (which can make their impact positive).
 
 The program is built once per model and cached on it; a shock changes
 only the upper bounds on the industry outputs. `assess_impact` solves the
-programs of all its shocks cold as one stack (`lp_solve_stack`), so the
-per-pivot numpy calls are made once per pass for every shock together.
-The vertex each shock returns is the one its own cold solve returns, bit
-for bit, so it cannot depend on which other shocks share the stack or on
-their order.
+programs of all its shocks cold in stacks (`lp_solve_stack`), so the
+per-pivot numpy calls are made once per pass for every shock of a stack
+together. The stacks are contiguous chunks of the shocks, one per CPU,
+each solved in its own forked process (`forkpool.fork_map`). The vertex
+each shock returns is the one its own cold solve returns, bit for bit, so
+it cannot depend on which other shocks share its stack, on their order or
+on the CPU count.
 
 A shock is a dense array of loss fractions on the model's axes, and every
 shock is priced as a one-hour event. `shock_from_unserved` turns the
@@ -30,6 +32,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -43,6 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .failures import ResultTable
+from .forkpool import available_cpus, fork_map
 from .grid import RegionTable
 from .numerics import LinearProgram, LpSolution, lp_solve, lp_solve_stack
 from .profiles import HOURS_PER_YEAR, StudiedDemand
@@ -335,8 +339,11 @@ def assess_impact(model: SupplyUseModel, deltas: np.ndarray) -> list[ImpactResul
     explained by its region's supply drop, so losses are never double
     counted. An all-zero shock is an identity and skips the program
     entirely (a cold solve of it could drift from the baseline by up to
-    BASELINE_RTOL); the programs of all other shocks are solved cold in
-    one stack, and each shock's result is the one it would get alone.
+    BASELINE_RTOL). The programs of all other shocks are solved cold, in
+    as many contiguous chunks as there are programs or CPUs, whichever is
+    fewer: `fork_map` solves each chunk as one stack in its own process.
+    Each shock's result is the one it would get alone, so it does not
+    depend on the chunking or the CPU count.
 
     The program's optimal value is unique but its optimal vertex need not
     be: `delta_va` is split across regions as the vertex `lp_solve` returns
@@ -354,7 +361,10 @@ def assess_impact(model: SupplyUseModel, deltas: np.ndarray) -> list[ImpactResul
     if not ((deltas >= 0.0) & (deltas <= 1.0)).all():
         raise ValidationError("shock fractions must lie in [0, 1]")
     hit = deltas.any(axis=(1, 2))
-    solved = iter(lp_solve_stack([assemble_program(model, d) for d in deltas[hit]]))
+    programs = [assemble_program(model, d) for d in deltas[hit]]
+    n = min(len(programs), available_cpus())
+    chunks = [programs[len(programs) * k // n : len(programs) * (k + 1) // n] for k in range(n)]
+    solved = chain.from_iterable(fork_map(lp_solve_stack, chunks, n))
     return [_impact(model, next(solved)) if h else _no_impact(model) for h in hit.tolist()]
 
 

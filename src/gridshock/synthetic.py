@@ -10,21 +10,20 @@ heat-pump scenario peaks near 57.7 GW.
 Every random draw comes from `numpy.random.default_rng([seed, stream])`
 with a fixed stream id per purpose, so a fixture is a pure function of
 its seed: writing one twice produces byte-identical files, whatever the
-number of CPUs. `write_fixture` writes the profile files in up to one
-forked process per file, and each file's bytes come from one
+number of CPUs. `write_fixture` writes the profile files through
+`forkpool.fork_map`, one task per file, and each file's bytes come from one
 `save_profile` call.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .atomic import atomic_open
+from .forkpool import available_cpus, fork_map
 from .grid import Branch, Bus, Generator, Grid, Region, RegionTable, serialize_grid, serialize_regions
 from .mria import SupplyUseModel, save_supply_use
 from .profiles import (
@@ -435,9 +434,10 @@ def generate(size: str, seed: int = 0) -> Fixture:
 def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
     """Write every fixture file under out_dir; returns the paths written.
 
-    The profile files are written from a fork pool, one task per file, in
-    up to one process per file. Every value column and region id is
-    checked before any file is written or any process started.
+    The profile files are written by `fork_map`, one task per file, in as
+    many processes as there are files or CPUs, whichever is fewer; a
+    file's bytes do not depend on that count. Every value column and region
+    id is checked before any file is written or any process started.
     """
     out = Path(out_dir)
     jobs = [
@@ -453,7 +453,9 @@ def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
     written = [out / "grid.csv", out / "regions.csv"]
     serialize_grid(fixture.grid, out / "grid.csv")
     serialize_regions(fixture.regions, out / "regions.csv")
-    _save_profiles(jobs)
+    # the children inherit the jobs through fork and return nothing, so no
+    # profile data is pickled and the parent formats no profile text
+    fork_map(lambda job: save_profile(*job), jobs, available_cpus())
     written.extend(path for _, path, _ in jobs)
     save_end_use_shares(fixture.end_use_shares, out / "end_use_shares.csv")
     written.append(out / "end_use_shares.csv")
@@ -463,29 +465,3 @@ def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
         handle.write(fixture.config_text)
     written.append(out / "run.cfg")
     return written
-
-
-_PROFILE_JOBS: list[tuple[DemandProfile, Path, str]] = []
-
-
-def _save_profiles(jobs: list[tuple[DemandProfile, Path, str]]) -> None:
-    """`save_profile(*job)` for every job, each in a forked pool process.
-
-    The children inherit the jobs through fork and return nothing, so no
-    profile data is pickled, and the parent formats no profile text. The
-    pool is closed and joined before this returns or raises, so no process
-    outlives it. A file's bytes do not depend on the process count.
-    """
-    processes = min(len(jobs), len(os.sched_getaffinity(0)))
-    pool = multiprocessing.get_context("fork").Pool(
-        processes, initializer=_PROFILE_JOBS.extend, initargs=(jobs,)
-    )
-    try:
-        pool.map(_save_profile_job, range(len(jobs)), chunksize=1)
-    finally:
-        pool.close()
-        pool.join()
-
-
-def _save_profile_job(index: int) -> None:
-    save_profile(*_PROFILE_JOBS[index])

@@ -1,17 +1,21 @@
 import csv
+import multiprocessing
+import os
 import re
 import shutil
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from gridshock.analysis import load_costs
 import gridshock.cli as cli_module
+import gridshock.mria as mria_module
 from gridshock.cli import main
-from gridshock.errors import MissingCosts, ValidationError
+from gridshock.errors import MissingCosts, ParseError, ValidationError
 from gridshock.failures import DEFAULT_LOSS_FRACTIONS, load_results
-from gridshock.grid import load_regions
+from gridshock.grid import Grid, load_regions
 from gridshock.mria import (
     SupplyUseModel,
     assemble_program,
@@ -42,6 +46,12 @@ def out_dir(fx):
     assert main(["simulate", "--config", cfg]) == 0
     assert main(["impact", "--config", cfg]) == 0
     return fx / "out"
+
+
+@pytest.fixture
+def run_copy(fx, out_dir, tmp_path):
+    """A copy of the fixture after simulate and impact, safe to damage."""
+    return shutil.copytree(fx, tmp_path / "run")
 
 
 def write_cfg(directory, name, text):
@@ -227,7 +237,7 @@ class TestPipeline:
         assert "workers" not in provenance
 
     def test_simulate_refuses_unknown_baseline_before_reading_profiles(
-        self, fx, tmp_path, monkeypatch, capsys
+        self, fx, tmp_path, monkeypatch, capsys, pool_sizes
     ):
         text = (fx / "run.cfg").read_text(encoding="utf-8")
         text = text.replace("analyze.baseline = current", "analyze.baseline = nosuch")
@@ -237,10 +247,11 @@ class TestPipeline:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error: analyze.baseline names scenario 'nosuch'" in capsys.readouterr().err
         assert not loaded
+        assert pool_sizes[0] == []  # no profile parsed in a child either
         assert not (tmp_path / "out").exists()
 
     def test_simulate_refuses_unknown_scenario_before_reading_profiles(
-        self, fx, tmp_path, monkeypatch, capsys
+        self, fx, tmp_path, monkeypatch, capsys, pool_sizes
     ):
         text = (fx / "run.cfg").read_text(encoding="utf-8")
         assert "analyze.scenario = heat_pump" in text
@@ -251,6 +262,7 @@ class TestPipeline:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "error: analyze.scenario names scenario 'nosuch'" in capsys.readouterr().err
         assert not loaded
+        assert pool_sizes[0] == []  # no profile parsed in a child either
         assert not (tmp_path / "out").exists()
 
     def test_simulate_rerun_byte_identical(self, fx, tmp_path):
@@ -365,11 +377,6 @@ class TestPipeline:
         root = tmp_path / "bare"
         assert main(["gen-synthetic", "--size", "small", "--seed", "3", "--out", str(root)]) == 0
         assert main(["analyze", "--config", str(root / "run.cfg")]) == 2
-
-    @pytest.fixture
-    def run_copy(self, fx, out_dir, tmp_path):
-        """A copy of the fixture after simulate and impact, safe to damage."""
-        return shutil.copytree(fx, tmp_path / "run")
 
     def test_truncated_results_refused(self, run_copy, capsys):
         results = run_copy / "out" / "results.csv"
@@ -535,3 +542,93 @@ class TestPipeline:
         path = write_cfg(fx, "broken.cfg", MINIMAL + "tempo = 3\n")
         assert main(["simulate", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+POOLED_OUTPUTS = ("results.csv", "demand.csv", "impacts.csv", "impacts_regional.csv")
+
+
+def shocked_programs(run):
+    """Distinct nonzero shock rows of a run's results: impact's programs."""
+    config = load_run_config(run / "run.cfg")
+    shocks = shock_from_unserved(
+        load_results(config.out_dir / "results.csv"),
+        load_regions(config.regions),
+        load_studied_demand(config.out_dir / "demand.csv"),
+        load_supply_use(config.supply_use_dir).regions,
+    )
+    return len(np.unique(shocks[shocks.any(axis=1)], axis=0))
+
+
+class TestProcessPools:
+    """simulate parses its profiles, and impact solves its programs, in
+    fork pools sized by the CPUs available; no output depends on that."""
+
+    def test_outputs_do_not_depend_on_cpu_count(self, fx, tmp_path, pool_sizes):
+        started, cpus = pool_sizes
+        written = []
+        for n in (1, 2, 6):
+            cpus(n)
+            run = shutil.copytree(fx, tmp_path / f"cpus{n}", ignore=shutil.ignore_patterns("out"))
+            cfg = str(run / "run.cfg")
+            assert main(["simulate", "--config", cfg]) == 0
+            assert main(["impact", "--config", cfg]) == 0
+            programs = shocked_programs(run)
+            assert 1 < programs < 6
+            assert started == [min(len(SMALL_SCENARIOS), n), min(programs, n)]
+            assert not multiprocessing.active_children()
+            written.append({name: (run / "out" / name).read_bytes() for name in POOLED_OUTPUTS})
+            started.clear()
+        assert written[0] == written[1] == written[2]
+
+    def test_malformed_profile_line_through_the_pool(self, run_copy, pool_sizes, capsys):
+        started, cpus = pool_sizes
+        cpus(2)
+        path = run_copy / "profiles" / "heat_pump.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5].replace(b",", b";", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError) as alone:
+            load_profile(path, scenario="heat_pump")
+        assert alone.value.line == 6
+        cfg = str(run_copy / "run.cfg")
+        assert main(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {alone.value}\n"
+        args = cli_module.build_parser().parse_args(["simulate", "--config", cfg])
+        with pytest.raises(ParseError) as pooled:
+            args.func(args)
+        assert (str(pooled.value), pooled.value.line) == (str(alone.value), 6)
+        assert started == [2, 2]
+        assert not multiprocessing.active_children()
+
+    def test_refused_shock_through_the_pool(self, run_copy, pool_sizes, monkeypatch, capsys):
+        started, cpus = pool_sizes
+        cpus(2)
+        parent = os.getpid()
+
+        def refuse(programs):
+            where = "a child" if os.getpid() != parent else "the parent"
+            raise ValidationError(f"{len(programs)} shocks refused in {where}")
+
+        monkeypatch.setattr(mria_module, "lp_solve_stack", refuse)
+        before = (run_copy / "out" / "impacts.csv").read_bytes()
+        assert main(["impact", "--config", str(run_copy / "run.cfg")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \d+ shocks refused in a child\n", err)
+        assert started == [2]
+        assert not multiprocessing.active_children()
+        assert (run_copy / "out" / "impacts.csv").read_bytes() == before
+
+    def test_simulate_builds_one_hop_table(self, fx, tmp_path, monkeypatch):
+        builds = []
+        build = Grid.hop_distance.func
+
+        def counted(grid):
+            builds.append(grid)
+            return build(grid)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Grid, "hop_distance")
+        monkeypatch.setattr(Grid, "hop_distance", prop)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(fx / "run.cfg"), "--out", str(out)]) == 0
+        assert len(builds) == 1

@@ -11,10 +11,17 @@ from gridshock.dispatch import (
     GridContext,
     dispatch_with_shedding,
     generator_distance_costs,
+    merit_order_flows,
     redispatch,
 )
 from gridshock.errors import NoDemand, NumericalBreakdown, ValidationError
-from gridshock.failures import _solar_ids, bus_demand, generate_orderings, removal_sets
+from gridshock.failures import (
+    _solar_ids,
+    bus_demand,
+    calibrate_ratings,
+    generate_orderings,
+    removal_sets,
+)
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.numerics import FEASIBILITY_TOL, lp_solve
 
@@ -211,6 +218,49 @@ class TestRedispatch:
         sol = redispatch(problem)
         total_out = sum(sol.generator_output_mw.values())
         assert total_out == pytest.approx(77.7, abs=1e-6)
+
+
+class TestMeritOrderFlows:
+    def grid(self, west_id, east_id):
+        # a unit each side of the demand bus, one hop away: their costs tie
+        return Grid(
+            buses=(
+                Bus("w", 400.0, "generation"),
+                Bus("d", 400.0, "demand", region="r"),
+                Bus("e", 400.0, "generation"),
+            ),
+            branches=(
+                Branch("lw", "w", "d", "line", 10.0, 1.0),
+                Branch("le", "d", "e", "line", 10.0, 1.0),
+            ),
+            generators=(
+                Generator(west_id, "w", 100.0, 1.0, "thermal"),
+                Generator(east_id, "e", 100.0, 1.0, "thermal"),
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "west_id, east_id, expected", [("a", "b", [60.0, 0.0]), ("b", "a", [0.0, 60.0])]
+    )
+    def test_cost_ties_fill_the_smaller_id_first(self, west_id, east_id, expected):
+        grid = self.grid(west_id, east_id)
+        available = frozenset({west_id, east_id})
+        costs = generator_distance_costs(grid, {"d": 60.0})
+        assert costs[west_id] == costs[east_id]
+        problem = DispatchProblem(grid=grid, demand_mw={"d": 60.0}, available=available)
+        flows = merit_order_flows(problem)
+        # every rating is 1 MW, and the flows ignore them
+        assert np.abs(flows).tolist() == pytest.approx(expected, abs=1e-9)
+
+    def test_zero_demand_and_short_capacity(self):
+        grid = self.grid("a", "b")
+        available = frozenset({"a", "b"})
+        zero = merit_order_flows(DispatchProblem(grid=grid, demand_mw={}, available=available))
+        assert zero.tolist() == [0.0, 0.0]
+        short = DispatchProblem(grid=grid, demand_mw={"d": 250.0}, available=available)
+        assert merit_order_flows(short) is None
+        lone = DispatchProblem(grid=grid, demand_mw={"d": 50.0}, available=frozenset())
+        assert merit_order_flows(lone) is None
 
 
 def assert_flows_match_power_flow(problem, solution):
@@ -591,9 +641,7 @@ def congested_case(rng):
     demand = {b.id: float(rng.integers(5, 60)) for b in grid.demand_buses}
     loose = Grid(buses=grid.buses, branches=grid.branches, generators=gens)
     everything = frozenset(g.id for g in gens)
-    flows = redispatch(
-        DispatchProblem(grid=loose, demand_mw=demand, available=everything), ignore_limits=True
-    ).flows_mw
+    flows = merit_order_flows(DispatchProblem(grid=loose, demand_mw=demand, available=everything))
     if flows is None:
         flows = rng.uniform(10.0, 100.0, len(grid.branches))
     branches = tuple(
@@ -861,9 +909,10 @@ print(sol.status, repr(sol.shed_mw))
 
 
 class TestNoColdDispatchLp:
-    def test_only_calibration_solves_the_balance_row(self, congested_gb_like):
+    def test_no_dispatch_program_starts_cold(self, congested_gb_like):
         # the 16 cells fill the balance-only program in closed form; every
-        # program with limit rows starts warm
+        # program with limit rows starts warm, and the calibration dispatch
+        # is the fill alone
         grid, fixture = congested_gb_like
         calls = []
 
@@ -879,11 +928,11 @@ class TestNoColdDispatchLp:
             for problem, removed in cells:
                 dispatch_with_shedding(problem, removed, context=context)
             sweep = len(calls)
-            redispatch(cells[0][0], context, ignore_limits=True)
+            assert merit_order_flows(cells[0][0]) is not None
+            calibrate_ratings(grid, fixture.profiles["current"])
         assert sweep >= 10
-        assert all(lp.a_ub is not None and start is not None for lp, start in calls[:sweep])
-        [(lp, start)] = calls[sweep:]
-        assert lp.a_ub is None and start is None
+        assert len(calls) == sweep
+        assert all(lp.a_ub is not None and start is not None for lp, start in calls)
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,10 @@ import pytest
 
 import gridshock.dispatch as dispatch_module
 import gridshock.profiles as profiles_module
-from gridshock.dispatch import DispatchProblem, GridContext
+from gridshock.dispatch import DispatchProblem, Fleet, GridContext, Load
 from gridshock.errors import ParseError, Unstable, ValidationError
 from gridshock.failures import (
+    _solar_ids,
     DEFAULT_LOSS_FRACTIONS,
     STATUS_OK,
     STATUS_SHED,
@@ -23,7 +24,9 @@ from gridshock.failures import (
     save_results,
 )
 from gridshock.grid import Branch, Bus, Generator, Grid
+from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import DemandProfile
+from gridshock.synthetic import generate
 
 from helpers import Record, gb_like_congested, records_of, table_of
 from oracles import reference_load_results, reference_save_results, reference_shedding
@@ -462,6 +465,13 @@ class TestCalibrateRatings:
         record = records_of(run_experiment(grid, profiles, config))[0]
         assert record.dispatch_status == STATUS_OK
 
+    def test_calibrated_grid_keeps_the_hop_table(self):
+        grid = self.chain(rating=50.0)
+        table = grid.hop_distance
+        calibrated = calibrate_ratings(grid, self.profile())
+        assert calibrated.branches[0].rating_mw == pytest.approx(120.0)
+        assert calibrated.hop_distance is table
+
     def test_capacity_shortfall_is_unstable(self):
         with pytest.raises(Unstable):
             calibrate_ratings(self.chain(), self.profile(peak=500.0))
@@ -483,6 +493,39 @@ class TestCalibrateRatings:
             calibrate_ratings(
                 Grid(buses=buses, branches=branches, generators=gens[:1]),
                 self.profile(),
+            )
+
+
+def cold_vertex_ratings(grid, profile, headroom):
+    """Ratings from the cold simplex vertex of the balance-only peak
+    dispatch, the program calibration solved before it took the fill."""
+    context = GridContext(grid)
+    fleet = Fleet(context, frozenset(grid.generator_by_id) - _solar_ids(grid))
+    load = Load(context, bus_demand(grid, profile, profile.peak_hour()), 10.0)
+    n = len(fleet.ids)
+    x = lp_solve(
+        LinearProgram(
+            objective=load.costs[fleet.index],
+            a_eq=np.ones((1, n)),
+            b_eq=np.array([load.total]),
+            bounds=np.column_stack([np.zeros(n), fleet.upper]),
+        )
+    ).x
+    flows = fleet.cols @ x + load.base_flow
+    return [max(b.rating_mw, headroom * abs(float(f))) for b, f in zip(grid.branches, flows)]
+
+
+class TestCalibrateFromTheFill:
+    @pytest.mark.parametrize("size, seed", [("gb-like", 7), ("gb-like", 11), ("small", 3)])
+    def test_ratings_equal_the_cold_vertex_ones(self, size, seed):
+        fixture = generate(size, seed)
+        for headroom in (1.2, 1.0):
+            calibrated = calibrate_ratings(
+                fixture.grid, fixture.profiles["current"], headroom=headroom
+            )
+            ratings = [b.rating_mw for b in calibrated.branches]
+            assert ratings == cold_vertex_ratings(
+                fixture.grid, fixture.profiles["current"], headroom
             )
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -241,6 +242,38 @@ class TestHopDistance:
         # computed once per grid and shared read-only
         assert grid.hop_distance is grid.hop_distance
         assert not grid.hop_distance.flags.writeable
+
+
+class TestWithRatings:
+    def test_keeps_every_cached_value(self, toy_grid):
+        cached = [name for name, attr in vars(Grid).items() if isinstance(attr, cached_property)]
+        assert "hop_distance" in cached
+        for name in cached:
+            getattr(toy_grid, name)
+        ratings = [2.0 * br.rating_mw for br in toy_grid.branches]
+        rated = toy_grid.with_ratings(ratings)
+        assert [br.rating_mw for br in rated.branches] == ratings
+        assert [br.rating_mw for br in toy_grid.branches] == [400.0, 250.0, 250.0, 150.0]
+        # carried over, and equal to what the rated grid computes for itself
+        fresh = Grid(buses=rated.buses, branches=rated.branches, generators=rated.generators)
+        for name in cached:
+            carried = getattr(rated, name)
+            assert carried is getattr(toy_grid, name)
+            if isinstance(carried, np.ndarray):
+                assert carried.tobytes() == getattr(fresh, name).tobytes()
+            else:
+                assert carried == getattr(fresh, name)
+
+    def test_grid_without_caches(self, toy_grid):
+        # load_grid builds the hop table; a grid built directly has none yet
+        grid = Grid(buses=toy_grid.buses, branches=toy_grid.branches, generators=toy_grid.generators)
+        rated = grid.with_ratings([1.0] * len(grid.branches))
+        assert "hop_distance" not in vars(rated)
+        assert rated.hop_distance.tolist() == toy_grid.hop_distance.tolist()
+
+    def test_ratings_still_validated(self, toy_grid):
+        with pytest.raises(ValidationError):
+            toy_grid.with_ratings([-1.0] * len(toy_grid.branches))
 
 
 class TestRegions:

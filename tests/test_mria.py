@@ -1,4 +1,5 @@
 import csv
+import multiprocessing
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -521,6 +522,75 @@ class TestStackOnGbLikePrograms:
                 assert ours.iterations == other.iterations
         assert forward[0].iterations == 0
         assert min(result.iterations for result in forward[1:]) > 0
+
+
+def region_shocks(model, fractions):
+    """One region-wide shock per fraction, each on region k % regions."""
+    shocks = np.zeros((len(fractions), len(model.regions), 1))
+    for k, fraction in enumerate(fractions):
+        shocks[k, k % len(model.regions)] = fraction
+    return shocks
+
+
+def assert_same_impacts(ours, theirs):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert a.delta_va.tobytes() == b.delta_va.tobytes()
+        assert a.rationing.tobytes() == b.rationing.tobytes()
+        assert (a.total_cost, a.iterations) == (b.total_cost, b.iterations)
+
+
+class TestImpactPool:
+    """assess_impact solves its programs in one fork pool, in contiguous
+    chunks, one per CPU: the results do not depend on the CPU count."""
+
+    def test_results_do_not_depend_on_cpu_count(self, gb_model, pool_sizes):
+        started, cpus = pool_sizes
+        # region-wide and per-industry shocks, among them two zero ones
+        region_wide = region_shocks(gb_model, [0.0, 0.2, 0.0, 0.6, 1.0])
+        per_industry = np.stack(list(random_deltas(np.random.default_rng(3), gb_model, 8)))
+        shape = per_industry.shape[1:]
+        shocks = np.concatenate([np.broadcast_to(region_wide, (5, *shape)), per_industry])
+        results = []
+        for n in (1, 2, 6):
+            cpus(n)
+            results.append(assess_impact(gb_model, shocks))
+            assert not multiprocessing.active_children()
+        assert started == [1, 2, 6]
+        assert_same_impacts(results[0], results[1])
+        assert_same_impacts(results[0], results[2])
+        assert [r.iterations > 0 for r in results[0]] == [False, True, False] + [True] * 10
+
+    def test_one_program(self, gb_model, pool_sizes):
+        started, cpus = pool_sizes
+        cpus(2)
+        shocks = region_shocks(gb_model, [0.0, 0.5, 0.0])
+        zero, shocked, _ = assess_impact(gb_model, shocks)
+        assert started == [1]
+        alone = lp_solve(assemble_program(gb_model, shocks[1]))
+        assert shocked.iterations == alone.iterations > 0
+        assert shocked.total_cost > 0.0
+        assert zero.total_cost == 0.0 and not zero.delta_va.any()
+
+    def test_no_program_starts_no_pool(self, gb_model, pool_sizes):
+        started, cpus = pool_sizes
+        cpus(2)
+        results = assess_impact(gb_model, region_shocks(gb_model, [0.0] * 4))
+        assert started == []
+        assert [(r.total_cost, r.iterations) for r in results] == [(0.0, 0)] * 4
+        assert not any(r.delta_va.any() or r.rationing.any() for r in results)
+        assert assess_impact(gb_model, np.zeros((0, len(gb_model.regions), 1))) == []
+        assert started == []
+
+    def test_more_cpus_than_programs(self, gb_model, pool_sizes):
+        started, cpus = pool_sizes
+        shocks = region_shocks(gb_model, [0.3, 0.0, 0.7, 1.0])
+        cpus(6)
+        spread = assess_impact(gb_model, shocks)
+        cpus(1)
+        assert_same_impacts(spread, assess_impact(gb_model, shocks))
+        assert started == [3, 1]
+        assert not multiprocessing.active_children()
 
 
 class TestImpactResult:

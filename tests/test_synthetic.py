@@ -1,8 +1,6 @@
 import csv
 import hashlib
 import multiprocessing
-import multiprocessing.context
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -254,24 +252,6 @@ class TestWholeFiles:
         assert target.read_bytes() == b"previous bytes\n"
         assert not list(tmp_path.rglob("*.tmp"))
         assert not multiprocessing.active_children()
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The `processes` of every pool started, with `cpus(n)` setting the
-    number of CPUs available to the process."""
-    started = []
-    real_pool = multiprocessing.context.BaseContext.Pool
-
-    def spy(self, processes=None, *args, **kwargs):
-        started.append(processes)
-        return real_pool(self, processes, *args, **kwargs)
-
-    def cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy)
-    return started, cpus
 
 
 def file_digests(root):
