@@ -4,16 +4,16 @@ A profile holds one year (or a selected subset) of hourly MW demand per
 region. The synthetic generator layers a winter-peaking seasonal sinusoid
 and a double-peaked diurnal shape over each region's annual mean, with a
 little seeded noise, then rescales so annual energy is preserved. The
-scenario transforms derive the efficiency, heat-pump, combined, and flat
-variants from a current-day profile.
+scenario transforms derive the efficiency, heat-pump and flat variants
+from a current-day profile.
 
-On disk a profile is csv rows `region,hour,demand_mw` (`heat_mw` for the
-thermal series) with unquoted fields and CRLF line ends. `load_profile`
-parses them with numpy's C reader, a chunk of rows at a time, into arrays,
-and reads a file line by line with `int()` and `float()` only where that
+On disk a profile is csv rows `region,hour,demand_mw` under that exact
+header, with unquoted fields and CRLF line ends. `load_profile` parses
+them with numpy's C reader, a chunk of rows at a time, into arrays, and
+reads a file line by line with `int()` and `float()` only where that
 reader refuses a row; `save_profile` writes them region by region, one
-joined string per region, refuses a value column or region id that csv
-would have to quote, and makes the file appear whole or not at all.
+joined string per region, refuses a region id that csv would have to
+quote, and makes the file appear whole or not at all.
 `read_fields` is the chunked splitter `failures.load_results` reads the
 sweep's results with.
 
@@ -59,10 +59,9 @@ __all__ = [
     "save_profile",
     "save_studied_demand",
     "load_studied_demand",
-    "save_end_use_shares",
 ]
 
-SCENARIO_KINDS = ("current", "efficiency", "heat_pump", "heat_pump_efficiency", "flat")
+SCENARIO_KINDS = ("current", "efficiency", "heat_pump", "flat")
 
 HOURS_PER_YEAR = 8760
 
@@ -95,6 +94,7 @@ _INT64 = np.iinfo(np.int64)
 # write unquoted fields, so they refuse an id holding any of them.
 _QUOTED_CHARS = ',"\r\n'
 
+_PROFILE_HEADER = "region,hour,demand_mw"
 _DEMAND_HEADER = ("scenario", "kind", "region", "hour", "demand_mw")
 _DEMAND_KINDS = ("district", "national", "peak")
 
@@ -311,8 +311,8 @@ def apply_flat(profile: DemandProfile) -> DemandProfile:
     return replace(profile, scenario="flat", demand_mw=flat)
 
 
-def load_profile(path, scenario: str | None = None, value_column: str | None = None) -> DemandProfile:
-    """Read `region,hour,demand_mw` rows (or `heat_mw` for thermal series).
+def load_profile(path, scenario: str | None = None) -> DemandProfile:
+    """Read `region,hour,demand_mw` rows; any other header is a ParseError.
 
     numpy's C reader (`np.loadtxt`) parses the rows `_CHUNK_ROWS` at a time
     into region, hour and value columns, and each run of equal region ids
@@ -331,7 +331,7 @@ def load_profile(path, scenario: str | None = None, value_column: str | None = N
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as handle:
-        _check_header(handle.readline(), value_column)
+        _check_header(handle.readline())
         try:
             columns = _read_chunks(handle)
         except UnicodeDecodeError:
@@ -395,18 +395,13 @@ def _read_chunks(handle) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]
     return list(codes), *columns
 
 
-def _check_header(line: str, value_column: str | None) -> None:
-    """Check the header line against `region,hour,<value_column>`, where a
-    missing value column is read from a 3-field header."""
+def _check_header(line: str) -> None:
+    """Refuse a header line other than `region,hour,demand_mw`."""
     if not line:
         raise ParseError("empty profile file", 1)
-    header = [h.strip() for h in line.split(",")]
-    if value_column is None:
-        value_column = header[2] if len(header) == 3 else "demand_mw"
-    if header != ["region", "hour", value_column]:
-        raise ParseError(
-            f"expected header region,hour,{value_column}, got {','.join(header)}", 1
-        )
+    header = ",".join(h.strip() for h in line.split(","))
+    if header != _PROFILE_HEADER:
+        raise ParseError(f"expected header {_PROFILE_HEADER}, got {header}", 1)
 
 
 def read_fields(
@@ -510,27 +505,25 @@ def _check_repeats(path: Path, names: list[str], code: array, hours: array) -> N
         raise ParseError(f"duplicate hour {hours[k]} for region {names[code[k]]}", lineno)
 
 
-def save_profile(profile: DemandProfile, path, value_column: str = "demand_mw") -> None:
-    """Write the profile as rows `region,hour,<value_column>`, region by region.
+def save_profile(profile: DemandProfile, path) -> None:
+    """Write the profile as rows `region,hour,demand_mw`, region by region.
 
     Fields are unquoted and every line ends in CRLF, so the bytes are those
     `csv.writer` writes; each region's rows go out as one joined string. A
-    value column or region id that csv would quote is rejected, because
-    `load_profile` reads unquoted fields only. The file appears whole or
-    not at all.
+    region id that csv would quote is rejected, because `load_profile`
+    reads unquoted fields only. The file appears whole or not at all.
     """
-    check_profile_fields(profile, value_column)
+    check_profile_fields(profile)
     hour_fields = [f",{hour}," for hour in profile.hours.tolist()]
     with atomic_open(path) as handle:
-        handle.write(f"region,hour,{value_column}\r\n")
+        handle.write(f"{_PROFILE_HEADER}\r\n")
         for region, row in zip(profile.regions, profile.demand_mw):
             fields = zip(repeat(region), hour_fields, map(repr, row.tolist()), repeat("\r\n"))
             handle.write("".join(chain.from_iterable(fields)))
 
 
-def check_profile_fields(profile: DemandProfile, value_column: str) -> None:
-    """Refuse a value column or region id that `save_profile` cannot write unquoted."""
-    check_unquoted(value_column, "value column")
+def check_profile_fields(profile: DemandProfile) -> None:
+    """Refuse a region id that `save_profile` cannot write unquoted."""
     for region in profile.regions:
         check_unquoted(region, "region id")
 
@@ -611,11 +604,3 @@ def load_studied_demand(path) -> dict[str, StudiedDemand]:
             ) from None
     return demands
 
-
-def save_end_use_shares(shares: Mapping[str, Mapping[str, float]], path) -> None:
-    with atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["region", "end_use", "share"])
-        for region in sorted(shares):
-            for use in sorted(shares[region]):
-                writer.writerow([region, use, repr(float(shares[region][use]))])

@@ -10,9 +10,10 @@ heat-pump scenario peaks near 57.7 GW.
 Every random draw comes from `numpy.random.default_rng([seed, stream])`
 with a fixed stream id per purpose, so a fixture is a pure function of
 its seed: writing one twice produces byte-identical files, whatever the
-number of CPUs. `write_fixture` writes the profile files through
-`forkpool.fork_map`, one task per file, and each file's bytes come from one
-`save_profile` call.
+number of CPUs. `Fixture.profiles` holds the four scenarios the paper
+studies, in `run.cfg` order, and alone decides which profile files
+`write_fixture` writes (through `forkpool.fork_map`, one `save_profile`
+task per file) and which `profile.` keys and studied hours `run.cfg` names.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .profiles import (
     apply_flat,
     apply_heat_pump,
     check_profile_fields,
-    save_end_use_shares,
     save_profile,
     synthesize_current,
 )
@@ -98,8 +98,6 @@ class Fixture:
     grid: Grid
     regions: RegionTable
     profiles: dict[str, DemandProfile]
-    heat: DemandProfile
-    end_use_shares: dict[str, dict[str, float]]
     economy: SupplyUseModel
     config_text: str
 
@@ -110,54 +108,43 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
 
 def _scenario_profiles(
     regions: RegionTable, seed: int, current: DemandProfile
-) -> tuple[dict[str, DemandProfile], DemandProfile, dict[str, dict[str, float]]]:
-    """Derive the four alternative profiles and the heat series."""
+) -> dict[str, DemandProfile]:
+    """The current profile and the three derived from it, by scenario; the
+    heat series and end-use shares they are derived from are not kept."""
     shares = {region.id: dict(END_USE_SHARES) for region in regions.regions}
     eff_spec = ScenarioSpec(kind="efficiency", efficiency_factors=EFFICIENCY_FACTORS)
-    both_spec = ScenarioSpec(
-        kind="heat_pump_efficiency", efficiency_factors=EFFICIENCY_FACTORS
-    )
     hp_spec = ScenarioSpec(kind="heat_pump")
 
     efficiency = apply_efficiency(current, eff_spec, shares)
     flat = apply_flat(current)
 
-    heat_base = replace(
-        synthesize_current(
-            regions, seed, seasonal_amplitude=HEAT_SEASONAL_AMPLITUDE
-        ),
-        scenario="heat",
-    )
-    # scale the thermal series until the combined peak hits the target
+    heat_base = synthesize_current(regions, seed, seasonal_amplitude=HEAT_SEASONAL_AMPLITUDE)
+    # scale the thermal series until the heat-pump peak hits the target
     uplift = hp_spec.hp_penetration / hp_spec.hp_cop
     current_national = current.national()
     heat_national = heat_base.national()
     target = current_national.max() * HEAT_PUMP_PEAK_RATIO
 
-    def combined_peak(scale: float) -> float:
+    def heat_pump_peak(scale: float) -> float:
         return float((current_national + uplift * scale * heat_national).max())
 
     lo, hi = 0.0, 1.0
-    while combined_peak(hi) < target:
+    while heat_pump_peak(hi) < target:
         hi *= 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if combined_peak(mid) < target:
+        if heat_pump_peak(mid) < target:
             lo = mid
         else:
             hi = mid
     heat = replace(heat_base, demand_mw=heat_base.demand_mw * hi)
 
-    heat_pump = apply_heat_pump(current, hp_spec, heat)
-    combined = apply_heat_pump(apply_efficiency(current, both_spec, shares), both_spec, heat)
-    profiles = {
+    return {
         "current": current,
-        "heat_pump": heat_pump,
+        "heat_pump": apply_heat_pump(current, hp_spec, heat),
         "efficiency": efficiency,
-        "heat_pump_efficiency": combined,
         "flat": flat,
     }
-    return profiles, heat, shares
 
 
 def _calibrated_regions(
@@ -213,6 +200,11 @@ def _economy(
     )
 
 
+def _profile_file(scenario: str) -> str:
+    """Where a fixture keeps a scenario's profile, relative to its run.cfg."""
+    return f"profiles/{scenario}.csv"
+
+
 def _config_text(
     name: str,
     seed: int,
@@ -221,19 +213,14 @@ def _config_text(
     loss_fractions: str,
     analyze_fraction: float,
 ) -> str:
-    hours = ", ".join(
-        f"{s}:{profiles[s].peak_hour()}"
-        for s in ("current", "heat_pump", "efficiency", "flat")
-    )
+    paths = "".join(f"profile.{s} = {_profile_file(s)}\n" for s in profiles)
+    hours = ", ".join(f"{s}:{profile.peak_hour()}" for s, profile in profiles.items())
     return (
         f"# generated {name} fixture configuration\n"
         "grid = grid.csv\n"
         "regions = regions.csv\n"
         "supply_use_dir = economy\n"
-        "profile.current = profiles/current.csv\n"
-        "profile.heat_pump = profiles/heat_pump.csv\n"
-        "profile.efficiency = profiles/efficiency.csv\n"
-        "profile.flat = profiles/flat.csv\n"
+        f"{paths}"
         f"hours = {hours}\n"
         f"n_orderings = {n_orderings}\n"
         f"loss_fractions = {loss_fractions}\n"
@@ -258,7 +245,7 @@ def generate_small(seed: int = 0) -> Fixture:
     ]
     regions = _calibrated_regions(draft, seed, 350.0)
     current = synthesize_current(regions, seed)
-    profiles, heat, shares = _scenario_profiles(regions, seed, current)
+    profiles = _scenario_profiles(regions, seed, current)
 
     peak_bus = profiles["heat_pump"].demand_mw.max(axis=1)
     buses = (
@@ -286,7 +273,7 @@ def generate_small(seed: int = 0) -> Fixture:
     config = _config_text(
         "small", seed, profiles, n_orderings=5, loss_fractions="0.0, 0.5", analyze_fraction=0.5
     )
-    return Fixture("small", grid, regions, profiles, heat, shares, economy, config)
+    return Fixture("small", grid, regions, profiles, economy, config)
 
 
 def generate_gb_like(seed: int = 0) -> Fixture:
@@ -315,7 +302,7 @@ def generate_gb_like(seed: int = 0) -> Fixture:
         )
     regions = _calibrated_regions(draft, seed, CURRENT_PEAK_MW)
     current = synthesize_current(regions, seed)
-    profiles, heat, shares = _scenario_profiles(regions, seed, current)
+    profiles = _scenario_profiles(regions, seed, current)
     heat_pump = profiles["heat_pump"]
 
     buses: list[Bus] = []
@@ -418,7 +405,7 @@ def generate_gb_like(seed: int = 0) -> Fixture:
     config = _config_text(
         "gb-like", seed, profiles, n_orderings=50, loss_fractions=fractions, analyze_fraction=0.4
     )
-    return Fixture("gb-like", grid, regions, profiles, heat, shares, economy, config)
+    return Fixture("gb-like", grid, regions, profiles, economy, config)
 
 
 def generate(size: str, seed: int = 0) -> Fixture:
@@ -434,19 +421,17 @@ def generate(size: str, seed: int = 0) -> Fixture:
 def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
     """Write every fixture file under out_dir; returns the paths written.
 
-    The profile files are written by `fork_map`, one task per file, in as
-    many processes as there are files or CPUs, whichever is fewer; a
-    file's bytes do not depend on that count. Every value column and region
-    id is checked before any file is written or any process started.
+    Those are the files the stages read: the grid, the regions, one profile
+    per scenario in `fixture.profiles`, the five economy tables and
+    `run.cfg`. The four profile files are written by `fork_map`, one task
+    per file, in as many processes as there are files or CPUs, whichever is
+    fewer; a file's bytes do not depend on that count. Every region id is
+    checked before any file is written or any process started.
     """
     out = Path(out_dir)
-    jobs = [
-        (profile, out / "profiles" / f"{name}.csv", "demand_mw")
-        for name, profile in fixture.profiles.items()
-    ]
-    jobs.append((fixture.heat, out / "profiles" / "heat.csv", "heat_mw"))
-    for profile, _, value_column in jobs:
-        check_profile_fields(profile, value_column)
+    jobs = [(profile, out / _profile_file(name)) for name, profile in fixture.profiles.items()]
+    for profile, _ in jobs:
+        check_profile_fields(profile)
     (out / "profiles").mkdir(parents=True, exist_ok=True)
     (out / "economy").mkdir(exist_ok=True)
 
@@ -456,9 +441,7 @@ def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
     # the children inherit the jobs through fork and return nothing, so no
     # profile data is pickled and the parent formats no profile text
     fork_map(lambda job: save_profile(*job), jobs, available_cpus())
-    written.extend(path for _, path, _ in jobs)
-    save_end_use_shares(fixture.end_use_shares, out / "end_use_shares.csv")
-    written.append(out / "end_use_shares.csv")
+    written.extend(path for _, path in jobs)
     save_supply_use(fixture.economy, out / "economy")
     written.extend(sorted((out / "economy").glob("*.csv")))
     with atomic_open(out / "run.cfg") as handle:

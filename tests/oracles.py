@@ -306,7 +306,7 @@ def random_unbounded_lp(rng, max_vars=5):
     return c, a_eq, b_eq, a_ub, b_ub, lo, hi
 
 
-def reference_load_profile(path, scenario=None, value_column=None):
+def reference_load_profile(path, scenario=None):
     """Row-by-row `csv.reader` parse of a profile file into a dict of dicts.
 
     The profile reader before it became chunked and columnar; kept as the
@@ -326,11 +326,9 @@ def reference_load_profile(path, scenario=None, value_column=None):
         if header is None:
             raise ParseError("empty profile file", 1)
         header = [h.strip() for h in header]
-        if value_column is None:
-            value_column = header[2] if len(header) == 3 else "demand_mw"
-        if header != ["region", "hour", value_column]:
+        if header != ["region", "hour", "demand_mw"]:
             raise ParseError(
-                f"expected header region,hour,{value_column}, got {','.join(header)}", 1
+                f"expected header region,hour,demand_mw, got {','.join(header)}", 1
             )
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -364,7 +362,7 @@ def reference_load_profile(path, scenario=None, value_column=None):
     )
 
 
-def reference_split_load_profile(path, scenario=None, value_column=None):
+def reference_split_load_profile(path, scenario=None):
     """The str-split profile reader that `np.loadtxt` replaced, for valid
     files only: `read_fields` chunks, `int()`/`float()` per field, a dict
     code per region, and the region x hour matrix from a stable sort.
@@ -381,7 +379,7 @@ def reference_split_load_profile(path, scenario=None, value_column=None):
     codes = {}
     code, hours, values = [], [], []
     with open(path, encoding="utf-8", newline="") as handle:
-        _check_header(handle.readline(), value_column)
+        _check_header(handle.readline())
         for n, fields in read_fields(handle, 3, lambda: ParseError("malformed data row")):
             hours.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
             values.append(np.fromiter(map(float, fields[2::3]), float, n))
@@ -400,7 +398,7 @@ def reference_split_load_profile(path, scenario=None, value_column=None):
     )
 
 
-def reference_save_profile(profile, path, value_column="demand_mw"):
+def reference_save_profile(profile, path):
     """Write a profile with one `csv.writer` row per hour.
 
     The profile writer before it joined each region's rows into one string;
@@ -412,7 +410,7 @@ def reference_save_profile(profile, path, value_column="demand_mw"):
     hours = profile.hours.tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["region", "hour", value_column])
+        writer.writerow(["region", "hour", "demand_mw"])
         for region, row in zip(profile.regions, profile.demand_mw):
             writer.writerows(zip(repeat(region), hours, map(repr, row.tolist())))
 

@@ -215,9 +215,9 @@ class TestPipeline:
     def test_gen_synthetic_writes_fixture(self, tmp_path, capsys):
         out = tmp_path / "fresh"
         assert main(["gen-synthetic", "--size", "small", "--seed", "1", "--out", str(out)]) == 0
-        assert sum(1 for p in out.rglob("*") if p.is_file()) == 15
+        assert sum(1 for p in out.rglob("*") if p.is_file()) == 12
         stdout = capsys.readouterr().out
-        assert "wrote 15 files" in stdout
+        assert "wrote 12 files" in stdout
         assert "current national peak" in stdout
 
     def test_gen_synthetic_rejects_unknown_size(self, tmp_path):
@@ -420,6 +420,15 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "line 3: hour 99999999999999999999 does not fit a 64-bit integer" in err
+
+    def test_profile_with_another_value_column_exits_1(self, run_copy, capsys):
+        path = run_copy / "profiles" / "current.csv"
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"region,hour,demand_mw", b"region,hour,heat_mw", 1))
+        assert main(["simulate", "--config", str(run_copy / "run.cfg")]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: expected header region,hour,demand_mw, got region,hour,heat_mw\n"
+        )
 
     def test_demand_edited_after_simulate_refused(self, run_copy, capsys):
         path = run_copy / "out" / "demand.csv"

@@ -23,7 +23,6 @@ from gridshock.profiles import (
     apply_heat_pump,
     load_profile,
     load_studied_demand,
-    save_end_use_shares,
     save_profile,
     save_studied_demand,
     synthesize_current,
@@ -287,19 +286,11 @@ class TestScenarioOrdering:
             for r in regions.regions
         }
         eff_spec = ScenarioSpec(kind="efficiency", efficiency_factors=factors)
-        combo_spec = ScenarioSpec(
-            kind="heat_pump_efficiency", efficiency_factors=factors
-        )
         hp = apply_heat_pump(current, ScenarioSpec(kind="heat_pump"), heat)
         eff = apply_efficiency(current, eff_spec, shares)
-        combo = apply_heat_pump(apply_efficiency(current, combo_spec, shares), combo_spec, heat)
         flat = apply_flat(current)
-        peaks = {
-            p.scenario: p.national().max() for p in (current, hp, eff, combo, flat)
-        }
-        assert peaks["heat_pump"] > peaks["current"]
-        assert peaks["current"] >= peaks["heat_pump_efficiency"]
-        assert peaks["heat_pump_efficiency"] > peaks["efficiency"]
+        peaks = {p.scenario: p.national().max() for p in (current, hp, eff, flat)}
+        assert peaks["heat_pump"] > peaks["current"] > peaks["efficiency"]
         assert peaks["flat"] < peaks["current"]
 
 
@@ -323,14 +314,6 @@ class TestProfileIO:
         assert np.array_equal(loaded.hours, profile.hours)
         assert np.array_equal(loaded.demand_mw, profile.demand_mw)
 
-    def test_heat_column_round_trip(self, tmp_path):
-        profile = small_profile([[3.5]], regions=("a",), scenario="heat")
-        path = tmp_path / "heat.csv"
-        save_profile(profile, path, value_column="heat_mw")
-        loaded = load_profile(path)
-        assert loaded.scenario == "heat"
-        assert loaded.demand_mw[0, 0] == 3.5
-
     def test_scenario_defaults_to_stem(self, tmp_path):
         path = tmp_path / "efficiency.csv"
         save_profile(small_profile([[1.0]], regions=("a",)), path)
@@ -341,6 +324,18 @@ class TestProfileIO:
         path.write_text("region,demand_mw\n")
         with pytest.raises(ParseError, match="header"):
             load_profile(path)
+
+    @pytest.mark.parametrize("column", ["heat_mw", "foo", "Demand_MW", ""])
+    def test_other_value_column_refused(self, tmp_path, column):
+        # three fields are not enough: demand_mw is the only value column
+        path = tmp_path / "current.csv"
+        path.write_text(f"region,hour,{column}\na,0,1.0\n")
+        with pytest.raises(ParseError) as error:
+            load_profile(path)
+        assert error.value.line == 1
+        assert str(error.value) == (
+            f"line 1: expected header region,hour,demand_mw, got region,hour,{column}"
+        )
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "demand.csv"
@@ -359,17 +354,6 @@ class TestProfileIO:
         path.write_text("region,hour,demand_mw\na,0,1.0\nb,0,1.0\nb,1,2.0\n")
         with pytest.raises(MisalignedHours):
             load_profile(path)
-
-    def test_shares_round_trip(self, tmp_path):
-        shares = {"a": {"heating": 0.25, "other": 0.75}, "b": {"heating": 1.0}}
-        path = tmp_path / "shares.csv"
-        save_end_use_shares(shares, path)
-        assert path.read_text().splitlines() == [
-            "region,end_use,share",
-            "a,heating,0.25",
-            "a,other,0.75",
-            "b,heating,1.0",
-        ]
 
 
 def random_profile_text(rng, column):
@@ -430,6 +414,15 @@ class TestChunkedReader:
         column = "heat_mw" if rng.random() < 0.3 else "demand_mw"
         path = tmp_path / "demand.csv"
         path.write_bytes(random_profile_text(rng, column).encode("utf-8"))
+        if column != "demand_mw":
+            # a file of well-formed rows under another value column is refused
+            with pytest.raises(ParseError) as mine:
+                load_profile(path)
+            with pytest.raises(ParseError) as reference:
+                reference_load_profile(path)
+            assert mine.value.line == reference.value.line == 1
+            assert str(mine.value) == str(reference.value)
+            return
         mine = load_profile(path)
         reference = reference_load_profile(path)
         assert mine.scenario == reference.scenario == "demand"
@@ -584,13 +577,6 @@ class TestChunkedReader:
             save_profile(small_profile([[1.0], [2.0]], regions=("a", region)), path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("column", ["heat,mw", 'heat"mw', "heat\nmw", "heat\rmw"])
-    def test_save_rejects_value_column_needing_quotes(self, tmp_path, column):
-        path = tmp_path / "demand.csv"
-        with pytest.raises(ValidationError, match="value column"):
-            save_profile(small_profile([[1.0]], regions=("a",)), path, value_column=column)
-        assert not path.exists()
-
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "demand.csv"
         save_profile(small_profile([[1.0, 2.0], [3.0, 4.0]]), path)
@@ -610,7 +596,6 @@ def write_profiles(fixture, directory):
     directory.mkdir(parents=True, exist_ok=True)
     for name, profile in fixture.profiles.items():
         save_profile(profile, directory / f"{name}.csv")
-    save_profile(fixture.heat, directory / "heat.csv", value_column="heat_mw")
     return sorted(directory.iterdir())
 
 
@@ -645,7 +630,7 @@ class TestLoadtxtReader:
     @pytest.mark.parametrize("generate, seed", [(generate_small, 3), (generate_small, 7)])
     def test_small_fixture_profiles_match_references(self, tmp_path, exact_scans, generate, seed):
         paths = write_profiles(generate(seed), tmp_path / "profiles")
-        assert len(paths) == 6
+        assert len(paths) == 4
         for path in paths:
             mine = load_profile(path)
             assert_same_profile(mine, reference_load_profile(path))
@@ -653,7 +638,7 @@ class TestLoadtxtReader:
         assert not exact_scans
 
     def test_gb_like_profiles_match_references(self, gb_like_profiles, exact_scans):
-        assert len(gb_like_profiles) == 6
+        assert len(gb_like_profiles) == 4
         for path in gb_like_profiles:
             mine = load_profile(path)
             assert mine.demand_mw.shape == (44, HOURS_PER_YEAR)
@@ -788,10 +773,10 @@ def random_profile(rng, n_hours):
     return DemandProfile("current", tuple(regions), hours, values)
 
 
-def assert_same_bytes_as_reference(tmp_path, profile, value_column="demand_mw"):
+def assert_same_bytes_as_reference(tmp_path, profile):
     mine, reference = tmp_path / "mine.csv", tmp_path / "reference.csv"
-    save_profile(profile, mine, value_column=value_column)
-    reference_save_profile(profile, reference, value_column=value_column)
+    save_profile(profile, mine)
+    reference_save_profile(profile, reference)
     assert mine.read_bytes() == reference.read_bytes()
 
 
@@ -800,9 +785,7 @@ class TestProfileWriterAgainstReference:
     def test_random_profiles(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
         n_hours = (0, 1, int(rng.integers(2, 200)), HOURS_PER_YEAR)[seed % 4]
-        profile = random_profile(rng, n_hours)
-        column = ("demand_mw", "heat_mw")[seed // 4 % 2]
-        assert_same_bytes_as_reference(tmp_path, profile, column)
+        assert_same_bytes_as_reference(tmp_path, random_profile(rng, n_hours))
 
     def test_special_values_are_written(self, tmp_path):
         values = np.array([SPECIAL_VALUES])
@@ -815,19 +798,18 @@ class TestProfileWriterAgainstReference:
 
     def test_no_regions(self, tmp_path):
         profile = DemandProfile("current", (), np.arange(3), np.empty((0, 3)))
-        assert_same_bytes_as_reference(tmp_path, profile, "heat_mw")
-        assert (tmp_path / "mine.csv").read_bytes() == b"region,hour,heat_mw\r\n"
+        assert_same_bytes_as_reference(tmp_path, profile)
+        assert (tmp_path / "mine.csv").read_bytes() == b"region,hour,demand_mw\r\n"
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_small_fixture_profiles(self, tmp_path, seed):
         fixture = generate_small(seed)
         write_fixture(fixture, tmp_path / "fx")
-        expected = [(name, p, "demand_mw") for name, p in fixture.profiles.items()]
-        for name, profile, column in expected + [("heat", fixture.heat, "heat_mw")]:
-            reference_save_profile(profile, tmp_path / "reference.csv", value_column=column)
+        for name, profile in fixture.profiles.items():
+            reference_save_profile(profile, tmp_path / "reference.csv")
             written = tmp_path / "fx" / "profiles" / f"{name}.csv"
             assert written.read_bytes() == (tmp_path / "reference.csv").read_bytes()
-        assert len(list((tmp_path / "fx" / "profiles").iterdir())) == len(expected) + 1
+        assert len(list((tmp_path / "fx" / "profiles").iterdir())) == len(fixture.profiles)
 
     def test_gb_like_current_profile(self, tmp_path):
         assert_same_bytes_as_reference(tmp_path, generate_gb_like(7).profiles["current"])

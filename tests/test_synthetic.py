@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import multiprocessing
 from dataclasses import replace
@@ -8,15 +7,17 @@ import numpy as np
 import pytest
 
 import gridshock.atomic as atomic_module
+import gridshock.cli as cli_module
 from gridshock.errors import ValidationError
 from gridshock.grid import load_grid, load_regions
 from gridshock.mria import load_supply_use, solve_baseline
 from gridshock.profiles import DemandProfile, load_profile, synthesize_current
+from gridshock.runconfig import load_run_config
 from gridshock.synthetic import generate, generate_gb_like, generate_small, write_fixture
 
 from helpers import total_capacity
 
-PROFILE_NAMES = ("current", "heat_pump", "efficiency", "heat_pump_efficiency", "flat")
+PROFILE_NAMES = ("current", "heat_pump", "efficiency", "flat")
 
 
 @pytest.fixture(scope="module")
@@ -54,17 +55,7 @@ class TestSmall:
             profile = load_profile(tmp_path / "profiles" / f"{name}.csv")
             assert profile.scenario == name
             assert np.array_equal(profile.demand_mw, small.profiles[name].demand_mw)
-        heat = load_profile(tmp_path / "profiles" / "heat.csv")
-        assert np.array_equal(heat.demand_mw, small.heat.demand_mw)
-        # end_use_shares.csv records the shares behind efficiency.csv; no stage reads it
-        with open(tmp_path / "end_use_shares.csv", newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["region", "end_use", "share"]
-        assert rows[1:] == [
-            [region, use, repr(share)]
-            for region, shares in sorted(small.end_use_shares.items())
-            for use, share in sorted(shares.items())
-        ]
+        assert tuple(small.profiles) == PROFILE_NAMES
         model = load_supply_use(tmp_path / "economy")
         assert model.regions == ("z1", "z2")
         assert np.allclose(model.supply, small.economy.supply)
@@ -110,7 +101,6 @@ class TestGbLike:
         assert peaks["heat_pump"] / peaks["current"] == pytest.approx(57.7 / 52.1, rel=1e-9)
         assert peaks["efficiency"] == pytest.approx(0.876 * peaks["current"], rel=1e-12)
         assert peaks["flat"] < peaks["efficiency"] < peaks["current"] < peaks["heat_pump"]
-        assert peaks["heat_pump_efficiency"] < peaks["heat_pump"]
 
     def test_north_supply_south_demand(self, gb):
         # wind sits on the four northern backbone nodes, most demand south
@@ -221,7 +211,6 @@ class _HalfWrite:
 FIXTURE_FILES = (
     "grid.csv",
     "regions.csv",
-    "end_use_shares.csv",
     "run.cfg",
     "economy/supply.csv",
     "economy/use.csv",
@@ -229,7 +218,7 @@ FIXTURE_FILES = (
     "economy/value_added.csv",
     "economy/trade.csv",
     "profiles/current.csv",
-    "profiles/heat.csv",
+    "profiles/flat.csv",
 )
 
 
@@ -269,24 +258,34 @@ class TestProfilePool:
             write_fixture(fixture, tmp_path / f"cpus{n}")
             digests.append(file_digests(tmp_path / f"cpus{n}"))
             assert not multiprocessing.active_children()
-        assert started == [1, 2, 6]
-        assert len(digests[0]) == 15
+        assert started == [1, 2, 4]
+        assert len(digests[0]) == 12
         assert digests[0] == digests[1] == digests[2]
 
-    @pytest.mark.parametrize("bad", ["flat", "heat"])
+    @pytest.mark.parametrize("bad", ["current", "flat"])
     def test_unquotable_region_refused_before_any_process(self, small, tmp_path, pool_sizes, bad):
         started, _ = pool_sizes
-        profile = small.heat if bad == "heat" else small.profiles[bad]
+        profile = small.profiles[bad]
         renamed = DemandProfile(
             profile.scenario, ("r,1",) + profile.regions[1:], profile.hours, profile.demand_mw
         )
-        if bad == "heat":
-            fixture = replace(small, heat=renamed)
-        else:
-            fixture = replace(small, profiles={**small.profiles, bad: renamed})
+        fixture = replace(small, profiles={**small.profiles, bad: renamed})
         with pytest.raises(ValidationError, match="region id 'r,1' needs csv quoting"):
             write_fixture(fixture, tmp_path)
         assert started == []
         assert not list(tmp_path.rglob("*.csv"))
         assert not list(tmp_path.rglob("*.tmp"))
         assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("size, seed", [("small", 3), ("gb-like", 7)])
+def test_fixture_writes_only_what_stages_read(tmp_path, size, seed):
+    # run.cfg, and the inputs simulate and impact hash: grid, regions, the
+    # profile.* files and the five economy tables
+    written = write_fixture(generate(size, seed), tmp_path / "fx")
+    config_path = tmp_path / "fx" / "run.cfg"
+    config = load_run_config(config_path)
+    hashed = cli_module._hashed_files(config, config_path) + cli_module._priced_files(config)
+    read = {path.resolve() for _, path in hashed if config.out_dir not in path.resolve().parents}
+    assert len(written) == len(set(written)) == 12
+    assert {path.resolve() for path in written} == read
