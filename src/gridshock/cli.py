@@ -251,9 +251,10 @@ def cmd_impact(args) -> int:
     with atomic_open(config.out_dir / "impact_provenance.txt") as handle:
         handle.write("\n".join(_hash_lines(priced)) + "\n")
     iterations = sum(impact.iterations for impact in impacts)
+    replayed = sum(impact.replayed for impact in impacts)
     print(
         f"priced {len(table)} records ({len(impacts)} distinct programs; "
-        f"{iterations} simplex iterations)"
+        f"{iterations} simplex iterations, {replayed} from the baseline's path)"
     )
     return 0
 

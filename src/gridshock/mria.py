@@ -8,15 +8,17 @@ demand is rationed at a heavy penalty. The change in value added per
 region-industry prices the shock, and trade lets unaffected regions
 substitute lost production (which can make their impact positive).
 
-The program is built once per model and cached on it; a shock changes
-only the upper bounds on the industry outputs. `assess_impact` solves the
-programs of all its shocks cold in stacks (`lp_solve_stack`), so the
-per-pivot numpy calls are made once per pass for every shock of a stack
-together. The stacks are contiguous chunks of the shocks, one per CPU,
-each solved in its own forked process (`forkpool.fork_map`). The vertex
-each shock returns is the one its own cold solve returns, bit for bit, so
-it cannot depend on which other shocks share its stack, on their order or
-on the CPU count.
+The program is built once per model and cached on it, with the pivot
+path of its unshocked cold solve; a shock changes only the upper bounds on
+the industry outputs. `assess_impact` solves the programs of all its
+shocks in stacks (`lp_solve_stack`), so the per-pivot numpy calls are made
+once per pass for every shock of a stack together, and each shock starts
+at the first pass of the unshocked path that its caps could change. The
+stacks are contiguous chunks of the shocks, one per CPU, each solved in
+its own forked process (`forkpool.fork_map`), which inherits the path. The
+vertex each shock returns is the one its own cold solve returns, bit for
+bit, so it cannot depend on which other shocks share its stack, on their
+order or on the CPU count.
 
 A shock is a dense array of loss fractions on the model's axes, and every
 shock is priced as a one-hour event. `shock_from_unserved` turns the
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -195,8 +197,8 @@ class SupplyUseModel:
 
     @cached_property
     def baseline_solution(self) -> LpSolution:
-        """The unshocked program solved cold."""
-        return lp_solve(self.program)
+        """The unshocked program solved cold, with its recorded pivot path."""
+        return lp_solve(self.program, record=True)
 
 
 @dataclass(frozen=True)
@@ -240,8 +242,10 @@ class ImpactResult:
     delta_va: np.ndarray
     rationing: np.ndarray
     total_cost: float
-    # simplex iterations of the shock's cold solve
+    # simplex iterations of the shock's cold solve, and those of them taken
+    # from the unshocked program's recorded pivot path
     iterations: int = field(default=0, compare=False)
+    replayed: int = field(default=0, compare=False)
 
     def __post_init__(self):
         implied = -np.minimum(0.0, self.delta_va).sum()
@@ -339,11 +343,12 @@ def assess_impact(model: SupplyUseModel, deltas: np.ndarray) -> list[ImpactResul
     explained by its region's supply drop, so losses are never double
     counted. An all-zero shock is an identity and skips the program
     entirely (a cold solve of it could drift from the baseline by up to
-    BASELINE_RTOL). The programs of all other shocks are solved cold, in
-    as many contiguous chunks as there are programs or CPUs, whichever is
-    fewer: `fork_map` solves each chunk as one stack in its own process.
-    Each shock's result is the one it would get alone, so it does not
-    depend on the chunking or the CPU count.
+    BASELINE_RTOL). The programs of all other shocks are solved in as many
+    contiguous chunks as there are programs or CPUs, whichever is fewer:
+    `fork_map` solves each chunk as one stack in its own process, each
+    program starting on `model.baseline_solution`'s pivot path where its
+    caps first matter. Each shock's result is the one its cold solve
+    alone returns, so it does not depend on the chunking or the CPU count.
 
     The program's optimal value is unique but its optimal vertex need not
     be: `delta_va` is split across regions as the vertex `lp_solve` returns
@@ -364,7 +369,8 @@ def assess_impact(model: SupplyUseModel, deltas: np.ndarray) -> list[ImpactResul
     programs = [assemble_program(model, d) for d in deltas[hit]]
     n = min(len(programs), available_cpus())
     chunks = [programs[len(programs) * k // n : len(programs) * (k + 1) // n] for k in range(n)]
-    solved = chain.from_iterable(fork_map(lp_solve_stack, chunks, n))
+    path = model.baseline_solution.path if programs else None
+    solved = chain.from_iterable(fork_map(partial(lp_solve_stack, path=path), chunks, n))
     return [_impact(model, next(solved)) if h else _no_impact(model) for h in hit.tolist()]
 
 
@@ -391,6 +397,7 @@ def _impact(model: SupplyUseModel, solution: LpSolution) -> ImpactResult:
         rationing=m / HOURS_PER_YEAR,
         total_cost=float(-np.minimum(0.0, delta_va).sum()),
         iterations=solution.iterations,
+        replayed=solution.replayed,
     )
 
 

@@ -25,6 +25,14 @@ the BLAS or LAPACK call it makes for that member alone. So each member
 returns its own cold solve's result bit for bit, whatever else is in the
 stack.
 
+A stack can also start on the recorded cold pivot path of a program that
+differs from its members only in upper bounds (`lp_solve(lp,
+record=True)`, then `lp_solve_stack(others, path=...)`). Up to the first
+pass whose decision a member's bounds could change
+(`PivotPath.resume_entries`), its cold solve would take the recorded
+pivots with the same arithmetic, so the member starts from the state
+recorded before that pass and still returns its cold solve bit for bit.
+
 A program that extends a solved one by inequality rows appended after its
 rows is re-solved warm (`lp_solve(lp, start=solution.basis)`): the solved
 program's optimal basis, with the slack of every new row basic, stays dual
@@ -38,7 +46,7 @@ than the cold solve; its status and optimal value are the program's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +57,7 @@ __all__ = [
     "Basis",
     "LinearProgram",
     "LpSolution",
+    "PivotPath",
     "lu_solve",
     "lp_solve",
     "lp_solve_stack",
@@ -139,18 +148,91 @@ class LpSolution:
 
     x and objective_value are None unless status is "optimal". iterations
     counts the simplex iterations (pivots and bound flips; in a warm solve,
-    pivots, each with the bound flips of its ratio test) of the solve.
-    basis is the optimal basis, a start for the program with rows
-    appended; None unless optimal, or when a cold solve ends with an
-    artificial column basic. Neither of the last two takes part in
-    equality.
+    pivots, each with the bound flips of its ratio test) of the solve;
+    replayed counts those a stack member took from a recorded path rather
+    than ran. basis is the optimal basis, a start for the program with
+    rows appended; None unless optimal, or when a cold solve ends with an
+    artificial column basic. path is the cold pivot path when the solve
+    was asked to record it. None of the last four takes part in equality.
     """
 
     status: str
     x: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = field(default=0, compare=False)
+    replayed: int = field(default=0, compare=False)
     basis: Basis | None = field(default=None, compare=False, repr=False)
+    path: PivotPath | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class PivotPath:
+    """The cold pivot path of one program, as `lp_solve(record=True)` took it.
+
+    Entry k describes one lockstep pass of the program's stack of one:
+    states[name][k] is the member's `_Stack` array `name` before it, for
+    each name in `_PATH_STATE`, and the rest its decision. entering[k] is
+    the entering column (-1 where pricing found the stage optimal), step[k]
+    the step (+inf where the program was found unbounded), flip[k] whether
+    the entering column flipped to its other bound rather than pivoted in,
+    and xb[k] and delta[k] the basic values and the direction-adjusted
+    column of the ratio test, row by row of states["basis"][k]. program
+    holds the canonical arrays of the recorded program.
+    """
+
+    program: tuple
+    states: dict
+    entering: np.ndarray
+    step: np.ndarray
+    flip: np.ndarray
+    xb: np.ndarray
+    delta: np.ndarray
+
+    def resume_entries(self, his: np.ndarray) -> np.ndarray:
+        """First entry whose decision each row of upper bounds could change.
+
+        his holds one row of structural upper bounds per program; a bound
+        may differ from the recorded one only where the lower bound is
+        finite. Before that entry no changed column rests at its upper
+        bound, so only these decisions read a changed bound:
+
+        - the ratio test, through a basic column that moves toward its
+          bound (delta < -PIVOT_TOL) and whose limit under the old or the
+          new bound is at most the step, ties included;
+        - a changed entering column that flipped, whose new range
+          hi - lo is below the step (it would flip), or whose new range
+          is empty (pricing would not let it enter).
+
+        Pricing is otherwise unchanged: a nonbasic changed column rests at
+        its lower bound and can only lose the gate that lets it increase,
+        which moves the argmax only where that column entered. A changed
+        column whose recorded range is empty could gain that gate, so such
+        a program resumes at entry 0, the cold solve. Without a divergence
+        a program resumes at the final entry, the closing pricing.
+        """
+        lo, old_hi = self.program[5], self.program[6]
+        changed = his.view(np.int64) != old_hi.view(np.int64)
+        last = self.entering.size - 1
+        basis = self.states["basis"]
+        n = old_hi.size
+        # slack and artificial columns keep their bounds
+        moving = (basis < n) & (self.delta < -PIVOT_TOL) & (self.entering >= 0)[:, None]
+        rows, cols = np.nonzero(moving)
+        col = basis[rows, cols]
+        xb, speed = self.xb[rows, cols], -self.delta[rows, cols]
+        # the limit under the lower of the two bounds, the smaller limit
+        limit = np.maximum(np.minimum(his[:, col], old_hi[col]) - xb, 0.0) / speed
+        ratio_hits = changed[:, col] & (limit <= self.step[rows])
+        entries = np.where(ratio_hits, rows, last).min(axis=1, initial=last)
+
+        enters = np.flatnonzero((self.entering >= 0) & (self.entering < n))
+        j = self.entering[enters]
+        entry_hits = changed[:, j] & (
+            self.flip[enters] | (his[:, j] - lo[j] < self.step[enters]) | (his[:, j] <= lo[j])
+        )
+        entries = np.minimum(entries, np.where(entry_hits, enters, last).min(axis=1, initial=last))
+        entries[(changed & (old_hi <= lo)).any(axis=1)] = 0
+        return entries
 
 
 def _canonical(lp: LinearProgram):
@@ -284,6 +366,12 @@ _MEMBER_ARRAYS = (
     "member", "x", "hi", "basis", "binv", "cost", "gate_dn", "gate_up", "stage",
     "since_refactor", "iterations", "stage_iterations", "bland", "stall", "prev_obj",
 )
+# the member arrays a PivotPath keeps before each pass; the cost row and
+# the gates follow from the stage, x and the member's own bounds
+_PATH_STATE = (
+    "x", "basis", "binv", "stage", "since_refactor", "iterations", "stage_iterations",
+    "bland", "stall", "prev_obj",
+)
 
 
 class _Stack:
@@ -305,7 +393,9 @@ class _Stack:
     refactorization; it runs with that stage's cost row, and its Bland,
     stall and iteration state restarts with each stage. `run` makes
     lockstep passes until every member has finished; a finished member
-    leaves the stack.
+    leaves the stack. The per-pass temporaries over members and columns,
+    and the rank-one update of the basis inverses, are written into
+    buffers made once per stack.
     """
 
     def __init__(self, a, b, lo, hi, n_struct, c):
@@ -358,38 +448,62 @@ class _Stack:
         self.prev_obj = np.empty(k)
         # (status, x, basis, upper bounds, iterations) of each finished member
         self.finished: list[tuple | None] = [None] * k
+        # a.T @ y, reduced costs and the two scores of a pass; rank-one updates
+        self.work = np.empty((4, k, n))
+        self.outer = np.empty((k, m, m))
 
-    def run(self, feas_tol) -> list[tuple]:
-        self._enter(self.rows, 0 if self.n > self.art_start else 1)
+    def run(self, feas_tol, path=None, entries=None, recording=None) -> list[tuple]:
+        """Solve every member, cold or from its entry of a recorded path:
+        the state recorded there, with the cost row and gates of its own
+        stage and bounds. A stack of one appends the state and decision of
+        each pass to a `recording` list, as a PivotPath keeps them."""
+        if path is None:
+            self._enter(self.rows, 0 if self.n > self.art_start else 1)
+        else:
+            for name, recorded in path.states.items():
+                getattr(self, name)[:] = recorded[entries]
+            self.hi[self.stage > 0, self.art_start :] = 0.0  # artificials pinned after phase 1
+            self._set_pricing(self.rows)
         max_iter = ITERATION_FACTOR * (self.n + self.m)
         while self.member.size:
-            self._pass(feas_tol, max_iter)
+            if recording is None:
+                self._pass(feas_tol, max_iter)
+                continue
+            state = [getattr(self, name)[0].copy() for name in _PATH_STATE]
+            j, priced, t_basic, t_flip, xb, delta = self._pass(feas_tol, max_iter)
+            entering = int(j[0]) if priced[0] else -1
+            step, flip = min(t_basic[0], t_flip[0]), t_flip[0] < t_basic[0]
+            recording.append((state, (entering, step, flip, xb[0].copy(), delta[0].copy())))
         return self.finished
 
     def _enter(self, ks, stage):
         """Start members ks on a stage: its cost row, fresh gates and
-        pricing state.
-
-        `gate_dn` is 1 where a nonbasic variable can decrease and `gate_up`
-        is -1 where it can increase, so max(reduced * gate_dn, reduced *
-        gate_up) is the pricing violation wherever it exceeds
-        OPTIMALITY_TOL. The gates change only at the entering and leaving
-        columns, and are rebuilt here because phase 1 ends by moving the
-        bounds of the artificial columns.
-        """
-        basis, x, hi = self.basis[ks], self.x[ks], self.hi[ks]
+        pricing state."""
         self.stage[ks] = stage
-        self.cost[ks] = self.phase_costs[min(stage, 1)]
-        gate_dn = np.where(x > self.lo, 1.0, 0.0)
-        gate_up = np.where(x < hi, -1.0, 0.0)
-        np.put_along_axis(gate_dn, basis, 0.0, 1)
-        np.put_along_axis(gate_up, basis, 0.0, 1)
-        self.gate_dn[ks], self.gate_up[ks] = gate_dn, gate_up
         self.iterations[ks] += self.stage_iterations[ks]
         self.stage_iterations[ks] = 0
         self.bland[ks] = False
         self.stall[ks] = 0
         self.prev_obj[ks] = np.inf
+        self._set_pricing(ks)
+
+    def _set_pricing(self, ks):
+        """Set the cost row of each member's stage and rebuild its gates.
+
+        `gate_dn` is 1 where a nonbasic variable can decrease and `gate_up`
+        is -1 where it can increase, so max(reduced * gate_dn, reduced *
+        gate_up) is the pricing violation wherever it exceeds
+        OPTIMALITY_TOL. The gates change only at the entering and leaving
+        columns, and are rebuilt with each stage because phase 1 ends by
+        moving the bounds of the artificial columns.
+        """
+        basis, x, hi = self.basis[ks], self.x[ks], self.hi[ks]
+        self.cost[ks] = self.phase_costs[np.minimum(self.stage[ks], 1)]
+        gate_dn = np.where(x > self.lo, 1.0, 0.0)
+        gate_up = np.where(x < hi, -1.0, 0.0)
+        np.put_along_axis(gate_dn, basis, 0.0, 1)
+        np.put_along_axis(gate_up, basis, 0.0, 1)
+        self.gate_dn[ks], self.gate_up[ks] = gate_dn, gate_up
 
     def _refactorize(self, ks):
         basis = self.basis[ks]
@@ -410,7 +524,9 @@ class _Stack:
         Pricing takes the largest reduced-cost violation, lowest index
         first, and Bland's first violation after STALL_WINDOW iterations
         without progress; the ratio test breaks ties on the lowest basic
-        index.
+        index. Returns the pass's decisions: each member's priced column
+        and whether it prices a violation, both limits of its ratio test,
+        its basic values and its direction-adjusted column.
         """
         due = self.since_refactor >= REFACTOR_INTERVAL
         if due.any():
@@ -420,9 +536,12 @@ class _Stack:
         each = rows[:, None]
 
         y = np.matmul(binv.transpose(0, 2, 1), self.cost[each, basis][:, :, None])
-        reduced = self.cost - np.matmul(a.T, y)[:, :, 0]
-        score = reduced * self.gate_dn
-        np.maximum(score, reduced * self.gate_up, out=score)
+        a_y, reduced, score, score_up = self.work[:, : rows.size]
+        np.matmul(a.T, y, out=a_y[:, :, None])
+        np.subtract(self.cost, a_y, out=reduced)
+        np.multiply(reduced, self.gate_dn, out=score)
+        np.multiply(reduced, self.gate_up, out=score_up)
+        np.maximum(score, score_up, out=score)
         j = score.argmax(axis=1)
         if self.bland.any():
             j = np.where(self.bland, np.argmax(score > OPTIMALITY_TOL, axis=1), j)
@@ -481,6 +600,7 @@ class _Stack:
         if not every:
             ended = np.flatnonzero(~moving)
             self._end_stages(ended, priced[ended], feas_tol)
+        return j, priced, t_basic, t_flip, xb, delta
 
     def _exchange(self, pivots, j, step, direction, w, limits, t_basic):
         """Pivot column j[k] into the basis of member pivots[k] by step[k]
@@ -505,7 +625,7 @@ class _Stack:
         self.gate_up[pivots, leaving] = np.where(out < hi_out, -1.0, 0.0)
         block = binv[sel]
         new_row = block[inner, r] / w[inner, r][:, None]
-        block -= w[:, :, None] * new_row[:, None, :]
+        block -= np.einsum("ki,kj->kij", w, new_row, out=self.outer[: pivots.size])
         block[inner, r] = new_row
         if not whole:
             binv[pivots] = block
@@ -700,29 +820,42 @@ class _DualSimplex:
         )
 
 
-def lp_solve_stack(programs: Sequence[LinearProgram]) -> list[LpSolution]:
+def lp_solve_stack(
+    programs: Sequence[LinearProgram], *, path: PivotPath | None = None
+) -> list[LpSolution]:
     """Solve programs cold as one stack; each solution is what `lp_solve`
     returns for that program alone, bit for bit, iterations and basis
     included.
 
     Every program must equal the first in its objective, rows and lower
     bounds, and may change an upper bound only where the lower bound is
-    finite; otherwise ValueError. Raises NumericalBreakdown as soon as one
-    member's solve would.
+    finite; otherwise ValueError. Given the pivot path of a program
+    (`lp_solve(program, record=True).path`), they must equal that program
+    so, and each member starts at its `PivotPath.resume_entries` entry of
+    the path: from the state recorded there, with its own gates, and its
+    artificial columns pinned at zero after phase 1. Its solution counts
+    the recorded iterations before that entry as `replayed`. Raises
+    NumericalBreakdown as soon as one member's solve would.
     """
+    return _solve_cold(programs, path)
+
+
+def _solve_cold(programs, path=None, record=False) -> list[LpSolution]:
+    """`lp_solve_stack`; with record, a stack of one keeps its pivot path."""
     parts = [_canonical(lp) for lp in programs]
     if not parts:
         return []
-    first = parts[0]
+    first = parts[0] if path is None else path.program
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = first
     names = ("objective", "equality matrix", "equality vector",
              "inequality matrix", "inequality vector", "lower bounds")
-    for part in parts[1:]:
+    for part in parts:
         for name, ours, theirs in zip(names, part, first):
             if not (ours is theirs or (
                 ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
             )):
-                raise ValueError(f"stacked program differs from the first in its {name}")
+                which = "the first" if path is None else "the recorded one"
+                raise ValueError(f"stacked program differs from {which} in its {name}")
     his = np.array([part[6] for part in parts])
     changed = (his.view(np.int64) != hi.view(np.int64)).any(axis=0)
     if not np.isfinite(lo[changed]).all():
@@ -734,20 +867,35 @@ def lp_solve_stack(programs: Sequence[LinearProgram]) -> list[LpSolution]:
     a, b, feas_tol = _standard_form(a_eq, b_eq, a_ub, b_ub)
     hi_full = np.concatenate([his, np.full((len(parts), mu), np.inf)], axis=1)
     stack = _Stack(a, b, np.concatenate([lo, np.zeros(mu)]), hi_full, n, c)
-    return [
+    entries = path.resume_entries(his) if path is not None else None
+    recording = [] if record else None
+    solutions = [
         _solution(part, feas_tol, stack.art_start, *finished)
-        for part, finished in zip(parts, stack.run(feas_tol))
+        for part, finished in zip(parts, stack.run(feas_tol, path, entries, recording))
     ]
+    if path is not None:
+        replayed = path.states["iterations"][entries] + path.states["stage_iterations"][entries]
+        solutions = [replace(s, replayed=int(k)) for s, k in zip(solutions, replayed)]
+    if record:
+        states, decisions = zip(*recording)
+        solutions[0] = replace(solutions[0], path=PivotPath(
+            first,
+            {name: np.array(column) for name, column in zip(_PATH_STATE, zip(*states))},
+            *map(np.array, zip(*decisions)),
+        ))
+    return solutions
 
 
-def lp_solve(lp: LinearProgram, *, start: Basis | None = None) -> LpSolution:
+def lp_solve(lp: LinearProgram, *, start: Basis | None = None, record: bool = False) -> LpSolution:
     """Solve a linear program to a vertex optimum.
 
     Deterministic for identical inputs: pricing uses the largest reduced
     cost with lowest-index tie-breaks, switching to Bland's rule after a
     stall, so repeated runs pivot identically. Raises NumericalBreakdown if
     the iteration budget is exhausted or the final residuals cannot be
-    certified. Without a start this is the cold solve, a stack of one.
+    certified. Without a start this is the cold solve, a stack of one;
+    record=True keeps its pivot path in the solution's `path` (None for a
+    program without rows), the start `lp_solve_stack` takes.
 
     Given a start, the basis of the program's leading rows (all equality
     rows and the first inequality rows, as a solve of the program without
@@ -757,7 +905,9 @@ def lp_solve(lp: LinearProgram, *, start: Basis | None = None) -> LpSolution:
     vertex than the cold solve's.
     """
     if start is None:
-        return lp_solve_stack([lp])[0]
+        return _solve_cold([lp], record=record)[0]
+    if record:
+        raise ValueError("a warm solve does not record a pivot path")
     program = _canonical(lp)
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = program
     n = c.size

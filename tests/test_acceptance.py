@@ -372,23 +372,27 @@ def test_economic_impact_identities():
         assert annual_va == -5.0, f"delta va {annual_va!r}"
         assert HOURS_PER_YEAR * hand.total_cost == 5.0
 
+        # each model prices all its shocks in one call
         rng = np.random.default_rng(41)
-        trade_pairs = 0
+        deltas = []
         for _ in range(12):
             a_power, a_factory = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5)
-            delta = np.array([[[a_factory, a_power], [0.0, rng.uniform(0.0, 0.5)]]])
-            [closed] = assess_impact(two_region_chain(False), delta)
-            [open_] = assess_impact(two_region_chain(True), delta)
-            assert HOURS_PER_YEAR * open_.total_cost <= HOURS_PER_YEAR * closed.total_cost + 1e-6
+            deltas.append([[a_factory, a_power], [0.0, rng.uniform(0.0, 0.5)]])
+        closed = assess_impact(two_region_chain(False), np.array(deltas))
+        opened = assess_impact(two_region_chain(True), np.array(deltas))
+        trade_pairs = 0
+        for closed_, open_ in zip(closed, opened):
+            assert HOURS_PER_YEAR * open_.total_cost <= HOURS_PER_YEAR * closed_.total_cost + 1e-6
             trade_pairs += 1
 
-        monotone_pairs = 0
-        model = two_region_diagonal()
+        nested = []
         for _ in range(50):
             base = rng.uniform(0.0, 0.8, 4)
             extra = rng.uniform(0.0, 1.0 - base.max(), 4)
-            small, larger = base.reshape(2, 2), (base + extra).reshape(2, 2)
-            lesser, greater = assess_impact(model, np.stack([small, larger]))
+            nested += [base.reshape(2, 2), (base + extra).reshape(2, 2)]
+        priced = assess_impact(two_region_diagonal(), np.array(nested))
+        monotone_pairs = 0
+        for lesser, greater in zip(priced[::2], priced[1::2]):
             assert HOURS_PER_YEAR * lesser.total_cost <= HOURS_PER_YEAR * greater.total_cost + 1e-6
             monotone_pairs += 1
         report(

@@ -24,7 +24,7 @@ from gridshock.mria import (
     save_supply_use,
     shock_from_unserved,
 )
-from gridshock.numerics import lp_solve
+from gridshock.numerics import lp_solve, lp_solve_stack
 from gridshock.profiles import load_profile, load_studied_demand, save_profile
 from gridshock.runconfig import load_run_config
 
@@ -340,10 +340,12 @@ class TestPipeline:
         assert main(["impact", "--config", cfg]) == 0
         line = capsys.readouterr().out.strip()
         match = re.fullmatch(
-            r"priced 40 records \((\d+) distinct programs; (\d+) simplex iterations\)", line
+            r"priced 40 records \((\d+) distinct programs; (\d+) simplex iterations, "
+            r"(\d+) from the baseline's path\)",
+            line,
         )
         assert match, line
-        programs, total = map(int, match.groups())
+        programs, total, replayed = map(int, match.groups())
         # the total is what every distinct program takes when solved cold
         config = load_run_config(run_copy / "run.cfg")
         regions = load_regions(config.regions)
@@ -354,8 +356,13 @@ class TestPipeline:
         )
         deltas = {row.tobytes(): row[:, None] for row in shocks}
         assert programs == len(deltas)
-        cold = sum(lp_solve(assemble_program(model, d)).iterations for d in deltas.values() if d.any())
-        assert total == cold > 0
+        shocked = [assemble_program(model, d) for d in deltas.values() if d.any()]
+        assert total == sum(lp_solve(program).iterations for program in shocked) > 0
+        # and of those, the replayed part is what each program takes from
+        # the unshocked program's recorded path
+        path = lp_solve(model.program, record=True).path
+        assert replayed == sum(s.replayed for s in lp_solve_stack(shocked, path=path))
+        assert 0 < replayed < total
         assert main(["impact", "--config", cfg]) == 0
         assert capsys.readouterr().out.strip() == line
 
@@ -614,7 +621,8 @@ class TestProcessPools:
         cpus(2)
         parent = os.getpid()
 
-        def refuse(programs):
+        def refuse(programs, *, path):
+            assert path is not None  # every chunk starts on the baseline's path
             where = "a child" if os.getpid() != parent else "the parent"
             raise ValidationError(f"{len(programs)} shocks refused in {where}")
 

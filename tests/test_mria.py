@@ -524,6 +524,107 @@ class TestStackOnGbLikePrograms:
         assert min(result.iterations for result in forward[1:]) > 0
 
 
+def first_entries(path, n_columns):
+    """Entry at which each of the first n_columns first enters the basis."""
+    first = {}
+    for k, j in enumerate(path.entering.tolist()):
+        if 0 <= j < n_columns:
+            first.setdefault(j, k)
+    return first
+
+
+def cap_tying_the_step(path, k, r):
+    """A cap for the basic column in row r at entry k whose ratio-test
+    limit, by the stack's own arithmetic, equals that entry's step; None
+    where no cap within 64 ulps of the exact one does."""
+    xb, speed, step = path.xb[k, r], -path.delta[k, r], path.step[k]
+    cap = xb + step * speed
+    for _ in range(64):
+        limit = max(cap - xb, 0.0) / speed
+        if limit == step:
+            return cap
+        cap = np.nextafter(cap, np.inf if limit < step else -np.inf)
+    return None
+
+
+def with_output_cap(model, column, cap):
+    bounds = model.program.bounds.copy()
+    bounds[column, 1] = cap
+    return replace(model.program, bounds=bounds)
+
+
+class TestPathOnGbLikePrograms:
+    """Shocks start on the baseline's recorded pivot path, and each
+    returns what its cold solve and the reference kernel return, bit for
+    bit, with the iterations before its entry counted as replayed."""
+
+    def check(self, path, programs, entries=None):
+        solutions = lp_solve_stack(programs, path=path)
+        his = np.array([program.bounds[:, 1] for program in programs])
+        found = path.resume_entries(his)
+        if entries is not None:
+            assert found.tolist() == entries
+        for program, ours, entry in zip(programs, solutions, found.tolist()):
+            assert_same_lp_solution(ours, reference_lp_solve(program))
+            assert_same_solve(ours, lp_solve(program))
+            states = path.states
+            assert ours.replayed == states["iterations"][entry] + states["stage_iterations"][entry]
+        return solutions, found
+
+    def test_region_shocks_resume_in_phase_two(self, gb_model):
+        # phase 1 only serves final demand; region-wide shocks, as
+        # shock_from_unserved builds them, first diverge in phase 2
+        path = gb_model.baseline_solution.path
+        fractions = (0.05, 0.5, 1.0)
+        shocks = region_shocks(gb_model, [f for f in fractions for _ in gb_model.regions])
+        _, entries = self.check(path, [assemble_program(gb_model, d) for d in shocks])
+        assert (path.states["stage"][entries] > 0).all()
+
+    def test_zero_cap_on_the_column_that_enters_last(self, gb_model):
+        path = gb_model.baseline_solution.path
+        first = first_entries(path, gb_model.baseline_output.size)
+        column, entry = max(first.items(), key=lambda item: item[1])
+        self.check(path, [with_output_cap(gb_model, column, 0.0)], [entry])
+
+    def test_limit_equal_to_step_resumes_there(self, gb_model):
+        path = gb_model.baseline_solution.path
+        n_x = gb_model.baseline_output.size
+        first = first_entries(path, n_x)
+        tried = 0
+        for k in np.flatnonzero(path.entering >= 0).tolist():
+            basis = path.states["basis"][k]
+            for r in np.flatnonzero((basis < n_x) & (path.delta[k] < -1e-10)).tolist():
+                column = int(basis[r])
+                if not first[column] < k or path.step[k] == 0.0:
+                    continue
+                cap = cap_tying_the_step(path, k, r)
+                if cap is None or cap == gb_model.program.bounds[column, 1]:
+                    continue  # no tie, or the recorded leaving column's own cap
+                tied = with_output_cap(gb_model, column, cap)
+                # one ulp more and the limit clears the step
+                looser = with_output_cap(gb_model, column, np.nextafter(cap, np.inf))
+                his = np.array([tied.bounds[:, 1], looser.bounds[:, 1]])
+                at, after = path.resume_entries(his).tolist()
+                if at != k:
+                    continue  # an earlier entry already reads the cap
+                assert after > k
+                self.check(path, [tied, looser])
+                tried += 1
+                if tried == 3:
+                    return
+        raise AssertionError(f"only {tried} tied caps resume at their entry")
+
+    def test_tiny_shock_returns_the_baseline_vertex(self, gb_model):
+        baseline = gb_model.baseline_solution
+        delta = np.zeros(gb_model.baseline_output.shape)
+        delta[0] = 1e-9  # z1 never nears its caps on the recorded path
+        program = assemble_program(gb_model, delta)
+        assert not np.array_equal(program.bounds, gb_model.program.bounds)
+        [ours], _ = self.check(baseline.path, [program], [baseline.path.entering.size - 1])
+        assert ours.replayed == ours.iterations == baseline.iterations
+        assert_same_solve(ours, baseline)
+
+
 def region_shocks(model, fractions):
     """One region-wide shock per fraction, each on region k % regions."""
     shocks = np.zeros((len(fractions), len(model.regions), 1))
@@ -537,7 +638,7 @@ def assert_same_impacts(ours, theirs):
     for a, b in zip(ours, theirs):
         assert a.delta_va.tobytes() == b.delta_va.tobytes()
         assert a.rationing.tobytes() == b.rationing.tobytes()
-        assert (a.total_cost, a.iterations) == (b.total_cost, b.iterations)
+        assert (a.total_cost, a.iterations, a.replayed) == (b.total_cost, b.iterations, b.replayed)
 
 
 class TestImpactPool:

@@ -7,7 +7,14 @@ import pytest
 
 import gridshock.numerics as numerics_module
 from gridshock.errors import NumericalBreakdown, SingularMatrix
-from gridshock.numerics import Basis, LinearProgram, LpSolution, lp_solve, lp_solve_stack, lu_solve
+from gridshock.numerics import (
+    Basis,
+    LinearProgram,
+    LpSolution,
+    lp_solve,
+    lp_solve_stack,
+    lu_solve,
+)
 
 import oracles
 from helpers import assert_same_lp_solution, assert_same_solve
@@ -390,24 +397,35 @@ def capped_stack(rng, lp, size):
 class TestStackAgainstReference:
     """lp_solve_stack solves every member as `oracles.reference_lp_solve`
     does, bit for bit, and as its own stack of one, iterations and basis
-    included, whatever else the stack holds."""
+    included, whatever else the stack holds, and whether it starts cold
+    or on the first program's recorded pivot path."""
 
     def check_mixed_stacks(self, seeds):
-        statuses, mixed = set(), 0
+        statuses, mixed, replayed = set(), 0, 0
         for seed in seeds:
             rng = np.random.default_rng([31, seed])
             lp = random_pivot_lp(rng)
             programs = [lp, *capped_stack(rng, lp, int(rng.integers(1, 8)))]
             solutions = lp_solve_stack(programs)
             assert len(solutions) == len(programs)
-            for program, ours in zip(programs, solutions):
+            recorded = lp_solve(lp, record=True)
+            assert_same_solve(recorded, solutions[0])
+            resumed = lp_solve_stack(programs, path=recorded.path)
+            for program, ours, on_path in zip(programs, solutions, resumed):
                 assert_same_lp_solution(ours, reference_lp_solve(program))
-                assert_same_solve(ours, lp_solve_stack([program])[0])
+                alone = lp_solve_stack([program])[0]
+                assert_same_solve(ours, alone)
+                assert_same_solve(on_path, alone)
+                assert 0 <= on_path.replayed <= on_path.iterations
+                replayed += on_path.replayed > 0
+            # the recorded program itself resumes at the closing pricing
+            assert resumed[0].replayed == resumed[0].iterations
             found = {solution.status for solution in solutions}
             statuses |= found
             mixed += len(found) > 1
         assert statuses == {"optimal", "infeasible", "unbounded"}
         assert mixed > 10
+        assert replayed > len(seeds)
 
     def test_mixed_stacks(self):
         self.check_mixed_stacks(range(120))
@@ -436,6 +454,32 @@ class TestStackAgainstReference:
         for program, solution in zip([PHASE_ONE, shocked, PHASE_ONE], ours):
             assert_same_lp_solution(solution, reference_lp_solve(program))
             assert_same_solve(solution, lp_solve(program))
+
+    def test_path_diverges_in_phase_one(self):
+        path = lp_solve(PHASE_ONE, record=True).path
+        assert path.entering[:2].tolist() == [0, 1]
+        assert path.step[1] == 2.0
+        shocked = with_caps(PHASE_ONE, x1=1.0)
+        [entry] = path.resume_entries(shocked.bounds[None, :, 1])
+        assert entry == 1 and path.states["stage"][entry] == 0
+        ours = lp_solve_stack([shocked, PHASE_ONE], path=path)
+        assert ours[0].replayed == 1
+        assert ours[1].replayed == ours[1].iterations
+        for program, solution in zip([shocked, PHASE_ONE], ours):
+            assert_same_lp_solution(solution, reference_lp_solve(program))
+            assert_same_solve(solution, lp_solve(program))
+
+    def test_path_with_an_empty_range_resumes_at_entry_zero(self):
+        # x1 is fixed at 0 on the recorded path, so phase 1 takes x2; a
+        # program that lets x1 move could price it in at any pass
+        fixed = with_caps(PHASE_ONE, x1=0.0)
+        path = lp_solve(fixed, record=True).path
+        assert 1 not in path.entering.tolist()
+        assert path.resume_entries(PHASE_ONE.bounds[None, :, 1]).tolist() == [0]
+        [ours] = lp_solve_stack([PHASE_ONE], path=path)
+        assert ours.replayed == 0
+        assert_same_lp_solution(ours, reference_lp_solve(PHASE_ONE))
+        assert_same_solve(ours, lp_solve(PHASE_ONE))
 
     def test_empty_and_row_free_stacks(self):
         assert lp_solve_stack([]) == []
@@ -472,9 +516,12 @@ class TestStackRefused:
                 PHASE_ONE, bounds=PHASE_ONE.bounds + np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
             ),
         }
+        path = lp_solve(PHASE_ONE, record=True).path
         for name, lp in changes.items():
             with pytest.raises(ValueError, match=f"differs from the first in its {name}"):
                 lp_solve_stack([PHASE_ONE, lp])
+            with pytest.raises(ValueError, match=f"differs from the recorded one in its {name}"):
+                lp_solve_stack([with_caps(PHASE_ONE, x1=1.0), lp], path=path)
 
     def test_changed_cap_without_finite_lower_bound_refused(self):
         free = LinearProgram(
@@ -488,6 +535,14 @@ class TestStackRefused:
             assert_same_lp_solution(ours, reference_lp_solve(program))
         with pytest.raises(ValueError, match="needs a finite lower bound"):
             lp_solve_stack([free, with_caps(free, x0=4.0)])
+        path = lp_solve(free, record=True).path
+        with pytest.raises(ValueError, match="needs a finite lower bound"):
+            lp_solve_stack([with_caps(free, x0=4.0)], path=path)
+
+    def test_warm_solve_does_not_record(self):
+        start = lp_solve(PHASE_ONE).basis
+        with pytest.raises(ValueError, match="does not record"):
+            lp_solve(PHASE_ONE, start=start, record=True)
 
 
 def solve_in_batches(lp, rng, batches):
