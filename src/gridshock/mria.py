@@ -198,7 +198,7 @@ class SupplyUseModel:
     @cached_property
     def baseline_solution(self) -> LpSolution:
         """The unshocked program solved cold, with its recorded pivot path."""
-        return lp_solve(self.program, record=True)
+        return lp_solve(self.program)
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,12 @@ returns its own cold solve's result bit for bit, whatever else is in the
 stack.
 
 A stack can also start on the recorded cold pivot path of a program that
-differs from its members only in upper bounds (`lp_solve(lp,
-record=True)`, then `lp_solve_stack(others, path=...)`). Up to the first
-pass whose decision a member's bounds could change
-(`PivotPath.resume_entries`), its cold solve would take the recorded
-pivots with the same arithmetic, so the member starts from the state
-recorded before that pass and still returns its cold solve bit for bit.
+differs from its members only in upper bounds (`lp_solve(lp).path`, then
+`lp_solve_stack(others, path=...)`). Up to the first pass whose decision
+a member's bounds could change (`PivotPath.resume_entries`), its cold
+solve would take the recorded pivots with the same arithmetic, so the
+member starts from the state recorded before that pass and still returns
+its cold solve bit for bit.
 
 A program that extends a solved one by inequality rows appended after its
 rows is re-solved warm (`lp_solve(lp, start=solution.basis)`): the solved
@@ -152,8 +152,9 @@ class LpSolution:
     replayed counts those a stack member took from a recorded path rather
     than ran. basis is the optimal basis, a start for the program with
     rows appended; None unless optimal, or when a cold solve ends with an
-    artificial column basic. path is the cold pivot path when the solve
-    was asked to record it. None of the last four takes part in equality.
+    artificial column basic. path is the pivot path of a cold stack of
+    one without a path, for a program with rows. None of the last four
+    takes part in equality.
     """
 
     status: str
@@ -167,7 +168,7 @@ class LpSolution:
 
 @dataclass(frozen=True, eq=False)
 class PivotPath:
-    """The cold pivot path of one program, as `lp_solve(record=True)` took it.
+    """The cold pivot path of one program, as `lp_solve` took it.
 
     Entry k describes one lockstep pass of the program's stack of one:
     states[name][k] is the member's `_Stack` array `name` before it, for
@@ -829,19 +830,15 @@ def lp_solve_stack(
 
     Every program must equal the first in its objective, rows and lower
     bounds, and may change an upper bound only where the lower bound is
-    finite; otherwise ValueError. Given the pivot path of a program
-    (`lp_solve(program, record=True).path`), they must equal that program
-    so, and each member starts at its `PivotPath.resume_entries` entry of
-    the path: from the state recorded there, with its own gates, and its
-    artificial columns pinned at zero after phase 1. Its solution counts
-    the recorded iterations before that entry as `replayed`. Raises
-    NumericalBreakdown as soon as one member's solve would.
+    finite; otherwise ValueError. A stack of one without a path keeps its
+    pivot path in its solution's `path`. Given the pivot path of a program
+    (`lp_solve(program).path`), they must equal that program so, and each
+    member starts at its `PivotPath.resume_entries` entry of the path:
+    from the state recorded there, with its own gates, and its artificial
+    columns pinned at zero after phase 1. Its solution counts the recorded
+    iterations before that entry as `replayed`. Raises NumericalBreakdown
+    as soon as one member's solve would.
     """
-    return _solve_cold(programs, path)
-
-
-def _solve_cold(programs, path=None, record=False) -> list[LpSolution]:
-    """`lp_solve_stack`; with record, a stack of one keeps its pivot path."""
     parts = [_canonical(lp) for lp in programs]
     if not parts:
         return []
@@ -868,7 +865,7 @@ def _solve_cold(programs, path=None, record=False) -> list[LpSolution]:
     hi_full = np.concatenate([his, np.full((len(parts), mu), np.inf)], axis=1)
     stack = _Stack(a, b, np.concatenate([lo, np.zeros(mu)]), hi_full, n, c)
     entries = path.resume_entries(his) if path is not None else None
-    recording = [] if record else None
+    recording = [] if path is None and len(parts) == 1 else None
     solutions = [
         _solution(part, feas_tol, stack.art_start, *finished)
         for part, finished in zip(parts, stack.run(feas_tol, path, entries, recording))
@@ -876,7 +873,7 @@ def _solve_cold(programs, path=None, record=False) -> list[LpSolution]:
     if path is not None:
         replayed = path.states["iterations"][entries] + path.states["stage_iterations"][entries]
         solutions = [replace(s, replayed=int(k)) for s, k in zip(solutions, replayed)]
-    if record:
+    if recording is not None:
         states, decisions = zip(*recording)
         solutions[0] = replace(solutions[0], path=PivotPath(
             first,
@@ -886,15 +883,15 @@ def _solve_cold(programs, path=None, record=False) -> list[LpSolution]:
     return solutions
 
 
-def lp_solve(lp: LinearProgram, *, start: Basis | None = None, record: bool = False) -> LpSolution:
+def lp_solve(lp: LinearProgram, *, start: Basis | None = None) -> LpSolution:
     """Solve a linear program to a vertex optimum.
 
     Deterministic for identical inputs: pricing uses the largest reduced
     cost with lowest-index tie-breaks, switching to Bland's rule after a
     stall, so repeated runs pivot identically. Raises NumericalBreakdown if
     the iteration budget is exhausted or the final residuals cannot be
-    certified. Without a start this is the cold solve, a stack of one;
-    record=True keeps its pivot path in the solution's `path` (None for a
+    certified. Without a start this is the cold solve, a stack of one,
+    which keeps its pivot path in the solution's `path` (None for a
     program without rows), the start `lp_solve_stack` takes.
 
     Given a start, the basis of the program's leading rows (all equality
@@ -905,9 +902,7 @@ def lp_solve(lp: LinearProgram, *, start: Basis | None = None, record: bool = Fa
     vertex than the cold solve's.
     """
     if start is None:
-        return _solve_cold([lp], record=record)[0]
-    if record:
-        raise ValueError("a warm solve does not record a pivot path")
+        return lp_solve_stack([lp])[0]
     program = _canonical(lp)
     c, a_eq, b_eq, a_ub, b_ub, lo, hi = program
     n = c.size

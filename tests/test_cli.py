@@ -360,7 +360,7 @@ class TestPipeline:
         assert total == sum(lp_solve(program).iterations for program in shocked) > 0
         # and of those, the replayed part is what each program takes from
         # the unshocked program's recorded path
-        path = lp_solve(model.program, record=True).path
+        path = lp_solve(model.program).path
         assert replayed == sum(s.replayed for s in lp_solve_stack(shocked, path=path))
         assert 0 < replayed < total
         assert main(["impact", "--config", cfg]) == 0

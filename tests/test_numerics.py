@@ -408,7 +408,7 @@ class TestStackAgainstReference:
             programs = [lp, *capped_stack(rng, lp, int(rng.integers(1, 8)))]
             solutions = lp_solve_stack(programs)
             assert len(solutions) == len(programs)
-            recorded = lp_solve(lp, record=True)
+            recorded = lp_solve(lp)
             assert_same_solve(recorded, solutions[0])
             resumed = lp_solve_stack(programs, path=recorded.path)
             for program, ours, on_path in zip(programs, solutions, resumed):
@@ -456,7 +456,7 @@ class TestStackAgainstReference:
             assert_same_solve(solution, lp_solve(program))
 
     def test_path_diverges_in_phase_one(self):
-        path = lp_solve(PHASE_ONE, record=True).path
+        path = lp_solve(PHASE_ONE).path
         assert path.entering[:2].tolist() == [0, 1]
         assert path.step[1] == 2.0
         shocked = with_caps(PHASE_ONE, x1=1.0)
@@ -473,7 +473,7 @@ class TestStackAgainstReference:
         # x1 is fixed at 0 on the recorded path, so phase 1 takes x2; a
         # program that lets x1 move could price it in at any pass
         fixed = with_caps(PHASE_ONE, x1=0.0)
-        path = lp_solve(fixed, record=True).path
+        path = lp_solve(fixed).path
         assert 1 not in path.entering.tolist()
         assert path.resume_entries(PHASE_ONE.bounds[None, :, 1]).tolist() == [0]
         [ours] = lp_solve_stack([PHASE_ONE], path=path)
@@ -516,7 +516,7 @@ class TestStackRefused:
                 PHASE_ONE, bounds=PHASE_ONE.bounds + np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
             ),
         }
-        path = lp_solve(PHASE_ONE, record=True).path
+        path = lp_solve(PHASE_ONE).path
         for name, lp in changes.items():
             with pytest.raises(ValueError, match=f"differs from the first in its {name}"):
                 lp_solve_stack([PHASE_ONE, lp])
@@ -535,14 +535,9 @@ class TestStackRefused:
             assert_same_lp_solution(ours, reference_lp_solve(program))
         with pytest.raises(ValueError, match="needs a finite lower bound"):
             lp_solve_stack([free, with_caps(free, x0=4.0)])
-        path = lp_solve(free, record=True).path
+        path = lp_solve(free).path
         with pytest.raises(ValueError, match="needs a finite lower bound"):
             lp_solve_stack([with_caps(free, x0=4.0)], path=path)
-
-    def test_warm_solve_does_not_record(self):
-        start = lp_solve(PHASE_ONE).basis
-        with pytest.raises(ValueError, match="does not record"):
-            lp_solve(PHASE_ONE, start=start, record=True)
 
 
 def solve_in_batches(lp, rng, batches):
