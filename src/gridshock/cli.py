@@ -12,13 +12,14 @@ the hashes of what it read and wrote, and analyze refuses impacts priced
 from other results or economy files, or changed since. analyze aggregates
 costs into the published curve, slope, regional and population outputs.
 
-Processes are started only through `forkpool.fork_map`. gen-synthetic
+Processes are started only through `forkpool.fork_map`, which runs its
+calls in this process where it would start only one. gen-synthetic
 writes its profile files in min(files, CPUs) processes. simulate parses its
-profiles in min(profiles, CPUs) and, with more than one worker, runs the
-sweep's orderings in min(workers, orderings). impact solves its programs
-in min(programs, CPUs), one contiguous chunk each. analyze starts no
-process. Every output is a pure function of (inputs, seed), independent of
-the worker count and of the number of CPUs.
+profiles in min(profiles, CPUs) and runs the sweep's orderings in
+min(workers, orderings). impact solves its programs in min(programs,
+CPUs), one contiguous chunk each. analyze starts no process. Every
+output is a pure function of (inputs, seed), independent of the worker
+count and of the number of CPUs.
 """
 
 from __future__ import annotations

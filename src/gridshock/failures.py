@@ -18,15 +18,13 @@ float operations in the same order as a cell computed alone.
 plus a records x regions matrix of unserved MW. A record's status is
 derived: "shed" where any unserved value is positive, else "ok". In
 `results.csv` a record is one row per region; `save_results` writes each
-record as one joined string, and `load_results` reads the file in chunks.
+record as one joined string, and `load_results` reads the file with
+`profiles.read_rows`.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -44,7 +42,7 @@ from .dispatch import (
 from .errors import ParseError, Unstable, ValidationError
 from .forkpool import fork_map
 from .grid import Grid
-from .profiles import _INT64, DemandProfile, check_unquoted, read_fields, scan_rows
+from .profiles import DemandProfile, check_unquoted, read_rows
 
 __all__ = [
     "STATUS_OK",
@@ -66,7 +64,10 @@ STATUS_SHED = "shed"
 
 DEFAULT_LOSS_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(10))
 
-_RESULTS_HEADER = ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
+_RESULTS_ROW = np.dtype(
+    [("ordering", np.int64), ("fraction", float), ("scenario", object), ("hour", np.int64)]
+    + [("region", object), ("unserved_mw", float), ("status", object)]
+)
 _IS_SHED = {STATUS_OK: False, STATUS_SHED: True}
 
 
@@ -295,11 +296,10 @@ def run_experiment(
     (studied hours are dark); interconnectors are never removed. Every cell
     is "ok" or "shed": shedding all demand always settles the network, so
     dispatch_with_shedding never raises Unstable. Orderings are independent
-    work units, so any worker count yields the identical table: one worker
-    runs them in this process, more run them through `fork_map` in
-    min(workers, orderings) processes, one task per ordering. Each
-    ordering's cells run in key order, fraction by fraction, so the table
-    needs no sort.
+    work units, so any worker count yields the identical table: `fork_map`
+    runs them in min(workers, orderings) processes, one task per ordering.
+    Each ordering's cells run in key order, fraction by fraction, so the
+    table needs no sort.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
@@ -320,10 +320,7 @@ def run_experiment(
     state = _SweepState(grid, config, demands, tuple(sorted(regions)), interconnector_penalty)
     orderings = generate_orderings(grid, config.n_orderings, config.master_seed)
 
-    if workers == 1:
-        chunks = [state.run_ordering(o) for o in orderings]
-    else:
-        chunks = fork_map(state.run_ordering, orderings, workers)
+    chunks = fork_map(state.run_ordering, orderings, workers)
 
     n, cells, fractions = config.n_orderings, state.cells, config.loss_fractions
     return ResultTable(
@@ -385,7 +382,7 @@ def save_results(table: ResultTable, path) -> None:
         check_unquoted(scenario, "scenario id")
     status = np.where(table.shed, STATUS_SHED, STATUS_OK).tolist()
     with atomic_open(path) as handle:
-        handle.write(",".join(_RESULTS_HEADER) + "\r\n")
+        handle.write(",".join(_RESULTS_ROW.names) + "\r\n")
         for (o, f, s, h), shed, row in zip(table.keys(), status, table.unserved_mw):
             key, end = f"{o},{f!r},{s},{h},", f",{shed}\r\n"
             lines = [f"{key}{r},{mw!r}{end}" for r, mw in zip(table.regions, row.tolist())]
@@ -395,103 +392,73 @@ def save_results(table: ResultTable, path) -> None:
 def load_results(path) -> ResultTable:
     """Read a results csv back into a table, sorted by key.
 
-    `read_fields` splits the rows a chunk at a time; each column's texts are
-    coded by a dict, and each distinct text is parsed once. A record is a
-    run of rows with one key; it must name the first record's regions in
-    order and give the status its unserved MW give. Otherwise the file is
-    read again line by line to name the first bad line.
+    `profiles.read_rows` parses the rows and refuses a NaN fraction as a
+    bad number. A record is a run of rows with one key. Each record must
+    name the first record's regions in their order and give the status
+    its unserved MW give, and no (record, region) row may repeat. The first
+    fault is raised where a line-by-line reader meets it: a record's
+    regions and statuses are complete once the next record starts or the
+    file ends, so a record that a refused line cuts off is not short.
     """
-    path = Path(path)
-    codes = [defaultdict() for _ in _RESULTS_HEADER]
-    for code in codes:
-        code.default_factory = code.__len__  # a new text takes the next code
-    with open(path, encoding="utf-8", newline="") as handle:
-        if [h.strip() for h in handle.readline().split(",")] != _RESULTS_HEADER:
-            raise ParseError(f"expected header {','.join(_RESULTS_HEADER)}", 1)
-        parts = [
-            [np.fromiter(map(codes[k].__getitem__, fields[k::7]), np.int64, n) for k in range(7)]
-            for n, fields in read_fields(handle, 7, lambda: _first_bad_row(path))
-        ]
-    if not parts:
-        raise ValidationError("results file contains no records")
-    columns = list(map(np.concatenate, zip(*parts)))
-    scenario, region = columns[2], columns[4]
+    rows = read_rows(Path(path), _RESULTS_ROW, _check_header, lambda chunk: np.isnan(chunk["fraction"]))
+    ordering, fraction, scenario, hour, region, unserved, status = rows.columns.values()
+    names, texts, n = rows.texts["scenario"], rows.texts["region"], len(ordering)
+    if not n:
+        raise rows.refusal or ValidationError("results file contains no records")
+    # (row, step, error): within a row, a repeated row, the end of the record before it, its region
+    faults = [(n, 0, rows.refusal)] if rows.refusal else []
 
-    def parsed(k, parse=float, dtype=float):  # each distinct text once
-        return np.array(list(map(parse, codes[k])), dtype=dtype)[columns[k]]
+    def fault(row, step, k, message):  # message(key) names the record of row k
+        key = int(ordering[k]), float(fraction[k]), names[scenario[k]], int(hour[k])
+        faults.append((int(row), step, ParseError(message(key), rows.line(k))))
 
-    try:
-        ordering, fraction, hour = parsed(0, int, np.int64), parsed(1), parsed(3, int, np.int64)
-        unserved = parsed(5)
-        shed = parsed(6, lambda text: _IS_SHED[text.rstrip("\r\n")], bool)  # holds the line end
-    except (ValueError, OverflowError, KeyError):
-        raise _first_bad_row(path) from None
-    # the first record is the leading run of rows with the first row's key
-    same = np.logical_and.reduce([c == c[0] for c in (ordering, fraction, scenario, hour)])
-    width = int(same.argmin()) or len(same)
-    if len(region) % width:
-        raise _first_bad_row(path)
-    keys = [c.reshape(-1, width) for c in (ordering, fraction, scenario, hour, shed)]
-    matrix = unserved.reshape(-1, width)
-    if not (
-        all((c == c[:, :1]).all() for c in keys)
-        and (region.reshape(-1, width) == region[:width]).all()
-        and (keys[4][:, 0] == (matrix > 0.0).any(axis=1)).all()
-    ):
-        raise _first_bad_row(path)
-    names, regions = list(codes[2]), [list(codes[4])[k] for k in region[:width].tolist()]
-    ordering, fraction, scenario, hour = (c[:, 0] for c in keys[:4])
-    order = np.lexsort((hour, np.argsort(np.argsort(names))[scenario], fraction, ordering))
-    try:
-        return ResultTable(
-            ordering=ordering[order],
-            fraction=fraction[order],
-            scenario=tuple(names[k] for k in scenario[order].tolist()),
-            hour=hour[order],
-            regions=tuple(sorted(regions)),
-            unserved_mw=matrix[order][:, np.argsort(regions)],
-        )
-    except ValidationError:
-        raise _first_bad_row(path) from None  # a repeated record or region
+    keys = (ordering, fraction, scenario, hour)
+    new = np.append(True, np.logical_or.reduce([c[1:] != c[:-1] for c in keys]))
+    starts, run = np.flatnonzero(new), np.cumsum(new) - 1
+    lengths = np.diff(starts, append=n)
+    width = int(lengths[0])
+    first, position = region[:width], np.arange(n) - starts[run]
+    wrong = (run > 0) & ((position >= width) | (region != first[np.minimum(position, width - 1)]))
+    if wrong.any():
+        k = wrong.argmax()
+        fault(k, 3, k, lambda key: f"record {key} does not repeat the first record's regions")
+    given = np.array([_IS_SHED.get(text, -1) for text in rows.texts["status"]])[status]
+    disagrees = given != np.logical_or.reduceat(unserved > 0.0, starts)[run]
+    short = (lengths < width) & (np.arange(len(starts)) > 0)
+    ended = len(starts) - (rows.refusal is not None)  # the records whose end was read
+    bad = np.flatnonzero((short | np.logical_or.reduceat(disagrees, starts))[:ended])
+    if bad.size:
+        start, end = starts[bad[0]], starts[bad[0]] + lengths[bad[0]]
+        if short[bad[0]]:
+            fault(end, 2, end - 1, lambda key: f"record {key} lacks regions of the first record")
+        else:
+            k = start + disagrees[start:end].argmax()
+            given = rows.texts["status"][status[k]]
+            fault(end, 2, k, lambda key: f"status {given} of record {key} disagrees with its unserved MW")
+    if not faults:
+        regions = [texts[k] for k in first.tolist()]
+        rank = np.argsort(np.argsort(names))[scenario[starts]]
+        order = np.lexsort((hour[starts], rank, fraction[starts], ordering[starts]))
+        top = starts[order]  # the first row of each record, in key order
+        try:
+            return ResultTable(
+                ordering=ordering[top],
+                fraction=fraction[top],
+                scenario=tuple(names[k] for k in scenario[top].tolist()),
+                hour=hour[top],
+                regions=tuple(sorted(regions)),
+                unserved_mw=unserved.reshape(-1, width)[order][:, np.argsort(regions)],
+            )
+        except ValidationError:
+            pass  # a repeated record or region, named below
+    order = np.lexsort((region, hour, scenario, fraction, ordering))  # stable
+    same = np.logical_and.reduce([c[order][1:] == c[order][:-1] for c in (*keys, region)])
+    if same.any():
+        k = order[1:][same].min()
+        fault(k, 1, k, lambda key: f"repeated row for record {key}, region {texts[region[k]]}")
+    raise min(faults, key=lambda fault: fault[:2])[2]
 
 
-def _first_bad_row(path: Path) -> ParseError:
-    """Raise the error for the first malformed data row of a results file.
-
-    Checks each row as `load_results` does, in file order: beyond
-    `scan_rows`, int64 ordering and hour, a float fraction (not NaN) and
-    value, no repeated (record, region) and the first record's regions in
-    order; once a record ends, that it has them all and that each row's
-    status is the one its unserved MW give.
-    """
-    seen, first, key, rows = set(), None, None, []
-    for lineno, row in chain(scan_rows(path, 7), [(0, None)]):
-        if row is not None:
-            try:
-                row_key = (int(row[0]), float(row[1]), row[2], int(row[3]))
-                mw = float(row[5])
-                wide = [v for v in (row_key[0], row_key[3]) if not _INT64.min <= v <= _INT64.max]
-                if wide or math.isnan(row_key[1]):
-                    raise ValueError
-            except ValueError:
-                raise ParseError(f"bad numeric value in {row!r}", lineno) from None
-            if (row_key, row[4]) in seen:
-                raise ParseError(f"repeated row for record {row_key}, region {row[4]}", lineno)
-            seen.add((row_key, row[4]))
-        if rows and (row is None or row_key != key):
-            if first is not None and len(rows) < len(first):
-                raise ParseError(f"record {key} lacks regions of the first record", rows[-1][0])
-            status = STATUS_SHED if any(r[2] > 0.0 for r in rows) else STATUS_OK
-            for line, _, _, given in rows:
-                if given != status:
-                    message = f"status {given} of record {key} disagrees with its unserved MW"
-                    raise ParseError(message, line)
-            first, rows = first or [r[1] for r in rows], []
-        if row is None:
-            break
-        key = row_key
-        if first is not None and (len(rows) >= len(first) or row[4] != first[len(rows)]):
-            raise ParseError(f"record {key} does not repeat the first record's regions", lineno)
-        rows.append((lineno, row[4], mw, row[6]))
-    # unreachable while load_results' checks match these row checks
-    return ParseError(f"malformed results file {path.name}")
+def _check_header(line: str) -> None:
+    if [h.strip() for h in line.split(",")] != list(_RESULTS_ROW.names):
+        raise ParseError(f"expected header {','.join(_RESULTS_ROW.names)}", 1)

@@ -25,17 +25,17 @@ def available_cpus() -> int:
 def fork_map(function: Callable, jobs: Sequence, processes: int) -> list:
     """[function(job) for job in jobs], each call in a forked pool process.
 
-    The pool has min(processes, len(jobs)) processes, and none is started
-    for no jobs. Results come back in job order, so they do not depend on
-    the process count. An exception raised by a call is raised here, after
-    every call has finished; it must pickle, as the package's errors do.
-    The pool is closed and joined before this returns or raises, so no
-    process outlives it.
+    The pool has min(processes, len(jobs)) processes; where that is one or
+    none, the calls run in this process. Results come back in job order,
+    so they do not depend on the process count. An exception raised by a
+    call in a child is raised here, after every call has finished; it must
+    pickle, as the package's errors do. The pool is closed and joined
+    before this returns or raises, so no process outlives it.
     """
-    if not jobs:
-        return []
+    if (workers := min(processes, len(jobs))) <= 1:
+        return [function(job) for job in jobs]
     pool = multiprocessing.get_context("fork").Pool(
-        min(processes, len(jobs)), initializer=_install, initargs=(function, jobs)
+        workers, initializer=_install, initargs=(function, jobs)
     )
     try:
         return pool.map(_run, range(len(jobs)), chunksize=1)

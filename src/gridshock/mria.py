@@ -15,10 +15,10 @@ shocks in stacks (`lp_solve_stack`), so the per-pivot numpy calls are made
 once per pass for every shock of a stack together, and each shock starts
 at the first pass of the unshocked path that its caps could change. The
 stacks are contiguous chunks of the shocks, one per CPU, each solved in
-its own forked process (`forkpool.fork_map`), which inherits the path. The
-vertex each shock returns is the one its own cold solve returns, bit for
-bit, so it cannot depend on which other shocks share its stack, on their
-order or on the CPU count.
+its own forked process (`forkpool.fork_map`; a lone one in this process),
+which inherits the path. The vertex each shock returns is the one its own
+cold solve returns, bit for bit, so it cannot depend on which other shocks
+share its stack, on their order or on the CPU count.
 
 A shock is a dense array of loss fractions on the model's axes, and every
 shock is priced as a one-hour event. `shock_from_unserved` turns the
@@ -345,10 +345,11 @@ def assess_impact(model: SupplyUseModel, deltas: np.ndarray) -> list[ImpactResul
     entirely (a cold solve of it could drift from the baseline by up to
     BASELINE_RTOL). The programs of all other shocks are solved in as many
     contiguous chunks as there are programs or CPUs, whichever is fewer:
-    `fork_map` solves each chunk as one stack in its own process, each
-    program starting on `model.baseline_solution`'s pivot path where its
-    caps first matter. Each shock's result is the one its cold solve
-    alone returns, so it does not depend on the chunking or the CPU count.
+    `fork_map` solves each chunk as one stack in its own process (a lone
+    one in this process), each program starting on `model.baseline_solution`'s
+    pivot path where its caps first matter. Each shock's result is the one
+    its cold solve alone returns, so it does not depend on the chunking
+    or the CPU count.
 
     The program's optimal value is unique but its optimal vertex need not
     be: `delta_va` is split across regions as the vertex `lp_solve` returns

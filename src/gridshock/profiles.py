@@ -8,14 +8,12 @@ scenario transforms derive the efficiency, heat-pump and flat variants
 from a current-day profile.
 
 On disk a profile is csv rows `region,hour,demand_mw` under that exact
-header, with unquoted fields and CRLF line ends. `load_profile` parses
-them with numpy's C reader, a chunk of rows at a time, into arrays, and
-reads a file line by line with `int()` and `float()` only where that
-reader refuses a row; `save_profile` writes them region by region, one
-joined string per region, refuses a region id that csv would have to
-quote, and makes the file appear whole or not at all.
-`read_fields` is the chunked splitter `failures.load_results` reads the
-sweep's results with.
+header, with unquoted fields and CRLF line ends. `read_rows`, the csv
+reader of profiles and of the sweep's results, hands a file's lines to
+`np.loadtxt` a chunk at a time, and the file format is what that call
+accepts. `save_profile` writes a profile region by region, one joined
+string per region, refuses a region id that csv would have to quote, and
+makes the file appear whole or not at all.
 
 `StudiedDemand` is one scenario's demand at its studied hours, as arrays.
 simulate writes it to `demand.csv` (`save_studied_demand`), and impact and
@@ -27,13 +25,13 @@ from __future__ import annotations
 
 import csv
 import warnings
-from array import array
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -80,15 +78,9 @@ SEASONAL_AMPLITUDE = 0.08
 SEASONAL_PEAK_DAY = 15
 NOISE_HALF_WIDTH = 0.005
 
-# `read_fields` reads rows in chunks of about this many characters.
-_CHUNK_BYTES = 64 * 1024
-
-# `load_profile` parses this many data rows per `np.loadtxt` call.
+# `read_rows` hands this many lines to each `np.loadtxt` call.
 _CHUNK_ROWS = 50_000
 _PROFILE_ROW = np.dtype([("region", object), ("hour", np.int64), ("value", np.float64)])
-
-# Hours are held as int64; a wider integer is a malformed row.
-_INT64 = np.iinfo(np.int64)
 
 # Characters that make csv quote a field. save_profile and save_results
 # write unquoted fields, so they refuse an id holding any of them.
@@ -314,39 +306,35 @@ def apply_flat(profile: DemandProfile) -> DemandProfile:
 def load_profile(path, scenario: str | None = None) -> DemandProfile:
     """Read `region,hour,demand_mw` rows; any other header is a ParseError.
 
-    numpy's C reader (`np.loadtxt`) parses the rows `_CHUNK_ROWS` at a time
-    into region, hour and value columns, and each run of equal region ids
-    gets one integer code from one dict, since `save_profile` writes a
-    region's rows together. The region x hour matrix is then built with
-    array operations; rows that already arrive in (region, hour) order are
-    not sorted. Fields are unquoted: a `"` in a data row is an error.
-    Lines holding only a line end are skipped.
-
-    loadtxt accepts a strict subset of the spellings `int()` and `float()`
-    accept, with the same values. When it refuses a chunk (a spelling only
-    they accept, a whitespace-only line, a row of another width) the file
-    is read again line by line (`_scan_profile`), which either raises a
-    ParseError naming the first bad line or returns the same columns.
-    Blank lines count towards those line numbers.
+    `read_rows` parses the rows, and region ids lose their surrounding
+    blanks. The region x hour matrix is then built with array operations;
+    rows that already arrive in (region, hour) order, as `save_profile`
+    writes them, are not sorted. The first fault in file order is raised:
+    a line `read_rows` refuses, or a row whose (region, hour) pair an
+    earlier row holds.
     """
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as handle:
-        _check_header(handle.readline())
-        try:
-            columns = _read_chunks(handle)
-        except UnicodeDecodeError:
-            raise
-        except ValueError:
-            columns = None
-    names, code, hours, values = columns or _scan_profile(path)
+    rows = read_rows(path, _PROFILE_ROW, _check_header)
+    ids: dict[str, int] = {}
+    stripped = [ids.setdefault(text.strip(), len(ids)) for text in rows.texts["region"]]
+    names, code, hours, values = list(ids), *rows.columns.values()
+    if len(names) < len(stripped):  # ids that differ only in blanks share a code
+        code = np.array(stripped)[code]
+    # in (region, hour) order with no repeated pair? Shifted views compare
+    # into boolean temporaries, not int64 differences
+    later, same = code[1:] > code[:-1], code[1:] == code[:-1]
+    if not (later | (same & (hours[1:] > hours[:-1]))).all():
+        order = np.lexsort((hours, code))  # stable: equal pairs stay in file order
+        code, hours, values = code[order], hours[order], values[order]
+        repeats = np.flatnonzero((code[1:] == code[:-1]) & (hours[1:] == hours[:-1])) + 1
+        if repeats.size:
+            k = repeats[np.argmin(order[repeats])]
+            message = f"duplicate hour {hours[k]} for region {names[code[k]]}"
+            raise ParseError(message, rows.line(order[k]))
+    if rows.refusal:
+        raise rows.refusal
     if not names:
         raise ValidationError(f"profile {path.name} contains no data rows")
-    if not _ascending(code, hours):
-        order = np.lexsort((hours, code))
-        code, hours, values = code[order], hours[order], values[order]
-        if not _ascending(code, hours):
-            _scan_profile(path)  # raises on the repeated (region, hour)
-            raise ParseError(f"malformed data row in {path.name}")  # unreachable
     counts = np.bincount(code)
     width = int(counts[0])
     if not ((counts == width).all() and (hours.reshape(-1, width) == hours[:width]).all()):
@@ -360,41 +348,6 @@ def load_profile(path, scenario: str | None = None) -> DemandProfile:
     )
 
 
-def _read_chunks(handle) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Region names, and per row region code, hour and value, of the rows
-    left in `handle`, parsed by `np.loadtxt` `_CHUNK_ROWS` rows at a time.
-
-    Raises ValueError where loadtxt refuses a row, or a region id holds a
-    `"`; only the first row of each run of equal ids needs that check.
-    """
-    codes: defaultdict[str, int] = defaultdict()
-    codes.default_factory = codes.__len__  # a new region takes the next code
-    code_parts, hour_parts, value_parts = [], [], []
-    with warnings.catch_warnings():
-        # loadtxt warns of blank lines, and of a call past the last row
-        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
-        n = _CHUNK_ROWS
-        while n == _CHUNK_ROWS:
-            chunk = np.loadtxt(
-                handle, _PROFILE_ROW, delimiter=",", comments=None, max_rows=_CHUNK_ROWS, ndmin=1
-            )
-            n, regions = len(chunk), chunk["region"]
-            starts = np.flatnonzero(np.append(n > 0, regions[1:] != regions[:-1]))
-            ids = regions[starts].tolist()
-            if any('"' in region for region in ids):
-                raise ValueError('a " in a region id')
-            runs = np.array([codes[region.strip()] for region in ids], np.int64)
-            code_parts.append(np.repeat(runs, np.diff(starts, append=n)))
-            hour_parts.append(chunk["hour"].copy())
-            value_parts.append(chunk["value"].copy())
-            del chunk, regions  # before the next chunk is read
-    columns = [code_parts, hour_parts, value_parts]
-    for k, parts in enumerate(columns):
-        columns[k] = np.concatenate(parts)
-        parts.clear()  # so that only one column is held twice
-    return list(codes), *columns
-
-
 def _check_header(line: str) -> None:
     """Refuse a header line other than `region,hour,demand_mw`."""
     if not line:
@@ -404,105 +357,103 @@ def _check_header(line: str) -> None:
         raise ParseError(f"expected header {_PROFILE_HEADER}, got {header}", 1)
 
 
-def read_fields(
-    handle, width: int, first_bad_line: Callable[[], ParseError]
-) -> Iterator[tuple[int, list[str]]]:
-    """Split the rows left in `handle` into fields, a chunk at a time.
+class Rows(NamedTuple):
+    """The data rows of a csv file up to its first refused line: an array
+    per field, a text field as int64 codes into its list of `texts`; the
+    refused line's ParseError, or None; and per skipped empty line, the
+    number of rows before it."""
 
-    Yields `(n, fields)` per chunk of about `_CHUNK_BYTES` characters: the
-    fields of its n non-blank rows in one flat list, `width` per row, the
-    last of each row still holding its line end. The chunks keep no line
-    numbers, so a `"` or a row of another width raises `first_bad_line()`,
-    a line-by-line rescan that names the line.
+    columns: dict[str, np.ndarray]
+    texts: dict[str, list[str]]
+    refusal: ParseError | None
+    skipped: list[int]
+
+    def line(self, row) -> int:
+        """The line of data row `row` (from 0), the header and skipped lines counted."""
+        return 2 + int(row) + bisect_right(self.skipped, row)
+
+
+def read_rows(path: Path, dtype: np.dtype, check_header: Callable, refuse: Callable | None = None) -> Rows:
+    """Parse the csv rows after the header line of `path` as rows of `dtype`.
+
+    The file format is what one `np.loadtxt` call accepts: fields split at
+    commas, decimal integers, the float spellings loadtxt takes, unquoted
+    fields; text fields keep their blanks. A line holding only its line end
+    is skipped. The first line that loadtxt refuses, that holds a `"`, or
+    whose row `refuse` marks (given a chunk's rows) is `Rows.refusal`, and
+    no later line is read. Bytes that are not UTF-8 are a ParseError.
+    Lines go to loadtxt `_CHUNK_ROWS` at a time; where it refuses a chunk,
+    bisecting the chunk's lines with the same call finds the refused line.
     """
-    while lines := handle.readlines(_CHUNK_BYTES):
-        rows = list(filterfalse(str.isspace, lines))
-        if not rows:
-            continue
-        if not rows[-1].endswith(("\n", "\r")):
-            rows[-1] += "\n"
-        text = ",".join(rows)
-        fields = text.split(",")
-        n = len(rows)
-        # Only a row's last field holds its line end. With width * n fields
-        # of which every width-th holds one, each row has `width` fields.
-        ends = "".join(fields[width - 1 :: width])
-        if '"' in text or len(fields) != width * n or _line_ends(ends) != n:
-            raise first_bad_line()
-        yield n, fields
-
-
-def _line_ends(text: str) -> int:
-    """Number of line ends (LF, CRLF or a lone CR) in text."""
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
-
-
-def _ascending(code: np.ndarray, hours: np.ndarray) -> bool:
-    """Whether rows run in (region code, hour) order with no repeated pair."""
-    # comparisons of shifted views: boolean temporaries, not int64 differences
-    later, same = code[1:] > code[:-1], code[1:] == code[:-1]
-    return bool((later | (same & (hours[1:] > hours[:-1]))).all())
-
-
-def scan_rows(path: Path, width: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank data row, read line by line.
-
-    The exact path of `load_profile` and `load_results`: a `"` or a row of
-    another width is a ParseError on its line.
-    """
-    with open(path, encoding="utf-8", newline="") as handle:
-        handle.readline()
-        for lineno, line in enumerate(handle, start=2):
-            if line.isspace():
-                continue
-            if '"' in line:
-                raise ParseError("quoted fields are not supported", lineno)
-            row = line.rstrip("\r\n").split(",")
-            if len(row) != width:
-                raise ParseError(f"expected {width} fields, got {len(row)}", lineno)
-            yield lineno, row
-
-
-def _scan_profile(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """The columns `_read_chunks` returns, read line by line by `int()` and
-    `float()`; a ParseError on the first malformed data row.
-
-    Checks each row in file order: beyond `scan_rows`, an int64 hour and a
-    float value. A (region, hour) pair seen before is found on the parsed
-    columns, and reported instead where it comes before the malformed row.
-    """
-    codes: dict[str, int] = {}
-    code, hours, values = array("q"), array("q"), array("d")
+    codes = {name: defaultdict() for name in dtype.names if dtype[name] == object}
+    for code in codes.values():
+        code.default_factory = code.__len__  # a new text takes the next code
+    parts = {name: [np.empty(0, np.int64 if name in codes else dtype[name])] for name in dtype.names}
+    skipped, n, first_line, refusal = [], 0, 2, None
     try:
-        for lineno, row in scan_rows(path, 3):
-            try:
-                hour = int(row[1])
-                value = float(row[2])
-            except ValueError:
-                raise ParseError(f"bad numeric value in {row!r}", lineno) from None
-            if not _INT64.min <= hour <= _INT64.max:
-                raise ParseError(f"hour {hour} does not fit a 64-bit integer", lineno)
-            code.append(codes.setdefault(row[0].strip(), len(codes)))
-            hours.append(hour)
-            values.append(value)
-    except ParseError:
-        _check_repeats(path, list(codes), code, hours)
-        raise
-    _check_repeats(path, list(codes), code, hours)
-    return list(codes), np.frombuffer(code, np.int64), np.frombuffer(hours, np.int64), np.frombuffer(values)
+        with open(path, encoding="utf-8", newline="") as handle, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)  # a chunk of no rows
+            check_header(handle.readline())
+            while refusal is None and (lines := list(islice(handle, _CHUNK_ROWS))):
+                end = len(lines)
+                if '"' in "".join(lines):
+                    end = next(k for k, text in enumerate(lines) if '"' in text)
+                try:
+                    chunk = _parse(lines[:end], dtype)
+                except ValueError:
+                    end = _first_refused(lines[:end], dtype)
+                    chunk = _parse(lines[:end], dtype)
+                # per skipped line, the number of the chunk's rows before it
+                empty = [] if len(chunk) == end else [k for k in range(end) if not lines[k].rstrip("\r\n")]
+                before = [k - j for j, k in enumerate(empty)]
+                if refuse is not None and (marked := np.flatnonzero(refuse(chunk))).size:
+                    row = int(marked[0])
+                    chunk, end = chunk[:row], row + bisect_right(before, row)
+                if end < len(lines):
+                    refusal = _refused(lines[end], len(dtype.names), first_line + end)
+                skipped += [n + k for k in before]
+                n, first_line = n + len(chunk), first_line + len(lines)
+                for name in dtype.names:
+                    column = chunk[name]
+                    if name in codes:  # one lookup per run of equal texts
+                        starts = np.flatnonzero(np.append(len(column) > 0, column[1:] != column[:-1]))
+                        runs = [codes[name][text] for text in column[starts].tolist()]
+                        column = np.repeat(np.array(runs, np.int64), np.diff(starts, append=len(column)))
+                    parts[name].append(column.copy())
+                del lines, chunk, column  # before the next chunk is read
+    except UnicodeDecodeError as error:
+        raise ParseError(f"{path.name} is not UTF-8 text ({error.reason})") from None
+    # popped one by one, so that only one column is held twice
+    columns = {name: np.concatenate(parts.pop(name)) for name in dtype.names}
+    return Rows(columns, {name: list(code) for name, code in codes.items()}, refusal, skipped)
 
 
-def _check_repeats(path: Path, names: list[str], code: array, hours: array) -> None:
-    """ParseError on the first row, in file order, whose (region, hour)
-    pair an earlier row holds."""
-    code, hours = np.frombuffer(code, np.int64), np.frombuffer(hours, np.int64)
-    order = np.lexsort((hours, code))  # stable: equal pairs stay in file order
-    later, earlier = order[1:], order[:-1]
-    repeats = later[(code[later] == code[earlier]) & (hours[later] == hours[earlier])]
-    if repeats.size:
-        k = int(repeats.min())
-        lineno = next(islice(scan_rows(path, 3), k, None))[0]
-        raise ParseError(f"duplicate hour {hours[k]} for region {names[code[k]]}", lineno)
+def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray:
+    return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _first_refused(lines: list[str], dtype: np.dtype) -> int:
+    """Index of the first of `lines` that `_parse` refuses, given that it
+    refuses them all together; each call parses half the lines left."""
+    low, high = 0, len(lines)  # lines[:low] parse; lines[low:high] hold a refused one
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            _parse(lines[low:middle], dtype)
+            low = middle
+        except ValueError:
+            high = middle
+    return low
+
+
+def _refused(text: str, width: int, line: int) -> ParseError:
+    """The ParseError of a refused line of `width` fields."""
+    fields = text.rstrip("\r\n").split(",")
+    if '"' in text:
+        return ParseError("quoted fields are not supported", line)
+    if len(fields) != width:
+        return ParseError(f"expected {width} fields, got {len(fields)}", line)
+    return ParseError(f"bad numeric value in {fields!r}", line)
 
 
 def save_profile(profile: DemandProfile, path) -> None:

@@ -363,29 +363,29 @@ def reference_load_profile(path, scenario=None):
 
 
 def reference_split_load_profile(path, scenario=None):
-    """The str-split profile reader that `np.loadtxt` replaced, for valid
-    files only: `read_fields` chunks, `int()`/`float()` per field, a dict
-    code per region, and the region x hour matrix from a stable sort.
+    """A str-split profile reader for valid files only: `int()`/`float()`
+    per field, a dict code per region, and the region x hour matrix from a
+    stable sort.
 
     Kept as the second reference the reader's arrays are compared against
-    bit for bit; a malformed file raises a bare ParseError.
+    bit for bit; it checks nothing beyond the field count.
     """
     from pathlib import Path
 
-    from gridshock.errors import ParseError
-    from gridshock.profiles import DemandProfile, _check_header, read_fields
+    from gridshock.profiles import DemandProfile
 
     path = Path(path)
-    codes = {}
-    code, hours, values = [], [], []
+    codes, code, hours, values = {}, [], [], []
     with open(path, encoding="utf-8", newline="") as handle:
-        _check_header(handle.readline())
-        for n, fields in read_fields(handle, 3, lambda: ParseError("malformed data row")):
-            hours.append(np.fromiter(map(int, fields[1::3]), np.int64, n))
-            values.append(np.fromiter(map(float, fields[2::3]), float, n))
-            regions = [codes.setdefault(region.strip(), len(codes)) for region in fields[0::3]]
-            code.append(np.array(regions, np.int64))
-    code, hours, values = (np.concatenate(c) for c in (code, hours, values))
+        handle.readline()
+        for line in handle:
+            if not line.strip():
+                continue
+            region, hour, value = line.rstrip("\r\n").split(",")
+            code.append(codes.setdefault(region.strip(), len(codes)))
+            hours.append(int(hour))
+            values.append(float(value))
+    code, hours, values = np.array(code, np.int64), np.array(hours, np.int64), np.array(values)
     order = np.lexsort((hours, code))
     names = list(codes)
     width = len(hours) // len(names)

@@ -426,7 +426,8 @@ class TestPipeline:
         assert main(["simulate", "--config", str(run_copy / "run.cfg")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "line 3: hour 99999999999999999999 does not fit a 64-bit integer" in err
+        assert "line 3: bad numeric value in " in err
+        assert "'99999999999999999999', '1.0']" in err
 
     def test_profile_with_another_value_column_exits_1(self, run_copy, capsys):
         path = run_copy / "profiles" / "current.csv"
@@ -590,7 +591,8 @@ class TestProcessPools:
             assert main(["impact", "--config", cfg]) == 0
             programs = shocked_programs(run)
             assert 1 < programs < 6
-            assert started == [min(len(SMALL_SCENARIOS), n), min(programs, n)]
+            # no pool is started for a single process
+            assert started == [k for k in (min(len(SMALL_SCENARIOS), n), min(programs, n)) if k > 1]
             assert not multiprocessing.active_children()
             written.append({name: (run / "out" / name).read_bytes() for name in POOLED_OUTPUTS})
             started.clear()
@@ -614,6 +616,52 @@ class TestProcessPools:
             args.func(args)
         assert (str(pooled.value), pooled.value.line) == (str(alone.value), 6)
         assert started == [2, 2]
+        assert not multiprocessing.active_children()
+
+    def test_one_cpu_starts_no_process(self, fx, tmp_path, pool_sizes, monkeypatch):
+        started, cpus = pool_sizes
+
+        def outputs(name):
+            run = shutil.copytree(fx, tmp_path / name, ignore=shutil.ignore_patterns("out"))
+            for stage in ("simulate", "impact", "analyze"):
+                assert main([stage, "--config", str(run / "run.cfg")]) == 0
+            return {path.name: path.read_bytes() for path in (run / "out").iterdir()}
+
+        cpus(2)
+        pooled = outputs("cpus2")
+        assert started == [2, 2] and len(pooled) == 10
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(type(multiprocessing.get_context("fork")), "Pool", refuse)
+        cpus(1)
+        assert outputs("cpus1") == pooled
+
+    def test_non_utf8_profile_through_the_pool(self, run_copy, pool_sizes, capsys):
+        started, cpus = pool_sizes
+        cpus(2)
+        path = run_copy / "profiles" / "current.csv"
+        text = path.read_bytes()
+        path.write_bytes(text[:100] + b"\xff" + text[101:])
+        assert main(["simulate", "--config", str(run_copy / "run.cfg")]) == 1
+        assert capsys.readouterr().err == "error: current.csv is not UTF-8 text (invalid start byte)\n"
+        assert started == [2]
+        assert not multiprocessing.active_children()
+
+    def test_non_utf8_results_refused(self, run_copy, pool_sizes, capsys):
+        started, cpus = pool_sizes
+        cpus(2)
+        path = run_copy / "out" / "results.csv"
+        text = path.read_bytes()
+        path.write_bytes(text[:100] + b"\xff" + text[101:])
+        with pytest.raises(ParseError, match=r"^results.csv is not UTF-8 text \(invalid start byte\)$"):
+            load_results(path)
+        for stage in ("impact", "analyze"):
+            assert main([stage, "--config", str(run_copy / "run.cfg")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "results.csv does not match its hash" in err
+        assert started == []
         assert not multiprocessing.active_children()
 
     def test_refused_shock_through_the_pool(self, run_copy, pool_sizes, monkeypatch, capsys):

@@ -675,10 +675,10 @@ class TestResultsAgainstReference:
         reference_save_results(table, tmp_path / "reference.csv")
         assert (tmp_path / "mine.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("chunk", [1, 7, 65536])
+    @pytest.mark.parametrize("chunk", [1, 7, 50_000])
     @pytest.mark.parametrize("seed", range(8))
     def test_reader_tables(self, tmp_path, monkeypatch, seed, chunk):
-        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
         table = random_table(np.random.default_rng(seed))
         path = tmp_path / "results.csv"
         save_results(table, path)
@@ -700,7 +700,7 @@ class TestResultsAgainstReference:
         path.write_bytes(("\r\n".join([header, *lines]) + "\r\n").encode("utf-8"))
         assert_same_table(load_results(path), table)
 
-    @pytest.mark.parametrize("chunk", [16, 65536])
+    @pytest.mark.parametrize("chunk", [3, 50_000])
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -714,7 +714,7 @@ class TestResultsAgainstReference:
         ],
     )
     def test_refusal_matches_reference(self, tmp_path, monkeypatch, chunk, bad, message):
-        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
         lines = [
             "0,0.0,current,0,r1,0.0,ok",
             "0,0.0,current,0,r2,0.0,ok",
@@ -749,7 +749,7 @@ class TestResultsRefusals:
         assert len(table) == 3 and table.regions == ("r1", "r2")
         assert table.shed.tolist() == [False, True, False]
 
-    @pytest.mark.parametrize("chunk", [1, 65536])
+    @pytest.mark.parametrize("chunk", [1, 50_000])
     @pytest.mark.parametrize(
         "edit, line, message",
         [
@@ -783,7 +783,7 @@ class TestResultsRefusals:
         ],
     )
     def test_new_refusals_name_their_line(self, tmp_path, monkeypatch, chunk, edit, line, message):
-        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
         rows = small_results(tmp_path).read_text(encoding="utf-8").splitlines()[1:]
         path = small_results(tmp_path, edit(rows))
         with pytest.raises(ParseError) as error:
@@ -810,8 +810,8 @@ class TestResultsRefusals:
 
 def corrupt(rng, rows: list[str]) -> list[str]:
     """rows with one or two random edits: a row dropped, repeated or moved,
-    a field added or lost, a bad number, NaN or a wide integer, another
-    status or region, a quote or a blank line."""
+    a field added or lost, a bad number, NaN, a wide integer or `1_0`,
+    another status or region, a quote, or an empty or whitespace-only line."""
     rows = list(rows)
     for _ in range(int(rng.integers(1, 3))):
         i = int(rng.integers(len(rows)))
@@ -827,10 +827,10 @@ def corrupt(rng, rows: list[str]) -> list[str]:
             rows[i] = rows[i] + ",x" if rng.random() < 0.5 else rows[i].rsplit(",", 1)[0]
         elif edit == "value" and len(fields) == 7:
             k = int(rng.choice([0, 1, 3, 4, 5, 6]))
-            fields[k] = str(rng.choice(["x", "nan", "99999999999999999999", "ok", "shed", "zz"]))
+            fields[k] = str(rng.choice(["x", "nan", "99999999999999999999", "1_0", "ok", "shed", "zz"]))
             rows[i] = ",".join(fields)
         elif edit == "blank":
-            rows.insert(i, "  ")
+            rows.insert(i, str(rng.choice(["", "  ", "\t"])))
         elif edit == "quote":
             rows[i] = '"' + rows[i]
     return rows
@@ -843,7 +843,7 @@ class TestResultsFuzz:
         # the chunks refuse has a bad line, and one they accept reads as the
         # reference reads it
         rng = np.random.default_rng(seed)
-        monkeypatch.setattr(profiles_module, "_CHUNK_BYTES", int(rng.choice([1, 7, 64, 65536])))
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 64, 50_000])))
         path = tmp_path / "results.csv"
         save_results(random_table(rng), path)
         header, *rows = path.read_bytes().decode("utf-8").split("\r\n")[:-1]

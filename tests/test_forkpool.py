@@ -23,8 +23,9 @@ class TestForkMap:
         # a closure does not pickle: the children inherit it through fork
         results = fork_map(lambda job: (job + offset, os.getpid()), list(range(9)), available_cpus())
         assert [value for value, _ in results] == list(range(100, 109))
-        assert os.getpid() not in {pid for _, pid in results}
-        assert started == [cpus]
+        # one process is this one: no pool is started
+        assert (os.getpid() in {pid for _, pid in results}) == (cpus == 1)
+        assert started == ([cpus] if cpus > 1 else [])
         assert not multiprocessing.active_children()
 
     def test_no_more_processes_than_jobs(self, pool_sizes):
@@ -35,6 +36,14 @@ class TestForkMap:
     def test_no_jobs_start_no_pool(self, pool_sizes):
         started, _ = pool_sizes
         assert fork_map(abs, [], 2) == []
+        assert started == []
+
+    @pytest.mark.parametrize("processes, jobs", [(1, [-1, -2, -3]), (6, [-1])])
+    def test_one_process_starts_no_pool(self, pool_sizes, processes, jobs):
+        started, _ = pool_sizes
+        assert fork_map(lambda job: (abs(job), os.getpid()), jobs, processes) == [
+            (abs(job), os.getpid()) for job in jobs
+        ]
         assert started == []
 
 

@@ -657,7 +657,7 @@ class TestImpactPool:
             cpus(n)
             results.append(assess_impact(gb_model, shocks))
             assert not multiprocessing.active_children()
-        assert started == [1, 2, 6]
+        assert started == [2, 6]  # one CPU solves in this process
         assert_same_impacts(results[0], results[1])
         assert_same_impacts(results[0], results[2])
         assert [r.iterations > 0 for r in results[0]] == [False, True, False] + [True] * 10
@@ -667,7 +667,7 @@ class TestImpactPool:
         cpus(2)
         shocks = region_shocks(gb_model, [0.0, 0.5, 0.0])
         zero, shocked, _ = assess_impact(gb_model, shocks)
-        assert started == [1]
+        assert started == []  # one chunk is solved in this process
         alone = lp_solve(assemble_program(gb_model, shocks[1]))
         assert shocked.iterations == alone.iterations > 0
         assert shocked.total_cost > 0.0
@@ -690,7 +690,7 @@ class TestImpactPool:
         spread = assess_impact(gb_model, shocks)
         cpus(1)
         assert_same_impacts(spread, assess_impact(gb_model, shocks))
-        assert started == [3, 1]
+        assert started == [3]
         assert not multiprocessing.active_children()
 
 

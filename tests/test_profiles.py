@@ -357,7 +357,8 @@ class TestProfileIO:
 
 
 def random_profile_text(rng, column):
-    """A valid profile file as text, with the variations the reader accepts."""
+    """A valid profile file as text, with the variations the reader accepts:
+    blanks around fields, empty lines, rows in any order."""
     ids = set()
     while len(ids) < int(rng.integers(1, 6)):
         ids.add("".join(rng.choice(list("abxyz019_-.é"), size=int(rng.integers(1, 5)))))
@@ -378,7 +379,7 @@ def random_profile_text(rng, column):
     for region, hour, value in rows:
         lines.append(f"{pad()}{region}{pad()},{pad()}{hour}{pad()},{pad()}{value!r}{pad()}")
         while rng.random() < 0.1:
-            lines.append(str(rng.choice(["", "  ", "\t"])))
+            lines.append("")
     ending = "\r\n" if rng.random() < 0.5 else "\n"
     text = ending.join(lines)
     return text + ending if rng.random() < 0.7 else text
@@ -486,11 +487,11 @@ class TestChunkedReader:
         with pytest.raises(ParseError) as error:
             load_profile(path)
         assert error.value.line == 12
-        assert str(error.value) == f"line 12: hour {hour} does not fit a 64-bit integer"
+        assert str(error.value) == f"line 12: bad numeric value in ['a', '{hour}', '1.0']"
 
     def test_one_row_hour_beyond_int64(self, tmp_path):
         path = write_lines(tmp_path / "demand.csv", ["region,hour,demand_mw", "a,99999999999999999999,1.0"])
-        with pytest.raises(ParseError, match="line 2: hour 99999999999999999999 does not fit"):
+        with pytest.raises(ParseError, match="line 2: bad numeric value in .'a', '99999999999999999999'"):
             load_profile(path)
 
     @pytest.mark.parametrize("chunk", [1, 50_000])
@@ -513,7 +514,7 @@ class TestChunkedReader:
     @pytest.mark.parametrize(
         "lines, error",
         [
-            (["region,hour,demand_mw", "", "  "], ValidationError),
+            (["region,hour,demand_mw", "", ""], ValidationError),
             (["region,hour,demand_mw", "a,0,1.0", "", "b,1,1.0"], MisalignedHours),
             (["region,hour,demand_mw", "a,0,1.0", "a,1,1.0", "b,1,1.0"], MisalignedHours),
             (["region,hour", "a,0,1.0"], ParseError),
@@ -535,23 +536,31 @@ class TestChunkedReader:
             load_profile(path)
 
     @pytest.mark.parametrize(
-        "hour, hour_text, value_text",
+        "hour, hour_text, value_text, refused",
         [
-            (10, "1_0", "2.5"),
-            (1, "\u0661", "2.5"),
-            (3, "3", "\u0663.\u0665"),
-            (3, "3", "1_0.5"),
-            (4, " +4 ", "\xa01.5"),
+            (10, "1_0", "2.5", True),
+            (1, "\u0661", "2.5", True),
+            (3, "3", "\u0663.\u0665", True),
+            (3, "3", "1_0.5", True),
+            (4, " +4 ", "\xa01.5", False),
         ],
     )
-    def test_int_float_spellings_match_reference(self, tmp_path, hour, hour_text, value_text):
-        # int() and float() accept underscores, non-ASCII digits and blanks
+    def test_int_float_spellings(self, tmp_path, hour, hour_text, value_text, refused):
+        # int() and float() also take underscores and non-ASCII digits;
+        # the reader takes what loadtxt takes, blanks and signs among them
         lines = ["region,hour,demand_mw"] + [
             f"a,{hour_text},{value_text}" if (r, h) == ("a", hour) else f"{r},{h},{h + 0.5!r}"
             for r in "ab"
             for h in range(12)
         ]
         path = write_lines(tmp_path / "demand.csv", lines)
+        if refused:
+            with pytest.raises(ParseError) as error:
+                load_profile(path)
+            assert str(error.value) == (
+                f"line {hour + 2}: bad numeric value in ['a', '{hour_text}', '{value_text}']"
+            )
+            return
         mine = load_profile(path)
         assert_same_profile(mine, reference_load_profile(path))
         assert mine.demand_at("a", hour) == float(value_text)
@@ -605,16 +614,17 @@ def gb_like_profiles(tmp_path_factory):
 
 
 @pytest.fixture
-def exact_scans(monkeypatch):
-    """Counts the reader's line-by-line rescans of a file."""
+def bisections(monkeypatch):
+    """The number of lines of each chunk that loadtxt refused, and the
+    reader bisected."""
     calls = []
-    scan = profiles_module._scan_profile
+    bisect = profiles_module._first_refused
 
-    def counted(path):
-        calls.append(path)
-        return scan(path)
+    def counted(lines, dtype):
+        calls.append(len(lines))
+        return bisect(lines, dtype)
 
-    monkeypatch.setattr(profiles_module, "_scan_profile", counted)
+    monkeypatch.setattr(profiles_module, "_first_refused", counted)
     return calls
 
 
@@ -623,55 +633,57 @@ def rows_of(regions="ab", hours=12):
 
 
 class TestLoadtxtReader:
-    """`load_profile` parses with `np.loadtxt`; where loadtxt refuses, it
-    rescans the file line by line, and both paths give the references'
-    arrays bit for bit."""
+    """`load_profile` parses with `np.loadtxt` and gives the references'
+    arrays bit for bit; a line loadtxt refuses is refused, found by
+    bisecting its chunk."""
 
     @pytest.mark.parametrize("generate, seed", [(generate_small, 3), (generate_small, 7)])
-    def test_small_fixture_profiles_match_references(self, tmp_path, exact_scans, generate, seed):
+    def test_small_fixture_profiles_match_references(self, tmp_path, bisections, generate, seed):
         paths = write_profiles(generate(seed), tmp_path / "profiles")
         assert len(paths) == 4
         for path in paths:
             mine = load_profile(path)
             assert_same_profile(mine, reference_load_profile(path))
             assert_same_profile(mine, reference_split_load_profile(path))
-        assert not exact_scans
+        assert bisections == []
 
-    def test_gb_like_profiles_match_references(self, gb_like_profiles, exact_scans):
+    def test_gb_like_profiles_match_references(self, gb_like_profiles, bisections):
         assert len(gb_like_profiles) == 4
         for path in gb_like_profiles:
             mine = load_profile(path)
             assert mine.demand_mw.shape == (44, HOURS_PER_YEAR)
             assert_same_profile(mine, reference_load_profile(path))
             assert_same_profile(mine, reference_split_load_profile(path))
-        assert not exact_scans
+        assert bisections == []
 
     @pytest.mark.parametrize("chunk", [1, 7, 50_000])
     @pytest.mark.parametrize("ending", ["\r", "\n", "\r\n"])
-    def test_every_line_end_takes_loadtxt(self, tmp_path, monkeypatch, exact_scans, chunk, ending):
+    def test_every_line_end_takes_loadtxt(self, tmp_path, monkeypatch, bisections, chunk, ending):
         monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
         lines = ["region,hour,demand_mw"] + rows_of()
         lines[5:5] = ["", ""]  # lines holding only a line end
         path = write_lines(tmp_path / "demand.csv", lines, ending)
         assert_same_profile(load_profile(path), reference_load_profile(path))
-        assert not exact_scans
+        assert bisections == []
 
     @pytest.mark.parametrize("chunk", [1, 7, 50_000])
     @pytest.mark.parametrize("ending", ["\r", "\n", "\r\n"])
     @pytest.mark.parametrize(
-        "row, line",
+        "row, line, message",
         [
-            ("a,1_0,10.25", 12),  # spellings int() and float() accept, loadtxt refuses
-            ("a,\u0661\u0660,10.25", 12),
-            ("a,10,1_0.25", 12),
-            ("a,10,\u0661\u0660.25", 12),
-            ("  ", 3),  # whitespace-only lines
-            ("\t", 14),
-            ("\x0c", 25),
+            # spellings int() and float() accept, loadtxt refuses
+            ("a,1_0,10.25", 12, "bad numeric value in ['a', '1_0', '10.25']"),
+            ("a,\u0661\u0660,10.25", 12, "bad numeric value in ['a', '\u0661\u0660', '10.25']"),
+            ("a,10,1_0.25", 12, "bad numeric value in ['a', '10', '1_0.25']"),
+            ("a,10,\u0661\u0660.25", 12, "bad numeric value in ['a', '10', '\u0661\u0660.25']"),
+            # whitespace-only lines: one field of blanks
+            ("  ", 3, "expected 3 fields, got 1"),
+            ("\t", 14, "expected 3 fields, got 1"),
+            ("\x0c", 25, "expected 3 fields, got 1"),
         ],
     )
-    def test_exact_path_matches_reference(
-        self, tmp_path, monkeypatch, exact_scans, chunk, ending, row, line
+    def test_int_float_only_spellings_and_blank_lines_refused(
+        self, tmp_path, monkeypatch, bisections, chunk, ending, row, line, message
     ):
         monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
         lines = ["region,hour,demand_mw"] + rows_of()
@@ -680,12 +692,15 @@ class TestLoadtxtReader:
         else:
             lines.insert(line - 1, row)
         path = write_lines(tmp_path / "demand.csv", lines, ending)
-        mine = load_profile(path)
-        assert exact_scans == [path]
-        assert_same_profile(mine, reference_load_profile(path))
-        assert mine.demand_at("a", 10) == 10.25
+        with pytest.raises(ParseError) as error:
+            load_profile(path)
+        assert error.value.line == line
+        assert str(error.value) == f"line {line}: {message}"
+        # loadtxt refused one chunk, the one that holds the line, and no other
+        start = (line - 2) // chunk * chunk  # of the data lines, after the header
+        assert bisections == [min(chunk, len(lines) - 1 - start)]
 
-    def test_hard_decimal_spellings_take_loadtxt_with_float_values(self, tmp_path, exact_scans):
+    def test_hard_decimal_spellings_take_loadtxt_with_float_values(self, tmp_path, bisections):
         # halfway cases, subnormals, the largest double and long digit strings
         texts = [
             "0.1000000000000000055511151231257827021181583404541015625",
@@ -702,7 +717,7 @@ class TestLoadtxtReader:
         lines = ["region,hour,demand_mw"] + [f"a,{h},{text}" for h, text in enumerate(texts)]
         path = write_lines(tmp_path / "demand.csv", lines)
         mine = load_profile(path)
-        assert not exact_scans
+        assert bisections == []
         assert mine.demand_mw[0].tolist() == [float(text) for text in texts]
         assert_same_profile(mine, reference_load_profile(path))
 
@@ -730,25 +745,100 @@ class TestLoadtxtReader:
             tracemalloc.stop()
         assert peak < 18 * 2**20
 
-    def test_exact_path_peak_memory(self, gb_like_profiles, tmp_path, exact_scans):
-        # current.csv with its first hour spelled 0_0, which int() reads and
-        # loadtxt refuses: the whole file takes the line-by-line path
+    def test_refusal_on_the_last_line_peak_memory(self, gb_like_profiles, tmp_path, bisections):
+        # current.csv with its last hour spelled 8_759, which int() reads and
+        # loadtxt refuses: the file is read in chunks up to that line
         source = next(p for p in gb_like_profiles if p.name == "current.csv")
-        header, first, rest = source.read_bytes().split(b"\r\n", 2)
-        region, hour, value = first.split(b",")
-        assert hour == b"0"
+        rest, last, end = source.read_bytes().rsplit(b"\r\n", 2)
+        region, hour, value = last.split(b",")
+        assert hour == b"8759" and end == b""
         path = tmp_path / "current.csv"
-        path.write_bytes(b"\r\n".join([header, b",".join([region, b"0_0", value]), rest]))
+        path.write_bytes(b"\r\n".join([rest, b",".join([region, b"8_759", value]), end]))
+        lines = rest.count(b"\r\n") + 2
         del rest
         tracemalloc.start()
         try:
-            mine = load_profile(path)
+            with pytest.raises(ParseError) as error:
+                load_profile(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert exact_scans == [path]
-        assert_same_profile(mine, load_profile(source))
-        assert peak < 45 * 2**20
+        assert lines == 44 * HOURS_PER_YEAR + 1
+        assert str(error.value) == (
+            f"line {lines}: bad numeric value in ['{region.decode()}', '8_759', '{value.decode()}']"
+        )
+        assert bisections == [(lines - 2) % profiles_module._CHUNK_ROWS + 1]
+        assert peak < 18 * 2**20
+
+
+def corrupt_profile(rng, lines: list[str]) -> list[str]:
+    """lines (a header, then data rows) with one or two random edits: a row
+    dropped, repeated or moved, a field added or lost, a bad number, `1_0`,
+    NaN or an hour wider than int64, a quote, or an empty or
+    whitespace-only line."""
+    lines = list(lines)
+    for _ in range(int(rng.integers(1, 3))):
+        i = int(rng.integers(1, len(lines)))
+        fields = lines[i].split(",")
+        edit = str(rng.choice(["drop", "repeat", "move", "width", "value", "blank", "quote"]))
+        if edit == "drop" and len(lines) > 2:
+            lines.pop(i)
+        elif edit == "repeat":
+            lines.insert(int(rng.integers(1, len(lines) + 1)), lines[i])
+        elif edit == "move":
+            lines.insert(int(rng.integers(1, len(lines))), lines.pop(i))
+        elif edit == "width":
+            lines[i] = lines[i] + ",x" if rng.random() < 0.5 else lines[i].rsplit(",", 1)[0]
+        elif edit == "value" and len(fields) == 3:
+            texts = ["x", "1_0", "nan", "99999999999999999999", "7.5", "\u0661", "12"]
+            fields[int(rng.integers(1, 3))] = str(rng.choice(texts))
+            lines[i] = ",".join(fields)
+        elif edit == "blank":
+            lines.insert(i, str(rng.choice(["", "  ", "\t"])))
+        elif edit == "quote":
+            lines[i] = '"' + lines[i]
+    return lines
+
+
+def first_bad_line(lines: list[str]) -> int | None:
+    """The number of the first data line that loadtxt refuses alone, that
+    holds a quote, or whose (region, hour) an earlier row holds."""
+    row_type = np.dtype([("region", object), ("hour", np.int64), ("value", np.float64)])
+    seen = set()
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue  # a line holding only its line end
+        try:
+            (region, hour, _), = np.loadtxt([line], row_type, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return number
+        if '"' in line or (region.strip(), hour) in seen:
+            return number
+        seen.add((region.strip(), hour))
+    return None
+
+
+class TestProfileFuzz:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_refused_on_its_first_bad_line_or_read_as_the_reference(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
+        lines = corrupt_profile(rng, random_profile_text(rng, "demand_mw").splitlines())
+        path = write_lines(tmp_path / "demand.csv", lines, str(rng.choice(["\n", "\r\n", "\r"])))
+        bad = first_bad_line(lines)
+        if bad is not None:
+            with pytest.raises(ParseError) as error:
+                load_profile(path)
+            assert error.value.line == bad
+            return
+        try:
+            reference = reference_load_profile(path)
+        except ValidationError as error:  # rows dropped, a NaN value or none left
+            with pytest.raises(type(error)) as mine:
+                load_profile(path)
+            assert str(mine.value) == str(error)
+            return
+        assert_same_profile(load_profile(path), reference)
 
 
 # values whose repr is in scientific notation, signed or subnormal

@@ -258,7 +258,7 @@ class TestProfilePool:
             write_fixture(fixture, tmp_path / f"cpus{n}")
             digests.append(file_digests(tmp_path / f"cpus{n}"))
             assert not multiprocessing.active_children()
-        assert started == [1, 2, 4]
+        assert started == [2, 4]  # one CPU writes in this process
         assert len(digests[0]) == 12
         assert digests[0] == digests[1] == digests[2]
 
