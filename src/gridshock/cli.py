@@ -215,7 +215,10 @@ def cmd_simulate(args) -> int:
     ]
     with atomic_open(config.out_dir / "provenance.txt") as handle:
         handle.write("\n".join(lines) + "\n")
-    print(f"wrote {len(table)} records to {config.out_dir / 'results.csv'}")
+    print(
+        f"wrote {len(table)} records to {config.out_dir / 'results.csv'} ({table.shed.sum()} "
+        f"shed load; {table.network_cells} overloaded a branch after the deficit shed)"
+    )
     return 0
 
 
@@ -347,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True)
         if name == "simulate":
             cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--workers", type=int, default=None)
+        ignored = "" if name == "simulate" else "; ignored by this stage"
+        cmd.add_argument("--workers", type=int, default=None, help=f"sweep processes{ignored}")
         cmd.add_argument("--out", default=None)
         cmd.set_defaults(func=func)
     return parser

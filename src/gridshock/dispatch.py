@@ -32,8 +32,10 @@ A program is a `Fleet` (the units left after a loss, with their caps, flow
 columns and capacity) under a `Load` (a demand state, with its total, the
 flows it causes and the units' distance costs). Dispatches that share
 either one can share the object: `DispatchProblem.from_parts` keeps both,
-so the sweep builds a fleet once per (ordering, fraction) and a load once
-per studied hour, and a shedding round builds only its new load.
+and a shedding round builds only its new load. The energy-deficit shed
+(`_shed_deficit`) and the fill (`_fill`) take stacks of cells: the sweep
+settles an ordering's cells in one call of each, every other caller
+passes a stack of one.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ class GridContext:
 
     `sensitivity` is the MW flow on each branch (grid branch order) per MW
     injected at each bus (grid bus order), with the `default_slack_bus`
-    absorbing the balance, so its column is zero. Safe to share across
-    dispatch calls. SingularMatrix propagates when the network is
-    disconnected.
+    absorbing the balance, so its column is zero. `bus_id_rank` is each
+    bus's place when the bus ids are sorted. Safe to share across dispatch
+    calls. SingularMatrix propagates when the network is disconnected.
     """
 
     def __init__(self, grid: Grid):
@@ -128,6 +130,8 @@ class GridContext:
         self.sensitivity = np.zeros((len(grid.branches), len(grid.buses)))
         self.sensitivity[:, [grid.bus_index[bid] for bid in order]] = reduced_sensitivity
         self.ratings = np.array([br.rating_mw for br in grid.branches])
+        ids = [bus.id for bus in grid.buses]
+        self.bus_id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
 
 
 @dataclass(frozen=True)
@@ -222,20 +226,26 @@ def generator_distance_costs(
     if not loads:
         raise NoDemand("distance costs need at least one bus with positive demand")
     loads.sort()
-    total = sum(mw for _, mw in loads)
+    buses, demand = [grid.bus_index[bid] for bid, _ in loads], [[mw for _, mw in loads]]
+    costs = _distance_costs(grid, np.array(buses), np.array(demand), interconnector_penalty)
+    return dict(zip(grid.generator_by_id, costs[0].tolist()))
 
-    rows = grid.hop_distance[[grid.bus_index[bid] for bid, _ in loads]]
-    weights = np.array([mw for _, mw in loads])
-    mean_by_bus = weights @ rows / total
 
-    means = mean_by_bus[grid.generator_bus_index]
-    unreachable = np.flatnonzero(~np.isfinite(means))
+def _distance_costs(grid: Grid, buses, demand: np.ndarray, interconnector_penalty: float):
+    """Each row's `generator_distance_costs`, in generator order: each row
+    of `demand` holds MW, some of it positive, at bus positions `buses`,
+    in bus-id order."""
+    means = np.zeros((len(demand), len(grid.buses)))
+    for row, positive in enumerate(demand > 0.0):
+        means[row] = demand[row, positive] @ grid.hop_distance[buses[positive]]
+    means = (means / np.cumsum(demand, axis=1)[:, -1:])[:, grid.generator_bus_index]
+    unreachable = np.flatnonzero(~np.isfinite(means).all(axis=0))
     if unreachable.size:
         gen = grid.generators[unreachable[0]]
         raise ValidationError(f"generator {gen.id} is unreachable from a demand bus")
     costs = 1.0 + means
-    costs[grid.is_international] *= interconnector_penalty
-    return dict(zip(grid.generator_by_id, costs.tolist()))
+    costs[:, grid.is_international] *= interconnector_penalty
+    return costs
 
 
 def _overloads(flows: np.ndarray, ratings: np.ndarray) -> list[tuple[int, int]]:
@@ -247,29 +257,62 @@ def _overloads(flows: np.ndarray, ratings: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _fill(costs, upper, total):
-    """The balance-only optimum: `total` filled in (cost, index) order.
+    """The balance-only optimum of each row of a stack: `total` filled in
+    (cost, index) order, each unit given min(cap, what remains), which is
+    the total less the caps before it, taken off one by one.
 
-    Returns the outputs and the marginal unit, the last one filled, which
-    is basic at that optimum; None when there is no unit, or capacity falls
-    short by more than the simplex's feasibility tolerance,
-    FEASIBILITY_TOL * (1 + total). The shortfall is taken as phase 1 of the
-    simplex takes it, each cap off the total in index order, so both give
-    the same verdict at the boundary.
+    Returns the outputs and each row's marginal unit, the first whose cap
+    covers what remains, basic at that optimum; -1 when there is no unit,
+    or capacity falls short by more than FEASIBILITY_TOL * (1 + total), the
+    caps taken off the total in index order as phase 1 of the simplex
+    takes them, so both give the same verdict at the boundary.
     """
-    caps = upper.tolist()
-    output = [0.0] * len(caps)
-    remaining = total
-    for k in np.argsort(costs, kind="stable").tolist():
-        output[k] = min(caps[k], remaining)
-        remaining -= output[k]
-        if remaining <= 0.0:
-            return np.array(output), k
-    shortfall = total
-    for cap in caps:
-        shortfall -= cap
-    if not caps or shortfall > FEASIBILITY_TOL * (1.0 + total):
-        return None
-    return np.array(output), k
+    if not upper.shape[1]:
+        return np.zeros_like(upper), np.full(len(total), -1)
+    rows, position = np.arange(len(total))[:, None], np.arange(upper.shape[1])
+    order = np.argsort(costs, axis=1, kind="stable")
+    caps = upper[rows, order]
+    remains = np.subtract.accumulate(np.column_stack([total, caps]), axis=1)[:, :-1]
+    covers = caps >= remains
+    marginal = np.where(covers.any(axis=1), covers.argmax(axis=1), len(position) - 1)
+    output = np.empty_like(caps)
+    output[rows, order] = np.where(position <= marginal[:, None], np.minimum(caps, remains), 0.0)
+    shortfall = np.subtract.accumulate(np.column_stack([total, upper]), axis=1)[:, -1]
+    short = ~covers.any(axis=1) & (shortfall > FEASIBILITY_TOL * (1.0 + total))
+    return output, np.where(short, -1, order[rows[:, 0], marginal])
+
+
+def _shed_deficit(demand, rank, shed_step, capacity, total):
+    """The shed after the energy-deficit rounds of each row of a stack.
+
+    A row holds a cell's bus demands in its load's order, `rank` each bus's
+    place (0, 1, ...) in the cell's shedding order. Each round sheds
+    `shed_step` of the first bus in that order not drained, while total -
+    sum(shed), summed left to right in the load's order, exceeds capacity +
+    1e-9. That sum never falls as a term grows, so the first bus whose
+    drain ends the shortage is found by bisecting the drained prefixes;
+    the buses before it are drained, and it is stepped round by round.
+    """
+    limit, shed = capacity + 1e-9, np.zeros_like(demand)
+    rows = np.flatnonzero(total > limit)
+    if not rows.size:
+        return shed
+    mw, place, total, limit = demand[rows], rank[rows], total[rows], limit[rows]
+    first, stop = np.zeros(len(rows), dtype=int), np.full(len(rows), demand.shape[1])
+    while (searching := first < stop).any():
+        mid = (first + stop) // 2
+        short = total - np.cumsum(np.where(place <= mid[:, None], mw, 0.0), axis=1)[:, -1] > limit
+        first, stop = np.where(short & searching, mid + 1, first), np.where(short, stop, mid)
+    part = np.where(place < first[:, None], mw, 0.0)
+    k, column = np.arange(len(rows)), (place == first[:, None]).argmax(axis=1)
+    bus, value = mw[k, column], part[k, column]
+    stepping = first < demand.shape[1]  # no bus is left to step where every bus drains
+    while stepping.any():
+        value = np.where(stepping, np.minimum(bus, value + shed_step * bus), value)
+        part[k, column] = value
+        stepping &= total - np.cumsum(part, axis=1)[:, -1] > limit
+    shed[rows] = part
+    return shed
 
 
 def _limited_lp(objective, cols, base_flow, ratings, upper, total):
@@ -286,11 +329,11 @@ def _limited_lp(objective, cols, base_flow, ratings, upper, total):
     round adds at least one (branch, sign) pair not yet active, and there
     are 2 * len(ratings) of them, so the loop ends.
     """
-    fill = _fill(objective, upper, total)
-    if fill is None:
+    output, marginal = _fill(objective[None], upper[None], np.array([total]))
+    if marginal[0] < 0:
         return None
-    x, marginal = fill
-    start = Basis(np.array([marginal]), x == upper)
+    x = output[0]
+    start = Basis(marginal, x == upper)
     bounds = np.column_stack([np.zeros(len(objective)), upper])
     active: list[tuple[int, int]] = []
     while True:
@@ -317,11 +360,11 @@ class Fleet:
     shares.
 
     `removed` is checked once: known, and disjoint from `available`, whose
-    ids `DispatchProblem` checks. The available units are held in generator-id order (`ids`, at positions
-    `index` in the grid's generators) with their caps `upper`, their
-    flow-sensitivity columns `cols` and their `capacity`, summed left to
-    right in that order: a set's order varies with the string-hash seed,
-    and a float sum with it.
+    ids `DispatchProblem` checks. The available units are held in
+    generator-id order (`ids`, at positions `index` in the grid's
+    generators) with their caps `upper`, their flow-sensitivity columns
+    `cols` and their `capacity`, summed left to right in that order: a
+    set's order varies with the string-hash seed, and a float sum with it.
     """
 
     def __init__(self, context: GridContext, available, removed=frozenset()):
@@ -342,15 +385,20 @@ class Fleet:
         self.capacity = sum(self.upper.tolist())
 
     @cached_property
-    def shed_rank(self) -> list[str]:
-        """Every bus id, nearest first by hop distance to the nearest removed
-        unit's bus; ties, and every bus when nothing is removed, by id."""
+    def shed_rank(self) -> np.ndarray:
+        """Every bus's position in the grid's buses, nearest first by hop
+        distance to the nearest removed unit's bus; ties, and every bus
+        when nothing is removed, by id."""
         grid = self.context.grid
-        if not self.removed:
-            return sorted(grid.bus_index)
         sources = [grid.bus_index[grid.generator_by_id[g].bus] for g in self.removed]
-        near = grid.hop_distance[sources].min(axis=0).tolist()
-        return sorted(grid.bus_index, key=lambda bid: (near[grid.bus_index[bid]], bid))
+        return _shed_order(self.context, grid.hop_distance[sources].min(axis=0, initial=np.inf))
+
+
+def _shed_order(context: GridContext, near: np.ndarray) -> np.ndarray:
+    """Each row's bus positions, nearest first by `near`, the hop distance
+    to the nearest removed unit's bus (inf with nothing removed); ties by
+    bus id."""
+    return np.lexsort((np.broadcast_to(context.bus_id_rank, near.shape), near), axis=-1)
 
 
 class Load:
@@ -400,10 +448,11 @@ class _Program:
     def merit_order(self) -> np.ndarray | None:
         """The balance-only optimum, filled in (cost, index) order, if it
         overloads no branch; None when it does or capacity falls short."""
-        fill = _fill(self.costs, self.upper, self.total)
-        if fill is None or _overloads(self.cols @ fill[0] + self.base_flow, self.context.ratings):
+        output, marginal = _fill(self.costs[None], self.upper[None], np.array([self.total]))
+        x = output[0]
+        if marginal[0] < 0 or _overloads(self.cols @ x + self.base_flow, self.context.ratings):
             return None
-        return fill[0]
+        return x
 
     def least_cost(self) -> np.ndarray | None:
         return _limited_lp(
@@ -444,8 +493,8 @@ def merit_order_flows(problem: DispatchProblem) -> np.ndarray | None:
     program = _Program(*problem.parts(GridContext(problem.grid)))
     if program.total <= 0.0:
         return np.zeros(len(problem.grid.branches))
-    fill = _fill(program.costs, program.upper, program.total)
-    return None if fill is None else program.cols @ fill[0] + program.base_flow
+    output, marginal = _fill(program.costs[None], program.upper[None], np.array([program.total]))
+    return None if marginal[0] < 0 else program.cols @ output[0] + program.base_flow
 
 
 def redispatch(problem: DispatchProblem, context: GridContext | None = None) -> DispatchSolution:
@@ -492,8 +541,9 @@ def dispatch_with_shedding(
     is drained completely before the next one is touched. The result is
     the first round that admits a dispatch within every branch limit.
 
-    The aggregate energy deficit is shed without the optimizer, since no
-    dispatch exists while demand exceeds available capacity. After that, a
+    The aggregate energy deficit is shed without the optimizer
+    (`_shed_deficit`), since no dispatch exists while demand exceeds
+    available capacity. After that, a
     round whose merit-order fill overloads nothing settles the cell. Else
     one linear program finds the least extra shed t* on the front bus that
     admits a dispatch; the feasible shed amounts on one bus form an
@@ -512,9 +562,11 @@ def dispatch_with_shedding(
         raise ValidationError("shed step must lie in (0, 1]")
 
     original = unshed.mw
-    order = [bid for bid in fleet.shed_rank if bid in original]
-
-    shed = {bid: 0.0 for bid in original}
+    order = [bid for bid in (context.grid.buses[k].id for k in fleet.shed_rank) if bid in original]
+    rank = [[order.index(bid) for bid in original]]
+    deficit = _shed_deficit(np.array([list(original.values())]), np.array(rank), shed_step,
+                            np.array([fleet.capacity]), np.array([unshed.total]))
+    shed = dict(zip(original, deficit[0].tolist()))
     position = 0  # the buses before it in `order` are drained
 
     def front() -> str | None:
@@ -549,26 +601,6 @@ def dispatch_with_shedding(
 
     def confirm() -> DispatchSolution:
         return redispatch(DispatchProblem.from_parts(fleet, load()), context)
-
-    capacity, total = fleet.capacity, unshed.total
-
-    def short() -> bool:
-        return total - sum(shed.values()) > capacity + 1e-9
-
-    # Rounds are taken while capacity is short, but that is checked only at
-    # bus boundaries: a left-to-right float sum of nonnegative terms never
-    # decreases when one term grows, so short() is monotone in the rounds.
-    # A bus whose full drain still leaves capacity short is short before
-    # each of its rounds and is drained at once; the first bus whose drain
-    # is not is stepped round by round.
-    if short():
-        for bid in order:
-            shed[bid] = original[bid]
-            if not short():
-                shed[bid] = 0.0
-                while short():
-                    apply_round()
-                break
 
     while True:
         bus = front()

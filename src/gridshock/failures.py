@@ -11,8 +11,11 @@ parallel execution reduces to the same table as a serial run.
 The sweep computes what cells share once: an ordering's removal sets for
 all fractions together (`removal_sets`), one `dispatch.Fleet` per
 (ordering, fraction) and one unshed `dispatch.Load` per studied (scenario,
-hour). Each cell is still one `dispatch_with_shedding` call, with the same
-float operations in the same order as a cell computed alone.
+hour). An ordering's cells are settled as one stack: their deficit sheds,
+demand states and merit-order fills are array operations, and only a cell
+whose fill falls short or overloads a branch is one `dispatch_with_shedding`
+call. Every cell keeps the float operations, in their order, of a cell
+computed alone.
 
 `ResultTable` is the one record type from simulate to analyze: key columns
 plus a records x regions matrix of unserved MW. A record's status is
@@ -36,6 +39,10 @@ from .dispatch import (
     Fleet,
     GridContext,
     Load,
+    _distance_costs,
+    _fill,
+    _shed_deficit,
+    _shed_order,
     dispatch_with_shedding,
     merit_order_flows,
 )
@@ -109,7 +116,9 @@ class ResultTable:
 
     The key columns `ordering` (int64), `fraction`, `scenario` (a tuple)
     and `hour` (int64) hold one entry per record; `unserved_mw` is records
-    x `regions` (sorted).
+    x `regions` (sorted). `network_cells` counts the records whose fill
+    overloaded a branch or fell short after the energy-deficit shed (None
+    for a table read from a file).
     """
 
     ordering: np.ndarray
@@ -118,6 +127,7 @@ class ResultTable:
     hour: np.ndarray
     regions: tuple[str, ...]
     unserved_mw: np.ndarray
+    network_cells: int | None = None
 
     def __post_init__(self):
         if len(set(self.keys())) != len(self):
@@ -229,9 +239,11 @@ def _solar_ids(grid: Grid) -> frozenset[str]:
 class _SweepState:
     """Shared per-process state for the ordering workers.
 
-    Each studied (scenario, hour) keeps one `Load`, its unshed demand state
-    with the flows and distance costs the demand alone gives; each
-    (ordering, fraction) builds one `Fleet`, shared by its cells.
+    Each studied (scenario, hour) keeps one unshed `Load`. Row k of `buses`
+    lists every bus position, load k's demand buses first and in its
+    order, and row k of `demand` the load's MW at each; `costs[k]` holds
+    its distance costs with the generators in id order, at positions
+    `by_id` in the grid's generators (`id_place` inverts `by_id`).
     """
 
     def __init__(
@@ -245,41 +257,97 @@ class _SweepState:
         self.grid = grid
         self.config = config
         self.regions = regions
+        self.penalty = interconnector_penalty
         self.context = GridContext(grid)
-        self.loads = {
-            key: Load(self.context, demand, interconnector_penalty) for key, demand in demands.items()
-        }
+        self.cells = sorted(config.hours)
+        self.loads = [Load(self.context, demands[c], interconnector_penalty) for c in self.cells]
         self.solar = _solar_ids(grid)
+        solar_buses = [grid.bus_index[grid.generator_by_id[g].bus] for g in self.solar]
+        self.solar_near = grid.hop_distance[solar_buses].min(axis=0, initial=np.inf)
         self.all_generators = frozenset(grid.generator_by_id)
         column = {region: k for k, region in enumerate(regions)}
-        self.bus_column = {
-            bus.id: column[bus.region] for bus in grid.demand_buses if bus.region in column
-        }
-        self.cells = sorted(config.hours)
+        self.bus_region = np.array([column.get(bus.region, 0) for bus in grid.buses])
+        first = [[grid.bus_index[bid] for bid in load.mw] for load in self.loads]
+        rest = [sorted(set(range(len(grid.buses))) - set(row)) for row in first]
+        self.buses = np.array([row + others for row, others in zip(first, rest)])
+        self.demand = np.zeros(self.buses.shape)
+        for row, load in enumerate(self.loads):
+            self.demand[row, : len(load.mw)] = list(load.mw.values())
+        self.by_id = np.array([grid.generator_index[g] for g in sorted(grid.generator_by_id)])
+        self.id_place = np.argsort(self.by_id)
+        self.costs = np.zeros((len(self.loads), len(self.by_id)))
+        for row, load in enumerate(self.loads):
+            if load.mw:
+                self.costs[row] = load.costs[self.by_id]
 
-    def run_ordering(self, ordering: tuple[str, ...]) -> np.ndarray:
+    def run_ordering(self, ordering: tuple[str, ...]) -> tuple[np.ndarray, int]:
         """Unserved MW per region of the ordering's cells, fraction by
-        fraction and cell by cell: the ordering's rows of the table."""
-        rows = []
-        for removed in removal_sets(ordering, self.grid, self.config.loss_fractions):
-            removed |= self.solar
-            fleet = Fleet(self.context, self.all_generators - removed, removed)
-            for cell in self.cells:
-                rows.append(self._run_cell(DispatchProblem.from_parts(fleet, self.loads[cell]), removed))
-        return np.array(rows)
+        fraction and cell by cell: the ordering's rows of the table; and
+        how many cells the merit-order fill did not settle.
 
-    def _run_cell(self, problem: DispatchProblem, removed: frozenset[str]) -> np.ndarray:
-        solution = dispatch_with_shedding(
-            problem,
-            removed=removed,
-            shed_step=self.config.shed_step,
-            context=self.context,
-        )
-        unserved = np.zeros(len(self.regions))
-        if solution.total_shed_mw > 0.0:
+        The cells are settled as one stack, with the float operations of
+        `dispatch_with_shedding` in their order: the energy deficit is
+        shed, each shed cell's demand state built, and every cell filled
+        over all generators, a unit its fleet lacks capped at zero. A cell
+        whose fill falls short or overloads a branch is settled by
+        `dispatch_with_shedding`.
+        """
+        grid, context, n_loads = self.grid, self.context, len(self.loads)
+        removals = removal_sets(ordering, grid, self.config.loss_fractions)
+        fleets = [
+            Fleet(context, self.all_generators - removed - self.solar, removed | self.solar)
+            for removed in removals
+        ]
+        cells, tile = len(fleets) * n_loads, (len(fleets), 1)
+        upper = np.zeros((len(fleets), len(self.by_id)))
+        for row, fleet in enumerate(fleets):
+            upper[row, self.id_place[fleet.index]] = fleet.upper
+        # every fleet's `shed_rank` at once: its removed units are a prefix of the ordering
+        buses = grid.generator_bus_index[[grid.generator_index[g] for g in ordering]]
+        reach = np.minimum.accumulate(np.vstack([self.solar_near, grid.hop_distance[buses]]))
+        order = _shed_order(context, reach[[len(removed) for removed in removals]])
+        place = np.argsort(order, axis=1)[:, self.buses].reshape(cells, -1)
+        demand = np.tile(self.demand, tile)
+        total = np.tile([load.total for load in self.loads], len(fleets))
+        capacity = np.repeat([fleet.capacity for fleet in fleets], n_loads)
+        shed = _shed_deficit(demand, place, self.config.shed_step, capacity, total)
+
+        # each shed cell's demand state: its total, base flow and distance costs
+        left, renew = demand - shed, np.flatnonzero(shed.any(axis=1))
+        total = np.cumsum(left, axis=1)[:, -1]
+        vectors = np.zeros((len(renew), len(grid.buses)))
+        vectors[np.arange(len(renew))[:, None], self.buses[renew % n_loads]] = left[renew]
+        base_flow = np.tile([load.base_flow for load in self.loads], tile)
+        for cell, vector in zip(renew.tolist(), vectors):
+            base_flow[cell] = context.sensitivity @ -vector
+        costs, served = np.tile(self.costs, tile), total[renew] > 0.0
+        id_buses = np.argsort(context.bus_id_rank)
+        new_costs = _distance_costs(grid, id_buses, vectors[served][:, id_buses], self.penalty)
+        costs[renew[served]] = new_costs[:, self.by_id]
+
+        output, marginal = _fill(costs, np.repeat(upper, n_loads, axis=0), total)
+        flows = base_flow.copy()
+        for cell in range(cells):
+            fleet = fleets[cell // n_loads]
+            flows[cell] += fleet.cols @ output[cell, self.id_place[fleet.index]]
+        overloads = (np.abs(flows) > context.ratings * (1.0 + 1e-9)).any(axis=1)
+        filled = np.repeat([len(fleet.ids) > 0 for fleet in fleets], n_loads) & (marginal >= 0)
+        settled = (total <= 0.0) | (filled & ~overloads)
+
+        # bincount adds each bin's weights in their order: a cell's buses in its load's order
+        bins = np.tile(self.bus_region[self.buses], tile)
+        bins += len(self.regions) * np.arange(cells)[:, None]
+        weights = np.where(settled[:, None], shed, 0.0).ravel()
+        unserved = np.bincount(bins.ravel(), weights, cells * len(self.regions)).reshape(cells, -1)
+        for cell in np.flatnonzero(~settled).tolist():
+            fleet = fleets[cell // n_loads]
+            problem = DispatchProblem.from_parts(fleet, self.loads[cell % n_loads])
+            solution = dispatch_with_shedding(
+                problem, removed=fleet.removed, shed_step=self.config.shed_step, context=context
+            )
             for bid, mw in solution.shed_mw.items():
-                unserved[self.bus_column[bid]] += mw
-        return unserved
+                unserved[cell, self.bus_region[grid.bus_index[bid]]] += mw
+        return unserved, int(cells - settled.sum())
 
 
 def run_experiment(
@@ -329,7 +397,8 @@ def run_experiment(
         scenario=tuple(s for s, _ in cells) * (n * len(fractions)),
         hour=np.tile([h for _, h in cells], n * len(fractions)),
         regions=state.regions,
-        unserved_mw=np.concatenate(chunks),
+        unserved_mw=np.concatenate([rows for rows, _ in chunks]),
+        network_cells=sum(count for _, count in chunks),
     )
 
 

@@ -571,6 +571,30 @@ def _reference_redispatch(grid, context, demand_mw, available, penalty):
     return x is not None
 
 
+def reference_fill(costs, upper, total):
+    """The merit-order fill as a loop over the units in (cost, index)
+    order, each given min(cap, what remains), stopping once nothing
+    remains: (outputs, marginal unit), or None when there is no unit or
+    capacity falls short by more than FEASIBILITY_TOL * (1 + total), the
+    caps taken off the total in index order."""
+    from gridshock.numerics import FEASIBILITY_TOL
+
+    caps = upper.tolist()
+    output = [0.0] * len(caps)
+    remaining = total
+    for k in np.argsort(costs, kind="stable").tolist():
+        output[k] = min(caps[k], remaining)
+        remaining -= output[k]
+        if remaining <= 0.0:
+            return np.array(output), k
+    shortfall = total
+    for cap in caps:
+        shortfall -= cap
+    if not caps or shortfall > FEASIBILITY_TOL * (1.0 + total):
+        return None
+    return np.array(output), k
+
+
 def reference_shed_deficit(original, order, shed_step, capacity):
     """The shed per bus after the energy-deficit rounds, checking the
     remaining demand before every round: each round sheds `shed_step` of

@@ -15,7 +15,7 @@ import gridshock.mria as mria_module
 from gridshock.cli import main
 from gridshock.errors import MissingCosts, ParseError, ValidationError
 from gridshock.failures import DEFAULT_LOSS_FRACTIONS, load_results
-from gridshock.grid import Grid, load_regions
+from gridshock.grid import Grid, load_grid, load_regions, serialize_grid
 from gridshock.mria import (
     SupplyUseModel,
     assemble_program,
@@ -574,6 +574,49 @@ def shocked_programs(run):
         load_supply_use(config.supply_use_dir).regions,
     )
     return len(np.unique(shocks[shocks.any(axis=1)], axis=0))
+
+
+@pytest.fixture(scope="module")
+def gb_fx(tmp_path_factory):
+    """The gb-like fixture at seed 7 with a second config, `congested.cfg`:
+    backbone and cross-link ratings cut to 35%, calibrated with headroom
+    1.0, over 10 orderings, so that branch limits bind."""
+    root = tmp_path_factory.mktemp("gb_fixture")
+    assert main(["gen-synthetic", "--size", "gb-like", "--seed", "7", "--out", str(root)]) == 0
+    grid = load_grid(root / "grid.csv")
+    branches = tuple(
+        replace(b, rating_mw=b.rating_mw * 0.35) if b.id.startswith(("bb", "br")) else b
+        for b in grid.branches
+    )
+    serialize_grid(replace(grid, branches=branches), root / "congested.csv")
+    text = (root / "run.cfg").read_text(encoding="utf-8")
+    for old, new in (("grid.csv", "congested.csv"), ("n_orderings = 50", "n_orderings = 10"),
+                     ("headroom = 1.2", "headroom = 1.0")):
+        assert old in text
+        text = text.replace(old, new)
+    write_cfg(root, "congested.cfg", text)
+    return root
+
+
+class TestSimulateCounts:
+    """simulate's closing line says how many cells shed load and how many
+    the merit-order fill left to network rounds, the same at any worker
+    count: the network limits no gb-like default cell and 177 congested
+    ones."""
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    @pytest.mark.parametrize(
+        "cfg, records, shed, network",
+        [("run.cfg", 2000, 806, 0), ("congested.cfg", 400, 223, 177)],
+    )
+    def test_closing_line(self, gb_fx, tmp_path, capsys, workers, cfg, records, shed, network):
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(gb_fx / cfg), "--workers", workers, "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {records} records to {out / 'results.csv'} "
+            f"({shed} shed load; {network} overloaded a branch after the deficit shed)\n"
+        )
 
 
 class TestProcessPools:

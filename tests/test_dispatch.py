@@ -35,6 +35,7 @@ from oracles import (
     check_limits,
     dc_power_flow,
     reference_distance_costs,
+    reference_fill,
     reference_limited_lp,
     reference_lp_solve,
     reference_shed_deficit,
@@ -617,6 +618,93 @@ class TestShedDeficit:
                 sol = dispatch_with_shedding(problem, shed_step=step)
                 expected = reference_shed_deficit(original, order, step, capacity)
                 assert sol.shed_mw == {bid: mw for bid, mw in expected.items() if mw > 0.0}
+
+
+class TestStackedFill:
+    """`dispatch._fill` over a stack of rows against the loop it replaced
+    (`oracles.reference_fill`), bit for bit: outputs, marginal unit and
+    the capacity-short verdict, with totals at each prefix of the sorted
+    caps, one ulp either side, and at the tolerance of a shortfall."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_match_the_loop(self, seed):
+        rng = np.random.default_rng([71, seed])
+        n = int(rng.integers(1, 9))
+        rows = []
+        for _ in range(8):
+            costs = rng.choice([1.0, 2.0, 2.5, 3.0], n)  # ties fill in index order
+            upper = np.round(rng.uniform(0.0, 90.0, n), int(rng.integers(1, 4)))
+            upper[rng.random(n) < 0.15] = 0.0
+            remains = [0.0]
+            for cap in upper[np.argsort(costs, kind="stable")]:
+                remains.append(remains[-1] + cap)
+            for total in remains[1:] + [remains[-1] + FEASIBILITY_TOL, remains[-1] + 1.0]:
+                for value in (np.nextafter(total, -np.inf), total, np.nextafter(total, np.inf)):
+                    rows.append((costs, upper, max(float(value), 0.0)))
+        output, marginal = dispatch_module._fill(
+            np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+        )
+        verdicts = set()
+        for row, x, k in zip(rows, output, marginal.tolist()):
+            expected = reference_fill(*row)
+            verdicts.add(expected is None)
+            assert k == (-1 if expected is None else expected[1]), row
+            if expected is not None:
+                assert x.tolist() == expected[0].tolist(), row
+        assert verdicts == {True, False}
+
+
+class TestStackedShedDeficit:
+    """`dispatch._shed_deficit` over a stack of cells, each row against the
+    per-round loop (`oracles.reference_shed_deficit`), bit for bit: rows
+    that share nothing, in loads with zero-demand buses anywhere in the
+    load and shedding orders, with capacities one ulp either side of each
+    round's boundary."""
+
+    @staticmethod
+    def cell(rng, n_buses):
+        """(original, order) of a random load: bus ids in load order, some
+        without demand, and a shedding order over them."""
+        ids = [f"b{k:02d}" for k in rng.permutation(n_buses)]
+        demands = np.round(rng.uniform(0.5, 400.0, n_buses), int(rng.integers(0, 4)))
+        demands[rng.random(n_buses) < 0.2] = 0.0
+        original = {bid: float(mw) for bid, mw in zip(ids, demands)}
+        return original, [ids[k] for k in rng.permutation(n_buses)]
+
+    @staticmethod
+    def boundaries(original, order, step):
+        """The capacity at which each round of the per-round loop stops it."""
+        total, shed, stops = sum(original.values()), dict.fromkeys(original, 0.0), []
+        for bid in order:
+            while shed[bid] < original[bid]:
+                stops.append(total - sum(shed.values()) - 1e-9)
+                shed[bid] = min(original[bid], shed[bid] + step * original[bid])
+        return stops + [total - sum(shed.values()) - 1e-9]
+
+    @pytest.mark.parametrize("step", [1.0, 0.3, 0.05])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_match_the_per_round_loop(self, seed, step):
+        rng = np.random.default_rng([67, seed])
+        n_buses = int(rng.integers(1, 12))
+        cells = []
+        for _ in range(6):
+            original, order = self.cell(rng, n_buses)
+            stops = self.boundaries(original, order, step)
+            picks = {0, len(stops) - 1} | set(rng.integers(0, len(stops), 4).tolist())
+            for k in sorted(picks):
+                for capacity in (np.nextafter(stops[k], -np.inf), stops[k], np.nextafter(stops[k], np.inf)):
+                    cells.append((original, order, max(float(capacity), 0.0)))
+            # nothing removed: capacity to spare; every bus drains: none
+            cells += [(original, order, sum(original.values()) + 1.0), (original, order, 0.0)]
+        demand = np.array([list(original.values()) for original, _, _ in cells])
+        rank = np.array([[order.index(bid) for bid in original] for original, order, _ in cells])
+        capacity = np.array([capacity for _, _, capacity in cells])
+        total = np.array([sum(original.values()) for original, _, _ in cells])
+        shed = dispatch_module._shed_deficit(demand, rank, step, capacity, total)
+        for row, (original, order, capacity) in zip(shed, cells):
+            expected = reference_shed_deficit(original, order, step, capacity)
+            assert row.tolist() == list(expected.values()), (original, order, capacity)
+        assert (shed == demand).all(axis=1).any() and not shed[-2].any()
 
 
 def congested_case(rng):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 from types import SimpleNamespace
 
@@ -406,17 +407,24 @@ class TestRunExperiment:
         assert records_of(serial) == records_of(parallel)
 
 
+def gb_like_default(seed=7):
+    """The gb-like fixture's grid calibrated as its run.cfg does (headroom
+    1.2), and its studied hours: each profile's peak. Returns (grid,
+    fixture, hours)."""
+    fixture = generate("gb-like", seed)
+    grid = calibrate_ratings(fixture.grid, fixture.profiles["current"], headroom=1.2)
+    return grid, fixture, tuple((s, p.peak_hour()) for s, p in fixture.profiles.items())
+
+
 class TestSweepAgainstReference:
-    def test_every_cell_of_the_congested_sweep(self):
-        # the sweep shares each ordering's removal sets, each (ordering,
-        # fraction)'s fleet and each studied hour's load between cells; the
-        # oracle builds every cell alone, with a fresh GridContext
-        grid, fixture = gb_like_congested()
-        hours = (("current", 427), ("heat_pump", 427), ("efficiency", 427), ("flat", 0))
-        config = ExperimentConfig(hours=hours, n_orderings=2, master_seed=7)
+    def assert_cells_match_the_reference(self, grid, fixture, config):
+        # the sweep settles an ordering's cells as one stack, sharing its
+        # removal sets, fleets and loads; the oracle builds every cell
+        # alone, with a fresh GridContext, and checks every round with the
+        # simplex
         table = run_experiment(grid, fixture.profiles, config)
-        assert len(table) == 2 * len(DEFAULT_LOSS_FRACTIONS) * len(hours)
-        orderings = generate_orderings(grid, 2, 7)
+        assert len(table) == config.n_orderings * len(DEFAULT_LOSS_FRACTIONS) * len(config.hours)
+        orderings = generate_orderings(grid, config.n_orderings, config.master_seed)
         solar = frozenset(g.id for g in grid.generators if g.technology == "solar")
         column = {region: k for k, region in enumerate(table.regions)}
         for row, (ordering, fraction, scenario, hour) in zip(table.unserved_mw, table.keys()):
@@ -431,7 +439,43 @@ class TestSweepAgainstReference:
             for bid, mw in shed.items():
                 unserved[column[grid.bus_by_id[bid].region]] += mw
             assert row.tolist() == unserved.tolist(), (ordering, fraction, scenario, hour)
+        return table
+
+    def test_every_cell_of_the_congested_sweep(self):
+        grid, fixture = gb_like_congested()
+        hours = (("current", 427), ("heat_pump", 427), ("efficiency", 427), ("flat", 0))
+        config = ExperimentConfig(hours=hours, n_orderings=2, master_seed=7)
+        table = self.assert_cells_match_the_reference(grid, fixture, config)
         assert table.shed.sum() >= 40
+        assert table.network_cells > 0
+
+    def test_every_cell_of_the_default_sweep(self):
+        # the cells the stacked deficit shed and merit-order fill settle
+        grid, fixture, hours = gb_like_default()
+        config = ExperimentConfig(hours=hours, n_orderings=2, master_seed=7)
+        table = self.assert_cells_match_the_reference(grid, fixture, config)
+        assert 20 <= table.shed.sum() < len(table)
+        assert table.network_cells == 0
+
+
+class TestGoldenSweep:
+    """The sha256 of the unserved-MW matrix, captured from the sweep that
+    dispatched every cell alone, before it was settled as stacks."""
+
+    GOLDEN = {
+        ("gb-like", 11): "28bbe3ef759fe67b7124c75be6b85027accef4d5f58b579acb7e338f341bb40d",
+        ("small", 3): "05f7f295528a6af23f9fd006b42a0573f5a5f77e0f9f5ea450e66ac3bb71fd37",
+    }
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("size, seed", list(GOLDEN))
+    def test_unserved_bytes(self, size, seed, workers):
+        fixture = generate(size, seed)
+        grid = calibrate_ratings(fixture.grid, fixture.profiles["current"], headroom=1.2)
+        hours = tuple((s, p.peak_hour()) for s, p in fixture.profiles.items())
+        config = ExperimentConfig(hours=hours, n_orderings=10, master_seed=seed)
+        table = run_experiment(grid, fixture.profiles, config, workers=workers)
+        assert hashlib.sha256(table.unserved_mw.tobytes()).hexdigest() == self.GOLDEN[size, seed]
 
 
 class TestCalibrateRatings:
