@@ -20,6 +20,25 @@ min(workers, orderings). impact solves its programs in min(programs,
 CPUs), one contiguous chunk each. analyze starts no process. Every
 output is a pure function of (inputs, seed), independent of the worker
 count and of the number of CPUs.
+
+Each stage imports only the layers it runs, since every stage is a process
+of its own that pays for its imports. At the top this module imports the
+light layers: configuration, grid and profile readers, the result table
+(`results`) and the pool. The heavy names are imported on first use, by
+the module `__getattr__` (PEP 562): `calibrate_ratings` and
+`run_experiment` from `failures`, which brings the dispatch engine and
+the solver; `assess_impact`, `load_supply_use`, `shock_from_unserved` and
+`solve_baseline` from `mria`, which brings the solver; `load_costs` and the
+statistics from `analysis`; `generate` and `write_fixture` from
+`synthetic`. So simulate loads no `mria`, `analysis` or `synthetic`;
+impact no `dispatch`, `failures`, `analysis` or `synthetic`; and analyze
+none of those nor `numerics`, `multiprocessing` or `numpy.ma`. A bare
+global name in a function does not reach the module `__getattr__`, so
+each command fetches its heavy names from this module when it starts
+(`_fetch`): a function set on the module with setattr, such as a tracer's
+wrapper, is then the one that runs. A stage hashes each file once:
+simulate hashes a profile in the process that parses it, and impact and
+analyze keep the digests of one command in a dict of that command.
 """
 
 from __future__ import annotations
@@ -27,44 +46,63 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    build_cost_curve,
-    load_costs,
-    lost_load_slope,
-    marginal_cost_per_gw,
-    population_shares,
-    regional_relative_change,
-    write_cost_curves,
-    write_marginal_slopes,
-    write_population_shares,
-    write_regional_change,
-    zero_impact_demand_gw,
-)
 from .atomic import atomic_open
 from .errors import GridShockError, ParseError, ProvenanceMismatch
-from .failures import (
-    ResultTable,
-    calibrate_ratings,
-    load_results,
-    run_experiment,
-    save_results,
-)
 from .forkpool import available_cpus, fork_map
 from .grid import load_grid, load_regions
-from .mria import assess_impact, load_supply_use, shock_from_unserved, solve_baseline
 from .profiles import (
     StudiedDemand,
     load_profile,
     load_studied_demand,
     save_studied_demand,
 )
+from .results import ResultTable, load_results, save_results
 from .runconfig import RunConfig, load_run_config
-from .synthetic import generate, write_fixture
+
+# name -> the module `__getattr__` imports it from on first use
+_LAZY = {
+    "calibrate_ratings": "failures",
+    "run_experiment": "failures",
+    "assess_impact": "mria",
+    "load_supply_use": "mria",
+    "shock_from_unserved": "mria",
+    "solve_baseline": "mria",
+    "build_cost_curve": "analysis",
+    "load_costs": "analysis",
+    "lost_load_slope": "analysis",
+    "marginal_cost_per_gw": "analysis",
+    "population_shares": "analysis",
+    "regional_relative_change": "analysis",
+    "write_cost_curves": "analysis",
+    "write_marginal_slopes": "analysis",
+    "write_population_shares": "analysis",
+    "write_regional_change": "analysis",
+    "zero_impact_demand_gw": "analysis",
+    "generate": "synthetic",
+    "write_fixture": "synthetic",
+}
+
+
+def __getattr__(name: str):
+    """Import a lazy name's layer on first use and bind the name here (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _fetch(*names: str) -> list:
+    """Each name as this module binds it now: a function set on the module
+    with setattr, such as a tracer's wrapper, is the one returned."""
+    module = sys.modules[__name__]
+    return [getattr(module, name) for name in names]
 
 
 def _sha256(path: Path) -> str:
@@ -98,8 +136,16 @@ def _priced_files(config: RunConfig) -> list[tuple[str, Path]]:
     )
 
 
-def _hash_lines(files: list[tuple[str, Path]]) -> list[str]:
-    return [f"{key} = sha256:{_sha256(path)}" for key, path in files]
+def _digest(path: Path, digests: dict[Path, str]) -> str:
+    """The sha256 of `path`, read once per command: `digests` belongs to the
+    command, so a file edited between two commands is hashed again."""
+    if path not in digests:
+        digests[path] = _sha256(path)
+    return digests[path]
+
+
+def _hash_lines(files: list[tuple[str, Path]], digests: dict[Path, str]) -> list[str]:
+    return [f"{key} = sha256:{_digest(path, digests)}" for key, path in files]
 
 
 def _read_provenance(path: Path) -> dict[str, str]:
@@ -110,16 +156,18 @@ def _read_provenance(path: Path) -> dict[str, str]:
     )
 
 
-def _check_hashes(path: Path, recorded: dict[str, str], files, stage: str) -> None:
+def _check_hashes(
+    path: Path, recorded: dict[str, str], files, stage: str, digests: dict[Path, str]
+) -> None:
     """Refuse any file whose hash is not the one `path` records for it."""
     for key, hashed_path in files:
-        if recorded.get(key) != f"sha256:{_sha256(hashed_path)}":
+        if recorded.get(key) != f"sha256:{_digest(hashed_path, digests)}":
             raise ProvenanceMismatch(
                 f"{hashed_path} does not match its hash in {path}; rerun {stage}"
             )
 
 
-def _load_results(config: RunConfig, config_path: Path) -> ResultTable:
+def _load_results(config: RunConfig, config_path: Path, digests: dict[Path, str]) -> ResultTable:
     """Read `results.csv`, refusing outputs that simulate did not write from
     the current inputs.
 
@@ -133,7 +181,7 @@ def _load_results(config: RunConfig, config_path: Path) -> ResultTable:
     try:
         table = load_results(config.out_dir / "results.csv")
     except ParseError:
-        _check_hashes(path, _read_provenance(path), hashed, "simulate")
+        _check_hashes(path, _read_provenance(path), hashed, "simulate", digests)
         raise
     recorded = _read_provenance(path)
     if recorded.get("records") != str(len(table)):
@@ -141,7 +189,7 @@ def _load_results(config: RunConfig, config_path: Path) -> ResultTable:
             f"{config.out_dir / 'results.csv'} holds {len(table)} records, "
             f"but {path} records {recorded.get('records')}; rerun simulate"
         )
-    _check_hashes(path, recorded, hashed, "simulate")
+    _check_hashes(path, recorded, hashed, "simulate", digests)
     return table
 
 
@@ -161,6 +209,7 @@ def _resolve(config: RunConfig, args) -> RunConfig:
 
 
 def cmd_gen_synthetic(args) -> int:
+    generate, write_fixture = _fetch("generate", "write_fixture")
     fixture = generate(args.size, args.seed)
     written = write_fixture(fixture, args.out)
     peak = fixture.profiles["current"].national().max()
@@ -170,14 +219,19 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    calibrate_ratings, run_experiment = _fetch("calibrate_ratings", "run_experiment")
     config = _resolve(load_run_config(args.config), args)
     grid = load_grid(config.grid)
-    # one task per profile file, each parsed in a forked process
+
+    def parse(scenario: str):
+        path = config.profiles[scenario]
+        return load_profile(path, scenario=scenario), _sha256(path)
+
+    # one task per profile file, each parsed and hashed in a forked process
     scenarios = sorted(config.profiles)
-    parsed = fork_map(
-        lambda s: load_profile(config.profiles[s], scenario=s), scenarios, available_cpus()
-    )
-    profiles = dict(zip(scenarios, parsed))
+    parsed = fork_map(parse, scenarios, available_cpus())
+    profiles = {s: profile for s, (profile, _) in zip(scenarios, parsed)}
+    digests = {config.profiles[s]: digest for s, (_, digest) in zip(scenarios, parsed)}
     grid = calibrate_ratings(
         grid,
         profiles[config.analyze_baseline],
@@ -204,7 +258,7 @@ def cmd_simulate(args) -> int:
         config.out_dir / "demand.csv",
     )
 
-    lines = _hash_lines(_hashed_files(config, Path(args.config)))
+    lines = _hash_lines(_hashed_files(config, Path(args.config)), digests)
     lines += [
         f"master_seed = {experiment.master_seed}",
         f"n_orderings = {experiment.n_orderings}",
@@ -223,9 +277,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_impact(args) -> int:
+    assess_impact, load_supply_use, shock_from_unserved, solve_baseline = _fetch(
+        "assess_impact", "load_supply_use", "shock_from_unserved", "solve_baseline"
+    )
     config = _resolve(load_run_config(args.config), args)
     priced = _priced_files(config)
-    table = _load_results(config, Path(args.config))
+    digests: dict[Path, str] = {}
+    table = _load_results(config, Path(args.config), digests)
     regions = load_regions(config.regions)
     model = load_supply_use(config.supply_use_dir)
     solve_baseline(model)
@@ -253,7 +311,7 @@ def cmd_impact(args) -> int:
             for zone, value in zip(model.regions, row)
         )
     with atomic_open(config.out_dir / "impact_provenance.txt") as handle:
-        handle.write("\n".join(_hash_lines(priced)) + "\n")
+        handle.write("\n".join(_hash_lines(priced, digests)) + "\n")
     iterations = sum(impact.iterations for impact in impacts)
     replayed = sum(impact.replayed for impact in impacts)
     print(
@@ -264,10 +322,36 @@ def cmd_impact(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    (
+        build_cost_curve,
+        load_costs,
+        lost_load_slope,
+        marginal_cost_per_gw,
+        population_shares,
+        regional_relative_change,
+        write_cost_curves,
+        write_marginal_slopes,
+        write_population_shares,
+        write_regional_change,
+        zero_impact_demand_gw,
+    ) = _fetch(
+        "build_cost_curve",
+        "load_costs",
+        "lost_load_slope",
+        "marginal_cost_per_gw",
+        "population_shares",
+        "regional_relative_change",
+        "write_cost_curves",
+        "write_marginal_slopes",
+        "write_population_shares",
+        "write_regional_change",
+        "zero_impact_demand_gw",
+    )
     config = _resolve(load_run_config(args.config), args)
-    table = _load_results(config, Path(args.config))
+    digests: dict[Path, str] = {}
+    table = _load_results(config, Path(args.config), digests)
     path = config.out_dir / "impact_provenance.txt"
-    _check_hashes(path, _read_provenance(path), _priced_files(config), "impact")
+    _check_hashes(path, _read_provenance(path), _priced_files(config), "impact", digests)
     costs, zones, regional_costs = load_costs(
         table, config.out_dir / "impacts.csv", config.out_dir / "impacts_regional.csv"
     )

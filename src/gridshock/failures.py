@@ -17,23 +17,18 @@ whose fill falls short or overloads a branch is one `dispatch_with_shedding`
 call. Every cell keeps the float operations, in their order, of a cell
 computed alone.
 
-`ResultTable` is the one record type from simulate to analyze: key columns
-plus a records x regions matrix of unserved MW. A record's status is
-derived: "shed" where any unserved value is positive, else "ok". In
-`results.csv` a record is one row per region; `save_results` writes each
-record as one joined string, and `load_results` reads the file with
-`profiles.read_rows`.
+The sweep returns a `results.ResultTable`; its file format lives in
+`results`, and the sweep's definition (`ExperimentConfig`) in
+`runconfig`, so the stages after simulate read both without importing
+this module, the dispatch engine or the solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
 from .dispatch import (
     DispatchProblem,
     Fleet,
@@ -46,125 +41,20 @@ from .dispatch import (
     dispatch_with_shedding,
     merit_order_flows,
 )
-from .errors import ParseError, Unstable, ValidationError
+from .errors import Unstable, ValidationError
 from .forkpool import fork_map
 from .grid import Grid
-from .profiles import DemandProfile, check_unquoted, read_rows
+from .profiles import DemandProfile
+from .results import ResultTable
+from .runconfig import ExperimentConfig
 
 __all__ = [
-    "STATUS_OK",
-    "STATUS_SHED",
-    "DEFAULT_LOSS_FRACTIONS",
-    "ExperimentConfig",
-    "ResultTable",
     "generate_orderings",
     "removal_sets",
     "bus_demand",
     "run_experiment",
     "calibrate_ratings",
-    "save_results",
-    "load_results",
 ]
-
-STATUS_OK = "ok"
-STATUS_SHED = "shed"
-
-DEFAULT_LOSS_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(10))
-
-_RESULTS_ROW = np.dtype(
-    [("ordering", np.int64), ("fraction", float), ("scenario", object), ("hour", np.int64)]
-    + [("region", object), ("unserved_mw", float), ("status", object)]
-)
-_IS_SHED = {STATUS_OK: False, STATUS_SHED: True}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Sweep definition: orderings x loss fractions x studied hours."""
-
-    hours: tuple[tuple[str, int], ...]
-    n_orderings: int = 1000
-    loss_fractions: tuple[float, ...] = DEFAULT_LOSS_FRACTIONS
-    master_seed: int = 0
-    shed_step: float = 0.1
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "hours", tuple((str(s), int(h)) for s, h in self.hours)
-        )
-        object.__setattr__(
-            self, "loss_fractions", tuple(float(f) for f in self.loss_fractions)
-        )
-        if not self.hours:
-            raise ValidationError("config needs at least one (scenario, hour) pair")
-        if len(set(self.hours)) != len(self.hours):
-            raise ValidationError("duplicate (scenario, hour) pairs in config")
-        if self.n_orderings < 1:
-            raise ValidationError("n_orderings must be at least 1")
-        if not self.loss_fractions:
-            raise ValidationError("config needs at least one loss fraction")
-        fr = np.array(self.loss_fractions)
-        if (fr < 0.0).any() or (fr > 1.0).any() or (np.diff(fr) <= 0).any():
-            raise ValidationError("loss fractions must be ascending within [0, 1]")
-        if not 0.0 < self.shed_step <= 1.0:
-            raise ValidationError("shed_step must lie in (0, 1]")
-
-
-@dataclass(frozen=True, eq=False)
-class ResultTable:
-    """All records of one experiment, in ascending key order.
-
-    The key columns `ordering` (int64), `fraction`, `scenario` (a tuple)
-    and `hour` (int64) hold one entry per record; `unserved_mw` is records
-    x `regions` (sorted). `network_cells` counts the records whose fill
-    overloaded a branch or fell short after the energy-deficit shed (None
-    for a table read from a file).
-    """
-
-    ordering: np.ndarray
-    fraction: np.ndarray
-    scenario: tuple[str, ...]
-    hour: np.ndarray
-    regions: tuple[str, ...]
-    unserved_mw: np.ndarray
-    network_cells: int | None = None
-
-    def __post_init__(self):
-        if len(set(self.keys())) != len(self):
-            raise ValidationError("duplicate (ordering, fraction, scenario, hour) records")
-        if list(self.regions) != sorted(set(self.regions)):
-            raise ValidationError("result regions must be sorted and unique")
-
-    def __len__(self) -> int:
-        return len(self.scenario)
-
-    @property
-    def shed(self) -> np.ndarray:
-        """Whether each record shed load: any unserved value is positive."""
-        return (self.unserved_mw > 0.0).any(axis=1)
-
-    @property
-    def total_unserved_mw(self) -> np.ndarray:
-        """Unserved MW per record, its regions added left to right as
-        Python's `sum` adds them (`np.sum` can round otherwise)."""
-        total = np.zeros(len(self))
-        for column in self.unserved_mw.T:
-            total += column
-        return total
-
-    def keys(self) -> Iterator[tuple[int, float, str, int]]:
-        """(ordering, fraction, scenario, hour) per record, as Python values."""
-        columns = (self.ordering, self.fraction, self.hour)
-        ordering, fraction, hour = (column.tolist() for column in columns)
-        return zip(ordering, fraction, self.scenario, hour)
-
-    def record_ids(self) -> list[str]:
-        """`ordering:fraction:scenario:hour` per record, as impact writes them."""
-        return [f"{o}:{f!r}:{s}:{h}" for o, f, s, h in self.keys()]
-
-
-def _local_generators(grid: Grid) -> list[str]:
-    return sorted(g.id for g in grid.generators if not g.is_international)
 
 
 def generate_orderings(grid: Grid, n: int, master_seed: int) -> list[tuple[str, ...]]:
@@ -176,7 +66,7 @@ def generate_orderings(grid: Grid, n: int, master_seed: int) -> list[tuple[str, 
     """
     if n < 1:
         raise ValidationError("need at least one ordering")
-    ids = _local_generators(grid)
+    ids = grid.local_generator_ids
     if not ids:
         raise ValidationError("grid has no local generators to remove")
     orderings = []
@@ -199,7 +89,7 @@ def removal_sets(
     """
     if not all(0.0 <= fraction <= 1.0 for fraction in fractions):
         raise ValidationError("loss fraction must lie in [0, 1]")
-    if sorted(ordering) != _local_generators(grid):
+    if tuple(sorted(ordering)) != grid.local_generator_ids:
         raise ValidationError("ordering is not a permutation of the local generators")
     derated = grid.derated_mw[[grid.generator_index[g] for g in ordering]]
     total, cumulative = derated.sum(), np.cumsum(derated)
@@ -436,98 +326,3 @@ def calibrate_ratings(
     return grid.with_ratings(
         [max(b.rating_mw, headroom * abs(float(flow))) for b, flow in zip(grid.branches, flows)]
     )
-
-
-def save_results(table: ResultTable, path) -> None:
-    """Write one csv row per record per region, each record as one string.
-
-    Fields are unquoted and lines end in CRLF, as `csv.writer` writes them;
-    a region or scenario id that csv would quote is refused. The file
-    appears whole or not at all.
-    """
-    for region in table.regions:
-        check_unquoted(region, "region id")
-    for scenario in set(table.scenario):
-        check_unquoted(scenario, "scenario id")
-    status = np.where(table.shed, STATUS_SHED, STATUS_OK).tolist()
-    with atomic_open(path) as handle:
-        handle.write(",".join(_RESULTS_ROW.names) + "\r\n")
-        for (o, f, s, h), shed, row in zip(table.keys(), status, table.unserved_mw):
-            key, end = f"{o},{f!r},{s},{h},", f",{shed}\r\n"
-            lines = [f"{key}{r},{mw!r}{end}" for r, mw in zip(table.regions, row.tolist())]
-            handle.write("".join(lines))
-
-
-def load_results(path) -> ResultTable:
-    """Read a results csv back into a table, sorted by key.
-
-    `profiles.read_rows` parses the rows and refuses a NaN fraction as a
-    bad number. A record is a run of rows with one key. Each record must
-    name the first record's regions in their order and give the status
-    its unserved MW give, and no (record, region) row may repeat. The first
-    fault is raised where a line-by-line reader meets it: a record's
-    regions and statuses are complete once the next record starts or the
-    file ends, so a record that a refused line cuts off is not short.
-    """
-    rows = read_rows(Path(path), _RESULTS_ROW, _check_header, lambda chunk: np.isnan(chunk["fraction"]))
-    ordering, fraction, scenario, hour, region, unserved, status = rows.columns.values()
-    names, texts, n = rows.texts["scenario"], rows.texts["region"], len(ordering)
-    if not n:
-        raise rows.refusal or ValidationError("results file contains no records")
-    # (row, step, error): within a row, a repeated row, the end of the record before it, its region
-    faults = [(n, 0, rows.refusal)] if rows.refusal else []
-
-    def fault(row, step, k, message):  # message(key) names the record of row k
-        key = int(ordering[k]), float(fraction[k]), names[scenario[k]], int(hour[k])
-        faults.append((int(row), step, ParseError(message(key), rows.line(k))))
-
-    keys = (ordering, fraction, scenario, hour)
-    new = np.append(True, np.logical_or.reduce([c[1:] != c[:-1] for c in keys]))
-    starts, run = np.flatnonzero(new), np.cumsum(new) - 1
-    lengths = np.diff(starts, append=n)
-    width = int(lengths[0])
-    first, position = region[:width], np.arange(n) - starts[run]
-    wrong = (run > 0) & ((position >= width) | (region != first[np.minimum(position, width - 1)]))
-    if wrong.any():
-        k = wrong.argmax()
-        fault(k, 3, k, lambda key: f"record {key} does not repeat the first record's regions")
-    given = np.array([_IS_SHED.get(text, -1) for text in rows.texts["status"]])[status]
-    disagrees = given != np.logical_or.reduceat(unserved > 0.0, starts)[run]
-    short = (lengths < width) & (np.arange(len(starts)) > 0)
-    ended = len(starts) - (rows.refusal is not None)  # the records whose end was read
-    bad = np.flatnonzero((short | np.logical_or.reduceat(disagrees, starts))[:ended])
-    if bad.size:
-        start, end = starts[bad[0]], starts[bad[0]] + lengths[bad[0]]
-        if short[bad[0]]:
-            fault(end, 2, end - 1, lambda key: f"record {key} lacks regions of the first record")
-        else:
-            k = start + disagrees[start:end].argmax()
-            given = rows.texts["status"][status[k]]
-            fault(end, 2, k, lambda key: f"status {given} of record {key} disagrees with its unserved MW")
-    if not faults:
-        regions = [texts[k] for k in first.tolist()]
-        rank = np.argsort(np.argsort(names))[scenario[starts]]
-        order = np.lexsort((hour[starts], rank, fraction[starts], ordering[starts]))
-        top = starts[order]  # the first row of each record, in key order
-        try:
-            return ResultTable(
-                ordering=ordering[top],
-                fraction=fraction[top],
-                scenario=tuple(names[k] for k in scenario[top].tolist()),
-                hour=hour[top],
-                regions=tuple(sorted(regions)),
-                unserved_mw=unserved.reshape(-1, width)[order][:, np.argsort(regions)],
-            )
-        except ValidationError:
-            pass  # a repeated record or region, named below
-    order = np.lexsort((region, hour, scenario, fraction, ordering))  # stable
-    same = np.logical_and.reduce([c[order][1:] == c[order][:-1] for c in (*keys, region)])
-    if same.any():
-        k = order[1:][same].min()
-        fault(k, 1, k, lambda key: f"repeated row for record {key}, region {texts[region[k]]}")
-    raise min(faults, key=lambda fault: fault[:2])[2]
-
-
-def _check_header(line: str) -> None:
-    if [h.strip() for h in line.split(",")] != list(_RESULTS_ROW.names):
-        raise ParseError(f"expected header {','.join(_RESULTS_ROW.names)}", 1)

@@ -4,12 +4,12 @@
 are forked, so they inherit the callable and its jobs as they are in the
 parent: neither is pickled, and a callable that cannot be pickled, such as
 a closure, works. Only job indices go to the children, and only results
-and exceptions come back.
+and exceptions come back. `multiprocessing` is imported only when a pool
+starts, so a stage that runs every call in its own process never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Callable, Sequence
 
@@ -34,6 +34,8 @@ def fork_map(function: Callable, jobs: Sequence, processes: int) -> list:
     """
     if (workers := min(processes, len(jobs))) <= 1:
         return [function(job) for job in jobs]
+    import multiprocessing
+
     pool = multiprocessing.get_context("fork").Pool(
         workers, initializer=_install, initargs=(function, jobs)
     )

@@ -242,6 +242,11 @@ class Grid:
     def demand_buses(self) -> tuple[Bus, ...]:
         return tuple(bus for bus in self.buses if bus.kind == "demand")
 
+    @cached_property
+    def local_generator_ids(self) -> tuple[str, ...]:
+        """The ids of the generators that are not interconnectors, sorted."""
+        return tuple(sorted(gen.id for gen in self.generators if not gen.is_international))
+
     def with_ratings(self, ratings) -> Grid:
         """This grid with branch k rated `ratings[k]`.
 

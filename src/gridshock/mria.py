@@ -47,11 +47,11 @@ from .errors import (
     UnbalancedTables,
     ValidationError,
 )
-from .failures import ResultTable
 from .forkpool import available_cpus, fork_map
 from .grid import RegionTable
 from .numerics import LinearProgram, LpSolution, lp_solve, lp_solve_stack
 from .profiles import HOURS_PER_YEAR, StudiedDemand
+from .results import ResultTable
 
 __all__ = [
     "SupplyUseModel",

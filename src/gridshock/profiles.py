@@ -172,9 +172,10 @@ class StudiedDemand:
 
     def rows(self, hours: np.ndarray) -> np.ndarray:
         """The row of each of `hours`; an hour not studied is a ValidationError."""
-        missing = np.setdiff1d(hours, self.hours)
+        # np.isin, not np.setdiff1d: its np.unique imports numpy.ma (17-36 ms) on first use
+        missing = np.asarray(hours)[~np.isin(hours, self.hours)]
         if missing.size:
-            raise ValidationError(f"no studied demand at hour {missing[0]}")
+            raise ValidationError(f"no studied demand at hour {missing.min()}")
         return np.searchsorted(self.hours, hours)
 
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ValidationError
-from .failures import DEFAULT_LOSS_FRACTIONS, ExperimentConfig
+
+DEFAULT_LOSS_FRACTIONS = tuple(round(0.05 * k, 2) for k in range(10))
 
 _KNOWN_KEYS = {
     "grid",
@@ -32,6 +35,38 @@ _KNOWN_KEYS = {
     "analyze.scenario",
     "analyze.baseline",
 }
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Sweep definition: orderings x loss fractions x studied hours."""
+
+    hours: tuple[tuple[str, int], ...]
+    n_orderings: int = 1000
+    loss_fractions: tuple[float, ...] = DEFAULT_LOSS_FRACTIONS
+    master_seed: int = 0
+    shed_step: float = 0.1
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "hours", tuple((str(s), int(h)) for s, h in self.hours)
+        )
+        object.__setattr__(
+            self, "loss_fractions", tuple(float(f) for f in self.loss_fractions)
+        )
+        if not self.hours:
+            raise ValidationError("config needs at least one (scenario, hour) pair")
+        if len(set(self.hours)) != len(self.hours):
+            raise ValidationError("duplicate (scenario, hour) pairs in config")
+        if self.n_orderings < 1:
+            raise ValidationError("n_orderings must be at least 1")
+        if not self.loss_fractions:
+            raise ValidationError("config needs at least one loss fraction")
+        fr = np.array(self.loss_fractions)
+        if (fr < 0.0).any() or (fr > 1.0).any() or (np.diff(fr) <= 0).any():
+            raise ValidationError("loss fractions must be ascending within [0, 1]")
+        if not 0.0 < self.shed_step <= 1.0:
+            raise ValidationError("shed_step must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

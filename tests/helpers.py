@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import gridshock
-from gridshock.failures import STATUS_OK, STATUS_SHED, ResultTable
+from gridshock.results import STATUS_OK, STATUS_SHED, ResultTable
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.profiles import HOURS_PER_YEAR
 

@@ -912,7 +912,7 @@ def reference_load_results(path):
     import csv
 
     from gridshock.errors import ParseError, ValidationError
-    from gridshock.failures import ResultTable
+    from gridshock.results import ResultTable
 
     groups = {}
     with open(path, encoding="utf-8", newline="") as handle:

@@ -27,16 +27,12 @@ from gridshock.analysis import (
 )
 from gridshock.cli import main
 from gridshock.dispatch import DispatchProblem, dispatch_with_shedding
-from gridshock.failures import (
-    DEFAULT_LOSS_FRACTIONS,
-    ExperimentConfig,
-    calibrate_ratings,
-    run_experiment,
-)
+from gridshock.failures import calibrate_ratings, run_experiment
 from gridshock.grid import Branch, Bus, Generator, Grid, Region, RegionTable
 from gridshock.mria import SupplyUseModel, assess_impact
 from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import HOURS_PER_YEAR, DemandProfile
+from gridshock.runconfig import DEFAULT_LOSS_FRACTIONS, ExperimentConfig
 from gridshock.synthetic import generate_gb_like, generate_small
 
 from helpers import (

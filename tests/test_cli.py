@@ -14,7 +14,6 @@ import gridshock.cli as cli_module
 import gridshock.mria as mria_module
 from gridshock.cli import main
 from gridshock.errors import MissingCosts, ParseError, ValidationError
-from gridshock.failures import DEFAULT_LOSS_FRACTIONS, load_results
 from gridshock.grid import Grid, load_grid, load_regions, serialize_grid
 from gridshock.mria import (
     SupplyUseModel,
@@ -26,7 +25,8 @@ from gridshock.mria import (
 )
 from gridshock.numerics import lp_solve, lp_solve_stack
 from gridshock.profiles import load_profile, load_studied_demand, save_profile
-from gridshock.runconfig import load_run_config
+from gridshock.results import load_results
+from gridshock.runconfig import DEFAULT_LOSS_FRACTIONS, load_run_config
 
 from helpers import Record, run_python, table_of
 
@@ -740,3 +740,84 @@ class TestProcessPools:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(fx / "run.cfg"), "--out", str(out)]) == 0
         assert len(builds) == 1
+
+
+
+class TestStageImports:
+    """Each stage imports only the layers it runs: `cli` imports a heavy
+    layer when a command first fetches one of its names from the module."""
+
+    # stage -> (a layer it runs, modules it must not load)
+    LAYERS = {
+        "simulate": (
+            "gridshock.failures",
+            ("gridshock.mria", "gridshock.analysis", "gridshock.synthetic"),
+        ),
+        "impact": (
+            "gridshock.mria",
+            (
+                "gridshock.dispatch",
+                "gridshock.failures",
+                "gridshock.analysis",
+                "gridshock.synthetic",
+                "numpy.ma",
+            ),
+        ),
+        "analyze": (
+            "gridshock.analysis",
+            (
+                "gridshock.dispatch",
+                "gridshock.numerics",
+                "gridshock.failures",
+                "gridshock.mria",
+                "gridshock.synthetic",
+                "multiprocessing",
+                "numpy.ma",
+            ),
+        ),
+    }
+    # runs one stage, then prints its exit code and every module loaded when main returned
+    PROBE = "import sys\nfrom gridshock.cli import main\nprint(main(sys.argv[1:]), *sys.modules)"
+
+    def test_each_stage_in_a_fresh_interpreter(self, fx, tmp_path):
+        run = shutil.copytree(fx, tmp_path / "run", ignore=shutil.ignore_patterns("out"))
+        for stage, (runs, absent) in self.LAYERS.items():
+            argv = ["-c", self.PROBE, stage, "--config", str(run / "run.cfg")]
+            code, *loaded = run_python(argv, 0).splitlines()[-1].split()
+            assert code == "0", stage
+            assert runs in loaded, stage
+            assert [name for name in absent if name in loaded] == [], stage
+
+    def test_impact_runs_the_function_set_on_the_module(self, run_copy, monkeypatch):
+        # the benchmark's tracer wraps cli's names with setattr before a stage runs
+        calls = []
+        priced = cli_module.assess_impact
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return priced(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "assess_impact", counting)
+        assert main(["impact", "--config", str(run_copy / "run.cfg")]) == 0
+        assert len(calls) == 1
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+            cli_module.nosuch
+
+    def test_each_stage_hashes_each_file_once(self, fx, tmp_path, monkeypatch, pool_sizes):
+        _, cpus = pool_sizes
+        cpus(1)  # profiles parsed and hashed in this process, where the spy sees them
+        run = shutil.copytree(fx, tmp_path / "run", ignore=shutil.ignore_patterns("out"))
+        hashed = []
+        sha256 = cli_module._sha256
+
+        def spy(path):
+            hashed.append(path)
+            return sha256(path)
+
+        monkeypatch.setattr(cli_module, "_sha256", spy)
+        for stage in ("simulate", "impact", "analyze"):
+            assert main([stage, "--config", str(run / "run.cfg")]) == 0
+            assert hashed and len(hashed) == len(set(hashed)), stage
+            hashed.clear()

@@ -11,22 +11,17 @@ from gridshock.dispatch import DispatchProblem, Fleet, GridContext, Load
 from gridshock.errors import ParseError, Unstable, ValidationError
 from gridshock.failures import (
     _solar_ids,
-    DEFAULT_LOSS_FRACTIONS,
-    STATUS_OK,
-    STATUS_SHED,
-    ExperimentConfig,
-    ResultTable,
     bus_demand,
     calibrate_ratings,
     generate_orderings,
-    load_results,
     removal_sets,
     run_experiment,
-    save_results,
 )
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import DemandProfile
+from gridshock.results import STATUS_OK, STATUS_SHED, ResultTable, load_results, save_results
+from gridshock.runconfig import DEFAULT_LOSS_FRACTIONS, ExperimentConfig
 from gridshock.synthetic import generate
 
 from helpers import Record, gb_like_congested, records_of, table_of
