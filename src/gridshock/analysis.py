@@ -18,12 +18,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import median
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .atomic import atomic_open
+from .csvrows import read_rows
 from .errors import DegeneratePeaks, MissingCosts, ValidationError
 from .grid import RegionTable
 from .profiles import StudiedDemand
@@ -46,6 +48,9 @@ __all__ = [
     "write_regional_change",
     "write_population_shares",
 ]
+
+_COSTS_ROW = np.dtype([("record_id", object), ("total_cost", float)])
+_ZONES_ROW = np.dtype([("record_id", object), ("region", object), ("delta_va", float)])
 
 
 @dataclass(frozen=True)
@@ -109,23 +114,26 @@ def load_costs(
     """impact's outputs as arrays in the table's record order.
 
     Returns the cost per record, the zones, and records x zones regional
-    losses, `max(0, -delta_va)`. Both files must hold the table's record
-    ids in order, each record with the first record's zones in order;
-    anything else is MissingCosts.
+    losses, `max(0, -delta_va)`. `read_rows` parses both files and refuses
+    a NaN value as a bad number. Both must hold the table's record ids in
+    order, each record with the first record's zones in order; anything
+    else is MissingCosts.
     """
-    ids = results.record_ids()
-    with open(impacts_path, encoding="utf-8", newline="") as handle:
-        totals = list(csv.reader(handle))[1:]
-    with open(regional_path, encoding="utf-8", newline="") as handle:
-        regional = list(csv.reader(handle))[1:]
-    zones = tuple(row[1] for row in regional if row[:1] == ids[:1])
-    by_record = [[rid] for rid in ids]
-    by_zone = [[rid, zone] for rid in ids for zone in zones]
-    if [row[:1] for row in totals] != by_record or [row[:2] for row in regional] != by_zone:
+    totals = read_rows(Path(impacts_path), _COSTS_ROW, lambda chunk: np.isnan(chunk["total_cost"]))
+    regional = read_rows(Path(regional_path), _ZONES_ROW, lambda chunk: np.isnan(chunk["delta_va"]))
+    if totals.refusal or regional.refusal:
+        raise totals.refusal or regional.refusal
+    ids, zones = results.record_ids(), tuple(regional.texts["region"])
+    # each record's rows name the zones in one order: a row's (record, zone) code is its index
+    pairs = regional.columns["record_id"] * len(zones) + regional.columns["region"]
+    if not (
+        totals.texts["record_id"] == ids == regional.texts["record_id"]
+        and np.array_equal(totals.columns["record_id"], np.arange(len(ids)))
+        and np.array_equal(pairs, np.arange(len(ids) * len(zones)))
+    ):
         raise MissingCosts("impacts do not price the results' records in order; rerun impact")
-    costs = np.array([float(row[1]) for row in totals])
-    delta_va = np.array([float(row[2]) for row in regional]).reshape(len(ids), len(zones))
-    return costs, zones, np.where(delta_va < 0.0, -delta_va, 0.0)
+    delta_va = regional.columns["delta_va"].reshape(len(ids), len(zones))
+    return totals.columns["total_cost"], zones, np.where(delta_va < 0.0, -delta_va, 0.0)
 
 
 def _selected(results: ResultTable, scenario: str) -> np.ndarray:

@@ -41,6 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .atomic import atomic_open
+from .csvrows import check_unquoted, first_repeat, read_rows
 from .errors import (
     BaselineMismatch,
     ParseError,
@@ -71,6 +72,18 @@ SHARE_TOL = 1e-9
 BASELINE_RTOL = 1e-6
 # objective weight on each trade flow: breaks ties so unused trade stays zero
 TRADE_EPSILON = 1e-7
+
+# The header of each economy table. Its id fields are the axes of the model
+# array it fills, in the order of SupplyUseModel's array fields.
+_TABLES = {
+    "supply": "region,industry,product,value",
+    "use": "region,product,industry,value",
+    "final_demand": "region,product,value",
+    "value_added": "region,industry,coefficient",
+    "trade": "from,to,product,allowed",
+}
+# the model axis of each id field: regions, industries, products
+_AXIS = {"region": 0, "from": 0, "to": 0, "industry": 1, "product": 2}
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -447,160 +460,81 @@ def shock_from_unserved(
     return shocks
 
 
-def _read_rows(path: Path, header: list[str]) -> list[tuple[list[str], int]]:
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise ParseError(f"{path.name}: expected header {','.join(header)}", 1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path.name}: expected {len(header)} fields, got {len(row)}", lineno
-                )
-            rows.append(([field.strip() for field in row], lineno))
-    return rows
-
-
-def _value(text: str, path: Path, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"{path.name}: bad numeric value {text!r}", lineno) from None
-
-
 def load_supply_use(directory, *, overcapacity: float = 0.025) -> SupplyUseModel:
     """Assemble a model from the five-file CSV set in one directory.
 
     supply.csv `region,industry,product,value`; use.csv
     `region,product,industry,value`; final_demand.csv
     `region,product,value`; value_added.csv `region,industry,coefficient`;
-    trade.csv `from,to,product,allowed`. Unlisted combinations default to
-    zero (trade: disallowed).
+    trade.csv `from,to,product,allowed`. `read_rows` parses each, and ids
+    lose their surrounding blanks. Unlisted combinations default to zero
+    (trade: disallowed).
     """
-    directory = Path(directory)
-    supply_rows = _read_rows(directory / "supply.csv", ["region", "industry", "product", "value"])
-    use_rows = _read_rows(directory / "use.csv", ["region", "product", "industry", "value"])
-    final_rows = _read_rows(directory / "final_demand.csv", ["region", "product", "value"])
-    va_rows = _read_rows(directory / "value_added.csv", ["region", "industry", "coefficient"])
-    trade_rows = _read_rows(directory / "trade.csv", ["from", "to", "product", "allowed"])
+    tables = [_read_table(Path(directory) / f"{name}.csv", header) for name, header in _TABLES.items()]
+    labels: list[set[str]] = [set(), set(), set()]  # regions, industries, products
+    for columns, _ in tables:
+        for name, (ids, _) in columns.items():
+            labels[_AXIS[name]].update(ids)
+    axes = [sorted(ids) for ids in labels]
+    position = [{label: k for k, label in enumerate(axis)} for axis in axes]
+    arrays = []
+    for columns, values in tables:
+        array = np.zeros([len(axes[_AXIS[name]]) for name in columns], values.dtype)
+        cells = (
+            np.array([position[_AXIS[name]][i] for i in ids], np.int64)[codes]
+            for name, (ids, codes) in columns.items()
+        )
+        array[tuple(cells)] = values
+        arrays.append(array)
+    return SupplyUseModel(*map(tuple, axes), *arrays, overcapacity=overcapacity)
 
-    regions = sorted(
-        {row[0] for row, _ in supply_rows}
-        | {row[0] for row, _ in use_rows}
-        | {row[0] for row, _ in final_rows}
-        | {row[0] for row, _ in va_rows}
-        | {row[0] for row, _ in trade_rows}
-        | {row[1] for row, _ in trade_rows}
-    )
-    industries = sorted(
-        {row[1] for row, _ in supply_rows}
-        | {row[2] for row, _ in use_rows}
-        | {row[1] for row, _ in va_rows}
-    )
-    products = sorted(
-        {row[2] for row, _ in supply_rows}
-        | {row[1] for row, _ in use_rows}
-        | {row[1] for row, _ in final_rows}
-        | {row[2] for row, _ in trade_rows}
-    )
-    rpos = {r: k for k, r in enumerate(regions)}
-    ipos = {i: k for k, i in enumerate(industries)}
-    ppos = {p: k for k, p in enumerate(products)}
 
-    supply = np.zeros((len(regions), len(industries), len(products)))
-    use = np.zeros((len(regions), len(products), len(industries)))
-    final = np.zeros((len(regions), len(products)))
-    va = np.zeros((len(regions), len(industries)))
-    trade = np.zeros((len(regions), len(regions), len(products)), dtype=bool)
-
-    supply_path = directory / "supply.csv"
-    for row, lineno in supply_rows:
-        supply[rpos[row[0]], ipos[row[1]], ppos[row[2]]] += _value(row[3], supply_path, lineno)
-    use_path = directory / "use.csv"
-    for row, lineno in use_rows:
-        use[rpos[row[0]], ppos[row[1]], ipos[row[2]]] += _value(row[3], use_path, lineno)
-    final_path = directory / "final_demand.csv"
-    for row, lineno in final_rows:
-        final[rpos[row[0]], ppos[row[1]]] += _value(row[2], final_path, lineno)
-    va_path = directory / "value_added.csv"
-    for row, lineno in va_rows:
-        va[rpos[row[0]], ipos[row[1]]] = _value(row[2], va_path, lineno)
-    trade_path = directory / "trade.csv"
-    for row, lineno in trade_rows:
-        allowed = row[3].strip().lower()
-        if allowed not in {"0", "1", "true", "false"}:
-            raise ParseError(f"trade.csv: allowed must be 0/1/true/false", lineno)
-        trade[rpos[row[0]], rpos[row[1]], ppos[row[2]]] = allowed in {"1", "true"}
-
-    return SupplyUseModel(
-        regions=tuple(regions),
-        industries=tuple(industries),
-        products=tuple(products),
-        supply=supply,
-        use=use,
-        final_demand=final,
-        value_added_coeff=va,
-        trade_allowed=trade,
-        overcapacity=overcapacity,
-    )
+def _read_table(path: Path, header: str) -> tuple[dict[str, tuple[list[str], np.ndarray]], np.ndarray]:
+    """One economy table: per id field, its distinct ids (blanks stripped)
+    and a code per row into them; and the last field, trade's flags as
+    bools. The first fault in file order is a ParseError on its line: a
+    line `read_rows` refuses, a row whose ids an earlier row holds, or a
+    flag that is not 0/1/true/false."""
+    *names, last = header.split(",")
+    last_type = object if last == "allowed" else float
+    rows = read_rows(path, np.dtype([(name, object) for name in names] + [(last, last_type)]))
+    columns = {name: rows.stripped(name) for name in names}
+    faults = [(len(rows.columns[last]), rows.refusal)] if rows.refusal else []
+    values = rows.columns[last]
+    if last == "allowed":
+        flags = [text.strip().lower() for text in rows.texts[last]]
+        bad = np.array([flag not in ("0", "1", "true", "false") for flag in flags], bool)[values]
+        values = np.array([flag in ("1", "true") for flag in flags], bool)[values]
+        if bad.any():
+            k = bad.argmax()
+            faults.append((k, ParseError(f"{path.name}: allowed must be 0/1/true/false", rows.line(k))))
+    if (k := first_repeat(*(codes for _, codes in columns.values()))) is not None:
+        key = [ids[codes[k]] for ids, codes in columns.values()]
+        faults.append((k, ParseError(f"repeated row {key!r} in {path.name}", rows.line(k))))
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
+    return columns, values
 
 
 def save_supply_use(model: SupplyUseModel, directory) -> None:
-    """Write the five-file CSV set (omitting zero rows, except value added)."""
+    """Write the five-file CSV set (omitting zero rows, except value added).
+
+    An id that csv would quote is refused, because `load_supply_use` reads
+    unquoted fields only.
+    """
+    axes = (model.regions, model.industries, model.products)
+    for kind, ids in zip(("region", "industry", "product"), axes):
+        check_unquoted(ids, f"{kind} id")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    def dump(name, header, rows):
-        with atomic_open(directory / name) as handle:
+    arrays = (model.supply, model.use, model.final_demand, model.value_added_coeff, model.trade_allowed)
+    for (name, header), array in zip(_TABLES.items(), arrays):
+        labels = [axes[_AXIS[field]] for field in header.split(",")[:-1]]
+        with atomic_open(directory / f"{name}.csv") as handle:
             writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-
-    dump(
-        "supply.csv",
-        ["region", "industry", "product", "value"],
-        (
-            [model.regions[r], model.industries[i], model.products[p], repr(float(v))]
-            for (r, i, p), v in np.ndenumerate(model.supply)
-            if v != 0.0
-        ),
-    )
-    dump(
-        "use.csv",
-        ["region", "product", "industry", "value"],
-        (
-            [model.regions[r], model.products[p], model.industries[i], repr(float(v))]
-            for (r, p, i), v in np.ndenumerate(model.use)
-            if v != 0.0
-        ),
-    )
-    dump(
-        "final_demand.csv",
-        ["region", "product", "value"],
-        (
-            [model.regions[r], model.products[p], repr(float(v))]
-            for (r, p), v in np.ndenumerate(model.final_demand)
-            if v != 0.0
-        ),
-    )
-    dump(
-        "value_added.csv",
-        ["region", "industry", "coefficient"],
-        (
-            [model.regions[r], model.industries[i], repr(float(v))]
-            for (r, i), v in np.ndenumerate(model.value_added_coeff)
-        ),
-    )
-    dump(
-        "trade.csv",
-        ["from", "to", "product", "allowed"],
-        (
-            [model.regions[a], model.regions[b], model.products[p], "1"]
-            for (a, b, p), allowed in np.ndenumerate(model.trade_allowed)
-            if allowed
-        ),
-    )
+            writer.writerow(header.split(","))
+            writer.writerows(
+                [*(ids[k] for ids, k in zip(labels, at)), "1" if name == "trade" else repr(float(v))]
+                for at, v in np.ndenumerate(array)
+                if v or name == "value_added"
+            )

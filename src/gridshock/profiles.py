@@ -8,12 +8,10 @@ scenario transforms derive the efficiency, heat-pump and flat variants
 from a current-day profile.
 
 On disk a profile is csv rows `region,hour,demand_mw` under that exact
-header, with unquoted fields and CRLF line ends. `read_rows`, the csv
-reader of profiles and of the sweep's results, hands a file's lines to
-`np.loadtxt` a chunk at a time, and the file format is what that call
-accepts. `save_profile` writes a profile region by region, one joined
-string per region, refuses a region id that csv would have to quote, and
-makes the file appear whole or not at all.
+header, with unquoted fields and CRLF line ends, read by
+`csvrows.read_rows`. `save_profile` writes a profile region by region, one
+joined string per region, refuses a region id that csv would have to
+quote, and makes the file appear whole or not at all.
 
 `StudiedDemand` is one scenario's demand at its studied hours, as arrays.
 simulate writes it to `demand.csv` (`save_studied_demand`), and impact and
@@ -24,18 +22,16 @@ profiles; a repeated row or an hour that lacks a district is refused.
 from __future__ import annotations
 
 import csv
-import warnings
-from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from .atomic import atomic_open
+from .csvrows import check_unquoted, first_repeat, int_field, read_rows
 from .errors import (
     MisalignedHours,
     ParseError,
@@ -78,16 +74,10 @@ SEASONAL_AMPLITUDE = 0.08
 SEASONAL_PEAK_DAY = 15
 NOISE_HALF_WIDTH = 0.005
 
-# `read_rows` hands this many lines to each `np.loadtxt` call.
-_CHUNK_ROWS = 50_000
-_PROFILE_ROW = np.dtype([("region", object), ("hour", np.int64), ("value", np.float64)])
-
-# Characters that make csv quote a field. save_profile and save_results
-# write unquoted fields, so they refuse an id holding any of them.
-_QUOTED_CHARS = ',"\r\n'
-
-_PROFILE_HEADER = "region,hour,demand_mw"
-_DEMAND_HEADER = ("scenario", "kind", "region", "hour", "demand_mw")
+_PROFILE_ROW = np.dtype([("region", object), ("hour", np.int64), ("demand_mw", np.float64)])
+_DEMAND_ROW = np.dtype(
+    [("scenario", object), ("kind", object), ("region", object), ("hour", object), ("demand_mw", float)]
+)
 _DEMAND_KINDS = ("district", "national", "peak")
 
 
@@ -315,23 +305,17 @@ def load_profile(path, scenario: str | None = None) -> DemandProfile:
     earlier row holds.
     """
     path = Path(path)
-    rows = read_rows(path, _PROFILE_ROW, _check_header)
-    ids: dict[str, int] = {}
-    stripped = [ids.setdefault(text.strip(), len(ids)) for text in rows.texts["region"]]
-    names, code, hours, values = list(ids), *rows.columns.values()
-    if len(names) < len(stripped):  # ids that differ only in blanks share a code
-        code = np.array(stripped)[code]
+    rows = read_rows(path, _PROFILE_ROW)
+    names, code = rows.stripped("region")
+    hours, values = rows.columns["hour"], rows.columns["demand_mw"]
     # in (region, hour) order with no repeated pair? Shifted views compare
     # into boolean temporaries, not int64 differences
     later, same = code[1:] > code[:-1], code[1:] == code[:-1]
     if not (later | (same & (hours[1:] > hours[:-1]))).all():
-        order = np.lexsort((hours, code))  # stable: equal pairs stay in file order
+        if (k := first_repeat(hours, code)) is not None:
+            raise ParseError(f"duplicate hour {hours[k]} for region {names[code[k]]}", rows.line(k))
+        order = np.lexsort((hours, code))
         code, hours, values = code[order], hours[order], values[order]
-        repeats = np.flatnonzero((code[1:] == code[:-1]) & (hours[1:] == hours[:-1])) + 1
-        if repeats.size:
-            k = repeats[np.argmin(order[repeats])]
-            message = f"duplicate hour {hours[k]} for region {names[code[k]]}"
-            raise ParseError(message, rows.line(order[k]))
     if rows.refusal:
         raise rows.refusal
     if not names:
@@ -349,114 +333,6 @@ def load_profile(path, scenario: str | None = None) -> DemandProfile:
     )
 
 
-def _check_header(line: str) -> None:
-    """Refuse a header line other than `region,hour,demand_mw`."""
-    if not line:
-        raise ParseError("empty profile file", 1)
-    header = ",".join(h.strip() for h in line.split(","))
-    if header != _PROFILE_HEADER:
-        raise ParseError(f"expected header {_PROFILE_HEADER}, got {header}", 1)
-
-
-class Rows(NamedTuple):
-    """The data rows of a csv file up to its first refused line: an array
-    per field, a text field as int64 codes into its list of `texts`; the
-    refused line's ParseError, or None; and per skipped empty line, the
-    number of rows before it."""
-
-    columns: dict[str, np.ndarray]
-    texts: dict[str, list[str]]
-    refusal: ParseError | None
-    skipped: list[int]
-
-    def line(self, row) -> int:
-        """The line of data row `row` (from 0), the header and skipped lines counted."""
-        return 2 + int(row) + bisect_right(self.skipped, row)
-
-
-def read_rows(path: Path, dtype: np.dtype, check_header: Callable, refuse: Callable | None = None) -> Rows:
-    """Parse the csv rows after the header line of `path` as rows of `dtype`.
-
-    The file format is what one `np.loadtxt` call accepts: fields split at
-    commas, decimal integers, the float spellings loadtxt takes, unquoted
-    fields; text fields keep their blanks. A line holding only its line end
-    is skipped. The first line that loadtxt refuses, that holds a `"`, or
-    whose row `refuse` marks (given a chunk's rows) is `Rows.refusal`, and
-    no later line is read. Bytes that are not UTF-8 are a ParseError.
-    Lines go to loadtxt `_CHUNK_ROWS` at a time; where it refuses a chunk,
-    bisecting the chunk's lines with the same call finds the refused line.
-    """
-    codes = {name: defaultdict() for name in dtype.names if dtype[name] == object}
-    for code in codes.values():
-        code.default_factory = code.__len__  # a new text takes the next code
-    parts = {name: [np.empty(0, np.int64 if name in codes else dtype[name])] for name in dtype.names}
-    skipped, n, first_line, refusal = [], 0, 2, None
-    try:
-        with open(path, encoding="utf-8", newline="") as handle, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)  # a chunk of no rows
-            check_header(handle.readline())
-            while refusal is None and (lines := list(islice(handle, _CHUNK_ROWS))):
-                end = len(lines)
-                if '"' in "".join(lines):
-                    end = next(k for k, text in enumerate(lines) if '"' in text)
-                try:
-                    chunk = _parse(lines[:end], dtype)
-                except ValueError:
-                    end = _first_refused(lines[:end], dtype)
-                    chunk = _parse(lines[:end], dtype)
-                # per skipped line, the number of the chunk's rows before it
-                empty = [] if len(chunk) == end else [k for k in range(end) if not lines[k].rstrip("\r\n")]
-                before = [k - j for j, k in enumerate(empty)]
-                if refuse is not None and (marked := np.flatnonzero(refuse(chunk))).size:
-                    row = int(marked[0])
-                    chunk, end = chunk[:row], row + bisect_right(before, row)
-                if end < len(lines):
-                    refusal = _refused(lines[end], len(dtype.names), first_line + end)
-                skipped += [n + k for k in before]
-                n, first_line = n + len(chunk), first_line + len(lines)
-                for name in dtype.names:
-                    column = chunk[name]
-                    if name in codes:  # one lookup per run of equal texts
-                        starts = np.flatnonzero(np.append(len(column) > 0, column[1:] != column[:-1]))
-                        runs = [codes[name][text] for text in column[starts].tolist()]
-                        column = np.repeat(np.array(runs, np.int64), np.diff(starts, append=len(column)))
-                    parts[name].append(column.copy())
-                del lines, chunk, column  # before the next chunk is read
-    except UnicodeDecodeError as error:
-        raise ParseError(f"{path.name} is not UTF-8 text ({error.reason})") from None
-    # popped one by one, so that only one column is held twice
-    columns = {name: np.concatenate(parts.pop(name)) for name in dtype.names}
-    return Rows(columns, {name: list(code) for name, code in codes.items()}, refusal, skipped)
-
-
-def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray:
-    return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
-
-
-def _first_refused(lines: list[str], dtype: np.dtype) -> int:
-    """Index of the first of `lines` that `_parse` refuses, given that it
-    refuses them all together; each call parses half the lines left."""
-    low, high = 0, len(lines)  # lines[:low] parse; lines[low:high] hold a refused one
-    while high - low > 1:
-        middle = (low + high) // 2
-        try:
-            _parse(lines[low:middle], dtype)
-            low = middle
-        except ValueError:
-            high = middle
-    return low
-
-
-def _refused(text: str, width: int, line: int) -> ParseError:
-    """The ParseError of a refused line of `width` fields."""
-    fields = text.rstrip("\r\n").split(",")
-    if '"' in text:
-        return ParseError("quoted fields are not supported", line)
-    if len(fields) != width:
-        return ParseError(f"expected {width} fields, got {len(fields)}", line)
-    return ParseError(f"bad numeric value in {fields!r}", line)
-
-
 def save_profile(profile: DemandProfile, path) -> None:
     """Write the profile as rows `region,hour,demand_mw`, region by region.
 
@@ -465,24 +341,13 @@ def save_profile(profile: DemandProfile, path) -> None:
     region id that csv would quote is rejected, because `load_profile`
     reads unquoted fields only. The file appears whole or not at all.
     """
-    check_profile_fields(profile)
+    check_unquoted(profile.regions, "region id")
     hour_fields = [f",{hour}," for hour in profile.hours.tolist()]
     with atomic_open(path) as handle:
-        handle.write(f"{_PROFILE_HEADER}\r\n")
+        handle.write(",".join(_PROFILE_ROW.names) + "\r\n")
         for region, row in zip(profile.regions, profile.demand_mw):
             fields = zip(repeat(region), hour_fields, map(repr, row.tolist()), repeat("\r\n"))
             handle.write("".join(chain.from_iterable(fields)))
-
-
-def check_profile_fields(profile: DemandProfile) -> None:
-    """Refuse a region id that `save_profile` cannot write unquoted."""
-    for region in profile.regions:
-        check_unquoted(region, "region id")
-
-
-def check_unquoted(field: str, kind: str) -> None:
-    if any(char in field for char in _QUOTED_CHARS):
-        raise ValidationError(f"{kind} {field!r} needs csv quoting")
 
 
 def save_studied_demand(demands: Mapping[str, StudiedDemand], path) -> None:
@@ -491,11 +356,15 @@ def save_studied_demand(demands: Mapping[str, StudiedDemand], path) -> None:
     Per studied hour, a `district` row for each region and then a `national`
     row with an empty region; last, one `peak` row with empty region and
     hour. The kind column keeps a national row apart from any region id.
-    The file appears whole or not at all.
+    A scenario or region id that csv would quote is refused. The file
+    appears whole or not at all.
     """
+    check_unquoted(demands, "scenario id")
+    for demand in demands.values():
+        check_unquoted(demand.regions, "region id")
     with atomic_open(path) as handle:
         writer = csv.writer(handle)
-        writer.writerow(_DEMAND_HEADER)
+        writer.writerow(_DEMAND_ROW.names)
         for scenario in sorted(demands):
             demand = demands[scenario]
             for hour, district, national in zip(
@@ -512,47 +381,59 @@ def save_studied_demand(demands: Mapping[str, StudiedDemand], path) -> None:
 def load_studied_demand(path) -> dict[str, StudiedDemand]:
     """Read the rows `save_studied_demand` writes, keyed by scenario.
 
-    A repeated row is a ParseError on its line. Each hour a scenario names
-    needs its national row and a district row for each of its regions.
+    `hour` is read as text, empty in a `peak` row, and elsewhere as an
+    int64 field. The first fault in file order is a ParseError on its
+    line: a line `read_rows` refuses, a malformed row (an unknown kind, a
+    region outside a district row, an hour in a peak row or none in
+    another), or a repeated row. Each hour a scenario names needs its
+    national row and a district row for each of its regions.
     """
     path = Path(path)
-    rows: dict[tuple, float] = {}  # (scenario, kind, hour or None, region) -> MW
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        if next(reader, None) != list(_DEMAND_HEADER):
-            raise ParseError(f"expected header {','.join(_DEMAND_HEADER)} in {path.name}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                scenario, kind, region, hour, value = row
-                key = (scenario, kind, None if kind == "peak" else int(hour), region)
-                if kind not in _DEMAND_KINDS or (kind != "district" and region):
-                    raise ValueError
-                if kind == "peak" and hour:
-                    raise ValueError
-                value = float(value)
-            except ValueError:
-                raise ParseError(f"malformed row {row!r} in {path.name}", lineno) from None
-            if key in rows:
-                raise ParseError(f"repeated row {row!r} in {path.name}", lineno)
-            rows[key] = value
-    demands = {}
-    for scenario in sorted({key[0] for key in rows}):
-        hours = sorted({h for s, _, h, _ in rows if s == scenario and h is not None})
-        districts = (r for s, kind, _, r in rows if s == scenario and kind == "district")
-        regions = tuple(dict.fromkeys(districts))
-        try:
-            demands[scenario] = StudiedDemand(
-                regions,
-                np.array(hours, dtype=np.int64),
-                np.array([[rows[scenario, "district", h, r] for r in regions] for h in hours])
-                .reshape(len(hours), len(regions)),
-                np.array([rows[scenario, "national", h, ""] for h in hours]),
-                rows[scenario, "peak", None, ""],
-            )
-        except KeyError as missing:
-            raise ValidationError(
-                f"{path.name}: scenario {scenario} lacks its peak or an hour's rows: "
-                f"no {missing.args[0][1:]} row"
-            ) from None
-    return demands
+    rows = read_rows(path, _DEMAND_ROW)
+    texts, (scenario, kind_code, region, hour_code, value) = rows.texts, rows.columns.values()
+    kinds = [_DEMAND_KINDS.index(text) if text in _DEMAND_KINDS else -1 for text in texts["kind"]]
+    kind = np.array(kinds, np.int64)[kind_code]
+    district, peak = kind == _DEMAND_KINDS.index("district"), kind == _DEMAND_KINDS.index("peak")
+    parsed = [int_field(text) for text in texts["hour"]]
+    hour = np.array([h or 0 for h in parsed], np.int64)[hour_code]
+    has_hour = np.array([h is not None for h in parsed], bool)[hour_code]
+    no_hour = np.array([not text for text in texts["hour"]], bool)[hour_code]
+    regional = np.array([bool(text) for text in texts["region"]], bool)[region]
+    malformed = (kind < 0) | (regional & ~district) | np.where(peak, ~no_hour, ~has_hour)
+    repeated = first_repeat(scenario, kind, hour, region)
 
+    def fault(k, step, what):
+        fields = [texts[name][rows.columns[name][k]] for name in ("scenario", "kind", "region", "hour")]
+        return int(k), step, ParseError(f"{what} row {fields!r} in {path.name}", rows.line(k))
+
+    faults = [(len(scenario), 2, rows.refusal)] if rows.refusal else []
+    if malformed.any():
+        faults.append(fault(malformed.argmax(), 0, "malformed"))
+    if repeated is not None:
+        faults.append(fault(repeated, 1, "repeated"))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    demands, names = {}, texts["scenario"]
+    for s in sorted(range(len(names)), key=names.__getitem__):
+        mine = scenario == s
+        timed = mine & ~peak
+        studied = np.array(sorted(set(hour[timed].tolist())), np.int64)
+        codes = list(dict.fromkeys(region[mine & district].tolist()))
+        column = np.zeros(len(texts["region"]), np.int64)
+        column[codes] = np.arange(len(codes))
+        # a column per region, then the national one, as the rows are written
+        cell = np.searchsorted(studied, hour[timed]), np.where(district, column[region], -1)[timed]
+        mw = np.zeros((len(studied), len(codes) + 1))
+        given = np.zeros(mw.shape, bool)
+        mw[cell], given[cell] = value[timed], True
+        regions = tuple(texts["region"][c] for c in codes)
+        named = [("district", r) for r in regions] + [("national", "")]
+        missing = [(named[c][0], int(studied[h]), named[c][1]) for h, c in np.argwhere(~given)]
+        missing.sort(key=lambda row: row[0] == "national")  # stable: districts first, each by hour
+        if missing or not (mine & peak).any():
+            first = missing[0] if missing else ("peak", None, "")
+            message = f"scenario {names[s]} lacks its peak or an hour's rows: no {first} row"
+            raise ValidationError(f"{path.name}: {message}")
+        peak_mw = float(value[mine & peak][0])
+        demands[names[s]] = StudiedDemand(regions, studied, mw[:, :-1], mw[:, -1], peak_mw)
+    return demands

@@ -5,7 +5,7 @@ plus a records x regions matrix of unserved MW. A record's status is
 derived: "shed" where any unserved value is positive, else "ok". In
 `results.csv` a record is one row per region; `save_results` writes each
 record as one joined string, and `load_results` reads the file with
-`profiles.read_rows`.
+`csvrows.read_rows`.
 
 This module needs neither the dispatch engine nor the solver, so impact
 and analyze read the table without importing them.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import ParseError, ValidationError
-from .profiles import check_unquoted, read_rows
+from .csvrows import check_unquoted, first_repeat, read_rows
 
 __all__ = ["STATUS_OK", "STATUS_SHED", "ResultTable", "save_results", "load_results"]
 
@@ -95,10 +95,8 @@ def save_results(table: ResultTable, path) -> None:
     a region or scenario id that csv would quote is refused. The file
     appears whole or not at all.
     """
-    for region in table.regions:
-        check_unquoted(region, "region id")
-    for scenario in set(table.scenario):
-        check_unquoted(scenario, "scenario id")
+    check_unquoted(table.regions, "region id")
+    check_unquoted(set(table.scenario), "scenario id")
     status = np.where(table.shed, STATUS_SHED, STATUS_OK).tolist()
     with atomic_open(path) as handle:
         handle.write(",".join(_RESULTS_ROW.names) + "\r\n")
@@ -111,7 +109,7 @@ def save_results(table: ResultTable, path) -> None:
 def load_results(path) -> ResultTable:
     """Read a results csv back into a table, sorted by key.
 
-    `profiles.read_rows` parses the rows and refuses a NaN fraction as a
+    `csvrows.read_rows` parses the rows and refuses a NaN fraction as a
     bad number. A record is a run of rows with one key. Each record must
     name the first record's regions in their order and give the status
     its unserved MW give, and no (record, region) row may repeat. The first
@@ -119,7 +117,7 @@ def load_results(path) -> ResultTable:
     regions and statuses are complete once the next record starts or the
     file ends, so a record that a refused line cuts off is not short.
     """
-    rows = read_rows(Path(path), _RESULTS_ROW, _check_header, lambda chunk: np.isnan(chunk["fraction"]))
+    rows = read_rows(Path(path), _RESULTS_ROW, lambda chunk: np.isnan(chunk["fraction"]))
     ordering, fraction, scenario, hour, region, unserved, status = rows.columns.values()
     names, texts, n = rows.texts["scenario"], rows.texts["region"], len(ordering)
     if not n:
@@ -170,14 +168,6 @@ def load_results(path) -> ResultTable:
             )
         except ValidationError:
             pass  # a repeated record or region, named below
-    order = np.lexsort((region, hour, scenario, fraction, ordering))  # stable
-    same = np.logical_and.reduce([c[order][1:] == c[order][:-1] for c in (*keys, region)])
-    if same.any():
-        k = order[1:][same].min()
+    if (k := first_repeat(*keys, region)) is not None:
         fault(k, 1, k, lambda key: f"repeated row for record {key}, region {texts[region[k]]}")
     raise min(faults, key=lambda fault: fault[:2])[2]
-
-
-def _check_header(line: str) -> None:
-    if [h.strip() for h in line.split(",")] != list(_RESULTS_ROW.names):
-        raise ParseError(f"expected header {','.join(_RESULTS_ROW.names)}", 1)

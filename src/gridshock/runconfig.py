@@ -42,10 +42,10 @@ class ExperimentConfig:
     """Sweep definition: orderings x loss fractions x studied hours."""
 
     hours: tuple[tuple[str, int], ...]
-    n_orderings: int = 1000
-    loss_fractions: tuple[float, ...] = DEFAULT_LOSS_FRACTIONS
-    master_seed: int = 0
-    shed_step: float = 0.1
+    n_orderings: int
+    loss_fractions: tuple[float, ...]
+    master_seed: int
+    shed_step: float
 
     def __post_init__(self):
         object.__setattr__(

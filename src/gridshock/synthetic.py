@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .csvrows import check_unquoted
 from .forkpool import available_cpus, fork_map
 from .grid import Branch, Bus, Generator, Grid, Region, RegionTable, serialize_grid, serialize_regions
 from .mria import SupplyUseModel, save_supply_use
@@ -33,7 +34,6 @@ from .profiles import (
     apply_efficiency,
     apply_flat,
     apply_heat_pump,
-    check_profile_fields,
     save_profile,
     synthesize_current,
 )
@@ -431,7 +431,7 @@ def write_fixture(fixture: Fixture, out_dir) -> list[Path]:
     out = Path(out_dir)
     jobs = [(profile, out / _profile_file(name)) for name, profile in fixture.profiles.items()]
     for profile, _ in jobs:
-        check_profile_fields(profile)
+        check_unquoted(profile.regions, "region id")
     (out / "profiles").mkdir(parents=True, exist_ok=True)
     (out / "economy").mkdir(exist_ok=True)
 

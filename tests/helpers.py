@@ -15,6 +15,7 @@ import gridshock
 from gridshock.results import STATUS_OK, STATUS_SHED, ResultTable
 from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.profiles import HOURS_PER_YEAR
+from gridshock.runconfig import DEFAULT_LOSS_FRACTIONS, ExperimentConfig
 
 
 def random_connected_grid(rng: np.random.Generator, max_buses: int = 30) -> Grid:
@@ -150,6 +151,50 @@ def run_python(args: list[str], hash_seed: int) -> str:
         [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout
+
+
+def experiment_config(hours, **fields) -> ExperimentConfig:
+    """The sweep over `hours`; a field not given is 1,000 orderings, the
+    default loss fractions, master seed 0 or a 0.1 shedding quantum."""
+    values = dict(n_orderings=1000, loss_fractions=DEFAULT_LOSS_FRACTIONS, master_seed=0, shed_step=0.1)
+    return ExperimentConfig(hours=hours, **{**values, **fields})
+
+
+def corrupt_rows(rng, rows: list[str], texts) -> list[str]:
+    """Data rows with one or two random edits: a row dropped, repeated or
+    moved, a field added or lost, a field replaced by one of `texts`, a
+    quote, or an empty or whitespace-only line."""
+    rows = list(rows)
+    for _ in range(int(rng.integers(1, 3))):
+        i = int(rng.integers(len(rows)))
+        fields = rows[i].split(",")
+        edit = str(rng.choice(["drop", "repeat", "move", "width", "value", "blank", "quote"]))
+        if edit == "drop" and len(rows) > 1:
+            rows.pop(i)
+        elif edit == "repeat":
+            rows.insert(int(rng.integers(len(rows) + 1)), rows[i])
+        elif edit == "move":
+            rows.insert(int(rng.integers(len(rows))), rows.pop(i))
+        elif edit == "width":
+            rows[i] = rows[i] + ",x" if rng.random() < 0.5 else rows[i].rsplit(",", 1)[0]
+        elif edit == "value":
+            fields[int(rng.integers(len(fields)))] = str(rng.choice(texts))
+            rows[i] = ",".join(fields)
+        elif edit == "blank":
+            rows.insert(i, str(rng.choice(["", "  ", "\t"])))
+        elif edit == "quote":
+            rows[i] = '"' + rows[i]
+    return rows
+
+
+def loadtxt_alone(line: str, dtype) -> tuple | None:
+    """The fields of `line` as one `np.loadtxt` call reads it alone under
+    `dtype`, or None where that call refuses it."""
+    try:
+        (row,) = np.loadtxt([line], dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return row.tolist()
 
 
 @dataclass(frozen=True)

@@ -324,7 +324,7 @@ def reference_load_profile(path, scenario=None):
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise ParseError("empty profile file", 1)
+            raise ParseError(f"{path.name} is empty", 1)
         header = [h.strip() for h in header]
         if header != ["region", "hour", "demand_mw"]:
             raise ParseError(
@@ -910,6 +910,7 @@ def reference_load_results(path):
     against. Returns the table and each record's status, keyed by record.
     """
     import csv
+    from pathlib import Path
 
     from gridshock.errors import ParseError, ValidationError
     from gridshock.results import ResultTable
@@ -919,8 +920,11 @@ def reference_load_results(path):
         reader = csv.reader(handle)
         header = next(reader, None)
         expected = ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise ParseError(f"expected header {','.join(expected)}", 1)
+        if header is None:
+            raise ParseError(f"{Path(path).name} is empty", 1)
+        header = [h.strip() for h in header]
+        if header != expected:
+            raise ParseError(f"expected header {','.join(expected)}, got {','.join(header)}", 1)
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -975,3 +979,104 @@ def reference_shock_from_unserved(unserved_mw_per_region, hour, regions, demand)
         parent: 0.0 if demanded[parent] <= 0.0 else min(1.0, unserved[parent] / demanded[parent])
         for parent in sorted(unserved)
     }
+
+
+def _data_lines(path) -> list[str]:
+    """The lines of a csv file after its header, split at any line end."""
+    from pathlib import Path
+
+    lines = Path(path).read_text(encoding="utf-8").split("\n")[1:]
+    return lines[:-1] if lines and not lines[-1] else lines
+
+
+def reference_load_supply_use(directory, overcapacity=0.025):
+    """The five economy tables read line by line with `str.split` into
+    {ids: value} dicts, then a model.
+
+    For files with no line the reader refuses: the reference the model's
+    arrays and its refusals are compared against.
+    """
+    from pathlib import Path
+
+    from gridshock.mria import SupplyUseModel
+
+    axes_of = {"supply": "rip", "use": "rpi", "final_demand": "rp", "value_added": "ri", "trade": "rrp"}
+    tables, labels = {}, {"r": set(), "i": set(), "p": set()}
+    for name, axes in axes_of.items():
+        tables[name] = {}
+        for line in _data_lines(Path(directory) / f"{name}.csv"):
+            if line:
+                *ids, value = line.split(",")
+                key = tuple(label.strip() for label in ids)
+                tables[name][key] = value.strip().lower() in ("1", "true") if name == "trade" else float(value)
+                for axis, label in zip(axes, key):
+                    labels[axis].add(label)
+    order = {axis: sorted(found) for axis, found in labels.items()}
+    arrays = []
+    for name, axes in axes_of.items():
+        array = np.zeros([len(order[axis]) for axis in axes], bool if name == "trade" else float)
+        for key, value in tables[name].items():
+            array[tuple(order[axis].index(label) for axis, label in zip(axes, key))] = value
+        arrays.append(array)
+    labels = (tuple(order[axis]) for axis in "rip")
+    return SupplyUseModel(*labels, *arrays, overcapacity=overcapacity)
+
+
+def reference_load_studied_demand(path):
+    """demand.csv read line by line with `str.split` into a
+    {(scenario, kind, hour, region): MW} dict, then per-scenario arrays.
+
+    For files with no line the reader refuses: the reference its arrays
+    and its refusals of a missing row are compared against.
+    """
+    from pathlib import Path
+
+    from gridshock.errors import ValidationError
+    from gridshock.profiles import StudiedDemand
+
+    rows = {}
+    for line in _data_lines(path):
+        if line:
+            scenario, kind, region, hour, value = line.split(",")
+            rows[scenario, kind, None if kind == "peak" else int(hour), region] = float(value)
+    demands = {}
+    for scenario in sorted({key[0] for key in rows}):
+        hours = sorted({h for s, _, h, _ in rows if s == scenario and h is not None})
+        regions = tuple(dict.fromkeys(r for s, kind, _, r in rows if s == scenario and kind == "district"))
+        try:
+            demands[scenario] = StudiedDemand(
+                regions,
+                np.array(hours, dtype=np.int64),
+                np.array([[rows[scenario, "district", h, r] for r in regions] for h in hours])
+                .reshape(len(hours), len(regions)),
+                np.array([rows[scenario, "national", h, ""] for h in hours]),
+                rows[scenario, "peak", None, ""],
+            )
+        except KeyError as missing:
+            raise ValidationError(
+                f"{Path(path).name}: scenario {scenario} lacks its peak or an hour's rows: "
+                f"no {missing.args[0][1:]} row"
+            ) from None
+    return demands
+
+
+def reference_load_costs(results, impacts_path, regional_path):
+    """impacts.csv and impacts_regional.csv read line by line with
+    `str.split`, aligned with the table's record ids as lists.
+
+    For files with no line the reader refuses: the reference its arrays
+    and its MissingCosts are compared against.
+    """
+    from gridshock.errors import MissingCosts
+
+    ids = results.record_ids()
+    totals = [line.split(",") for line in _data_lines(impacts_path) if line]
+    regional = [line.split(",") for line in _data_lines(regional_path) if line]
+    zones = tuple(row[1] for row in regional if row[:1] == ids[:1])
+    if [row[:1] for row in totals] != [[rid] for rid in ids] or [row[:2] for row in regional] != [
+        [rid, zone] for rid in ids for zone in zones
+    ]:
+        raise MissingCosts("impacts do not price the results' records in order; rerun impact")
+    costs = np.array([float(row[1]) for row in totals])
+    delta_va = np.array([float(row[2]) for row in regional]).reshape(len(ids), len(zones))
+    return costs, zones, np.where(delta_va < 0.0, -delta_va, 0.0)

@@ -32,11 +32,12 @@ from gridshock.grid import Branch, Bus, Generator, Grid, Region, RegionTable
 from gridshock.mria import SupplyUseModel, assess_impact
 from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import HOURS_PER_YEAR, DemandProfile
-from gridshock.runconfig import DEFAULT_LOSS_FRACTIONS, ExperimentConfig
+from gridshock.runconfig import DEFAULT_LOSS_FRACTIONS
 from gridshock.synthetic import generate_gb_like, generate_small
 
 from helpers import (
     bus_balances,
+    experiment_config,
     first_impact_fraction,
     random_connected_grid,
     random_injections,
@@ -220,7 +221,7 @@ def test_first_impact_ordering_across_demand_scenarios():
             headroom=1.2, interconnector_penalty=10.0,
         )
         hours = tuple((s, fixture.profiles[s].peak_hour()) for s in SCENARIOS)
-        config = ExperimentConfig(
+        config = experiment_config(
             hours=hours, n_orderings=50,
             loss_fractions=DEFAULT_LOSS_FRACTIONS, master_seed=0,
         )
@@ -275,7 +276,7 @@ def test_copper_plate_first_impact_at_capacity_margin():
             scenario="current", regions=("r1",),
             hours=np.arange(1), demand_mw=np.array([[peak]]),
         )
-        config = ExperimentConfig(
+        config = experiment_config(
             hours=(("current", 0),), n_orderings=3,
             loss_fractions=DEFAULT_LOSS_FRACTIONS, master_seed=5,
         )
@@ -503,7 +504,7 @@ def test_calibrated_network_serves_peak_without_shedding():
                 headroom=1.2, interconnector_penalty=10.0,
             )
             hours = tuple((s, fixture.profiles[s].peak_hour()) for s in SCENARIOS)
-            config = ExperimentConfig(
+            config = experiment_config(
                 hours=hours, n_orderings=1, loss_fractions=(0.0,), master_seed=0
             )
             table = run_experiment(grid, fixture.profiles, config)

@@ -21,11 +21,13 @@ from gridshock.analysis import (
     write_regional_change,
     zero_impact_demand_gw,
 )
-from gridshock.errors import DegeneratePeaks, MissingCosts, ValidationError
+import gridshock.csvrows as csvrows_module
+from gridshock.errors import DegeneratePeaks, MissingCosts, ParseError, ValidationError
 from gridshock.grid import Region, RegionTable
 from gridshock.profiles import DemandProfile, StudiedDemand
 
-from helpers import Record, aligned, first_impact_fraction, records_of, table_of
+from helpers import Record, aligned, corrupt_rows, first_impact_fraction, loadtxt_alone, records_of, table_of
+from oracles import reference_load_costs
 
 
 def record(ordering, fraction, scenario, hour, unserved):
@@ -176,6 +178,77 @@ class TestLoadCosts:
         table, _, _, _, paths = self.priced_files(tmp_path, regional)
         with pytest.raises(MissingCosts):
             load_costs(table, *paths)
+
+    @pytest.mark.parametrize(
+        "name, line, edit, message",
+        [
+            # each a ParseError on its line, not a bare ValueError or
+            # IndexError, nor a row read with a NaN cost or an extra field
+            ("impacts.csv", 3, lambda row: row.replace(",1.5", ",x"), "bad numeric value in ['0:0.4:current:0', 'x']"),
+            ("impacts.csv", 3, lambda row: row.replace(",1.5", ",nan"), "bad numeric value in ['0:0.4:current:0', 'nan']"),
+            ("impacts_regional.csv", 4, lambda row: row.rsplit(",", 1)[0], "expected 3 fields, got 2"),
+            ("impacts.csv", 1, lambda row: "record_id,cost", "expected header record_id,total_cost, got record_id,cost"),
+            ("impacts_regional.csv", 2, lambda row: row + ",9", "expected 3 fields, got 4"),
+        ],
+    )
+    def test_malformed_line_refused(self, tmp_path, name, line, edit, message):
+        table, *_, paths = self.priced_files(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as error:
+            load_costs(table, *paths)
+        assert error.value.line == line
+        assert str(error.value) == f"line {line}: {message}"
+
+
+ZONES_ROW = np.dtype([("record_id", object), ("region", object), ("delta_va", float)])
+
+
+def first_bad_regional_line(rows: list[str]) -> int | None:
+    """The line of the first of impacts_regional.csv's data `rows` that
+    loadtxt refuses alone, that holds a quote, or whose delta_va is NaN."""
+    for number, row in enumerate(rows, start=2):
+        if not row:
+            continue  # a line holding only its line end
+        fields = loadtxt_alone(row, ZONES_ROW)
+        if fields is None or '"' in row or math.isnan(fields[2]):
+            return number
+    return None
+
+
+class TestRegionalFuzz:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_refused_on_its_first_bad_line_or_read_as_the_reference(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
+        n_orderings, zones = int(rng.integers(2, 5)), [f"z{k}" for k in range(int(rng.integers(1, 5)))]
+        table = table_of([record(o, f, "current", 0, {"r1": 0.0}) for o in range(n_orderings) for f in (0.0, 0.25)])
+        keys = [r.key for r in records_of(table)]
+        costs = {k: float(rng.uniform(0.0, 10.0)) for k in keys}
+        regional = {k: {z: float(rng.choice([0.0, -0.0, rng.uniform(-5.0, 5.0)])) for z in zones} for k in keys}
+        impacts, per_zone = write_impacts(tmp_path, table, costs, regional)
+        header, *rows = per_zone.read_text(encoding="utf-8").splitlines()
+        rows = corrupt_rows(rng, rows, ["x", "nan", "1_0", "z0", "0:0.0:current:0", "7.5", "\u0661"])
+        ending = str(rng.choice(["\n", "\r\n", "\r"]))
+        per_zone.write_bytes((ending.join([header, *rows]) + ending).encode("utf-8"))
+        bad = first_bad_regional_line(rows)
+        if bad is not None:
+            with pytest.raises(ParseError) as error:
+                load_costs(table, impacts, per_zone)
+            assert error.value.line == bad
+            return
+        try:
+            reference = reference_load_costs(table, impacts, per_zone)
+        except MissingCosts:  # a row dropped, moved or repeated, or an id edited
+            with pytest.raises(MissingCosts):
+                load_costs(table, impacts, per_zone)
+            return
+        mine = load_costs(table, impacts, per_zone)
+        assert mine[1] == reference[1]
+        for ours, theirs in ((mine[0], reference[0]), (mine[2], reference[2])):
+            assert ours.tobytes() == theirs.tobytes() and ours.shape == theirs.shape
 
 
 class TestFirstImpact:

@@ -6,6 +6,9 @@ A module-level name, or a public method, that neither `src/` nor
 code that only tests call: the reference implementations tests compare
 against belong in `tests/`, and anything else is dead. Dunder names are
 exempt, since the language calls them.
+
+`csvrows.read_rows` is the one csv reader: no module of `src/` parses csv
+with `csv.reader` or `csv.DictReader`.
 """
 
 from __future__ import annotations
@@ -140,3 +143,25 @@ def test_every_export_is_defined():
     # `from gridshock.<module> import *` fails
     stale = stale_exports()
     assert not stale, "__all__ names what the module does not define:\n" + "\n".join(stale)
+
+
+def csv_readers() -> list[str]:
+    """Each use of `csv.reader` or `csv.DictReader` in `src/`, attribute or import."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "csv" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} csv.{name}" for name in names if name in ("reader", "DictReader"))
+    return found
+
+
+def test_one_csv_grammar():
+    # every fixed-column table goes through read_rows, so that a quoted
+    # field or a line of blanks is refused alike in each of them
+    found = csv_readers()
+    assert not found, "src/ parses csv outside csvrows.read_rows:\n" + "\n".join(found)

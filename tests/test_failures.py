@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gridshock.csvrows as csvrows_module
 import gridshock.dispatch as dispatch_module
-import gridshock.profiles as profiles_module
 from gridshock.dispatch import DispatchProblem, Fleet, GridContext, Load
 from gridshock.errors import ParseError, Unstable, ValidationError
 from gridshock.failures import (
@@ -21,10 +21,10 @@ from gridshock.grid import Branch, Bus, Generator, Grid
 from gridshock.numerics import LinearProgram, lp_solve
 from gridshock.profiles import DemandProfile
 from gridshock.results import STATUS_OK, STATUS_SHED, ResultTable, load_results, save_results
-from gridshock.runconfig import DEFAULT_LOSS_FRACTIONS, ExperimentConfig
+from gridshock.runconfig import DEFAULT_LOSS_FRACTIONS
 from gridshock.synthetic import generate
 
-from helpers import Record, gb_like_congested, records_of, table_of
+from helpers import Record, experiment_config, gb_like_congested, records_of, table_of
 from oracles import reference_load_results, reference_save_results, reference_shedding
 
 
@@ -55,7 +55,7 @@ def profile_for(demands, regions=("r1",), scenario="current"):
 def one_hour_config(**overrides):
     base = dict(hours=(("current", 0),), n_orderings=3, master_seed=7)
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return experiment_config(**base)
 
 
 class TestExperimentConfig:
@@ -68,11 +68,11 @@ class TestExperimentConfig:
 
     def test_empty_hours_rejected(self):
         with pytest.raises(ValidationError, match="scenario, hour"):
-            ExperimentConfig(hours=())
+            experiment_config(hours=())
 
     def test_duplicate_hours_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            ExperimentConfig(hours=(("current", 0), ("current", 0)))
+            experiment_config(hours=(("current", 0), ("current", 0)))
 
     def test_orderings_count(self):
         with pytest.raises(ValidationError, match="n_orderings"):
@@ -238,7 +238,7 @@ class TestRunExperiment:
     def test_zero_fraction_serves_everything(self):
         grid = copper_plate_grid()
         profiles = {"current": profile_for([[80.0, 50.0]])}
-        config = ExperimentConfig(
+        config = experiment_config(
             hours=(("current", 0), ("current", 1)),
             n_orderings=4,
             loss_fractions=(0.0,),
@@ -322,7 +322,7 @@ class TestRunExperiment:
             "current": profile_for([[80.0, 50.0]]),
             "flat": profile_for([[65.0, 65.0]], scenario="flat"),
         }
-        config = ExperimentConfig(
+        config = experiment_config(
             hours=(("flat", 1), ("current", 0)),
             n_orderings=2,
             loss_fractions=(0.0, 0.4),
@@ -343,7 +343,7 @@ class TestRunExperiment:
     def test_deterministic_across_worker_counts(self):
         grid = copper_plate_grid()
         profiles = {"current": profile_for([[80.0, 50.0]])}
-        config = ExperimentConfig(
+        config = experiment_config(
             hours=(("current", 0), ("current", 1)),
             n_orderings=4,
             loss_fractions=(0.0, 0.25, 0.5),
@@ -376,7 +376,7 @@ class TestRunExperiment:
         )
         grid = Grid(buses=buses, branches=branches, generators=gens)
         profiles = {"current": profile_for([[90.0, 60.0], [80.0, 100.0]], regions=("r1", "r2"))}
-        config = ExperimentConfig(
+        config = experiment_config(
             hours=(("current", 0), ("current", 1)),
             n_orderings=6,
             loss_fractions=(0.0, 0.25, 0.5),
@@ -439,7 +439,7 @@ class TestSweepAgainstReference:
     def test_every_cell_of_the_congested_sweep(self):
         grid, fixture = gb_like_congested()
         hours = (("current", 427), ("heat_pump", 427), ("efficiency", 427), ("flat", 0))
-        config = ExperimentConfig(hours=hours, n_orderings=2, master_seed=7)
+        config = experiment_config(hours=hours, n_orderings=2, master_seed=7)
         table = self.assert_cells_match_the_reference(grid, fixture, config)
         assert table.shed.sum() >= 40
         assert table.network_cells > 0
@@ -447,7 +447,7 @@ class TestSweepAgainstReference:
     def test_every_cell_of_the_default_sweep(self):
         # the cells the stacked deficit shed and merit-order fill settle
         grid, fixture, hours = gb_like_default()
-        config = ExperimentConfig(hours=hours, n_orderings=2, master_seed=7)
+        config = experiment_config(hours=hours, n_orderings=2, master_seed=7)
         table = self.assert_cells_match_the_reference(grid, fixture, config)
         assert 20 <= table.shed.sum() < len(table)
         assert table.network_cells == 0
@@ -468,7 +468,7 @@ class TestGoldenSweep:
         fixture = generate(size, seed)
         grid = calibrate_ratings(fixture.grid, fixture.profiles["current"], headroom=1.2)
         hours = tuple((s, p.peak_hour()) for s, p in fixture.profiles.items())
-        config = ExperimentConfig(hours=hours, n_orderings=10, master_seed=seed)
+        config = experiment_config(hours=hours, n_orderings=10, master_seed=seed)
         table = run_experiment(grid, fixture.profiles, config, workers=workers)
         assert hashlib.sha256(table.unserved_mw.tobytes()).hexdigest() == self.GOLDEN[size, seed]
 
@@ -498,7 +498,7 @@ class TestCalibrateRatings:
     def test_calibrated_grid_carries_peak(self):
         grid = calibrate_ratings(self.chain(rating=10.0), self.profile())
         profiles = {"current": self.profile()}
-        config = ExperimentConfig(
+        config = experiment_config(
             hours=(("current", 1),), n_orderings=1, loss_fractions=(0.0,)
         )
         record = records_of(run_experiment(grid, profiles, config))[0]
@@ -579,7 +579,7 @@ class TestResultsIO:
     def build_table(self):
         grid = copper_plate_grid()
         profiles = {"current": profile_for([[80.0, 50.0]])}
-        config = ExperimentConfig(
+        config = experiment_config(
             hours=(("current", 0), ("current", 1)),
             n_orderings=3,
             loss_fractions=(0.0, 0.3, 0.6),
@@ -717,7 +717,7 @@ class TestResultsAgainstReference:
     @pytest.mark.parametrize("chunk", [1, 7, 50_000])
     @pytest.mark.parametrize("seed", range(8))
     def test_reader_tables(self, tmp_path, monkeypatch, seed, chunk):
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", chunk)
         table = random_table(np.random.default_rng(seed))
         path = tmp_path / "results.csv"
         save_results(table, path)
@@ -753,7 +753,7 @@ class TestResultsAgainstReference:
         ],
     )
     def test_refusal_matches_reference(self, tmp_path, monkeypatch, chunk, bad, message):
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", chunk)
         lines = [
             "0,0.0,current,0,r1,0.0,ok",
             "0,0.0,current,0,r2,0.0,ok",
@@ -773,13 +773,17 @@ class TestResultsAgainstReference:
 
     def test_header_refusal_matches_reference(self, tmp_path):
         path = tmp_path / "results.csv"
-        for text in ("", "ordering,fraction\r\n", HEADER.replace("status", "state") + "\r\n"):
-            path.write_text(text, encoding="utf-8")
+        for header, message in (
+            ("", "results.csv is empty"),
+            ("ordering,fraction", f"expected header {HEADER}, got ordering,fraction"),
+            (HEADER.replace("status", "state"), f"expected header {HEADER}, got {HEADER.replace('status', 'state')}"),
+        ):
+            path.write_text(header and header + "\r\n", encoding="utf-8")
             with pytest.raises(ParseError) as mine:
                 load_results(path)
             with pytest.raises(ParseError) as reference:
                 reference_load_results(path)
-            assert str(mine.value) == str(reference.value) == f"line 1: expected header {HEADER}"
+            assert str(mine.value) == str(reference.value) == f"line 1: {message}"
 
 
 class TestResultsRefusals:
@@ -822,7 +826,7 @@ class TestResultsRefusals:
         ],
     )
     def test_new_refusals_name_their_line(self, tmp_path, monkeypatch, chunk, edit, line, message):
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", chunk)
         rows = small_results(tmp_path).read_text(encoding="utf-8").splitlines()[1:]
         path = small_results(tmp_path, edit(rows))
         with pytest.raises(ParseError) as error:
@@ -882,7 +886,7 @@ class TestResultsFuzz:
         # the chunks refuse has a bad line, and one they accept reads as the
         # reference reads it
         rng = np.random.default_rng(seed)
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 64, 50_000])))
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 64, 50_000])))
         path = tmp_path / "results.csv"
         save_results(random_table(rng), path)
         header, *rows = path.read_bytes().decode("utf-8").split("\r\n")[:-1]

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gridshock.csvrows as csvrows_module
 from gridshock.errors import (
     BaselineMismatch,
     ParseError,
@@ -29,9 +30,19 @@ from gridshock.numerics import LinearProgram, lp_solve, lp_solve_stack
 from gridshock.profiles import HOURS_PER_YEAR, DemandProfile, StudiedDemand
 from gridshock.synthetic import generate_gb_like, generate_small
 
-from helpers import Record, assert_same_lp_solution, assert_same_solve, records_of, table_of, va_of
+from helpers import (
+    Record,
+    assert_same_lp_solution,
+    assert_same_solve,
+    corrupt_rows,
+    loadtxt_alone,
+    records_of,
+    table_of,
+    va_of,
+)
 from oracles import (
     enumerate_lp,
+    reference_load_supply_use,
     reference_lp_solve,
     reference_mria_program,
     reference_shock_from_unserved,
@@ -850,7 +861,7 @@ class TestSupplyUseIO:
     def test_bad_header(self, tmp_path):
         save_supply_use(one_region_model(), tmp_path)
         (tmp_path / "supply.csv").write_text("region,value\n")
-        with pytest.raises(ParseError, match="supply.csv"):
+        with pytest.raises(ParseError, match="^line 1: expected header region,industry,product,value, got region,value$"):
             load_supply_use(tmp_path)
 
     def test_bad_trade_flag(self, tmp_path):
@@ -858,3 +869,96 @@ class TestSupplyUseIO:
         (tmp_path / "trade.csv").write_text("from,to,product,allowed\nA,A,good,maybe\n")
         with pytest.raises(ParseError, match="trade.csv"):
             load_supply_use(tmp_path)
+
+    @pytest.mark.parametrize("table", ["supply", "use", "final_demand", "value_added", "trade"])
+    def test_repeated_row_refused(self, tmp_path, table):
+        # one rule in every table: a repeated key is neither summed nor
+        # overwritten, but refused on its line
+        save_supply_use(starvation_model(trade_enabled=True), tmp_path)
+        path = tmp_path / f"{table}.csv"
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+        *ids, value = first.split(",")
+        padded = ",".join([f" {label} " for label in ids] + [value])  # the same ids once stripped
+        path.write_text("\n".join([header, first, *rest, padded]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as error:
+            load_supply_use(tmp_path)
+        assert str(error.value) == f"line {len(rest) + 3}: repeated row {ids!r} in {table}.csv"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [('"A",mfg,good,100.0', "quoted fields are not supported"), ("  ", "expected 4 fields, got 1")],
+    )
+    def test_quote_or_line_of_blanks_refused(self, tmp_path, row, message):
+        # the grammar of every table: neither is read nor skipped
+        save_supply_use(one_region_model(), tmp_path)
+        lines = (tmp_path / "supply.csv").read_text(encoding="utf-8").splitlines()
+        (tmp_path / "supply.csv").write_text("\n".join([lines[0], row, *lines[1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as error:
+            load_supply_use(tmp_path)
+        assert str(error.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("axis", ["regions", "industries", "products"])
+    def test_writer_refuses_ids_csv_would_quote(self, tmp_path, axis):
+        model = replace(one_region_model(), **{axis: ("a,b",)})
+        with pytest.raises(ValidationError, match="id 'a,b' needs csv quoting"):
+            save_supply_use(model, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+
+SUPPLY_ROW = np.dtype([("region", object), ("industry", object), ("product", object), ("value", float)])
+
+
+def first_bad_supply_line(rows: list[str]) -> int | None:
+    """The line of the first of supply.csv's data `rows` that loadtxt
+    refuses alone, that holds a quote, or whose ids (blanks stripped) an
+    earlier row holds."""
+    seen = set()
+    for number, row in enumerate(rows, start=2):
+        if not row:
+            continue  # a line holding only its line end
+        fields = loadtxt_alone(row, SUPPLY_ROW)
+        if fields is None or '"' in row:
+            return number
+        key = tuple(label.strip() for label in fields[:3])
+        if key in seen:
+            return number
+        seen.add(key)
+    return None
+
+
+class TestSupplyFuzz:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_refused_on_its_first_bad_line_or_read_as_the_reference(self, tmp_path, monkeypatch, gb_model, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
+        save_supply_use(gb_model, tmp_path)
+        path = tmp_path / "supply.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        # blanks around some ids, which the reader strips
+        rows = [
+            ",".join(f" {field} " if k < 3 and rng.random() < 0.1 else field for k, field in enumerate(row.split(",")))
+            for row in rows
+        ]
+        texts = ["x", "1_0", "nan", "99999999999999999999", "7.5", "\u0661", "z1", " factory "]
+        rows = corrupt_rows(rng, rows, texts)
+        ending = str(rng.choice(["\n", "\r\n", "\r"]))
+        path.write_bytes((ending.join([header, *rows]) + ending).encode("utf-8"))
+        bad = first_bad_supply_line(rows)
+        if bad is not None:
+            with pytest.raises(ParseError) as error:
+                load_supply_use(tmp_path)
+            assert error.value.line == bad
+            return
+        try:
+            reference = reference_load_supply_use(tmp_path)
+        except ValidationError as error:  # unbalanced, or a NaN value
+            with pytest.raises(type(error)) as mine:
+                load_supply_use(tmp_path)
+            assert str(mine.value) == str(error)
+            return
+        model = load_supply_use(tmp_path)
+        assert (model.regions, model.industries, model.products) == (
+            reference.regions, reference.industries, reference.products
+        )
+        for name in ("supply", "use", "final_demand", "value_added_coeff", "trade_allowed"):
+            assert getattr(model, name).tobytes() == getattr(reference, name).tobytes()

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import gridshock.profiles as profiles_module
+import gridshock.csvrows as csvrows_module
 from gridshock.errors import (
     MisalignedHours,
     ParseError,
@@ -28,8 +28,13 @@ from gridshock.profiles import (
     synthesize_current,
 )
 from gridshock.synthetic import generate_gb_like, generate_small, write_fixture
-from helpers import trough_hour
-from oracles import reference_load_profile, reference_save_profile, reference_split_load_profile
+from helpers import corrupt_rows, loadtxt_alone, trough_hour
+from oracles import (
+    reference_load_profile,
+    reference_load_studied_demand,
+    reference_save_profile,
+    reference_split_load_profile,
+)
 
 
 def make_regions():
@@ -411,7 +416,7 @@ class TestChunkedReader:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_reference_parser(self, tmp_path, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
         column = "heat_mw" if rng.random() < 0.3 else "demand_mw"
         path = tmp_path / "demand.csv"
         path.write_bytes(random_profile_text(rng, column).encode("utf-8"))
@@ -449,7 +454,7 @@ class TestChunkedReader:
         ],
     )
     def test_error_line_after_chunk_boundary(self, tmp_path, monkeypatch, ending, bad, message):
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", 3)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", 3)
         lines = valid_lines()
         lines.insert(11, bad)  # after 8 rows, 2 blank lines and several chunks
         path = write_lines(tmp_path / "demand.csv", lines, ending)
@@ -480,7 +485,7 @@ class TestChunkedReader:
     @pytest.mark.parametrize("chunk", [1, 50_000])
     @pytest.mark.parametrize("hour", ["99999999999999999999", "-9223372036854775809"])
     def test_hour_beyond_int64_is_a_parse_error(self, tmp_path, monkeypatch, chunk, hour):
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", chunk)
         lines = valid_lines()
         lines.insert(11, f"a,{hour},1.0")
         path = write_lines(tmp_path / "demand.csv", lines)
@@ -497,7 +502,7 @@ class TestChunkedReader:
     @pytest.mark.parametrize("chunk", [1, 50_000])
     def test_balanced_field_counts_rejected(self, tmp_path, monkeypatch, chunk):
         # a 4-field and a 2-field row hold the comma count of two good rows
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", chunk)
         lines = valid_lines()
         lines[5:5] = ["a,7,1.0,2", "3,4"]
         path = write_lines(tmp_path / "demand.csv", lines)
@@ -532,7 +537,7 @@ class TestChunkedReader:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "demand.csv"
         path.write_bytes(b"")
-        with pytest.raises(ParseError, match="line 1: empty profile file"):
+        with pytest.raises(ParseError, match="^line 1: demand.csv is empty$"):
             load_profile(path)
 
     @pytest.mark.parametrize(
@@ -618,13 +623,13 @@ def bisections(monkeypatch):
     """The number of lines of each chunk that loadtxt refused, and the
     reader bisected."""
     calls = []
-    bisect = profiles_module._first_refused
+    bisect = csvrows_module._first_refused
 
     def counted(lines, dtype):
         calls.append(len(lines))
         return bisect(lines, dtype)
 
-    monkeypatch.setattr(profiles_module, "_first_refused", counted)
+    monkeypatch.setattr(csvrows_module, "_first_refused", counted)
     return calls
 
 
@@ -659,7 +664,7 @@ class TestLoadtxtReader:
     @pytest.mark.parametrize("chunk", [1, 7, 50_000])
     @pytest.mark.parametrize("ending", ["\r", "\n", "\r\n"])
     def test_every_line_end_takes_loadtxt(self, tmp_path, monkeypatch, bisections, chunk, ending):
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", chunk)
         lines = ["region,hour,demand_mw"] + rows_of()
         lines[5:5] = ["", ""]  # lines holding only a line end
         path = write_lines(tmp_path / "demand.csv", lines, ending)
@@ -685,7 +690,7 @@ class TestLoadtxtReader:
     def test_int_float_only_spellings_and_blank_lines_refused(
         self, tmp_path, monkeypatch, bisections, chunk, ending, row, line, message
     ):
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", chunk)
         lines = ["region,hour,demand_mw"] + rows_of()
         if row.strip():
             lines[line - 1] = row  # the same row as (a, 10, 10.25), spelled otherwise
@@ -725,7 +730,7 @@ class TestLoadtxtReader:
     @pytest.mark.parametrize("region, line", [('a"', 2), ('b"b', 14), ('"', 25)])
     def test_quote_in_region_id_names_its_line(self, tmp_path, monkeypatch, chunk, region, line):
         # loadtxt takes quotes as text, so the reader checks region ids itself
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", chunk)
         lines = ["region,hour,demand_mw"] + rows_of() + ["c,0,1.0"]
         lines[line - 1] = f"{region},{lines[line - 1].split(',', 1)[1]}"
         path = write_lines(tmp_path / "demand.csv", lines)
@@ -767,7 +772,7 @@ class TestLoadtxtReader:
         assert str(error.value) == (
             f"line {lines}: bad numeric value in ['{region.decode()}', '8_759', '{value.decode()}']"
         )
-        assert bisections == [(lines - 2) % profiles_module._CHUNK_ROWS + 1]
+        assert bisections == [(lines - 2) % csvrows_module._CHUNK_ROWS + 1]
         assert peak < 18 * 2**20
 
 
@@ -822,7 +827,7 @@ class TestProfileFuzz:
     @pytest.mark.parametrize("seed", range(60))
     def test_refused_on_its_first_bad_line_or_read_as_the_reference(self, tmp_path, monkeypatch, seed):
         rng = np.random.default_rng(seed)
-        monkeypatch.setattr(profiles_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
         lines = corrupt_profile(rng, random_profile_text(rng, "demand_mw").splitlines())
         path = write_lines(tmp_path / "demand.csv", lines, str(rng.choice(["\n", "\r\n", "\r"])))
         bad = first_bad_line(lines)
@@ -943,9 +948,14 @@ class TestStudiedDemand:
         assert demand.peak_mw == 6.0
 
     @pytest.mark.parametrize(
-        "row", ["current,national,a,0,1.0", "current,district,a,x,1.0", "current,peak,,,1.0,2"]
+        "row, message",
+        [
+            ("current,national,a,0,1.0", "malformed row ['current', 'national', 'a', '0'] in demand.csv"),
+            ("current,district,a,x,1.0", "malformed row ['current', 'district', 'a', 'x'] in demand.csv"),
+            ("current,peak,,,1.0,2", "expected 5 fields, got 6"),
+        ],
     )
-    def test_malformed_row_names_line(self, tmp_path, row):
+    def test_malformed_row_names_line(self, tmp_path, row, message):
         path = tmp_path / "demand.csv"
         save_studied_demand(
             {"current": StudiedDemand.from_profile(small_profile([[1.0], [2.0]]), [0])}, path
@@ -953,8 +963,9 @@ class TestStudiedDemand:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines.insert(2, row)
         write_lines(path, lines)
-        with pytest.raises(ParseError, match="line 3: malformed row"):
+        with pytest.raises(ParseError) as error:
             load_studied_demand(path)
+        assert str(error.value) == f"line 3: {message}"
 
     def two_hours(self, tmp_path):
         """demand.csv lines for regions a, b at hours 0 and 1."""
@@ -990,3 +1001,93 @@ class TestStudiedDemand:
         write_lines(path, [line for line in lines if ",peak," not in line])
         with pytest.raises(ValidationError, match="scenario current lacks its peak"):
             load_studied_demand(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [('"current",national,,0,3.0', "quoted fields are not supported"), ("  ", "expected 5 fields, got 1")],
+    )
+    def test_quote_or_line_of_blanks_refused(self, tmp_path, row, message):
+        # the grammar of every table, refused before any demand.csv rule
+        path, lines = self.two_hours(tmp_path)
+        write_lines(path, [lines[0], row, *lines[1:]])
+        with pytest.raises(ParseError) as error:
+            load_studied_demand(path)
+        assert str(error.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("scenario, region", [("a,b", "a"), ("current", 'r"1')])
+    def test_writer_refuses_ids_csv_would_quote(self, tmp_path, scenario, region):
+        demand = StudiedDemand.from_profile(small_profile([[1.0], [2.0]], regions=("b", region)), [0])
+        with pytest.raises(ValidationError, match="id .* needs csv quoting"):
+            save_studied_demand({scenario: demand}, tmp_path / "demand.csv")
+        assert not list(tmp_path.iterdir())
+
+
+DEMAND_ROW = np.dtype(
+    [("scenario", object), ("kind", object), ("region", object), ("hour", object), ("demand_mw", float)]
+)
+
+
+def first_bad_demand_line(rows: list[str]) -> int | None:
+    """The line of the first of demand.csv's data `rows` that loadtxt
+    refuses alone, that holds a quote, that is malformed (an unknown kind,
+    a region outside a district row, an hour in a peak row or, in another,
+    none that loadtxt reads as an int64), or whose (scenario, kind, hour,
+    region) an earlier row holds."""
+    seen = set()
+    for number, row in enumerate(rows, start=2):
+        if not row:
+            continue  # a line holding only its line end
+        fields = loadtxt_alone(row, DEMAND_ROW)
+        if fields is None or '"' in row:
+            return number
+        scenario, kind, region, hour, _ = fields
+        parsed = loadtxt_alone(hour, np.dtype([("hour", np.int64)])) if hour else None
+        timed = not hour if kind == "peak" else parsed is not None
+        if kind not in ("district", "national", "peak") or (region and kind != "district") or not timed:
+            return number
+        key = (scenario, kind, parsed, region)
+        if key in seen:
+            return number
+        seen.add(key)
+    return None
+
+
+class TestStudiedDemandFuzz:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_refused_on_its_first_bad_line_or_read_as_the_reference(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
+        regions = sorted({"".join(rng.choice(list("abz09 _-.é"), size=int(rng.integers(1, 4)))) for _ in range(4)})
+        scenarios = rng.choice(["current", "flat", "heat_pump"], size=int(rng.integers(1, 3)), replace=False)
+        demands = {}
+        for scenario in scenarios.tolist():
+            profile = small_profile(rng.uniform(0.0, 1e3, (len(regions), 24)), regions=regions)
+            demands[scenario] = StudiedDemand.from_profile(profile, rng.choice(24, size=int(rng.integers(1, 4))))
+        path = tmp_path / "demand.csv"
+        save_studied_demand(demands, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        texts = ["x", "1_0", "nan", "", "peak", "national", "district", "7", " 3 ", "a", "\u0661", "current"]
+        rows = corrupt_rows(rng, rows, texts)
+        write_lines(path, [header, *rows], str(rng.choice(["\n", "\r\n", "\r"])))
+        bad = first_bad_demand_line(rows)
+        if bad is not None:
+            with pytest.raises(ParseError) as error:
+                load_studied_demand(path)
+            assert error.value.line == bad
+            return
+        try:
+            reference = reference_load_studied_demand(path)
+        except ValidationError as error:  # a row dropped, or a new scenario or region
+            with pytest.raises(type(error)) as mine:
+                load_studied_demand(path)
+            assert str(mine.value) == str(error)
+            return
+        mine = load_studied_demand(path)
+        assert sorted(mine) == sorted(reference)
+        for scenario, demand in mine.items():
+            theirs = reference[scenario]
+            assert demand.regions == theirs.regions
+            assert demand.hours.tolist() == theirs.hours.tolist()
+            for array in ("district_mw", "national_mw", "peak_mw"):
+                ours, expected = np.ravel(getattr(demand, array)), np.ravel(getattr(theirs, array))
+                assert [v.hex() for v in ours.tolist()] == [v.hex() for v in expected.tolist()]
