@@ -2,8 +2,11 @@
 
 Every such table is read by `read_rows` with a structured dtype whose
 field names are its header, and the file format is what one `np.loadtxt`
-call accepts. The writers refuse an id that csv would have to quote
-(`check_unquoted`), so every file the package writes reads back.
+call accepts. Every refusal names the file and, where it has one, the
+line: `read_rows`' own, and the callers' row checks through `Rows.fault`.
+The writers refuse an id that csv would have to quote or that the readers
+would strip (`check_unquoted`), so every file the package writes reads
+back.
 `grid.csv` and `regions.csv`, with tagged rows of different widths and
 `#` comment lines, are read in `grid`.
 """
@@ -32,17 +35,22 @@ _QUOTED_CHARS = ',"\r\n'
 class Rows(NamedTuple):
     """The data rows of a csv file up to its first refused line: an array
     per field, a text field as int64 codes into its list of `texts`; the
-    refused line's ParseError, or None; and per skipped empty line, the
-    number of rows before it."""
+    refused line's ParseError, or None; per skipped empty line, the number
+    of rows before it; and the file's name."""
 
     columns: dict[str, np.ndarray]
     texts: dict[str, list[str]]
     refusal: ParseError | None
     skipped: list[int]
+    file: str
 
     def line(self, row) -> int:
         """The line of data row `row` (from 0), the header and skipped lines counted."""
         return 2 + int(row) + bisect_right(self.skipped, row)
+
+    def fault(self, row, message: str) -> ParseError:
+        """The ParseError of data row `row`, naming its file and line."""
+        return ParseError(message, self.line(row), self.file)
 
     def stripped(self, name: str) -> tuple[list[str], np.ndarray]:
         """Text field `name` with its blanks stripped: the distinct ids, and
@@ -61,7 +69,8 @@ def read_rows(path: Path, dtype: np.dtype, refuse: Callable | None = None) -> Ro
     `dtype.names`, is a ParseError on line 1. Text fields keep their
     blanks. The first data line that loadtxt refuses, that holds a `"`, or
     whose row `refuse` marks (given a chunk's rows) is `Rows.refusal`, and
-    no later line is read. Bytes that are not UTF-8 are a ParseError.
+    no later line is read. Bytes that are not UTF-8 are a ParseError. Each
+    refusal names the file.
     Lines go to loadtxt `_CHUNK_ROWS` at a time; where it refuses a chunk,
     bisecting the chunk's lines with the same call finds the refused line.
     """
@@ -70,15 +79,16 @@ def read_rows(path: Path, dtype: np.dtype, refuse: Callable | None = None) -> Ro
         code.default_factory = code.__len__  # a new text takes the next code
     parts = {name: [np.empty(0, np.int64 if name in codes else dtype[name])] for name in dtype.names}
     skipped, n, first_line, refusal = [], 0, 2, None
+    file = path.name
     try:
         with open(path, encoding="utf-8", newline="") as handle, warnings.catch_warnings():
             warnings.filterwarnings("ignore", ".*contained no data", UserWarning)  # a chunk of no rows
             header = handle.readline()
             if not header:
-                raise ParseError(f"{path.name} is empty", 1)
+                raise ParseError("file is empty", 1, file)
             given = [field.strip() for field in header.split(",")]
             if given != list(dtype.names):
-                raise ParseError(f"expected header {','.join(dtype.names)}, got {','.join(given)}", 1)
+                raise ParseError(f"expected header {','.join(dtype.names)}, got {','.join(given)}", 1, file)
             while refusal is None and (lines := list(islice(handle, _CHUNK_ROWS))):
                 end = len(lines)
                 if '"' in "".join(lines):
@@ -95,7 +105,7 @@ def read_rows(path: Path, dtype: np.dtype, refuse: Callable | None = None) -> Ro
                     row = int(marked[0])
                     chunk, end = chunk[:row], row + bisect_right(before, row)
                 if end < len(lines):
-                    refusal = _refused(lines[end], len(dtype.names), first_line + end)
+                    refusal = ParseError(_refusal(lines[end], len(dtype.names)), first_line + end, file)
                 skipped += [n + k for k in before]
                 n, first_line = n + len(chunk), first_line + len(lines)
                 for name in dtype.names:
@@ -107,10 +117,10 @@ def read_rows(path: Path, dtype: np.dtype, refuse: Callable | None = None) -> Ro
                     parts[name].append(column.copy())
                 del lines, chunk, column  # before the next chunk is read
     except UnicodeDecodeError as error:
-        raise ParseError(f"{path.name} is not UTF-8 text ({error.reason})") from None
+        raise ParseError(f"not UTF-8 text ({error.reason})", file=file) from None
     # popped one by one, so that only one column is held twice
     columns = {name: np.concatenate(parts.pop(name)) for name in dtype.names}
-    return Rows(columns, {name: list(code) for name, code in codes.items()}, refusal, skipped)
+    return Rows(columns, {name: list(code) for name, code in codes.items()}, refusal, skipped, file)
 
 
 def first_repeat(*keys: np.ndarray) -> int | None:
@@ -146,18 +156,22 @@ def _first_refused(lines: list[str], dtype: np.dtype) -> int:
     return low
 
 
-def _refused(text: str, width: int, line: int) -> ParseError:
-    """The ParseError of a refused line of `width` fields."""
+def _refusal(text: str, width: int) -> str:
+    """Why a refused line of `width` fields is refused."""
     fields = text.rstrip("\r\n").split(",")
     if '"' in text:
-        return ParseError("quoted fields are not supported", line)
+        return "quoted fields are not supported"
     if len(fields) != width:
-        return ParseError(f"expected {width} fields, got {len(fields)}", line)
-    return ParseError(f"bad numeric value in {fields!r}", line)
+        return f"expected {width} fields, got {len(fields)}"
+    return f"bad numeric value in {fields!r}"
 
 
 def check_unquoted(fields: Iterable[str], kind: str) -> None:
-    """Refuse any of `fields` that csv would quote, which `read_rows` cannot read back."""
+    """Refuse any of `fields` that does not read back: one csv would quote,
+    which `read_rows` cannot read, or one with surrounding blanks, which the
+    readers strip."""
     for field in fields:
         if any(char in field for char in _QUOTED_CHARS):
             raise ValidationError(f"{kind} {field!r} needs csv quoting")
+        if field != field.strip():
+            raise ValidationError(f"{kind} {field!r} has surrounding blanks")

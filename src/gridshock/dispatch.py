@@ -26,7 +26,13 @@ linear program decide, and it never starts cold: the fill is an optimal
 basis of the balance-only program, so each limit row the flows call for is
 added to the last optimal basis and the dual simplex re-solves from there.
 No dispatch program is solved cold: the calibration dispatch, which takes
-every rating as infinite, is the fill itself (`merit_order_flows`).
+every rating as infinite, is the fill itself (`merit_order_flows`). Before
+a shedding round builds its costs, fill and least-shed program, a row bound
+of the kind LP presolve uses (`_beyond_relief`) asks whether one branch
+stays overloaded, by more than a margin a hundred times the simplex's
+tolerance, under every dispatch and every shed the front bus has left.
+Where one does, the simplex would find no relief either, so the bus is
+drained and no program is built.
 
 A program is a `Fleet` (the units left after a loss, with their caps, flow
 columns and capacity) under a `Load` (a demand state, with its total, the
@@ -355,6 +361,32 @@ def _limited_lp(objective, cols, base_flow, ratings, upper, total):
         x, start = sol.x, sol.basis
 
 
+def _beyond_relief(objective, cols, base_flow, ratings, upper, total) -> bool:
+    """Whether the program of `_limited_lp`, given the same arguments, is
+    infeasible by a margin: some branch that its start, the fill in
+    objective order, overloads carries more than its rating plus
+    100 * FEASIBILITY_TOL * (1 + total + max(ratings) + max|base_flow|) at
+    every x with sum(x) = total and 0 <= x <= upper. False where that fill
+    falls short.
+
+    The least of side * flow on a branch over those x is a continuous
+    knapsack, the fill in order of side * cols[branch] (Andersen &
+    Andersen, "Presolving in linear programming", Math. Programming 71,
+    1995). Only the start's overloads are bounded: a branch that every x
+    overloads, the start overloads too.
+    """
+    output, marginal = _fill(objective[None], upper[None], np.array([total]))
+    overloaded = _overloads(cols @ output[0] + base_flow, ratings) if marginal[0] >= 0 else []
+    if not overloaded:
+        return False
+    rows, sides = np.array(overloaded).T
+    costs = sides[:, None] * cols[rows]
+    least, _ = _fill(costs, np.broadcast_to(upper, costs.shape), np.full(len(rows), total))
+    flows = (costs * least).sum(axis=1) + sides * base_flow[rows]
+    margin = 100 * FEASIBILITY_TOL * (1.0 + total + ratings.max() + np.abs(base_flow).max())
+    return bool((flows > ratings[rows] + margin).any())
+
+
 class Fleet:
     """The units left after one loss, and what every dispatch over them
     shares.
@@ -459,18 +491,19 @@ class _Program:
             self.costs, self.cols, self.base_flow, self.context.ratings, self.upper, self.total
         )
 
-    def least_shed(self, bus: str, limit: float) -> float | None:
-        """Least extra shed t in [0, limit] at `bus` for which some dispatch
-        meets every branch limit; None when no such t exists."""
+    def least_shed_program(self, bus: str, limit: float) -> tuple:
+        """The `_limited_lp` arguments of the least extra shed t in [0,
+        limit] at `bus` for which some dispatch meets every branch limit:
+        the units' columns and t's, the bus's sensitivity column, with
+        objective t."""
         n = len(self.ids)
         column = self.context.sensitivity[:, self.context.grid.bus_index[bus]]
         objective = np.zeros(n + 1)
         objective[n] = 1.0
-        x = _limited_lp(
+        return (
             objective, np.column_stack([self.cols, column]), self.base_flow,
             self.context.ratings, np.append(self.upper, limit), self.total,
         )
-        return None if x is None else float(x[n])
 
     def solution(self, output: np.ndarray) -> DispatchSolution:
         return DispatchSolution(
@@ -551,6 +584,20 @@ def dispatch_with_shedding(
     and a bus with no feasible amount is drained unchecked. The chosen round
     is confirmed with `redispatch`.
 
+    Each round first bounds the least-shed program (`_beyond_relief`): when
+    some branch carries more than its rating plus 100 * FEASIBILITY_TOL * (1
+    + total + max rating + max |base flow|) under every dispatch and every
+    extra shed in [0, what the bus has left], the bus is drained at once,
+    and the round builds no distance costs, fill or program. That is the
+    round's own outcome: the dual simplex certifies no point of a program
+    infeasible by that margin, so the least-shed program has no t*, and t =
+    0 is in range, so the merit-order fill overloads too. So every round
+    takes the branch it took without the bound, in the same order, and each
+    state it builds keeps its float operations. The one difference: a
+    least-shed program the bound rules out is not solved, so one that would
+    have raised NumericalBreakdown no longer does. The bound is skipped
+    when no unit is available or the fill falls short.
+
     Never raises Unstable: the state with every bus drained is the
     zero-demand dispatch, which is always feasible, so a cell with no
     available unit returns "feasible_with_shedding" with all demand shed.
@@ -563,7 +610,8 @@ def dispatch_with_shedding(
 
     original = unshed.mw
     order = [bid for bid in (context.grid.buses[k].id for k in fleet.shed_rank) if bid in original]
-    rank = [[order.index(bid) for bid in original]]
+    place = {bid: k for k, bid in enumerate(order)}
+    rank = [[place[bid] for bid in original]]
     deficit = _shed_deficit(np.array([list(original.values())]), np.array(rank), shed_step,
                             np.array([fleet.capacity]), np.array([unshed.total]))
     shed = dict(zip(original, deficit[0].tolist()))
@@ -607,14 +655,17 @@ def dispatch_with_shedding(
         if bus is None:
             return settled(confirm())
         program = _Program(fleet, load())
-        output = program.merit_order()
-        if output is not None:
-            return settled(program.solution(output))
-        least = program.least_shed(bus, original[bus] - shed[bus])
-        if least is None:
+        relief, x = program.least_shed_program(bus, original[bus] - shed[bus]), None
+        if not (fleet.ids and _beyond_relief(*relief)):
+            output = program.merit_order()
+            if output is not None:
+                return settled(program.solution(output))
+            x = _limited_lp(*relief)
+        if x is None:
             while front() == bus:
                 apply_round()
             continue
+        least = float(x[-1])
         # Rounds short of t* are infeasible, unless short by no more than the
         # solvers' tolerance: redispatch may accept such a round, so it is the
         # one confirmed. A rejected round means the feasible interval ended

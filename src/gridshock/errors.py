@@ -14,14 +14,18 @@ class GridShockError(Exception):
 class ParseError(GridShockError):
     """A data file is syntactically malformed.
 
-    Carries the 1-based line number of the offending row when known.
+    Carries the 1-based line number of the offending row when known, and
+    the name of the file when given: `current.csv line 3: message`.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, file: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if file is not None:
+            message = f"{file} {message}" if line is not None else f"{file}: {message}"
         super().__init__(message)
         self.line = line
+        self.file = file
 
 
 class ValidationError(GridShockError):

@@ -44,7 +44,6 @@ from .atomic import atomic_open
 from .csvrows import check_unquoted, first_repeat, read_rows
 from .errors import (
     BaselineMismatch,
-    ParseError,
     UnbalancedTables,
     ValidationError,
 )
@@ -507,10 +506,10 @@ def _read_table(path: Path, header: str) -> tuple[dict[str, tuple[list[str], np.
         values = np.array([flag in ("1", "true") for flag in flags], bool)[values]
         if bad.any():
             k = bad.argmax()
-            faults.append((k, ParseError(f"{path.name}: allowed must be 0/1/true/false", rows.line(k))))
+            faults.append((k, rows.fault(k, "allowed must be 0/1/true/false")))
     if (k := first_repeat(*(codes for _, codes in columns.values()))) is not None:
         key = [ids[codes[k]] for ids, codes in columns.values()]
-        faults.append((k, ParseError(f"repeated row {key!r} in {path.name}", rows.line(k))))
+        faults.append((k, rows.fault(k, f"repeated row {key!r}")))
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
     return columns, values

@@ -34,7 +34,6 @@ from .atomic import atomic_open
 from .csvrows import check_unquoted, first_repeat, int_field, read_rows
 from .errors import (
     MisalignedHours,
-    ParseError,
     SharesNotNormalized,
     ValidationError,
 )
@@ -313,7 +312,7 @@ def load_profile(path, scenario: str | None = None) -> DemandProfile:
     later, same = code[1:] > code[:-1], code[1:] == code[:-1]
     if not (later | (same & (hours[1:] > hours[:-1]))).all():
         if (k := first_repeat(hours, code)) is not None:
-            raise ParseError(f"duplicate hour {hours[k]} for region {names[code[k]]}", rows.line(k))
+            raise rows.fault(k, f"duplicate hour {hours[k]} for region {names[code[k]]}")
         order = np.lexsort((hours, code))
         code, hours, values = code[order], hours[order], values[order]
     if rows.refusal:
@@ -404,7 +403,7 @@ def load_studied_demand(path) -> dict[str, StudiedDemand]:
 
     def fault(k, step, what):
         fields = [texts[name][rows.columns[name][k]] for name in ("scenario", "kind", "region", "hour")]
-        return int(k), step, ParseError(f"{what} row {fields!r} in {path.name}", rows.line(k))
+        return int(k), step, rows.fault(k, f"{what} row {fields!r}")
 
     faults = [(len(scenario), 2, rows.refusal)] if rows.refusal else []
     if malformed.any():

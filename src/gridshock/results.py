@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .csvrows import check_unquoted, first_repeat, read_rows
 
 __all__ = ["STATUS_OK", "STATUS_SHED", "ResultTable", "save_results", "load_results"]
@@ -127,7 +127,7 @@ def load_results(path) -> ResultTable:
 
     def fault(row, step, k, message):  # message(key) names the record of row k
         key = int(ordering[k]), float(fraction[k]), names[scenario[k]], int(hour[k])
-        faults.append((int(row), step, ParseError(message(key), rows.line(k))))
+        faults.append((int(row), step, rows.fault(k, message(key))))
 
     keys = (ordering, fraction, scenario, hour)
     new = np.append(True, np.logical_or.reduce([c[1:] != c[:-1] for c in keys]))

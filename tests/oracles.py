@@ -324,26 +324,26 @@ def reference_load_profile(path, scenario=None):
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise ParseError(f"{path.name} is empty", 1)
+            raise ParseError("file is empty", 1, path.name)
         header = [h.strip() for h in header]
         if header != ["region", "hour", "demand_mw"]:
             raise ParseError(
-                f"expected header region,hour,demand_mw, got {','.join(header)}", 1
+                f"expected header region,hour,demand_mw, got {','.join(header)}", 1, path.name
             )
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
+                raise ParseError(f"expected 3 fields, got {len(row)}", lineno, path.name)
             region = row[0].strip()
             try:
                 hour = int(row[1])
                 value = float(row[2])
             except ValueError:
-                raise ParseError(f"bad numeric value in {row!r}", lineno) from None
+                raise ParseError(f"bad numeric value in {row!r}", lineno, path.name) from None
             series.setdefault(region, {})
             if hour in series[region]:
-                raise ParseError(f"duplicate hour {hour} for region {region}", lineno)
+                raise ParseError(f"duplicate hour {hour} for region {region}", lineno, path.name)
             series[region][hour] = value
 
     if not series:
@@ -915,29 +915,29 @@ def reference_load_results(path):
     from gridshock.errors import ParseError, ValidationError
     from gridshock.results import ResultTable
 
-    groups = {}
+    groups, name = {}, Path(path).name
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         expected = ["ordering", "fraction", "scenario", "hour", "region", "unserved_mw", "status"]
         if header is None:
-            raise ParseError(f"{Path(path).name} is empty", 1)
+            raise ParseError("file is empty", 1, name)
         header = [h.strip() for h in header]
         if header != expected:
-            raise ParseError(f"expected header {','.join(expected)}, got {','.join(header)}", 1)
+            raise ParseError(f"expected header {','.join(expected)}, got {','.join(header)}", 1, name)
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 7:
-                raise ParseError(f"expected 7 fields, got {len(row)}", lineno)
+                raise ParseError(f"expected 7 fields, got {len(row)}", lineno, name)
             try:
                 key = (int(row[0]), float(row[1]), row[2], int(row[3]))
                 value = float(row[5])
             except ValueError:
-                raise ParseError(f"bad numeric value in {row!r}", lineno) from None
+                raise ParseError(f"bad numeric value in {row!r}", lineno, name) from None
             per_region = groups.setdefault(key, {})
             if row[4] in per_region:
-                raise ParseError(f"repeated row for record {key}, region {row[4]}", lineno)
+                raise ParseError(f"repeated row for record {key}, region {row[4]}", lineno, name)
             per_region[row[4]] = (value, row[6])
 
     statuses = {}

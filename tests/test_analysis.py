@@ -200,7 +200,7 @@ class TestLoadCosts:
         with pytest.raises(ParseError) as error:
             load_costs(table, *paths)
         assert error.value.line == line
-        assert str(error.value) == f"line {line}: {message}"
+        assert str(error.value) == f"{name} line {line}: {message}"
 
 
 ZONES_ROW = np.dtype([("record_id", object), ("region", object), ("delta_va", float)])

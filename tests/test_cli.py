@@ -426,7 +426,7 @@ class TestPipeline:
         assert main(["simulate", "--config", str(run_copy / "run.cfg")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "line 3: bad numeric value in " in err
+        assert "current.csv line 3: bad numeric value in " in err
         assert "'99999999999999999999', '1.0']" in err
 
     def test_profile_with_another_value_column_exits_1(self, run_copy, capsys):
@@ -435,8 +435,16 @@ class TestPipeline:
         path.write_bytes(text.replace(b"region,hour,demand_mw", b"region,hour,heat_mw", 1))
         assert main(["simulate", "--config", str(run_copy / "run.cfg")]) == 1
         assert capsys.readouterr().err == (
-            "error: line 1: expected header region,hour,demand_mw, got region,hour,heat_mw\n"
+            "error: current.csv line 1: expected header region,hour,demand_mw, got region,hour,heat_mw\n"
         )
+
+    def test_economy_line_names_its_file(self, run_copy, capsys):
+        path = run_copy / "economy" / "supply.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(2, "r1,x\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["impact", "--config", str(run_copy / "run.cfg")]) == 1
+        assert capsys.readouterr().err == "error: supply.csv line 3: expected 4 fields, got 2\n"
 
     def test_demand_edited_after_simulate_refused(self, run_copy, capsys):
         path = run_copy / "out" / "demand.csv"
@@ -688,7 +696,7 @@ class TestProcessPools:
         text = path.read_bytes()
         path.write_bytes(text[:100] + b"\xff" + text[101:])
         assert main(["simulate", "--config", str(run_copy / "run.cfg")]) == 1
-        assert capsys.readouterr().err == "error: current.csv is not UTF-8 text (invalid start byte)\n"
+        assert capsys.readouterr().err == "error: current.csv: not UTF-8 text (invalid start byte)\n"
         assert started == [2]
         assert not multiprocessing.active_children()
 
@@ -698,7 +706,7 @@ class TestProcessPools:
         path = run_copy / "out" / "results.csv"
         text = path.read_bytes()
         path.write_bytes(text[:100] + b"\xff" + text[101:])
-        with pytest.raises(ParseError, match=r"^results.csv is not UTF-8 text \(invalid start byte\)$"):
+        with pytest.raises(ParseError, match=r"^results.csv: not UTF-8 text \(invalid start byte\)$"):
             load_results(path)
         for stage in ("impact", "analyze"):
             assert main([stage, "--config", str(run_copy / "run.cfg")]) == 1

@@ -846,26 +846,37 @@ class TestGbLikeCongested:
 
 def checked_limited_lps(patch, run):
     """Run `run` with every `dispatch._limited_lp` call also solved by the
-    cold loop (`oracles.reference_limited_lp`); returns (objective, ours,
-    reference) per call."""
+    cold loop (`oracles.reference_limited_lp`), and every program that
+    `dispatch._beyond_relief` rules out solved both ways as `_limited_lp`
+    would have solved it; returns (objective, ours, reference, ruled out)
+    per program."""
     calls = []
-    limited_lp = dispatch_module._limited_lp
+    limited_lp, beyond_relief = dispatch_module._limited_lp, dispatch_module._beyond_relief
 
     def checked(*args):
         ours = limited_lp(*args)
-        calls.append((args[0], ours, reference_limited_lp(*args)))
+        calls.append((args[0], ours, reference_limited_lp(*args), False))
         return ours
 
+    def bounded(*args):
+        ruled_out = beyond_relief(*args)
+        if ruled_out:
+            calls.append((args[0], limited_lp(*args), reference_limited_lp(*args), True))
+        return ruled_out
+
     patch.setattr(dispatch_module, "_limited_lp", checked)
+    patch.setattr(dispatch_module, "_beyond_relief", bounded)
     run()
     patch.undo()
     return calls
 
 
-def assert_same_limited_lp(objective, ours, reference):
+def assert_same_limited_lp(objective, ours, reference, ruled_out=False):
     """Same feasibility verdict and, where feasible, the same optimal value
-    to 1e-9 relative: for a least-shed program the least extra shed."""
+    to 1e-9 relative: for a least-shed program the least extra shed. A
+    program the bound ruled out is infeasible."""
     assert (ours is None) == (reference is None)
+    assert reference is None or not ruled_out
     if ours is not None:
         assert objective @ ours == pytest.approx(objective @ reference, rel=1e-9, abs=0.0)
 
@@ -885,8 +896,8 @@ class TestLimitedLpAgainstColdLoop:
                 dispatch_with_shedding(problem, removed, shed_step=step, context=context)
                 redispatch(problem, context)
 
-            for objective, ours, reference in checked_limited_lps(monkeypatch, run):
-                assert_same_limited_lp(objective, ours, reference)
+            for objective, ours, reference, ruled_out in checked_limited_lps(monkeypatch, run):
+                assert_same_limited_lp(objective, ours, reference, ruled_out)
                 verdicts.add(ours is None)
                 least_shed += objective[-1] == 1.0 and not objective[:-1].any()
         assert verdicts == {True, False} and least_shed >= 20
@@ -900,10 +911,79 @@ class TestLimitedLpAgainstColdLoop:
                 dispatch_with_shedding(problem, removed, context=context)
 
         calls = checked_limited_lps(monkeypatch, run)
-        for objective, ours, reference in calls:
-            assert_same_limited_lp(objective, ours, reference)
-        assert {ours is None for _, ours, _ in calls} == {True, False}
-        assert len(calls) >= 20
+        for objective, ours, reference, ruled_out in calls:
+            assert_same_limited_lp(objective, ours, reference, ruled_out)
+        assert {ours is None for _, ours, _, _ in calls} == {True, False}
+        assert len(calls) >= 20 and any(ruled_out for *_, ruled_out in calls)
+
+
+def relief_proofs(patch, run):
+    """Run `run`, recording every program the shedding loop hands to
+    `dispatch._beyond_relief` or `dispatch._limited_lp`; check that
+    `_limited_lp` finds each program the bound proves beyond relief
+    infeasible, and return the number of such programs and of all."""
+    programs = []
+    limited_lp, beyond_relief = dispatch_module._limited_lp, dispatch_module._beyond_relief
+
+    def recorded(solve):
+        return lambda *args: programs.append(args) or solve(*args)
+
+    patch.setattr(dispatch_module, "_limited_lp", recorded(limited_lp))
+    patch.setattr(dispatch_module, "_beyond_relief", recorded(beyond_relief))
+    run()
+    patch.undo()
+    proofs = [args for args in programs if beyond_relief(*args)]
+    for args in proofs:
+        assert limited_lp(*args) is None
+    return len(proofs), len(programs)
+
+
+class TestReliefBound:
+    """Wherever the one-branch fill bound proves a program beyond relief,
+    the warm simplex finds it infeasible."""
+
+    def test_random_congested_grids(self, monkeypatch):
+        proofs = programs = 0
+        for seed in range(60):
+            problem, removed, step = congested_case(np.random.default_rng([47, seed]))
+            context = GridContext(problem.grid)
+
+            def run():
+                dispatch_with_shedding(problem, removed, shed_step=step, context=context)
+
+            found = relief_proofs(monkeypatch, run)
+            proofs, programs = proofs + found[0], programs + found[1]
+        assert 0 < proofs < programs
+
+    def test_gb_like_congested_cells(self, congested_gb_like, monkeypatch):
+        grid, fixture = congested_gb_like
+        context = GridContext(grid)
+
+        def run():
+            for problem, removed in congested_cells(grid, fixture, 2, (0.1, 0.2, 0.25, 0.3)):
+                dispatch_with_shedding(problem, removed, context=context)
+
+        proofs, programs = relief_proofs(monkeypatch, run)
+        assert 0 < proofs < programs
+
+    def test_short_fill_or_no_overload_proves_nothing(self):
+        # capacity 60 short of 100: the fill falls short, and the simplex path decides
+        cols, upper = np.array([[1.0, 1.0]]), np.array([30.0, 30.0])
+        args = (np.zeros(2), cols, np.zeros(1), np.array([10.0]), upper, 100.0)
+        assert not dispatch_module._beyond_relief(*args)
+        # the fill carries 50 MW on a 60 MW branch
+        args = (np.zeros(2), cols, np.zeros(1), np.array([60.0]), np.array([30.0, 30.0]), 50.0)
+        assert not dispatch_module._beyond_relief(*args)
+
+    @pytest.mark.parametrize("rating, proved", [(59.0, True), (60.0, False), (61.0, False)])
+    def test_least_flow_against_the_rating(self, rating, proved):
+        # 100 MW from three units, at most 40 of it from the two off the
+        # branch: every dispatch carries at least 60 MW on it
+        cols = np.array([[1.0, 0.0, 0.0]])
+        upper = np.array([100.0, 20.0, 20.0])
+        args = (np.zeros(3), cols, np.zeros(1), np.array([rating]), upper, 100.0)
+        assert dispatch_module._beyond_relief(*args) == proved
+        assert (dispatch_module._limited_lp(*args) is None) == proved
 
 
 class TestCapacityShortBoundary:
@@ -1025,17 +1105,29 @@ class TestNoColdDispatchLp:
 
 @pytest.fixture(scope="module")
 def congested_dispatch_lps(congested_gb_like):
-    """Every (program, keyword arguments) lp_solve sees in 32 cells of the
-    congested gb-like sweep."""
+    """Every (program, keyword arguments, ruled out) lp_solve sees in 32
+    cells of the congested gb-like sweep, where each least-shed program
+    that `dispatch._beyond_relief` rules out is also solved as
+    `_limited_lp` would have solved it, its programs marked ruled out."""
     grid, fixture = congested_gb_like
-    programs = []
+    programs, ruling_out = [], []
+    beyond_relief = dispatch_module._beyond_relief
 
     def recording(lp, **kwargs):
-        programs.append((lp, kwargs))
+        programs.append((lp, kwargs, bool(ruling_out)))
         return lp_solve(lp, **kwargs)
+
+    def bounded(*args):
+        ruled_out = beyond_relief(*args)
+        if ruled_out:
+            ruling_out.append(args)
+            dispatch_module._limited_lp(*args)
+            ruling_out.clear()
+        return ruled_out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dispatch_module, "lp_solve", recording)
+        patch.setattr(dispatch_module, "_beyond_relief", bounded)
         context = GridContext(grid)
         for problem, removed in congested_cells(grid, fixture, 4, (0.1, 0.15, 0.2, 0.3)):
             dispatch_with_shedding(problem, removed, context=context)
@@ -1045,7 +1137,8 @@ def congested_dispatch_lps(congested_gb_like):
 class TestDispatchLpsAgainstHighs:
     """lp_solve against HiGHS on the dispatch programs the congested gb-like
     sweep solves, warm from the starts the sweep gave them: least-cost
-    programs with limit rows and least-shed programs for one bus."""
+    programs with limit rows and least-shed programs for one bus, those the
+    bound ruled out among them, which HiGHS must call infeasible."""
 
     def test_pipeline_programs(self, congested_dispatch_lps):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -1054,11 +1147,12 @@ class TestDispatchLpsAgainstHighs:
         def least_shed(lp):
             return lp.objective[-1] == 1.0 and not lp.objective[:-1].any()
 
-        limited = [(lp, kw) for lp, kw in programs if lp.a_ub is not None and not least_shed(lp)]
-        segments = [(lp, kw) for lp, kw in programs if least_shed(lp)]
+        limited = [p for p in programs if p[0].a_ub is not None and not least_shed(p[0])]
+        segments = [p for p in programs if least_shed(p[0])]
         assert len(limited) >= 10 and len(segments) >= 10
+        assert any(ruled_out for *_, ruled_out in segments)
         statuses = set()
-        for lp, kwargs in limited + segments:
+        for lp, kwargs, ruled_out in limited + segments:
             assert kwargs["start"] is not None
             ours = lp_solve(lp, **kwargs)
             highs = linprog(
@@ -1076,6 +1170,7 @@ class TestDispatchLpsAgainstHighs:
             )
             statuses.add(ours.status)
             assert (ours.status, highs.status) in (("optimal", 0), ("infeasible", 2))
+            assert highs.status == 2 or not ruled_out
             if ours.status == "optimal":
                 assert ours.objective_value == pytest.approx(highs.fun, rel=1e-9, abs=1e-9)
         assert statuses == {"optimal", "infeasible"}
@@ -1083,9 +1178,13 @@ class TestDispatchLpsAgainstHighs:
 
 class TestDispatchLpsAgainstReferenceKernel:
     def test_pipeline_programs(self, congested_dispatch_lps):
+        # the programs the bound ruled out among them, which the reference
+        # kernel must call infeasible
         statuses = set()
-        for lp, _ in congested_dispatch_lps:
+        for lp, _, ruled_out in congested_dispatch_lps:
             ours = lp_solve(lp)
-            assert_same_lp_solution(ours, reference_lp_solve(lp))
+            reference = reference_lp_solve(lp)
+            assert_same_lp_solution(ours, reference)
+            assert reference.status == "infeasible" or not ruled_out
             statuses.add(ours.status)
         assert statuses == {"optimal", "infeasible"}

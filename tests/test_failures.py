@@ -7,6 +7,7 @@ import pytest
 
 import gridshock.csvrows as csvrows_module
 import gridshock.dispatch as dispatch_module
+import gridshock.failures as failures_module
 from gridshock.dispatch import DispatchProblem, Fleet, GridContext, Load
 from gridshock.errors import ParseError, Unstable, ValidationError
 from gridshock.failures import (
@@ -473,6 +474,37 @@ class TestGoldenSweep:
         assert hashlib.sha256(table.unserved_mw.tobytes()).hexdigest() == self.GOLDEN[size, seed]
 
 
+class TestCongestedSweepWork:
+    """The work of the congested gb-like sweep at master seed 7, its
+    benchmark workload: 177 cells take the shedding loop, each confirmed
+    by one `redispatch`; the one-branch fill bound rules out 446 shed
+    buses, so 354 dispatch LPs run where the loop without it ran 800."""
+
+    def test_work_counts(self, monkeypatch):
+        counts = dict.fromkeys(["lp_solve", "ruled_out", "cells", "redispatch"], 0)
+
+        def counted(module, name, key, tally=lambda result: 1):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = inner(*args, **kwargs)
+                counts[key] += tally(result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(dispatch_module, "lp_solve", "lp_solve")
+        counted(dispatch_module, "_beyond_relief", "ruled_out", int)
+        counted(failures_module, "dispatch_with_shedding", "cells")
+        counted(dispatch_module, "redispatch", "redispatch")
+        grid, fixture = gb_like_congested()
+        hours = (("current", 427), ("heat_pump", 427), ("efficiency", 427), ("flat", 0))
+        config = experiment_config(hours=hours, n_orderings=10, master_seed=7)
+        table = run_experiment(grid, fixture.profiles, config)
+        assert counts == {"lp_solve": 354, "ruled_out": 446, "cells": 177, "redispatch": 177}
+        assert table.network_cells == 177
+
+
 class TestCalibrateRatings:
     def chain(self, rating=50.0):
         buses = (
@@ -769,12 +801,12 @@ class TestResultsAgainstReference:
         with pytest.raises(ParseError) as reference:
             reference_load_results(path)
         assert mine.value.line == reference.value.line == 7
-        assert str(mine.value) == str(reference.value) == f"line 7: {message}"
+        assert str(mine.value) == str(reference.value) == f"results.csv line 7: {message}"
 
     def test_header_refusal_matches_reference(self, tmp_path):
         path = tmp_path / "results.csv"
         for header, message in (
-            ("", "results.csv is empty"),
+            ("", "file is empty"),
             ("ordering,fraction", f"expected header {HEADER}, got ordering,fraction"),
             (HEADER.replace("status", "state"), f"expected header {HEADER}, got {HEADER.replace('status', 'state')}"),
         ):
@@ -783,7 +815,7 @@ class TestResultsAgainstReference:
                 load_results(path)
             with pytest.raises(ParseError) as reference:
                 reference_load_results(path)
-            assert str(mine.value) == str(reference.value) == f"line 1: {message}"
+            assert str(mine.value) == str(reference.value) == f"results.csv line 1: {message}"
 
 
 class TestResultsRefusals:
@@ -832,12 +864,12 @@ class TestResultsRefusals:
         with pytest.raises(ParseError) as error:
             load_results(path)
         assert error.value.line == line
-        assert str(error.value).startswith(f"line {line}: {message}")
+        assert str(error.value).startswith(f"results.csv line {line}: {message}")
 
     def test_repeated_record_refused(self, tmp_path):
         rows = small_results(tmp_path).read_text(encoding="utf-8").splitlines()[1:]
         path = small_results(tmp_path, rows + rows[:2])
-        with pytest.raises(ParseError, match="line 8: repeated row for record .0, 0.0, 'current', 0., region r1"):
+        with pytest.raises(ParseError, match="^results.csv line 8: repeated row for record .0, 0.0, 'current', 0., region r1"):
             load_results(path)
 
     @pytest.mark.parametrize("name", ["r,1", 'r"1', "r\n1"])

@@ -62,6 +62,8 @@ class TestErrorsThroughThePool:
         assert copy.line == 4
         without = pickle.loads(pickle.dumps(ParseError("no line")))
         assert (str(without), without.line) == ("no line", None)
+        named = pickle.loads(pickle.dumps(ParseError("bad number", 4, "current.csv")))
+        assert (str(named), named.line, named.file) == ("current.csv line 4: bad number", 4, "current.csv")
 
     def test_every_package_error_pickles(self):
         classes = [

@@ -861,13 +861,13 @@ class TestSupplyUseIO:
     def test_bad_header(self, tmp_path):
         save_supply_use(one_region_model(), tmp_path)
         (tmp_path / "supply.csv").write_text("region,value\n")
-        with pytest.raises(ParseError, match="^line 1: expected header region,industry,product,value, got region,value$"):
+        with pytest.raises(ParseError, match="^supply.csv line 1: expected header region,industry,product,value, got region,value$"):
             load_supply_use(tmp_path)
 
     def test_bad_trade_flag(self, tmp_path):
         save_supply_use(one_region_model(), tmp_path)
         (tmp_path / "trade.csv").write_text("from,to,product,allowed\nA,A,good,maybe\n")
-        with pytest.raises(ParseError, match="trade.csv"):
+        with pytest.raises(ParseError, match="^trade.csv line 2: allowed must be 0/1/true/false$"):
             load_supply_use(tmp_path)
 
     @pytest.mark.parametrize("table", ["supply", "use", "final_demand", "value_added", "trade"])
@@ -882,7 +882,7 @@ class TestSupplyUseIO:
         path.write_text("\n".join([header, first, *rest, padded]) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as error:
             load_supply_use(tmp_path)
-        assert str(error.value) == f"line {len(rest) + 3}: repeated row {ids!r} in {table}.csv"
+        assert str(error.value) == f"{table}.csv line {len(rest) + 3}: repeated row {ids!r}"
 
     @pytest.mark.parametrize(
         "row, message",
@@ -895,13 +895,22 @@ class TestSupplyUseIO:
         (tmp_path / "supply.csv").write_text("\n".join([lines[0], row, *lines[1:]]) + "\n", encoding="utf-8")
         with pytest.raises(ParseError) as error:
             load_supply_use(tmp_path)
-        assert str(error.value) == f"line 2: {message}"
+        assert str(error.value) == f"supply.csv line 2: {message}"
 
     @pytest.mark.parametrize("axis", ["regions", "industries", "products"])
     def test_writer_refuses_ids_csv_would_quote(self, tmp_path, axis):
         model = replace(one_region_model(), **{axis: ("a,b",)})
         with pytest.raises(ValidationError, match="id 'a,b' needs csv quoting"):
             save_supply_use(model, tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("region", [" A", "A ", "\tA"])
+    def test_writer_refuses_ids_with_surrounding_blanks(self, tmp_path, region):
+        # the reader strips them, so the file would read back as region 'A'
+        model = replace(one_region_model(), regions=(region,))
+        with pytest.raises(ValidationError) as error:
+            save_supply_use(model, tmp_path)
+        assert str(error.value) == f"region id {region!r} has surrounding blanks"
         assert not list(tmp_path.iterdir())
 
 

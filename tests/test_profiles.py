@@ -319,6 +319,14 @@ class TestProfileIO:
         assert np.array_equal(loaded.hours, profile.hours)
         assert np.array_equal(loaded.demand_mw, profile.demand_mw)
 
+    def test_writer_refuses_a_region_with_surrounding_blanks(self, tmp_path):
+        # the reader strips them, so the file would read back as region 'A'
+        path = tmp_path / "current.csv"
+        with pytest.raises(ValidationError) as error:
+            save_profile(small_profile([[1.0]], regions=(" A",)), path)
+        assert str(error.value) == "region id ' A' has surrounding blanks"
+        assert not list(tmp_path.iterdir())
+
     def test_scenario_defaults_to_stem(self, tmp_path):
         path = tmp_path / "efficiency.csv"
         save_profile(small_profile([[1.0]], regions=("a",)), path)
@@ -339,7 +347,7 @@ class TestProfileIO:
             load_profile(path)
         assert error.value.line == 1
         assert str(error.value) == (
-            f"line 1: expected header region,hour,demand_mw, got region,hour,{column}"
+            f"current.csv line 1: expected header region,hour,demand_mw, got region,hour,{column}"
         )
 
     def test_bad_value_reports_line(self, tmp_path):
@@ -463,7 +471,7 @@ class TestChunkedReader:
         with pytest.raises(ParseError) as reference:
             reference_load_profile(path)
         assert mine.value.line == reference.value.line == 12
-        assert str(mine.value) == str(reference.value) == f"line 12: {message}"
+        assert str(mine.value) == str(reference.value) == f"demand.csv line 12: {message}"
 
     @pytest.mark.parametrize("repeat_first", [True, False])
     def test_first_of_a_repeated_hour_and_a_bad_row_is_named(self, tmp_path, repeat_first):
@@ -492,7 +500,7 @@ class TestChunkedReader:
         with pytest.raises(ParseError) as error:
             load_profile(path)
         assert error.value.line == 12
-        assert str(error.value) == f"line 12: bad numeric value in ['a', '{hour}', '1.0']"
+        assert str(error.value) == f"demand.csv line 12: bad numeric value in ['a', '{hour}', '1.0']"
 
     def test_one_row_hour_beyond_int64(self, tmp_path):
         path = write_lines(tmp_path / "demand.csv", ["region,hour,demand_mw", "a,99999999999999999999,1.0"])
@@ -537,7 +545,7 @@ class TestChunkedReader:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "demand.csv"
         path.write_bytes(b"")
-        with pytest.raises(ParseError, match="^line 1: demand.csv is empty$"):
+        with pytest.raises(ParseError, match="^demand.csv line 1: file is empty$"):
             load_profile(path)
 
     @pytest.mark.parametrize(
@@ -563,7 +571,7 @@ class TestChunkedReader:
             with pytest.raises(ParseError) as error:
                 load_profile(path)
             assert str(error.value) == (
-                f"line {hour + 2}: bad numeric value in ['a', '{hour_text}', '{value_text}']"
+                f"demand.csv line {hour + 2}: bad numeric value in ['a', '{hour_text}', '{value_text}']"
             )
             return
         mine = load_profile(path)
@@ -700,7 +708,7 @@ class TestLoadtxtReader:
         with pytest.raises(ParseError) as error:
             load_profile(path)
         assert error.value.line == line
-        assert str(error.value) == f"line {line}: {message}"
+        assert str(error.value) == f"demand.csv line {line}: {message}"
         # loadtxt refused one chunk, the one that holds the line, and no other
         start = (line - 2) // chunk * chunk  # of the data lines, after the header
         assert bisections == [min(chunk, len(lines) - 1 - start)]
@@ -737,7 +745,7 @@ class TestLoadtxtReader:
         with pytest.raises(ParseError) as error:
             load_profile(path)
         assert error.value.line == line
-        assert str(error.value) == f"line {line}: quoted fields are not supported"
+        assert str(error.value) == f"demand.csv line {line}: quoted fields are not supported"
 
     def test_peak_memory_stays_chunked(self, gb_like_profiles):
         # a whole-file parse of current.csv (385,440 rows) would peak far above this
@@ -770,7 +778,7 @@ class TestLoadtxtReader:
             tracemalloc.stop()
         assert lines == 44 * HOURS_PER_YEAR + 1
         assert str(error.value) == (
-            f"line {lines}: bad numeric value in ['{region.decode()}', '8_759', '{value.decode()}']"
+            f"current.csv line {lines}: bad numeric value in ['{region.decode()}', '8_759', '{value.decode()}']"
         )
         assert bisections == [(lines - 2) % csvrows_module._CHUNK_ROWS + 1]
         assert peak < 18 * 2**20
@@ -851,11 +859,12 @@ SPECIAL_VALUES = (0.0, -0.0, 5e-324, 2.225073858507203e-309, 1e-5, 1e16, 1e300)
 
 
 def random_profile(rng, n_hours):
-    """A profile with awkward region ids, special values and random doubles."""
+    """A profile with awkward region ids, special values and random doubles.
+    An id keeps its blanks inside: the writer refuses surrounding ones."""
     alphabet = list("abz09 _-.éßж€")
-    ids = {"r", "long_" + "x" * int(rng.integers(50, 300)), " padded ", "ünïcødé 区"}
+    ids = {"r", "long_" + "x" * int(rng.integers(50, 300)), "in side", "ünïcødé 区"}
     while len(ids) < int(rng.integers(5, 9)):
-        ids.add("".join(rng.choice(alphabet, size=int(rng.integers(1, 12)))))
+        ids.add("".join(rng.choice(alphabet, size=int(rng.integers(1, 12)))).strip() or "b")
     ids = sorted(ids)
     regions = [ids[k] for k in rng.permutation(len(ids))[: int(rng.integers(1, len(ids) + 1))]]
     hours = np.sort(rng.choice(HOURS_PER_YEAR, size=n_hours, replace=False))
@@ -950,8 +959,8 @@ class TestStudiedDemand:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("current,national,a,0,1.0", "malformed row ['current', 'national', 'a', '0'] in demand.csv"),
-            ("current,district,a,x,1.0", "malformed row ['current', 'district', 'a', 'x'] in demand.csv"),
+            ("current,national,a,0,1.0", "malformed row ['current', 'national', 'a', '0']"),
+            ("current,district,a,x,1.0", "malformed row ['current', 'district', 'a', 'x']"),
             ("current,peak,,,1.0,2", "expected 5 fields, got 6"),
         ],
     )
@@ -965,7 +974,7 @@ class TestStudiedDemand:
         write_lines(path, lines)
         with pytest.raises(ParseError) as error:
             load_studied_demand(path)
-        assert str(error.value) == f"line 3: {message}"
+        assert str(error.value) == f"demand.csv line 3: {message}"
 
     def two_hours(self, tmp_path):
         """demand.csv lines for regions a, b at hours 0 and 1."""
@@ -983,7 +992,7 @@ class TestStudiedDemand:
         lines.insert(line - 1, row)
         write_lines(path, lines)
         kind = row.split(",")[1]
-        with pytest.raises(ParseError, match=f"line {line}: repeated row \\['current', '{kind}'"):
+        with pytest.raises(ParseError, match=f"^demand.csv line {line}: repeated row \\['current', '{kind}'"):
             load_studied_demand(path)
 
     def test_hour_lacking_a_district_rejected(self, tmp_path):
@@ -1012,7 +1021,7 @@ class TestStudiedDemand:
         write_lines(path, [lines[0], row, *lines[1:]])
         with pytest.raises(ParseError) as error:
             load_studied_demand(path)
-        assert str(error.value) == f"line 2: {message}"
+        assert str(error.value) == f"demand.csv line 2: {message}"
 
     @pytest.mark.parametrize("scenario, region", [("a,b", "a"), ("current", 'r"1')])
     def test_writer_refuses_ids_csv_would_quote(self, tmp_path, scenario, region):
@@ -1057,7 +1066,9 @@ class TestStudiedDemandFuzz:
     def test_refused_on_its_first_bad_line_or_read_as_the_reference(self, tmp_path, monkeypatch, seed):
         rng = np.random.default_rng(seed)
         monkeypatch.setattr(csvrows_module, "_CHUNK_ROWS", int(rng.choice([1, 7, 50_000])))
-        regions = sorted({"".join(rng.choice(list("abz09 _-.é"), size=int(rng.integers(1, 4)))) for _ in range(4)})
+        # ids keep blanks inside only: the writer refuses surrounding ones
+        draws = ("".join(rng.choice(list("abz09 _-.é"), size=int(rng.integers(1, 4)))) for _ in range(4))
+        regions = sorted({text.strip() or "b" for text in draws})
         scenarios = rng.choice(["current", "flat", "heat_pump"], size=int(rng.integers(1, 3)), replace=False)
         demands = {}
         for scenario in scenarios.tolist():
